@@ -173,7 +173,10 @@ def _eval_numeric(f: ControlFunction, t) -> Numeric:
         case Linear(slope=k):
             return k * Fraction(t)
         case Power(exponent=p):
-            return float(t) ** p
+            try:
+                return float(t) ** p
+            except OverflowError:
+                raise DomainError(f"power control t ** {p} overflows at t={t}") from None
         case CappedLinear(slope=k, threshold=c):
             tf = Fraction(t)
             return k * tf if tf <= c else c

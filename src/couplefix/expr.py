@@ -19,13 +19,20 @@ Grammar (``arith`` is ordinary arithmetic; ``piecewise`` only at top level)::
 Rational literals like ``47/24`` (no interior whitespace) are stored exactly
 as one :class:`Number`; ``47 / 24`` is ordinary division.  The final ``;``
 before ``}`` may be omitted.  Piecewise arms are tested in declaration order
-and the first matching guard wins.
+and the first matching guard wins.  Parentheses, calls and unary minus nest
+at most :data:`MAX_NESTING` levels deep.
+
+:func:`eval_expression` walks the tree with constants kept as exact
+``Fraction`` values.  :func:`bind_function` lowers a tree once into a Python
+function over float arguments that returns the same float, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -134,6 +141,8 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isdigit() or ch == ".":
             m = _RATIONAL.match(text, i)
             if m:
+                if int(m.group(2)) == 0:
+                    raise ExprSyntaxError(f"zero denominator in {m.group(0)!r}", line, col)
                 value = Fraction(int(m.group(1)), int(m.group(2)))
             else:
                 m = _DECIMAL.match(text, i)
@@ -171,11 +180,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 _FACTOR_START = ("number", "identifier", "function call", "(", "-")
 
+#: Deepest nesting of parentheses, calls and unary minus the parser accepts.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -187,6 +200,15 @@ class _Parser:
 
     def _fail(self, message: str, tok: _Token, expected: tuple[str, ...] = ()) -> None:
         raise ExprSyntaxError(message, tok.line, tok.col, expected)
+
+    def _nested(self, tok: _Token, rule: Callable[[], Expr]) -> Expr:
+        """Parse ``rule`` one nesting level deeper than ``tok``."""
+        if self._depth >= MAX_NESTING:
+            self._fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+        self._depth += 1
+        node = rule()
+        self._depth -= 1
+        return node
 
     def _expect(self, kind: str) -> _Token:
         tok = self._peek()
@@ -272,10 +294,10 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "-":
             self._advance()
-            return Neg(self.factor())
+            return Neg(self._nested(tok, self.factor))
         if tok.kind == "(":
             self._advance()
-            node = self.arith()
+            node = self._nested(tok, self.arith)
             self._expect(")")
             return node
         if tok.kind == "number":
@@ -286,7 +308,7 @@ class _Parser:
                 self._advance()
                 return Var(tok.text)
             if tok.text in FNAMES:
-                return self.call()
+                return self._nested(tok, self.call)
             if tok.text == "piecewise":
                 self._fail("piecewise is only allowed at the top level", tok)
             if tok.text in KEYWORDS:
@@ -340,6 +362,8 @@ def parse_expression(text: str) -> Expr:
 # evaluation
 
 Numeric = Union[int, float, Fraction]
+
+_NO_ARM = "no piecewise arm matched and there is no else arm"
 
 
 def _eval_guard(node: Guard, bindings: dict[str, Numeric]) -> bool:
@@ -395,7 +419,7 @@ def _eval(node: Expr, bindings: dict[str, Numeric]) -> Numeric:
                     return _eval(arm.body, bindings)
             if otherwise is not None:
                 return _eval(otherwise, bindings)
-            raise ExprEvalError("no piecewise arm matched and there is no else arm")
+            raise ExprEvalError(_NO_ARM)
     raise ExprEvalError(f"cannot evaluate node {node!r}")
 
 
@@ -451,7 +475,11 @@ def free_variables(ast: Expr | Guard | Arm) -> set[str]:
 def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     """Compile an expression into a positional function of ``params``.
 
-    Rejects expressions whose free variables do not fit the slot.
+    Rejects expressions whose free variables do not fit the slot.  The tree
+    is lowered once (see :class:`_Lowering`); called with float arguments,
+    the function returns exactly what :func:`eval_expression` returns and
+    raises the same exception classes.  Other arguments, and trees the
+    lowering cannot reproduce bit for bit, go through the tree walker.
     """
     free = free_variables(ast)
     extra = free - set(params)
@@ -460,10 +488,212 @@ def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
             f"expression uses {sorted(extra)} but this slot only provides {list(params)}"
         )
 
-    def call(*args: float) -> float:
+    def walk(*args: Numeric) -> float:
         return eval_expression(ast, dict(zip(params, args)))
 
-    return call
+    if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
+        return walk
+    lowering = _Lowering(params)
+    try:
+        body = lowering.body(ast)
+    except _Unsupported:
+        return walk
+    floats_only = " or ".join(f"type({p}) is not _float" for p in params if p in free)
+    lines = [f"def _lowered({', '.join(params)}):"]
+    if floats_only:
+        lines += [f"    if {floats_only}:", f"        return _walk({', '.join(params)})"]
+    lines += ["    try:"]
+    lines += ["        " + line for line in body]
+    lines += [
+        "    except ZeroDivisionError:",
+        "        raise _ExprEvalError('division by zero') from None",
+        "    if r != r:",
+        "        raise _ExprEvalError('expression evaluated to NaN')",
+        "    return r",
+    ]
+    namespace = dict(lowering.names, _walk=walk, _float=float, _abs=abs, _min=min,
+                     _max=max, _ExprEvalError=ExprEvalError)
+    exec(compile("\n".join(lines), "<couplefix expression>", "exec"), namespace)
+    # popped so the namespace (the function's globals) does not refer back to it
+    return namespace.pop("_lowered")
+
+
+# ---------------------------------------------------------------------------
+# lowering to Python source
+
+_FLOAT, _DYN, _CONST = "float", "dyn", "const"
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CMP_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+            "==": operator.eq}
+_MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
+#: Deeper trees stay with the walker; each level adds one parenthesis to the
+#: generated source, and Python's parser accepts 200.
+_MAX_LOWERED_DEPTH = 150
+
+
+class _Unsupported(Exception):
+    """The tree has a shape the lowering does not reproduce bit for bit."""
+
+
+def _float_bound(c: Fraction, op: str) -> float | None:
+    """The float ``b`` with ``x op b`` exactly when ``x op c``, for every float x.
+
+    ``None`` when ``op`` is ``==`` and no float equals ``c``.  With ``c`` beyond
+    the float range the bounds are the largest float and infinity, which
+    also matches how ``Fraction`` compares with infinities.
+    """
+    try:
+        lo = hi = float(c)
+    except OverflowError:
+        lo, hi = (sys.float_info.max, math.inf) if c > 0 else (-math.inf, -sys.float_info.max)
+    else:
+        if Fraction(lo) < c:
+            hi = math.nextafter(lo, math.inf)
+        elif Fraction(lo) > c:
+            lo = math.nextafter(lo, -math.inf)
+    if op == "==":
+        return lo if lo == hi else None
+    return lo if op in ("<=", ">") else hi
+
+
+class _Lowering:
+    """Python source for one expression over float arguments.
+
+    Every arithmetic node lowers to ``(kind, payload)``.  ``_CONST`` nodes
+    hold their exact ``Fraction`` (constant subtrees fold exactly, as the
+    walker computes them).  ``_FLOAT`` nodes are source code whose value is
+    a float whenever the arguments are; there a constant operand becomes
+    ``float(c)``, which is what ``Fraction`` arithmetic with a float does,
+    and a comparison with a constant becomes one with the float bound of
+    :func:`_float_bound`.  ``_DYN`` nodes (``min``/``max`` mixing constants
+    with variables, and what is built on them) may be a ``Fraction`` or a
+    float at run time, so their source keeps the constants as ``Fraction``
+    objects and lets Python pick the same operation the walker would.
+    Constants are referred to by generated names in :attr:`names`.
+    """
+
+    def __init__(self, params: tuple[str, ...]):
+        self.params = params
+        self.names: dict[str, object] = {}
+
+    def name(self, value: object) -> str:
+        key = f"_k{len(self.names)}"
+        self.names[key] = value
+        return key
+
+    def ref(self, kind: str, payload) -> str:
+        return self.name(payload) if kind is _CONST else payload
+
+    def float_ref(self, c: Fraction) -> str:
+        try:
+            return self.name(float(c))
+        except OverflowError:
+            return self.name(c)  # the mixed operation raises OverflowError itself
+
+    def arith(self, node: Expr, depth: int) -> tuple[str, object]:
+        if depth > _MAX_LOWERED_DEPTH:
+            raise _Unsupported
+        match node:
+            case Number(value) if type(value) is Fraction:
+                return _CONST, value
+            case Var(name) if name in self.params:
+                return _FLOAT, name
+            case Neg(operand):
+                kind, v = self.arith(operand, depth + 1)
+                return (kind, -v) if kind is _CONST else (kind, f"(-{v})")
+            case BinOp(op, left, right) if op in _ARITH_OPS:
+                return self.binop(op, self.arith(left, depth + 1), self.arith(right, depth + 1))
+            case Call("abs", (arg,)):
+                kind, v = self.arith(arg, depth + 1)
+                return (kind, abs(v)) if kind is _CONST else (kind, f"_abs({v})")
+            case Call("min" | "max" as func, args) if len(args) >= 2:
+                parts = [self.arith(a, depth + 1) for a in args]
+                kinds = {kind for kind, _ in parts}
+                if kinds == {_CONST}:
+                    return _CONST, (min if func == "min" else max)(v for _, v in parts)
+                code = f"_{func}({', '.join(self.ref(*part) for part in parts)})"
+                return (_FLOAT if kinds == {_FLOAT} else _DYN), code
+        raise _Unsupported
+
+    def binop(self, op: str, left: tuple[str, object], right: tuple[str, object]):
+        (lk, lv), (rk, rv) = left, right
+        if lk is _CONST and rk is _CONST:
+            try:
+                return _CONST, _ARITH_OPS[op](lv, rv)
+            except ZeroDivisionError:  # raised again when evaluated, as the walker does
+                return _DYN, f"({self.name(lv)} / {self.name(rv)})"
+        lcode = self.float_ref(lv) if lk is _CONST and rk is _FLOAT else self.ref(lk, lv)
+        rcode = self.float_ref(rv) if rk is _CONST and lk is _FLOAT else self.ref(rk, rv)
+        return (_FLOAT if _FLOAT in (lk, rk) else _DYN), f"({lcode} {op} {rcode})"
+
+    def guard(self, node: Guard, depth: int) -> tuple[bool, object]:
+        """``(True, value)`` for a constant guard, else ``(False, code)``."""
+        if depth > _MAX_LOWERED_DEPTH:
+            raise _Unsupported
+        if isinstance(node, Comparison):
+            return self.compare(node, depth)
+        py_op = "and" if node.op == "and" else "or"
+        lc, lv = self.guard(node.left, depth + 1)
+        rc, rv = self.guard(node.right, depth + 1)
+        if lc and rc:
+            return True, (lv and rv) if py_op == "and" else (lv or rv)
+        return False, f"({lv} {py_op} {rv})"
+
+    def compare(self, node: Comparison, depth: int) -> tuple[bool, object]:
+        op = node.op
+        if op not in _CMP_OPS:
+            raise _Unsupported
+        lk, lv = self.arith(node.left, depth + 1)
+        rk, rv = self.arith(node.right, depth + 1)
+        if lk is _CONST and rk is _CONST:
+            return True, _CMP_OPS[op](lv, rv)
+        if {lk, rk} == {_FLOAT, _CONST}:
+            if lk is _CONST:
+                bound = _float_bound(lv, _MIRRORED[op])
+                if bound is not None:
+                    return False, f"({self.name(bound)} {op} {rv})"
+            else:
+                bound = _float_bound(rv, op)
+                if bound is not None:
+                    return False, f"({lv} {op} {self.name(bound)})"
+        return False, f"({self.ref(lk, lv)} {op} {self.ref(rk, rv)})"
+
+    def result(self, node: Expr, depth: int) -> str:
+        """A statement that sets ``r`` to the walker's final ``float(...)``."""
+        kind, v = self.arith(node, depth)
+        if kind is _FLOAT:
+            return f"r = {v}"
+        if kind is _DYN:
+            return f"r = _float({v})"
+        try:
+            return f"r = {self.name(float(v))}"
+        except OverflowError:
+            return f"r = _float({self.name(v)})"
+
+    def body(self, ast: Expr) -> list[str]:
+        """Statements that set ``r``; arms a constant guard rules out are dropped."""
+        if not isinstance(ast, Piecewise):
+            return [self.result(ast, 0)]
+        branches: list[tuple[object, str]] = []  # (guard code, or None for always)
+        for arm in ast.arms:
+            constant, guard = self.guard(arm.guard, 1)
+            if constant and not guard:
+                continue
+            branches.append((None if constant else guard, self.result(arm.body, 1)))
+            if constant:
+                break
+        else:
+            if ast.otherwise is not None:
+                branches.append((None, self.result(ast.otherwise, 1)))
+            else:
+                branches.append((None, f"raise _ExprEvalError({_NO_ARM!r})"))
+        lines: list[str] = []
+        for guard, statement in branches:
+            if guard is None:
+                lines += ["else:", "    " + statement] if lines else [statement]
+                break
+            lines += [f"{'elif' if lines else 'if'} {guard}:", "    " + statement]
+        return lines
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,21 @@ problem shape calls for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
-from .expr import Expr, eval_expression, format_expression, free_variables
+from .expr import Expr, bind_function, format_expression, free_variables
 from .metric import (
     MetricSpace,
     Point,
+    SamplePlan,
     SubsetSpec,
     Value,
     contains,
     distance,
+    sample_points,
     subset_within_carrier,
 )
 
@@ -50,9 +52,10 @@ class CouplingMap:
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":
         _require_vars(ast, {"x", "y"}, "coupling expressions")
+        f = bind_function(ast, ("x", "y"))
 
         def fn(p: Point, q: Point) -> Point:
-            return Point.real(eval_expression(ast, {"x": p.value, "y": q.value}))
+            return Point.real(f(p.value, q.value))
 
         return CouplingMap(fn, source=format_expression(ast))
 
@@ -71,14 +74,34 @@ class SelfMap:
     ``preimage_fn(target, subset, tol)`` returns a subset point ``p`` with
     ``d(T(p), target) <= tol`` or ``None``.  Maps without an oracle fall back
     to the solver's grid search.
+
+    ``fn`` is treated as a pure function: :meth:`sample_images` computes the
+    images of a sampled subset once and keeps them on this instance, so the
+    grid search does not evaluate the map again on every step.  The table
+    holds sample points and image values only, never the map, so it is freed
+    together with the map.
     """
 
     fn: Callable[[Point], Point]
     preimage_fn: Optional[PreimageFn] = None
     source: Optional[str] = None
+    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def evaluate(self, p: Point) -> Point:
         return self.fn(p)
+
+    def sample_images(
+        self, subset: SubsetSpec, plan: SamplePlan
+    ) -> tuple[tuple[Point, ...], tuple[Value, ...]]:
+        """The sampled points of ``subset`` and the values of their images,
+        in sample order; computed on the first call for each (subset, plan)."""
+        key = (subset, plan)
+        table = self._images.get(key)
+        if table is None:
+            points = tuple(sample_points(subset, plan))
+            table = (points, tuple(self.evaluate(p).value for p in points))
+            self._images[key] = table
+        return table
 
     @property
     def has_preimage_oracle(self) -> bool:
@@ -99,9 +122,10 @@ class SelfMap:
     @staticmethod
     def from_expression(ast: Expr) -> "SelfMap":
         _require_vars(ast, {"x"}, "self-map expressions")
+        f = bind_function(ast, ("x",))
 
         def fn(p: Point) -> Point:
-            return Point.real(eval_expression(ast, {"x": p.value}))
+            return Point.real(f(p.value))
 
         return SelfMap(fn, source=format_expression(ast))
 
@@ -116,9 +140,10 @@ class SelfMap:
         lands in the subset and actually maps back within tolerance.
         """
         _require_vars(inverse_ast, {"x"}, "inverse expressions")
+        inverse = bind_function(inverse_ast, ("x",))
 
         def pre(target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
-            candidate = Point.real(eval_expression(inverse_ast, {"x": target.value}))
+            candidate = Point.real(inverse(target.value))
             if not contains(subset, candidate):
                 return None
             if distance(space, self.evaluate(candidate), target) > tol:

@@ -127,17 +127,20 @@ def grid_preimage(
     Returns ``(point, distance)`` when the best sampled point maps within
     ``tol`` of the target, else ``(None, best_distance)``.  Ties keep the
     earliest sampled point, so results are reproducible for a fixed plan.
+    The images of the sample come from ``t.sample_images``, so ``t`` is
+    evaluated once per sampled point, not once per call.
     """
-    pts = sample_points(subset, SamplePlan(grid_count=grid_count, seed=seed))
+    pts, images = t.sample_images(subset, SamplePlan(grid_count=grid_count, seed=seed))
     d = space.metric
-    best: Optional[Point] = None
+    goal = target.value
+    best = -1
     best_dist = math.inf
-    for p in pts:
-        dist = d(t.evaluate(p).value, target.value)
+    for i, image in enumerate(images):
+        dist = d(image, goal)
         if dist < best_dist:
-            best, best_dist = p, dist
-    if best is not None and best_dist <= tol:
-        return best, best_dist
+            best, best_dist = i, dist
+    if best >= 0 and best_dist <= tol:
+        return pts[best], best_dist
     return None, best_dist
 
 

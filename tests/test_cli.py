@@ -53,6 +53,26 @@ class TestListAndErrors:
         assert code == 3
         assert "space" in err
 
+    def test_overdeep_expression_exits_3(self, tmp_path, capsys):
+        deep = "(" * 600 + "y" + ")" * 600
+        path = tmp_path / "deep.yaml"
+        path.write_text(SWAP_DOC.replace('map_F: "y"', f'map_F: "{deep}"'), encoding="utf-8")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert "error:" in err and "nests deeper" in err
+
+    def test_power_control_overflow_exits_3(self, tmp_path, capsys):
+        doc = (
+            SWAP_DOC.replace('"[0, 1]"', '"[0, 100]"')
+            .replace("{family: linear, slope: 1/2}", "{family: power, exponent: 400}")
+        )
+        path = tmp_path / "power.yaml"
+        path.write_text(doc, encoding="utf-8")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "overflows" in err
+        assert "Traceback" not in err
+
     def test_solve_without_starts_exits_3(self, tmp_path, capsys):
         doc = SWAP_DOC.replace("solve:\n  starts: [[0, 1]]\n", "")
         path = tmp_path / "nostarts.yaml"

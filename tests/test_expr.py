@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from couplefix.errors import ExprEvalError, ExprSyntaxError
 from couplefix.expr import (
+    MAX_NESTING,
     Arm,
     BinOp,
     BoolOp,
@@ -21,6 +25,7 @@ from couplefix.expr import (
     Var,
     bind_function,
     eval_expression,
+    eval_numeric,
     format_expression,
     free_variables,
     parse_expression,
@@ -93,6 +98,12 @@ def test_spaced_division_stays_a_binop():
     assert ast == BinOp("/", Number(Fraction(47)), Number(Fraction(24)))
 
 
+def test_zero_denominator_literal_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("x + 1/0")
+    assert err.value.column == 5
+
+
 def test_decimal_literal_is_exact():
     assert parse_expression("0.1") == Number(Fraction(1, 10))
 
@@ -110,6 +121,25 @@ def test_precedence_and_unary_minus():
 def test_piecewise_only_at_top_level():
     with pytest.raises(ExprSyntaxError):
         parse_expression("1 + piecewise { x > 0 => 1 ; }")
+
+
+def test_nesting_cap_rejects_deep_parentheses_at_the_offending_token():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("(" * 600 + "x" + ")" * 600)
+    assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda e: f"({e})", lambda e: f"-{e}", lambda e: f"abs({e})", lambda e: f"min({e}, 1)"],
+)
+def test_nesting_cap_counts_parentheses_calls_and_unary_minus(wrap):
+    text = "x"
+    for _ in range(MAX_NESTING):
+        text = wrap(text)
+    assert free_variables(parse_expression(text)) == {"x"}
+    with pytest.raises(ExprSyntaxError):
+        parse_expression(wrap(text))
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +293,132 @@ _expressions = st.one_of(
 def test_round_trip_property(ast):
     """format -> parse is the identity on expressible ASTs."""
     assert parse_expression(format_expression(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# lowering: bind_function against the tree walker
+
+_PARAMS = ("x", "y", "t")
+
+
+def _constants(node) -> list[Fraction]:
+    if isinstance(node, Number):
+        return [node.value]
+    out: list[Fraction] = []
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        for item in child if isinstance(child, tuple) else (child,):
+            if dataclasses.is_dataclass(item):
+                out += _constants(item)
+    return out
+
+
+def _bindings(ast):
+    """Random floats (infinities and NaN included), the tree's constants
+    as floats, and their float neighbours."""
+    near = []
+    for c in _constants(ast):
+        f = float(c)
+        near += [f, -f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+    values = st.one_of(st.floats(), st.sampled_from(near)) if near else st.floats()
+    return st.tuples(values, values, values)
+
+
+def _outcome(call):
+    """The float's bits, or the class of the exception raised."""
+    try:
+        return call().hex()
+    except Exception as exc:
+        return type(exc)
+
+
+def _walked(ast, args):
+    return _outcome(lambda: eval_expression(ast, dict(zip(_PARAMS, args))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data(), _expressions)
+def test_lowered_function_matches_walker_bit_for_bit(data, ast):
+    fn = bind_function(ast, _PARAMS)
+    assert fn.__name__ == "_lowered"  # every generated tree is lowered, none falls back
+    args = data.draw(_bindings(ast))
+    assert _outcome(lambda: fn(*args)) == _walked(ast, args)
+
+
+@pytest.mark.parametrize(
+    "text, x, walker, naive",
+    [
+        # 0.1 lies above 1/10, so the exact guard fails
+        ("piecewise { x <= 1/10 => 0 ; else => 1 ; }", 0.1, 1.0, 0.0),
+        # min returns the exact 1/10, and 3 * 1/10 = 3/10 exactly
+        ("min(x, 1/10) * 3", 0.5, 0.3, 0.30000000000000004),
+    ],
+)
+def test_lowering_keeps_exact_constants_where_naive_floats_diverge(text, x, walker, naive):
+    ast = parse_expression(text)
+    assert eval_expression(ast, {"x": x}) == walker != naive
+    assert bind_function(ast, ("x",))(x) == walker
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 / (x - x)",
+        "x / 0",
+        "x - x + 1 / 0",
+        "piecewise { x < 0 => 1 ; }",
+        "piecewise { 1 < 0 => x ; 2 > 1 => 3 ; else => 1 / 0 ; }",
+        "piecewise { x > 0 => 1 / 0 ; else => x ; }",
+        "piecewise { x - x == 1/3 => 1 ; x == 1/2 => 2 ; else => 3 ; }",
+        f"x * {HUGE}",
+        f"{HUGE} - min(x, {HUGE})",
+        f"{HUGE} + 0 * x",
+        f"piecewise {{ x <= {HUGE} => 1 ; x >= -({HUGE}) => 2 ; else => 3 ; }}",
+        f"piecewise {{ {HUGE} < x => 1 ; -{HUGE} > x => 2 ; x == {HUGE} => 3 ; else => 4 ; }}",
+        "max(x - x, 0) * (1/3)",
+        "abs(-(1/3)) + x * 0",
+    ],
+)
+@pytest.mark.parametrize(
+    "x", [0.0, -0.0, 0.1, 0.5, -0.5, 1 / 3, math.inf, -math.inf, math.nan, 1e308]
+)
+def test_lowered_errors_and_edge_values_match_walker(text, x):
+    ast = parse_expression(text)
+    assert _outcome(lambda: bind_function(ast, ("x",))(x)) == _outcome(
+        lambda: eval_expression(ast, {"x": x})
+    )
+
+
+def _neighbours(c: Fraction) -> list[float]:
+    try:
+        f = float(c)
+    except OverflowError:
+        f = sys.float_info.max if c > 0 else -sys.float_info.max
+    return [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
+
+
+@pytest.mark.parametrize("op", ["<=", "<", ">=", ">", "=="])
+@pytest.mark.parametrize(
+    "c",
+    ["1/10", "1/3", "-(1/3)", "47/24", "2", HUGE, f"-{HUGE}"],
+    ids=["1/10", "1/3", "-1/3", "47/24", "2", "huge", "-huge"],
+)
+def test_guard_against_constant_matches_exact_comparison(op, c):
+    xs = _neighbours(eval_numeric(parse_expression(c), {})) + [math.inf, -math.inf, math.nan]
+    for text in (f"piecewise {{ x {op} {c} => 1 ; else => 0 ; }}",
+                 f"piecewise {{ {c} {op} x => 1 ; else => 0 ; }}"):
+        ast = parse_expression(text)
+        fn = bind_function(ast, ("x",))
+        for x in xs:
+            assert fn(x) == eval_expression(ast, {"x": x}), (text, x)
+
+
+def test_non_float_arguments_fall_back_to_exact_walker():
+    # with an int, x / 10 is exactly 1/10; with a float it is 0.1 > 1/10
+    ast = parse_expression("piecewise { x / 10 <= 1/10 => 0 ; else => 1 ; }")
+    fn = bind_function(ast, ("x",))
+    assert fn(1) == eval_expression(ast, {"x": 1}) == 0.0
+    assert fn(1.0) == eval_expression(ast, {"x": 1.0}) == 1.0

@@ -1,6 +1,9 @@
 """Iteration engines, trace diagnostics, and the brute-force oracle."""
 
+import gc
 import json
+import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplefix.controls import ControlClass, identity_control, make_linear, with_declared_class
+from couplefix.documents import build_problem, builtin_registry
 from couplefix.errors import BudgetError, DomainError, ParameterError
 from couplefix.expr import parse_expression
-from couplefix.metric import MetricSpace, Point, SamplePlan, SubsetSpec
+from couplefix.metric import MetricSpace, Point, SamplePlan, SubsetSpec, sample_points
 from couplefix.problems import (
     CoincidenceProblem,
     CouplingMap,
@@ -18,6 +22,7 @@ from couplefix.problems import (
     StrongCoupledProblem,
 )
 from couplefix.solve import (
+    PREIMAGE_GRID_COUNT,
     SolveOptions,
     SolveStatus,
     brute_force_search,
@@ -329,6 +334,73 @@ class TestGridPreimage:
         )
         assert found is None
         assert dist == pytest.approx(11 / 6, abs=1e-12)
+
+
+def _reference_preimage(space, t, subset, target, tol):
+    """The uncached scan: evaluate T on every sampled point, keep the first best."""
+    best, best_dist = None, math.inf
+    for p in sample_points(subset, SamplePlan(grid_count=PREIMAGE_GRID_COUNT)):
+        dist = space.metric(t.evaluate(p).value, target.value)
+        if dist < best_dist:
+            best, best_dist = p, dist
+    return (best, best_dist) if best_dist <= tol else (None, best_dist)
+
+
+class TestPreimageTable:
+    def test_t_is_evaluated_once_per_grid_point_per_subset(self):
+        calls = []
+
+        def square(v):
+            calls.append(v)
+            return v * v
+
+        t = SelfMap.from_function(square)
+        space = MetricSpace.real_line(-5.0, 5.0)
+        a, b = interval_subset(0.0, 1.0), interval_subset(1.0, 2.0)
+        for target in (0.25, 0.5, 4.0, 9.0):
+            grid_preimage(space, t, a, _pt(target), 1e-9)
+            grid_preimage(space, t, b, _pt(target), 1e-9)
+        assert len(calls) == 2 * PREIMAGE_GRID_COUNT
+        assert calls[:PREIMAGE_GRID_COUNT] == [
+            p.value for p in sample_points(a, SamplePlan(grid_count=PREIMAGE_GRID_COUNT))
+        ]
+        # another map instance has its own table
+        grid_preimage(space, SelfMap.from_function(square), a, _pt(0.25), 1e-9)
+        assert len(calls) == 3 * PREIMAGE_GRID_COUNT
+
+    @pytest.mark.parametrize(
+        "target, tol",
+        [
+            (0.0, 1e-9),  # every x <= 1 maps to 0: the tie keeps x = 0
+            (0.5, 1e-9),
+            (1 / 3, 1e-9),  # between grid images: nearest only
+            (1 / 3, 1e-3),
+            (1.0, 1e-9),
+            (-1.0, 1e-9),  # unreachable
+        ],
+    )
+    def test_cached_scan_matches_uncached_reference(self, target, tol):
+        space = MetricSpace.real_line(-2.0, 2.0)
+        t = SelfMap.from_expression(
+            parse_expression("piecewise { x <= 1 => 0 ; else => x - 1 ; }")
+        )
+        subset = interval_subset(0.0, 2.0)
+        grid_preimage(space, t, subset, _pt(0.75), 1e-9)  # builds the table
+        got = grid_preimage(space, t, subset, _pt(target), tol)
+        assert got == _reference_preimage(space, t, subset, _pt(target), tol)
+
+    def test_built_problem_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            problem = build_problem(builtin_registry("example-2.1.9"))
+            report, _ = iterate_coincidence(problem, _pt(1.0), _pt(3.0))
+            assert report.status is SolveStatus.PREIMAGE_FAILURE  # ran the grid search
+            problem_ref, map_ref = weakref.ref(problem), weakref.ref(problem.self_map)
+            del problem
+            assert problem_ref() is None
+            assert map_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestIdentityReduction:
