@@ -7,17 +7,26 @@ sample — enlarging a grid can only surface more violations, never erase
 one — and each report carries enough detail (image values, stride, margin)
 to re-derive its numbers independently.
 
-The two contraction checkers walk quadruples (x, y, u, v) with x, v drawn
-from the first subset and y, u from the second.  The quadruple count grows
-with the fourth power of the grid, so a budget caps the work: when the full
-product would exceed it, every axis is thinned by the same stride, which
-keeps the subsample a deterministic subset of the full grid.
+Both contraction checkers are entries to one kernel.  It walks quadruples
+(x, y, u, v) with x, v drawn from the first subset and y, u from the second,
+and tests
+
+    left(d(F(x, y), F(u, v))) <= right(M),  M = max(d(Ix, Iu), d(Iy, Iv)),
+
+for an image map I: the self map T with left = identity and right = phi
+(phi-T contraction), or the identity with left = psi and right = psi - phi
+(the altering pair of a strong coupled problem).  Both distances in M are
+read as written, so the kernel does not assume the metric is symmetric.
+The quadruple count grows with the fourth power of the grid, so a budget
+caps the work: when the full product would exceed it, every axis is thinned
+by the same stride, which keeps the subsample a deterministic subset of the
+full grid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .controls import eval_control
 from .metric import (
@@ -28,18 +37,13 @@ from .metric import (
     Value,
     contains,
     sample_points,
+    separation,
 )
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from .report import CheckReport, ReportBuilder
 
 #: Default cap on contraction quadruples per check.
 DEFAULT_QUADRUPLE_BUDGET = 1_000_000
-
-
-def _separation(a: Value, b: Value) -> float:
-    if isinstance(a, str) or isinstance(b, str):
-        return 0.0 if a == b else 1.0
-    return abs(a - b)
 
 
 def _quadruple_stride(na: int, nb: int, budget: int) -> int:
@@ -70,14 +74,11 @@ def check_coupling(
     for x in xs:
         for y in ys:
             clean = True
-            img_b = f.evaluate(x, y)
-            if not contains(b, img_b):
-                rb.add_violation(("image_in_B", x.value, y.value, img_b.value), 1.0, 0.0)
-                clean = False
-            img_a = f.evaluate(y, x)
-            if not contains(a, img_a):
-                rb.add_violation(("image_in_A", y.value, x.value, img_a.value), 1.0, 0.0)
-                clean = False
+            for tag, subset, p, q in (("image_in_B", b, x, y), ("image_in_A", a, y, x)):
+                img = f.evaluate(p, q)
+                if not contains(subset, img):
+                    rb.add_violation((tag, p.value, q.value, img.value), 1.0, 0.0)
+                    clean = False
             if clean:
                 rb.count_sample()
     rb.samples = len(xs) * len(ys)
@@ -156,7 +157,7 @@ def check_scc_map(
     va, vb = lists["A"], lists["B"]
     if va is not None and vb is not None:
         eq_tol = max(tol, REAL_EQ_TOL)
-        inter = [v for v in va if any(_separation(v, w) <= eq_tol for w in vb)]
+        inter = [v for v in va if any(separation(v, w) <= eq_tol for w in vb)]
         details["image_intersection_values"] = inter
         details["intersection_nonempty"] = bool(inter)
     else:
@@ -166,20 +167,70 @@ def check_scc_map(
     return rb.build(details)
 
 
-def _contraction_tables(problem, plan, plan_b, budget):
+def _contraction_scan(
+    name: str,
+    problem,
+    image: Callable[[Point], Point],
+    left: Callable[[float], float],
+    right: Callable[[float], float],
+    plan: SamplePlan,
+    tol: float,
+    plan_b: Optional[SamplePlan],
+    budget: int,
+) -> CheckReport:
+    """left(d(F(x,y), F(u,v))) <= right(max(d(Ix, Iu), d(Iy, Iv))) over quadruples.
+
+    ``left`` and ``right`` are evaluated once per distinct argument.
+    Violations are recorded in (x, y, u, v) index order.
+    """
     xs = sample_points(problem.subset_a, plan)
     ys = sample_points(problem.subset_b, plan_b or plan)
     total = len(xs) * len(ys) * len(ys) * len(xs)
     stride = _quadruple_stride(len(xs), len(ys), budget)
-    if stride > 1:
-        xs = xs[::stride]
-        ys = ys[::stride]
-    f = problem.coupling
+    xs, ys = xs[::stride], ys[::stride]
+    na, nb = len(xs), len(ys)
+    d, f = problem.space.metric, problem.coupling
     f_ab = [[f.evaluate(p, q).value for q in ys] for p in xs]
     f_ba = [[f.evaluate(q, p).value for p in xs] for q in ys]
     xv = [p.value for p in xs]
     yv = [q.value for q in ys]
-    return xv, yv, f_ab, f_ba, total, stride
+    ix = [image(p).value for p in xs]
+    iy = [image(q).value for q in ys]
+    d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
+    d_yv = [[d(b, a) for a in ix] for b in iy]  # d_yv[j][i2] = d(Iy_j, Iv_i2)
+    left_at: dict[float, float] = {}
+    right_at: dict[float, float] = {}
+    rb = ReportBuilder(name, tol)
+    min_margin = math.inf
+    for i in range(na):
+        fab_i, dxu_i = f_ab[i], d_xu[i]
+        for j in range(nb):
+            fab, dyv_j = fab_i[j], d_yv[j]
+            for j2 in range(nb):
+                fba_row = f_ba[j2]
+                d1 = dxu_i[j2]
+                for i2 in range(na):
+                    dist = d(fab, fba_row[i2])
+                    try:
+                        lhs = left_at[dist]
+                    except KeyError:
+                        lhs = left_at[dist] = left(dist)
+                    d2 = dyv_j[i2]
+                    m_val = d1 if d1 >= d2 else d2
+                    try:
+                        rhs = right_at[m_val]
+                    except KeyError:
+                        rhs = right_at[m_val] = right(m_val)
+                    margin = rhs - lhs
+                    if margin < min_margin:
+                        min_margin = margin
+                    if lhs > rhs + tol:
+                        rb.add_violation(
+                            ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs, rhs
+                        )
+    rb.samples = na * nb * nb * na
+    rb.min_margin = min_margin
+    return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
 
 
 def check_phi_T_contraction(
@@ -190,46 +241,12 @@ def check_phi_T_contraction(
     budget: int = DEFAULT_QUADRUPLE_BUDGET,
 ) -> CheckReport:
     """Sampled d(F(x,y), F(u,v)) <= phi(max(d(Tx,Tu), d(Ty,Tv))) over quadruples."""
-    xv, yv, f_ab, f_ba, total, stride = _contraction_tables(problem, plan, plan_b, budget)
-    d = problem.space.metric
-    t = problem.self_map
-    ta = [t.evaluate(Point(v)).value for v in xv]
-    tb = [t.evaluate(Point(v)).value for v in yv]
-    na, nb = len(xv), len(yv)
-    dt = [[d(ta[i], tb[j]) for j in range(nb)] for i in range(na)]
     phi = problem.phi
-    phi_at: dict[float, float] = {}
-    rb = ReportBuilder("phi_T_contraction", tol)
-    min_margin: Optional[float] = None
-    evaluated = 0
-    for i in range(na):
-        fab_i = f_ab[i]
-        dt_i = dt[i]
-        for j in range(nb):
-            fab = fab_i[j]
-            dcol_j = [dt[i2][j] for i2 in range(na)]
-            for j2 in range(nb):
-                fba_row = f_ba[j2]
-                d1 = dt_i[j2]
-                for i2 in range(na):
-                    lhs = d(fab, fba_row[i2])
-                    d2 = dcol_j[i2]
-                    m_val = d1 if d1 >= d2 else d2
-                    rhs = phi_at.get(m_val)
-                    if rhs is None:
-                        rhs = eval_control(phi, m_val)
-                        phi_at[m_val] = rhs
-                    margin = rhs - lhs
-                    if min_margin is None or margin < min_margin:
-                        min_margin = margin
-                    if lhs > rhs + tol:
-                        rb.add_violation(
-                            ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs, rhs
-                        )
-                    evaluated += 1
-    rb.samples = evaluated
-    rb.min_margin = min_margin
-    return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
+    return _contraction_scan(
+        "phi_T_contraction", problem, problem.self_map.evaluate,
+        lambda t: t, lambda m: eval_control(phi, m),
+        plan, tol, plan_b, budget,
+    )
 
 
 def check_phi_psi_contraction(
@@ -240,49 +257,12 @@ def check_phi_psi_contraction(
     budget: int = DEFAULT_QUADRUPLE_BUDGET,
 ) -> CheckReport:
     """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v))."""
-    xv, yv, f_ab, f_ba, total, stride = _contraction_tables(problem, plan, plan_b, budget)
-    d = problem.space.metric
-    na, nb = len(xv), len(yv)
-    # dp[i][j] = d(x_i, u_j); by symmetry it also serves d(y_j, v_i).
-    dp = [[d(xv[i], yv[j]) for j in range(nb)] for i in range(na)]
     phi, psi = problem.phi, problem.psi
-    psi_at: dict[float, float] = {}
-    rhs_at: dict[float, float] = {}
-    rb = ReportBuilder("phi_psi_contraction", tol)
-    min_margin: Optional[float] = None
-    evaluated = 0
-    for i in range(na):
-        fab_i = f_ab[i]
-        dp_i = dp[i]
-        for j in range(nb):
-            fab = fab_i[j]
-            dcol_j = [dp[i2][j] for i2 in range(na)]
-            for j2 in range(nb):
-                fba_row = f_ba[j2]
-                d1 = dp_i[j2]
-                for i2 in range(na):
-                    dist = d(fab, fba_row[i2])
-                    lhs = psi_at.get(dist)
-                    if lhs is None:
-                        lhs = eval_control(psi, dist)
-                        psi_at[dist] = lhs
-                    d2 = dcol_j[i2]
-                    m_val = d1 if d1 >= d2 else d2
-                    rhs = rhs_at.get(m_val)
-                    if rhs is None:
-                        rhs = eval_control(psi, m_val) - eval_control(phi, m_val)
-                        rhs_at[m_val] = rhs
-                    margin = rhs - lhs
-                    if min_margin is None or margin < min_margin:
-                        min_margin = margin
-                    if lhs > rhs + tol:
-                        rb.add_violation(
-                            ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs, rhs
-                        )
-                    evaluated += 1
-    rb.samples = evaluated
-    rb.min_margin = min_margin
-    return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
+    return _contraction_scan(
+        "phi_psi_contraction", problem, lambda p: p,
+        lambda t: eval_control(psi, t), lambda m: eval_control(psi, m) - eval_control(phi, m),
+        plan, tol, plan_b, budget,
+    )
 
 
 def check_range_compatibility(
@@ -314,21 +294,17 @@ def check_range_compatibility(
 
     def nearest(target_pt, pool_vals, subset) -> float:
         tv = target_pt.value
-        best = min(_separation(v, tv) for v in pool_vals)
+        best = min(separation(v, tv) for v in pool_vals)
         if best > tol and contains(subset, target_pt):
-            best = min(best, _separation(t.evaluate(target_pt).value, tv))
+            best = min(best, separation(t.evaluate(target_pt).value, tv))
         return best
 
     for yq in tgt_pts:
         for xp in a_pts:
-            tgt_a = f.evaluate(yq, xp)
-            rb.observe(
-                nearest(tgt_a, ta_vals, a), 0.0,
-                ("target_in_T_A", yq.value, xp.value, tgt_a.value),
-            )
-            tgt_b = f.evaluate(xp, yq)
-            rb.observe(
-                nearest(tgt_b, tb_vals, b), 0.0,
-                ("target_in_T_B", xp.value, yq.value, tgt_b.value),
-            )
+            for tag, p, q, pool, subset in (
+                ("target_in_T_A", yq, xp, ta_vals, a),
+                ("target_in_T_B", xp, yq, tb_vals, b),
+            ):
+                tgt = f.evaluate(p, q)
+                rb.observe(nearest(tgt, pool, subset), 0.0, (tag, p.value, q.value, tgt.value))
     return rb.build({"pairs": len(tgt_pts) * len(a_pts)})

@@ -3,7 +3,8 @@
 Exit codes: 0 = checks pass / iteration converged (or stopped at an early
 coincidence), 1 = at least one check reported violations, 2 = the iteration
 hit its step limit or tripped a diagnostic, 3 = the document or arguments
-could not be used, 4 = a self-map preimage could not be found.
+could not be used, 4 = a self-map preimage could not be found, 5 = an
+internal error (a bug, reported as one ``internal error:`` line on stderr).
 
 Human-readable output goes to stdout.  ``--json`` writes the machine report
 to a file, or to stderr when the path is ``-``, so stdout never mixes the
@@ -91,15 +92,11 @@ def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOp
         plan = SamplePlan(samples, plan.jitter_count, plan.seed)
         plan_b = None
     jitter = getattr(args, "jitter", None)
-    if jitter is not None:
-        plan = dataclasses.replace(plan, jitter_count=jitter)
-        if plan_b is not None:
-            plan_b = dataclasses.replace(plan_b, jitter_count=jitter)
     seed = getattr(args, "seed", None)
-    if seed is not None:
-        plan = dataclasses.replace(plan, seed=seed)
-        if plan_b is not None:
-            plan_b = dataclasses.replace(plan_b, seed=seed)
+    changes = {k: v for k, v in (("jitter_count", jitter), ("seed", seed)) if v is not None}
+    plan = dataclasses.replace(plan, **changes)
+    if plan_b is not None:
+        plan_b = dataclasses.replace(plan_b, **changes)
     tol = getattr(args, "tol", None)
     settings = dataclasses.replace(
         doc.check,
@@ -128,7 +125,7 @@ def run_checks(problem, settings: CheckSettings) -> list[tuple[str, CheckReport]
     t_max = 2.0 * sampled_diameter(space, [a, b], plan)
     if t_max <= 0.0:
         t_max = 1.0
-    coincidence = hasattr(problem, "self_map")
+    coincidence = problem.kind == "coincidence"
     if coincidence:
         reports.append(("phi", check_phi_class(problem.phi, t_max, plan, tol)))
     else:
@@ -139,28 +136,12 @@ def run_checks(problem, settings: CheckSettings) -> list[tuple[str, CheckReport]
     if coincidence:
         t = problem.self_map
         reports.append(("self_map", check_scc_map(t, a, b, plan, tol, plan_b)))
-        reports.append(
-            (
-                "range",
-                check_range_compatibility(
-                    problem.coupling, t, a, b, plan, tol, plan_b,
-                    targets_b=settings.range_b,
-                ),
-            )
+        range_report = check_range_compatibility(
+            problem.coupling, t, a, b, plan, tol, plan_b, targets_b=settings.range_b
         )
-        reports.append(
-            (
-                "contraction",
-                check_phi_T_contraction(problem, plan, tol, plan_b, settings.budget),
-            )
-        )
-    else:
-        reports.append(
-            (
-                "contraction",
-                check_phi_psi_contraction(problem, plan, tol, plan_b, settings.budget),
-            )
-        )
+        reports.append(("range", range_report))
+    contraction = check_phi_T_contraction if coincidence else check_phi_psi_contraction
+    reports.append(("contraction", contraction(problem, plan, tol, plan_b, settings.budget)))
     return reports
 
 
@@ -237,22 +218,14 @@ def _run_solves(problem, starts, opts, want_trace: bool):
 
     The trace (when requested) is always the first start's run.
     """
-    strong = not hasattr(problem, "self_map")
+    strong = problem.kind == "strong_coupled"
     iterate = iterate_strong_coupled if strong else iterate_coincidence
-    trace = None
     if strong and len(starts) > 1:
         verdict, reports = multi_start_unique(problem, list(starts), opts)
-        if want_trace:
-            _, trace = iterate(problem, starts[0][0], starts[0][1], opts)
-    else:
-        verdict = None
-        reports = []
-        for sx, sy in starts:
-            report, run_trace = iterate(problem, sx, sy, opts)
-            reports.append(report)
-            if trace is None:
-                trace = run_trace
-    return reports, verdict, trace
+        trace = iterate(problem, *starts[0], opts)[1] if want_trace else None
+        return reports, verdict, trace
+    runs = [iterate(problem, sx, sy, opts) for sx, sy in starts]
+    return [report for report, _ in runs], None, runs[0][1]
 
 
 def _emit_json(payload: dict, dest: str) -> None:
@@ -298,15 +271,12 @@ def cmd_check(doc: ProblemDocument, args, t0: float) -> int:
     return exit_code
 
 
-def _solve_section(reports, verdict) -> dict:
-    return {"runs": [r.to_dict() for r in reports], "verdict": verdict}
+def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
+    """Solve from every start, print and write the results; the exit code.
 
-
-def cmd_solve(doc: ProblemDocument, args, t0: float) -> int:
-    problem = build_problem(doc)
-    _, opts = _apply_overrides(doc, args)
-    starts = _resolve_starts(doc, args)
-    print(f"problem: {doc.name} ({doc.problem_kind})")
+    ``checks`` is the JSON check section that goes into the report (``None``
+    for ``solve``).
+    """
     reports, verdict, trace = _run_solves(problem, starts, opts, bool(args.trace))
     for start, report in zip(starts, reports):
         _print_solve(start, report)
@@ -316,11 +286,17 @@ def cmd_solve(doc: ProblemDocument, args, t0: float) -> int:
         Path(args.trace).write_text(render_trace_csv(trace), encoding="utf-8")
     exit_code = max(_STATUS_EXIT[r.status] for r in reports)
     if args.json_path:
-        payload = _report_payload(
-            doc, None, _solve_section(reports, verdict), exit_code, t0
-        )
-        _emit_json(payload, args.json_path)
+        solve = {"runs": [r.to_dict() for r in reports], "verdict": verdict}
+        _emit_json(_report_payload(doc, checks, solve, exit_code, t0), args.json_path)
     return exit_code
+
+
+def cmd_solve(doc: ProblemDocument, args, t0: float) -> int:
+    problem = build_problem(doc)
+    _, opts = _apply_overrides(doc, args)
+    starts = _resolve_starts(doc, args)
+    print(f"problem: {doc.name} ({doc.problem_kind})")
+    return _solve_and_report(doc, problem, starts, opts, args, t0, None)
 
 
 def _print_demo_facts(doc: ProblemDocument, reports) -> None:
@@ -352,20 +328,7 @@ def cmd_demo(doc: ProblemDocument, args, t0: float) -> int:
             _emit_json(_report_payload(doc, checks_json, None, 1, t0), args.json_path)
         return 1
     starts = _resolve_starts(doc, args)
-    runs, verdict, trace = _run_solves(problem, starts, opts, bool(args.trace))
-    for start, report in zip(starts, runs):
-        _print_solve(start, report)
-    if verdict is not None:
-        print(f"multi-start verdict: {verdict}")
-    if args.trace and trace is not None:
-        Path(args.trace).write_text(render_trace_csv(trace), encoding="utf-8")
-    exit_code = max(_STATUS_EXIT[r.status] for r in runs)
-    if args.json_path:
-        payload = _report_payload(
-            doc, checks_json, _solve_section(runs, verdict), exit_code, t0
-        )
-        _emit_json(payload, args.json_path)
-    return exit_code
+    return _solve_and_report(doc, problem, starts, opts, args, t0, checks_json)
 
 
 def _add_source_and_flags(sp, solver: bool) -> None:
@@ -441,6 +404,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CoupleFixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

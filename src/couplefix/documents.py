@@ -144,20 +144,16 @@ def _parse_interval(text, key: str) -> Interval:
             f'expected an interval like "[0, 2]" or "(0, 2)", got {text!r}', key=key
         )
     lo_raw, _, hi_raw = s[1:-1].partition(",")
-    return Interval(
-        _float(lo_raw.strip(), key),
-        _float(hi_raw.strip(), key),
-        lo_closed=s[0] == "[",
-        hi_closed=s[-1] == "]",
-    )
+    lo, hi = _float(lo_raw.strip(), key), _float(hi_raw.strip(), key)
+    try:
+        return Interval(lo, hi, lo_closed=s[0] == "[", hi_closed=s[-1] == "]")
+    except ParameterError as exc:
+        raise DocumentError(str(exc), key=key) from exc
 
 
 def _parse_space(raw, key: str = "space") -> MetricSpace:
     iv = _parse_interval(raw, key)
-    try:
-        return MetricSpace.real_line(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
-    except ParameterError as exc:
-        raise DocumentError(str(exc), key=key) from exc
+    return MetricSpace.real_line(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 
 
 def _parse_subset(raw, key: str) -> SubsetSpec:
@@ -178,10 +174,8 @@ def _parse_subset(raw, key: str) -> SubsetSpec:
 
 
 def _parse_expr(raw, key: str) -> Expr:
-    if not isinstance(raw, str):
-        raise DocumentError(f"expected an expression string, got {raw!r}", key=key)
     try:
-        return parse_expression(raw)
+        return parse_expression(_expr_text(raw, key))
     except ExprSyntaxError as exc:
         raise DocumentError(str(exc), key=key) from exc
 

@@ -20,7 +20,8 @@ Rational literals like ``47/24`` (no interior whitespace) are stored exactly
 as one :class:`Number`; ``47 / 24`` is ordinary division.  The final ``;``
 before ``}`` may be omitted.  Piecewise arms are tested in declaration order
 and the first matching guard wins.  Parentheses, calls and unary minus nest
-at most :data:`MAX_NESTING` levels deep.
+at most :data:`MAX_NESTING` levels deep, and so does the tree: each
+operator of a chain like ``x + x + x`` or ``a and b and c`` adds a level.
 
 :func:`eval_expression` walks the tree with constants kept as exact
 ``Fraction`` values.  :func:`bind_function` lowers a tree once into a Python
@@ -180,7 +181,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 _FACTOR_START = ("number", "identifier", "function call", "(", "-")
 
-#: Deepest nesting of parentheses, calls and unary minus the parser accepts.
+#: Deepest nesting of parentheses, calls and unary minus the parser accepts,
+#: and the most levels of the tree it builds.
 MAX_NESTING = 100
 
 
@@ -189,6 +191,7 @@ class _Parser:
         self._tokens = tokens
         self._i = 0
         self._depth = 0
+        self._heights: dict[int, int] = {}  # id(node) -> levels below it
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -208,6 +211,14 @@ class _Parser:
         self._depth += 1
         node = rule()
         self._depth -= 1
+        return node
+
+    def _grown(self, tok: _Token, node, *children):
+        """``node`` built at ``tok`` over ``children``, within :data:`MAX_NESTING` levels."""
+        height = 1 + max(self._heights.get(id(c), 0) for c in children)
+        if height > MAX_NESTING:
+            self._fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+        self._heights[id(node)] = height
         return node
 
     def _expect(self, kind: str) -> _Token:
@@ -264,7 +275,8 @@ class _Parser:
             tok = self._peek()
             if tok.kind == "name" and tok.text in ("and", "or"):
                 self._advance()
-                node = BoolOp(tok.text, node, self.cmp())
+                right = self.cmp()
+                node = self._grown(tok, BoolOp(tok.text, node, right), node, right)
             else:
                 return node
 
@@ -274,27 +286,31 @@ class _Parser:
         if tok.kind not in ("<=", "<", ">=", ">", "=="):
             self._fail(f"expected comparison, got {tok.text!r}", tok, ("<=", "<", ">=", ">", "=="))
         self._advance()
-        return Comparison(left, tok.kind, self.arith())
+        right = self.arith()
+        return self._grown(tok, Comparison(left, tok.kind, right), left, right)
 
     def arith(self) -> Expr:
         node = self.term()
         while self._peek().kind in ("+", "-"):
-            op = self._advance().kind
-            node = BinOp(op, node, self.term())
+            tok = self._advance()
+            right = self.term()
+            node = self._grown(tok, BinOp(tok.kind, node, right), node, right)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self._peek().kind in ("*", "/"):
-            op = self._advance().kind
-            node = BinOp(op, node, self.factor())
+            tok = self._advance()
+            right = self.factor()
+            node = self._grown(tok, BinOp(tok.kind, node, right), node, right)
         return node
 
     def factor(self) -> Expr:
         tok = self._peek()
         if tok.kind == "-":
             self._advance()
-            return Neg(self._nested(tok, self.factor))
+            operand = self._nested(tok, self.factor)
+            return self._grown(tok, Neg(operand), operand)
         if tok.kind == "(":
             self._advance()
             node = self._nested(tok, self.arith)
@@ -341,7 +357,7 @@ class _Parser:
             self._fail("abs takes exactly one argument", name_tok)
         if name_tok.text in ("min", "max") and len(args) < 2:
             self._fail(f"{name_tok.text} takes at least two arguments", name_tok)
-        return Call(name_tok.text, tuple(args))
+        return self._grown(name_tok, Call(name_tok.text, tuple(args)), *args)
 
 
 def parse_expression(text: str) -> Expr:
@@ -364,21 +380,14 @@ def parse_expression(text: str) -> Expr:
 Numeric = Union[int, float, Fraction]
 
 _NO_ARM = "no piecewise arm matched and there is no else arm"
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CMP_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+            "==": operator.eq}
 
 
 def _eval_guard(node: Guard, bindings: dict[str, Numeric]) -> bool:
     if isinstance(node, Comparison):
-        a = _eval(node.left, bindings)
-        b = _eval(node.right, bindings)
-        if node.op == "<=":
-            return a <= b
-        if node.op == "<":
-            return a < b
-        if node.op == ">=":
-            return a >= b
-        if node.op == ">":
-            return a > b
-        return a == b
+        return _CMP_OPS[node.op](_eval(node.left, bindings), _eval(node.right, bindings))
     if node.op == "and":
         return _eval_guard(node.left, bindings) and _eval_guard(node.right, bindings)
     return _eval_guard(node.left, bindings) or _eval_guard(node.right, bindings)
@@ -398,14 +407,8 @@ def _eval(node: Expr, bindings: dict[str, Numeric]) -> Numeric:
         case BinOp(op, left, right):
             a = _eval(left, bindings)
             b = _eval(right, bindings)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
             try:
-                return a / b
+                return _ARITH_OPS[op](a, b)
             except ZeroDivisionError:
                 raise ExprEvalError("division by zero") from None
         case Call(func, args):
@@ -456,19 +459,12 @@ def free_variables(ast: Expr | Guard | Arm) -> set[str]:
         case BinOp(_, left, right) | Comparison(left, _, right) | BoolOp(_, left, right):
             return free_variables(left) | free_variables(right)
         case Call(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_variables(a)
-            return out
+            return set().union(*map(free_variables, args))
         case Arm(guard, body):
             return free_variables(guard) | free_variables(body)
         case Piecewise(arms, otherwise):
-            out = set()
-            for arm in arms:
-                out |= free_variables(arm)
-            if otherwise is not None:
-                out |= free_variables(otherwise)
-            return out
+            parts = arms if otherwise is None else (*arms, otherwise)
+            return set().union(*map(free_variables, parts))
     raise TypeError(f"not an AST node: {ast!r}")
 
 
@@ -522,9 +518,6 @@ def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
 # lowering to Python source
 
 _FLOAT, _DYN, _CONST = "float", "dyn", "const"
-_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_CMP_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
-            "==": operator.eq}
 _MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
 #: Deeper trees stay with the walker; each level adds one parenthesis to the
 #: generated source, and Python's parser accepts 200.

@@ -45,8 +45,8 @@ class Point:
 
 
 @dataclass(frozen=True)
-class RealLine:
-    """A bounded segment of the real line with open or closed ends."""
+class Interval:
+    """One real interval with independently open or closed ends."""
 
     lo: float
     hi: float
@@ -55,9 +55,21 @@ class RealLine:
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ParameterError("carrier bounds must be finite")
-        if self.lo > self.hi or (self.lo == self.hi and not (self.lo_closed and self.hi_closed)):
-            raise ParameterError(f"empty carrier: ({self.lo}, {self.hi})")
+            raise ParameterError("interval bounds must be finite")
+        if self.lo > self.hi:
+            raise ParameterError(f"interval has lo > hi: [{self.lo}, {self.hi}]")
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            raise ParameterError("degenerate interval must be closed on both ends")
+
+    def contains_value(self, v: float) -> bool:
+        above = v > self.lo or (self.lo_closed and v == self.lo)
+        below = v < self.hi or (self.hi_closed and v == self.hi)
+        return above and below
+
+
+#: The real carrier is an interval; the name is kept for callers of the
+#: carrier type.
+RealLine = Interval
 
 
 @dataclass(frozen=True)
@@ -81,11 +93,19 @@ def _discrete(a: Value, b: Value) -> float:
     return 0.0 if a == b else 1.0
 
 
+def separation(a: Value, b: Value) -> float:
+    """How far apart two raw values are regardless of any metric: the
+    discrete distance if either is a label, else ``|a - b|``."""
+    if isinstance(a, str) or isinstance(b, str):
+        return _discrete(a, b)
+    return abs(a - b)
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """A carrier plus a distance function on raw carrier values."""
 
-    carrier: RealLine | LabelSet
+    carrier: Interval | LabelSet
     metric: Callable[[Value, Value], float]
 
     @staticmethod
@@ -96,7 +116,7 @@ class MetricSpace:
         hi_closed: bool = True,
         metric: Callable[[float, float], float] | None = None,
     ) -> "MetricSpace":
-        return MetricSpace(RealLine(float(lo), float(hi), lo_closed, hi_closed), metric or _usual_real)
+        return MetricSpace(Interval(float(lo), float(hi), lo_closed, hi_closed), metric or _usual_real)
 
     @staticmethod
     def finite(
@@ -119,18 +139,13 @@ class MetricSpace:
 
     @property
     def is_real(self) -> bool:
-        return isinstance(self.carrier, RealLine)
+        return isinstance(self.carrier, Interval)
 
 
 def carrier_contains(space: MetricSpace, p: Point) -> bool:
     c = space.carrier
-    if isinstance(c, RealLine):
-        if not p.is_real:
-            return False
-        v = p.value
-        above = v > c.lo or (c.lo_closed and v == c.lo)
-        below = v < c.hi or (c.hi_closed and v == c.hi)
-        return above and below
+    if isinstance(c, Interval):
+        return p.is_real and c.contains_value(p.value)
     return (not p.is_real) and p.value in c.labels
 
 
@@ -144,29 +159,6 @@ def distance(space: MetricSpace, p: Point, q: Point) -> float:
 
 # ---------------------------------------------------------------------------
 # subsets
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One real interval with independently open or closed ends."""
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ParameterError("interval bounds must be finite")
-        if self.lo > self.hi:
-            raise ParameterError(f"interval has lo > hi: [{self.lo}, {self.hi}]")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ParameterError("degenerate interval must be closed on both ends")
-
-    def contains_value(self, v: float) -> bool:
-        above = v > self.lo or (self.lo_closed and v == self.lo)
-        below = v < self.hi or (self.hi_closed and v == self.hi)
-        return above and below
 
 
 @dataclass(frozen=True)
@@ -221,14 +213,7 @@ def subset_within_carrier(space: MetricSpace, subset: SubsetSpec) -> bool:
     if subset.is_finite:
         return all(carrier_contains(space, p) for p in subset.points)
     c = space.carrier
-    if not isinstance(c, RealLine):
-        return False
-    for iv in subset.intervals:
-        lo_ok = iv.lo > c.lo or (iv.lo == c.lo and (c.lo_closed or not iv.lo_closed))
-        hi_ok = iv.hi < c.hi or (iv.hi == c.hi and (c.hi_closed or not iv.hi_closed))
-        if not (lo_ok and hi_ok):
-            return False
-    return True
+    return isinstance(c, Interval) and all(_overlap(iv, c) == iv for iv in subset.intervals)
 
 
 def _overlap(a: Interval, b: Interval) -> Interval | None:
@@ -351,9 +336,7 @@ def _carrier_sample(space: MetricSpace, plan: SamplePlan) -> list[Value]:
     c = space.carrier
     if isinstance(c, LabelSet):
         return list(c.labels)
-    iv = Interval(c.lo, c.hi, c.lo_closed, c.hi_closed)
-    spec = SubsetSpec.from_intervals([iv])
-    return [p.value for p in sample_points(spec, plan)]
+    return [p.value for p in sample_points(SubsetSpec.from_intervals([c]), plan)]
 
 
 def sampled_diameter(space: MetricSpace, subsets: Sequence[SubsetSpec], plan: SamplePlan) -> float:
@@ -373,12 +356,6 @@ def sampled_diameter(space: MetricSpace, subsets: Sequence[SubsetSpec], plan: Sa
 
 # ---------------------------------------------------------------------------
 # axiom checking
-
-
-def _separation(a: Value, b: Value) -> float:
-    if isinstance(a, str) or isinstance(b, str):
-        return 0.0 if a == b else 1.0
-    return abs(a - b)
 
 
 def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
@@ -402,7 +379,7 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
         for j in range(i + 1, n):
             rb.observe(-dm[i][j], 0.0, ("nonnegativity", vals[i], vals[j]))
             rb.observe(abs(dm[i][j] - dm[j][i]), 0.0, ("symmetry", vals[i], vals[j]))
-            sep = _separation(vals[i], vals[j])
+            sep = separation(vals[i], vals[j])
             if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
                 rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
 

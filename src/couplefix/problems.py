@@ -1,16 +1,17 @@
 """Problem bundles: coupling maps, self maps, and the two solvable shapes.
 
 A coupling map takes one point from each subset; a self map sends each
-subset into itself.  The two problem dataclasses validate, at construction
-time, the structural facts every checker and solver relies on: subsets live
-inside the carrier, and the control functions carry the declared class the
-problem shape calls for.
+subset into itself.  The two problem dataclasses name their shape in
+``kind`` (``"coincidence"`` or ``"strong_coupled"``) and validate, at
+construction time, the structural facts every checker and solver relies on:
+subsets live inside the carrier, and the control functions carry the
+declared class the problem shape calls for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
@@ -153,22 +154,23 @@ class SelfMap:
         return SelfMap(self.fn, preimage_fn=pre, source=self.source)
 
 
-def _require_inside(space: MetricSpace, subset: SubsetSpec, label: str) -> None:
-    if not subset_within_carrier(space, subset):
-        raise DomainError(f"subset {label} is not contained in the carrier")
-
-
-def _require_class(f: ControlFunction, wanted: ControlClass, slot: str) -> None:
-    if f.declared_class is not wanted:
-        raise ParameterError(
-            f"{slot} must be declared {wanted.value}; got {f.declared_class.value}"
-        )
+def _validate(problem, **classes: ControlClass) -> None:
+    """Both subsets lie in the carrier, and each named control slot holds a
+    function declared with the given class."""
+    for label, subset in (("A", problem.subset_a), ("B", problem.subset_b)):
+        if not subset_within_carrier(problem.space, subset):
+            raise DomainError(f"subset {label} is not contained in the carrier")
+    for slot, wanted in classes.items():
+        declared = getattr(problem, slot).declared_class
+        if declared is not wanted:
+            raise ParameterError(f"{slot} must be declared {wanted.value}; got {declared.value}")
 
 
 @dataclass(frozen=True)
 class CoincidenceProblem:
     """Coupling plus self map, tied together by one comparison control."""
 
+    kind: ClassVar[str] = "coincidence"
     space: MetricSpace
     subset_a: SubsetSpec
     subset_b: SubsetSpec
@@ -177,15 +179,14 @@ class CoincidenceProblem:
     phi: ControlFunction
 
     def __post_init__(self):
-        _require_inside(self.space, self.subset_a, "A")
-        _require_inside(self.space, self.subset_b, "B")
-        _require_class(self.phi, ControlClass.PHI, "phi")
+        _validate(self, phi=ControlClass.PHI)
 
 
 @dataclass(frozen=True)
 class StrongCoupledProblem:
     """Coupling alone, controlled by an altering pair (phi, psi)."""
 
+    kind: ClassVar[str] = "strong_coupled"
     space: MetricSpace
     subset_a: SubsetSpec
     subset_b: SubsetSpec
@@ -194,7 +195,4 @@ class StrongCoupledProblem:
     psi: ControlFunction
 
     def __post_init__(self):
-        _require_inside(self.space, self.subset_a, "A")
-        _require_inside(self.space, self.subset_b, "B")
-        _require_class(self.phi, ControlClass.ALTERING, "phi")
-        _require_class(self.psi, ControlClass.ALTERING, "psi")
+        _validate(self, phi=ControlClass.ALTERING, psi=ControlClass.ALTERING)

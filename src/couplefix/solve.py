@@ -1,8 +1,11 @@
 """Iteration engines, per-run diagnostics, and the brute-force oracle.
 
-Both engines drive the same alternating scheme: the next pair is built from
-the coupling applied to the swapped current pair, and the run stops as soon
-as the committed step distance
+Both engines are entries to one driver, which runs the alternating scheme:
+the next pair is built from the coupling applied to the swapped current
+pair, by a per-kind step function (a preimage step under the self map T
+for coincidence runs, a plain coupling step with a subset-escape check for
+strong runs, the identity-T case), and the run stops as soon as the
+committed step distance
 
     D_n = max(d(first_n, y_n), d(second_n, x_n))
 
@@ -15,8 +18,9 @@ hard error rather than noise: the run aborts with a diagnostic status
 instead of pretending the orbit still converges.
 
 Stopping with D_n <= tol certifies the *pair*; the report only claims full
-convergence after re-evaluating the defining residuals at the candidate,
-and downgrades to an early-coincidence status when any of them is loose.
+convergence after re-evaluating the defining residuals at the candidate
+(a per-kind residual function of the driver), and downgrades to an
+early-coincidence status when any of them is loose.
 """
 
 from __future__ import annotations
@@ -164,16 +168,6 @@ def _require_member(subset: SubsetSpec, p: Point, label: str) -> None:
         raise DomainError(f"start {label}={p.value!r} is not in subset {label[-1].upper()}")
 
 
-def _monotone_breach(
-    prev_d: Optional[float], d_n: float, prev_r: Optional[float], r_n: float, tol: float
-) -> Optional[str]:
-    if prev_d is not None and prev_d > tol and d_n > prev_d + tol:
-        return "D_increase"
-    if prev_r is not None and prev_r > tol and r_n > prev_r + tol:
-        return "R_increase"
-    return None
-
-
 def _coincidence_residuals(problem: CoincidenceProblem, a: Point, b: Point) -> dict[str, float]:
     d = problem.space.metric
     fab = problem.coupling.evaluate(a, b).value
@@ -194,6 +188,99 @@ def _strong_residuals(problem: StrongCoupledProblem, a: Point, b: Point) -> dict
     return {"f_xx_x": d(fxx, a.value), "x_y": d(a.value, b.value)}
 
 
+def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Point, y: Point):
+    """Coincidence steps: solve T(x1) = F(y, x) in A and T(y1) = F(x, y) in B,
+    carrying the T images of the current pair from step to step."""
+    d = problem.space.metric
+    f, t = problem.coupling, problem.self_map
+    tx, ty = t.evaluate(x), t.evaluate(y)
+
+    def step(n: int, x: Point, y: Point):
+        nonlocal tx, ty
+        found = []
+        for subset, label, tgt in (
+            (problem.subset_a, "A", f.evaluate(y, x)),
+            (problem.subset_b, "B", f.evaluate(x, y)),
+        ):
+            p, dist = _find_preimage(problem, tgt, subset, opts)
+            if p is None:
+                failure = {"reason": "preimage", "step": n + 1, "subset": label,
+                           "target": tgt.value, "min_distance": dist}
+                return x, y, None, (SolveStatus.PREIMAGE_FAILURE, failure)
+            found.append(p)
+        x1, y1 = found
+        tx1, ty1 = t.evaluate(x1), t.evaluate(y1)
+        d_n = max(d(tx.value, ty1.value), d(ty.value, tx1.value))
+        done = TraceStep(n, x.value, y.value, tx.value, ty.value, d_n, d(tx.value, ty.value))
+        tx, ty = tx1, ty1
+        return x1, y1, done, None
+
+    return step
+
+
+def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Point, y: Point):
+    """Strong coupled steps: x1 = F(y, x), y1 = F(x, y), which must stay in
+    A and B."""
+    d = problem.space.metric
+    f = problem.coupling
+
+    def step(n: int, x: Point, y: Point):
+        x1 = f.evaluate(y, x)
+        y1 = f.evaluate(x, y)
+        d_n = max(d(x1.value, y.value), d(y1.value, x.value))
+        done = TraceStep(n, x.value, y.value, None, None, d_n, d(x.value, y.value))
+        if not contains(problem.subset_a, x1):
+            label, escaped = "A", x1
+        elif not contains(problem.subset_b, y1):
+            label, escaped = "B", y1
+        else:
+            return x1, y1, done, None
+        failure = {"reason": "orbit_left_subset", "subset": label,
+                   "step": n + 1, "value": escaped.value}
+        return x1, y1, done, (SolveStatus.DIAGNOSTIC_VIOLATION, failure)
+
+    return step
+
+
+def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, residuals):
+    """The alternating iteration both engines share.
+
+    ``make_step(problem, opts, x0, y0)`` returns the kind's step function.
+    It maps ``(n, x, y)`` to ``(x1, y1, done, stop)``: the next pair, the
+    :class:`TraceStep` of the completed transition (``None`` when the step
+    failed before completing it), and ``None`` or the ``(status, failure)``
+    that ends the run.  ``residuals(problem, x, y)`` gives the defining
+    residuals of a pair.
+    """
+    _require_member(problem.subset_a, x0, "x0")
+    _require_member(problem.subset_b, y0, "y0")
+    step = make_step(problem, opts, x0, y0)
+    trace = IterationTrace(problem.kind)
+    x, y, prev, tol = x0, y0, None, opts.tol
+    for n in range(opts.max_iter):
+        x1, y1, done, stop = step(n, x, y)
+        if done is not None:
+            trace.steps.append(done)
+        if stop is None and prev is not None:
+            if prev.d > tol and done.d > prev.d + tol:
+                stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "D_increase", "index": n}
+            elif prev.r > tol and done.r > prev.r + tol:
+                stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "R_increase", "index": n}
+        if stop is not None:
+            status, failure = stop
+            values = residuals(problem, x, y)
+            return SolveReport(status, (x, y), values, len(trace.steps), failure), trace
+        if done.d <= tol:
+            values = residuals(problem, x, y)
+            converged = all(v <= tol for v in values.values())
+            status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
+            return SolveReport(status, (x, y), values, len(trace.steps)), trace
+        prev, x, y = done, x1, y1
+    report = SolveReport(SolveStatus.MAX_ITER_EXCEEDED, (x, y), residuals(problem, x, y),
+                         opts.max_iter, {"reason": "max_iter"})
+    return report, trace
+
+
 def iterate_coincidence(
     problem: CoincidenceProblem,
     x0: Point,
@@ -207,74 +294,7 @@ def iterate_coincidence(
     with a failure payload naming the step, subset, target, and how close
     the nearest candidate came.
     """
-    _require_member(problem.subset_a, x0, "x0")
-    _require_member(problem.subset_b, y0, "y0")
-    d = problem.space.metric
-    f, t = problem.coupling, problem.self_map
-    trace = IterationTrace("coincidence")
-    x, y = x0, y0
-    tx, ty = t.evaluate(x), t.evaluate(y)
-    prev_d: Optional[float] = None
-    prev_r: Optional[float] = None
-    for n in range(opts.max_iter):
-        tgt_x = f.evaluate(y, x)
-        tgt_y = f.evaluate(x, y)
-        for subset, label, tgt in (
-            (problem.subset_a, "A", tgt_x),
-            (problem.subset_b, "B", tgt_y),
-        ):
-            found, dist = _find_preimage(problem, tgt, subset, opts)
-            if found is None:
-                report = SolveReport(
-                    SolveStatus.PREIMAGE_FAILURE,
-                    (x, y),
-                    _coincidence_residuals(problem, x, y),
-                    len(trace.steps),
-                    failure={
-                        "reason": "preimage",
-                        "step": n + 1,
-                        "subset": label,
-                        "target": tgt.value,
-                        "min_distance": dist,
-                    },
-                )
-                return report, trace
-            if label == "A":
-                x1 = found
-            else:
-                y1 = found
-        tx1, ty1 = t.evaluate(x1), t.evaluate(y1)
-        d_n = max(d(tx.value, ty1.value), d(ty.value, tx1.value))
-        r_n = d(tx.value, ty.value)
-        trace.steps.append(TraceStep(n, x.value, y.value, tx.value, ty.value, d_n, r_n))
-        breach = _monotone_breach(prev_d, d_n, prev_r, r_n, opts.tol)
-        if breach is not None:
-            report = SolveReport(
-                SolveStatus.DIAGNOSTIC_VIOLATION,
-                (x, y),
-                _coincidence_residuals(problem, x, y),
-                len(trace.steps),
-                failure={"reason": breach, "index": n},
-            )
-            return report, trace
-        if d_n <= opts.tol:
-            residuals = _coincidence_residuals(problem, x, y)
-            status = (
-                SolveStatus.CONVERGED
-                if all(v <= opts.tol for v in residuals.values())
-                else SolveStatus.EARLY_COINCIDENCE
-            )
-            return SolveReport(status, (x, y), residuals, len(trace.steps)), trace
-        prev_d, prev_r = d_n, r_n
-        x, y, tx, ty = x1, y1, tx1, ty1
-    report = SolveReport(
-        SolveStatus.MAX_ITER_EXCEEDED,
-        (x, y),
-        _coincidence_residuals(problem, x, y),
-        opts.max_iter,
-        failure={"reason": "max_iter"},
-    )
-    return report, trace
+    return _iterate(problem, x0, y0, opts, _preimage_step, _coincidence_residuals)
 
 
 def iterate_strong_coupled(
@@ -288,67 +308,7 @@ def iterate_strong_coupled(
     The orbit must stay inside its subsets; a step that escapes is reported
     as a diagnostic violation naming the subset and the escaped value.
     """
-    _require_member(problem.subset_a, x0, "x0")
-    _require_member(problem.subset_b, y0, "y0")
-    d = problem.space.metric
-    f = problem.coupling
-    trace = IterationTrace("strong_coupled")
-    x, y = x0, y0
-    prev_d: Optional[float] = None
-    prev_r: Optional[float] = None
-    for n in range(opts.max_iter):
-        x1 = f.evaluate(y, x)
-        y1 = f.evaluate(x, y)
-        d_n = max(d(x1.value, y.value), d(y1.value, x.value))
-        r_n = d(x.value, y.value)
-        trace.steps.append(TraceStep(n, x.value, y.value, None, None, d_n, r_n))
-        escaped = None
-        if not contains(problem.subset_a, x1):
-            escaped = ("A", x1.value)
-        elif not contains(problem.subset_b, y1):
-            escaped = ("B", y1.value)
-        if escaped is not None:
-            report = SolveReport(
-                SolveStatus.DIAGNOSTIC_VIOLATION,
-                (x, y),
-                _strong_residuals(problem, x, y),
-                len(trace.steps),
-                failure={
-                    "reason": "orbit_left_subset",
-                    "subset": escaped[0],
-                    "step": n + 1,
-                    "value": escaped[1],
-                },
-            )
-            return report, trace
-        breach = _monotone_breach(prev_d, d_n, prev_r, r_n, opts.tol)
-        if breach is not None:
-            report = SolveReport(
-                SolveStatus.DIAGNOSTIC_VIOLATION,
-                (x, y),
-                _strong_residuals(problem, x, y),
-                len(trace.steps),
-                failure={"reason": breach, "index": n},
-            )
-            return report, trace
-        if d_n <= opts.tol:
-            residuals = _strong_residuals(problem, x, y)
-            status = (
-                SolveStatus.CONVERGED
-                if all(v <= opts.tol for v in residuals.values())
-                else SolveStatus.EARLY_COINCIDENCE
-            )
-            return SolveReport(status, (x, y), residuals, len(trace.steps)), trace
-        prev_d, prev_r = d_n, r_n
-        x, y = x1, y1
-    report = SolveReport(
-        SolveStatus.MAX_ITER_EXCEEDED,
-        (x, y),
-        _strong_residuals(problem, x, y),
-        opts.max_iter,
-        failure={"reason": "max_iter"},
-    )
-    return report, trace
+    return _iterate(problem, x0, y0, opts, _coupling_step, _strong_residuals)
 
 
 def multi_start_unique(
@@ -392,16 +352,11 @@ def trace_diagnostics(trace: IterationTrace, tol: float = 1e-9) -> CheckReport:
     first: Optional[int] = None
     prev = trace.steps[0]
     for step in trace.steps[1:]:
-        if prev.d > tol:
-            if rb.observe(step.d, prev.d, ("D", step.n)) and first is None:
+        for name, before, now in (("D", prev.d, step.d), ("R", prev.r, step.r)):
+            if not before > tol:
+                rb.count_sample()
+            elif rb.observe(now, before, (name, step.n)) and first is None:
                 first = step.n
-        else:
-            rb.count_sample()
-        if prev.r > tol:
-            if rb.observe(step.r, prev.r, ("R", step.n)) and first is None:
-                first = step.n
-        else:
-            rb.count_sample()
         prev = step
     last = trace.steps[-1]
     return rb.build(
@@ -428,7 +383,7 @@ def brute_force_search(
     """
     d = problem.space.metric
     f = problem.coupling
-    if isinstance(problem, CoincidenceProblem):
+    if problem.kind == "coincidence":
         a_pts = sample_points(problem.subset_a, plan)
         b_pts = sample_points(problem.subset_b, plan_b or plan)
         if len(a_pts) * len(b_pts) > budget:

@@ -14,7 +14,14 @@ from couplefix.checks import (
     check_range_compatibility,
     check_scc_map,
 )
-from couplefix.controls import ControlClass, eval_control, identity_control, make_power
+from couplefix.controls import (
+    ControlClass,
+    eval_control,
+    identity_control,
+    make_linear,
+    make_power,
+    with_declared_class,
+)
 from couplefix.errors import DomainError, ParameterError
 from couplefix.expr import parse_expression
 from couplefix.metric import MetricSpace, Point, SamplePlan, SubsetSpec
@@ -345,6 +352,65 @@ class TestProblemValidation:
         assert not t.has_preimage_oracle
         with pytest.raises(ParameterError, match="oracle"):
             t.preimage(Point.real(1.0), interval_subset(0.0, 2.0), 1e-9)
+
+
+class TestContractionKernel:
+    def test_asymmetric_metric_is_read_as_d_of_y_and_v(self):
+        # one quadruple (x, y, u, v) = (a, b, b, a): F(a, b) = a, F(b, a) = b,
+        # M = max(d(a, b), d(b, a)) = 3, so psi(1) = 1 <= psi(3) - phi(3) = 1.5
+        space = MetricSpace.finite(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 3.0})
+        problem = StrongCoupledProblem(
+            space=space,
+            subset_a=SubsetSpec.from_values(["a"]),
+            subset_b=SubsetSpec.from_values(["b"]),
+            coupling=CouplingMap.from_function(lambda x, y: "a" if x == "a" else "b"),
+            phi=with_declared_class(make_linear(Fraction(1, 2)), ControlClass.ALTERING),
+            psi=identity_control(),
+        )
+        report = check_phi_psi_contraction(problem, PLAN_21)
+        assert report.passed
+        assert report.samples_tested == 1
+        assert report.max_margin == 0.5
+
+    @given(
+        a_vals=st.sets(st.integers(0, 3), min_size=1, max_size=3),
+        b_vals=st.sets(st.integers(0, 3), min_size=1, max_size=3),
+        num=st.integers(0, 4),
+        slope=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_phi_T_finite_report_agrees_with_naive_loop(self, a_vals, b_vals, num, slope):
+        space = MetricSpace.real_line(-1.0, 5.0)
+        av = sorted(float(v) for v in a_vals)
+        bv = sorted(float(v) for v in b_vals)
+        k = num / 4.0
+
+        def t(x):
+            return x / 2 if x < 2 else x - 1
+
+        phi = make_linear(Fraction(slope, 4))
+        problem = CoincidenceProblem(
+            space=space,
+            subset_a=SubsetSpec.from_values(av),
+            subset_b=SubsetSpec.from_values(bv),
+            coupling=CouplingMap.from_function(lambda x, y: k * min(x, y)),
+            self_map=SelfMap.from_function(t),
+            phi=phi,
+        )
+        report = check_phi_T_contraction(problem, PLAN_21, tol=1e-9)
+        margins, expected = [], []
+        for x in av:
+            for y in bv:
+                for u in bv:
+                    for v in av:
+                        lhs = abs(k * min(x, y) - k * min(u, v))
+                        rhs = eval_control(phi, max(abs(t(x) - t(u)), abs(t(y) - t(v))))
+                        margins.append(rhs - lhs)
+                        if lhs > rhs + 1e-9:
+                            expected.append((("contraction", x, y, u, v), lhs, rhs))
+        assert report.samples_tested == len(margins)
+        assert report.max_margin == min(margins)
+        assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == expected
 
 
 def test_checks_registry_of_names_is_stable():

@@ -61,6 +61,24 @@ class TestListAndErrors:
         assert code == 3
         assert "error:" in err and "nests deeper" in err
 
+    def test_long_operator_chain_exits_3(self, tmp_path, capsys):
+        chain = "y" + " + y" * 1199
+        path = tmp_path / "chain.yaml"
+        path.write_text(SWAP_DOC.replace('map_F: "y"', f'map_F: "{chain}"'), encoding="utf-8")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error: map_F:") and "nests deeper" in err
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_5(self, monkeypatch, capsys):
+        def broken(problem, settings):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(couplefix.cli, "run_checks", broken)
+        code, _, err = run_cli(["check", "banach-linear"], capsys)
+        assert code == 5
+        assert err == "internal error: RuntimeError: boom\n"
+
     def test_power_control_overflow_exits_3(self, tmp_path, capsys):
         doc = (
             SWAP_DOC.replace('"[0, 1]"', '"[0, 100]"')

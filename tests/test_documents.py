@@ -107,6 +107,20 @@ class TestParseProblem:
         with pytest.raises(DocumentError, match="problem_kind"):
             parse_problem(bad_kind)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('space: "[0, 3]"', 'space: "[2, 1]"', "space"),
+            ("subset_A: [1]", 'subset_A: "(1, 1)"', "subset_A"),
+            ("grid_count: 11", 'grid_count: 11\n  range_b: "[3, 0]"', "check.range_b"),
+        ],
+    )
+    def test_empty_intervals_name_their_key(self, old, new, key):
+        with pytest.raises(DocumentError) as err:
+            parse_problem(STRONG_DOC.replace(old, new))
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{key}: ")
+
     def test_expression_errors_carry_key(self):
         bad = STRONG_DOC.replace('map_F: "min(x, y)"', 'map_F: "min(x,"')
         with pytest.raises(DocumentError, match="map_F"):
@@ -217,6 +231,11 @@ class TestRegistry:
         problem = build_problem(doc)
         assert eval_control(problem.phi, 0.5) == 0.25
         assert eval_control(problem.psi, 0.5) == 0.5
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_problem_kind_matches_the_document(self, name):
+        doc = builtin_registry(name)
+        assert build_problem(doc).kind == doc.problem_kind
 
     def test_banach_linear_parameter(self):
         doc = builtin_registry("banach-linear", k="9/10")

@@ -142,6 +142,32 @@ def test_nesting_cap_counts_parentheses_calls_and_unary_minus(wrap):
         parse_expression(wrap(text))
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_operator_chains_count_toward_the_nesting_cap(op):
+    text = "x" + f" {op} x" * MAX_NESTING
+    assert parse_expression(format_expression(parse_expression(text))) == parse_expression(text)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("x" + f" {op} x" * 1199)
+    # the operator that makes the tree one level too deep
+    assert (err.value.line, err.value.column) == (1, 4 * MAX_NESTING + 3)
+
+
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_guard_chains_count_toward_the_nesting_cap(op):
+    guard = f" {op} ".join(["x < 1"] * 1200)
+    with pytest.raises(ExprSyntaxError, match="nests deeper"):
+        parse_expression(f"piecewise {{ {guard} => 1 ; }}")
+
+
+def test_chains_inside_chains_count_toward_the_nesting_cap():
+    # each level nests 1 parenthesis and adds 40 operators to the tree
+    text = "x"
+    for _ in range(40):
+        text = "(" + text + " + x" * 40 + ")"
+    with pytest.raises(ExprSyntaxError, match="nests deeper"):
+        parse_expression(text)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
