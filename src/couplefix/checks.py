@@ -21,20 +21,39 @@ The quadruple count grows with the fourth power of the grid, so a budget
 caps the work: when the full product would exceed it, every axis is thinned
 by the same stride, which keeps the subsample a deterministic subset of the
 full grid.
+
+The kernel is table-driven and evaluates every quadruple without a Python
+call per quadruple.  right is evaluated once per distinct entry of the two
+n_a x n_b distance tables, and only at entries that are the larger distance
+in some M.  One (x, y) plane of n_b * n_a quadruples is then built with
+list comprehensions: rhs picks the stored right value of the larger
+distance, and lhs is |F(x, y) - F(u, v)| on the usual metric (d(F(x, y),
+F(u, v)) otherwise), passed through left's memo unless left is the identity.
+The plane's smallest margin is min(rhs - lhs), taken from +inf so that NaN
+margins are skipped exactly as a sample-by-sample scan skips them.  Only a
+plane whose smallest margin is negative is searched for violations, with
+the same test lhs > rhs + tol: for tol >= 0, rhs + tol rounds to at least
+rhs, and a float difference has the exact sign, so every violation has
+rhs - lhs < 0.  The values, the order of violations and every count
+therefore equal those of the per-quadruple loop.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import chain, compress, count, repeat
+from operator import gt, sub
 from typing import Any, Callable, Optional
 
-from .controls import eval_control
+from .controls import IdentityFn, eval_control
 from .metric import (
     REAL_EQ_TOL,
     Point,
     SamplePlan,
     SubsetSpec,
     Value,
+    _usual_real,
     contains,
     sample_points,
     separation,
@@ -171,7 +190,7 @@ def _contraction_scan(
     name: str,
     problem,
     image: Callable[[Point], Point],
-    left: Callable[[float], float],
+    left: Optional[Callable[[float], float]],
     right: Callable[[float], float],
     plan: SamplePlan,
     tol: float,
@@ -180,8 +199,10 @@ def _contraction_scan(
 ) -> CheckReport:
     """left(d(F(x,y), F(u,v))) <= right(max(d(Ix, Iu), d(Iy, Iv))) over quadruples.
 
-    ``left`` and ``right`` are evaluated once per distinct argument.
-    Violations are recorded in (x, y, u, v) index order.
+    ``left=None`` is the identity.  ``left`` and ``right`` are evaluated
+    once per distinct argument, and ``right`` only at distances that are
+    the larger one in some M.  Violations are recorded in (x, y, u, v)
+    index order.
     """
     xs = sample_points(problem.subset_a, plan)
     ys = sample_points(problem.subset_b, plan_b or plan)
@@ -198,39 +219,69 @@ def _contraction_scan(
     iy = [image(q).value for q in ys]
     d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
     d_yv = [[d(b, a) for a in ix] for b in iy]  # d_yv[j][i2] = d(Iy_j, Iv_i2)
-    left_at: dict[float, float] = {}
+
+    # Every d_xu entry meets every d_yv entry in some M.  A d_xu entry is M
+    # when it is >= some d_yv entry, a d_yv entry when some d_xu entry is not
+    # >= it; right is evaluated at those only, and None is never selected.
     right_at: dict[float, float] = {}
+
+    def right_of(m: float) -> float:
+        if m not in right_at:
+            right_at[m] = right(m)
+        return right_at[m]
+
+    lo_xu = min((v for row in d_xu for v in row if v == v), default=math.nan)
+    lo_yv = min((v for row in d_yv for v in row if v == v), default=math.nan)
+    nan_xu = any(v != v for row in d_xu for v in row)
+    r_xu = [[(m, right_of(m) if m >= lo_yv else None) for m in row] for row in d_xu]
+    r_yv = [
+        [(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
+        for row in d_yv
+    ]
+
+    # One (x, y) plane holds every (u, v) = (y_j2, x_i2), flattened at
+    # k = j2 * na + i2, so plane order is quadruple order.
+    f_uv = [w for row in f_ba for w in row]
+    usual = d is _usual_real
+    loose = tol < 0
+    left_at: dict[float, float] = {}
     rb = ReportBuilder(name, tol)
     min_margin = math.inf
     for i in range(na):
-        fab_i, dxu_i = f_ab[i], d_xu[i]
+        fab_i, rxu_i = f_ab[i], r_xu[i]
         for j in range(nb):
-            fab, dyv_j = fab_i[j], d_yv[j]
-            for j2 in range(nb):
-                fba_row = f_ba[j2]
-                d1 = dxu_i[j2]
-                for i2 in range(na):
-                    dist = d(fab, fba_row[i2])
-                    try:
-                        lhs = left_at[dist]
-                    except KeyError:
-                        lhs = left_at[dist] = left(dist)
-                    d2 = dyv_j[i2]
-                    m_val = d1 if d1 >= d2 else d2
-                    try:
-                        rhs = right_at[m_val]
-                    except KeyError:
-                        rhs = right_at[m_val] = right(m_val)
-                    margin = rhs - lhs
-                    if margin < min_margin:
-                        min_margin = margin
-                    if lhs > rhs + tol:
-                        rb.add_violation(
-                            ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs, rhs
-                        )
+            fab, ryv_j = fab_i[j], r_yv[j]
+            rhs = [r1 if d1 >= d2 else r2 for d1, r1 in rxu_i for d2, r2 in ryv_j]
+            dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
+            lhs = dist if left is None else _memo_map(left_at, left, dist)
+            # the running minimum skips NaN margins, as a sample-by-sample scan does
+            plane_min = min(chain((math.inf,), map(sub, rhs, lhs)))
+            if plane_min < min_margin:
+                min_margin = plane_min
+            # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
+            # a plane whose margins are all >= 0 holds none.
+            if plane_min < 0 or loose:
+                hits = compress(count(), map(gt, lhs, [r + tol for r in rhs]))
+                for k in hits:
+                    j2, i2 = divmod(k, na)
+                    rb.add_violation(
+                        ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs[k], rhs[k]
+                    )
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin
     return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
+
+
+def _memo_map(memo: dict, fn: Callable[[float], float], args: list) -> list:
+    """``[fn(a) for a in args]``, calling ``fn`` once per distinct argument
+    across every call that shares ``memo``."""
+    try:
+        return list(map(memo.__getitem__, args))
+    except KeyError:
+        for a in args:
+            if a not in memo:
+                memo[a] = fn(a)
+        return list(map(memo.__getitem__, args))
 
 
 def check_phi_T_contraction(
@@ -244,7 +295,7 @@ def check_phi_T_contraction(
     phi = problem.phi
     return _contraction_scan(
         "phi_T_contraction", problem, problem.self_map.evaluate,
-        lambda t: t, lambda m: eval_control(phi, m),
+        None, lambda m: eval_control(phi, m),
         plan, tol, plan_b, budget,
     )
 
@@ -258,11 +309,24 @@ def check_phi_psi_contraction(
 ) -> CheckReport:
     """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v))."""
     phi, psi = problem.phi, problem.psi
+    # The identity psi returns float(Fraction(t)) = t, bit for bit, at every
+    # finite t >= 0, so it is skipped on the usual metric.  The one difference
+    # is a distance that overflows to inf: psi raised OverflowError there.
+    skip_psi = isinstance(psi.family, IdentityFn) and problem.space.metric is _usual_real
     return _contraction_scan(
         "phi_psi_contraction", problem, lambda p: p,
-        lambda t: eval_control(psi, t), lambda m: eval_control(psi, m) - eval_control(phi, m),
+        None if skip_psi else (lambda t: eval_control(psi, t)),
+        lambda m: eval_control(psi, m) - eval_control(phi, m),
         plan, tol, plan_b, budget,
     )
+
+
+def _sorted_reals(values: list[Value]) -> Optional[list[float]]:
+    """The values in ascending order, or None when a label or NaN among
+    them rules out a search by bisection."""
+    if any(isinstance(v, str) or v != v for v in values):
+        return None
+    return sorted(values)
 
 
 def check_range_compatibility(
@@ -290,21 +354,29 @@ def check_range_compatibility(
     tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
     ta_vals = [t.evaluate(p).value for p in a_pts]
     tb_vals = [t.evaluate(q).value for q in b_pts]
+    ta_sorted, tb_sorted = _sorted_reals(ta_vals), _sorted_reals(tb_vals)
     rb = ReportBuilder("range_compatibility", tol)
 
-    def nearest(target_pt, pool_vals, subset) -> float:
+    def nearest(target_pt, pool_vals, ordered, subset) -> float:
         tv = target_pt.value
-        best = min(separation(v, tv) for v in pool_vals)
+        if ordered is None or isinstance(tv, str):
+            best = min(separation(v, tv) for v in pool_vals)
+        else:
+            # v - tv rounds monotonically in v, so the smallest |v - tv| over
+            # the pool is at one of the two sorted neighbours of tv.
+            at = bisect_left(ordered, tv)
+            best = min(abs(v - tv) for v in ordered[max(at - 1, 0):at + 1])
         if best > tol and contains(subset, target_pt):
             best = min(best, separation(t.evaluate(target_pt).value, tv))
         return best
 
     for yq in tgt_pts:
         for xp in a_pts:
-            for tag, p, q, pool, subset in (
-                ("target_in_T_A", yq, xp, ta_vals, a),
-                ("target_in_T_B", xp, yq, tb_vals, b),
+            for tag, p, q, pool, ordered, subset in (
+                ("target_in_T_A", yq, xp, ta_vals, ta_sorted, a),
+                ("target_in_T_B", xp, yq, tb_vals, tb_sorted, b),
             ):
                 tgt = f.evaluate(p, q)
-                rb.observe(nearest(tgt, pool, subset), 0.0, (tag, p.value, q.value, tgt.value))
+                best = nearest(tgt, pool, ordered, subset)
+                rb.observe(best, 0.0, (tag, p.value, q.value, tgt.value))
     return rb.build({"pairs": len(tgt_pts) * len(a_pts)})

@@ -171,9 +171,7 @@ def _fmt_set(values) -> str:
 
 
 def _check_to_json(slot: str, report: CheckReport) -> dict:
-    entry = report.to_dict()
-    worst = sorted(report.violations, key=lambda v: v.residual, reverse=True)
-    entry["violations"] = [v.to_dict() for v in worst[:MAX_JSON_VIOLATIONS]]
+    entry = report.to_dict(keep=MAX_JSON_VIOLATIONS)
     entry["slot"] = slot
     return entry
 
@@ -182,8 +180,7 @@ def _print_checks(reports: list[tuple[str, CheckReport]]) -> None:
     for slot, r in reports:
         label = f"{r.property_name} ({slot})" if slot in ("phi", "psi") else r.property_name
         mark = "PASS" if r.passed else "FAIL"
-        count = len(r.violations) + int(r.details.get("violations_dropped", 0))
-        print(f"[{mark}] {label}: samples={r.samples_tested} violations={count}")
+        print(f"[{mark}] {label}: samples={r.samples_tested} violations={r.violation_count}")
         if not r.passed and r.violations:
             worst = max(r.violations, key=lambda v: v.residual)
             print(f"       worst: lhs={_fmt_num(worst.lhs)} rhs={_fmt_num(worst.rhs)} "

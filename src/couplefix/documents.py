@@ -12,6 +12,7 @@ produces can also be written by hand.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -114,7 +115,10 @@ def _fraction(raw, key: str) -> Fraction:
 
 
 def _float(raw, key: str) -> float:
-    return float(_fraction(raw, key))
+    try:
+        return float(_fraction(raw, key))
+    except OverflowError:
+        raise DocumentError(f"number is out of float range: {raw!r}", key=key) from None
 
 
 def _int(raw, key: str) -> int:
@@ -274,10 +278,13 @@ def _parse_check(raw) -> CheckSettings:
             plan_b = SamplePlan(_int(spec["grid_count_b"], "check.grid_count_b"), jitter, seed)
     except ParameterError as exc:
         raise DocumentError(str(exc), key="check") from exc
+    tol = _float(spec.get("tol", 1e-9), "check.tol")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DocumentError(f"tol must be a positive finite float, got {tol}", key="check.tol")
     return CheckSettings(
         plan=plan,
         plan_b=plan_b,
-        tol=_float(spec.get("tol", 1e-9), "check.tol"),
+        tol=tol,
         budget=_int(spec.get("budget", DEFAULT_QUADRUPLE_BUDGET), "check.budget"),
         range_b=_parse_subset(spec["range_b"], "check.range_b") if "range_b" in spec else None,
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -383,11 +385,26 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
             if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
                 rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
 
-    for i in range(n):
-        row_i = dm[i]
-        for j in range(n):
+    # Triangle d(i, j) <= d(i, k) + d(k, j), one (i, j) row of k at a time.
+    # Subtracting lhs is monotone, so min(sums) - lhs is the row's smallest
+    # margin; with tol >= 0 a row whose margins are all >= 0 holds no
+    # violation.  A NaN minimum, or no margin yet, takes the per-k path.
+    cols = list(zip(*dm))
+    samples = rb.samples + n * n * n
+    for i, row_i in enumerate(dm):
+        vi = vals[i]
+        for j, col_j in enumerate(cols):
             lhs = row_i[j]
-            for k in range(n):
-                rb.observe(lhs, row_i[k] + dm[k][j], ("triangle", vals[i], vals[j], vals[k]))
-
+            sums = list(map(add, row_i, col_j))
+            margin = min(sums) - lhs
+            if margin != margin or rb.min_margin is None:
+                for k, rhs in enumerate(sums):
+                    rb.observe(lhs, rhs, ("triangle", vi, vals[j], vals[k]))
+                continue
+            if margin < rb.min_margin:
+                rb.min_margin = margin
+            if margin < 0 or tol < 0:
+                for k in compress(count(), [lhs > s + tol for s in sums]):
+                    rb.add_violation(("triangle", vi, vals[j], vals[k]), lhs, sums[k])
+    rb.samples = samples
     return rb.build()

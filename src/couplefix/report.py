@@ -9,7 +9,9 @@ callers can render or serialize it without re-running the check.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 #: Hard cap on recorded violations; the totals stay exact even when the
@@ -55,12 +57,23 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict != "fail"
 
-    def to_dict(self) -> dict[str, Any]:
+    @property
+    def violation_count(self) -> int:
+        """Every violation seen, including those dropped from the list."""
+        return len(self.violations) + int(self.details.get("violations_dropped", 0))
+
+    def to_dict(self, keep: int | None = None) -> dict[str, Any]:
+        """The report as plain data.  With ``keep``, only the ``keep`` worst
+        violations are listed, largest residual first and ties in recorded
+        order; ``violation_count`` stays exact."""
+        listed = self.violations
+        if keep is not None:
+            listed = heapq.nlargest(keep, listed, key=attrgetter("residual"))
         return {
             "property_name": self.property_name,
             "samples_tested": self.samples_tested,
-            "violations": [v.to_dict() for v in self.violations],
-            "violation_count": len(self.violations) + int(self.details.get("violations_dropped", 0)),
+            "violations": [v.to_dict() for v in listed],
+            "violation_count": self.violation_count,
             "max_margin": self.max_margin,
             "verdict": self.verdict,
             "details": self.details,

@@ -36,6 +36,7 @@ from .metric import (
     SamplePlan,
     SubsetSpec,
     Value,
+    _usual_real,
     contains,
     sample_points,
     subset_intersection,
@@ -316,10 +317,11 @@ def multi_start_unique(
     starts: list[tuple[Point, Point]],
     opts: SolveOptions = SolveOptions(),
 ) -> tuple[str, list[SolveReport]]:
-    """Run every start and compare the converged candidates pairwise.
+    """Run every start and compare the converged candidates.
 
     The verdict is "consistent" when all converged candidates sit within
-    10x tolerance of each other (vacuously so when nothing converged);
+    10x tolerance of each other (vacuously so when nothing converged); on
+    the usual metric that is one comparison of the widest pair, max - min;
     failures keep their own reports without aborting the other starts.
     """
     reports = []
@@ -330,11 +332,15 @@ def multi_start_unique(
         r.candidate[0].value for r in reports if r.status is SolveStatus.CONVERGED
     ]
     d = problem.space.metric
-    consistent = all(
-        d(a, b) <= 10 * opts.tol
-        for i, a in enumerate(candidates)
-        for b in candidates[i + 1 :]
-    )
+    if d is _usual_real and candidates:
+        # fl(b - a) is monotone in b and in -a, so the widest pair is max - min
+        consistent = max(candidates) - min(candidates) <= 10 * opts.tol
+    else:
+        consistent = all(
+            d(a, b) <= 10 * opts.tol
+            for i, a in enumerate(candidates)
+            for b in candidates[i + 1 :]
+        )
     return ("consistent" if consistent else "inconsistent", reports)
 
 

@@ -91,6 +91,14 @@ class TestListAndErrors:
         assert err.startswith("error:") and "overflows" in err
         assert "Traceback" not in err
 
+    def test_negative_check_tol_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "negtol.yaml"
+        path.write_text(SWAP_DOC + "check:\n  tol: -1\n", encoding="utf-8")
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error: check.tol:")
+        assert "Traceback" not in err and out == ""
+
     def test_solve_without_starts_exits_3(self, tmp_path, capsys):
         doc = SWAP_DOC.replace("solve:\n  starts: [[0, 1]]\n", "")
         path = tmp_path / "nostarts.yaml"

@@ -121,6 +121,17 @@ class TestParseProblem:
         assert err.value.key == key
         assert str(err.value).startswith(f"{key}: ")
 
+    @pytest.mark.parametrize(
+        "tol",
+        ["0", "-1", "-1.0e-9", ".nan", ".inf", "-.inf", "1.0e-400",
+         pytest.param(str(10**400), id="10**400")],
+    )
+    def test_check_tol_must_be_positive_and_finite(self, tol):
+        doc = STRONG_DOC.replace("grid_count: 11", f"grid_count: 11\n  tol: {tol}")
+        with pytest.raises(DocumentError) as err:
+            parse_problem(doc)
+        assert err.value.key == "check.tol"
+
     def test_expression_errors_carry_key(self):
         bad = STRONG_DOC.replace('map_F: "min(x, y)"', 'map_F: "min(x,"')
         with pytest.raises(DocumentError, match="map_F"):

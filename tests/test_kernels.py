@@ -1,0 +1,432 @@
+"""The table-driven scans against naive per-sample loops.
+
+Each oracle below is the straightforward loop the scan replaces: one
+inequality per sample, margins folded in sample order, violations recorded
+as they are met.  The whole report must match: violation list and order,
+lhs/rhs, ``samples_tested`` and ``max_margin`` (compared through ``repr``,
+so the sign of a zero and a NaN count too), or both sides raise the same
+exception type.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from couplefix import solve
+from couplefix.checks import (
+    DEFAULT_QUADRUPLE_BUDGET,
+    check_phi_psi_contraction,
+    check_phi_T_contraction,
+    check_range_compatibility,
+)
+from couplefix.controls import (
+    ControlClass,
+    eval_control,
+    identity_control,
+    make_linear,
+    make_power,
+    with_declared_class,
+)
+from couplefix.metric import (
+    REAL_EQ_TOL,
+    Interval,
+    MetricSpace,
+    Point,
+    SamplePlan,
+    SubsetSpec,
+    check_metric_axioms,
+    contains,
+    sample_points,
+    separation,
+)
+from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
+from couplefix.report import ReportBuilder
+from couplefix.solve import SolveOptions, SolveReport, SolveStatus
+
+TOLS = st.sampled_from([1e-9, 0.0, 0.25, -0.1])
+
+
+def _key(report) -> list[str]:
+    head = (report.property_name, report.samples_tested, report.max_margin,
+            report.verdict, report.details)
+    return [repr(head)] + [repr((v.witness, v.lhs, v.rhs, v.residual)) for v in report.violations]
+
+
+def _same_outcome(fast, naive) -> None:
+    """Run both; equal reports, or the same exception type from each."""
+    try:
+        want = _key(naive())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            fast()
+        return
+    got = _key(fast())
+    # a plain bool keeps pytest from diffing thousands of lines on failure
+    same = got == want
+    first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert same, f"{len(got)} vs {len(want)} lines, first difference at {first}"
+
+
+# ---------------------------------------------------------------------------
+# metric axioms
+
+
+def naive_metric_axioms(space, plan, tol):
+    c = space.carrier
+    if isinstance(c, Interval):
+        vals = [p.value for p in sample_points(SubsetSpec.from_intervals([c]), plan)]
+    else:
+        vals = list(c.labels)
+    d = space.metric
+    n = len(vals)
+    dm = [[float(d(vals[i], vals[j])) for j in range(n)] for i in range(n)]
+    rb = ReportBuilder("metric_axioms", tol)
+    for i in range(n):
+        if dm[i][i] > tol:
+            rb.add_violation(("identity_self", vals[i]), dm[i][i], 0.0)
+        else:
+            rb.count_sample(-dm[i][i])
+        for j in range(i + 1, n):
+            rb.observe(-dm[i][j], 0.0, ("nonnegativity", vals[i], vals[j]))
+            rb.observe(abs(dm[i][j] - dm[j][i]), 0.0, ("symmetry", vals[i], vals[j]))
+            sep = separation(vals[i], vals[j])
+            if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
+                rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rb.observe(dm[i][j], dm[i][k] + dm[k][j], ("triangle", vals[i], vals[j], vals[k]))
+    return rb.build()
+
+
+REAL_METRICS = {
+    "usual": None,
+    "squared": lambda a, b: (a - b) ** 2,
+    "signed": lambda a, b: a - b,
+    "nan_far": lambda a, b: math.nan if abs(a - b) > 1.5 else abs(a - b),
+    "inf_far": lambda a, b: math.inf if abs(a - b) > 1.5 else abs(a - b),
+}
+PLANS = st.builds(
+    SamplePlan,
+    grid_count=st.integers(2, 9),
+    jitter_count=st.integers(0, 3),
+    seed=st.integers(0, 50),
+)
+
+
+@given(
+    metric=st.sampled_from(sorted(REAL_METRICS)),
+    lo=st.sampled_from([-1.0, 0.0, 0.3]),
+    width=st.sampled_from([1.0, 2.0, 3.7]),
+    plan=PLANS,
+    tol=TOLS,
+)
+@settings(max_examples=120, deadline=None)
+def test_triangle_scan_matches_naive_loop_on_real_lines(metric, lo, width, plan, tol):
+    space = MetricSpace.real_line(lo, lo + width, metric=REAL_METRICS[metric])
+    _same_outcome(
+        lambda: check_metric_axioms(space, plan, tol),
+        lambda: naive_metric_axioms(space, plan, tol),
+    )
+
+
+LABELS = ["a", "b", "c", "d"]
+TABLE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, 0.1 + 0.2, 0.3])
+
+
+@given(
+    n=st.integers(1, 4),
+    values=st.lists(TABLE_VALUES, min_size=12, max_size=12),
+    tol=TOLS,
+)
+@settings(max_examples=120, deadline=None)
+def test_triangle_scan_matches_naive_loop_on_asymmetric_tables(n, values, tol):
+    labels = LABELS[:n]
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    space = MetricSpace.finite(labels, dict(zip(pairs, values)))
+    plan = SamplePlan()
+    _same_outcome(
+        lambda: check_metric_axioms(space, plan, tol),
+        lambda: naive_metric_axioms(space, plan, tol),
+    )
+
+
+# ---------------------------------------------------------------------------
+# range compatibility
+
+
+def naive_range(f, t, a, b, plan, tol, plan_b=None, targets_b=None):
+    a_pts = sample_points(a, plan)
+    b_plan = plan_b or plan
+    b_pts = sample_points(b, b_plan)
+    tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
+    ta_vals = [t.evaluate(p).value for p in a_pts]
+    tb_vals = [t.evaluate(q).value for q in b_pts]
+    rb = ReportBuilder("range_compatibility", tol)
+    for yq in tgt_pts:
+        for xp in a_pts:
+            for tag, p, q, pool, subset in (
+                ("target_in_T_A", yq, xp, ta_vals, a),
+                ("target_in_T_B", xp, yq, tb_vals, b),
+            ):
+                tgt = f.evaluate(p, q)
+                tv = tgt.value
+                best = min(separation(v, tv) for v in pool)
+                if best > tol and contains(subset, tgt):
+                    best = min(best, separation(t.evaluate(tgt).value, tv))
+                rb.observe(best, 0.0, (tag, p.value, q.value, tv))
+    return rb.build({"pairs": len(tgt_pts) * len(a_pts)})
+
+
+GRID_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1 + 0.2, 0.3]
+SELF_MAPS = {
+    "identity": lambda x: x,
+    "half": lambda x: x / 2,
+    "step": lambda x: 0.5 if x < 1 else 1.5,
+    "clip": lambda x: min(x, 1.0),
+    "shift": lambda x: x + 0.25,
+}
+COUPLINGS = {
+    "mid": lambda x, y: (x + y) / 2,
+    "min": min,
+    "first": lambda x, y: x,
+    "quarter_sum": lambda x, y: (x + y) / 4,
+    "on_pool": lambda x, y: 0.5 if x < y else 1.5,
+}
+REAL_SUBSETS = st.one_of(
+    st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=5).map(SubsetSpec.from_values),
+    st.sampled_from([(0.0, 1.0), (0.0, 2.0), (0.5, 1.5)]).map(
+        lambda iv: SubsetSpec.from_intervals([Interval(*iv)])
+    ),
+)
+
+
+@given(
+    a=REAL_SUBSETS,
+    b=REAL_SUBSETS,
+    targets=st.one_of(st.none(), REAL_SUBSETS),
+    t=st.sampled_from(sorted(SELF_MAPS) + ["nan_above_1"]),
+    f=st.sampled_from(sorted(COUPLINGS)),
+    plan=PLANS,
+    tol=TOLS,
+)
+@settings(max_examples=200, deadline=None)
+def test_range_search_matches_naive_loop_on_real_pools(a, b, targets, t, f, plan, tol):
+    fm = CouplingMap.from_function(COUPLINGS[f])
+    if t == "nan_above_1":  # a raw Point skips the finiteness check of Point.real
+        tm = SelfMap(lambda p: Point(math.nan if p.value > 1 else p.value))
+    else:
+        tm = SelfMap.from_function(SELF_MAPS[t])
+    _same_outcome(
+        lambda: check_range_compatibility(fm, tm, a, b, plan, tol, targets_b=targets),
+        lambda: naive_range(fm, tm, a, b, plan, tol, targets_b=targets),
+    )
+
+
+@given(
+    a=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    b=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    t_table=st.lists(st.sampled_from(LABELS), min_size=4, max_size=4),
+    pick_second=st.booleans(),
+    tol=TOLS,
+)
+@settings(max_examples=100, deadline=None)
+def test_range_search_matches_naive_loop_on_label_pools(a, b, t_table, pick_second, tol):
+    tm = SelfMap.from_function(lambda v: t_table[LABELS.index(v)])
+    fm = CouplingMap.from_function(lambda x, y: y if pick_second else x)
+    sa, sb = SubsetSpec.from_values(a), SubsetSpec.from_values(b)
+    plan = SamplePlan()
+    _same_outcome(
+        lambda: check_range_compatibility(fm, tm, sa, sb, plan, tol),
+        lambda: naive_range(fm, tm, sa, sb, plan, tol),
+    )
+
+
+# ---------------------------------------------------------------------------
+# contraction kernel
+
+
+def naive_contraction(name, problem, image, left, right, plan, tol):
+    xs = sample_points(problem.subset_a, plan)
+    ys = sample_points(problem.subset_b, plan)
+    d, f = problem.space.metric, problem.coupling
+    rb = ReportBuilder(name, tol)
+    min_margin = math.inf
+    for x in xs:
+        for y in ys:
+            fxy = f.evaluate(x, y).value
+            for u in ys:
+                for v in xs:
+                    lhs = left(d(fxy, f.evaluate(u, v).value))
+                    d1 = d(image(x).value, image(u).value)
+                    d2 = d(image(y).value, image(v).value)
+                    rhs = right(d1 if d1 >= d2 else d2)
+                    margin = rhs - lhs
+                    if margin < min_margin:
+                        min_margin = margin
+                    if lhs > rhs + tol:
+                        rb.add_violation(
+                            ("contraction", x.value, y.value, u.value, v.value), lhs, rhs
+                        )
+    total = len(xs) ** 2 * len(ys) ** 2
+    rb.samples = total
+    rb.min_margin = min_margin
+    return rb.build(
+        {"total_quadruples": total, "stride": 1, "budget": DEFAULT_QUADRUPLE_BUDGET}
+    )
+
+
+PSIS = {
+    "identity": identity_control(),
+    "linear": with_declared_class(make_linear(Fraction(3, 2)), ControlClass.ALTERING),
+    "square": make_power(2),
+}
+SMALL_SUBSETS = st.one_of(
+    st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=4).map(SubsetSpec.from_values),
+    st.sampled_from([(0.0, 1.0), (0.0, 2.0)]).map(
+        lambda iv: SubsetSpec.from_intervals([Interval(*iv)])
+    ),
+)
+SMALL_PLANS = st.builds(
+    SamplePlan,
+    grid_count=st.integers(2, 4),
+    jitter_count=st.integers(0, 1),
+    seed=st.integers(0, 50),
+)
+
+
+@given(
+    metric=st.sampled_from(sorted(REAL_METRICS)),
+    psi=st.sampled_from(sorted(PSIS)),
+    phi_slope=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1)]),
+    a=SMALL_SUBSETS,
+    b=SMALL_SUBSETS,
+    f=st.sampled_from(sorted(COUPLINGS)),
+    plan=SMALL_PLANS,
+    tol=TOLS,
+)
+# a negative distance between F values while every M >= 0: only psi raises
+@example(
+    metric="signed", psi="identity", phi_slope=Fraction(1, 2),
+    a=SubsetSpec.from_values([0.0, 1.0]), b=SubsetSpec.from_values([0.0]),
+    f="mid", plan=SamplePlan(2), tol=1e-9,
+)
+@settings(max_examples=200, deadline=None)
+def test_phi_psi_kernel_matches_naive_loop(metric, psi, phi_slope, a, b, f, plan, tol):
+    phi = with_declared_class(make_linear(phi_slope), ControlClass.ALTERING)
+    psi_fn = PSIS[psi]
+    problem = StrongCoupledProblem(
+        space=MetricSpace.real_line(-1.0, 3.0, metric=REAL_METRICS[metric]),
+        subset_a=a,
+        subset_b=b,
+        coupling=CouplingMap.from_function(COUPLINGS[f]),
+        phi=phi,
+        psi=psi_fn,
+    )
+    _same_outcome(
+        lambda: check_phi_psi_contraction(problem, plan, tol),
+        lambda: naive_contraction(
+            "phi_psi_contraction", problem, lambda p: p,
+            lambda t: eval_control(psi_fn, t),
+            lambda m: eval_control(psi_fn, m) - eval_control(phi, m),
+            plan, tol,
+        ),
+    )
+
+
+@given(
+    metric=st.sampled_from(sorted(REAL_METRICS)),
+    slope=st.integers(1, 3),
+    a=SMALL_SUBSETS,
+    b=SMALL_SUBSETS,
+    f=st.sampled_from(sorted(COUPLINGS)),
+    t=st.sampled_from(sorted(SELF_MAPS)),
+    plan=SMALL_PLANS,
+    tol=TOLS,
+)
+@settings(max_examples=150, deadline=None)
+def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
+    phi = make_linear(Fraction(slope, 4))
+    problem = CoincidenceProblem(
+        space=MetricSpace.real_line(-1.0, 3.0, metric=REAL_METRICS[metric]),
+        subset_a=a,
+        subset_b=b,
+        coupling=CouplingMap.from_function(COUPLINGS[f]),
+        self_map=SelfMap.from_function(SELF_MAPS[t]),
+        phi=phi,
+    )
+    _same_outcome(
+        lambda: check_phi_T_contraction(problem, plan, tol),
+        lambda: naive_contraction(
+            "phi_T_contraction", problem, problem.self_map.evaluate,
+            lambda t: t, lambda m: eval_control(phi, m), plan, tol,
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# multi-start verdict
+
+
+@given(
+    candidates=st.lists(
+        st.one_of(
+            st.sampled_from([0.5, 0.5 + 1e-8, 0.5 - 1e-8, 0.5 + 5e-9, 1.0, 1e-300]),
+            st.floats(-2.0, 2.0),
+        ),
+        max_size=6,
+    ),
+    failed=st.integers(0, 2),
+)
+@example(candidates=[5e-9, 0.0, 10 * 1e-9], failed=1)  # widest pair exactly 10 * tol
+@settings(max_examples=200, deadline=None)
+def test_multi_start_verdict_matches_pairwise_rule(candidates, failed):
+    opts = SolveOptions()
+    runs = [
+        SolveReport(SolveStatus.CONVERGED, (Point(c), Point(c)), {}, 1) for c in candidates
+    ] + [SolveReport(SolveStatus.MAX_ITER_EXCEEDED, None, {}, 1)] * failed
+    problem = StrongCoupledProblem(
+        space=MetricSpace.real_line(-3.0, 3.0),
+        subset_a=SubsetSpec.from_values([0.0]),
+        subset_b=SubsetSpec.from_values([0.0]),
+        coupling=CouplingMap.from_function(min),
+        phi=with_declared_class(make_linear(Fraction(1, 2)), ControlClass.ALTERING),
+        psi=identity_control(),
+    )
+    queue = list(runs)
+    saved = solve.iterate_strong_coupled
+    solve.iterate_strong_coupled = lambda *args: (queue.pop(0), None)
+    try:
+        verdict, reports = solve.multi_start_unique(
+            problem, [(Point(0.0), Point(0.0))] * len(runs), opts
+        )
+    finally:
+        solve.iterate_strong_coupled = saved
+    pairwise = all(
+        abs(a - b) <= 10 * opts.tol for i, a in enumerate(candidates) for b in candidates[i + 1:]
+    )
+    assert verdict == ("consistent" if pairwise else "inconsistent")
+    assert reports == runs
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_cli_import_pulls_in_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, couplefix.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
