@@ -6,40 +6,24 @@ checks (``controls``), problem objects (``problems``), sampled hypothesis
 checks (``checks``), iteration engines and diagnostics (``solve``), YAML
 problem documents plus the builtin registry (``documents``), and a command
 line front end (``cli``).
+
+The package root exports what the README's Library section uses, the types
+those names take, and the error classes; every other name is imported from
+its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .checks import (
-    DEFAULT_QUADRUPLE_BUDGET,
-    check_coupling,
-    check_phi_psi_contraction,
-    check_phi_T_contraction,
-    check_range_compatibility,
-    check_scc_map,
-)
 from .controls import (
     ControlClass,
-    ControlFunction,
-    check_altering,
-    check_phi_class,
     control_from_text,
-    eval_control,
     identity_control,
     make_capped_linear,
     make_linear,
     make_power,
     with_declared_class,
 )
-from .documents import (
-    CheckSettings,
-    ProblemDocument,
-    build_problem,
-    builtin_registry,
-    parse_problem,
-    parse_problem_file,
-    registry_names,
-)
+from .documents import build_problem, builtin_registry
 from .errors import (
     BudgetError,
     CoupleFixError,
@@ -49,59 +33,17 @@ from .errors import (
     ExprSyntaxError,
     ParameterError,
 )
-from .expr import (
-    eval_expression,
-    format_expression,
-    free_variables,
-    parse_expression,
-)
-from .metric import (
-    Interval,
-    MetricSpace,
-    Point,
-    SamplePlan,
-    SubsetSpec,
-    check_metric_axioms,
-    contains,
-    distance,
-    sample_points,
-    sampled_diameter,
-    subset_intersection,
-    subset_values,
-    subset_within_carrier,
-)
-from .problems import (
-    CoincidenceProblem,
-    CouplingMap,
-    SelfMap,
-    StrongCoupledProblem,
-)
-from .report import CheckReport, Violation
-from .solve import (
-    IterationTrace,
-    SolveOptions,
-    SolveReport,
-    SolveStatus,
-    TraceStep,
-    brute_force_search,
-    grid_preimage,
-    iterate_coincidence,
-    iterate_strong_coupled,
-    multi_start_unique,
-    trace_diagnostics,
-)
+from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec
+from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
+from .solve import IterationTrace, brute_force_search, iterate_strong_coupled, trace_diagnostics
 
 __all__ = [
     "__version__",
     "BudgetError",
-    "CheckReport",
-    "CheckSettings",
     "CoincidenceProblem",
     "ControlClass",
-    "ControlFunction",
     "CoupleFixError",
     "CouplingMap",
-    "DEFAULT_QUADRUPLE_BUDGET",
     "DocumentError",
     "DomainError",
     "ExprEvalError",
@@ -111,51 +53,19 @@ __all__ = [
     "MetricSpace",
     "ParameterError",
     "Point",
-    "ProblemDocument",
     "SamplePlan",
     "SelfMap",
-    "SolveOptions",
-    "SolveReport",
-    "SolveStatus",
     "StrongCoupledProblem",
     "SubsetSpec",
-    "TraceStep",
-    "Violation",
     "brute_force_search",
     "build_problem",
     "builtin_registry",
-    "check_altering",
-    "check_coupling",
-    "check_metric_axioms",
-    "check_phi_T_contraction",
-    "check_phi_class",
-    "check_phi_psi_contraction",
-    "check_range_compatibility",
-    "check_scc_map",
-    "contains",
     "control_from_text",
-    "distance",
-    "eval_control",
-    "eval_expression",
-    "format_expression",
-    "free_variables",
-    "grid_preimage",
     "identity_control",
-    "iterate_coincidence",
     "iterate_strong_coupled",
     "make_capped_linear",
     "make_linear",
     "make_power",
-    "multi_start_unique",
-    "parse_expression",
-    "parse_problem",
-    "parse_problem_file",
-    "registry_names",
-    "sample_points",
-    "sampled_diameter",
-    "subset_intersection",
-    "subset_values",
-    "subset_within_carrier",
     "trace_diagnostics",
     "with_declared_class",
 ]

@@ -15,8 +15,10 @@ and tests
 
 for an image map I: the self map T with left = identity and right = phi
 (phi-T contraction), or the identity with left = psi and right = psi - phi
-(the altering pair of a strong coupled problem).  Both distances in M are
-read as written, so the kernel does not assume the metric is symmetric.
+(the altering pair of a strong coupled problem).  The T images come from
+``SelfMap.sample_images``, the full-grid table the self-map and range
+checks read too.  Both distances in M are read as written, so the kernel
+does not assume the metric is symmetric.
 The quadruple count grows with the fourth power of the grid, so a budget
 caps the work: when the full product would exceed it, every axis is thinned
 by the same stride, which keeps the subsample a deterministic subset of the
@@ -42,11 +44,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import gt, sub
 from typing import Any, Callable, Optional
 
-from .controls import IdentityFn, eval_control
+from .controls import eval_control
 from .metric import (
     REAL_EQ_TOL,
     Point,
@@ -92,14 +95,10 @@ def check_coupling(
     rb = ReportBuilder("coupling", 0.0)
     for x in xs:
         for y in ys:
-            clean = True
             for tag, subset, p, q in (("image_in_B", b, x, y), ("image_in_A", a, y, x)):
                 img = f.evaluate(p, q)
                 if not contains(subset, img):
                     rb.add_violation((tag, p.value, q.value, img.value), 1.0, 0.0)
-                    clean = False
-            if clean:
-                rb.count_sample()
     rb.samples = len(xs) * len(ys)
     return rb.build({"pairs": len(xs) * len(ys)})
 
@@ -133,7 +132,7 @@ def _closedness(
     if any(isinstance(v, str) for v in images):
         return "inconclusive"
     refined = SamplePlan(2 * plan.grid_count - 1, plan.jitter_count, plan.seed)
-    rimages = [t.evaluate(p).value for p in sample_points(subset, refined)]
+    rimages = t.sample_images(subset, refined)[1]
     stable = (
         abs(min(rimages) - min(images)) <= tol
         and abs(max(rimages) - max(images)) <= tol
@@ -160,15 +159,10 @@ def check_scc_map(
     lists: dict[str, Optional[list[Value]]] = {}
     examined = 0
     for name, subset, pl in (("A", a, plan), ("B", b, plan_b or plan)):
-        pts = sample_points(subset, pl)
-        images: list[Value] = []
-        for p in pts:
-            ip = t.evaluate(p)
-            images.append(ip.value)
-            if contains(subset, ip):
-                rb.count_sample()
-            else:
-                rb.add_violation((f"invariance_{name}", p.value, ip.value), 1.0, 0.0)
+        pts, images = t.sample_images(subset, pl)
+        for p, v in zip(pts, images):
+            if not contains(subset, Point(v)):
+                rb.add_violation((f"invariance_{name}", p.value, v), 1.0, 0.0)
         examined += len(pts)
         lists[name] = _unique_sorted(images)
         details[f"image_{name}_values"] = lists[name]
@@ -189,7 +183,7 @@ def check_scc_map(
 def _contraction_scan(
     name: str,
     problem,
-    image: Callable[[Point], Point],
+    t: Optional[SelfMap],
     left: Optional[Callable[[float], float]],
     right: Callable[[float], float],
     plan: SamplePlan,
@@ -199,13 +193,15 @@ def _contraction_scan(
 ) -> CheckReport:
     """left(d(F(x,y), F(u,v))) <= right(max(d(Ix, Iu), d(Iy, Iv))) over quadruples.
 
-    ``left=None`` is the identity.  ``left`` and ``right`` are evaluated
-    once per distinct argument, and ``right`` only at distances that are
-    the larger one in some M.  Violations are recorded in (x, y, u, v)
-    index order.
+    The image map I is ``t`` (its full-grid table, thinned by the stride),
+    or the identity when ``t`` is None; ``left=None`` is the identity.
+    ``left`` and ``right`` are evaluated once per distinct argument, and
+    ``right`` only at distances that are the larger one in some M.
+    Violations are recorded in (x, y, u, v) index order.
     """
+    b_plan = plan_b or plan
     xs = sample_points(problem.subset_a, plan)
-    ys = sample_points(problem.subset_b, plan_b or plan)
+    ys = sample_points(problem.subset_b, b_plan)
     total = len(xs) * len(ys) * len(ys) * len(xs)
     stride = _quadruple_stride(len(xs), len(ys), budget)
     xs, ys = xs[::stride], ys[::stride]
@@ -215,8 +211,11 @@ def _contraction_scan(
     f_ba = [[f.evaluate(q, p).value for p in xs] for q in ys]
     xv = [p.value for p in xs]
     yv = [q.value for q in ys]
-    ix = [image(p).value for p in xs]
-    iy = [image(q).value for q in ys]
+    if t is None:
+        ix, iy = xv, yv
+    else:
+        ix = t.sample_images(problem.subset_a, plan)[1][::stride]
+        iy = t.sample_images(problem.subset_b, b_plan)[1][::stride]
     d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
     d_yv = [[d(b, a) for a in ix] for b in iy]  # d_yv[j][i2] = d(Iy_j, Iv_i2)
 
@@ -294,7 +293,7 @@ def check_phi_T_contraction(
     """Sampled d(F(x,y), F(u,v)) <= phi(max(d(Tx,Tu), d(Ty,Tv))) over quadruples."""
     phi = problem.phi
     return _contraction_scan(
-        "phi_T_contraction", problem, problem.self_map.evaluate,
+        "phi_T_contraction", problem, problem.self_map,
         None, lambda m: eval_control(phi, m),
         plan, tol, plan_b, budget,
     )
@@ -312,9 +311,9 @@ def check_phi_psi_contraction(
     # The identity psi returns float(Fraction(t)) = t, bit for bit, at every
     # finite t >= 0, so it is skipped on the usual metric.  The one difference
     # is a distance that overflows to inf: psi raised OverflowError there.
-    skip_psi = isinstance(psi.family, IdentityFn) and problem.space.metric is _usual_real
+    skip_psi = psi.fn is Fraction and problem.space.metric is _usual_real
     return _contraction_scan(
-        "phi_psi_contraction", problem, lambda p: p,
+        "phi_psi_contraction", problem, None,
         None if skip_psi else (lambda t: eval_control(psi, t)),
         lambda m: eval_control(psi, m) - eval_control(phi, m),
         plan, tol, plan_b, budget,
@@ -348,12 +347,10 @@ def check_range_compatibility(
     a genuine coupling.  ``targets_b`` restricts where the y argument is
     drawn from without shrinking the candidate pools.
     """
-    a_pts = sample_points(a, plan)
     b_plan = plan_b or plan
-    b_pts = sample_points(b, b_plan)
+    a_pts, ta_vals = t.sample_images(a, plan)
+    b_pts, tb_vals = t.sample_images(b, b_plan)
     tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
-    ta_vals = [t.evaluate(p).value for p in a_pts]
-    tb_vals = [t.evaluate(q).value for q in b_pts]
     ta_sorted, tb_sorted = _sorted_reals(ta_vals), _sorted_reals(tb_vals)
     rb = ReportBuilder("range_compatibility", tol)
 

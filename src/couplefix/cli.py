@@ -2,9 +2,10 @@
 
 Exit codes: 0 = checks pass / iteration converged (or stopped at an early
 coincidence), 1 = at least one check reported violations, 2 = the iteration
-hit its step limit or tripped a diagnostic, 3 = the document or arguments
-could not be used, 4 = a self-map preimage could not be found, 5 = an
-internal error (a bug, reported as one ``internal error:`` line on stderr).
+hit its step limit or tripped a diagnostic, 3 = the document, arguments or
+an output path could not be used, 4 = a self-map preimage could not be
+found, 5 = an internal error (a bug, reported as one ``internal error:``
+line on stderr).
 
 Human-readable output goes to stdout.  ``--json`` writes the machine report
 to a file, or to stderr when the path is ``-``, so stdout never mixes the
@@ -38,7 +39,7 @@ from .documents import (
     parse_problem_file,
     registry_names,
 )
-from .errors import CoupleFixError, DocumentError
+from .errors import CoupleFixError, DocumentError, ParameterError
 from .metric import (
     Point,
     SamplePlan,
@@ -55,7 +56,7 @@ from .solve import (
     SolveStatus,
     iterate_coincidence,
     iterate_strong_coupled,
-    multi_start_unique,
+    multi_start_verdict,
 )
 
 TRACE_HEADER = "n,x_n,y_n,Tx_n,Ty_n,D_n,R_n,residual"
@@ -210,19 +211,23 @@ def _print_solve(start: tuple[Point, Point], report: SolveReport) -> None:
         print(f"  failure: {parts}")
 
 
-def _run_solves(problem, starts, opts, want_trace: bool):
-    """All starts, a multi-start verdict for strong problems, and one trace.
-
-    The trace (when requested) is always the first start's run.
-    """
+def _run_solves(problem, starts, opts):
+    """Every start run once, the multi-start verdict of a strong problem with
+    several starts (else None), and the first start's trace."""
     strong = problem.kind == "strong_coupled"
     iterate = iterate_strong_coupled if strong else iterate_coincidence
-    if strong and len(starts) > 1:
-        verdict, reports = multi_start_unique(problem, list(starts), opts)
-        trace = iterate(problem, *starts[0], opts)[1] if want_trace else None
-        return reports, verdict, trace
-    runs = [iterate(problem, sx, sy, opts) for sx, sy in starts]
-    return [report for report, _ in runs], None, runs[0][1]
+    runs = (iterate(problem, sx, sy, opts) for sx, sy in starts)
+    first, trace = next(runs)
+    reports = [first] + [report for report, _ in runs]
+    verdict = multi_start_verdict(problem, reports, opts) if strong and len(starts) > 1 else None
+    return reports, verdict, trace
+
+
+def _write_file(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write the {what} to {path}: {exc.strerror or exc}") from None
 
 
 def _emit_json(payload: dict, dest: str) -> None:
@@ -230,7 +235,7 @@ def _emit_json(payload: dict, dest: str) -> None:
     if dest == "-":
         sys.stderr.write(text)
     else:
-        Path(dest).write_text(text, encoding="utf-8")
+        _write_file(dest, text, "--json report")
 
 
 def _report_payload(doc, checks, solve, exit_code, t0) -> dict:
@@ -274,13 +279,13 @@ def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     ``checks`` is the JSON check section that goes into the report (``None``
     for ``solve``).
     """
-    reports, verdict, trace = _run_solves(problem, starts, opts, bool(args.trace))
+    reports, verdict, trace = _run_solves(problem, starts, opts)
     for start, report in zip(starts, reports):
         _print_solve(start, report)
     if verdict is not None:
         print(f"multi-start verdict: {verdict}")
-    if args.trace and trace is not None:
-        Path(args.trace).write_text(render_trace_csv(trace), encoding="utf-8")
+    if args.trace:
+        _write_file(args.trace, render_trace_csv(trace), "--trace CSV")
     exit_code = max(_STATUS_EXIT[r.status] for r in reports)
     if args.json_path:
         solve = {"runs": [r.to_dict() for r in reports], "verdict": verdict}

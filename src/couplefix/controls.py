@@ -11,9 +11,10 @@ Two classes of function on [0, inf) drive the solvers downstream:
 Membership in either class constrains limits, which sampling cannot
 certify, so ``check_phi_class`` and ``check_altering`` approximate the
 limit conditions with a fixed epsilon ladder and report evidence, not
-proof.  Functions come from five constructible families; linear and
-capped-linear families evaluate through exact rational arithmetic with a
-single final rounding, which keeps sampled monotonicity exact.
+proof.  A control function is the exact callable its constructor returns
+plus a declared class; linear and capped-linear functions evaluate through
+exact rational arithmetic with a single final rounding, which keeps sampled
+monotonicity exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Union
+from typing import Callable
 
 from .errors import DomainError, ParameterError
 from .expr import Numeric, eval_numeric, free_variables, parse_expression
@@ -53,43 +54,21 @@ class ControlClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Linear:
-    slope: Fraction
-
-
-@dataclass(frozen=True)
-class Power:
-    exponent: float
-
-
-@dataclass(frozen=True)
-class CappedLinear:
-    slope: Fraction
-    threshold: Fraction
-
-
-@dataclass(frozen=True)
-class IdentityFn:
-    pass
-
-
-@dataclass(frozen=True)
-class ExprControl:
-    ast: object
-
-
-Family = Union[Linear, Power, CappedLinear, IdentityFn, ExprControl]
-
-
-@dataclass(frozen=True)
 class ControlFunction:
-    """A scalar function on [0, inf) from one of the constructible families."""
+    """A scalar function on [0, inf) and the class it is declared to belong to.
 
-    family: Family
+    ``fn`` evaluates without rounding: linear, capped-linear and identity
+    functions return exact Fractions, expressions go through the exact walker
+    ``eval_numeric``, and powers return floats.  Exactness matters to the
+    class checkers: a float cap value can round up onto a grid point that
+    sits just above the true rational threshold, and a rounded comparison
+    would then misjudge the strict ``f(t) < t`` test.  Python compares
+    Fraction against float exactly, so no tolerance fudging is needed.
+    ``eval_control`` is the rounded evaluator for everything else.
+    """
+
+    fn: Callable[[Numeric], Numeric]
     declared_class: ControlClass = ControlClass.UNCLASSIFIED
-
-    def __call__(self, t: float) -> float:
-        return eval_control(self, t)
 
 
 def _to_fraction(value, what: str) -> Fraction:
@@ -105,7 +84,7 @@ def make_linear(slope) -> ControlFunction:
     if k < 0:
         raise ParameterError(f"linear slope must be >= 0, got {slope}")
     declared = ControlClass.PHI if k < 1 else ControlClass.ALTERING
-    return ControlFunction(Linear(k), declared)
+    return ControlFunction(lambda t: k * Fraction(t), declared)
 
 
 def make_power(exponent) -> ControlFunction:
@@ -113,7 +92,14 @@ def make_power(exponent) -> ControlFunction:
     p = float(exponent)
     if not (p > 0 and math.isfinite(p)):
         raise ParameterError(f"power exponent must be > 0, got {exponent}")
-    return ControlFunction(Power(p), ControlClass.ALTERING)
+
+    def power(t) -> float:
+        try:
+            return float(t) ** p
+        except OverflowError:
+            raise DomainError(f"power control t ** {p} overflows at t={t}") from None
+
+    return ControlFunction(power, ControlClass.ALTERING)
 
 
 def make_capped_linear(slope, threshold) -> ControlFunction:
@@ -130,12 +116,17 @@ def make_capped_linear(slope, threshold) -> ControlFunction:
         raise ParameterError(f"capped-linear slope must lie in (0, 1), got {slope}")
     if c <= 0:
         raise ParameterError(f"capped-linear threshold must be > 0, got {threshold}")
-    return ControlFunction(CappedLinear(k, c), ControlClass.PHI)
+
+    def capped(t) -> Fraction:
+        tf = Fraction(t)
+        return k * tf if tf <= c else c
+
+    return ControlFunction(capped, ControlClass.PHI)
 
 
 def identity_control() -> ControlFunction:
-    """f(t) = t."""
-    return ControlFunction(IdentityFn(), ControlClass.ALTERING)
+    """f(t) = t, evaluated by ``Fraction`` itself."""
+    return ControlFunction(Fraction, ControlClass.ALTERING)
 
 
 def expr_control(ast, declared: ControlClass = ControlClass.UNCLASSIFIED) -> ControlFunction:
@@ -145,7 +136,7 @@ def expr_control(ast, declared: ControlClass = ControlClass.UNCLASSIFIED) -> Con
         raise ParameterError(
             f"control expressions may only use the variable t, found {sorted(free)}"
         )
-    return ControlFunction(ExprControl(ast), declared)
+    return ControlFunction(lambda t: eval_numeric(ast, {"t": Fraction(t)}), declared)
 
 
 def control_from_text(text: str, declared: ControlClass = ControlClass.UNCLASSIFIED) -> ControlFunction:
@@ -159,40 +150,11 @@ def with_declared_class(f: ControlFunction, declared: ControlClass) -> ControlFu
     return dataclasses.replace(f, declared_class=declared)
 
 
-def _eval_numeric(f: ControlFunction, t) -> Numeric:
-    """Evaluate without rounding; rational families return exact Fractions.
-
-    Exactness matters to the class checkers: a float cap value can round up
-    onto a grid point that sits just above the true rational threshold, and
-    a rounded comparison would then misjudge the strict ``f(t) < t`` test.
-    Python compares Fraction against float exactly, so downstream
-    comparisons need no tolerance fudging.
-    """
-    fam = f.family
-    match fam:
-        case Linear(slope=k):
-            return k * Fraction(t)
-        case Power(exponent=p):
-            try:
-                return float(t) ** p
-            except OverflowError:
-                raise DomainError(f"power control t ** {p} overflows at t={t}") from None
-        case CappedLinear(slope=k, threshold=c):
-            tf = Fraction(t)
-            return k * tf if tf <= c else c
-        case IdentityFn():
-            return Fraction(t)
-        case ExprControl(ast=ast):
-            return eval_numeric(ast, {"t": Fraction(t)})
-        case _:  # pragma: no cover - unreachable by construction
-            raise ParameterError(f"unknown control family: {fam!r}")
-
-
 def eval_control(f: ControlFunction, t) -> float:
     """Evaluate ``f`` at ``t >= 0``; never returns NaN."""
     if t < 0:
         raise DomainError(f"control functions are defined on [0, inf); got t={t}")
-    value = float(_eval_numeric(f, t))
+    value = float(f.fn(t))
     if math.isnan(value):
         raise DomainError(f"control function evaluated to NaN at t={t}")
     return value
@@ -222,7 +184,7 @@ def check_phi_class(
     """
     builder = ReportBuilder("phi_class", tol)
     ts = _grid_values(t_max, plan)
-    values = [_eval_numeric(f, t) for t in ts]
+    values = [f.fn(t) for t in ts]
     for (t1, v1), (t2, v2) in pairwise(zip(ts, values)):
         builder.observe(float(v1), float(v2), ("monotone", t1, t2))
     for t, v in zip(ts, values):
@@ -236,7 +198,7 @@ def check_phi_class(
         # least below its own argument (the rung may have jumped past a
         # discontinuity between t and t + eps; below-identity there means
         # the limit cannot exceed t).
-        rungs = [(t + eps, _eval_numeric(f, t + eps)) for eps in LIMIT_LADDER]
+        rungs = [(t + eps, f.fn(t + eps)) for eps in LIMIT_LADDER]
         if all(rv >= t + tol and rv >= u for u, rv in rungs):
             worst = min(float(rv) for _, rv in rungs)
             builder.add_violation(("right_limit", t), worst, t)
@@ -261,7 +223,7 @@ def check_altering(
     """
     builder = ReportBuilder("altering_distance", tol)
     ts = _grid_values(t_max, plan)
-    values = [_eval_numeric(f, t) for t in ts]
+    values = [f.fn(t) for t in ts]
     for (t1, v1), (t2, v2) in pairwise(zip(ts, values)):
         builder.observe(float(v1), float(v2), ("monotone", t1, t2))
     builder.observe(abs(eval_control(f, 0.0)), 0.0, ("zero_at_zero", 0.0))
@@ -273,7 +235,7 @@ def check_altering(
                 builder.count_sample(float(v))
         for side, sign in (("right", 1.0), ("left", -1.0)):
             gaps = [
-                float(abs(_eval_numeric(f, t + sign * h) - v))
+                float(abs(f.fn(t + sign * h) - v))
                 for h in LIMIT_LADDER
                 if t + sign * h >= 0
             ]

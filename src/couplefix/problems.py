@@ -78,7 +78,9 @@ class SelfMap:
 
     ``fn`` is treated as a pure function: :meth:`sample_images` computes the
     images of a sampled subset once and keeps them on this instance, so the
-    grid search does not evaluate the map again on every step.  The table
+    grid search does not evaluate the map again on every step, and the
+    self-map, range and contraction checks and the brute-force scan share
+    one table per grid.  The table
     holds sample points and image values only, never the map, so it is freed
     together with the map.
     """

@@ -12,15 +12,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Hard cap on recorded violations; the totals stay exact even when the
 #: list is truncated, and the worst offender is always retained.
 MAX_RECORDED_VIOLATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed inequality: ``lhs <= rhs + tol`` did not hold.
 
     ``witness`` is a tuple of plain values (floats, labels, tags) that lets

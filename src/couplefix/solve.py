@@ -312,22 +312,15 @@ def iterate_strong_coupled(
     return _iterate(problem, x0, y0, opts, _coupling_step, _strong_residuals)
 
 
-def multi_start_unique(
-    problem: StrongCoupledProblem,
-    starts: list[tuple[Point, Point]],
-    opts: SolveOptions = SolveOptions(),
-) -> tuple[str, list[SolveReport]]:
-    """Run every start and compare the converged candidates.
+def multi_start_verdict(
+    problem: StrongCoupledProblem, reports: list[SolveReport], opts: SolveOptions
+) -> str:
+    """The verdict on the runs of several starts: "consistent" when all
+    converged candidates sit within 10x tolerance of each other (vacuously
+    so when nothing converged), else "inconsistent".
 
-    The verdict is "consistent" when all converged candidates sit within
-    10x tolerance of each other (vacuously so when nothing converged); on
-    the usual metric that is one comparison of the widest pair, max - min;
-    failures keep their own reports without aborting the other starts.
+    On the usual metric that is one comparison of the widest pair, max - min.
     """
-    reports = []
-    for sx, sy in starts:
-        report, _ = iterate_strong_coupled(problem, sx, sy, opts)
-        reports.append(report)
     candidates = [
         r.candidate[0].value for r in reports if r.status is SolveStatus.CONVERGED
     ]
@@ -341,7 +334,19 @@ def multi_start_unique(
             for i, a in enumerate(candidates)
             for b in candidates[i + 1 :]
         )
-    return ("consistent" if consistent else "inconsistent", reports)
+    return "consistent" if consistent else "inconsistent"
+
+
+def multi_start_unique(
+    problem: StrongCoupledProblem,
+    starts: list[tuple[Point, Point]],
+    opts: SolveOptions = SolveOptions(),
+) -> tuple[str, list[SolveReport]]:
+    """Run every start and compare the converged candidates with
+    :func:`multi_start_verdict`; failures keep their own reports without
+    aborting the other starts."""
+    reports = [iterate_strong_coupled(problem, sx, sy, opts)[0] for sx, sy in starts]
+    return multi_start_verdict(problem, reports, opts), reports
 
 
 def trace_diagnostics(trace: IterationTrace, tol: float = 1e-9) -> CheckReport:
@@ -385,7 +390,8 @@ def brute_force_search(
     Coincidence problems get every sampled (a, b) pair whose two defining
     residuals sit within ``tol``; strong problems scan the sampled
     intersection of the subsets for points with d(F(p, p), p) <= tol.
-    Exceeding ``budget`` raises rather than silently truncating.
+    Exceeding ``budget`` raises rather than silently truncating; within it,
+    the T images come from ``SelfMap.sample_images``.
     """
     d = problem.space.metric
     f = problem.coupling
@@ -396,9 +402,8 @@ def brute_force_search(
             raise BudgetError(
                 f"{len(a_pts) * len(b_pts)} candidate pairs exceed budget {budget}"
             )
-        t = problem.self_map
-        ta = [t.evaluate(p).value for p in a_pts]
-        tb = [t.evaluate(q).value for q in b_pts]
+        ta = problem.self_map.sample_images(problem.subset_a, plan)[1]
+        tb = problem.self_map.sample_images(problem.subset_b, plan_b or plan)[1]
         out: list[tuple[Point, Point]] = []
         for i, a in enumerate(a_pts):
             for j, b in enumerate(b_pts):

@@ -432,3 +432,73 @@ def test_checks_registry_of_names_is_stable():
         "range_compatibility",
         "phi_psi_contraction",
     }
+
+
+def _identity_t_problem(calls):
+    """A coincidence problem on disjoint A = [0, 1] and B = [2, 3] whose self
+    map is a counted identity; F(x, y) = y puts every range target on a
+    sampled T image, so the range check never needs its own-target fallback."""
+
+    def t(v):
+        calls[v] += 1
+        return v
+
+    return CoincidenceProblem(
+        space=MetricSpace.real_line(0.0, 3.0),
+        subset_a=interval_subset(0.0, 1.0),
+        subset_b=interval_subset(2.0, 3.0),
+        coupling=CouplingMap.from_function(lambda x, y: y),
+        self_map=SelfMap.from_function(t),
+        phi=make_linear(Fraction(1, 2)),
+    )
+
+
+def test_checks_and_brute_force_share_one_t_table():
+    from collections import Counter
+
+    from couplefix.metric import sample_points
+    from couplefix.solve import brute_force_search
+
+    calls = Counter()
+    p = _identity_t_problem(calls)
+    a, b, t = p.subset_a, p.subset_b, p.self_map
+    plan = SamplePlan(grid_count=9, jitter_count=2, seed=4)
+    refined = SamplePlan(2 * plan.grid_count - 1, plan.jitter_count, plan.seed)
+    check_scc_map(t, a, b, plan)
+    check_range_compatibility(p.coupling, t, a, b, plan)
+    check_phi_T_contraction(p, plan)
+    brute_force_search(p, plan)
+    # one T call per point of each sampled table: the plan's grids of A and
+    # B, and the refined grids of the closedness test
+    expected = Counter(
+        q.value for s in (a, b) for pl in (plan, refined) for q in sample_points(s, pl)
+    )
+    assert calls == expected
+
+
+def test_standalone_phi_T_contraction_evaluates_t_on_the_full_sample():
+    from collections import Counter
+
+    from couplefix.metric import sample_points
+
+    calls = Counter()
+    p = _identity_t_problem(calls)
+    plan = SamplePlan(grid_count=21)
+    report = check_phi_T_contraction(p, plan, budget=20_000)
+    assert report.details["stride"] == 2
+    expected = Counter(q.value for s in (p.subset_a, p.subset_b) for q in sample_points(s, plan))
+    assert calls == expected
+
+
+def test_violation_is_an_immutable_record():
+    from couplefix.report import Violation
+
+    v = Violation(("contraction", 0.0, 1.0), 2.0, 0.5, 1.5)
+    assert repr(v) == (
+        "Violation(witness=('contraction', 0.0, 1.0), lhs=2.0, rhs=0.5, residual=1.5)"
+    )
+    assert v.to_dict() == {
+        "witness": ["contraction", 0.0, 1.0], "lhs": 2.0, "rhs": 0.5, "residual": 1.5,
+    }
+    with pytest.raises(AttributeError):
+        v.lhs = 0.0

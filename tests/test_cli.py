@@ -404,3 +404,80 @@ class TestDemoCommand:
         code, out, _ = run_cli(["demo", "banach-linear"], capsys)
         assert code == 0
         assert "candidate: x = 0.5, y = 0.5" in out
+
+
+class TestOutputPaths:
+    def test_unwritable_json_path_exits_3(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(["check", "banach-linear", "--json", str(dest)], capsys)
+        assert code == 3
+        assert "all 5 checks passed" in out
+        assert err.startswith(f"error: cannot write the --json report to {dest}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not dest.exists()
+
+    def test_unwritable_trace_path_exits_3(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "t.csv"
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["solve", "banach-linear", "--start", "0", "1", "--trace", str(dest),
+             "--json", str(report_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "status: Converged" in out
+        assert err.startswith(f"error: cannot write the --trace CSV to {dest}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report_path.exists()
+
+    def test_directory_as_json_path_exits_3(self, tmp_path, capsys):
+        code, _, err = run_cli(["check", "banach-linear", "--json", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith(f"error: cannot write the --json report to {tmp_path}: ")
+
+
+class TestRunsPerStart:
+    def test_each_start_iterates_once_with_trace(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = couplefix.solve.iterate_strong_coupled
+
+        def counted(problem, x0, y0, opts):
+            calls.append((x0.value, y0.value))
+            return real(problem, x0, y0, opts)
+
+        monkeypatch.setattr(couplefix.cli, "iterate_strong_coupled", counted)
+        monkeypatch.setattr(couplefix.solve, "iterate_strong_coupled", counted)
+        trace_path = tmp_path / "t.csv"
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            ["solve", "banach-linear", "--start", "0", "1", "--start", "1", "1",
+             "--start", "0.5", "0.25", "--trace", str(trace_path),
+             "--json", str(report_path)],
+            capsys,
+        )
+        assert code == 0
+        assert calls == [(0.0, 1.0), (1.0, 1.0), (0.5, 0.25)]
+        assert "multi-start verdict: consistent" in out
+        runs = read_json(report_path)["solve"]["runs"]
+        rows = trace_path.read_text(encoding="utf-8").splitlines()
+        # the trace is the first start's run
+        assert rows[1].startswith("0,0,1,")
+        assert len(rows) - 1 == runs[0]["iterations_used"]
+
+    def test_cli_verdict_matches_multi_start_unique(self, tmp_path, capsys):
+        from couplefix.documents import build_problem, builtin_registry
+        from couplefix.metric import Point
+        from couplefix.solve import SolveOptions, multi_start_unique
+
+        problem = build_problem(builtin_registry("banach-linear"))
+        starts = [(Point.real(0.0), Point.real(1.0)), (Point.real(0.25), Point.real(0.5))]
+        verdict, reports = multi_start_unique(problem, starts, SolveOptions())
+        report_path = tmp_path / "report.json"
+        run_cli(
+            ["solve", "banach-linear", "--start", "0", "1", "--start", "0.25", "0.5",
+             "--json", str(report_path)],
+            capsys,
+        )
+        solve = read_json(report_path)["solve"]
+        assert solve["verdict"] == verdict
+        assert solve["runs"] == [r.to_dict() for r in reports]

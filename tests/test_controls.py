@@ -228,3 +228,16 @@ def test_capped_linear_always_passes_phi_check(
 def test_power_always_passes_altering_check(exponent, t_max, grid_count, jitter_count, seed):
     plan = SamplePlan(grid_count=grid_count, jitter_count=jitter_count, seed=seed)
     assert check_altering(make_power(exponent), t_max, plan).passed
+
+
+def test_control_functions_are_exact_callables():
+    third = Fraction(1, 3)
+    assert make_linear(Fraction(1, 2)).fn(third) == Fraction(1, 6)
+    assert CAPPED.fn(1.0) == Fraction(2, 3)
+    assert CAPPED.fn(2.0) == Fraction(47, 24)
+    assert identity_control().fn is Fraction
+    assert expr_control(parse_expression("t / 3")).fn(1.0) == third
+    assert make_power(2).fn(3.0) == 9.0
+    with pytest.raises(DomainError):
+        make_power(2).fn(1e300)
+    assert eval_control(make_linear(Fraction(1, 2)), third) == float(Fraction(1, 6))
