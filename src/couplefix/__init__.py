@@ -3,9 +3,10 @@
 The package splits into layers: metric spaces and subsets (``metric``),
 a tiny expression language (``expr``), control functions with their class
 checks (``controls``), problem objects (``problems``), sampled hypothesis
-checks (``checks``), iteration engines and diagnostics (``solve``), YAML
-problem documents plus the builtin registry (``documents``), and a command
-line front end (``cli``).
+checks (``checks``, with ``levelset`` for exact contraction planes),
+iteration engines and diagnostics (``solve``), YAML problem documents plus
+the builtin registry (``documents``), and a command line front end
+(``cli``).
 
 The package root exports what the README's Library section uses, the types
 those names take, and the error classes; every other name is imported from

@@ -38,6 +38,16 @@ the same test lhs > rhs + tol: for tol >= 0, rhs + tol rounds to at least
 rhs, and a float difference has the exact sign, so every violation has
 rhs - lhs < 0.  The values, the order of violations and every count
 therefore equal those of the per-quadruple loop.
+
+Most planes never reach that comprehension.  On the usual metric with left
+the identity (phi-T, and psi = identity), ``levelset`` evaluates a plane
+exactly in O(n_a + n_b) steps instead of n_a * n_b.  A plane that holds a
+violation, and every plane right after one, goes through the
+comprehension, which records the violations in order; so a failing check
+pays for the level set only on the planes that pass.  Any other metric, a
+left that is not the identity, or tables that ``levelset.applies`` rejects
+(a NaN or infinite entry, a right value of -0.0, a right that decreases on
+the sampled distances) leave every plane to the comprehension.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import gt, sub
+from operator import add, gt, sub
 from typing import Any, Callable, Optional
 
 from .controls import eval_control
@@ -197,7 +207,9 @@ def _contraction_scan(
     or the identity when ``t`` is None; ``left=None`` is the identity.
     ``left`` and ``right`` are evaluated once per distinct argument, and
     ``right`` only at distances that are the larger one in some M.
-    Violations are recorded in (x, y, u, v) index order.
+    Violations are recorded in (x, y, u, v) index order.  Where the
+    level-set path applies (see the module docstring), a plane goes through
+    the comprehension only when it holds a violation or follows one.
     """
     b_plan = plan_b or plan
     xs = sample_points(problem.subset_a, plan)
@@ -232,25 +244,47 @@ def _contraction_scan(
     lo_xu = min((v for row in d_xu for v in row if v == v), default=math.nan)
     lo_yv = min((v for row in d_yv for v in row if v == v), default=math.nan)
     nan_xu = any(v != v for row in d_xu for v in row)
-    r_xu = [[(m, right_of(m) if m >= lo_yv else None) for m in row] for row in d_xu]
-    r_yv = [
-        [(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
-        for row in d_yv
-    ]
+
+    def right_tables() -> tuple[list, list]:
+        return (
+            [[(m, right_of(m) if m >= lo_yv else None) for m in row] for row in d_xu],
+            [[(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
+             for row in d_yv],
+        )
+
+    r_xu, r_yv = right_tables()
 
     # One (x, y) plane holds every (u, v) = (y_j2, x_i2), flattened at
     # k = j2 * na + i2, so plane order is quadruple order.
     f_uv = [w for row in f_ba for w in row]
     usual = d is _usual_real
+    level = None
+    if usual and left is None:
+        # imported here, so that a run without a contraction check never
+        # compiles it
+        from . import levelset
+
+        if levelset.applies((f_ab, f_ba, d_xu, d_yv), right_at):
+            r_xu = r_yv = None  # rebuilt from right_at if a plane needs them
+            level = levelset.plane_evaluator(ix, iy, f_ba, right_at, tol)
     loose = tol < 0
     left_at: dict[float, float] = {}
     rb = ReportBuilder(name, tol)
     min_margin = math.inf
+    suspect = False  # the previous plane held a violation
     for i in range(na):
-        fab_i, rxu_i = f_ab[i], r_xu[i]
+        fab_i = f_ab[i]
         for j in range(nb):
-            fab, ryv_j = fab_i[j], r_yv[j]
-            rhs = [r1 if d1 >= d2 else r2 for d1, r1 in rxu_i for d2, r2 in ryv_j]
+            fab = fab_i[j]
+            if level is not None and not suspect:
+                plane_min = level(i, j, fab)
+                if plane_min is not None:
+                    if plane_min < min_margin:
+                        min_margin = plane_min
+                    continue
+            if r_xu is None:
+                r_xu, r_yv = right_tables()
+            rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
             dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
             lhs = dist if left is None else _memo_map(left_at, left, dist)
             # the running minimum skips NaN margins, as a sample-by-sample scan does
@@ -259,12 +293,18 @@ def _contraction_scan(
                 min_margin = plane_min
             # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
             # a plane whose margins are all >= 0 holds none.
+            suspect = False
             if plane_min < 0 or loose:
-                hits = compress(count(), map(gt, lhs, [r + tol for r in rhs]))
-                for k in hits:
-                    j2, i2 = divmod(k, na)
-                    rb.add_violation(
-                        ("contraction", xv[i], yv[j], yv[j2], xv[i2]), lhs[k], rhs[k]
+                bound = map(add, rhs, repeat(tol))
+                hits = list(compress(count(), map(gt, lhs, bound)))
+                if hits:
+                    suspect = True
+                    x, y = xv[i], yv[j]
+                    rb.add_violations(
+                        [("contraction", x, y, yv[j2], xv[i2])
+                         for j2, i2 in map(divmod, hits, repeat(na))],
+                        list(map(lhs.__getitem__, hits)),
+                        list(map(rhs.__getitem__, hits)),
                     )
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin

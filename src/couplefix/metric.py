@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import compress, count
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -386,9 +385,10 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
                 rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
 
     # Triangle d(i, j) <= d(i, k) + d(k, j), one (i, j) row of k at a time.
-    # Subtracting lhs is monotone, so min(sums) - lhs is the row's smallest
-    # margin; with tol >= 0 a row whose margins are all >= 0 holds no
-    # violation.  A NaN minimum, or no margin yet, takes the per-k path.
+    # Subtracting lhs and adding tol round monotonically, so min(sums) - lhs
+    # is the row's smallest margin, and the row holds a violation exactly
+    # when lhs > min(sums) + tol.  A NaN minimum, or no margin yet, takes
+    # the per-k path.
     cols = list(zip(*dm))
     samples = rb.samples + n * n * n
     for i, row_i in enumerate(dm):
@@ -396,15 +396,21 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
         for j, col_j in enumerate(cols):
             lhs = row_i[j]
             sums = list(map(add, row_i, col_j))
-            margin = min(sums) - lhs
+            least = min(sums)
+            margin = least - lhs
             if margin != margin or rb.min_margin is None:
                 for k, rhs in enumerate(sums):
                     rb.observe(lhs, rhs, ("triangle", vi, vals[j], vals[k]))
                 continue
             if margin < rb.min_margin:
                 rb.min_margin = margin
-            if margin < 0 or tol < 0:
-                for k in compress(count(), [lhs > s + tol for s in sums]):
-                    rb.add_violation(("triangle", vi, vals[j], vals[k]), lhs, sums[k])
+            if lhs > least + tol:
+                hits = [k for k, s in enumerate(sums) if lhs > s + tol]
+                vj = vals[j]
+                rb.add_violations(
+                    [("triangle", vi, vj, vals[k]) for k in hits],
+                    [lhs] * len(hits),
+                    [sums[k] for k in hits],
+                )
     rb.samples = samples
     return rb.build()

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, NamedTuple
+from itertools import chain, repeat
+from operator import attrgetter, sub
+from typing import Any, NamedTuple, Sequence
 
 #: Hard cap on recorded violations; the totals stay exact even when the
 #: list is truncated, and the worst offender is always retained.
@@ -104,14 +105,22 @@ class ReportBuilder:
         if self.min_margin is None or margin < self.min_margin:
             self.min_margin = margin
         if lhs > rhs + self.tol:
-            self._record(Violation(witness, lhs, rhs, lhs - rhs))
+            self._record([Violation(witness, lhs, rhs, lhs - rhs)])
             return True
         return False
 
     def add_violation(self, witness: tuple, lhs: float, rhs: float) -> None:
         """Record a violation found by a non-inequality test (e.g. membership)."""
-        self.samples += 1
-        self._record(Violation(witness, lhs, rhs, lhs - rhs))
+        self.add_violations((witness,), (lhs,), (rhs,))
+
+    def add_violations(self, witnesses: Sequence[tuple], lhs: Sequence[float],
+                       rhs: Sequence[float]) -> None:
+        """``add_violation`` for each (witness, lhs, rhs) in order, in one call."""
+        # tuple.__new__ builds each Violation without a Python-level call
+        fields = zip(witnesses, lhs, rhs, map(sub, lhs, rhs))
+        batch = list(map(tuple.__new__, repeat(Violation), fields))
+        self.samples += len(batch)
+        self._record(batch)
 
     def count_sample(self, margin: float | None = None) -> None:
         """Record a passing sample that has no natural lhs/rhs pair."""
@@ -119,13 +128,16 @@ class ReportBuilder:
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
 
-    def _record(self, violation: Violation) -> None:
-        if self._worst is None or violation.residual > self._worst.residual:
-            self._worst = violation
-        if len(self._violations) < MAX_RECORDED_VIOLATIONS:
-            self._violations.append(violation)
-        else:
-            self._dropped += 1
+    def _record(self, batch: list[Violation]) -> None:
+        if not batch:
+            return
+        # max keeps its first item and moves only to a strictly larger
+        # residual, exactly as one comparison per violation in order does
+        seen = batch if self._worst is None else chain((self._worst,), batch)
+        self._worst = max(seen, key=attrgetter("residual"))
+        kept = batch[:MAX_RECORDED_VIOLATIONS - len(self._violations)]
+        self._violations.extend(kept)
+        self._dropped += len(batch) - len(kept)
 
     def build(self, details: dict[str, Any] | None = None) -> CheckReport:
         details = dict(details or {})

@@ -20,6 +20,12 @@ CASES = {
     "demo-example-2.1.9": ["demo", "example-2.1.9"],
     "demo-example-2.2.3": ["demo", "example-2.2.3"],
     "demo-negative-midpoint": ["demo", "negative-midpoint"],
+    "check-banach-linear-81": [
+        "check", "banach-linear", "--samples", "81", "--jitter", "2", "--seed", "5",
+    ],
+    "check-example-2.1.9-81": [
+        "check", "example-2.1.9", "--samples", "81", "--jitter", "2", "--seed", "5",
+    ],
     "check-negative-midpoint-81": [
         "check", "negative-midpoint", "--samples", "81", "--jitter", "2", "--seed", "5",
     ],

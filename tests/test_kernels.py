@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,13 +22,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplefix import solve
+from couplefix import levelset, report, solve
 from couplefix.checks import (
     DEFAULT_QUADRUPLE_BUDGET,
     check_phi_psi_contraction,
     check_phi_T_contraction,
     check_range_compatibility,
 )
+from couplefix.cli import main
 from couplefix.controls import (
     ControlClass,
     eval_control,
@@ -43,13 +45,14 @@ from couplefix.metric import (
     Point,
     SamplePlan,
     SubsetSpec,
+    _usual_real,
     check_metric_axioms,
     contains,
     sample_points,
     separation,
 )
 from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
-from couplefix.report import ReportBuilder
+from couplefix.report import CheckReport, ReportBuilder, Violation
 from couplefix.solve import SolveOptions, SolveReport, SolveStatus
 
 TOLS = st.sampled_from([1e-9, 0.0, 0.25, -0.1])
@@ -255,9 +258,9 @@ def test_range_search_matches_naive_loop_on_label_pools(a, b, t_table, pick_seco
 # contraction kernel
 
 
-def naive_contraction(name, problem, image, left, right, plan, tol):
+def naive_contraction(name, problem, image, left, right, plan, tol, plan_b=None):
     xs = sample_points(problem.subset_a, plan)
-    ys = sample_points(problem.subset_b, plan)
+    ys = sample_points(problem.subset_b, plan_b or plan)
     d, f = problem.space.metric, problem.coupling
     rb = ReportBuilder(name, tol)
     min_margin = math.inf
@@ -371,6 +374,292 @@ def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
             lambda t: t, lambda m: eval_control(phi, m), plan, tol,
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# level-set contraction path
+
+
+@contextmanager
+def level_set_spy():
+    """Count what the level-set path of the contraction kernel does: how
+    often it is built, how many planes it evaluates and how many of those
+    it reports as holding a violation."""
+    calls = {"built": 0, "planes": 0, "violating": 0}
+    real = levelset.plane_evaluator
+
+    def spy(*args):
+        calls["built"] += 1
+        plane = real(*args)
+
+        def counted(i, j, fab):
+            calls["planes"] += 1
+            margin = plane(i, j, fab)
+            calls["violating"] += margin is None
+            return margin
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelset, "plane_evaluator", spy)
+        yield calls
+
+
+@contextmanager
+def level_set_forbidden():
+    def refuse(*args):
+        raise AssertionError("the level-set path was taken")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelset, "plane_evaluator", refuse)
+        yield
+
+
+LEVEL_COUPLINGS = {
+    **COUPLINGS,
+    "plateau": lambda x, y: min(max(x + y, 0.5), 1.5),
+    "negative_zero": lambda x, y: -0.0 * x if x < 1 else 0.5,
+    "steep": lambda x, y: 3 * x - y,
+}
+LEVEL_SELF_MAPS = {
+    **SELF_MAPS,
+    "constant": lambda x: 0.5,
+    "two_valued": lambda x: 2.0 if x < 1 else 0.0,
+}
+LEVEL_SUBSETS = st.one_of(
+    st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=6).map(SubsetSpec.from_values),
+    st.sampled_from([(0.0, 1.0), (0.0, 2.0), (0.5, 1.5)]).map(
+        lambda iv: SubsetSpec.from_intervals([Interval(*iv)])
+    ),
+)
+PLANS_A = st.builds(SamplePlan, grid_count=st.integers(2, 11), jitter_count=st.integers(0, 1),
+                    seed=st.integers(0, 50))
+PLANS_B = st.builds(SamplePlan, grid_count=st.integers(2, 6), jitter_count=st.integers(0, 1),
+                    seed=st.integers(0, 50))
+
+
+def _assert_level_path_used(calls, problem, plan, plan_b):
+    assert problem.space.metric is _usual_real
+    na = len(sample_points(problem.subset_a, plan))
+    nb = len(sample_points(problem.subset_b, plan_b))
+    assert calls["built"] == 1
+    assert 1 <= calls["planes"] <= na * nb
+
+
+@given(
+    slope=st.integers(1, 3),
+    a=LEVEL_SUBSETS,
+    b=LEVEL_SUBSETS,
+    f=st.sampled_from(sorted(LEVEL_COUPLINGS)),
+    t=st.sampled_from(sorted(LEVEL_SELF_MAPS)),
+    plan=PLANS_A,
+    plan_b=PLANS_B,
+    tol=TOLS,
+)
+@settings(max_examples=150, deadline=None)
+def test_phi_T_level_set_path_matches_naive_loop(slope, a, b, f, t, plan, plan_b, tol):
+    phi = make_linear(Fraction(slope, 4))
+    problem = CoincidenceProblem(
+        space=MetricSpace.real_line(-1.0, 3.0),
+        subset_a=a,
+        subset_b=b,
+        coupling=CouplingMap.from_function(LEVEL_COUPLINGS[f]),
+        self_map=SelfMap.from_function(LEVEL_SELF_MAPS[t]),
+        phi=phi,
+    )
+    with level_set_spy() as calls:
+        _same_outcome(
+            lambda: check_phi_T_contraction(problem, plan, tol, plan_b),
+            lambda: naive_contraction(
+                "phi_T_contraction", problem, problem.self_map.evaluate,
+                lambda t: t, lambda m: eval_control(phi, m), plan, tol, plan_b,
+            ),
+        )
+    _assert_level_path_used(calls, problem, plan, plan_b)
+
+
+@given(
+    phi_slope=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1)]),
+    a=LEVEL_SUBSETS,
+    b=LEVEL_SUBSETS,
+    f=st.sampled_from(sorted(LEVEL_COUPLINGS)),
+    plan=PLANS_A,
+    plan_b=PLANS_B,
+    tol=TOLS,
+)
+@settings(max_examples=150, deadline=None)
+def test_phi_psi_level_set_path_matches_naive_loop(phi_slope, a, b, f, plan, plan_b, tol):
+    phi = with_declared_class(make_linear(phi_slope), ControlClass.ALTERING)
+    psi = identity_control()
+    problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0), a, b,
+                              CouplingMap.from_function(LEVEL_COUPLINGS[f]), phi, psi)
+    with level_set_spy() as calls:
+        _same_outcome(
+            lambda: check_phi_psi_contraction(problem, plan, tol, plan_b),
+            lambda: _naive_phi_psi(problem, plan, tol, plan_b),
+        )
+    _assert_level_path_used(calls, problem, plan, plan_b)
+
+
+def _strong_problem(space, a, b, coupling, phi, psi):
+    return StrongCoupledProblem(
+        space=space, subset_a=a, subset_b=b, coupling=coupling, phi=phi, psi=psi
+    )
+
+
+def _naive_phi_psi(problem, plan, tol, plan_b=None):
+    phi, psi = problem.phi, problem.psi
+    return naive_contraction(
+        "phi_psi_contraction", problem, lambda p: p,
+        lambda t: eval_control(psi, t),
+        lambda m: eval_control(psi, m) - eval_control(phi, m),
+        plan, tol, plan_b,
+    )
+
+
+def _coincidence_problem(coupling):
+    return CoincidenceProblem(
+        space=MetricSpace.real_line(-1.0, 3.0), subset_a=UNIT, subset_b=UNIT,
+        coupling=coupling, self_map=SelfMap.from_function(lambda x: x / 2),
+        phi=make_linear(Fraction(1, 2)),
+    )
+
+
+HALF = with_declared_class(make_linear(Fraction(1, 2)), ControlClass.ALTERING)
+UNIT = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
+MID = CouplingMap.from_function(lambda x, y: (x + y) / 2)
+FALLBACKS = {
+    "custom_metric": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0, metric=lambda a, b: (a - b) ** 2),
+        UNIT, UNIT, MID, HALF, identity_control(),
+    ),
+    "label_space": lambda: _strong_problem(
+        MetricSpace.finite(["a", "b", "c"]),
+        SubsetSpec.from_values(["a", "b"]), SubsetSpec.from_values(["b", "c"]),
+        CouplingMap.from_function(lambda x, y: "b" if x == y else "a"),
+        HALF, identity_control(),
+    ),
+    "non_identity_psi": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0), UNIT, UNIT, MID, HALF,
+        with_declared_class(make_linear(Fraction(3, 2)), ControlClass.ALTERING),
+    ),
+    # phi-T, since the oracle's identity psi raises at a NaN or infinite
+    # distance; a raw Point skips the finiteness check of Point.real
+    "nan_in_table": lambda: _coincidence_problem(
+        CouplingMap(lambda p, q: Point(math.nan if p.value > 0.5 else p.value)),
+    ),
+    "inf_in_table": lambda: _coincidence_problem(
+        CouplingMap(lambda p, q: Point(math.inf if q.value > 0.5 else q.value)),
+    ),
+    # psi(M) - phi(M) = M - M**2 falls for M > 1/2, which [0, 2] samples
+    "non_monotone_right": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0), UNIT,
+        SubsetSpec.from_intervals([Interval(0.0, 2.0)]), MID,
+        with_declared_class(make_power(2), ControlClass.ALTERING), identity_control(),
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, -0.1])
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_contraction_falls_back_to_the_plane_comprehension(case, tol):
+    problem = FALLBACKS[case]()
+    plan = SamplePlan(5, 1, 3)
+    if problem.kind == "coincidence":
+        fast = lambda: check_phi_T_contraction(problem, plan, tol)  # noqa: E731
+        naive = lambda: naive_contraction(  # noqa: E731
+            "phi_T_contraction", problem, problem.self_map.evaluate,
+            lambda t: t, lambda m: eval_control(problem.phi, m), plan, tol,
+        )
+    else:
+        fast = lambda: check_phi_psi_contraction(problem, plan, tol)  # noqa: E731
+        naive = lambda: _naive_phi_psi(problem, plan, tol)  # noqa: E731
+    with level_set_forbidden():
+        _same_outcome(fast, naive)
+
+
+def test_banach_linear_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_path, capsys):
+    argv = ["check", "banach-linear", "--samples", "81", "--jitter", "2",
+            "--json", str(tmp_path / "report.json")]
+    with level_set_spy() as calls:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls["built"] == 1
+    assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
+    assert calls["violating"] == 0
+
+
+# ---------------------------------------------------------------------------
+# bulk violation recording
+
+
+RESIDUAL_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, 0.1 + 0.2])
+
+
+def naive_recording(batches, cap):
+    """The report of one recording step per violation: the first strictly
+    larger residual is the worst, violations past ``cap`` are only counted,
+    and the worst replaces the last kept one when it was dropped."""
+    kept, dropped, worst, samples = [], 0, None, 0
+    for b, batch in enumerate(batches):
+        for k, (lhs, rhs) in enumerate(batch):
+            v = Violation(("w", b, k), lhs, rhs, lhs - rhs)
+            samples += 1
+            if worst is None or v.residual > worst.residual:
+                worst = v
+            if len(kept) < cap:
+                kept.append(v)
+            else:
+                dropped += 1
+    details = {}
+    if dropped:
+        details["violations_dropped"] = dropped
+        if worst not in kept:
+            kept[-1] = worst
+    return CheckReport("bulk", samples, kept, None, "fail" if kept else "pass", details)
+
+
+@given(
+    batches=st.lists(
+        st.lists(st.tuples(RESIDUAL_VALUES, RESIDUAL_VALUES), max_size=6), max_size=6
+    ),
+    cap=st.sampled_from([None, 1, 3, 7]),
+)
+# a NaN residual (inf - inf) ahead of the worst one in its batch
+@example(batches=[[(1.0, 0.0)], [(math.inf, math.inf), (2.0, 0.0)]], cap=1)
+@settings(max_examples=200, deadline=None)
+def test_bulk_recording_matches_one_call_per_violation(batches, cap):
+    def built(bulk):
+        rb = ReportBuilder("bulk", 0.0)
+        for b, batch in enumerate(batches):
+            witnesses = [("w", b, k) for k in range(len(batch))]
+            lhs = [l for l, _ in batch]
+            rhs = [r for _, r in batch]
+            if bulk:
+                rb.add_violations(witnesses, lhs, rhs)
+            else:
+                for w, l, r in zip(witnesses, lhs, rhs):
+                    rb.add_violation(w, l, r)
+        return rb.build()
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        want = repr(naive_recording(batches, report.MAX_RECORDED_VIOLATIONS))
+        assert repr(built(True)) == want
+        assert repr(built(False)) == want
+
+
+def test_first_of_tied_worst_violations_survives_truncation():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", 1)
+        rb = ReportBuilder("ties", 0.0)
+        rb.add_violations([("a",), ("b",), ("c",)], [1.0, 3.0, 3.0], [0.0, 0.0, 0.0])
+        rb.add_violations([("d",)], [3.0], [0.0])
+        built = rb.build()
+    assert [v.witness for v in built.violations] == [("b",)]
+    assert built.details["violations_dropped"] == 3
+    assert built.samples_tested == 4
 
 
 # ---------------------------------------------------------------------------
