@@ -48,6 +48,14 @@ pays for the level set only on the planes that pass.  Any other metric, a
 left that is not the identity, or tables that ``levelset.applies`` rejects
 (a NaN or infinite entry, a right value of -0.0, a right that decreases on
 the sampled distances) leave every plane to the comprehension.
+
+Every check reads F from ``CouplingMap.tables``: F, like T, is treated as
+a pure function and evaluated once per sampled pair.  When F fails, the
+coupling and range checks evaluate again in their pair-by-pair order, so
+they raise the error that order meets first.  Membership is tested a row
+at a time (``metric.contains_values``); the range check bisects each real
+candidate pool (``_padded``) and records a row at a time with
+``ReportBuilder.observe_all``, which equals one ``observe`` per sample.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import add, gt, sub
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
 from .metric import (
@@ -68,6 +76,7 @@ from .metric import (
     Value,
     _usual_real,
     contains,
+    contains_values,
     sample_points,
     separation,
 )
@@ -102,15 +111,38 @@ def check_coupling(
     """
     xs = sample_points(a, plan)
     ys = sample_points(b, plan_b or plan)
+    f_ab, f_ba = _pair_tables(f, xs, ys)
+    in_b = [contains_values(b, row) for row in f_ab]
+    in_a = list(zip(*[contains_values(a, row) for row in f_ba]))  # in_a[i][j]: F(y_j, x_i)
     rb = ReportBuilder("coupling", 0.0)
-    for x in xs:
-        for y in ys:
-            for tag, subset, p, q in (("image_in_B", b, x, y), ("image_in_A", a, y, x)):
-                img = f.evaluate(p, q)
-                if not contains(subset, img):
-                    rb.add_violation((tag, p.value, q.value, img.value), 1.0, 0.0)
+    for i, x in enumerate(xs):
+        if all(in_b[i]) and all(in_a[i]):
+            continue
+        xv = x.value
+        witnesses = []
+        for j, y in enumerate(ys):
+            if not in_b[i][j]:
+                witnesses.append(("image_in_B", xv, y.value, f_ab[i][j]))
+            if not in_a[i][j]:
+                witnesses.append(("image_in_A", y.value, xv, f_ba[j][i]))
+        rb.add_violations(witnesses, [1.0] * len(witnesses), [0.0] * len(witnesses))
     rb.samples = len(xs) * len(ys)
     return rb.build({"pairs": len(xs) * len(ys)})
+
+
+def _pair_tables(f: CouplingMap, firsts: list[Point], seconds: list[Point],
+                 visit: Callable[[int, Value], Any] = lambda side, v: None) -> tuple:
+    """``f.tables(firsts, seconds)``; on an error, the pair-by-pair scan
+    F(p, q), ``visit(0, value)``, F(q, p), ``visit(1, value)`` over p in
+    ``firsts`` and q in ``seconds`` raises what that scan meets first."""
+    try:
+        return f.tables(firsts, seconds)
+    except Exception:
+        for p in firsts:
+            for q in seconds:
+                visit(0, f.evaluate(p, q).value)
+                visit(1, f.evaluate(q, p).value)
+        raise
 
 
 def _unique_sorted(values: list[Value], cap: int = 24) -> Optional[list[Value]]:
@@ -143,6 +175,8 @@ def _closedness(
         return "inconclusive"
     refined = SamplePlan(2 * plan.grid_count - 1, plan.jitter_count, plan.seed)
     rimages = t.sample_images(subset, refined)[1]
+    if any(isinstance(v, str) for v in rimages):
+        return "inconclusive"
     stable = (
         abs(min(rimages) - min(images)) <= tol
         and abs(max(rimages) - max(images)) <= tol
@@ -170,9 +204,9 @@ def check_scc_map(
     examined = 0
     for name, subset, pl in (("A", a, plan), ("B", b, plan_b or plan)):
         pts, images = t.sample_images(subset, pl)
-        for p, v in zip(pts, images):
-            if not contains(subset, Point(v)):
-                rb.add_violation((f"invariance_{name}", p.value, v), 1.0, 0.0)
+        outside = [k for k, inside in enumerate(contains_values(subset, images)) if not inside]
+        rb.add_violations([(f"invariance_{name}", pts[k].value, images[k]) for k in outside],
+                          [1.0] * len(outside), [0.0] * len(outside))
         examined += len(pts)
         lists[name] = _unique_sorted(images)
         details[f"image_{name}_values"] = lists[name]
@@ -219,8 +253,7 @@ def _contraction_scan(
     xs, ys = xs[::stride], ys[::stride]
     na, nb = len(xs), len(ys)
     d, f = problem.space.metric, problem.coupling
-    f_ab = [[f.evaluate(p, q).value for q in ys] for p in xs]
-    f_ba = [[f.evaluate(q, p).value for p in xs] for q in ys]
+    f_ab, f_ba = f.tables(xs, ys)
     xv = [p.value for p in xs]
     yv = [q.value for q in ys]
     if t is None:
@@ -360,12 +393,17 @@ def check_phi_psi_contraction(
     )
 
 
-def _sorted_reals(values: list[Value]) -> Optional[list[float]]:
-    """The values in ascending order, or None when a label or NaN among
-    them rules out a search by bisection."""
-    if any(isinstance(v, str) or v != v for v in values):
+def _padded(pool: Sequence[Value]) -> Optional[list]:
+    """The pool in ascending order between copies of its ends, or None when
+    a label or NaN in it rules out a search by bisection.  For
+    ``k = bisect_left(padded, t, 1, len(padded) - 1)``, ``padded[k - 1]``
+    and ``padded[k]`` are the sorted neighbours of t, an end standing in for
+    a missing one; ``v - t`` rounds monotonically in ``v``, so the nearest
+    pool value is one of them."""
+    if any(isinstance(v, str) or v != v for v in pool):
         return None
-    return sorted(values)
+    ordered = sorted(pool)
+    return [ordered[0], *ordered, ordered[-1]]
 
 
 def check_range_compatibility(
@@ -391,29 +429,43 @@ def check_range_compatibility(
     a_pts, ta_vals = t.sample_images(a, plan)
     b_pts, tb_vals = t.sample_images(b, b_plan)
     tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
-    ta_sorted, tb_sorted = _sorted_reals(ta_vals), _sorted_reals(tb_vals)
-    rb = ReportBuilder("range_compatibility", tol)
+    # side 0: F(y, x) against t(A); side 1: F(x, y) against t(B)
+    sides = [(pool, _padded(pool), subset) for pool, subset in ((ta_vals, a), (tb_vals, b))]
 
-    def nearest(target_pt, pool_vals, ordered, subset) -> float:
-        tv = target_pt.value
-        if ordered is None or isinstance(tv, str):
-            best = min(separation(v, tv) for v in pool_vals)
-        else:
-            # v - tv rounds monotonically in v, so the smallest |v - tv| over
-            # the pool is at one of the two sorted neighbours of tv.
-            at = bisect_left(ordered, tv)
-            best = min(abs(v - tv) for v in ordered[max(at - 1, 0):at + 1])
-        if best > tol and contains(subset, target_pt):
-            best = min(best, separation(t.evaluate(target_pt).value, tv))
+    def search(side: int, targets: Sequence[Value]) -> list[float]:
+        """The separation of each target from its nearest pool value."""
+        pool, pad, _ = sides[side]
+        if pad is not None and not any(isinstance(v, str) for v in targets):
+            at = list(map(bisect_left, repeat(pad), targets, repeat(1), repeat(len(pad) - 1)))
+            lo = [abs(pad[k - 1] - tv) for tv, k in zip(targets, at)]
+            hi = [abs(pad[k] - tv) for tv, k in zip(targets, at)]
+            return [h if h < l else l for l, h in zip(lo, hi)]  # min(l, h)
+        return [min(separation(v, tv) for v in pool) for tv in targets]
+
+    def refine(side: int, tv: Value, best: float) -> float:
+        """A target that lies in its own subset is also its own candidate."""
+        if best > tol and contains(sides[side][2], Point(tv)):
+            return min(best, separation(t.evaluate(Point(tv)).value, tv))
         return best
 
-    for yq in tgt_pts:
-        for xp in a_pts:
-            for tag, p, q, pool, ordered, subset in (
-                ("target_in_T_A", yq, xp, ta_vals, ta_sorted, a),
-                ("target_in_T_B", xp, yq, tb_vals, tb_sorted, b),
-            ):
-                tgt = f.evaluate(p, q)
-                best = nearest(tgt, pool, ordered, subset)
-                rb.observe(best, 0.0, (tag, p.value, q.value, tgt.value))
+    to_a, to_b = _pair_tables(
+        f, tgt_pts, a_pts, lambda side, tv: refine(side, tv, search(side, [tv])[0])
+    )
+    xv = [p.value for p in a_pts]
+    zeros = [0.0] * (2 * len(xv))
+    rb = ReportBuilder("range_compatibility", tol)
+    for y, row_a, row_b in zip(tgt_pts, to_a, zip(*to_b)):
+        # targets in scan order: F(y, x_i) at 2i, F(x_i, y) at 2i + 1
+        targets = list(chain.from_iterable(zip(row_a, row_b)))
+        bests = list(chain.from_iterable(zip(search(0, row_a), search(1, row_b))))
+        for k in [k for k, best in enumerate(bests) if best > tol]:
+            bests[k] = refine(k % 2, targets[k], bests[k])
+        yv = y.value
+
+        def witness(k: int) -> tuple:
+            if k % 2:
+                return ("target_in_T_B", xv[k // 2], yv, targets[k])
+            return ("target_in_T_A", yv, xv[k // 2], targets[k])
+
+        rb.observe_all(bests, zeros, witness)
     return rb.build({"pairs": len(tgt_pts) * len(a_pts)})

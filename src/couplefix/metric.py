@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import add
+from itertools import chain
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -209,6 +210,19 @@ def contains(subset: SubsetSpec, p: Point) -> bool:
     return any(iv.contains_value(p.value) for iv in subset.intervals)
 
 
+def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
+    """``[contains(subset, Point(v)) for v in values]``; on a one-interval
+    subset, one comprehension that inlines ``Interval.contains_value``."""
+    if len(subset.intervals) == 1:
+        (iv,) = subset.intervals
+        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+        try:
+            return [(v > lo or lc and v == lo) and (v < hi or hc and v == hi) for v in values]
+        except TypeError:  # a label does not compare with a bound, and is outside
+            pass
+    return [contains(subset, Point(v)) for v in values]
+
+
 def subset_within_carrier(space: MetricSpace, subset: SubsetSpec) -> bool:
     """Whether every subset point (or interval, end to end) lies in the carrier."""
     if subset.is_finite:
@@ -370,26 +384,41 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
     d = space.metric
     n = len(vals)
     dm = [[float(d(vals[i], vals[j])) for j in range(n)] for i in range(n)]
+    cols = list(zip(*dm))
     rb = ReportBuilder("metric_axioms", tol)
 
+    # Row i observes nonnegativity then symmetry for each pair (i, j > i),
+    # as lhs[2m] and lhs[2m + 1] with j = i + 1 + m.  Identity of
+    # indiscernibles can fail only where d(i, j) <= tol; the row's batch is
+    # cut after such a pair, so its violation keeps its place in the order.
     for i in range(n):
+        vi = vals[i]
         if dm[i][i] > tol:
-            rb.add_violation(("identity_self", vals[i]), dm[i][i], 0.0)
+            rb.add_violation(("identity_self", vi), dm[i][i], 0.0)
         else:
             rb.count_sample(-dm[i][i])
-        for j in range(i + 1, n):
-            rb.observe(-dm[i][j], 0.0, ("nonnegativity", vals[i], vals[j]))
-            rb.observe(abs(dm[i][j] - dm[j][i]), 0.0, ("symmetry", vals[i], vals[j]))
-            sep = separation(vals[i], vals[j])
-            if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
-                rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
+        d_ij, d_ji = dm[i][i + 1:], cols[i][i + 1:]
+        lhs = list(chain.from_iterable(zip([-v for v in d_ij], map(abs, map(sub, d_ij, d_ji)))))
+
+        def observe_pairs(lo: int, hi: int) -> None:
+            rb.observe_all(lhs[2 * lo:2 * hi], [0.0] * (2 * (hi - lo)), lambda k: (
+                ("nonnegativity", "symmetry")[k % 2], vi, vals[i + 1 + lo + k // 2]))
+
+        start = 0
+        for m in [m for m, v in enumerate(d_ij) if v <= tol]:
+            vj = vals[i + 1 + m]
+            sep = separation(vi, vj)
+            if sep > max(REAL_EQ_TOL, d_ij[m] + tol):
+                observe_pairs(start, m + 1)
+                rb.add_violation(("identity_of_indiscernibles", vi, vj), sep, d_ij[m])
+                start = m + 1
+        observe_pairs(start, len(d_ij))
 
     # Triangle d(i, j) <= d(i, k) + d(k, j), one (i, j) row of k at a time.
     # Subtracting lhs and adding tol round monotonically, so min(sums) - lhs
     # is the row's smallest margin, and the row holds a violation exactly
     # when lhs > min(sums) + tol.  A NaN minimum, or no margin yet, takes
     # the per-k path.
-    cols = list(zip(*dm))
     samples = rb.samples + n * n * n
     for i, row_i in enumerate(dm):
         vi = vals[i]
@@ -399,8 +428,7 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
             least = min(sums)
             margin = least - lhs
             if margin != margin or rb.min_margin is None:
-                for k, rhs in enumerate(sums):
-                    rb.observe(lhs, rhs, ("triangle", vi, vals[j], vals[k]))
+                rb.observe_all([lhs] * n, sums, lambda k: ("triangle", vi, vals[j], vals[k]))
                 continue
             if margin < rb.min_margin:
                 rb.min_margin = margin

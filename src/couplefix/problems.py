@@ -10,8 +10,9 @@ declared class the problem shape calls for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
@@ -40,15 +41,54 @@ def _require_vars(ast: Expr, allowed: set[str], what: str) -> None:
         raise ParameterError(f"{what} may only use {sorted(allowed)}; found: {names}")
 
 
+def _values(row: list) -> list[Value]:
+    """``[_as_point(v).value for v in row]``; a row of finite floats is
+    returned as it is."""
+    # a NaN or an infinity makes the sum NaN or infinite
+    if set(map(type, row)) == {float} and math.isfinite(sum(row)):
+        return row
+    return [_as_point(v).value for v in row]
+
+
 @dataclass(frozen=True)
 class CouplingMap:
-    """A two-argument map evaluated on (first-subset, second-subset) points."""
+    """A two-argument map evaluated on (first-subset, second-subset) points.
+
+    Like a self map, ``fn`` is treated as a pure function.  ``value_fn`` is
+    the same map on raw values, set by the two constructors.
+    """
 
     fn: Callable[[Point, Point], Point]
     source: Optional[str] = None
+    value_fn: Optional[Callable[[Value, Value], Value]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def evaluate(self, p: Point, q: Point) -> Point:
         return self.fn(p, q)
+
+    def tables(
+        self, xs: Sequence[Point], ys: Sequence[Point]
+    ) -> tuple[list[list[Value]], list[list[Value]]]:
+        """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xs[i], ys[j]).value`` and
+        ``f_ba[j][i] = F(ys[j], xs[i]).value``, not kept after the call.
+
+        ``value_fn`` is called on raw values, under the rules of ``evaluate``;
+        without one, ``fn`` is called once per pair.  An error is the one
+        ``evaluate`` raises at the first failing pair of ``f_ab``, then
+        ``f_ba``, row by row.
+        """
+        g = self.value_fn
+        if g is not None:
+            xv, yv = [p.value for p in xs], [q.value for q in ys]
+            try:
+                return ([_values([g(x, y) for y in yv]) for x in xv],
+                        [_values([g(y, x) for x in xv]) for y in yv])
+            except Exception:
+                pass  # evaluated again pair by pair, so the first failing pair raises
+        fn = self.fn
+        return ([[fn(p, q).value for q in ys] for p in xs],
+                [[fn(q, p).value for p in xs] for q in ys])
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":
@@ -58,11 +98,12 @@ class CouplingMap:
         def fn(p: Point, q: Point) -> Point:
             return Point.real(f(p.value, q.value))
 
-        return CouplingMap(fn, source=format_expression(ast))
+        # f returns numbers, for which _as_point, and so tables, is Point.real
+        return CouplingMap(fn, format_expression(ast), f)
 
     @staticmethod
     def from_function(f: Callable[[Value, Value], Value]) -> "CouplingMap":
-        return CouplingMap(lambda p, q: _as_point(f(p.value, q.value)))
+        return CouplingMap(lambda p, q: _as_point(f(p.value, q.value)), value_fn=f)
 
 
 PreimageFn = Callable[[Point, SubsetSpec, float], Optional[Point]]

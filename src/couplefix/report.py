@@ -10,13 +10,15 @@ callers can render or serialize it without re-running the check.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter, sub
-from typing import Any, NamedTuple, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, gt, sub
+from typing import Any, Callable, NamedTuple, Sequence
 
 #: Hard cap on recorded violations; the totals stay exact even when the
-#: list is truncated, and the worst offender is always retained.
+#: list is truncated, and the worst offender is always retained (so even a
+#: cap of 0 keeps one).
 MAX_RECORDED_VIOLATIONS = 100_000
 
 
@@ -99,15 +101,34 @@ class ReportBuilder:
         self._worst: Violation | None = None
 
     def observe(self, lhs: float, rhs: float, witness: tuple) -> bool:
-        """Record one inequality evaluation; return True if it violated."""
-        self.samples += 1
-        margin = rhs - lhs
-        if self.min_margin is None or margin < self.min_margin:
-            self.min_margin = margin
-        if lhs > rhs + self.tol:
-            self._record([Violation(witness, lhs, rhs, lhs - rhs)])
-            return True
-        return False
+        """Record one inequality evaluation, ``lhs <= rhs + tol`` with margin
+        ``rhs - lhs``; return True if it violated."""
+        return self.observe_all((lhs,), (rhs,), lambda k: witness)
+
+    def observe_all(self, lhs: Sequence[float], rhs: Sequence[float],
+                    witness: Callable[[int], tuple]) -> bool:
+        """``observe(lhs[k], rhs[k], witness(k))`` for each k in order, in one
+        call that builds witnesses for violations only; True if any violated.
+
+        ``low`` is the first of the smallest non-NaN margins, where a running
+        minimum ends.  With ``tol >= 0``, ``lhs > rhs + tol`` implies
+        ``rhs - lhs < 0``: adding tol rounds to at least rhs, and a float
+        difference has the exact sign.
+        """
+        if not lhs:
+            return False
+        margins = list(map(sub, rhs, lhs))
+        low = min(chain((math.inf,), margins))
+        if self.min_margin is None:
+            self.min_margin = margins[0]  # a NaN stays, as it does one by one
+        if low < self.min_margin:
+            self.min_margin = low
+        self.samples += len(margins)
+        if not (low < 0 or self.tol < 0):
+            return False
+        hits = list(compress(count(), map(gt, lhs, map(add, rhs, repeat(self.tol)))))
+        self._record([witness(k) for k in hits], [lhs[k] for k in hits], [rhs[k] for k in hits])
+        return bool(hits)
 
     def add_violation(self, witness: tuple, lhs: float, rhs: float) -> None:
         """Record a violation found by a non-inequality test (e.g. membership)."""
@@ -116,11 +137,8 @@ class ReportBuilder:
     def add_violations(self, witnesses: Sequence[tuple], lhs: Sequence[float],
                        rhs: Sequence[float]) -> None:
         """``add_violation`` for each (witness, lhs, rhs) in order, in one call."""
-        # tuple.__new__ builds each Violation without a Python-level call
-        fields = zip(witnesses, lhs, rhs, map(sub, lhs, rhs))
-        batch = list(map(tuple.__new__, repeat(Violation), fields))
-        self.samples += len(batch)
-        self._record(batch)
+        self.samples += len(lhs)
+        self._record(witnesses, lhs, rhs)
 
     def count_sample(self, margin: float | None = None) -> None:
         """Record a passing sample that has no natural lhs/rhs pair."""
@@ -128,14 +146,19 @@ class ReportBuilder:
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
 
-    def _record(self, batch: list[Violation]) -> None:
-        if not batch:
+    def _record(self, witnesses: Sequence[tuple], lhs: Sequence[float],
+                rhs: Sequence[float]) -> None:
+        if not lhs:
             return
+        # tuple.__new__ builds each Violation without a Python-level call
+        fields = zip(witnesses, lhs, rhs, map(sub, lhs, rhs))
+        batch = list(map(tuple.__new__, repeat(Violation), fields))
         # max keeps its first item and moves only to a strictly larger
         # residual, exactly as one comparison per violation in order does
         seen = batch if self._worst is None else chain((self._worst,), batch)
         self._worst = max(seen, key=attrgetter("residual"))
-        kept = batch[:MAX_RECORDED_VIOLATIONS - len(self._violations)]
+        # one slot is always there, for the worst violation
+        kept = batch[:max(MAX_RECORDED_VIOLATIONS, 1) - len(self._violations)]
         self._violations.extend(kept)
         self._dropped += len(batch) - len(kept)
 
@@ -154,3 +177,4 @@ class ReportBuilder:
             verdict=verdict,
             details=details,
         )
+

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,15 @@ from hypothesis import strategies as st
 from couplefix import levelset, report, solve
 from couplefix.checks import (
     DEFAULT_QUADRUPLE_BUDGET,
+    check_coupling,
     check_phi_psi_contraction,
     check_phi_T_contraction,
     check_range_compatibility,
+    check_scc_map,
 )
 from couplefix.cli import main
+from couplefix.errors import DomainError
+from couplefix.expr import parse_expression
 from couplefix.controls import (
     ControlClass,
     eval_control,
@@ -48,6 +53,7 @@ from couplefix.metric import (
     _usual_real,
     check_metric_axioms,
     contains,
+    contains_values,
     sample_points,
     separation,
 )
@@ -719,3 +725,330 @@ def test_cli_import_pulls_in_no_numpy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# coupling, range and membership tables
+
+
+def naive_coupling(f, a, b, plan, plan_b=None):
+    xs = sample_points(a, plan)
+    ys = sample_points(b, plan_b or plan)
+    rb = ReportBuilder("coupling", 0.0)
+    for x in xs:
+        for y in ys:
+            for tag, subset, p, q in (("image_in_B", b, x, y), ("image_in_A", a, y, x)):
+                img = f.evaluate(p, q)
+                if not contains(subset, img):
+                    rb.add_violation((tag, p.value, q.value, img.value), 1.0, 0.0)
+    rb.samples = len(xs) * len(ys)
+    return rb.build({"pairs": len(xs) * len(ys)})
+
+
+def _same_result(fast, naive) -> None:
+    """``_same_outcome``, with an error's message compared as well."""
+    try:
+        want = _key(naive())
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        with pytest.raises(type(exc)) as got:
+            fast()
+        assert str(got.value) == str(exc)
+        return
+    assert _key(fast()) == want
+
+
+def _interval(bounds, ends):
+    return Interval(*bounds, *ends)
+
+
+ENDS = st.tuples(st.booleans(), st.booleans())
+INTERVAL_SUBSETS = st.one_of(
+    st.builds(
+        lambda bounds, ends: SubsetSpec.from_intervals([_interval(bounds, ends)]),
+        st.sampled_from([(0.0, 1.0), (0.0, 2.0), (0.5, 1.5), (0.25, 0.75)]),
+        ENDS,
+    ),
+    st.builds(
+        lambda e1, e2: SubsetSpec.from_intervals(
+            [_interval((0.0, 0.5), e1), _interval((1.0, 2.0), e2)]
+        ),
+        ENDS,
+        ENDS,
+    ),
+)
+# finite lists may repeat a value, so candidate pools hold duplicates and ties
+TABLE_SUBSETS = st.one_of(
+    INTERVAL_SUBSETS,
+    st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=5).map(SubsetSpec.from_values),
+)
+TABLE_COUPLINGS = {
+    **{name: CouplingMap.from_function(fn) for name, fn in COUPLINGS.items()},
+    # compiled min/max with a constant return a Fraction
+    "expr_fraction": CouplingMap.from_expression(parse_expression("max(x, 1/3)")),
+    "expr_sum": CouplingMap.from_expression(parse_expression("min(y, 5/4) + x / 2")),
+    "fraction": CouplingMap.from_function(lambda x, y: Fraction(1, 3) if x < y else y),
+    "label_above_1": CouplingMap.from_function(lambda x, y: "a" if x > 1 else y),
+    "point_mid": CouplingMap(lambda p, q: Point((p.value + q.value) / 2)),
+    # a raw Point skips the finiteness check of Point.real
+    "point_nan": CouplingMap(lambda p, q: Point(math.nan if p.value > 1 else q.value)),
+}
+TABLE_SELF_MAPS = {
+    **{name: SelfMap.from_function(fn) for name, fn in SELF_MAPS.items()},
+    "nan_above_1": SelfMap(lambda p: Point(math.nan if p.value > 1 else p.value)),
+}
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    f=st.sampled_from(sorted(TABLE_COUPLINGS)),
+    plan=PLANS,
+    plan_b=st.one_of(st.none(), PLANS),
+)
+@settings(max_examples=200, deadline=None)
+def test_coupling_tables_match_naive_loop(a, b, f, plan, plan_b):
+    fm = TABLE_COUPLINGS[f]
+    _same_result(
+        lambda: check_coupling(fm, a, b, plan, plan_b),
+        lambda: naive_coupling(fm, a, b, plan, plan_b),
+    )
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    targets=st.one_of(st.none(), TABLE_SUBSETS),
+    t=st.sampled_from(sorted(TABLE_SELF_MAPS)),
+    f=st.sampled_from(sorted(TABLE_COUPLINGS)),
+    plan=PLANS,
+    plan_b=st.one_of(st.none(), PLANS),
+    tol=TOLS,
+)
+@settings(max_examples=250, deadline=None)
+def test_range_tables_match_naive_loop(a, b, targets, t, f, plan, plan_b, tol):
+    fm, tm = TABLE_COUPLINGS[f], TABLE_SELF_MAPS[t]
+    _same_result(
+        lambda: check_range_compatibility(fm, tm, a, b, plan, tol, plan_b, targets),
+        lambda: naive_range(fm, tm, a, b, plan, tol, plan_b, targets),
+    )
+
+
+@given(
+    a=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    b=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    table=st.lists(st.sampled_from(LABELS), min_size=16, max_size=16),
+    t_table=st.lists(st.sampled_from(LABELS), min_size=4, max_size=4),
+    tol=TOLS,
+)
+@settings(max_examples=100, deadline=None)
+def test_coupling_and_range_tables_match_naive_loop_on_labels(a, b, table, t_table, tol):
+    fm = CouplingMap.from_function(lambda x, y: table[4 * LABELS.index(x) + LABELS.index(y)])
+    tm = SelfMap.from_function(lambda v: t_table[LABELS.index(v)])
+    sa, sb = SubsetSpec.from_values(a), SubsetSpec.from_values(b)
+    plan = SamplePlan()
+    _same_result(
+        lambda: check_coupling(fm, sa, sb, plan),
+        lambda: naive_coupling(fm, sa, sb, plan),
+    )
+    _same_result(
+        lambda: check_range_compatibility(fm, tm, sa, sb, plan, tol),
+        lambda: naive_range(fm, tm, sa, sb, plan, tol),
+    )
+
+
+def naive_invariance(t, a, b, plan):
+    rb = ReportBuilder("scc_map", 0.0)
+    examined = 0
+    for name, subset in (("A", a), ("B", b)):
+        for p in sample_points(subset, plan):
+            v = t.evaluate(p).value
+            if not contains(subset, Point(v)):
+                rb.add_violation((f"invariance_{name}", p.value, v), 1.0, 0.0)
+            examined += 1
+    rb.samples = examined
+    return rb.build()
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    t=st.sampled_from(sorted(TABLE_SELF_MAPS) + ["label_above_1"]),
+    plan=PLANS,
+)
+@settings(max_examples=150, deadline=None)
+def test_self_map_invariance_matches_naive_loop(a, b, t, plan):
+    if t == "label_above_1":
+        tm = SelfMap.from_function(lambda x: "a" if x > 1 else x)
+    else:
+        tm = TABLE_SELF_MAPS[t]
+    got = check_scc_map(tm, a, b, plan)
+    want = naive_invariance(tm, a, b, plan)
+    assert repr(got.violations) == repr(want.violations)
+    assert got.samples_tested == want.samples_tested
+    assert got.verdict == want.verdict
+
+
+MEMBER_VALUES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1 + 0.2, 0.3,
+                         1.0 + 1e-13, math.nan, math.inf, -math.inf, Fraction(1, 2)]),
+        st.floats(-1.0, 3.0),
+        st.sampled_from(LABELS),
+    ),
+    max_size=8,
+)
+
+
+@given(
+    subset=st.one_of(
+        TABLE_SUBSETS,
+        st.lists(st.sampled_from(LABELS + [0.5, 1.0]), min_size=1, max_size=4).map(
+            SubsetSpec.from_values
+        ),
+    ),
+    values=MEMBER_VALUES,
+)
+@settings(max_examples=300, deadline=None)
+def test_bulk_membership_matches_contains(subset, values):
+    assert contains_values(subset, values) == [contains(subset, Point(v)) for v in values]
+
+
+OBSERVED = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e-10, math.nan, math.inf, -math.inf,
+                            0.1 + 0.2, 0.3])
+
+
+@given(
+    batches=st.lists(st.lists(st.tuples(OBSERVED, OBSERVED), max_size=6), max_size=5),
+    tol=TOLS,
+)
+# a NaN first margin, and equal zeros of both signs
+@example(batches=[[(math.nan, 0.0), (1.0, 0.0)]], tol=0.0)
+@example(batches=[[(0.0, 0.0)], [(0.0, -0.0), (-0.0, -0.0)]], tol=1e-9)
+@example(batches=[[(-0.0, 0.0), (0.0, 0.0)]], tol=0.0)
+@settings(max_examples=300, deadline=None)
+def test_observe_matches_a_running_minimum(batches, tol):
+    min_margin, samples, violations = None, 0, []
+    one, bulk = ReportBuilder("observe", tol), ReportBuilder("observe", tol)
+    for b, batch in enumerate(batches):
+        for k, (lhs, rhs) in enumerate(batch):
+            samples += 1
+            margin = rhs - lhs
+            if min_margin is None or margin < min_margin:
+                min_margin = margin
+            violated = lhs > rhs + tol
+            if violated:
+                violations.append(Violation(("w", b, k), lhs, rhs, lhs - rhs))
+            assert one.observe(lhs, rhs, ("w", b, k)) == violated
+        bulk.observe_all([l for l, _ in batch], [r for _, r in batch], lambda k: ("w", b, k))
+    want = CheckReport("observe", samples, violations, min_margin,
+                       "fail" if violations else "pass", {})
+    assert repr(one.build()) == repr(want)
+    assert repr(bulk.build()) == repr(want)
+
+
+def _two_non_finite(first, later):
+    """F that is +inf at ``first`` and -inf at ``later``, x + y elsewhere."""
+    def fn(x, y):
+        if (x, y) == first:
+            return math.inf
+        if (x, y) == later:
+            return -math.inf
+        return x + y
+    return fn
+
+
+NON_FINITE_A = SubsetSpec.from_values([0.0, 1.0])
+NON_FINITE_B = SubsetSpec.from_values([2.0, 3.0])
+# Each case puts the +inf pair first in the check's own order, and the -inf
+# pair first in the other order (row by row F(x, y), then F(y, x)).
+NON_FINITE = {
+    # coupling scans F(0, 2), F(2, 0), F(0, 3), ...
+    "coupling": ((2.0, 0.0), (0.0, 3.0), lambda fm: check_coupling(
+        fm, NON_FINITE_A, NON_FINITE_B, SamplePlan())),
+    # range scans F(2, 0), F(0, 2), F(2, 1), ...
+    "range": ((0.0, 2.0), (2.0, 1.0), lambda fm: check_range_compatibility(
+        fm, SelfMap.identity(), NON_FINITE_A, NON_FINITE_B, SamplePlan())),
+    # the contraction kernel evaluates every F(x, y) before any F(y, x)
+    "contraction": ((0.0, 3.0), (2.0, 0.0), lambda fm: check_phi_T_contraction(
+        CoincidenceProblem(MetricSpace.real_line(-1.0, 4.0), NON_FINITE_A, NON_FINITE_B,
+                           fm, SelfMap.identity(), make_linear(Fraction(1, 2))),
+        SamplePlan())),
+}
+
+
+@pytest.mark.parametrize("point_fn", [False, True])
+@pytest.mark.parametrize("check", sorted(NON_FINITE))
+def test_first_non_finite_pair_in_scan_order_raises(check, point_fn):
+    first, later, run = NON_FINITE[check]
+    fm = CouplingMap.from_function(_two_non_finite(first, later))
+    if point_fn:  # the same map, without the raw-value path
+        fm = CouplingMap(fm.fn)
+    with pytest.raises(DomainError) as got:
+        run(fm)
+    assert str(got.value) == "real point must be finite, got inf"
+
+
+def test_range_check_raises_a_failing_t_met_before_a_non_finite_f():
+    a = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
+    b = SubsetSpec.from_values([2.0, 3.0])
+    # The scan meets F(2, 0) = 0.5 first: it lies in A, away from t(A) =
+    # {0, 1}, so T(0.5) is evaluated; F(3, 1) = -inf comes later.
+    fm = CouplingMap.from_function(
+        lambda x, y: 0.5 if (x, y) == (2.0, 0.0) else -math.inf if (x, y) == (3.0, 1.0) else x
+    )
+    tm = SelfMap.from_function(lambda x: math.nan if x == 0.5 else x)
+    with pytest.raises(DomainError) as got:
+        check_range_compatibility(fm, tm, a, b, SamplePlan(2))
+    assert str(got.value) == "real point must be finite, got nan"
+
+
+def _counted_map():
+    seen = Counter()
+
+    def fn(p, q):
+        seen[p.value, q.value] += 1
+        return Point((p.value + q.value) / 2)
+
+    return CouplingMap(fn), seen
+
+
+COUNT_A = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
+COUNT_B = SubsetSpec.from_intervals([Interval(2.0, 3.0)])
+COUNT_PLAN = SamplePlan(5, 1, 2)
+
+
+@pytest.mark.parametrize("check", ["coupling", "range", "contraction"])
+def test_point_map_is_evaluated_once_per_sampled_pair(check):
+    fm, seen = _counted_map()
+    xs = [p.value for p in sample_points(COUNT_A, COUNT_PLAN)]
+    ys = [q.value for q in sample_points(COUNT_B, COUNT_PLAN)]
+    if check == "coupling":
+        check_coupling(fm, COUNT_A, COUNT_B, COUNT_PLAN)
+    elif check == "range":
+        check_range_compatibility(fm, SelfMap.identity(), COUNT_A, COUNT_B, COUNT_PLAN)
+    else:
+        problem = CoincidenceProblem(MetricSpace.real_line(-1.0, 4.0), COUNT_A, COUNT_B, fm,
+                                     SelfMap.identity(), make_linear(Fraction(1, 2)))
+        check_phi_T_contraction(problem, COUNT_PLAN)
+    pairs = [(x, y) for x in xs for y in ys] + [(y, x) for x in xs for y in ys]
+    assert seen == Counter(pairs)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_worst_violation_is_kept_at_a_cap_of_zero_or_one(cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        rb = ReportBuilder("cap", 0.0)
+        rb.add_violations([("a",), ("b",)], [1.0, 3.0], [0.0, 0.0])
+        rb.observe(2.0, 0.0, ("c",))
+        built = rb.build()
+        single = ReportBuilder("cap", 0.0)
+        single.add_violation(("only",), 1.0, 0.0)
+        alone = single.build()
+    assert [v.witness for v in built.violations] == [("b",)]
+    assert built.violation_count == 3
+    assert built.details["violations_dropped"] == 2
+    assert built.verdict == "fail"
+    assert [v.witness for v in alone.violations] == [("only",)]
+    assert alone.violation_count == 1
+    assert alone.verdict == "fail"
