@@ -791,10 +791,16 @@ TABLE_COUPLINGS = {
     "point_mid": CouplingMap(lambda p, q: Point((p.value + q.value) / 2)),
     # a raw Point skips the finiteness check of Point.real
     "point_nan": CouplingMap(lambda p, q: Point(math.nan if p.value > 1 else q.value)),
+    # non-finite at some pairs: the error of the first one in scan order
+    "inf_far": CouplingMap.from_function(
+        lambda x, y: math.inf if x > 1.5 else -math.inf if y < 0.1 else x
+    ),
 }
 TABLE_SELF_MAPS = {
     **{name: SelfMap.from_function(fn) for name, fn in SELF_MAPS.items()},
     "nan_above_1": SelfMap(lambda p: Point(math.nan if p.value > 1 else p.value)),
+    # finite on quarter points only, so a target between them can raise
+    "quarters_only": SelfMap.from_function(lambda x: x if (4 * x).is_integer() else math.inf),
 }
 
 
@@ -872,7 +878,9 @@ def naive_invariance(t, a, b, plan):
 @given(
     a=TABLE_SUBSETS,
     b=TABLE_SUBSETS,
-    t=st.sampled_from(sorted(TABLE_SELF_MAPS) + ["label_above_1"]),
+    # quarters_only is left out: the closedness evidence evaluates T on a
+    # refined grid, which this invariance-only oracle does not model
+    t=st.sampled_from(sorted(set(TABLE_SELF_MAPS) - {"quarters_only"}) + ["label_above_1"]),
     plan=PLANS,
 )
 @settings(max_examples=150, deadline=None)
