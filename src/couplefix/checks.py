@@ -64,7 +64,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import add, gt, sub
+from operator import add, gt, not_, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
@@ -112,20 +112,16 @@ def check_coupling(
     xs = sample_points(a, plan)
     ys = sample_points(b, plan_b or plan)
     f_ab, f_ba = _pair_tables(f, xs, ys)
-    in_b = [contains_values(b, row) for row in f_ab]
-    in_a = list(zip(*[contains_values(a, row) for row in f_ba]))  # in_a[i][j]: F(y_j, x_i)
     rb = ReportBuilder("coupling", 0.0)
-    for i, x in enumerate(xs):
-        if all(in_b[i]) and all(in_a[i]):
-            continue
-        xv = x.value
-        witnesses = []
-        for j, y in enumerate(ys):
-            if not in_b[i][j]:
-                witnesses.append(("image_in_B", xv, y.value, f_ab[i][j]))
-            if not in_a[i][j]:
-                witnesses.append(("image_in_A", y.value, xv, f_ba[j][i]))
-        rb.add_violations(witnesses, [1.0] * len(witnesses), [0.0] * len(witnesses))
+    for x, row_b, row_a in zip(xs, f_ab, zip(*f_ba)):
+        # scan order: F(x, y_j) in B at 2j, F(y_j, x) in A at 2j + 1
+        inside = chain.from_iterable(zip(contains_values(b, row_b), contains_values(a, row_a)))
+        out = list(compress(count(), map(not_, inside)))
+        rb.add_violations(
+            [("image_in_A", ys[k // 2].value, x.value, row_a[k // 2]) if k % 2
+             else ("image_in_B", x.value, ys[k // 2].value, row_b[k // 2]) for k in out],
+            [1.0] * len(out), [0.0] * len(out),
+        )
     rb.samples = len(xs) * len(ys)
     return rb.build({"pairs": len(xs) * len(ys)})
 
