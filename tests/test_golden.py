@@ -14,6 +14,7 @@ import pytest
 from couplefix.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+DOCUMENTS = Path(__file__).parent
 
 CASES = {
     "demo-banach-linear": ["demo", "banach-linear"],
@@ -29,6 +30,8 @@ CASES = {
     "check-negative-midpoint-81": [
         "check", "negative-midpoint", "--samples", "81", "--jitter", "2", "--seed", "5",
     ],
+    "demo-expr-capped": ["demo", str(DOCUMENTS / "expr-capped.yaml")],
+    "check-expr-minmax": ["check", str(DOCUMENTS / "expr-minmax.yaml")],
     "solve-banach-linear-trace": [
         "solve", "banach-linear", "--start", "0", "1", "--start", "0.5", "0.25", "--trace",
     ],
