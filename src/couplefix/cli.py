@@ -3,9 +3,9 @@
 Exit codes: 0 = checks pass / iteration converged (or stopped at an early
 coincidence), 1 = at least one check reported violations, 2 = the iteration
 hit its step limit or tripped a diagnostic, 3 = the document, arguments or
-an output path could not be used, 4 = a self-map preimage could not be
-found, 5 = an internal error (a bug, reported as one ``internal error:``
-line on stderr).
+an output path could not be used (unusable arguments print the usage
+first), 4 = a self-map preimage could not be found, 5 = an internal error
+(a bug, reported as one ``internal error:`` line on stderr).
 
 Human-readable output goes to stdout.  ``--json`` writes the machine report
 to a file, or to stderr when the path is ``-``, so stdout never mixes the
@@ -366,8 +366,17 @@ def _add_source_and_flags(sp, solver: bool) -> None:
         sp.set_defaults(trace=None, start=None, max_iter=None)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with unusable arguments exiting 3, not argparse's 2 (the
+    step-limit code); subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="couplefix",
         description="Check and solve coupled fixed point problems.",
     )

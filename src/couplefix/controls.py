@@ -28,7 +28,7 @@ from itertools import pairwise
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .expr import Numeric, eval_numeric, free_variables, parse_expression
+from .expr import Numeric, bind_exact, free_variables, parse_expression
 from .metric import Interval, SamplePlan, SubsetSpec, sample_points
 from .report import CheckReport, ReportBuilder
 
@@ -58,8 +58,8 @@ class ControlFunction:
     """A scalar function on [0, inf) and the class it is declared to belong to.
 
     ``fn`` evaluates without rounding: linear, capped-linear and identity
-    functions return exact Fractions, expressions go through the exact walker
-    ``eval_numeric``, and powers return floats.  Exactness matters to the
+    functions return exact Fractions, expressions are compiled by
+    ``expr.bind_exact``, and powers return floats.  Exactness matters to the
     class checkers: a float cap value can round up onto a grid point that
     sits just above the true rational threshold, and a rounded comparison
     would then misjudge the strict ``f(t) < t`` test.  Python compares
@@ -136,7 +136,8 @@ def expr_control(ast, declared: ControlClass = ControlClass.UNCLASSIFIED) -> Con
         raise ParameterError(
             f"control expressions may only use the variable t, found {sorted(free)}"
         )
-    return ControlFunction(lambda t: eval_numeric(ast, {"t": Fraction(t)}), declared)
+    fn = bind_exact(ast, ("t",))
+    return ControlFunction(lambda t: fn(Fraction(t)), declared)
 
 
 def control_from_text(text: str, declared: ControlClass = ControlClass.UNCLASSIFIED) -> ControlFunction:

@@ -23,9 +23,13 @@ and the first matching guard wins.  Parentheses, calls and unary minus nest
 at most :data:`MAX_NESTING` levels deep, and so does the tree: each
 operator of a chain like ``x + x + x`` or ``a and b and c`` adds a level.
 
-:func:`eval_expression` walks the tree with constants kept as exact
-``Fraction`` values.  :func:`bind_function` lowers a tree once into a Python
-function over float arguments that returns the same float, bit for bit.
+Expressions are evaluated only through generated Python functions; one
+lowering (:class:`_Lowering`) writes them.  :func:`bind_exact` keeps every
+constant an exact ``Fraction`` and lets the argument types pick each
+operation, so rational arguments give exact results.  :func:`bind_function`
+returns that result cast to float, and computes it directly in float
+arithmetic, bit for bit, when every argument is a float.  Trees the parser
+cannot produce are rejected with :class:`ExprEvalError` when they are bound.
 """
 
 from __future__ import annotations
@@ -375,77 +379,15 @@ def parse_expression(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: lowering to Python source
 
 Numeric = Union[int, float, Fraction]
 
-_NO_ARM = "no piecewise arm matched and there is no else arm"
 _ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _CMP_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
             "==": operator.eq}
-
-
-def _eval_guard(node: Guard, bindings: dict[str, Numeric]) -> bool:
-    if isinstance(node, Comparison):
-        return _CMP_OPS[node.op](_eval(node.left, bindings), _eval(node.right, bindings))
-    if node.op == "and":
-        return _eval_guard(node.left, bindings) and _eval_guard(node.right, bindings)
-    return _eval_guard(node.left, bindings) or _eval_guard(node.right, bindings)
-
-
-def _eval(node: Expr, bindings: dict[str, Numeric]) -> Numeric:
-    match node:
-        case Number(value):
-            return value
-        case Var(name):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise ExprEvalError(f"unbound variable {name!r}") from None
-        case Neg(operand):
-            return -_eval(operand, bindings)
-        case BinOp(op, left, right):
-            a = _eval(left, bindings)
-            b = _eval(right, bindings)
-            try:
-                return _ARITH_OPS[op](a, b)
-            except ZeroDivisionError:
-                raise ExprEvalError("division by zero") from None
-        case Call(func, args):
-            vals = [_eval(a, bindings) for a in args]
-            if func == "abs":
-                return abs(vals[0])
-            return min(vals) if func == "min" else max(vals)
-        case Piecewise(arms, otherwise):
-            for arm in arms:
-                if _eval_guard(arm.guard, bindings):
-                    return _eval(arm.body, bindings)
-            if otherwise is not None:
-                return _eval(otherwise, bindings)
-            raise ExprEvalError(_NO_ARM)
-    raise ExprEvalError(f"cannot evaluate node {node!r}")
-
-
-def eval_expression(ast: Expr, bindings: dict[str, float]) -> float:
-    """Evaluate with the given variable bindings; always returns a float.
-
-    Constants stay exact rationals internally, so guards like
-    ``t <= 47/24`` compare without rounding.
-    """
-    result = float(_eval(ast, dict(bindings)))
-    if math.isnan(result):
-        raise ExprEvalError("expression evaluated to NaN")
-    return result
-
-
-def eval_numeric(ast: Expr, bindings: dict[str, Numeric]) -> Numeric:
-    """Evaluate without the final float cast.
-
-    With rational bindings the result stays an exact ``Fraction`` whenever
-    the expression uses only rational arithmetic, which lets callers compare
-    values against grid points without rounding artifacts.
-    """
-    return _eval(ast, dict(bindings))
+_FLOAT, _DYN, _CONST = "float", "dyn", "const"
+_MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
 
 
 def free_variables(ast: Expr | Guard | Arm) -> set[str]:
@@ -468,64 +410,68 @@ def free_variables(ast: Expr | Guard | Arm) -> set[str]:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
-    """Compile an expression into a positional function of ``params``.
+def bind_exact(ast: Expr, params: tuple[str, ...]) -> Callable[..., Numeric]:
+    """Compile an expression into an exact positional function of ``params``.
 
-    Rejects expressions whose free variables do not fit the slot.  The tree
-    is lowered once (see :class:`_Lowering`); called with float arguments,
-    the function returns exactly what :func:`eval_expression` returns and
-    raises the same exception classes.  Other arguments, and trees the
-    lowering cannot reproduce bit for bit, go through the tree walker.
+    Constants stay ``Fraction`` objects and Python picks each operation from
+    the argument types, so with rational arguments the result is an exact
+    ``Fraction`` whenever the expression uses only rational arithmetic.
+    That lets callers compare values against grid points without rounding
+    artifacts.  There is no final ``float`` cast and no NaN check.
     """
-    free = free_variables(ast)
-    extra = free - set(params)
+    return _compile(ast, params, exact=True)
+
+
+def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
+    """Compile an expression into a positional float function of ``params``.
+
+    Rejects expressions whose free variables do not fit the slot, and trees
+    the parser cannot produce.  The tree is lowered once (see
+    :class:`_Lowering`).  Called with float arguments, the function returns
+    ``float`` of what the exact function of :func:`bind_exact` returns, bit
+    for bit, and raises the same exception classes, or ``ExprEvalError`` on
+    a NaN result.  Other arguments go through that exact function, which is
+    compiled on the first such call.
+    """
+    exact = None
+
+    def rounded(*args: Numeric) -> float:
+        nonlocal exact
+        if exact is None:
+            exact = bind_exact(ast, params)
+        result = float(exact(*args))
+        if math.isnan(result):
+            raise ExprEvalError("expression evaluated to NaN")
+        return result
+
+    return _compile(ast, params, exact=False, rounded=rounded)
+
+
+def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None) -> Callable:
+    """The function ``_lowered(*params)`` generated by :class:`_Lowering`."""
+    if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
+        raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
+    lowering = _Lowering(exact)
+    body = lowering.body(ast)
+    extra = lowering.free - set(params)
     if extra:
         raise ExprEvalError(
             f"expression uses {sorted(extra)} but this slot only provides {list(params)}"
         )
-
-    def walk(*args: Numeric) -> float:
-        return eval_expression(ast, dict(zip(params, args)))
-
-    if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
-        return walk
-    lowering = _Lowering(params)
-    try:
-        body = lowering.body(ast)
-    except _Unsupported:
-        return walk
-    floats_only = " or ".join(f"type({p}) is not _float" for p in params if p in free)
     lines = [f"def _lowered({', '.join(params)}):"]
-    if floats_only:
-        lines += [f"    if {floats_only}:", f"        return _walk({', '.join(params)})"]
-    lines += ["    try:"]
-    lines += ["        " + line for line in body]
-    lines += [
-        "    except ZeroDivisionError:",
-        "        raise _ExprEvalError('division by zero') from None",
-        "    if r != r:",
-        "        raise _ExprEvalError('expression evaluated to NaN')",
-        "    return r",
-    ]
-    namespace = dict(lowering.names, _walk=walk, _float=float, _abs=abs, _min=min,
+    floats_only = " or ".join(f"type({p}) is not _float" for p in params if p in lowering.free)
+    if not exact and floats_only:
+        lines += [f"    if {floats_only}:", f"        return _rounded({', '.join(params)})"]
+    lines += ["    try:", *("        " + line for line in body), "    except ZeroDivisionError:",
+              "        raise _ExprEvalError('division by zero') from None"]
+    if not exact:
+        lines += ["    if r != r:", "        raise _ExprEvalError('expression evaluated to NaN')"]
+    lines += ["    return r"]
+    namespace = dict(lowering.names, _rounded=rounded, _float=float, _abs=abs, _min=min,
                      _max=max, _ExprEvalError=ExprEvalError)
     exec(compile("\n".join(lines), "<couplefix expression>", "exec"), namespace)
     # popped so the namespace (the function's globals) does not refer back to it
     return namespace.pop("_lowered")
-
-
-# ---------------------------------------------------------------------------
-# lowering to Python source
-
-_FLOAT, _DYN, _CONST = "float", "dyn", "const"
-_MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
-#: Deeper trees stay with the walker; each level adds one parenthesis to the
-#: generated source, and Python's parser accepts 200.
-_MAX_LOWERED_DEPTH = 150
-
-
-class _Unsupported(Exception):
-    """The tree has a shape the lowering does not reproduce bit for bit."""
 
 
 def _float_bound(c: Fraction, op: str) -> float | None:
@@ -550,24 +496,29 @@ def _float_bound(c: Fraction, op: str) -> float | None:
 
 
 class _Lowering:
-    """Python source for one expression over float arguments.
+    """Python source for one expression, in float or exact mode.
 
     Every arithmetic node lowers to ``(kind, payload)``.  ``_CONST`` nodes
-    hold their exact ``Fraction`` (constant subtrees fold exactly, as the
-    walker computes them).  ``_FLOAT`` nodes are source code whose value is
-    a float whenever the arguments are; there a constant operand becomes
-    ``float(c)``, which is what ``Fraction`` arithmetic with a float does,
-    and a comparison with a constant becomes one with the float bound of
-    :func:`_float_bound`.  ``_DYN`` nodes (``min``/``max`` mixing constants
-    with variables, and what is built on them) may be a ``Fraction`` or a
-    float at run time, so their source keeps the constants as ``Fraction``
-    objects and lets Python pick the same operation the walker would.
-    Constants are referred to by generated names in :attr:`names`.
+    hold their exact ``Fraction`` (constant subtrees fold exactly).
+    ``_DYN`` nodes are source code that may be a ``Fraction`` or a float at
+    run time; their source keeps the constants as ``Fraction`` objects and
+    lets Python pick each operation from the operand types.  In exact mode
+    every variable is ``_DYN``, so the code computes exactly what ``Fraction``
+    arithmetic on the arguments computes.  In float mode a variable is
+    ``_FLOAT``: source whose value is a float whenever the arguments are.
+    There a constant operand becomes ``float(c)``, which is what ``Fraction``
+    arithmetic with a float does, and a comparison with a constant becomes
+    one with the float bound of :func:`_float_bound`; only ``min``/``max``
+    mixing constants with variables, and what is built on them, are
+    ``_DYN``.  Constants are referred to by generated names in
+    :attr:`names`; the variables met are collected in :attr:`free`.
     """
 
-    def __init__(self, params: tuple[str, ...]):
-        self.params = params
+    def __init__(self, exact: bool):
+        self.exact = exact
         self.names: dict[str, object] = {}
+        self.free: set[str] = set()
+        self.depth = -1  # levels above the node being lowered
 
     def name(self, value: object) -> str:
         key = f"_k{len(self.names)}"
@@ -583,79 +534,87 @@ class _Lowering:
         except OverflowError:
             return self.name(c)  # the mixed operation raises OverflowError itself
 
-    def arith(self, node: Expr, depth: int) -> tuple[str, object]:
-        if depth > _MAX_LOWERED_DEPTH:
-            raise _Unsupported
+    def enter(self) -> None:
+        """Go one level down; the parser builds no tree taller than MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprEvalError(f"expression nests deeper than {MAX_NESTING} levels")
+
+    def arith(self, node: Expr) -> tuple[str, object]:
+        self.enter()
         match node:
             case Number(value) if type(value) is Fraction:
-                return _CONST, value
-            case Var(name) if name in self.params:
-                return _FLOAT, name
+                lowered = _CONST, value
+            case Var(name):
+                self.free.add(name)
+                lowered = (_DYN if self.exact else _FLOAT), name
             case Neg(operand):
-                kind, v = self.arith(operand, depth + 1)
-                return (kind, -v) if kind is _CONST else (kind, f"(-{v})")
+                kind, v = self.arith(operand)
+                lowered = (kind, -v) if kind is _CONST else (kind, f"(-{v})")
             case BinOp(op, left, right) if op in _ARITH_OPS:
-                return self.binop(op, self.arith(left, depth + 1), self.arith(right, depth + 1))
+                lowered = self.binop(op, self.arith(left), self.arith(right))
             case Call("abs", (arg,)):
-                kind, v = self.arith(arg, depth + 1)
-                return (kind, abs(v)) if kind is _CONST else (kind, f"_abs({v})")
+                kind, v = self.arith(arg)
+                lowered = (kind, abs(v)) if kind is _CONST else (kind, f"_abs({v})")
             case Call("min" | "max" as func, args) if len(args) >= 2:
-                parts = [self.arith(a, depth + 1) for a in args]
+                parts = [self.arith(a) for a in args]
                 kinds = {kind for kind, _ in parts}
                 if kinds == {_CONST}:
-                    return _CONST, (min if func == "min" else max)(v for _, v in parts)
-                code = f"_{func}({', '.join(self.ref(*part) for part in parts)})"
-                return (_FLOAT if kinds == {_FLOAT} else _DYN), code
-        raise _Unsupported
+                    lowered = _CONST, (min if func == "min" else max)(v for _, v in parts)
+                else:
+                    code = f"_{func}({', '.join(self.ref(*part) for part in parts)})"
+                    lowered = (_FLOAT if kinds == {_FLOAT} else _DYN), code
+            case _:
+                raise ExprEvalError(f"not an arithmetic expression of the grammar: {node!r}")
+        self.depth -= 1
+        return lowered
 
     def binop(self, op: str, left: tuple[str, object], right: tuple[str, object]):
         (lk, lv), (rk, rv) = left, right
         if lk is _CONST and rk is _CONST:
             try:
                 return _CONST, _ARITH_OPS[op](lv, rv)
-            except ZeroDivisionError:  # raised again when evaluated, as the walker does
+            except ZeroDivisionError:  # raised again when evaluated
                 return _DYN, f"({self.name(lv)} / {self.name(rv)})"
         lcode = self.float_ref(lv) if lk is _CONST and rk is _FLOAT else self.ref(lk, lv)
         rcode = self.float_ref(rv) if rk is _CONST and lk is _FLOAT else self.ref(rk, rv)
         return (_FLOAT if _FLOAT in (lk, rk) else _DYN), f"({lcode} {op} {rcode})"
 
-    def guard(self, node: Guard, depth: int) -> tuple[bool, object]:
+    def guard(self, node: Guard) -> tuple[bool, object]:
         """``(True, value)`` for a constant guard, else ``(False, code)``."""
-        if depth > _MAX_LOWERED_DEPTH:
-            raise _Unsupported
-        if isinstance(node, Comparison):
-            return self.compare(node, depth)
-        py_op = "and" if node.op == "and" else "or"
-        lc, lv = self.guard(node.left, depth + 1)
-        rc, rv = self.guard(node.right, depth + 1)
-        if lc and rc:
-            return True, (lv and rv) if py_op == "and" else (lv or rv)
-        return False, f"({lv} {py_op} {rv})"
+        self.enter()
+        match node:
+            case Comparison(left, op, right) if op in _CMP_OPS:
+                lowered = self.compare(op, self.arith(left), self.arith(right))
+            case BoolOp("and" | "or" as op, left, right):
+                (lc, lv), (rc, rv) = self.guard(left), self.guard(right)
+                if lc and rc:
+                    lowered = True, (lv and rv) if op == "and" else (lv or rv)
+                else:
+                    lowered = False, f"({lv} {op} {rv})"
+            case _:
+                raise ExprEvalError(f"not a guard of the grammar: {node!r}")
+        self.depth -= 1
+        return lowered
 
-    def compare(self, node: Comparison, depth: int) -> tuple[bool, object]:
-        op = node.op
-        if op not in _CMP_OPS:
-            raise _Unsupported
-        lk, lv = self.arith(node.left, depth + 1)
-        rk, rv = self.arith(node.right, depth + 1)
+    def compare(self, op: str, left: tuple[str, object], right: tuple[str, object]):
+        (lk, lv), (rk, rv) = left, right
         if lk is _CONST and rk is _CONST:
             return True, _CMP_OPS[op](lv, rv)
-        if {lk, rk} == {_FLOAT, _CONST}:
-            if lk is _CONST:
-                bound = _float_bound(lv, _MIRRORED[op])
-                if bound is not None:
-                    return False, f"({self.name(bound)} {op} {rv})"
-            else:
-                bound = _float_bound(rv, op)
-                if bound is not None:
-                    return False, f"({lv} {op} {self.name(bound)})"
+        if lk is _CONST and rk is _FLOAT:  # c op x exactly when x mirrored-op c
+            return self.compare(_MIRRORED[op], right, left)
+        if lk is _FLOAT and rk is _CONST:
+            bound = _float_bound(rv, op)
+            if bound is not None:
+                return False, f"({lv} {op} {self.name(bound)})"
         return False, f"({self.ref(lk, lv)} {op} {self.ref(rk, rv)})"
 
-    def result(self, node: Expr, depth: int) -> str:
-        """A statement that sets ``r`` to the walker's final ``float(...)``."""
-        kind, v = self.arith(node, depth)
-        if kind is _FLOAT:
-            return f"r = {v}"
+    def result(self, node: Expr) -> str:
+        """A statement that sets ``r`` to the value of ``node``, cast to float
+        in float mode."""
+        kind, v = self.arith(node)
+        if self.exact or kind is _FLOAT:
+            return f"r = {self.ref(kind, v)}"
         if kind is _DYN:
             return f"r = _float({v})"
         try:
@@ -664,29 +623,21 @@ class _Lowering:
             return f"r = _float({self.name(v)})"
 
     def body(self, ast: Expr) -> list[str]:
-        """Statements that set ``r``; arms a constant guard rules out are dropped."""
+        """Statements that set ``r``; arms a constant guard rules out are dropped.
+
+        Every arm is lowered, so each node of the tree is checked."""
         if not isinstance(ast, Piecewise):
-            return [self.result(ast, 0)]
-        branches: list[tuple[object, str]] = []  # (guard code, or None for always)
-        for arm in ast.arms:
-            constant, guard = self.guard(arm.guard, 1)
-            if constant and not guard:
-                continue
-            branches.append((None if constant else guard, self.result(arm.body, 1)))
-            if constant:
-                break
-        else:
-            if ast.otherwise is not None:
-                branches.append((None, self.result(ast.otherwise, 1)))
-            else:
-                branches.append((None, f"raise _ExprEvalError({_NO_ARM!r})"))
+            return [self.result(ast)]
+        arms = [(*self.guard(arm.guard), self.result(arm.body)) for arm in ast.arms]
+        no_arm = "raise _ExprEvalError('no piecewise arm matched and there is no else arm')"
+        arms.append((True, True, no_arm if ast.otherwise is None else self.result(ast.otherwise)))
         lines: list[str] = []
-        for guard, statement in branches:
-            if guard is None:
-                lines += ["else:", "    " + statement] if lines else [statement]
+        for constant, guard, statement in arms:
+            if constant and guard:
                 break
-            lines += [f"{'elif' if lines else 'if'} {guard}:", "    " + statement]
-        return lines
+            if not constant:
+                lines += [f"{'elif' if lines else 'if'} {guard}:", "    " + statement]
+        return lines + ["else:", "    " + statement] if lines else [statement]
 
 
 # ---------------------------------------------------------------------------

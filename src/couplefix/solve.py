@@ -337,18 +337,6 @@ def multi_start_verdict(
     return "consistent" if consistent else "inconsistent"
 
 
-def multi_start_unique(
-    problem: StrongCoupledProblem,
-    starts: list[tuple[Point, Point]],
-    opts: SolveOptions = SolveOptions(),
-) -> tuple[str, list[SolveReport]]:
-    """Run every start and compare the converged candidates with
-    :func:`multi_start_verdict`; failures keep their own reports without
-    aborting the other starts."""
-    reports = [iterate_strong_coupled(problem, sx, sy, opts)[0] for sx, sy in starts]
-    return multi_start_verdict(problem, reports, opts), reports
-
-
 def trace_diagnostics(trace: IterationTrace, tol: float = 1e-9) -> CheckReport:
     """Monotonicity audit of a recorded run.
 

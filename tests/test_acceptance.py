@@ -27,7 +27,7 @@ from couplefix.controls import (
     with_declared_class,
 )
 from couplefix.documents import build_problem, builtin_registry, parse_problem
-from couplefix.expr import eval_expression, format_expression, parse_expression
+from couplefix.expr import format_expression, parse_expression
 from couplefix.metric import (
     MetricSpace,
     Point,
@@ -42,9 +42,10 @@ from couplefix.solve import (
     brute_force_search,
     iterate_coincidence,
     iterate_strong_coupled,
-    multi_start_unique,
+    multi_start_verdict,
     trace_diagnostics,
 )
+from expr_oracle import eval_expression
 
 
 def run_cli(args, capsys):
@@ -262,7 +263,8 @@ def test_criterion_5_finite_spaces_agree_with_brute_force():
                 assert report.residuals == {"f_xx_x": 0.0, "x_y": 0.0}
         if coupling_ok and contraction_ok:
             admissible_cases += 1
-            verdict, _ = multi_start_unique(problem, pairs, opts)
+            reports = [iterate_strong_coupled(problem, sx, sy, opts)[0] for sx, sy in pairs]
+            verdict = multi_start_verdict(problem, reports, opts)
             assert verdict == "consistent"
     assert admissible_cases >= 25  # every constant case passes its checks
     assert converged_runs > 100

@@ -107,6 +107,50 @@ class TestListAndErrors:
         assert code == 3
         assert "start" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "example-2.1.9", "--samples", "abc"], "invalid int value: 'abc'"),
+            (["frob"], "invalid choice: 'frob'"),
+            (["check"], "the following arguments are required: source"),
+        ],
+        ids=["bad-int", "unknown-command", "no-source"],
+    )
+    def test_usage_errors_print_usage_and_exit_3(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3
+        assert out == ""
+        assert err.startswith("usage: couplefix") and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (SWAP_DOC.replace("coincidence", "strong_coupled")
+             .replace("map_T: identity", 'psi: "t"')
+             .replace("{family: linear, slope: 1/2}", '"1 / t"'), "division by zero"),
+            (SWAP_DOC.replace('map_F: "y"', 'map_F: "1 / (x - y)"'), "division by zero"),
+            (SWAP_DOC.replace('space: "[0, 1]"', 'space: "[0, 4]"')
+             .replace("map_T: identity", 'map_T: "piecewise { x < 1/2 => x ; }"'),
+             "no piecewise arm matched and there is no else arm"),
+        ],
+        ids=["phi-one-over-t", "F-one-over-x-minus-y", "T-without-matching-arm"],
+    )
+    def test_expression_errors_exit_3(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "expr-error.yaml"
+        path.write_text(doc, encoding="utf-8")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err == f"error: {message}\n"
+
 
 class TestCheckCommand:
     def test_coincidence_check_order_and_pass(self, tmp_path, capsys):
@@ -464,14 +508,15 @@ class TestRunsPerStart:
         assert rows[1].startswith("0,0,1,")
         assert len(rows) - 1 == runs[0]["iterations_used"]
 
-    def test_cli_verdict_matches_multi_start_unique(self, tmp_path, capsys):
+    def test_cli_verdict_matches_multi_start_verdict(self, tmp_path, capsys):
         from couplefix.documents import build_problem, builtin_registry
         from couplefix.metric import Point
-        from couplefix.solve import SolveOptions, multi_start_unique
+        from couplefix.solve import SolveOptions, iterate_strong_coupled, multi_start_verdict
 
         problem = build_problem(builtin_registry("banach-linear"))
         starts = [(Point.real(0.0), Point.real(1.0)), (Point.real(0.25), Point.real(0.5))]
-        verdict, reports = multi_start_unique(problem, starts, SolveOptions())
+        reports = [iterate_strong_coupled(problem, sx, sy)[0] for sx, sy in starts]
+        verdict = multi_start_verdict(problem, reports, SolveOptions())
         report_path = tmp_path / "report.json"
         run_cli(
             ["solve", "banach-linear", "--start", "0", "1", "--start", "0.25", "0.5",

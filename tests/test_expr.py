@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import couplefix.expr
 from couplefix.errors import ExprEvalError, ExprSyntaxError
 from couplefix.expr import (
     MAX_NESTING,
@@ -23,13 +24,13 @@ from couplefix.expr import (
     Number,
     Piecewise,
     Var,
+    bind_exact,
     bind_function,
-    eval_expression,
-    eval_numeric,
     format_expression,
     free_variables,
     parse_expression,
 )
+from expr_oracle import eval_expression, eval_numeric
 
 MIN_XY = "min(x, y)"
 F_PIECEWISE = "piecewise { 0 <= x and x <= 2 and 0 <= y and y <= 2 => 2 ; else => (x + y)/24 ; }"
@@ -448,3 +449,171 @@ def test_non_float_arguments_fall_back_to_exact_walker():
     fn = bind_function(ast, ("x",))
     assert fn(1) == eval_expression(ast, {"x": 1}) == 0.0
     assert fn(1.0) == eval_expression(ast, {"x": 1.0}) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# exact mode: bind_exact against the tree walker's eval_numeric
+
+
+def _exact_bindings(ast):
+    """Fractions, ints and floats (infinities and NaN included), and the
+    tree's constants with their float neighbours."""
+    near = []
+    for c in _constants(ast):
+        f = float(c)
+        near += [c, -c, f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+    values = st.one_of(
+        st.fractions(max_denominator=1000),
+        st.integers(-10**6, 10**6),
+        st.floats(),
+        *([st.sampled_from(near)] if near else []),
+    )
+    return st.tuples(values, values, values)
+
+
+def _exact_outcome(call):
+    """The result's type and value (a float by its bits), or the class of
+    the exception raised."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc)
+    return type(value), value.hex() if type(value) is float else value
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data(), _expressions)
+def test_exact_function_matches_walker(data, ast):
+    fn = bind_exact(ast, _PARAMS)
+    assert fn.__name__ == "_lowered"
+    args = data.draw(_exact_bindings(ast))
+    assert _exact_outcome(lambda: fn(*args)) == _exact_outcome(
+        lambda: eval_numeric(ast, dict(zip(_PARAMS, args)))
+    )
+
+
+def test_exact_function_is_compiled_on_the_first_non_float_call(monkeypatch):
+    compiled = []
+
+    def counted(ast, params):
+        compiled.append(params)
+        return bind_exact(ast, params)
+
+    monkeypatch.setattr(couplefix.expr, "bind_exact", counted)
+    ast = parse_expression(PHI_CAPPED)
+    fn = bind_function(ast, ("t",))
+    assert fn(2.0) == eval_expression(ast, {"t": 2.0}) and compiled == []
+    assert fn(2) == eval_expression(ast, {"t": 2}) and compiled == [("t",)]
+    assert fn(Fraction(1, 3)) == eval_expression(ast, {"t": Fraction(1, 3)})
+    assert compiled == [("t",)]
+
+
+# ---------------------------------------------------------------------------
+# trees at and beyond the parser's height cap
+
+
+def _height(node) -> int:
+    """Levels of the tree as the parser counts them (piecewise arms are none)."""
+    if isinstance(node, (Number, Var)):
+        return 0
+    below = 0
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        for item in child if isinstance(child, tuple) else (child,):
+            if dataclasses.is_dataclass(item):
+                below = max(below, _height(item))
+    return below if isinstance(node, (Piecewise, Arm)) else below + 1
+
+
+_CHAIN = " + x" * (MAX_NESTING - 1)
+_AT_CAP = {
+    "neg": "-" * MAX_NESTING + "x",
+    "abs": "abs(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+    "min": "min(" * MAX_NESTING + "x" + ", 1/3)" * MAX_NESTING,
+    "max": "max(" * MAX_NESTING + "x" + ", 1/3)" * MAX_NESTING,
+    **{op: "x" + f" {op} 3/2" * MAX_NESTING for op in "+-*/"},
+    "comparison": f"piecewise {{ x{_CHAIN} <= 1/2 => 1 ; else => 0 ; }}",
+    "and": f"piecewise {{ {' and '.join(['x < 1'] * MAX_NESTING)} => 1 ; else => 0 ; }}",
+    "or": f"piecewise {{ {' or '.join(['x > 1'] * MAX_NESTING)} => 1 ; else => 0 ; }}",
+    "arm body": f"piecewise {{ x < 1 => x{_CHAIN} ; else => -x{_CHAIN} ; }}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_AT_CAP))
+def test_every_node_kind_lowers_at_the_height_cap(kind):
+    ast = parse_expression(_AT_CAP[kind])
+    assert _height(ast) == MAX_NESTING
+    float_fn, exact_fn = bind_function(ast, ("x",)), bind_exact(ast, ("x",))
+    assert float_fn.__name__ == exact_fn.__name__ == "_lowered"
+    for x in (0.5, 1.5, -0.25):
+        assert _outcome(lambda: float_fn(x)) == _outcome(lambda: eval_expression(ast, {"x": x}))
+    for x in (Fraction(1, 2), 2, Fraction(-1, 4)):
+        assert _exact_outcome(lambda: exact_fn(x)) == _exact_outcome(
+            lambda: eval_numeric(ast, {"x": x})
+        )
+
+
+_ONE_LEVEL_UP = {
+    "neg": lambda e: Neg(e),
+    "abs": lambda e: Call("abs", (e,)),
+    "min": lambda e: Call("min", (e, Number(Fraction(1, 3)))),
+    "binop": lambda e: BinOp("*", Var("x"), e),
+    "comparison": lambda e: Piecewise((Arm(Comparison(e, "<", Var("x")), Var("x")),), None),
+    "or": lambda _: Piecewise(
+        (Arm(BoolOp("or", parse_expression(_AT_CAP["or"]).arms[0].guard,
+                    Comparison(Var("x"), ">", Number(Fraction(1)))),
+             Number(Fraction(1))),),
+        Var("x"),
+    ),
+    "arm body": lambda e: Piecewise((Arm(Comparison(Var("x"), "<", Var("x")), Neg(e)),), e),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_LEVEL_UP))
+def test_hand_built_tree_above_the_height_cap_is_rejected_at_bind_time(kind):
+    ast = _ONE_LEVEL_UP[kind](parse_expression(_AT_CAP["-"]))
+    assert _height(ast) == MAX_NESTING + 1
+    for bind in (bind_function, bind_exact):
+        with pytest.raises(ExprEvalError, match="nests deeper"):
+            bind(ast, ("x",))
+
+
+def test_very_tall_hand_built_tree_is_rejected_without_recursing_through_it():
+    ast = Var("x")
+    for _ in range(20 * sys.getrecursionlimit()):
+        ast = Neg(ast)
+    with pytest.raises(ExprEvalError, match="nests deeper"):
+        bind_function(ast, ("x",))
+
+
+_X, _ONE = Var("x"), Number(Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "ast, params",
+    [
+        (Number(0.5), ("x",)),
+        (BinOp("+", _X, Number(1)), ("x",)),
+        (BinOp("**", _X, _ONE), ("x",)),
+        (Call("sqrt", (_X,)), ("x",)),
+        (Call("abs", (_X, _X)), ("x",)),
+        (Call("min", (_X,)), ("x",)),
+        (BinOp("+", _X, Piecewise((Arm(Comparison(_X, "<", _ONE), _X),), None)), ("x",)),
+        (Piecewise((Arm(Comparison(_X, "!=", _ONE), _X),), None), ("x",)),
+        (Piecewise((Arm(BoolOp("xor", Comparison(_X, "<", _ONE), Comparison(_X, "<", _ONE)),
+                        _X),), None), ("x",)),
+        (Piecewise((Arm(_X, _X),), None), ("x",)),
+        # an arm that a constant guard rules out is still checked
+        (Piecewise((Arm(Comparison(_ONE, "<", _ONE), Call("sqrt", (_X,))),), _X), ("x",)),
+        (Piecewise((Arm(Comparison(_ONE, "<", _ONE), Var("y")),), _X), ("x",)),
+        (Var("z"), ("x",)),
+        (_X, ("x", "x")),
+        (_X, ("x", "z")),
+        ("x", ("x",)),
+    ],
+    ids=repr,
+)
+def test_trees_outside_the_grammar_are_rejected_at_bind_time(ast, params):
+    for bind in (bind_function, bind_exact):
+        with pytest.raises(ExprEvalError):
+            bind(ast, params)

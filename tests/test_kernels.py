@@ -701,11 +701,13 @@ def test_multi_start_verdict_matches_pairwise_rule(candidates, failed):
     saved = solve.iterate_strong_coupled
     solve.iterate_strong_coupled = lambda *args: (queue.pop(0), None)
     try:
-        verdict, reports = solve.multi_start_unique(
-            problem, [(Point(0.0), Point(0.0))] * len(runs), opts
-        )
+        reports = [
+            solve.iterate_strong_coupled(problem, sx, sy, opts)[0]
+            for sx, sy in [(Point(0.0), Point(0.0))] * len(runs)
+        ]
     finally:
         solve.iterate_strong_coupled = saved
+    verdict = solve.multi_start_verdict(problem, reports, opts)
     pairwise = all(
         abs(a - b) <= 10 * opts.tol for i, a in enumerate(candidates) for b in candidates[i + 1:]
     )

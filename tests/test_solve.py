@@ -29,7 +29,7 @@ from couplefix.solve import (
     grid_preimage,
     iterate_coincidence,
     iterate_strong_coupled,
-    multi_start_unique,
+    multi_start_verdict,
     trace_diagnostics,
 )
 
@@ -233,10 +233,16 @@ class TestIterateStrongCoupled:
 
 
 class TestMultiStart:
+    @staticmethod
+    def run_starts(problem, starts):
+        """The verdict and the reports of one iteration per start."""
+        reports = [iterate_strong_coupled(problem, sx, sy)[0] for sx, sy in starts]
+        return multi_start_verdict(problem, reports, SolveOptions()), reports
+
     def test_averaging_starts_agree(self):
         problem = averaging_problem(Fraction(1, 2))
         starts = [(_pt(0.0), _pt(1.0)), (_pt(1.0), _pt(0.0)), (_pt(0.25), _pt(0.75))]
-        verdict, reports = multi_start_unique(problem, starts)
+        verdict, reports = self.run_starts(problem, starts)
         assert verdict == "consistent"
         assert [r.status for r in reports] == [SolveStatus.CONVERGED] * 3
         for r in reports:
@@ -247,7 +253,7 @@ class TestMultiStart:
         unit = interval_subset(0.0, 1.0)
         problem = _strong(space, unit, unit, "piecewise { x + y < 1 => 0 ; else => 1 ; }")
         starts = [(_pt(0.0), _pt(0.0)), (_pt(1.0), _pt(1.0))]
-        verdict, reports = multi_start_unique(problem, starts)
+        verdict, reports = self.run_starts(problem, starts)
         assert verdict == "inconsistent"
         values = sorted(r.candidate[0].value for r in reports)
         assert values == [0.0, 1.0]
@@ -257,7 +263,7 @@ class TestMultiStart:
         unit = interval_subset(0.0, 1.0)
         problem = _strong(space, unit, unit, EXPANDING_F)
         starts = [(_pt(0.5), _pt(0.6)), (_pt(0.6), _pt(0.5))]
-        verdict, reports = multi_start_unique(problem, starts)
+        verdict, reports = self.run_starts(problem, starts)
         assert verdict == "consistent"  # vacuous: nothing converged
         assert {r.status for r in reports} == {SolveStatus.DIAGNOSTIC_VIOLATION}
 
