@@ -28,7 +28,7 @@ from itertools import pairwise
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .expr import Numeric, bind_exact, free_variables, parse_expression
+from .expr import Numeric, bind_exact, parse_expression
 from .metric import Interval, SamplePlan, SubsetSpec, sample_points
 from .report import CheckReport, ReportBuilder
 
@@ -131,12 +131,13 @@ def identity_control() -> ControlFunction:
 
 def expr_control(ast, declared: ControlClass = ControlClass.UNCLASSIFIED) -> ControlFunction:
     """Wrap a parsed expression in t as a control function."""
-    free = free_variables(ast)
-    if not free <= {"t"}:
-        raise ParameterError(
-            f"control expressions may only use the variable t, found {sorted(free)}"
-        )
-    fn = bind_exact(ast, ("t",))
+    def check(free: set[str]) -> None:
+        if not free <= {"t"}:
+            raise ParameterError(
+                f"control expressions may only use the variable t, found {sorted(free)}"
+            )
+
+    fn = bind_exact(ast, ("t",), check)
     return ControlFunction(lambda t: fn(Fraction(t)), declared)
 
 

@@ -410,7 +410,7 @@ def free_variables(ast: Expr | Guard | Arm) -> set[str]:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def bind_exact(ast: Expr, params: tuple[str, ...]) -> Callable[..., Numeric]:
+def bind_exact(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., Numeric]:
     """Compile an expression into an exact positional function of ``params``.
 
     Constants stay ``Fraction`` objects and Python picks each operation from
@@ -418,11 +418,16 @@ def bind_exact(ast: Expr, params: tuple[str, ...]) -> Callable[..., Numeric]:
     ``Fraction`` whenever the expression uses only rational arithmetic.
     That lets callers compare values against grid points without rounding
     artifacts.  There is no final ``float`` cast and no NaN check.
+
+    ``check_free``, when given, is called with the set of variables the
+    expression uses once the tree is lowered, before any other check of
+    them; it may raise.  Its callers therefore need no walk of their own
+    over a tree that may be taller than the recursion limit.
     """
-    return _compile(ast, params, exact=True)
+    return _compile(ast, params, exact=True, check_free=check_free)
 
 
-def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
+def bind_function(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., float]:
     """Compile an expression into a positional float function of ``params``.
 
     Rejects expressions whose free variables do not fit the slot, and trees
@@ -431,7 +436,8 @@ def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     ``float`` of what the exact function of :func:`bind_exact` returns, bit
     for bit, and raises the same exception classes, or ``ExprEvalError`` on
     a NaN result.  Other arguments go through that exact function, which is
-    compiled on the first such call.
+    compiled on the first such call.  ``check_free`` is as for
+    :func:`bind_exact`.
     """
     exact = None
 
@@ -444,15 +450,18 @@ def bind_function(ast: Expr, params: tuple[str, ...]) -> Callable[..., float]:
             raise ExprEvalError("expression evaluated to NaN")
         return result
 
-    return _compile(ast, params, exact=False, rounded=rounded)
+    return _compile(ast, params, exact=False, rounded=rounded, check_free=check_free)
 
 
-def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None) -> Callable:
+def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
+             check_free=None) -> Callable:
     """The function ``_lowered(*params)`` generated by :class:`_Lowering`."""
     if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
         raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
     lowering = _Lowering(exact)
     body = lowering.body(ast)
+    if check_free is not None:
+        check_free(lowering.free)
     extra = lowering.free - set(params)
     if extra:
         raise ExprEvalError(

@@ -223,6 +223,17 @@ def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
     return [contains(subset, Point(v)) for v in values]
 
 
+def member_test(subset: SubsetSpec) -> Callable[[Value], bool]:
+    """``v -> contains(subset, Point(v))``; on an interval subset, without a Point."""
+    if subset.is_finite:
+        return lambda v: contains(subset, Point(v))
+    tests = [iv.contains_value for iv in subset.intervals]
+    if len(tests) == 1:
+        (test,) = tests
+        return lambda v: not isinstance(v, str) and test(v)
+    return lambda v: not isinstance(v, str) and any(t(v) for t in tests)
+
+
 def subset_within_carrier(space: MetricSpace, subset: SubsetSpec) -> bool:
     """Whether every subset point (or interval, end to end) lies in the carrier."""
     if subset.is_finite:
@@ -339,27 +350,40 @@ def sample_points(subset: SubsetSpec, plan: SamplePlan) -> list[Point]:
     """
     if subset.is_finite:
         return list(subset.points)
+    return [Point(v) for v in sample_values(subset, plan)]
+
+
+def sample_values(subset: SubsetSpec, plan: SamplePlan) -> list[Value]:
+    """The values of :func:`sample_points`, without building Points."""
+    if subset.is_finite:
+        return [p.value for p in subset.points]
     rng = random.Random(plan.seed)
-    values: list[float] = []
+    values: list[Value] = []
     for iv in subset.intervals:
         values.extend(_interval_grid(iv, plan.grid_count))
         values.extend(_interval_jitter(iv, plan.jitter_count, rng))
-    return [Point(v) for v in values]
+    return values
 
 
 def _carrier_sample(space: MetricSpace, plan: SamplePlan) -> list[Value]:
     c = space.carrier
     if isinstance(c, LabelSet):
         return list(c.labels)
-    return [p.value for p in sample_points(SubsetSpec.from_intervals([c]), plan)]
+    return sample_values(SubsetSpec.from_intervals([c]), plan)
 
 
 def sampled_diameter(space: MetricSpace, subsets: Sequence[SubsetSpec], plan: SamplePlan) -> float:
-    """Largest pairwise distance among sampled points of the given subsets."""
+    """Largest pairwise distance among sampled points of the given subsets.
+
+    On the usual metric with finite float samples that is max - min: fl(b - a)
+    is monotone in b and in -a, so no pair is wider.
+    """
     vals: list[Value] = []
     for s in subsets:
-        vals.extend(p.value for p in sample_points(s, plan))
+        vals.extend(sample_values(s, plan))
     d = space.metric
+    if d is _usual_real and vals and set(map(type, vals)) == {float} and math.isfinite(sum(vals)):
+        return max(vals) - min(vals)
     best = 0.0
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:

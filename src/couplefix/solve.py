@@ -11,7 +11,8 @@ committed step distance
 
 falls within tolerance, where ``first_n``/``second_n`` are the incoming
 iterates (self-map preimages for coincidence runs, coupling values for
-strong runs).  The pair distance R_n rides along as a second diagnostic.
+strong runs).  The driver carries raw values; Points are built for the
+reported candidate.  The pair distance R_n rides along as a second diagnostic.
 Theory says both sequences shrink monotonically for admissible problems, so
 an increase while the predecessor is still above tolerance is treated as a
 hard error rather than noise: the run aborts with a diagnostic status
@@ -26,8 +27,10 @@ early-coincidence status when any of them is loose.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
 from typing import Any, Optional, Union
 
 from .errors import BudgetError, DomainError, ParameterError
@@ -38,10 +41,11 @@ from .metric import (
     Value,
     _usual_real,
     contains,
+    member_test,
     sample_points,
     subset_intersection,
 )
-from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem
+from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem, _raw, _value, _values
 from .report import CheckReport, ReportBuilder
 
 #: Grid resolution for the fallback preimage search.
@@ -132,21 +136,57 @@ def grid_preimage(
     Returns ``(point, distance)`` when the best sampled point maps within
     ``tol`` of the target, else ``(None, best_distance)``.  Ties keep the
     earliest sampled point, so results are reproducible for a fixed plan.
-    The images of the sample come from ``t.sample_images``, so ``t`` is
-    evaluated once per sampled point, not once per call.
+    The images of the sample come from ``t.image_table``, so ``t`` is
+    evaluated once per sampled point, not once per call.  On the usual
+    metric, with float images and a finite float target, the search bisects
+    ``t.image_index`` (:func:`_nearest`) instead of scanning every image.
     """
-    pts, images = t.sample_images(subset, SamplePlan(grid_count=grid_count, seed=seed))
+    plan = SamplePlan(grid_count=grid_count, seed=seed)
+    values, images = t.image_table(subset, plan)
     d = space.metric
     goal = target.value
-    best = -1
-    best_dist = math.inf
-    for i, image in enumerate(images):
-        dist = d(image, goal)
-        if dist < best_dist:
-            best, best_dist = i, dist
+    index = None
+    if d is _usual_real and type(goal) is float and math.isfinite(goal):
+        index = t.image_index(subset, plan)
+    if index is not None:
+        best, best_dist = _nearest(*index, goal)
+    else:
+        best, best_dist = -1, math.inf
+        for i, image in enumerate(images):
+            dist = d(image, goal)
+            if dist < best_dist:
+                best, best_dist = i, dist
     if best >= 0 and best_dist <= tol:
-        return pts[best], best_dist
+        return Point(values[best]), best_dist
     return None, best_dist
+
+
+def _nearest(values: list[float], firsts: list[int], goal: float) -> tuple[int, float]:
+    """What a scan of every image for the first strictly smaller ``|v - goal|``
+    finds: the earliest sample index at the least distance and that
+    distance, or ``(-1, inf)`` when no distance is finite.
+
+    ``values`` are the distinct images in ascending order and ``firsts``
+    the first sample index of each.  ``fl(v - goal)`` rounds monotonically
+    in ``v``, so the distance does not decrease away from ``goal`` on either
+    side, and the least one sits at a sorted neighbour of ``goal``.  Rounding
+    can give the next values on the same side the same distance, so each
+    side walks that run of equal distances for its smallest sample index.
+    """
+    best, best_dist = -1, math.inf
+    k = bisect_left(values, goal)
+    for j, step in ((k, 1), (k - 1, -1)):
+        if not 0 <= j < len(values):
+            continue
+        dist = abs(values[j] - goal)
+        i = firsts[j]
+        j += step
+        while 0 <= j < len(values) and abs(values[j] - goal) == dist:
+            i = min(i, firsts[j])
+            j += step
+        if dist < best_dist or (dist == best_dist and i < best):
+            best, best_dist = i, dist
+    return best, best_dist
 
 
 def _find_preimage(
@@ -189,19 +229,19 @@ def _strong_residuals(problem: StrongCoupledProblem, a: Point, b: Point) -> dict
     return {"f_xx_x": d(fxx, a.value), "x_y": d(a.value, b.value)}
 
 
-def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Point, y: Point):
+def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y: Value):
     """Coincidence steps: solve T(x1) = F(y, x) in A and T(y1) = F(x, y) in B,
     carrying the T images of the current pair from step to step."""
     d = problem.space.metric
     f, t = problem.coupling, problem.self_map
-    tx, ty = t.evaluate(x), t.evaluate(y)
+    tx, ty = t.evaluate(Point(x)).value, t.evaluate(Point(y)).value
 
-    def step(n: int, x: Point, y: Point):
+    def step(n: int, x: Value, y: Value):
         nonlocal tx, ty
         found = []
         for subset, label, tgt in (
-            (problem.subset_a, "A", f.evaluate(y, x)),
-            (problem.subset_b, "B", f.evaluate(x, y)),
+            (problem.subset_a, "A", f.evaluate(Point(y), Point(x))),
+            (problem.subset_b, "B", f.evaluate(Point(x), Point(y))),
         ):
             p, dist = _find_preimage(problem, tgt, subset, opts)
             if p is None:
@@ -210,54 +250,61 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Point, y:
                 return x, y, None, (SolveStatus.PREIMAGE_FAILURE, failure)
             found.append(p)
         x1, y1 = found
-        tx1, ty1 = t.evaluate(x1), t.evaluate(y1)
-        d_n = max(d(tx.value, ty1.value), d(ty.value, tx1.value))
-        done = TraceStep(n, x.value, y.value, tx.value, ty.value, d_n, d(tx.value, ty.value))
+        tx1, ty1 = t.evaluate(x1).value, t.evaluate(y1).value
+        d_n = max(d(tx, ty1), d(ty, tx1))
+        done = TraceStep(n, x, y, tx, ty, d_n, d(tx, ty))
         tx, ty = tx1, ty1
-        return x1, y1, done, None
+        return x1.value, y1.value, done, None
 
     return step
 
 
-def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Point, y: Point):
+def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, y: Value):
     """Strong coupled steps: x1 = F(y, x), y1 = F(x, y), which must stay in
-    A and B."""
+    A and B.  F runs on raw values (``problems._raw``) and membership is
+    ``metric.member_test``, so a step builds no Point."""
     d = problem.space.metric
-    f = problem.coupling
+    g, checked = _raw(problem.coupling)
+    in_a, in_b = member_test(problem.subset_a), member_test(problem.subset_b)
 
-    def step(n: int, x: Point, y: Point):
-        x1 = f.evaluate(y, x)
-        y1 = f.evaluate(x, y)
-        d_n = max(d(x1.value, y.value), d(y1.value, x.value))
-        done = TraceStep(n, x.value, y.value, None, None, d_n, d(x.value, y.value))
-        if not contains(problem.subset_a, x1):
+    def step(n: int, x: Value, y: Value):
+        x1 = g(y, x)
+        if checked:
+            x1 = _value(x1)
+        y1 = g(x, y)
+        if checked:
+            y1 = _value(y1)
+        d_n = max(d(x1, y), d(y1, x))
+        done = TraceStep(n, x, y, None, None, d_n, d(x, y))
+        if not in_a(x1):
             label, escaped = "A", x1
-        elif not contains(problem.subset_b, y1):
+        elif not in_b(y1):
             label, escaped = "B", y1
         else:
             return x1, y1, done, None
         failure = {"reason": "orbit_left_subset", "subset": label,
-                   "step": n + 1, "value": escaped.value}
+                   "step": n + 1, "value": escaped}
         return x1, y1, done, (SolveStatus.DIAGNOSTIC_VIOLATION, failure)
 
     return step
 
 
 def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, residuals):
-    """The alternating iteration both engines share.
+    """The alternating iteration both engines share, on raw values.
 
     ``make_step(problem, opts, x0, y0)`` returns the kind's step function.
     It maps ``(n, x, y)`` to ``(x1, y1, done, stop)``: the next pair, the
     :class:`TraceStep` of the completed transition (``None`` when the step
     failed before completing it), and ``None`` or the ``(status, failure)``
     that ends the run.  ``residuals(problem, x, y)`` gives the defining
-    residuals of a pair.
+    residuals of a pair of Points.
     """
     _require_member(problem.subset_a, x0, "x0")
     _require_member(problem.subset_b, y0, "y0")
-    step = make_step(problem, opts, x0, y0)
+    x, y = x0.value, y0.value
+    step = make_step(problem, opts, x, y)
     trace = IterationTrace(problem.kind)
-    x, y, prev, tol = x0, y0, None, opts.tol
+    prev, tol = None, opts.tol
     for n in range(opts.max_iter):
         x1, y1, done, stop = step(n, x, y)
         if done is not None:
@@ -269,17 +316,20 @@ def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, resid
                 stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "R_increase", "index": n}
         if stop is not None:
             status, failure = stop
-            values = residuals(problem, x, y)
-            return SolveReport(status, (x, y), values, len(trace.steps), failure), trace
+            break
         if done.d <= tol:
-            values = residuals(problem, x, y)
-            converged = all(v <= tol for v in values.values())
-            status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
-            return SolveReport(status, (x, y), values, len(trace.steps)), trace
+            status = failure = None
+            break
         prev, x, y = done, x1, y1
-    report = SolveReport(SolveStatus.MAX_ITER_EXCEEDED, (x, y), residuals(problem, x, y),
-                         opts.max_iter, {"reason": "max_iter"})
-    return report, trace
+    else:
+        status, failure = SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"}
+    candidate = Point(x), Point(y)
+    values = residuals(problem, *candidate)
+    if status is None:
+        converged = all(v <= tol for v in values.values())
+        status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
+    # every step of a run that ran out of iterations completed, so it used max_iter
+    return SolveReport(status, candidate, values, len(trace.steps), failure), trace
 
 
 def iterate_coincidence(
@@ -379,10 +429,19 @@ def brute_force_search(
     residuals sit within ``tol``; strong problems scan the sampled
     intersection of the subsets for points with d(F(p, p), p) <= tol.
     Exceeding ``budget`` raises rather than silently truncating; within it,
-    the T images come from ``SelfMap.sample_images``.
+    the T images come from ``SelfMap.image_table``.
+
+    The coincidence scan goes a row at a time: F(a, b) over all of B on raw
+    values (``problems._raw``), then F(b, a) only where the first
+    residual holds, as the short-circuit of a pair-by-pair ``and`` does.
+    The pairs, their order, and the error of the first failing pair equal
+    those of the pair-by-pair loop.
     """
     d = problem.space.metric
     f = problem.coupling
+    g, checked = _raw(f)
+    conv = _values if checked else list
+    usual = d is _usual_real
     if problem.kind == "coincidence":
         a_pts = sample_points(problem.subset_a, plan)
         b_pts = sample_points(problem.subset_b, plan_b or plan)
@@ -390,16 +449,25 @@ def brute_force_search(
             raise BudgetError(
                 f"{len(a_pts) * len(b_pts)} candidate pairs exceed budget {budget}"
             )
-        ta = problem.self_map.sample_images(problem.subset_a, plan)[1]
-        tb = problem.self_map.sample_images(problem.subset_b, plan_b or plan)[1]
+        ta = problem.self_map.image_table(problem.subset_a, plan)[1]
+        tb = problem.self_map.image_table(problem.subset_b, plan_b or plan)[1]
+        bv = [b.value for b in b_pts]
         out: list[tuple[Point, Point]] = []
-        for i, a in enumerate(a_pts):
-            for j, b in enumerate(b_pts):
-                if (
-                    d(f.evaluate(a, b).value, ta[i]) <= tol
-                    and d(f.evaluate(b, a).value, tb[j]) <= tol
-                ):
-                    out.append((a, b))
+        for a, ta_i in zip(a_pts, ta):
+            x = a.value
+            try:
+                row = conv([g(x, y) for y in bv])
+                near = [abs(v - ta_i) <= tol for v in row] if usual else [
+                    d(v, ta_i) <= tol for v in row]
+                hits = list(compress(count(), near))
+                back = conv([g(bv[j], x) for j in hits])
+                out += [(a, b_pts[j]) for j, w in zip(hits, back) if d(w, tb[j]) <= tol]
+            except Exception:
+                # evaluated again pair by pair, so the first failing pair raises
+                for b, tb_j in zip(b_pts, tb):
+                    if d(f.evaluate(a, b).value, ta_i) <= tol:
+                        d(f.evaluate(b, a).value, tb_j)
+                raise
         return out
     inter = subset_intersection(problem.subset_a, problem.subset_b)
     if inter is None:
@@ -407,4 +475,10 @@ def brute_force_search(
     pts = sample_points(inter, plan)
     if len(pts) > budget:
         raise BudgetError(f"{len(pts)} candidate points exceed budget {budget}")
-    return [p for p in pts if d(f.evaluate(p, p).value, p.value) <= tol]
+    vals = [p.value for p in pts]
+    try:
+        diag = conv([g(v, v) for v in vals])
+        return [p for p, v, w in zip(pts, vals, diag) if d(w, v) <= tol]
+    except Exception:
+        [d(f.evaluate(p, p).value, p.value) for p in pts]  # raises at the first failing point
+        raise

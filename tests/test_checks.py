@@ -468,10 +468,11 @@ def test_checks_and_brute_force_share_one_t_table():
     check_range_compatibility(p.coupling, t, a, b, plan)
     check_phi_T_contraction(p, plan)
     brute_force_search(p, plan)
-    # one T call per point of each sampled table: the plan's grids of A and
-    # B, and the refined grids of the closedness test
+    # one T call per distinct value of the sampled tables: the plan's grids
+    # of A and B, and the refined grids of the closedness test, which hold
+    # the plan's grid points again
     expected = Counter(
-        q.value for s in (a, b) for pl in (plan, refined) for q in sample_points(s, pl)
+        {q.value for s in (a, b) for pl in (plan, refined) for q in sample_points(s, pl)}
     )
     assert calls == expected
 
@@ -488,6 +489,35 @@ def test_standalone_phi_T_contraction_evaluates_t_on_the_full_sample():
     assert report.details["stride"] == 2
     expected = Counter(q.value for s in (p.subset_a, p.subset_b) for q in sample_points(s, plan))
     assert calls == expected
+
+
+def test_check_evaluates_t_once_per_distinct_sample_value(monkeypatch, capsys):
+    """``check example-2.1.9`` samples T on the grids of A = [0, 2] (21
+    points) and B = [0, 4] (41), and on their refined grids (41 and 81) for
+    the closedness evidence: 184 sample points with 81 distinct values."""
+    import dataclasses
+    from collections import Counter
+
+    from couplefix import cli
+
+    calls = Counter()
+    build = cli.build_problem
+
+    def counting(doc):
+        problem = build(doc)
+        t = problem.self_map
+
+        def fn(p):
+            calls[repr(p.value)] += 1  # repr keeps 0.0 and -0.0 apart
+            return t.fn(p)
+
+        return dataclasses.replace(problem, self_map=SelfMap(fn, t.preimage_fn, t.source))
+
+    monkeypatch.setattr(cli, "build_problem", counting)
+    assert cli.main(["check", "example-2.1.9"]) == 0
+    assert "all 6 checks passed" in capsys.readouterr().out
+    assert len(calls) == 81
+    assert set(calls.values()) == {1}
 
 
 def test_violation_is_an_immutable_record():

@@ -586,6 +586,51 @@ def test_very_tall_hand_built_tree_is_rejected_without_recursing_through_it():
         bind_function(ast, ("x",))
 
 
+def _tall_neg_chain(var: str) -> Neg:
+    ast = Var(var)
+    for _ in range(20 * sys.getrecursionlimit()):
+        ast = Neg(ast)
+    return ast
+
+
+def _entry_points():
+    from couplefix.controls import expr_control
+    from couplefix.metric import MetricSpace
+    from couplefix.problems import CouplingMap, SelfMap
+
+    square = SelfMap.from_expression(parse_expression("x * x"))
+    return {
+        "expr_control": (expr_control, "t", "control expressions may only use the variable t"),
+        "coupling": (CouplingMap.from_expression, "x", "coupling expressions may only use"),
+        "self_map": (SelfMap.from_expression, "x", "self-map expressions may only use"),
+        "inverse": (lambda ast: square.with_inverse(ast, MetricSpace.real_line(0.0, 1.0)),
+                    "x", "inverse expressions may only use"),
+    }
+
+
+@pytest.mark.parametrize("entry", ["expr_control", "coupling", "self_map", "inverse"])
+def test_entry_points_reject_a_very_tall_tree_at_bind_time(entry):
+    build, var, _ = _entry_points()[entry]
+    with pytest.raises(ExprEvalError, match="nests deeper"):
+        build(_tall_neg_chain(var))
+
+
+@pytest.mark.parametrize("entry", ["expr_control", "coupling", "self_map", "inverse"])
+def test_entry_points_name_a_variable_outside_their_slot(entry):
+    from couplefix.errors import ParameterError
+
+    build, _, message = _entry_points()[entry]
+    with pytest.raises(ParameterError) as got:
+        build(parse_expression("x + y + t"))
+    expected = {
+        "expr_control": f"{message}, found ['t', 'x', 'y']",
+        "coupling": f"{message} ['x', 'y']; found: t",
+        "self_map": f"{message} ['x']; found: t, y",
+        "inverse": f"{message} ['x']; found: t, y",
+    }[entry]
+    assert str(got.value) == expected
+
+
 _X, _ONE = Var("x"), Number(Fraction(1))
 
 

@@ -54,8 +54,10 @@ from couplefix.metric import (
     check_metric_axioms,
     contains,
     contains_values,
+    member_test,
     sample_points,
     separation,
+    subset_intersection,
 )
 from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from couplefix.report import CheckReport, ReportBuilder, Violation
@@ -1062,3 +1064,327 @@ def test_worst_violation_is_kept_at_a_cap_of_zero_or_one(cap):
     assert [v.witness for v in alone.violations] == [("only",)]
     assert alone.violation_count == 1
     assert alone.verdict == "fail"
+
+
+# ---------------------------------------------------------------------------
+# solve layer: brute force, grid preimage, strong iteration
+
+
+def _same_return(fast, naive) -> None:
+    """Equal results through ``repr`` (so the sign of a zero counts), or the
+    same exception type and message from each."""
+    try:
+        want = repr(naive())
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        with pytest.raises(type(exc)) as got:
+            fast()
+        assert str(got.value) == str(exc)
+        return
+    assert repr(fast()) == want
+
+
+def naive_brute(problem, plan, tol, plan_b=None):
+    d, f = problem.space.metric, problem.coupling
+    if problem.kind == "coincidence":
+        a_pts = sample_points(problem.subset_a, plan)
+        b_pts = sample_points(problem.subset_b, plan_b or plan)
+        ta = [problem.self_map.evaluate(p).value for p in a_pts]
+        tb = [problem.self_map.evaluate(q).value for q in b_pts]
+        out = []
+        for i, a in enumerate(a_pts):
+            for j, b in enumerate(b_pts):
+                if (d(f.evaluate(a, b).value, ta[i]) <= tol
+                        and d(f.evaluate(b, a).value, tb[j]) <= tol):
+                    out.append((a, b))
+        return out
+    inter = subset_intersection(problem.subset_a, problem.subset_b)
+    if inter is None:
+        return []
+    return [p for p in sample_points(inter, plan) if d(f.evaluate(p, p).value, p.value) <= tol]
+
+
+def _raising(x, y):
+    if x == y:
+        raise ZeroDivisionError("F is undefined on the diagonal")
+    return (x + y) / 2
+
+
+BRUTE_COUPLINGS = {
+    **TABLE_COUPLINGS,
+    "raises_on_diagonal": CouplingMap.from_function(_raising),
+    "raises_point": CouplingMap(lambda p, q: Point(_raising(p.value, q.value))),
+    # F(x, y) = T(x) = x/2 on x <= y, and +inf on x > y: a pair with a < b
+    # meets +inf in F(b, a), a pair with a > b already in F(a, b)
+    "inf_below": CouplingMap.from_function(lambda x, y: x / 2 if x <= y else math.inf),
+    "half_first": CouplingMap.from_function(lambda x, y: x / 2),
+}
+BRUTE_SELF_MAPS = {**TABLE_SELF_MAPS, "half": SelfMap.from_function(lambda x: x / 2)}
+BRUTE_METRICS = {"usual": None, "squared": lambda a, b: (a - b) ** 2}
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    f=st.sampled_from(sorted(BRUTE_COUPLINGS)),
+    t=st.sampled_from(sorted(BRUTE_SELF_MAPS)),
+    metric=st.sampled_from(sorted(BRUTE_METRICS)),
+    plan=PLANS,
+    plan_b=st.one_of(st.none(), PLANS),
+    tol=TOLS,
+)
+@settings(max_examples=300, deadline=None)
+def test_coincidence_brute_force_matches_the_pair_by_pair_loop(a, b, f, t, metric, plan,
+                                                               plan_b, tol):
+    problem = CoincidenceProblem(
+        MetricSpace.real_line(-1.0, 3.0, metric=BRUTE_METRICS[metric]), a, b,
+        BRUTE_COUPLINGS[f], BRUTE_SELF_MAPS[t], make_linear(Fraction(1, 2)),
+    )
+    _same_return(
+        lambda: solve.brute_force_search(problem, plan, tol, plan_b),
+        lambda: naive_brute(problem, plan, tol, plan_b),
+    )
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    f=st.sampled_from(sorted(BRUTE_COUPLINGS)),
+    metric=st.sampled_from(sorted(BRUTE_METRICS)),
+    plan=PLANS,
+    tol=TOLS,
+)
+@settings(max_examples=200, deadline=None)
+def test_strong_brute_force_matches_the_point_by_point_loop(a, b, f, metric, plan, tol):
+    problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0, metric=BRUTE_METRICS[metric]),
+                              a, b, BRUTE_COUPLINGS[f], HALF, identity_control())
+    _same_return(
+        lambda: solve.brute_force_search(problem, plan, tol),
+        lambda: naive_brute(problem, plan, tol),
+    )
+
+
+def _back_fails(x, y):
+    """F(0, 1) = T(0) = 0, so the pair (0, 1) goes on to F(1, 0), which
+    raises KeyError; the row of 0 raises ValueError later, at F(0, 2)."""
+    if (x, y) == (1.0, 0.0):
+        raise KeyError("F(1, 0)")
+    if (x, y) == (0.0, 2.0):
+        raise ValueError("F(0, 2)")
+    return x / 2 if (x, y) == (0.0, 1.0) else 5.0
+
+
+A0, A01 = SubsetSpec.from_values([0.0]), SubsetSpec.from_values([0.0, 1.0])
+B1, B12 = SubsetSpec.from_values([1.0]), SubsetSpec.from_values([1.0, 2.0])
+# (F, A, B, the error the pair-by-pair loop raises or None); T(x) = x / 2
+BRUTE_ERRORS = {
+    # the first pair whose F(b, a) is evaluated raises, before a later F(a, b)
+    "back_fails": (_back_fails, A0, B12, KeyError),
+    # F(1, 0) = +inf, but the first residual of (0, 1) fails: F(0, 1) = 5
+    # is far from T(0) = 0, so the scan never evaluates F(1, 0)
+    "inf_behind_a_failing_residual": (lambda x, y: math.inf if x > y else 5.0, A01, B1, None),
+    # F(1, 1) = +inf in the row of a = 1
+    "inf_in_the_row": (lambda x, y: math.inf if x == y else x / 2, A01, B1, DomainError),
+}
+
+
+@pytest.mark.parametrize("point_fn", [False, True])
+@pytest.mark.parametrize("case", sorted(BRUTE_ERRORS))
+def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case, point_fn):
+    fn, a, b, expected = BRUTE_ERRORS[case]
+    fm = CouplingMap.from_function(fn)
+    if point_fn:  # the same map, without the raw-value path
+        fm = CouplingMap(fm.fn)
+    problem = CoincidenceProblem(MetricSpace.real_line(-1.0, 3.0), a, b, fm,
+                                 SelfMap.from_function(lambda x: x / 2),
+                                 make_linear(Fraction(1, 2)))
+    plan = SamplePlan()
+    _same_return(lambda: solve.brute_force_search(problem, plan),
+                 lambda: naive_brute(problem, plan, 1e-9))
+    if expected is None:
+        assert solve.brute_force_search(problem, plan) == []
+    else:
+        with pytest.raises(expected):
+            solve.brute_force_search(problem, plan)
+
+
+def naive_preimage(space, t, subset, target, tol, grid_count):
+    """The linear scan: the first sampled point with the least distance."""
+    best, best_dist = None, math.inf
+    for p in sample_points(subset, SamplePlan(grid_count=grid_count)):
+        dist = space.metric(t.evaluate(p).value, target.value)
+        if dist < best_dist:
+            best, best_dist = p, dist
+    return (best, best_dist) if best is not None and best_dist <= tol else (None, best_dist)
+
+
+PREIMAGE_MAPS = {
+    **{name: SelfMap.from_function(fn) for name, fn in SELF_MAPS.items()},
+    # many points share an image, and every target between two images ties
+    "quarters": SelfMap.from_function(lambda x: math.floor(4 * x) / 4),
+    "fold": SelfMap.from_function(lambda x: abs(x - 1)),
+    "constant": SelfMap.from_function(lambda x: 0.75),
+    "neg_zero": SelfMap.from_function(lambda x: -0.0 if x < 1 else 0.0),
+    # not searched by bisection: a NaN image, a label image
+    "nan_above_1": TABLE_SELF_MAPS["nan_above_1"],
+    "label_above_1": SelfMap.from_function(lambda x: "a" if x > 1 else x),
+    "inf_above_1": SelfMap(lambda p: Point(math.inf if p.value > 1 else p.value)),
+}
+PREIMAGE_GOALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.125, 0.375, 0.625, 0.5, 0.75, 1.0, 1.25, 0.3,
+                     -5.0, 10.0, 1e300, -1e300, 2.0 ** -1074]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@given(
+    subset=TABLE_SUBSETS,
+    t=st.sampled_from(sorted(PREIMAGE_MAPS)),
+    goals=st.lists(PREIMAGE_GOALS, min_size=1, max_size=4),
+    tol=st.sampled_from([1e-9, 0.0, 0.2, math.inf]),
+    grid=st.sampled_from([2, 5, 9, 21]),
+    metric=st.sampled_from(["usual", "squared"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_grid_preimage_bisection_matches_the_linear_scan(subset, t, goals, tol, grid, metric):
+    space = MetricSpace.real_line(-1.0, 3.0, metric=BRUTE_METRICS[metric])
+    tm = PREIMAGE_MAPS[t]
+    for goal in goals:  # later goals read the table and index the first one built
+        _same_return(
+            lambda: solve.grid_preimage(space, tm, subset, Point(goal), tol, grid),
+            lambda: naive_preimage(space, tm, subset, Point(goal), tol, grid),
+        )
+
+
+def test_preimage_bisection_walks_a_run_of_equal_rounded_distances():
+    # From -1, both images lie 2**53 away after rounding: 2**53 - 1 + 1 is
+    # exact and 2**53 + 1 rounds to even.  The larger image belongs to the
+    # earlier sample point, so the scan keeps that one although the smaller
+    # image is the sorted neighbour of the target.
+    big = 2.0 ** 53
+    t = SelfMap.from_function(lambda x: big if x == 0.0 else big - 1)
+    space, subset = MetricSpace.real_line(-1.0, 3.0), SubsetSpec.from_values([0.0, 1.0])
+    assert abs((big - 1) - -1.0) == abs(big - -1.0) == big
+    got = solve.grid_preimage(space, t, subset, Point(-1.0), math.inf)
+    assert got == naive_preimage(space, t, subset, Point(-1.0), math.inf, 2)
+    assert got == (Point(0.0), big)
+
+
+def test_member_test_matches_contains_on_every_subset_shape():
+    shapes = [
+        SubsetSpec.from_intervals([Interval(0.0, 1.0, False, True)]),
+        SubsetSpec.from_intervals([Interval(0.0, 0.5), Interval(1.0, 2.0, True, False)]),
+        SubsetSpec.from_values([0.5, 1.0]),
+        SubsetSpec.from_values(["a", 0.5]),
+    ]
+    values = [0.0, -0.0, 0.5, 0.5 + 1e-13, 1.0, 2.0, 1.5, math.nan, math.inf, -math.inf,
+              Fraction(1, 2), 1, "a", "b"]
+    for subset in shapes:
+        test = member_test(subset)
+        assert [test(v) for v in values] == [contains(subset, Point(v)) for v in values]
+
+
+def naive_strong_iteration(problem, x0, y0, opts):
+    """The strong coupled iteration one Point step at a time."""
+    d, f = problem.space.metric, problem.coupling
+    a, b, tol = problem.subset_a, problem.subset_b, opts.tol
+    for p, label in ((x0, "x0"), (y0, "y0")):
+        if not contains(a if label == "x0" else b, p):
+            raise DomainError(f"start {label}={p.value!r} is not in subset {label[-1].upper()}")
+    trace = solve.IterationTrace("strong_coupled")
+
+    def report(status, x, y, failure=None):
+        fxx = f.evaluate(x, x).value
+        values = {"f_xx_x": d(fxx, x.value), "x_y": d(x.value, y.value)}
+        if status is None:
+            converged = all(v <= tol for v in values.values())
+            status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
+        return SolveReport(status, (x, y), values, len(trace.steps), failure), trace
+
+    x, y, prev = x0, y0, None
+    for n in range(opts.max_iter):
+        x1 = f.evaluate(y, x)
+        y1 = f.evaluate(x, y)
+        done = solve.TraceStep(n, x.value, y.value, None, None,
+                               max(d(x1.value, y.value), d(y1.value, x.value)),
+                               d(x.value, y.value))
+        trace.steps.append(done)
+        for label, subset, p in (("A", a, x1), ("B", b, y1)):
+            if not contains(subset, p):
+                return report(SolveStatus.DIAGNOSTIC_VIOLATION, x, y, {
+                    "reason": "orbit_left_subset", "subset": label, "step": n + 1,
+                    "value": p.value})
+        if prev is not None:
+            if prev.d > tol and done.d > prev.d + tol:
+                return report(SolveStatus.DIAGNOSTIC_VIOLATION, x, y,
+                              {"reason": "D_increase", "index": n})
+            if prev.r > tol and done.r > prev.r + tol:
+                return report(SolveStatus.DIAGNOSTIC_VIOLATION, x, y,
+                              {"reason": "R_increase", "index": n})
+        if done.d <= tol:
+            return report(None, x, y)
+        prev, x, y = done, x1, y1
+    return report(SolveStatus.MAX_ITER_EXCEEDED, x, y, {"reason": "max_iter"})
+
+
+STRONG_COUPLINGS = {
+    **BRUTE_COUPLINGS,
+    "escapes": CouplingMap.from_function(lambda x, y: x + 0.75),
+    "expands": CouplingMap.from_function(lambda x, y: 2 * x - y),
+    "swap": CouplingMap.from_function(lambda x, y: y),
+    "point_mid": CouplingMap(lambda p, q: Point((p.value + q.value) / 2)),
+    # near a finite member, within REAL_EQ_TOL
+    "near_half": CouplingMap.from_function(lambda x, y: 0.5 + 1e-13),
+}
+
+
+@given(
+    a=TABLE_SUBSETS,
+    b=TABLE_SUBSETS,
+    f=st.sampled_from(sorted(STRONG_COUPLINGS)),
+    metric=st.sampled_from(sorted(BRUTE_METRICS)),
+    starts=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    outside=st.booleans(),
+    max_iter=st.sampled_from([1, 3, 40]),
+    tol=st.sampled_from([1e-9, 1e-3]),
+)
+# the orbit stays in a finite subset within REAL_EQ_TOL of a member
+@example(a=SubsetSpec.from_values([0.5]), b=SubsetSpec.from_values([1.0, 0.5]), f="near_half",
+         metric="usual", starts=(0, 1), outside=False, max_iter=3, tol=1e-9)
+@settings(max_examples=300, deadline=None)
+def test_value_level_strong_iteration_matches_the_point_step(a, b, f, metric, starts, outside,
+                                                             max_iter, tol):
+    problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0, metric=BRUTE_METRICS[metric]),
+                              a, b, STRONG_COUPLINGS[f], HALF, identity_control())
+    xs, ys = sample_points(a, SamplePlan(5)), sample_points(b, SamplePlan(5))
+    x0, y0 = xs[starts[0] % len(xs)], ys[starts[1] % len(ys)]
+    if outside:  # a start outside its subset is rejected by both
+        y0 = Point(2.75)
+    opts = SolveOptions(tol=tol, max_iter=max_iter)
+    _same_return(
+        lambda: solve.iterate_strong_coupled(problem, x0, y0, opts),
+        lambda: naive_strong_iteration(problem, x0, y0, opts),
+    )
+
+
+@given(
+    a=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    b=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
+    table=st.lists(st.sampled_from(LABELS), min_size=16, max_size=16),
+    distances=st.lists(TABLE_VALUES.filter(lambda v: v > 0), min_size=12, max_size=12),
+    use_table=st.booleans(),
+    starts=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_value_level_strong_iteration_matches_the_point_step_on_labels(a, b, table, distances,
+                                                                       use_table, starts):
+    pairs = [(p, q) for p in LABELS for q in LABELS if p != q]
+    space = MetricSpace.finite(LABELS, dict(zip(pairs, distances)) if use_table else None)
+    fm = CouplingMap.from_function(lambda x, y: table[4 * LABELS.index(x) + LABELS.index(y)])
+    problem = _strong_problem(space, SubsetSpec.from_values(a), SubsetSpec.from_values(b),
+                              fm, HALF, identity_control())
+    x0, y0 = Point(a[starts[0] % len(a)]), Point(b[starts[1] % len(b)])
+    opts = SolveOptions(max_iter=20)
+    _same_return(
+        lambda: solve.iterate_strong_coupled(problem, x0, y0, opts),
+        lambda: naive_strong_iteration(problem, x0, y0, opts),
+    )

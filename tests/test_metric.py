@@ -275,6 +275,49 @@ def test_sampled_diameter_covers_subset_union():
     assert sampled_diameter(space, [a, b], SamplePlan(grid_count=5)) == 4.0
 
 
+def _pairwise_diameter(space, subsets, plan):
+    """The one-metric-call-per-pair loop the usual metric skips."""
+    vals = [p.value for s in subsets for p in sample_points(s, plan)]
+    best = 0.0
+    for i, a in enumerate(vals):
+        for b in vals[i + 1:]:
+            dist = space.metric(a, b)
+            if dist > best:
+                best = dist
+    return best
+
+
+DIAMETER_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.30000000000000004, 2.0 ** 53, 1e308, -1e308]),
+)
+DIAMETER_SUBSETS = st.one_of(
+    st.lists(DIAMETER_VALUES, min_size=1, max_size=6).map(SubsetSpec.from_values),
+    st.tuples(DIAMETER_VALUES, DIAMETER_VALUES).map(
+        lambda ends: SubsetSpec.from_intervals([Interval(min(ends), max(ends))])
+    ),
+    # hand-built points skip the finiteness check of Point.real
+    st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1.0, 3]), min_size=1,
+             max_size=4).map(lambda vs: SubsetSpec(points=tuple(map(Point, vs)))),
+)
+
+
+@given(
+    subsets=st.lists(DIAMETER_SUBSETS, max_size=3),
+    grid=st.integers(2, 6),
+    jitter=st.integers(0, 2),
+    usual=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sampled_diameter_matches_the_pairwise_loop(subsets, grid, jitter, usual):
+    space = MetricSpace.real_line(-1.0, 1.0, metric=None if usual else lambda a, b: abs(b - a))
+    plan = SamplePlan(grid_count=grid, jitter_count=jitter, seed=3)
+    got = sampled_diameter(space, subsets, plan)
+    want = _pairwise_diameter(space, subsets, plan)
+    assert repr(got) == repr(want)
+
+
 # ---------------------------------------------------------------------------
 # subset algebra
 
