@@ -2,11 +2,14 @@
 
 A document describes one problem declaratively — carrier, the two subsets,
 the coupling map, the self map (coincidence problems only), control
-functions, solver options, and check sampling settings.  ``parse_problem``
-turns text into a :class:`ProblemDocument`; ``build_problem`` compiles the
-document into a runnable problem object.  Builtin problems are stored as
-document templates and go through the same parser, so anything the registry
-produces can also be written by hand.
+functions, solver options, and check sampling settings.  ``parse_mapping``
+validates the loaded mapping into a :class:`ProblemDocument`;
+``parse_problem`` loads YAML text into that mapping first, and is the only
+place that imports PyYAML.  ``build_problem`` compiles the document into a
+runnable problem object.  Builtin problems are stored as Python data in the
+shape ``yaml.safe_load`` gives and go through the same validator, so
+anything the registry produces can also be written by hand, and building a
+builtin never loads PyYAML.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
-
-import yaml
 
 from .checks import DEFAULT_QUADRUPLE_BUDGET
 from .controls import (
@@ -291,15 +292,24 @@ def _parse_check(raw) -> CheckSettings:
 
 
 def parse_problem(text: str, name: str = "problem") -> ProblemDocument:
-    """Parse YAML document text into a :class:`ProblemDocument`.
+    """Parse YAML document text into a :class:`ProblemDocument`."""
+    import yaml  # here, not at the top: its import is a fifth of the CLI's start-up
 
-    All shape errors are reported as :class:`DocumentError` with the dotted
-    key path of the offending entry (for example ``phi.slope``).
-    """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise DocumentError(f"document is not valid YAML: {exc}") from exc
+    return parse_mapping(raw, name)
+
+
+def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
+    """Validate a loaded document mapping into a :class:`ProblemDocument`.
+
+    ``raw`` has the shape ``yaml.safe_load`` gives: dicts, lists, strings
+    and numbers.  It is only read, never changed.  All shape errors are
+    reported as :class:`DocumentError` with the dotted key path of the
+    offending entry (for example ``phi.slope``).
+    """
     doc = _mapping(raw, "document")
     _reject_unknown(doc, _TOP_KEYS, "document")
     for key in _REQUIRED_KEYS:
@@ -387,62 +397,55 @@ def build_problem(doc: ProblemDocument):
         raise DocumentError(str(exc)) from exc
 
 
-_PLATEAU_COINCIDENCE = """\
-problem_kind: coincidence
-space: "(-5, 5)"
-subset_A: "[0, 2]"
-subset_B: "[0, 4]"
-map_F: "piecewise { 0 <= x and x <= 2 and 0 <= y and y <= 2 => 2 ; else => (x + y) / 24 ; }"
-map_T: "piecewise { 0 <= x and x <= 2 => 2 ; 2 < x and x <= 4 => 4 ; }"
-phi: {family: capped_linear, slope: 2/3, threshold: 47/24}
-solve:
-  starts: [[1, 1]]
-check:
-  grid_count: 21
-  grid_count_b: 41
-  range_b: "[0, 2]"
-"""
+_PLATEAU_COINCIDENCE = {
+    "problem_kind": "coincidence",
+    "space": "(-5, 5)",
+    "subset_A": "[0, 2]",
+    "subset_B": "[0, 4]",
+    "map_F": "piecewise { 0 <= x and x <= 2 and 0 <= y and y <= 2 => 2 ; else => (x + y) / 24 ; }",
+    "map_T": "piecewise { 0 <= x and x <= 2 => 2 ; 2 < x and x <= 4 => 4 ; }",
+    "phi": {"family": "capped_linear", "slope": "2/3", "threshold": "47/24"},
+    "solve": {"starts": [[1, 1]]},
+    "check": {"grid_count": 21, "grid_count_b": 41, "range_b": "[0, 2]"},
+}
 
-_MIN_STRONG = """\
-problem_kind: strong_coupled
-space: "[0, 3]"
-subset_A: [1]
-subset_B: [1, 2]
-map_F: "min(x, y)"
-phi: {family: power, exponent: 2}
-psi: {family: identity}
-solve:
-  starts: [[1, 1], [1, 2]]
-"""
+_MIN_STRONG = {
+    "problem_kind": "strong_coupled",
+    "space": "[0, 3]",
+    "subset_A": [1],
+    "subset_B": [1, 2],
+    "map_F": "min(x, y)",
+    "phi": {"family": "power", "exponent": 2},
+    "psi": {"family": "identity"},
+    "solve": {"starts": [[1, 1], [1, 2]]},
+}
 
-_NEGATIVE_MIDPOINT = """\
-problem_kind: strong_coupled
-space: "[0, 1]"
-subset_A: "[0, 1]"
-subset_B: "[0, 1]"
-map_F: "(x + y) / 2"
-phi: {family: linear, slope: 1/10}
-psi: {family: identity}
-solve:
-  starts: [[0, 1]]
-"""
+_NEGATIVE_MIDPOINT = {
+    "problem_kind": "strong_coupled",
+    "space": "[0, 1]",
+    "subset_A": "[0, 1]",
+    "subset_B": "[0, 1]",
+    "map_F": "(x + y) / 2",
+    "phi": {"family": "linear", "slope": "1/10"},
+    "psi": {"family": "identity"},
+    "solve": {"starts": [[0, 1]]},
+}
 
 
-def _banach_linear(k) -> str:
+def _banach_linear(k) -> dict:
     rate = _fraction(k, "k")
     if not 0 < rate < 1:
         raise DocumentError(f"must satisfy 0 < k < 1, got {k!r}", key="k")
-    return f"""\
-problem_kind: strong_coupled
-space: "[0, 1]"
-subset_A: "[0, 1]"
-subset_B: "[0, 1]"
-map_F: "{rate / 2} * (x + y) + {(1 - rate) / 2}"
-phi: {{family: linear, slope: {1 - rate}}}
-psi: {{family: identity}}
-solve:
-  starts: [[0, 1]]
-"""
+    return {
+        "problem_kind": "strong_coupled",
+        "space": "[0, 1]",
+        "subset_A": "[0, 1]",
+        "subset_B": "[0, 1]",
+        "map_F": f"{rate / 2} * (x + y) + {(1 - rate) / 2}",
+        "phi": {"family": "linear", "slope": str(1 - rate)},
+        "psi": {"family": "identity"},
+        "solve": {"starts": [[0, 1]]},
+    }
 
 
 _REGISTRY = {
@@ -458,11 +461,11 @@ def registry_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def builtin_registry(name: str, **params) -> ProblemDocument:
-    """Render a builtin problem as a document.
+def builtin_mapping(name: str, **params) -> dict:
+    """The document mapping of a builtin problem, as ``yaml.safe_load`` gives it.
 
-    ``banach-linear`` accepts a contraction rate ``k`` (default 1/2); the
-    other entries take no parameters.
+    The parameterless entries return the registry's own dict: read it, do
+    not change it.
     """
     if name not in _REGISTRY:
         raise DocumentError(
@@ -473,7 +476,14 @@ def builtin_registry(name: str, **params) -> ProblemDocument:
     if unexpected:
         raise DocumentError(f"{name} accepts no parameter named {unexpected}")
     if callable(template):
-        text = template(**{**defaults, **params})
-    else:
-        text = template
-    return parse_problem(text, name=name)
+        return template(**{**defaults, **params})
+    return template
+
+
+def builtin_registry(name: str, **params) -> ProblemDocument:
+    """Render a builtin problem as a document.
+
+    ``banach-linear`` accepts a contraction rate ``k`` (default 1/2); the
+    other entries take no parameters.
+    """
+    return parse_mapping(builtin_mapping(name, **params), name=name)

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from .errors import BudgetError, DomainError, ParameterError
 from .metric import (
@@ -78,9 +78,11 @@ class SolveOptions:
             )
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One completed transition: the pair it started from and its step sizes."""
+class TraceStep(NamedTuple):
+    """One completed transition: the pair it started from and its step sizes.
+
+    The fields follow the columns of the trace CSV.
+    """
 
     n: int
     x: Value

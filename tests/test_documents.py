@@ -1,14 +1,24 @@
 """Problem documents: parsing, compilation, and the builtin registry."""
 
+import copy
+import json
+import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
+from couplefix import documents
+from couplefix.cli import main
 from couplefix.controls import ControlClass, eval_control
 from couplefix.documents import (
     ProblemDocument,
     build_problem,
+    builtin_mapping,
     builtin_registry,
     parse_problem,
     parse_problem_file,
@@ -293,3 +303,94 @@ class TestRegistry:
             eval_control(problem.phi, t)
             if getattr(problem, "psi", None) is not None:
                 eval_control(problem.psi, t)
+
+
+class TestBuiltinsAsData:
+    """Builtins are Python data and skip YAML; files still go through it."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_cli_and_every_builtin_load_no_yaml(self):
+        code = textwrap.dedent(
+            """\
+            import sys
+            import couplefix, couplefix.cli
+            from couplefix.documents import registry_names
+            for name in registry_names():
+                couplefix.build_problem(couplefix.builtin_registry(name))
+            couplefix.build_problem(couplefix.builtin_registry("banach-linear", k="9/10"))
+            print("yaml" in sys.modules)
+            doc = couplefix.cli.load_document(sys.argv[1])
+            print(doc.name, "yaml" in sys.modules)
+            """
+        )
+        capped = Path(__file__).with_name("expr-capped.yaml")
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(capped)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines() == ["False", "expr-capped True"]
+
+    def test_invalid_yaml_file_still_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("]broken{:", encoding="utf-8")
+        with pytest.raises(DocumentError, match="not valid YAML"):
+            parse_problem_file(bad)
+        assert main(["check", str(bad)]) == 3
+        assert "not valid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", registry_names())
+    @pytest.mark.parametrize("command", ["check", "demo"])
+    def test_text_path_reports_equal_the_mapping_path(self, name, command, tmp_path, capsys):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(builtin_mapping(name)), encoding="utf-8")
+        runs = []
+        for source in (name, str(path)):
+            report = tmp_path / "report.json"
+            capsys.readouterr()
+            code = main([command, source, "--json", str(report)])
+            payload = json.loads(report.read_text(encoding="utf-8"))
+            payload.pop("timing_ms")
+            runs.append((code, capsys.readouterr().out, payload))
+        assert runs[0] == runs[1]
+
+    def test_banach_linear_mapping_is_what_its_yaml_text_loads_to(self):
+        text = textwrap.dedent(
+            """\
+            problem_kind: strong_coupled
+            space: "[0, 1]"
+            subset_A: "[0, 1]"
+            subset_B: "[0, 1]"
+            map_F: "9/20 * (x + y) + 1/20"
+            phi: {family: linear, slope: 1/10}
+            psi: {family: identity}
+            solve:
+              starts: [[0, 1]]
+            """
+        )
+        assert builtin_mapping("banach-linear", k="9/10") == yaml.safe_load(text)
+
+    def test_building_leaves_the_registry_unchanged(self):
+        before = copy.deepcopy(documents._REGISTRY)
+        for name in registry_names():
+            doc = builtin_registry(name)
+            build_problem(doc)
+            main(["demo", name])
+        assert documents._REGISTRY == before
+
+    def test_builtin_errors_keep_their_messages(self):
+        with pytest.raises(DocumentError) as exc:
+            builtin_registry("no-such-problem")
+        assert str(exc.value) == (
+            "unknown builtin problem 'no-such-problem'; available: "
+            "banach-linear, example-2.1.9, example-2.2.3, negative-midpoint"
+        )
+        with pytest.raises(DocumentError) as exc:
+            builtin_registry("example-2.2.3", k="1/2")
+        assert str(exc.value) == "example-2.2.3 accepts no parameter named ['k']"
+        for k in ("0", "1", "3/2", -1):
+            with pytest.raises(DocumentError) as exc:
+                builtin_registry("banach-linear", k=k)
+            assert exc.value.key == "k"
+            assert str(exc.value) == f"k: must satisfy 0 < k < 1, got {k!r}"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplefix.cli import TRACE_HEADER
 from couplefix.controls import ControlClass, identity_control, make_linear, with_declared_class
 from couplefix.documents import build_problem, builtin_registry
 from couplefix.errors import BudgetError, DomainError, ParameterError
@@ -25,6 +26,7 @@ from couplefix.solve import (
     PREIMAGE_GRID_COUNT,
     SolveOptions,
     SolveStatus,
+    TraceStep,
     brute_force_search,
     grid_preimage,
     iterate_coincidence,
@@ -294,6 +296,30 @@ class TestTraceDiagnostics:
 
         with pytest.raises(ParameterError):
             trace_diagnostics(IterationTrace("strong_coupled"), 1e-9)
+
+
+class TestTraceStep:
+    def test_fields_follow_the_trace_csv_columns(self):
+        columns = [c.split("_")[0].lower() for c in TRACE_HEADER.split(",")]
+        assert list(TraceStep._fields) == ["n", "x", "y", "tx", "ty", "d", "r"]
+        assert columns == [*TraceStep._fields, "residual"]
+
+    def test_is_read_only(self):
+        step = TraceStep(0, 0.0, 1.0, None, None, 0.5, 0.5)
+        with pytest.raises(AttributeError):
+            step.d = 0.0
+        with pytest.raises(AttributeError):
+            step.residual = 0.0
+
+    @pytest.mark.parametrize(
+        "d, r, residual",
+        [(0.5, 0.25, 0.5), (0.25, 0.5, 0.5), (0.5, 0.5, 0.5),
+         (math.nan, 0.5, 0.5), (0.5, math.nan, math.nan), (math.inf, 0.5, math.inf)],
+    )
+    def test_residual_is_d_unless_r_is_larger(self, d, r, residual):
+        # ``d if d >= r else r``: a NaN d gives r, a NaN r gives NaN.
+        got = TraceStep(3, 0.0, 1.0, 2.0, 2.0, d, r).residual
+        assert got == residual or (math.isnan(got) and math.isnan(residual))
 
 
 class TestBruteForce:
