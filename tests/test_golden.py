@@ -27,6 +27,9 @@ CASES = {
     "check-example-2.1.9-81": [
         "check", "example-2.1.9", "--samples", "81", "--jitter", "2", "--seed", "5",
     ],
+    "check-example-2.2.3-tiny-tol": [
+        "check", "example-2.2.3", "--tol", "1e-17", "--jitter", "2", "--seed", "4",
+    ],
     "check-negative-midpoint-81": [
         "check", "negative-midpoint", "--samples", "81", "--jitter", "2", "--seed", "5",
     ],
