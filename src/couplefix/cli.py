@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from operator import attrgetter
@@ -367,13 +368,81 @@ def _add_source_and_flags(sp, solver: bool) -> None:
         sp.set_defaults(trace=None, start=None, max_iter=None)
 
 
+#: A negative number that argparse takes for a value, not an option, when
+#: no option looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _start_pair(values: list[str]) -> list[float] | None:
+    """The two values of a ``--start`` as argparse converts them, or None
+    unless both are arguments argparse reads as values and ``float`` takes."""
+    if len(values) != 2 or any(v.startswith("-") and not _NEGATIVE_NUMBER.match(v) for v in values):
+        return None
+    try:
+        return [float(v) for v in values]
+    except ValueError:
+        return None
+
+
+def _collapse_starts(args: list[str], spellings: set[str]):
+    """``args`` without each well-formed ``--start X0 Y0`` that directly
+    follows another, and the pairs cut after each kept ``--start`` option,
+    keyed by its ordinal among the ``--start`` options before ``--``.
+
+    A cut option stands between two ``--start`` options, which take values
+    only, so the kept arguments parse as before, less the cut pairs.
+    """
+    kept: list[str] = []
+    cut: dict[int, list[list[float]]] = {}
+    count, run, i = 0, None, 0
+    while i < len(args) and args[i] != "--":
+        pair = _start_pair(args[i + 1:i + 3]) if args[i] in spellings else None
+        if pair is None:
+            count += args[i] in spellings
+            kept.append(args[i])
+            run, i = None, i + 1
+        elif run is None:
+            kept += args[i:i + 3]
+            run, count, i = count, count + 1, i + 3
+        else:
+            cut.setdefault(run, []).append(pair)
+            i += 3
+    return kept + args[i:], cut
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with unusable arguments exiting 3, not argparse's 2 (the
-    step-limit code); subcommand parsers are of the same class."""
+    step-limit code); subcommand parsers are of the same class.
+
+    argparse takes time quadratic in the number of options given, so a run
+    of repeated ``--start`` options is parsed as its first one and the
+    other pairs are put back after it: the namespace and the errors are
+    argparse's own.
+    """
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        spellings = self._start_spellings()
+        if not spellings:
+            return super().parse_known_args(args, namespace)
+        args, cut = _collapse_starts(sys.argv[1:] if args is None else list(args), spellings)
+        namespace, extras = super().parse_known_args(args, namespace)
+        if cut:
+            namespace.start = [p for k, pair in enumerate(namespace.start)
+                               for p in (pair, *cut.get(k, ()))]
+        return namespace, extras
+
+    def _start_spellings(self) -> set[str]:
+        """The arguments argparse reads as the ``--start`` option: its name
+        and the abbreviations no other option shares."""
+        names = self._option_string_actions
+        if "--start" not in names:
+            return set()
+        prefixes = ("--start"[:m] for m in range(3, len("--start")))
+        return {"--start"} | {p for p in prefixes if [s for s in names if s.startswith(p)] == ["--start"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

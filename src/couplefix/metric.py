@@ -372,6 +372,12 @@ def _carrier_sample(space: MetricSpace, plan: SamplePlan) -> list[Value]:
     return sample_values(SubsetSpec.from_intervals([c]), plan)
 
 
+def _finite_floats(vals: Sequence[Value]) -> bool:
+    """Whether there are values, all of type float, with a finite sum (so
+    none is infinite or NaN)."""
+    return bool(vals) and set(map(type, vals)) == {float} and math.isfinite(sum(vals))
+
+
 def sampled_diameter(space: MetricSpace, subsets: Sequence[SubsetSpec], plan: SamplePlan) -> float:
     """Largest pairwise distance among sampled points of the given subsets.
 
@@ -382,7 +388,7 @@ def sampled_diameter(space: MetricSpace, subsets: Sequence[SubsetSpec], plan: Sa
     for s in subsets:
         vals.extend(sample_values(s, plan))
     d = space.metric
-    if d is _usual_real and vals and set(map(type, vals)) == {float} and math.isfinite(sum(vals)):
+    if d is _usual_real and _finite_floats(vals):
         return max(vals) - min(vals)
     best = 0.0
     for i, a in enumerate(vals):
@@ -403,25 +409,71 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
     Violations are data, not errors; each one records the axiom name first
     in its witness tuple so it can be re-evaluated independently.  The
     worst margin over every comparison lands in ``max_margin``.
+
+    The triangle inequality ``d(i, j) <= d(i, k) + d(k, j)`` is tested for
+    all n³ triples, and ``samples_tested`` counts them all.  On the usual
+    metric, with ``tol >= 0`` and float samples whose ``max - min`` is
+    finite, only the k whose value lies between vi and vj are summed: for
+    vk >= vj >= vi, fl(vk - vi) >= fl(vj - vi) because rounding is
+    monotone, and adding fl(vk - vj) >= 0 cannot round below that (the
+    other side is the mirror image), so no other k has a negative margin or
+    a violation.  k = i is between and has a margin of exactly 0, so the
+    smallest margin is the same.  Since fl(a - b) = -fl(b - a), the triples
+    (i, j, k) and (j, i, k) add the same two floats; each pair is summed
+    once and its violations are sorted back into (i, j, k) order.  Labels,
+    distance tables, other metrics, ``tol < 0`` and non-finite samples scan
+    every k.
     """
     vals = _carrier_sample(space, plan)
-    d = space.metric
     n = len(vals)
-    dm = [[float(d(vals[i], vals[j])) for j in range(n)] for i in range(n)]
-    cols = list(zip(*dm))
     rb = ReportBuilder("metric_axioms", tol)
+    if (space.metric is _usual_real and tol >= 0 and _finite_floats(vals)
+            and math.isfinite(max(vals) - min(vals))):
+        order = sorted(range(n), key=vals.__getitem__)
+        rank = [0] * n
+        for pos, k in enumerate(order):
+            rank[k] = pos
+        srt = [vals[k] for k in order]
+        table = [[abs(a - b) for b in srt] for a in srt]
+        _observe_pairs(rb, vals, _symmetric_rows(table, rank), tol)
+        samples = rb.samples + n * n * n
+        _triangle_between(rb, vals, order, table, tol)
+    else:
+        d = space.metric
+        dm = [[float(d(a, b)) for b in vals] for a in vals]
+        cols = list(zip(*dm))
+        rows = ((row[i], row[i + 1:], col[i + 1:]) for i, (row, col) in enumerate(zip(dm, cols)))
+        _observe_pairs(rb, vals, rows, tol)
+        samples = rb.samples + n * n * n
+        _triangle_rows(rb, vals, dm, cols, tol)
+    rb.samples = samples
+    return rb.build()
 
-    # Row i observes nonnegativity then symmetry for each pair (i, j > i),
-    # as lhs[2m] and lhs[2m + 1] with j = i + 1 + m.  Identity of
-    # indiscernibles can fail only where d(i, j) <= tol; the row's batch is
-    # cut after such a pair, so its violation keeps its place in the order.
-    for i in range(n):
+
+def _symmetric_rows(table: list[list[float]], rank: list[int]):
+    """``(d(i, i), [d(i, j) for j > i], [d(j, i) for j > i])`` for each i,
+    read from a symmetric table whose rows and columns are in ``rank``
+    order."""
+    for i, r in enumerate(rank):
+        d_ij = list(map(table[r].__getitem__, rank[i + 1:]))
+        yield table[r][r], d_ij, d_ij
+
+
+def _observe_pairs(rb: ReportBuilder, vals: list[Value], rows, tol: float) -> None:
+    """Self-distance, nonnegativity, symmetry and identity of indiscernibles,
+    one row ``(d(i, i), [d(i, j) for j > i], [d(j, i) for j > i])`` at a time.
+
+    Row i observes nonnegativity then symmetry for each pair (i, j > i), as
+    lhs[2m] and lhs[2m + 1] with j = i + 1 + m.  Identity of indiscernibles
+    can fail only where d(i, j) <= tol; the row's batch is cut after such a
+    pair, so its violation keeps its place in the order.
+    """
+    for i, (d_ii, d_ij, d_ji) in enumerate(rows):
         vi = vals[i]
-        if dm[i][i] > tol:
-            rb.add_violation(("identity_self", vi), dm[i][i], 0.0)
+        if d_ii > tol:
+            rb.add_violation(("identity_self", vi), d_ii, 0.0)
         else:
-            rb.count_sample(-dm[i][i])
-        d_ij, d_ji = dm[i][i + 1:], cols[i][i + 1:]
+            rb.count_sample(-d_ii)
         lhs = list(chain.from_iterable(zip([-v for v in d_ij], map(abs, map(sub, d_ij, d_ji)))))
 
         def observe_pairs(lo: int, hi: int) -> None:
@@ -438,12 +490,18 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
                 start = m + 1
         observe_pairs(start, len(d_ij))
 
-    # Triangle d(i, j) <= d(i, k) + d(k, j), one (i, j) row of k at a time.
-    # Subtracting lhs and adding tol round monotonically, so min(sums) - lhs
-    # is the row's smallest margin, and the row holds a violation exactly
-    # when lhs > min(sums) + tol.  A NaN minimum, or no margin yet, takes
-    # the per-k path.
-    samples = rb.samples + n * n * n
+
+def _triangle_rows(rb: ReportBuilder, vals: list[Value], dm: list[list[float]],
+                   cols: list[tuple[float, ...]], tol: float) -> None:
+    """The triangle inequality for every (i, j, k), one (i, j) row of k at a
+    time.
+
+    Subtracting lhs and adding tol round monotonically, so min(sums) - lhs
+    is the row's smallest margin, and the row holds a violation exactly
+    when lhs > min(sums) + tol.  A NaN minimum, or no margin yet, takes the
+    per-k path.
+    """
+    n = len(vals)
     for i, row_i in enumerate(dm):
         vi = vals[i]
         for j, col_j in enumerate(cols):
@@ -464,5 +522,35 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
                     [lhs] * len(hits),
                     [sums[k] for k in hits],
                 )
-    rb.samples = samples
-    return rb.build()
+
+
+def _triangle_between(rb: ReportBuilder, vals: list[float], order: list[int],
+                      table: list[list[float]], tol: float) -> None:
+    """The triangle inequality on the usual metric, summing only the k
+    between i and j (see :func:`check_metric_axioms`).
+
+    ``table`` holds ``|vals[order[a]] - vals[order[b]]|`` at ``[a][b]``, so
+    the k between the a-th and b-th smallest samples are positions a..b of
+    both rows.  The smallest margin is folded into the running minimum, and
+    the hits of both (i, j) and (j, i) are recorded at the end, in (i, j, k)
+    order.
+    """
+    least_margin = rb.min_margin
+    hits = []
+    for a, row_a in enumerate(table):
+        tail = row_a[a:]
+        for b in range(a + 1, len(table)):
+            row_b = table[b]
+            lhs = row_a[b]
+            least = min(map(add, tail, row_b[a:b + 1]))
+            if least - lhs < least_margin:
+                least_margin = least - lhs
+            if lhs > least + tol:
+                i, j = order[a], order[b]
+                for c, s in enumerate(map(add, tail, row_b[a:b + 1]), a):
+                    if lhs > s + tol:
+                        hits += [(i, j, order[c], lhs, s), (j, i, order[c], lhs, s)]
+    rb.min_margin = least_margin
+    hits.sort()
+    rb.add_violations([("triangle", vals[i], vals[j], vals[k]) for i, j, k, _, _ in hits],
+                      [h[3] for h in hits], [h[4] for h in hits])

@@ -1,11 +1,17 @@
 """Command line behavior: exit codes, report JSON, trace CSV, demo output."""
 
+import argparse
+import io
 import json
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import couplefix
+from couplefix import cli
 from couplefix.cli import main, render_trace_csv
 from couplefix.solve import IterationTrace, TraceStep
 
@@ -526,3 +532,98 @@ class TestRunsPerStart:
         solve = read_json(report_path)["solve"]
         assert solve["verdict"] == verdict
         assert solve["runs"] == [r.to_dict() for r in reports]
+
+
+def parse_outcome(argv):
+    """The namespace ``build_parser`` makes of argv, or its exit code, with
+    what it printed; floats through ``repr`` so a NaN equals itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(cli.build_parser().parse_args(argv)).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def plain_argparse(monkeypatch):
+    """Make the command line parser argparse's own, without the ``--start``
+    run handling."""
+    monkeypatch.setattr(cli._ArgumentParser, "parse_known_args",
+                        argparse.ArgumentParser.parse_known_args)
+
+
+START_VALUES = ["0", "1", "-2", "-.5", "0.25", "1_000", "nan", "inf", "-1e5", "-5.", "a", "",
+                " 1", "-1 ", "--", "--start"]
+START_TOKENS = st.sampled_from(
+    ["--start", "--st", "--sta", "--star", "--s", "--start=1", "--json", "out.json",
+     "--max-iter", "3", "--trace", "t.csv", "--tol", "--bogus", "--", "banach-linear", "x"]
+    + START_VALUES)
+WELL_FORMED_START = st.tuples(
+    st.sampled_from(["--start", "--st", "--star"]),
+    st.sampled_from(["0", "-1", "0.5", "nan"]),
+    st.sampled_from(["1", "-.25", "2"]),
+).map(list)
+ANY_CHUNKS = st.lists(st.one_of(
+    WELL_FORMED_START,
+    st.tuples(st.sampled_from(["--start", "--st", "--star", "--s"]),
+              st.sampled_from(START_VALUES), st.sampled_from(START_VALUES)).map(list),
+    START_TOKENS.map(lambda t: [t]),
+), max_size=14)
+#: A source, then mostly runs of starts: command lines that parse.
+USABLE_CHUNKS = st.lists(st.one_of(
+    WELL_FORMED_START,
+    st.sampled_from([["--max-iter", "3"], ["--json", "-"], ["--"], ["--tol", "0.5"]]),
+), min_size=1, max_size=14).map(lambda chunks: [["x"]] + chunks)
+
+
+class TestStartParsing:
+    @given(
+        command=st.sampled_from(["solve", "demo", "check"]),
+        chunks=st.one_of(ANY_CHUNKS, USABLE_CHUNKS),
+    )
+    @example(command="solve", chunks=[["banach-linear"], ["--start", "1"]])
+    @example(command="solve", chunks=[["banach-linear"], ["--start", "a", "b"]])
+    @example(command="solve", chunks=[["--st", "0", "1"], ["--start", "2", "3"], ["--sta", "4", "5"],
+                                      ["x"], ["--start", "6", "7"], ["--start", "8", "a"]])
+    @example(command="solve", chunks=[["x"], ["--start", "1", "2"], ["--start", "3", "4"],
+                                      ["--"], ["--start", "5", "6"], ["--start", "7", "8"]])
+    @example(command="solve", chunks=[["x"], ["--start", "1", "2"], ["--start", "3", "4"],
+                                      ["--", "y"]])
+    @example(command="demo", chunks=[["x"], ["--json"], ["--start", "1", "2"],
+                                     ["--start", "3", "4"], ["out.json"]])
+    @example(command="solve", chunks=[["x"], ["--start", "-1 ", "2"], ["--start", "3", "4"],
+                                      ["--start", "5", "6"]])
+    @example(command="solve", chunks=[["x"], ["--start", "1", "2"], ["--s", "3", "4"]])
+    @settings(max_examples=300, deadline=None)
+    def test_namespace_and_errors_match_argparse(self, command, chunks):
+        argv = [command] + [t for chunk in chunks for t in chunk]
+        fixed = parse_outcome(argv)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            plain_argparse(monkeypatch)
+            assert parse_outcome(argv) == fixed
+
+    @pytest.mark.parametrize("starts", [["1"], ["a", "b"], ["1", "--json", "-"]])
+    def test_malformed_start_prints_usage_and_exits_3(self, starts, capsys):
+        argv = ["solve", "banach-linear", "--start", "0", "1", "--start", *starts]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == ""
+        assert err.startswith("usage: couplefix solve") and "argument --start: " in err
+
+    def test_a_run_of_starts_reaches_argparse_as_one_option(self, monkeypatch):
+        seen = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, args=None, namespace=None):
+            seen.append(list(args))
+            return parse(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        argv = ["solve", "banach-linear"]
+        for k in range(600):
+            argv += ["--start", str(k / 600), "-0.5"]
+        ns = cli.build_parser().parse_args(argv)
+        assert ns.start == [[k / 600, -0.5] for k in range(600)]
+        assert seen[-1] == ["banach-linear", "--start", "0.0", "-0.5"]

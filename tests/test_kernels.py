@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplefix import levelset, report, solve
+from couplefix import levelset, metric, report, solve
 from couplefix.checks import (
     DEFAULT_QUADRUPLE_BUDGET,
     check_coupling,
@@ -33,6 +33,7 @@ from couplefix.checks import (
     check_scc_map,
 )
 from couplefix.cli import main
+from couplefix.documents import registry_names
 from couplefix.errors import DomainError
 from couplefix.expr import parse_expression
 from couplefix.controls import (
@@ -169,6 +170,98 @@ def test_triangle_scan_matches_naive_loop_on_asymmetric_tables(n, values, tol):
         lambda: check_metric_axioms(space, plan, tol),
         lambda: naive_metric_axioms(space, plan, tol),
     )
+
+
+@given(
+    bounds=st.tuples(
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False),
+    ).map(lambda lw: (lw[0], lw[0] + lw[1])),
+    ends=st.tuples(st.booleans(), st.booleans()),
+    plan=st.builds(
+        SamplePlan,
+        grid_count=st.integers(2, 40),
+        jitter_count=st.integers(0, 3),
+        seed=st.integers(0, 50),
+    ),
+    tol=st.sampled_from([0.0, 1e-17, 1e-9]),
+)
+@example(bounds=(0.0, 0.35), ends=(True, True), plan=SamplePlan(36, 3, 4), tol=0.0)
+@example(bounds=(0.15, 2.25), ends=(True, True), plan=SamplePlan(29, 2, 4), tol=1e-17)
+@example(bounds=(0.15, 2.25), ends=(False, True), plan=SamplePlan(40, 3, 7), tol=0.0)
+@example(bounds=(-1.5e308, 1.5e308), ends=(True, True), plan=SamplePlan(9, 2, 1), tol=0.0)
+@example(bounds=(-1.5e308, 1.5e308), ends=(True, False), plan=SamplePlan(5, 0, 0), tol=1e-9)
+@settings(max_examples=40, deadline=None)
+def test_between_k_triangle_scan_matches_naive_loop_on_the_usual_metric(bounds, ends, plan, tol):
+    """Grids up to 40 with unsorted jitter, rounding-level violations at the
+    tiny tolerances, and an interval whose width overflows, which is
+    scanned in full."""
+    lo, hi = bounds
+    space = MetricSpace.real_line(lo, hi, *(ends if lo < hi else (True, True)))
+    _same_outcome(
+        lambda: check_metric_axioms(space, plan, tol),
+        lambda: naive_metric_axioms(space, plan, tol),
+    )
+
+
+@pytest.mark.parametrize("values", [[1.5e308, -1.5e308, 0.0], [0.5, 1e308, -1e308, 1.0]])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_finite_samples_whose_span_overflows_match_naive_loop(values, tol, monkeypatch):
+    """Every sample finite, but ``max - min`` is not: the full scan."""
+    monkeypatch.setattr(metric, "sample_values", lambda subset, plan: list(values))
+    space = MetricSpace.real_line(-1.5e308, 1.5e308)
+    _same_outcome(
+        lambda: check_metric_axioms(space, SamplePlan(), tol),
+        lambda: naive_metric_axioms(space, SamplePlan(), tol),
+    )
+
+
+def test_rounding_violations_are_reported_in_scan_order():
+    """The two examples above do produce rounding-level triangle violations,
+    from a sample whose jitter points are out of order."""
+    space = MetricSpace.real_line(0.15, 2.25)
+    plan = SamplePlan(29, 2, 4)
+    vals = [p.value for p in sample_points(SubsetSpec.from_intervals([space.carrier]), plan)]
+    assert vals != sorted(vals)
+    got = check_metric_axioms(space, plan, 1e-17)
+    assert got.violations and {v.witness[0] for v in got.violations} == {"triangle"}
+    index = {v: i for i, v in enumerate(vals)}
+    order = [tuple(index[w] for w in v.witness[1:]) for v in got.violations]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    assert check_metric_axioms(MetricSpace.real_line(0.0, 0.35), SamplePlan(36, 3, 4), 0.0).violations
+
+
+def _forbid_full_triangle_scan(monkeypatch):
+    """Make the every-k triangle loop raise, and count its calls."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("the triangle scan summed every k")
+
+    monkeypatch.setattr(metric, "_triangle_rows", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_builtins_at_grid_81_take_the_between_k_triangle_scan(name, monkeypatch, capsys):
+    calls = _forbid_full_triangle_scan(monkeypatch)
+    code = main(["check", name, "--samples", "81", "--jitter", "2", "--seed", "5"])
+    err = capsys.readouterr().err
+    assert calls == [] and "internal error" not in err and code in (0, 1)
+
+
+@pytest.mark.parametrize("space, tol", [
+    (MetricSpace.finite(["a", "b", "c"]), 1e-9),
+    (MetricSpace.real_line(0.0, 1.0, metric=lambda a, b: abs(a - b)), 1e-9),
+    (MetricSpace.real_line(0.0, 1.0), -0.1),
+    (MetricSpace.real_line(-1.5e308, 1.5e308), 1e-9),
+])
+def test_other_spaces_take_the_full_triangle_scan(space, tol, monkeypatch):
+    calls = _forbid_full_triangle_scan(monkeypatch)
+    with pytest.raises(AssertionError, match="summed every k"):
+        check_metric_axioms(space, SamplePlan(5), tol)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
