@@ -385,12 +385,14 @@ def _start_pair(values: list[str]) -> list[float] | None:
 
 
 def _collapse_starts(args: list[str], spellings: set[str]):
-    """``args`` without each well-formed ``--start X0 Y0`` that directly
-    follows another, and the pairs cut after each kept ``--start`` option,
-    keyed by its ordinal among the ``--start`` options before ``--``.
+    """``args`` with each run of well-formed ``--start X0 Y0`` options in a
+    row cut to its first option, and the pairs cut from each run, keyed by
+    the ordinal of its first option among the ``--start`` options before
+    ``--``.
 
-    A cut option stands between two ``--start`` options, which take values
-    only, so the kept arguments parse as before, less the cut pairs.
+    A well-formed option takes its two values and cannot fail, so argparse
+    does with the kept arguments what it does with all of them, except that
+    it appends only the first pair of each run.
     """
     kept: list[str] = []
     cut: dict[int, list[list[float]]] = {}

@@ -531,9 +531,10 @@ def _triangle_between(rb: ReportBuilder, vals: list[float], order: list[int],
 
     ``table`` holds ``|vals[order[a]] - vals[order[b]]|`` at ``[a][b]``, so
     the k between the a-th and b-th smallest samples are positions a..b of
-    both rows.  The smallest margin is folded into the running minimum, and
-    the hits of both (i, j) and (j, i) are recorded at the end, in (i, j, k)
-    order.
+    both rows.  A pair with i = j sums no less than its lhs of 0 and is
+    skipped.  The smallest margin is folded into the running minimum, which
+    the pair pass started (d(i, i) = 0 <= tol), and the hits of both (i, j)
+    and (j, i) are recorded at the end, in (i, j, k) order.
     """
     least_margin = rb.min_margin
     hits = []
