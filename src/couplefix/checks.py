@@ -39,15 +39,18 @@ rhs, and a float difference has the exact sign, so every violation has
 rhs - lhs < 0.  The values, the order of violations and every count
 therefore equal those of the per-quadruple loop.
 
-Most planes never reach that comprehension.  On the usual metric with left
-the identity (phi-T, and psi = identity), ``levelset`` evaluates a plane
+On the usual metric with left the identity (phi-T, and psi = identity),
+no plane reaches that comprehension: ``levelset`` evaluates a plane
 exactly in O(n_a + n_b) steps instead of n_a * n_b.  A plane that holds a
-violation, and every plane right after one, goes through the
-comprehension, which records the violations in order; so a failing check
-pays for the level set only on the planes that pass.  Any other metric, a
-left that is not the identity, or tables that ``levelset.applies`` rejects
-(a NaN or infinite entry, a right value of -0.0, a right that decreases on
-the sampled distances) leave every plane to the comprehension.
+violation also scans the cells of the row and column strips that can hold
+one and hands back their hits in scan order, so it costs its event sweep
+plus those cells, not n_a * n_b.  Any other metric, a left that is not
+the identity, or tables that ``levelset.applies`` rejects (a NaN or
+infinite entry, a right value of -0.0, a right that decreases on the
+sampled distances) leave every plane to the comprehension.
+
+A violation is recorded under its flat quadruple index, and its witness
+tuple is built only when the report's log is read.
 
 Every check reads F from ``CouplingMap.tables``: F, like T, is treated as
 a pure function and evaluated once per sampled pair.  When F fails, the
@@ -63,6 +66,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import add, gt, not_, sub
 from typing import Any, Callable, Optional, Sequence
@@ -237,9 +241,10 @@ def _contraction_scan(
     or the identity when ``t`` is None; ``left=None`` is the identity.
     ``left`` and ``right`` are evaluated once per distinct argument, and
     ``right`` only at distances that are the larger one in some M.
-    Violations are recorded in (x, y, u, v) index order.  Where the
-    level-set path applies (see the module docstring), a plane goes through
-    the comprehension only when it holds a violation or follows one.
+    Violations are recorded in (x, y, u, v) index order, each under its
+    flat index ((i * n_b + j) * n_b + j2) * n_a + i2, which ``_quadruple``
+    decodes.  Where the level-set path applies (see the module docstring),
+    no plane goes through the comprehension.
     """
     b_plan = plan_b or plan
     xs = sample_points(problem.subset_a, plan)
@@ -274,14 +279,9 @@ def _contraction_scan(
     lo_yv = min((v for row in d_yv for v in row if v == v), default=math.nan)
     nan_xu = any(v != v for row in d_xu for v in row)
 
-    def right_tables() -> tuple[list, list]:
-        return (
-            [[(m, right_of(m) if m >= lo_yv else None) for m in row] for row in d_xu],
-            [[(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
-             for row in d_yv],
-        )
-
-    r_xu, r_yv = right_tables()
+    r_xu = [[(m, right_of(m) if m >= lo_yv else None) for m in row] for row in d_xu]
+    r_yv = [[(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
+            for row in d_yv]
 
     # One (x, y) plane holds every (u, v) = (y_j2, x_i2), flattened at
     # k = j2 * na + i2, so plane order is quadruple order.
@@ -294,50 +294,46 @@ def _contraction_scan(
         from . import levelset
 
         if levelset.applies((f_ab, f_ba, d_xu, d_yv), right_at):
-            r_xu = r_yv = None  # rebuilt from right_at if a plane needs them
             level = levelset.plane_evaluator(ix, iy, f_ba, right_at, tol)
-    loose = tol < 0
     left_at: dict[float, float] = {}
-    rb = ReportBuilder(name, tol)
+    rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv))
     min_margin = math.inf
-    suspect = False  # the previous plane held a violation
     for i in range(na):
         fab_i = f_ab[i]
         for j in range(nb):
             fab = fab_i[j]
-            if level is not None and not suspect:
-                plane_min = level(i, j, fab)
-                if plane_min is not None:
-                    if plane_min < min_margin:
-                        min_margin = plane_min
-                    continue
-            if r_xu is None:
-                r_xu, r_yv = right_tables()
-            rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
-            dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
-            lhs = dist if left is None else _memo_map(left_at, left, dist)
-            # the running minimum skips NaN margins, as a sample-by-sample scan does
-            plane_min = min(chain((math.inf,), map(sub, rhs, lhs)))
+            if level is not None:
+                plane_min, hits, lhs, rhs = level(i, j, fab)
+            else:
+                rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
+                dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
+                lhs = dist if left is None else _memo_map(left_at, left, dist)
+                # the running minimum skips NaN margins, as a sample-by-sample scan does
+                plane_min = min(chain((math.inf,), map(sub, rhs, lhs)))
+                # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
+                # a plane whose margins are all >= 0 holds none.
+                hits = []
+                if plane_min < 0 or tol < 0:
+                    hits = list(compress(count(), map(gt, lhs, map(add, rhs, repeat(tol)))))
+                    lhs, rhs = list(map(lhs.__getitem__, hits)), list(map(rhs.__getitem__, hits))
             if plane_min < min_margin:
                 min_margin = plane_min
-            # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
-            # a plane whose margins are all >= 0 holds none.
-            suspect = False
-            if plane_min < 0 or loose:
-                bound = map(add, rhs, repeat(tol))
-                hits = list(compress(count(), map(gt, lhs, bound)))
-                if hits:
-                    suspect = True
-                    x, y = xv[i], yv[j]
-                    rb.add_violations(
-                        [("contraction", x, y, yv[j2], xv[i2])
-                         for j2, i2 in map(divmod, hits, repeat(na))],
-                        list(map(lhs.__getitem__, hits)),
-                        list(map(rhs.__getitem__, hits)),
-                    )
+            if hits:
+                base = (i * nb + j) * nb * na
+                rb.add_violations(list(map(add, hits, repeat(base))), lhs, rhs)
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin
     return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
+
+
+def _quadruple(xv: list[Value], yv: list[Value], key: int) -> tuple:
+    """The witness of the quadruple at flat index ``key`` (see
+    ``_contraction_scan``)."""
+    na, nb = len(xv), len(yv)
+    plane, k = divmod(key, nb * na)
+    i, j = divmod(plane, nb)
+    j2, i2 = divmod(k, na)
+    return ("contraction", xv[i], yv[j], yv[j2], xv[i2])
 
 
 def _memo_map(memo: dict, fn: Callable[[float], float], args: list) -> list:

@@ -20,7 +20,6 @@ import json
 import re
 import sys
 import time
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -185,7 +184,7 @@ def _print_checks(reports: list[tuple[str, CheckReport]]) -> None:
         mark = "PASS" if r.passed else "FAIL"
         print(f"[{mark}] {label}: samples={r.samples_tested} violations={r.violation_count}")
         if not r.passed and r.violations:
-            worst = max(r.violations, key=attrgetter("residual"))
+            worst, = r.violations.largest(1)
             print(f"       worst: lhs={_fmt_num(worst.lhs)} rhs={_fmt_num(worst.rhs)} "
                   f"witness={worst.witness}")
     failed = sum(1 for _, r in reports if not r.passed)

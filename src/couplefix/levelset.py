@@ -15,6 +15,15 @@ X > right(rho) + tol at some level.  Subtraction and adding tol round
 monotonically, so both results are exact in floating point, not bounds,
 and a plane costs O(n_a + n_b) steps instead of n_a * n_b.
 
+The rectangle grows by one row or column strip at a time, and each (u, v)
+cell enters it once: in the strip of whichever of its row and its column
+comes second, at a distance equal to the cell's own M.  F(x, y) - W rounds
+monotonically in W, so a strip holds a violation exactly when
+F(x, y) - min W or max W - F(x, y) exceeds right(M) + tol there.  A
+plane that holds violations scans only the strips that fail this test, and
+its hits, sorted by index, are its violations in scan order: a failing
+plane costs O(n_a + n_b) steps plus the cells of its failing strips.
+
 ``applies`` says when the argument holds for the tables at hand: every
 entry finite, no right value of -0.0 (the sign of a zero margin would then
 depend on the scan order), and right nondecreasing over the sampled
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, gt, itemgetter, le, sub
 from typing import Optional
 
@@ -79,26 +88,38 @@ def _outward(ordered: list[float], a: float) -> tuple[int, list[tuple[float, int
 
 def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     right_at: dict[float, float], tol: float):
-    """``plane(i, j, fab)``: the smallest margin of plane (i, j), or None
-    when the plane holds a violation.
+    """``plane(i, j, fab)``: the smallest margin of plane (i, j), the keys
+    ``j2 * n_a + i2`` of its violations in scan order, and their lhs and rhs.
 
     Rows p and columns q of the sorted grid are u = y_j2 and v = x_i2
     ordered by image, so {M <= rho} is the rows within rho of Ix_i times the
     columns within rho of Iy_j.  The rectangle grows by one row or column
-    per event, in order of distance; sparse tables give the new strip's min
-    and max.  A part of a level is a subset of it with the same right, so
-    it never lowers either result.  right - X is the smaller of
+    strip per event, in order of distance; sparse tables give the new
+    strip's min and max.  A part of a level is a subset of it with the same
+    right, so it never lowers either result.  right - X is the smaller of
     right - (fab - min W) and right - (max W - fab), and each of those can
     only fall where its own extreme moves, so one (Ix_i, Iy_j) pair's
     profile keeps right and min W at the events that lower min W, and the
     same for max W.  Up to n_b profiles are kept for planes with the same
     image pair.
+
+    The plane's violations are the cells of the strips with
+    fab - min W > right + tol or max W - fab > right + tol (see the module
+    docstring).  They are searched for with ``fab`` in a second sweep, and
+    once one plane has failed, every new profile is swept with ``fab``.
     """
+    na = len(ix)
     su = sorted(range(len(iy)), key=iy.__getitem__)
-    sv = sorted(range(len(ix)), key=ix.__getitem__)
+    sv = sorted(range(na), key=ix.__getitem__)
     grid = [[f_ba[j2][i2] for i2 in sv] for j2 in su]
+    cols = list(map(list, zip(*grid)))
+    row_keys = [[j2 * na + i2 for i2 in sv] for j2 in su]
+    # lines[k] is row k of the sorted grid for k >= 0 and column ~k for
+    # k < 0; line_keys[k] holds the scan index j2 * na + i2 of each cell
+    lines = grid + cols[::-1]
+    line_keys = row_keys + list(map(list, zip(*row_keys)))[::-1]
     row_lo, row_hi = zip(*map(_sparse_tables, grid))
-    col_lo, col_hi = zip(*map(_sparse_tables, map(list, zip(*grid))))
+    col_lo, col_hi = zip(*map(_sparse_tables, cols))
     # log2[d]: the sparse-table level that covers a window of d + 1 values
     log2 = [(d + 1).bit_length() - 1 for d in range(max(len(ix), len(iy)))]
     u_sorted, v_sorted = [iy[j2] for j2 in su], [ix[i2] for i2 in sv]
@@ -110,8 +131,11 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         v_events[b] = at, [(rho, ~q) for rho, q in events]
     profiles: dict[tuple[float, float], tuple] = {}
     inf = math.inf
+    failed = False
 
-    def profile(a: float, b: float) -> tuple[list[float], ...]:
+    def sweep(a: float, b: float, fab: Optional[float]) -> tuple[tuple, Optional[list]]:
+        """The profile of (a, b) and, with ``fab``, the (key, lhs, rhs) of
+        each violation of the plane with F(x, y) = fab, in scan order."""
         if a not in u_events:
             u_events.clear()
             u_events[a] = _outward(u_sorted, a)
@@ -119,6 +143,8 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         pr, qr = pl - 1, ql - 1  # empty rectangles at the insertion points
         lo, hi = inf, -inf
         lo_r, lo_w, hi_r, hi_w = [], [], [], []
+        if fab is not None:
+            cells, keys, rights, bounds = [], [], [], []  # of the failing strips
         # a stable sort on distance alone keeps each side's outward order
         for rho, k in sorted(ue + ve, key=itemgetter(0)):
             if k >= 0:  # row k over the columns so far
@@ -130,47 +156,67 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     continue
                 s = log2[qr - ql]
                 t_lo, t_hi = row_lo[k][s], row_hi[k][s]
-                i1, i2 = ql, qr + 1 - (1 << s)
+                first, last = ql, qr + 1 - (1 << s)
             else:  # column ~k over the rows so far
-                k = ~k
-                if k < ql:
-                    ql = k
+                q = ~k
+                if q < ql:
+                    ql = q
                 else:
-                    qr = k
+                    qr = q
                 if pl > pr:
                     continue
                 s = log2[pr - pl]
-                t_lo, t_hi = col_lo[k][s], col_hi[k][s]
-                i1, i2 = pl, pr + 1 - (1 << s)
-            w, w2 = t_lo[i1], t_lo[i2]
-            if w2 < w:
-                w = w2
-            if w < lo:
-                lo = w
+                t_lo, t_hi = col_lo[q][s], col_hi[q][s]
+                first, last = pl, pr + 1 - (1 << s)
+            # the strip is first .. last + 2**s - 1, two windows of 2**s
+            w_lo, w = t_lo[first], t_lo[last]
+            if w < w_lo:
+                w_lo = w
+            if w_lo < lo:
+                lo = w_lo
                 lo_r.append(right_at[rho])
-                lo_w.append(w)
-            w, w2 = t_hi[i1], t_hi[i2]
-            if w2 > w:
-                w = w2
-            if w > hi:
-                hi = w
+                lo_w.append(w_lo)
+            w_hi, w = t_hi[first], t_hi[last]
+            if w > w_hi:
+                w_hi = w
+            if w_hi > hi:
+                hi = w_hi
                 hi_r.append(right_at[rho])
-                hi_w.append(w)
-        return lo_r, lo_w, hi_r, hi_w
+                hi_w.append(w_hi)
+            if fab is not None:
+                r = right_at[rho]
+                bound = r + tol
+                if fab - w_lo > bound or w_hi - fab > bound:
+                    end = last + (1 << s)
+                    cells += lines[k][first:end]
+                    keys += line_keys[k][first:end]
+                    rights += [r] * (end - first)
+                    bounds += [bound] * (end - first)
+        profile = lo_r, lo_w, hi_r, hi_w
+        if fab is None:
+            return profile, None
+        lhs = list(map(abs, map(sub, repeat(fab), cells)))
+        return profile, sorted(compress(zip(keys, lhs, rights), map(gt, lhs, bounds)))
 
-    def plane(i: int, j: int, fab: float) -> Optional[float]:
+    def plane(i: int, j: int, fab: float) -> tuple[float, tuple, tuple, tuple]:
+        nonlocal failed
         key = (ix[i], iy[j])
-        prof = profiles.get(key)
+        prof, found = profiles.get(key), None
         if prof is None:
             if len(profiles) >= len(iy):
                 profiles.clear()
-            prof = profiles[key] = profile(*key)
+            prof, found = sweep(*key, fab if failed else None)
+            profiles[key] = prof
         lo_r, lo_w, hi_r, hi_w = prof
         below = list(map(sub, repeat(fab), lo_w))
         above = list(map(sub, hi_w, repeat(fab)))
-        if (any(map(gt, below, map(add, lo_r, repeat(tol))))
+        margin = min(min(map(sub, lo_r, below)), min(map(sub, hi_r, above)))
+        # with tol >= 0, a violation has a negative margin (see checks)
+        if found is None and (margin < 0 or tol < 0) and (
+                any(map(gt, below, map(add, lo_r, repeat(tol))))
                 or any(map(gt, above, map(add, hi_r, repeat(tol))))):
-            return None
-        return min(min(map(sub, lo_r, below)), min(map(sub, hi_r, above)))
+            failed = True
+            found = sweep(*key, fab)[1]
+        return (margin, *zip(*found)) if found else (margin, (), (), ())
 
     return plane

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from collections import Counter
@@ -33,7 +34,7 @@ from couplefix.checks import (
     check_scc_map,
 )
 from couplefix.cli import main
-from couplefix.documents import registry_names
+from couplefix.documents import build_problem, builtin_registry, registry_names
 from couplefix.errors import DomainError
 from couplefix.expr import parse_expression
 from couplefix.controls import (
@@ -688,6 +689,101 @@ def test_banach_linear_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_
     assert calls["built"] == 1
     assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
     assert calls["violating"] == 0
+
+
+# ---------------------------------------------------------------------------
+# failing planes on the level-set path
+
+
+def _contraction_checks(problem, plan, tol, plan_b):
+    """The kernel's check of ``problem`` and the naive loop it must equal."""
+    if problem.kind == "coincidence":
+        return (
+            lambda: check_phi_T_contraction(problem, plan, tol, plan_b),
+            lambda: naive_contraction(
+                "phi_T_contraction", problem, problem.self_map.evaluate,
+                lambda t: t, lambda m: eval_control(problem.phi, m), plan, tol, plan_b,
+            ),
+        )
+    return (lambda: check_phi_psi_contraction(problem, plan, tol, plan_b),
+            lambda: _naive_phi_psi(problem, plan, tol, plan_b))
+
+
+def _failing_problem(strong, f, t, slope, a, b):
+    """A problem on the usual metric whose contraction check the level-set
+    path takes, with a small phi slope so that violations abound."""
+    space = MetricSpace.real_line(-1.0, 3.0)
+    coupling = CouplingMap.from_function(LEVEL_COUPLINGS[f])
+    if strong:
+        phi = with_declared_class(make_linear(slope), ControlClass.ALTERING)
+        return _strong_problem(space, a, b, coupling, phi, identity_control())
+    return CoincidenceProblem(space=space, subset_a=a, subset_b=b, coupling=coupling,
+                              self_map=SelfMap.from_function(LEVEL_SELF_MAPS[t]),
+                              phi=make_linear(slope))
+
+
+FAILING_PROBLEMS = st.builds(
+    _failing_problem,
+    strong=st.booleans(),
+    f=st.sampled_from(sorted(LEVEL_COUPLINGS)),
+    t=st.sampled_from(sorted(LEVEL_SELF_MAPS)),
+    slope=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+    a=LEVEL_SUBSETS,
+    b=LEVEL_SUBSETS,
+)
+
+
+@given(
+    problem=FAILING_PROBLEMS,
+    plan=PLANS_A,
+    plan_b=st.one_of(st.none(), PLANS_B),
+    tol=TOLS,
+    cap=st.sampled_from([0, 1, 7]),
+)
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(21),
+         plan_b=None, tol=1e-9, cap=7)
+@example(problem=build_problem(builtin_registry("example-2.1.9")), plan=SamplePlan(11),
+         plan_b=SamplePlan(21), tol=-0.01, cap=7)
+# hits that are not symmetric in (i2, j2), to tell the scan index j2 * n_a + i2 apart
+@example(problem=_failing_problem(False, "first", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(2), plan_b=None, tol=1e-9, cap=0)
+@settings(max_examples=150, deadline=None)
+def test_failing_level_set_planes_match_naive_loop(problem, plan, plan_b, tol, cap):
+    """Every plane takes the level-set path, failing ones included, and the
+    report equals the naive loop's under a small recording cap."""
+    fast, naive = _contraction_checks(problem, plan, tol, plan_b)
+    with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        _same_outcome(fast, naive)
+    na = len(sample_points(problem.subset_a, plan))
+    nb = len(sample_points(problem.subset_b, plan_b or plan))
+    assert calls["built"] == 1
+    assert calls["planes"] == na * nb
+
+
+def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_path, capsys):
+    argv = ["check", "negative-midpoint", "--samples", "81", "--jitter", "2",
+            "--json", str(tmp_path / "report.json")]
+    with level_set_spy() as calls:
+        assert main(argv) == 1
+    capsys.readouterr()
+    assert calls["built"] == 1
+    assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
+
+
+def test_failing_contraction_report_stays_compact():
+    """The report of a check with tens of thousands of violations keeps
+    them in arrays, not as tuples."""
+    problem = build_problem(builtin_registry("negative-midpoint"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = check_phi_psi_contraction(problem, SamplePlan(81, 2, 3))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert got.violation_count == len(got.violations) == 43132
+    assert held < 2_000_000
 
 
 # ---------------------------------------------------------------------------

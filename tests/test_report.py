@@ -1,0 +1,134 @@
+"""The violation log against the list of ``Violation`` it stands for.
+
+``CheckReport.violations`` is a ``ViolationLog``: columns of keys, lhs, rhs
+and residuals that build each ``Violation`` as it is read.  Everything a
+reader can do with the list (length, indexing, slicing, iteration, ``==``,
+``repr``) must give what the list gives, and the worst violations that
+``to_dict(keep)`` and the command line read from the residual column must
+be those ``heapq.nlargest`` picks from the list.
+"""
+
+from __future__ import annotations
+
+import heapq
+import json
+import math
+import pickle
+from operator import attrgetter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from couplefix import report
+from couplefix.checks import check_phi_psi_contraction
+from couplefix.cli import MAX_JSON_VIOLATIONS, main
+from couplefix.documents import build_problem, builtin_registry
+from couplefix.metric import SamplePlan
+from couplefix.report import CheckReport, ReportBuilder, Violation, ViolationLog
+
+VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, 0.1 + 0.2])
+BATCHES = st.lists(st.lists(st.tuples(VALUES, VALUES), max_size=6), max_size=6)
+
+
+def _recorded(batches, keyed: bool) -> CheckReport:
+    """A report of every (lhs, rhs) as a violation, its witness ("w", b, k)
+    stored as itself or built from an integer key."""
+    witness = (lambda key: ("w", *divmod(key, 100))) if keyed else None
+    rb = ReportBuilder("log", 0.0, witness)
+    for b, batch in enumerate(batches):
+        keys = [100 * b + k if keyed else ("w", b, k) for k in range(len(batch))]
+        rb.add_violations(keys, [lhs for lhs, _ in batch], [rhs for _, rhs in batch])
+    return rb.build()
+
+
+@given(batches=BATCHES, keyed=st.booleans(), cap=st.sampled_from([None, 0, 1, 3]))
+@settings(max_examples=200, deadline=None)
+def test_log_reads_like_the_list_it_stands_for(batches, keyed, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        log = _recorded(batches, keyed).violations
+    plain = list(log)
+    assert all(type(v) is Violation for v in plain)
+    assert repr(log) == repr(plain)
+    assert len(log) == len(plain)
+    assert bool(log) == bool(plain)
+    if not any(v.residual != v.residual for v in plain):  # NaN != NaN, in a list too
+        assert log == plain and plain == log and log == log[:]
+    assert log != plain + [Violation(("other",), 0.0, 0.0, 0.0)]
+    assert repr([log[k] for k in range(-len(log), len(log))]) == repr(plain + plain)
+    for cut in (slice(None), slice(-3, None), slice(None, None, 2), slice(5, 1, -1)):
+        assert repr(log[cut]) == repr(plain[cut])
+    with pytest.raises(IndexError):
+        log[len(log)]
+
+
+def test_a_list_passed_to_a_report_becomes_a_log_of_the_same_violations():
+    listed = [Violation(("a",), 2.0, 1.0, 1.0), Violation(("b",), 1, 0, 1)]
+    got = CheckReport("direct", 2, listed, -1.0, "fail")
+    assert isinstance(got.violations, ViolationLog)
+    assert got.violations == listed
+    assert repr(got) == repr(CheckReport("direct", 2, ViolationLog.of(listed), -1.0, "fail"))
+    assert CheckReport("empty", 0, [], None, "pass").violations == []
+
+
+def test_a_failing_contraction_report_survives_pickling():
+    problem = build_problem(builtin_registry("negative-midpoint"))
+    got = check_phi_psi_contraction(problem, SamplePlan(9), 1e-9)
+    assert got.violations
+    assert repr(pickle.loads(pickle.dumps(got))) == repr(got)
+
+
+def test_values_that_are_not_floats_keep_their_type():
+    rb = ReportBuilder("ints", 0.0)
+    rb.add_violations([("a",), ("b",)], [1.5, 2.0], [0.0, 1.0])
+    rb.add_violation(("c",), 3, 1)
+    got = rb.build().violations
+    assert repr(got) == repr([Violation(("a",), 1.5, 0.0, 1.5), Violation(("b",), 2.0, 1.0, 1.0),
+                              Violation(("c",), 3, 1, 2)])
+    assert type(got[-1].lhs) is int
+
+
+@given(batches=BATCHES, keyed=st.booleans(), cap=st.sampled_from([None, 1, 3]),
+       keep=st.sampled_from([0, 1, 2, 5]))
+# ties at the largest residual, and a NaN residual (inf - inf) first
+@example(batches=[[(2.0, 1.0), (1.0, 0.0), (2.0, 1.0)]], keyed=False, cap=None, keep=2)
+@example(batches=[[(math.inf, math.inf), (1.0, 0.0), (2.0, 0.0)]], keyed=True, cap=None, keep=2)
+@settings(max_examples=200, deadline=None)
+def test_worst_violations_match_nlargest_on_the_list(batches, keyed, cap, keep):
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        got = _recorded(batches, keyed)
+    plain = list(got.violations)
+    assert got.violation_count == sum(map(len, batches))
+    want = heapq.nlargest(keep, plain, key=attrgetter("residual"))
+    assert repr(got.to_dict(keep)["violations"]) == repr([v.to_dict() for v in want])
+    if plain:
+        assert repr(got.violations.largest(1)) == repr([max(plain, key=attrgetter("residual"))])
+
+
+def _check_negative_midpoint(tmp_path, capsys, name: str) -> tuple[dict, list[str]]:
+    path = tmp_path / f"{name}.json"
+    assert main(["check", "negative-midpoint", "--json", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    checks = {c["slot"]: c for c in json.loads(path.read_text())["checks"]}
+    return checks["contraction"], out
+
+
+def test_truncated_log_reports_the_same_count_and_worst_violation(tmp_path, capsys):
+    full, full_out = _check_negative_midpoint(tmp_path, capsys, "full")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", 10)
+        capped, capped_out = _check_negative_midpoint(tmp_path, capsys, "capped")
+    count = full["violation_count"]
+    assert count > 10
+    assert "violations_dropped" not in full["details"]
+    assert capped["violation_count"] == count
+    assert capped["details"]["violations_dropped"] == count - 10
+    worst = [line for line in full_out if line.lstrip().startswith("worst:")]
+    assert len(worst) == 1
+    assert worst == [line for line in capped_out if line.lstrip().startswith("worst:")]
+    assert capped["violations"][0] == full["violations"][0]
+    assert len(full["violations"]) == MAX_JSON_VIOLATIONS
