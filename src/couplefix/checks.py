@@ -16,7 +16,7 @@ and tests
 for an image map I: the self map T with left = identity and right = phi
 (phi-T contraction), or the identity with left = psi and right = psi - phi
 (the altering pair of a strong coupled problem).  The T images come from
-``SelfMap.sample_images``, the full-grid table the self-map and range
+``SelfMap.image_table``, the full-grid table the self-map and range
 checks read too.  Both distances in M are read as written, so the kernel
 does not assume the metric is symmetric.
 The quadruple count grows with the fourth power of the grid, so a budget
@@ -52,10 +52,13 @@ sampled distances) leave every plane to the comprehension.
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.
 
-Every check reads F from ``CouplingMap.tables``: F, like T, is treated as
-a pure function and evaluated once per sampled pair.  When F fails, the
-coupling and range checks evaluate again in their pair-by-pair order, so
-they raise the error that order meets first.  Membership is tested a row
+Every check evaluates F through ``CouplingMap.value_fn``, whose values
+are made finite floats or labels where they are computed: F, like T, is
+treated as a pure function and evaluated once per sampled pair, and the
+first pair that fails in a check's own order raises, with nothing
+evaluated again.  The coupling and range checks build one interleaved row
+per x or y, F(x, y) then F(y, x) for each partner; the contraction check
+reads ``CouplingMap.tables``.  Membership is tested a row
 at a time (``metric.contains_values``); the range check bisects each real
 candidate pool (``_padded``) and records a row at a time with
 ``ReportBuilder.observe_all``, which equals one ``observe`` per sample.
@@ -81,7 +84,7 @@ from .metric import (
     _usual_real,
     contains,
     contains_values,
-    sample_points,
+    sample_values,
     separation,
 )
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
@@ -113,36 +116,23 @@ def check_coupling(
     One sample per (x, y) pair; a pair can contribute up to two membership
     violations, each carrying the offending arguments and the image value.
     """
-    xs = sample_points(a, plan)
-    ys = sample_points(b, plan_b or plan)
-    f_ab, f_ba = _pair_tables(f, xs, ys)
+    xs = sample_values(a, plan)
+    ys = sample_values(b, plan_b or plan)
+    g = f.value_fn
     rb = ReportBuilder("coupling", 0.0)
-    for x, row_b, row_a in zip(xs, f_ab, zip(*f_ba)):
+    for x in xs:
         # scan order: F(x, y_j) in B at 2j, F(y_j, x) in A at 2j + 1
-        inside = chain.from_iterable(zip(contains_values(b, row_b), contains_values(a, row_a)))
+        row = [w for y in ys for w in (g(x, y), g(y, x))]
+        inside = chain.from_iterable(zip(contains_values(b, row[::2]),
+                                         contains_values(a, row[1::2])))
         out = list(compress(count(), map(not_, inside)))
         rb.add_violations(
-            [("image_in_A", ys[k // 2].value, x.value, row_a[k // 2]) if k % 2
-             else ("image_in_B", x.value, ys[k // 2].value, row_b[k // 2]) for k in out],
+            [("image_in_A", ys[k // 2], x, row[k]) if k % 2
+             else ("image_in_B", x, ys[k // 2], row[k]) for k in out],
             [1.0] * len(out), [0.0] * len(out),
         )
     rb.samples = len(xs) * len(ys)
     return rb.build({"pairs": len(xs) * len(ys)})
-
-
-def _pair_tables(f: CouplingMap, firsts: list[Point], seconds: list[Point],
-                 visit: Callable[[int, Value], Any] = lambda side, v: None) -> tuple:
-    """``f.tables(firsts, seconds)``; on an error, the pair-by-pair scan
-    F(p, q), ``visit(0, value)``, F(q, p), ``visit(1, value)`` over p in
-    ``firsts`` and q in ``seconds`` raises what that scan meets first."""
-    try:
-        return f.tables(firsts, seconds)
-    except Exception:
-        for p in firsts:
-            for q in seconds:
-                visit(0, f.evaluate(p, q).value)
-                visit(1, f.evaluate(q, p).value)
-        raise
 
 
 def _unique_sorted(values: list[Value], cap: int = 24) -> Optional[list[Value]]:
@@ -174,7 +164,7 @@ def _closedness(
     if any(isinstance(v, str) for v in images):
         return "inconclusive"
     refined = SamplePlan(2 * plan.grid_count - 1, plan.jitter_count, plan.seed)
-    rimages = t.sample_images(subset, refined)[1]
+    rimages = t.image_table(subset, refined)[1]
     if any(isinstance(v, str) for v in rimages):
         return "inconclusive"
     stable = (
@@ -203,11 +193,11 @@ def check_scc_map(
     lists: dict[str, Optional[list[Value]]] = {}
     examined = 0
     for name, subset, pl in (("A", a, plan), ("B", b, plan_b or plan)):
-        pts, images = t.sample_images(subset, pl)
+        values, images = t.image_table(subset, pl)
         outside = [k for k, inside in enumerate(contains_values(subset, images)) if not inside]
-        rb.add_violations([(f"invariance_{name}", pts[k].value, images[k]) for k in outside],
+        rb.add_violations([(f"invariance_{name}", values[k], images[k]) for k in outside],
                           [1.0] * len(outside), [0.0] * len(outside))
-        examined += len(pts)
+        examined += len(values)
         lists[name] = _unique_sorted(images)
         details[f"image_{name}_values"] = lists[name]
         details[f"closedness_{name}"] = _closedness(t, subset, pl, images, tol)
@@ -247,21 +237,19 @@ def _contraction_scan(
     no plane goes through the comprehension.
     """
     b_plan = plan_b or plan
-    xs = sample_points(problem.subset_a, plan)
-    ys = sample_points(problem.subset_b, b_plan)
-    total = len(xs) * len(ys) * len(ys) * len(xs)
-    stride = _quadruple_stride(len(xs), len(ys), budget)
-    xs, ys = xs[::stride], ys[::stride]
-    na, nb = len(xs), len(ys)
-    d, f = problem.space.metric, problem.coupling
-    f_ab, f_ba = f.tables(xs, ys)
-    xv = [p.value for p in xs]
-    yv = [q.value for q in ys]
+    xv = sample_values(problem.subset_a, plan)
+    yv = sample_values(problem.subset_b, b_plan)
+    total = len(xv) * len(yv) * len(yv) * len(xv)
+    stride = _quadruple_stride(len(xv), len(yv), budget)
+    xv, yv = xv[::stride], yv[::stride]
+    na, nb = len(xv), len(yv)
+    d = problem.space.metric
+    f_ab, f_ba = problem.coupling.tables(xv, yv)
     if t is None:
         ix, iy = xv, yv
     else:
-        ix = t.sample_images(problem.subset_a, plan)[1][::stride]
-        iy = t.sample_images(problem.subset_b, b_plan)[1][::stride]
+        ix = t.image_table(problem.subset_a, plan)[1][::stride]
+        iy = t.image_table(problem.subset_b, b_plan)[1][::stride]
     d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
     d_yv = [[d(b, a) for a in ix] for b in iy]  # d_yv[j][i2] = d(Iy_j, Iv_i2)
 
@@ -418,9 +406,9 @@ def check_range_compatibility(
     drawn from without shrinking the candidate pools.
     """
     b_plan = plan_b or plan
-    a_pts, ta_vals = t.sample_images(a, plan)
-    b_pts, tb_vals = t.sample_images(b, b_plan)
-    tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
+    xv, ta_vals = t.image_table(a, plan)
+    bv, tb_vals = t.image_table(b, b_plan)
+    tgt = sample_values(targets_b, b_plan) if targets_b is not None else bv
     # side 0: F(y, x) against t(A); side 1: F(x, y) against t(B)
     sides = [(pool, _padded(pool), subset) for pool, subset in ((ta_vals, a), (tb_vals, b))]
 
@@ -437,22 +425,27 @@ def check_range_compatibility(
     def refine(side: int, tv: Value, best: float) -> float:
         """A target that lies in its own subset is also its own candidate."""
         if best > tol and contains(sides[side][2], Point(tv)):
-            return min(best, separation(t.evaluate(Point(tv)).value, tv))
+            return min(best, separation(t.value_fn(tv), tv))
         return best
 
-    to_a, to_b = _pair_tables(
-        f, tgt_pts, a_pts, lambda side, tv: refine(side, tv, search(side, [tv])[0])
-    )
-    xv = [p.value for p in a_pts]
+    g = f.value_fn
     zeros = [0.0] * (2 * len(xv))
     rb = ReportBuilder("range_compatibility", tol)
-    for y, row_a, row_b in zip(tgt_pts, to_a, zip(*to_b)):
+    for yv in tgt:
         # targets in scan order: F(y, x_i) at 2i, F(x_i, y) at 2i + 1
-        targets = list(chain.from_iterable(zip(row_a, row_b)))
-        bests = list(chain.from_iterable(zip(search(0, row_a), search(1, row_b))))
+        targets: list[Value] = []
+        try:
+            targets.extend(w for x in xv for w in (g(yv, x), g(x, yv)))
+        except Exception:
+            # T is evaluated between F pairs: a failing T met before the
+            # failing pair raises instead
+            for k, tv in enumerate(targets):
+                refine(k % 2, tv, search(k % 2, [tv])[0])
+            raise
+        bests = list(chain.from_iterable(zip(search(0, targets[::2]),
+                                             search(1, targets[1::2]))))
         for k in [k for k, best in enumerate(bests) if best > tol]:
             bests[k] = refine(k % 2, targets[k], bests[k])
-        yv = y.value
 
         def witness(k: int) -> tuple:
             if k % 2:
@@ -460,4 +453,4 @@ def check_range_compatibility(
             return ("target_in_T_A", yv, xv[k // 2], targets[k])
 
         rb.observe_all(bests, zeros, witness)
-    return rb.build({"pairs": len(tgt_pts) * len(a_pts)})
+    return rb.build({"pairs": len(tgt) * len(xv)})

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import ExprEvalError, ExprSyntaxError
+from .errors import DomainError, ExprEvalError, ExprSyntaxError
 
 # ---------------------------------------------------------------------------
 # AST
@@ -427,7 +427,8 @@ def bind_exact(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[
     return _compile(ast, params, exact=True, check_free=check_free)
 
 
-def bind_function(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., float]:
+def bind_function(ast: Expr, params: tuple[str, ...], check_free=None, *,
+                  finite: bool = False) -> Callable[..., float]:
     """Compile an expression into a positional float function of ``params``.
 
     Rejects expressions whose free variables do not fit the slot, and trees
@@ -438,6 +439,11 @@ def bind_function(ast: Expr, params: tuple[str, ...], check_free=None) -> Callab
     a NaN result.  Other arguments go through that exact function, which is
     compiled on the first such call.  ``check_free`` is as for
     :func:`bind_exact`.
+
+    With ``finite`` set, the function follows the rule of a map's values
+    (``Point.real``): a result of ±inf raises its ``DomainError``, and so
+    does an ``OverflowError`` of a float operation, instead of returning
+    ±inf or raising ``OverflowError``.
     """
     exact = None
 
@@ -445,16 +451,14 @@ def bind_function(ast: Expr, params: tuple[str, ...], check_free=None) -> Callab
         nonlocal exact
         if exact is None:
             exact = bind_exact(ast, params)
-        result = float(exact(*args))
-        if math.isnan(result):
-            raise ExprEvalError("expression evaluated to NaN")
-        return result
+        return float(exact(*args))
 
-    return _compile(ast, params, exact=False, rounded=rounded, check_free=check_free)
+    return _compile(ast, params, exact=False, rounded=rounded, check_free=check_free,
+                    finite=finite)
 
 
 def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
-             check_free=None) -> Callable:
+             check_free=None, finite: bool = False) -> Callable:
     """The function ``_lowered(*params)`` generated by :class:`_Lowering`."""
     if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
         raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
@@ -467,17 +471,26 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
         raise ExprEvalError(
             f"expression uses {sorted(extra)} but this slot only provides {list(params)}"
         )
-    lines = [f"def _lowered({', '.join(params)}):"]
+    lines = [f"def _lowered({', '.join(params)}):", "    try:"]
     floats_only = " or ".join(f"type({p}) is not _float" for p in params if p in lowering.free)
     if not exact and floats_only:
-        lines += [f"    if {floats_only}:", f"        return _rounded({', '.join(params)})"]
-    lines += ["    try:", *("        " + line for line in body), "    except ZeroDivisionError:",
+        lines += [f"        if {floats_only}:", f"            r = _rounded({', '.join(params)})",
+                  "        else:"]
+        body = ["    " + line for line in body]
+    lines += [*("        " + line for line in body), "    except ZeroDivisionError:",
               "        raise _ExprEvalError('division by zero') from None"]
-    if not exact:
-        lines += ["    if r != r:", "        raise _ExprEvalError('expression evaluated to NaN')"]
+    if finite:
+        lines += ["    except OverflowError as e:",
+                  "        raise _DomainError(f'expression overflows the float range: {e}')"
+                  " from None"]
+    if not exact:  # r - r is NaN, so true, exactly when r is NaN or infinite
+        lines += ["    if r - r:", "        if r != r:",
+                  "            raise _ExprEvalError('expression evaluated to NaN')"]
+        if finite:
+            lines += ["        raise _DomainError(f'real point must be finite, got {r!r}')"]
     lines += ["    return r"]
     namespace = dict(lowering.names, _rounded=rounded, _float=float, _abs=abs, _min=min,
-                     _max=max, _ExprEvalError=ExprEvalError)
+                     _max=max, _ExprEvalError=ExprEvalError, _DomainError=DomainError)
     exec(compile("\n".join(lines), "<couplefix expression>", "exec"), namespace)
     # popped so the namespace (the function's globals) does not refer back to it
     return namespace.pop("_lowered")
@@ -634,7 +647,7 @@ class _Lowering:
     def body(self, ast: Expr) -> list[str]:
         """Statements that set ``r``; arms a constant guard rules out are dropped.
 
-        Every arm is lowered, so each node of the tree is checked."""
+        Every arm is lowered, so each node of the tree is validated."""
         if not isinstance(ast, Piecewise):
             return [self.result(ast)]
         arms = [(*self.guard(arm.guard), self.result(arm.body)) for arm in ast.arms]

@@ -25,18 +25,14 @@ from .metric import (
     Value,
     contains,
     distance,
-    sample_points,
     sample_values,
     subset_within_carrier,
 )
 
 
-def _as_point(value: Value) -> Point:
-    return Point.label(value) if isinstance(value, str) else Point.real(float(value))
-
-
 def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]:
-    """``bind_function(ast, params)``; a variable outside ``params`` is a
+    """``bind_function(ast, params, finite=True)``: the map on raw values,
+    whose results follow ``Point.real``.  A variable outside ``params`` is a
     ParameterError.  The variables come from the lowering, so a hand-built
     tree too tall to lower raises its ExprEvalError, not RecursionError."""
 
@@ -46,32 +42,21 @@ def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]
             names = ", ".join(sorted(extra))
             raise ParameterError(f"{what} may only use {sorted(params)}; found: {names}")
 
-    return bind_function(ast, params, check)
+    return bind_function(ast, params, check, finite=True)
 
 
 def _value(v: Value) -> Value:
-    """``_as_point(v).value``; a finite float is returned as it is."""
-    return v if type(v) is float and math.isfinite(v) else _as_point(v).value
+    """The value of the Point a map result ``v`` makes: a label stays a
+    label, and a number becomes a float, which must be finite
+    (``Point.real``).  A finite float is returned as it is."""
+    if type(v) is float and math.isfinite(v):
+        return v
+    return Point.label(v).value if isinstance(v, str) else Point.real(v).value
 
 
-def _values(row: list) -> list[Value]:
-    """``[_as_point(v).value for v in row]``; a row of finite floats is
-    returned as it is."""
-    # a NaN or an infinity makes the sum NaN or infinite
-    if set(map(type, row)) == {float} and math.isfinite(sum(row)):
-        return row
-    return [_as_point(v).value for v in row]
-
-
-def _raw(m) -> tuple[Callable[..., Value], bool]:
-    """``(g, checked)`` of a coupling or self map ``m``: the map on raw
-    values, and whether its results still need ``_value``/``_values`` to
-    equal ``m.evaluate(...).value``.  Without a ``value_fn``, g calls ``fn``
-    on Points, whose values need nothing."""
-    if m.value_fn is not None:
-        return m.value_fn, True
-    fn = m.fn
-    return (lambda *values: fn(*map(Point, values)).value), False
+def _on_points(fn: Callable[..., Point]) -> Callable[..., Value]:
+    """``fn``, a map on Points, as a map on raw values."""
+    return lambda *values: fn(*map(Point, values)).value
 
 
 def _image_key(v: Value):
@@ -86,9 +71,12 @@ class CouplingMap:
     """A two-argument map evaluated on (first-subset, second-subset) points.
 
     Like a self map, ``fn`` is treated as a pure function.  ``value_fn`` is
-    the same map on raw values, set by the two constructors; its results go
-    through the label, ``float()`` and finiteness rules of ``evaluate``
-    (``_value``, ``_values``).
+    the same map on raw values, the one path every scan evaluates: its
+    result is ``evaluate(Point(x), Point(y)).value``, or the error
+    ``evaluate`` raises.  The constructors build it where the value is
+    made, so a label stays a label, a number becomes a float and a
+    non-finite number raises as ``Point.real`` does; a map given only
+    ``fn`` gets ``fn`` on Points (``_on_points``).
     """
 
     fn: Callable[[Point, Point], Point]
@@ -97,44 +85,34 @@ class CouplingMap:
         default=None, compare=False, repr=False
     )
 
+    def __post_init__(self):
+        if self.value_fn is None:
+            object.__setattr__(self, "value_fn", _on_points(self.fn))
+
     def evaluate(self, p: Point, q: Point) -> Point:
         return self.fn(p, q)
 
     def tables(
-        self, xs: Sequence[Point], ys: Sequence[Point]
+        self, xv: Sequence[Value], yv: Sequence[Value]
     ) -> tuple[list[list[Value]], list[list[Value]]]:
-        """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xs[i], ys[j]).value`` and
-        ``f_ba[j][i] = F(ys[j], xs[i]).value``, not kept after the call.
-
-        F is called once per pair, on raw values (``_raw``).  An error is
-        the one ``evaluate`` raises at the first failing pair of ``f_ab``,
-        then ``f_ba``, row by row.
-        """
-        g, checked = _raw(self)
-        conv = _values if checked else list
-        xv, yv = [p.value for p in xs], [q.value for q in ys]
-        try:
-            return ([conv([g(x, y) for y in yv]) for x in xv],
-                    [conv([g(y, x) for x in xv]) for y in yv])
-        except Exception:
-            if checked:  # evaluated again pair by pair, so the first failing pair raises
-                fn = self.fn
-                [[fn(p, q) for q in ys] for p in xs]
-                [[fn(q, p) for p in xs] for q in ys]
-            raise
+        """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xv[i], yv[j])`` and
+        ``f_ba[j][i] = F(yv[j], xv[i])``, not kept after the call.  F is
+        called once per pair, through ``value_fn``, on every row of ``f_ab``
+        and then of ``f_ba``; the first failing pair of that order raises."""
+        g = self.value_fn
+        return [[g(x, y) for y in yv] for x in xv], [[g(y, x) for x in xv] for y in yv]
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":
         f = _bind(ast, ("x", "y"), "coupling expressions")
-
-        def fn(p: Point, q: Point) -> Point:
-            return Point.real(f(p.value, q.value))
-
-        return CouplingMap(fn, format_expression(ast), f)
+        return CouplingMap(lambda p, q: Point(f(p.value, q.value)), format_expression(ast), f)
 
     @staticmethod
     def from_function(f: Callable[[Value, Value], Value]) -> "CouplingMap":
-        return CouplingMap(lambda p, q: _as_point(f(p.value, q.value)), value_fn=f)
+        def g(x: Value, y: Value) -> Value:
+            return _value(f(x, y))
+
+        return CouplingMap(lambda p, q: Point(g(p.value, q.value)), value_fn=g)
 
 
 PreimageFn = Callable[[Point, SubsetSpec, float], Optional[Point]]
@@ -146,16 +124,16 @@ class SelfMap:
 
     ``preimage_fn(target, subset, tol)`` returns a subset point ``p`` with
     ``d(T(p), target) <= tol`` or ``None``.  Maps without an oracle fall back
-    to the solver's grid search.  ``value_fn`` is the map on raw values, as
-    for :class:`CouplingMap`; ``from_expression`` and ``from_function`` set
-    it and ``with_inverse`` keeps it.
+    to the solver's grid search.  ``value_fn`` is the map on raw values, the
+    one path every scan evaluates, built as for :class:`CouplingMap`;
+    ``with_inverse`` keeps it.
 
     ``fn`` is treated as a pure function: it is evaluated once per distinct
-    sample value (:meth:`sample_images`), and the images are kept on this
+    sample value (:meth:`image_table`), and the images are kept on this
     instance, so the grid search does not evaluate the map again on every
     step, and the self-map, range and contraction checks, the refined grid
     of the closedness evidence and the brute-force scan share them.  The
-    memo holds sample points, image values and the sorted index of
+    memo holds sample values, image values and the sorted index of
     :meth:`image_index` only, never the map, so it is freed together with
     the map.
     """
@@ -167,30 +145,27 @@ class SelfMap:
     _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.value_fn is None:
+            object.__setattr__(self, "value_fn", _on_points(self.fn))
+
     def evaluate(self, p: Point) -> Point:
         return self.fn(p)
 
     def _entry(self, subset: SubsetSpec, plan: SamplePlan) -> list:
-        """``[values, images, points, index]`` of one sample; the Points of
-        :meth:`sample_images` and the index of :meth:`image_index` are
-        ``None`` until asked for."""
+        """``[values, images, index]`` of one sample; the index of
+        :meth:`image_index` is ``None`` until asked for.  T is evaluated
+        through ``value_fn`` at each value whose key is not in the memo
+        yet, in sample order, so the first failing value raises and the
+        images made before it stay in the memo."""
         key = (subset, plan)
         entry = self._tables.get(key)
         if entry is None:
             values = tuple(sample_values(subset, plan))
             keys = [_image_key(v) for v in values]
-            memo = self._images
-            todo = {k: v for k, v in zip(keys, values) if k not in memo}
-            if todo:
-                g, checked = _raw(self)
-                try:
-                    images = [g(v) for v in todo.values()]
-                    memo.update(zip(todo, _values(images) if checked else images))
-                except Exception:
-                    if checked:  # evaluated again one by one, so the first failing value raises
-                        [self.fn(Point(v)) for v in todo.values()]
-                    raise
-            entry = [values, tuple(map(memo.__getitem__, keys)), None, None]
+            memo, g = self._images, self.value_fn
+            memo.update((k, g(v)) for k, v in zip(keys, values) if k not in memo)
+            entry = [values, tuple(map(memo.__getitem__, keys)), None]
             self._tables[key] = entry
         return entry
 
@@ -203,15 +178,6 @@ class SelfMap:
         entry = self._entry(subset, plan)
         return entry[0], entry[1]
 
-    def sample_images(
-        self, subset: SubsetSpec, plan: SamplePlan
-    ) -> tuple[tuple[Point, ...], tuple[Value, ...]]:
-        """:meth:`image_table` with the sampled points in place of their values."""
-        entry = self._entry(subset, plan)
-        if entry[2] is None:
-            entry[2] = tuple(sample_points(subset, plan))
-        return entry[2], entry[1]
-
     def image_index(
         self, subset: SubsetSpec, plan: SamplePlan
     ) -> Optional[tuple[list[float], list[int]]]:
@@ -220,17 +186,17 @@ class SelfMap:
         when an image is not a float or is NaN.  0.0 and -0.0 share one
         entry, which no distance ``|v - g|`` tells apart."""
         entry = self._entry(subset, plan)
-        if entry[3] is None:
+        if entry[2] is None:
             images = entry[1]
             if set(map(type, images)) != {float} or any(v != v for v in images):
-                entry[3] = False
+                entry[2] = False
             else:
                 first: dict[float, int] = {}
                 for i, v in enumerate(images):
                     first.setdefault(v, i)
                 values = sorted(first)
-                entry[3] = values, [first[v] for v in values]
-        return entry[3] or None
+                entry[2] = values, [first[v] for v in values]
+        return entry[2] or None
 
     @property
     def has_preimage_oracle(self) -> bool:
@@ -251,15 +217,14 @@ class SelfMap:
     @staticmethod
     def from_expression(ast: Expr) -> "SelfMap":
         f = _bind(ast, ("x",), "self-map expressions")
-
-        def fn(p: Point) -> Point:
-            return Point.real(f(p.value))
-
-        return SelfMap(fn, source=format_expression(ast), value_fn=f)
+        return SelfMap(lambda p: Point(f(p.value)), source=format_expression(ast), value_fn=f)
 
     @staticmethod
     def from_function(f: Callable[[Value], Value]) -> "SelfMap":
-        return SelfMap(lambda p: _as_point(f(p.value)), value_fn=f)
+        def g(x: Value) -> Value:
+            return _value(f(x))
+
+        return SelfMap(lambda p: Point(g(p.value)), value_fn=g)
 
     def with_inverse(self, inverse_ast: Expr, space: MetricSpace) -> "SelfMap":
         """Attach an inverse expression as the preimage oracle.
@@ -270,7 +235,7 @@ class SelfMap:
         inverse = _bind(inverse_ast, ("x",), "inverse expressions")
 
         def pre(target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
-            candidate = Point.real(inverse(target.value))
+            candidate = Point(inverse(target.value))
             if not contains(subset, candidate):
                 return None
             if distance(space, self.evaluate(candidate), target) > tol:

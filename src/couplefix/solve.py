@@ -30,7 +30,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, count
 from typing import Any, NamedTuple, Optional, Union
 
 from .errors import BudgetError, DomainError, ParameterError
@@ -45,7 +44,7 @@ from .metric import (
     sample_points,
     subset_intersection,
 )
-from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem, _raw, _value, _values
+from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem
 from .report import CheckReport, ReportBuilder
 
 #: Grid resolution for the fallback preimage search.
@@ -263,19 +262,14 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y:
 
 def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, y: Value):
     """Strong coupled steps: x1 = F(y, x), y1 = F(x, y), which must stay in
-    A and B.  F runs on raw values (``problems._raw``) and membership is
-    ``metric.member_test``, so a step builds no Point."""
+    A and B.  F runs on raw values (``CouplingMap.value_fn``) and membership
+    is ``metric.member_test``, so a step builds no Point."""
     d = problem.space.metric
-    g, checked = _raw(problem.coupling)
+    g = problem.coupling.value_fn
     in_a, in_b = member_test(problem.subset_a), member_test(problem.subset_b)
 
     def step(n: int, x: Value, y: Value):
-        x1 = g(y, x)
-        if checked:
-            x1 = _value(x1)
-        y1 = g(x, y)
-        if checked:
-            y1 = _value(y1)
+        x1, y1 = g(y, x), g(x, y)
         d_n = max(d(x1, y), d(y1, x))
         done = TraceStep(n, x, y, None, None, d_n, d(x, y))
         if not in_a(x1):
@@ -433,17 +427,13 @@ def brute_force_search(
     Exceeding ``budget`` raises rather than silently truncating; within it,
     the T images come from ``SelfMap.image_table``.
 
-    The coincidence scan goes a row at a time: F(a, b) over all of B on raw
-    values (``problems._raw``), then F(b, a) only where the first
-    residual holds, as the short-circuit of a pair-by-pair ``and`` does.
-    The pairs, their order, and the error of the first failing pair equal
-    those of the pair-by-pair loop.
+    F runs on raw values (``CouplingMap.value_fn``), pair by pair, and
+    F(b, a) only where the first residual holds, so the pairs, their order
+    and the error of the first failing pair are those of the pair-by-pair
+    loop.
     """
     d = problem.space.metric
-    f = problem.coupling
-    g, checked = _raw(f)
-    conv = _values if checked else list
-    usual = d is _usual_real
+    g = problem.coupling.value_fn
     if problem.kind == "coincidence":
         a_pts = sample_points(problem.subset_a, plan)
         b_pts = sample_points(problem.subset_b, plan_b or plan)
@@ -451,36 +441,14 @@ def brute_force_search(
             raise BudgetError(
                 f"{len(a_pts) * len(b_pts)} candidate pairs exceed budget {budget}"
             )
-        ta = problem.self_map.image_table(problem.subset_a, plan)[1]
-        tb = problem.self_map.image_table(problem.subset_b, plan_b or plan)[1]
-        bv = [b.value for b in b_pts]
-        out: list[tuple[Point, Point]] = []
-        for a, ta_i in zip(a_pts, ta):
-            x = a.value
-            try:
-                row = conv([g(x, y) for y in bv])
-                near = [abs(v - ta_i) <= tol for v in row] if usual else [
-                    d(v, ta_i) <= tol for v in row]
-                hits = list(compress(count(), near))
-                back = conv([g(bv[j], x) for j in hits])
-                out += [(a, b_pts[j]) for j, w in zip(hits, back) if d(w, tb[j]) <= tol]
-            except Exception:
-                # evaluated again pair by pair, so the first failing pair raises
-                for b, tb_j in zip(b_pts, tb):
-                    if d(f.evaluate(a, b).value, ta_i) <= tol:
-                        d(f.evaluate(b, a).value, tb_j)
-                raise
-        return out
+        av, ta = problem.self_map.image_table(problem.subset_a, plan)
+        bv, tb = problem.self_map.image_table(problem.subset_b, plan_b or plan)
+        return [(a, b_pts[j]) for a, x, ta_i in zip(a_pts, av, ta) for j, y in enumerate(bv)
+                if d(g(x, y), ta_i) <= tol and d(g(y, x), tb[j]) <= tol]
     inter = subset_intersection(problem.subset_a, problem.subset_b)
     if inter is None:
         return []
     pts = sample_points(inter, plan)
     if len(pts) > budget:
         raise BudgetError(f"{len(pts)} candidate points exceed budget {budget}")
-    vals = [p.value for p in pts]
-    try:
-        diag = conv([g(v, v) for v in vals])
-        return [p for p, v, w in zip(pts, vals, diag) if d(w, v) <= tol]
-    except Exception:
-        [d(f.evaluate(p, p).value, p.value) for p in pts]  # raises at the first failing point
-        raise
+    return [p for p in pts if d(g(p.value, p.value), p.value) <= tol]

@@ -5,6 +5,7 @@ import io
 import json
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +97,14 @@ class TestListAndErrors:
         assert code == 3
         assert err.startswith("error:") and "overflows" in err
         assert "Traceback" not in err
+
+    def test_overflowing_coupling_exits_3(self, capsys):
+        # F = x * 10**400 + y mixes a float with a constant beyond the float range
+        path = Path(__file__).with_name("overflow-coupling.yaml")
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err == ("error: expression overflows the float range: "
+                       "integer division result too large for a float\n")
 
     def test_negative_check_tol_exits_3(self, tmp_path, capsys):
         path = tmp_path / "negtol.yaml"

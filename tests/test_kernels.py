@@ -496,9 +496,9 @@ def level_set_spy():
 
         def counted(i, j, fab):
             calls["planes"] += 1
-            margin = plane(i, j, fab)
-            calls["violating"] += margin is None
-            return margin
+            result = plane(i, j, fab)  # (margin, keys, lhs, rhs)
+            calls["violating"] += bool(result[1])
+            return result
 
         return counted
 
@@ -769,6 +769,7 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
     capsys.readouterr()
     assert calls["built"] == 1
     assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
+    assert calls["violating"] > 0
 
 
 def test_failing_contraction_report_stays_compact():
