@@ -28,8 +28,10 @@ lowering (:class:`_Lowering`) writes them.  :func:`bind_exact` keeps every
 constant an exact ``Fraction`` and lets the argument types pick each
 operation, so rational arguments give exact results.  :func:`bind_function`
 returns that result cast to float, and computes it directly in float
-arithmetic, bit for bit, when every argument is a float.  Trees the parser
-cannot produce are rejected with :class:`ExprEvalError` when they are bound.
+arithmetic, bit for bit, when every argument is a float; its results follow
+the rule of a map's values, so a result of ±inf or beyond the float range
+raises :class:`DomainError`.  Trees the parser cannot produce are rejected
+with :class:`ExprEvalError` when they are bound.
 """
 
 from __future__ import annotations
@@ -427,23 +429,19 @@ def bind_exact(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[
     return _compile(ast, params, exact=True, check_free=check_free)
 
 
-def bind_function(ast: Expr, params: tuple[str, ...], check_free=None, *,
-                  finite: bool = False) -> Callable[..., float]:
+def bind_function(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., float]:
     """Compile an expression into a positional float function of ``params``.
 
     Rejects expressions whose free variables do not fit the slot, and trees
     the parser cannot produce.  The tree is lowered once (see
     :class:`_Lowering`).  Called with float arguments, the function returns
     ``float`` of what the exact function of :func:`bind_exact` returns, bit
-    for bit, and raises the same exception classes, or ``ExprEvalError`` on
-    a NaN result.  Other arguments go through that exact function, which is
-    compiled on the first such call.  ``check_free`` is as for
-    :func:`bind_exact`.
-
-    With ``finite`` set, the function follows the rule of a map's values
-    (``Point.real``): a result of ±inf raises its ``DomainError``, and so
-    does an ``OverflowError`` of a float operation, instead of returning
-    ±inf or raising ``OverflowError``.
+    for bit, and raises the same exception classes, except for the rule of
+    a map's values (``Point.real``): a NaN result raises ``ExprEvalError``,
+    and a result of ±inf raises ``Point.real``'s ``DomainError``, as does
+    an ``OverflowError`` (a value beyond the float range).  Other arguments
+    go through that exact function, which is compiled on the first such
+    call.  ``check_free`` is as for :func:`bind_exact`.
     """
     exact = None
 
@@ -453,12 +451,11 @@ def bind_function(ast: Expr, params: tuple[str, ...], check_free=None, *,
             exact = bind_exact(ast, params)
         return float(exact(*args))
 
-    return _compile(ast, params, exact=False, rounded=rounded, check_free=check_free,
-                    finite=finite)
+    return _compile(ast, params, exact=False, rounded=rounded, check_free=check_free)
 
 
 def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
-             check_free=None, finite: bool = False) -> Callable:
+             check_free=None) -> Callable:
     """The function ``_lowered(*params)`` generated by :class:`_Lowering`."""
     if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
         raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
@@ -479,15 +476,13 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
         body = ["    " + line for line in body]
     lines += [*("        " + line for line in body), "    except ZeroDivisionError:",
               "        raise _ExprEvalError('division by zero') from None"]
-    if finite:
+    if not exact:  # r - r is NaN, so true, exactly when r is NaN or infinite
         lines += ["    except OverflowError as e:",
                   "        raise _DomainError(f'expression overflows the float range: {e}')"
-                  " from None"]
-    if not exact:  # r - r is NaN, so true, exactly when r is NaN or infinite
-        lines += ["    if r - r:", "        if r != r:",
-                  "            raise _ExprEvalError('expression evaluated to NaN')"]
-        if finite:
-            lines += ["        raise _DomainError(f'real point must be finite, got {r!r}')"]
+                  " from None",
+                  "    if r - r:", "        if r != r:",
+                  "            raise _ExprEvalError('expression evaluated to NaN')",
+                  "        raise _DomainError(f'real point must be finite, got {r!r}')"]
     lines += ["    return r"]
     namespace = dict(lowering.names, _rounded=rounded, _float=float, _abs=abs, _min=min,
                      _max=max, _ExprEvalError=ExprEvalError, _DomainError=DomainError)

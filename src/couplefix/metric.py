@@ -32,7 +32,11 @@ class Point:
 
     @staticmethod
     def real(x: float) -> "Point":
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise DomainError(f"real point must be finite, got {type(x).__name__} "
+                              "beyond the float range") from None
         if not math.isfinite(x):
             raise DomainError(f"real point must be finite, got {x!r}")
         return Point(x)

@@ -31,8 +31,8 @@ from .metric import (
 
 
 def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]:
-    """``bind_function(ast, params, finite=True)``: the map on raw values,
-    whose results follow ``Point.real``.  A variable outside ``params`` is a
+    """``bind_function(ast, params)``: the map on raw values, whose
+    results follow ``Point.real``.  A variable outside ``params`` is a
     ParameterError.  The variables come from the lowering, so a hand-built
     tree too tall to lower raises its ExprEvalError, not RecursionError."""
 
@@ -42,7 +42,7 @@ def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]
             names = ", ".join(sorted(extra))
             raise ParameterError(f"{what} may only use {sorted(params)}; found: {names}")
 
-    return bind_function(ast, params, check, finite=True)
+    return bind_function(ast, params, check)
 
 
 def _value(v: Value) -> Value:
