@@ -38,6 +38,12 @@ CASES = {
     "solve-banach-linear-trace": [
         "solve", "banach-linear", "--start", "0", "1", "--start", "0.5", "0.25", "--trace",
     ],
+    "solve-inverse-coincidence-trace": [
+        "solve", str(DOCUMENTS / "inverse-coincidence.yaml"), "--trace",
+    ],
+    "solve-example-2.1.9-trace": [
+        "solve", "example-2.1.9", "--start", "1", "1", "--start", "1", "3", "--trace",
+    ],
 }
 
 
