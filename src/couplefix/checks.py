@@ -59,8 +59,9 @@ first pair that fails in a check's own order raises, with nothing
 evaluated again.  The coupling and range checks build one interleaved row
 per x or y, F(x, y) then F(y, x) for each partner; the contraction check
 reads ``CouplingMap.tables``.  Membership is tested a row
-at a time (``metric.contains_values``); the range check bisects each real
-candidate pool (``_padded``) and records a row at a time with
+at a time (``metric.contains_values``); the range check bisects the sorted
+image index of each side (``SelfMap.image_index``, the one the grid
+preimage search reads) and records a row at a time with
 ``ReportBuilder.observe_all``, which equals one ``observe`` per sample.
 """
 
@@ -77,13 +78,12 @@ from typing import Any, Callable, Optional, Sequence
 from .controls import eval_control
 from .metric import (
     REAL_EQ_TOL,
-    Point,
     SamplePlan,
     SubsetSpec,
     Value,
     _usual_real,
-    contains,
     contains_values,
+    member_test,
     sample_values,
     separation,
 )
@@ -373,19 +373,6 @@ def check_phi_psi_contraction(
     )
 
 
-def _padded(pool: Sequence[Value]) -> Optional[list]:
-    """The pool in ascending order between copies of its ends, or None when
-    a label or NaN in it rules out a search by bisection.  For
-    ``k = bisect_left(padded, t, 1, len(padded) - 1)``, ``padded[k - 1]``
-    and ``padded[k]`` are the sorted neighbours of t, an end standing in for
-    a missing one; ``v - t`` rounds monotonically in ``v``, so the nearest
-    pool value is one of them."""
-    if any(isinstance(v, str) or v != v for v in pool):
-        return None
-    ordered = sorted(pool)
-    return [ordered[0], *ordered, ordered[-1]]
-
-
 def check_range_compatibility(
     f: CouplingMap,
     t: SelfMap,
@@ -406,11 +393,22 @@ def check_range_compatibility(
     drawn from without shrinking the candidate pools.
     """
     b_plan = plan_b or plan
-    xv, ta_vals = t.image_table(a, plan)
-    bv, tb_vals = t.image_table(b, b_plan)
+    xv = t.image_table(a, plan)[0]
+    bv = t.image_table(b, b_plan)[0]
     tgt = sample_values(targets_b, b_plan) if targets_b is not None else bv
-    # side 0: F(y, x) against t(A); side 1: F(x, y) against t(B)
-    sides = [(pool, _padded(pool), subset) for pool, subset in ((ta_vals, a), (tb_vals, b))]
+    # side 0: F(y, x) against t(A); side 1: F(x, y) against t(B).  A side
+    # holds its T images, the distinct sorted images of ``t.image_index``
+    # between copies of its ends (None where the index gives up, so every
+    # image is scanned) and the membership test of its subset.  For
+    # k = bisect_left(padded, v, 1, len(padded) - 1), padded[k - 1] and
+    # padded[k] are the sorted neighbours of v, an end standing in for a
+    # missing one; w - v rounds monotonically in w, so the nearest image is
+    # one of them.
+    sides = []
+    for subset, pl in ((a, plan), (b, b_plan)):
+        index = t.image_index(subset, pl)
+        padded = index and [index[0][0], *index[0], index[0][-1]]
+        sides.append((t.image_table(subset, pl)[1], padded, member_test(subset)))
 
     def search(side: int, targets: Sequence[Value]) -> list[float]:
         """The separation of each target from its nearest pool value."""
@@ -424,7 +422,7 @@ def check_range_compatibility(
 
     def refine(side: int, tv: Value, best: float) -> float:
         """A target that lies in its own subset is also its own candidate."""
-        if best > tol and contains(sides[side][2], Point(tv)):
+        if best > tol and sides[side][2](tv):
             return min(best, separation(t.value_fn(tv), tv))
         return best
 

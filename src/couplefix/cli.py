@@ -89,32 +89,17 @@ def load_document(source: str) -> ProblemDocument:
 
 def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOptions]:
     plan, plan_b = doc.check.plan, doc.check.plan_b
-    samples = getattr(args, "samples", None)
-    if samples is not None:
-        plan = SamplePlan(samples, plan.jitter_count, plan.seed)
-        plan_b = None
-    jitter = getattr(args, "jitter", None)
-    seed = getattr(args, "seed", None)
-    changes = {k: v for k, v in (("jitter_count", jitter), ("seed", seed)) if v is not None}
+    if args.samples is not None:
+        plan, plan_b = SamplePlan(args.samples, plan.jitter_count, plan.seed), None
+    changes = {k: v for k, v in (("jitter_count", args.jitter), ("seed", args.seed))
+               if v is not None}
     plan = dataclasses.replace(plan, **changes)
     if plan_b is not None:
         plan_b = dataclasses.replace(plan_b, **changes)
-    tol = getattr(args, "tol", None)
-    settings = dataclasses.replace(
-        doc.check,
-        plan=plan,
-        plan_b=plan_b,
-        tol=tol if tol is not None else doc.check.tol,
-    )
-    solve_kwargs = {}
-    if tol is not None:
-        solve_kwargs["tol"] = tol
-    max_iter = getattr(args, "max_iter", None)
-    if max_iter is not None:
-        solve_kwargs["max_iter"] = max_iter
-    if seed is not None:
-        solve_kwargs["seed"] = seed
-    opts = dataclasses.replace(doc.solve, **solve_kwargs) if solve_kwargs else doc.solve
+    tol = doc.check.tol if args.tol is None else args.tol
+    settings = dataclasses.replace(doc.check, plan=plan, plan_b=plan_b, tol=tol)
+    overrides = (("tol", args.tol), ("max_iter", args.max_iter), ("seed", args.seed))
+    opts = dataclasses.replace(doc.solve, **{k: v for k, v in overrides if v is not None})
     return settings, opts
 
 
@@ -212,18 +197,6 @@ def _print_solve(start: tuple[Point, Point], report: SolveReport) -> None:
         print(f"  failure: {parts}")
 
 
-def _run_solves(problem, starts, opts):
-    """Every start run once, the multi-start verdict of a strong problem with
-    several starts (else None), and the first start's trace."""
-    strong = problem.kind == "strong_coupled"
-    iterate = iterate_strong_coupled if strong else iterate_coincidence
-    runs = (iterate(problem, sx, sy, opts) for sx, sy in starts)
-    first, trace = next(runs)
-    reports = [first] + [report for report, _ in runs]
-    verdict = multi_start_verdict(problem, reports, opts) if strong and len(starts) > 1 else None
-    return reports, verdict, trace
-
-
 def _write_file(path: str, text: str, what: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
@@ -261,26 +234,20 @@ def _resolve_starts(doc: ProblemDocument, args) -> tuple[tuple[Point, Point], ..
     )
 
 
-def cmd_check(doc: ProblemDocument, args, t0: float) -> int:
-    problem = build_problem(doc)
-    settings, _ = _apply_overrides(doc, args)
-    print(f"problem: {doc.name} ({doc.problem_kind})")
-    reports = run_checks(problem, settings)
-    _print_checks(reports)
-    exit_code = 0 if all(r.passed for _, r in reports) else 1
-    if args.json_path:
-        checks = [_check_to_json(slot, r) for slot, r in reports]
-        _emit_json(_report_payload(doc, checks, None, exit_code, t0), args.json_path)
-    return exit_code
-
-
 def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     """Solve from every start, print and write the results; the exit code.
 
-    ``checks`` is the JSON check section that goes into the report (``None``
-    for ``solve``).
+    Only the first start's trace is kept.  The multi-start verdict is that
+    of a strong problem with several starts, else None.  ``checks`` is the
+    JSON check section of the report (``None`` for ``solve`` or without
+    ``--json``).
     """
-    reports, verdict, trace = _run_solves(problem, starts, opts)
+    strong = problem.kind == "strong_coupled"
+    iterate = iterate_strong_coupled if strong else iterate_coincidence
+    runs = (iterate(problem, sx, sy, opts) for sx, sy in starts)
+    first, trace = next(runs)
+    reports = [first] + [report for report, _ in runs]
+    verdict = multi_start_verdict(problem, reports, opts) if strong and len(starts) > 1 else None
     for start, report in zip(starts, reports):
         _print_solve(start, report)
     if verdict is not None:
@@ -294,44 +261,49 @@ def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     return exit_code
 
 
-def cmd_solve(doc: ProblemDocument, args, t0: float) -> int:
-    problem = build_problem(doc)
-    _, opts = _apply_overrides(doc, args)
-    starts = _resolve_starts(doc, args)
-    print(f"problem: {doc.name} ({doc.problem_kind})")
-    return _solve_and_report(doc, problem, starts, opts, args, t0, None)
-
-
 def _print_demo_facts(doc: ProblemDocument, reports) -> None:
     if doc.problem_kind == "coincidence":
-        scc = next(r for slot, r in reports if slot == "self_map")
-        det = scc.details
-        if det.get("image_A_values") is not None:
-            print(f"self-map image of A: {_fmt_set(det['image_A_values'])}")
-        if det.get("image_B_values") is not None:
-            print(f"self-map image of B: {_fmt_set(det['image_B_values'])}")
-        if det.get("image_intersection_values") is not None:
-            print(f"image intersection: {_fmt_set(det['image_intersection_values'])}")
+        det = next(r for slot, r in reports if slot == "self_map").details
+        for key, label in (("image_A_values", "self-map image of A"),
+                           ("image_B_values", "self-map image of B"),
+                           ("image_intersection_values", "image intersection")):
+            if det.get(key) is not None:
+                print(f"{label}: {_fmt_set(det[key])}")
     else:
         inter = subset_intersection(doc.subset_a, doc.subset_b)
         shown = _fmt_set(subset_values(inter)) if inter is not None else "{}"
         print(f"intersection of A and B: {shown}")
 
 
-def cmd_demo(doc: ProblemDocument, args, t0: float) -> int:
+def _run_command(doc: ProblemDocument, args, t0: float) -> int:
+    """``check``, ``solve`` or ``demo`` (``args.command``) on one document;
+    the exit code.
+
+    ``check`` and ``demo`` share the check phase, and a failing check ends
+    ``demo`` there; ``solve`` and ``demo`` share :func:`_solve_and_report`.
+    A missing start raises before the header for ``solve`` and after the
+    checks for ``demo``, with no JSON written.
+    """
     problem = build_problem(doc)
     settings, opts = _apply_overrides(doc, args)
+    starts = _resolve_starts(doc, args) if args.command == "solve" else None
     print(f"problem: {doc.name} ({doc.problem_kind})")
-    reports = run_checks(problem, settings)
-    _print_checks(reports)
-    checks_json = [_check_to_json(slot, r) for slot, r in reports]
-    _print_demo_facts(doc, reports)
-    if not all(r.passed for _, r in reports):
+    checks = None
+    if args.command != "solve":
+        reports = run_checks(problem, settings)
+        _print_checks(reports)
         if args.json_path:
-            _emit_json(_report_payload(doc, checks_json, None, 1, t0), args.json_path)
-        return 1
-    starts = _resolve_starts(doc, args)
-    return _solve_and_report(doc, problem, starts, opts, args, t0, checks_json)
+            checks = [_check_to_json(slot, r) for slot, r in reports]
+        if args.command == "demo":
+            _print_demo_facts(doc, reports)
+        passed = all(r.passed for _, r in reports)
+        if args.command == "check" or not passed:
+            exit_code = 0 if passed else 1
+            if args.json_path:
+                _emit_json(_report_payload(doc, checks, None, exit_code, t0), args.json_path)
+            return exit_code
+        starts = _resolve_starts(doc, args)
+    return _solve_and_report(doc, problem, starts, opts, args, t0, checks)
 
 
 def _add_source_and_flags(sp, solver: bool) -> None:
@@ -477,12 +449,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     t0 = time.perf_counter()
     try:
-        doc = load_document(args.source)
-        if args.command == "check":
-            return cmd_check(doc, args, t0)
-        if args.command == "solve":
-            return cmd_solve(doc, args, t0)
-        return cmd_demo(doc, args, t0)
+        return _run_command(load_document(args.source), args, t0)
     except CoupleFixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

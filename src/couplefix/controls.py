@@ -29,7 +29,7 @@ from typing import Callable
 
 from .errors import DomainError, ParameterError
 from .expr import Numeric, bind_exact, parse_expression
-from .metric import Interval, SamplePlan, SubsetSpec, sample_points
+from .metric import Interval, SamplePlan, SubsetSpec, sample_values
 from .report import CheckReport, ReportBuilder
 
 #: Decreasing offsets used to approximate one-sided limits at a grid point.
@@ -166,7 +166,7 @@ def _grid_values(t_max: float, plan: SamplePlan) -> list[float]:
     if not (float(t_max) > 0 and math.isfinite(float(t_max))):
         raise ParameterError(f"t_max must be a positive finite real, got {t_max}")
     subset = SubsetSpec.from_intervals([Interval(0.0, float(t_max))])
-    return sorted(p.value for p in sample_points(subset, plan))
+    return sorted(sample_values(subset, plan))
 
 
 def check_phi_class(

@@ -392,26 +392,6 @@ _FLOAT, _DYN, _CONST = "float", "dyn", "const"
 _MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
 
 
-def free_variables(ast: Expr | Guard | Arm) -> set[str]:
-    match ast:
-        case Number():
-            return set()
-        case Var(name):
-            return {name}
-        case Neg(operand):
-            return free_variables(operand)
-        case BinOp(_, left, right) | Comparison(left, _, right) | BoolOp(_, left, right):
-            return free_variables(left) | free_variables(right)
-        case Call(_, args):
-            return set().union(*map(free_variables, args))
-        case Arm(guard, body):
-            return free_variables(guard) | free_variables(body)
-        case Piecewise(arms, otherwise):
-            parts = arms if otherwise is None else (*arms, otherwise)
-            return set().union(*map(free_variables, parts))
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 def bind_exact(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., Numeric]:
     """Compile an expression into an exact positional function of ``params``.
 

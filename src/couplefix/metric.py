@@ -73,11 +73,6 @@ class Interval:
         return above and below
 
 
-#: The real carrier is an interval; the name is kept for callers of the
-#: carrier type.
-RealLine = Interval
-
-
 @dataclass(frozen=True)
 class LabelSet:
     """A finite carrier of distinct labels."""

@@ -183,8 +183,11 @@ class SelfMap:
     ) -> Optional[tuple[list[float], list[int]]]:
         """``(values, firsts)``: the distinct image values of the sample in
         ascending order, and the first sample index that has each; ``None``
-        when an image is not a float or is NaN.  0.0 and -0.0 share one
-        entry, which no distance ``|v - g|`` tells apart."""
+        when an image is not a float (a label, an int) or is NaN, where
+        callers scan every image instead.  0.0 and -0.0 share one entry,
+        which no distance ``|v - g|`` tells apart.  It is the one sorted
+        index of a T table: the grid preimage search and the range check
+        both bisect it."""
         entry = self._entry(subset, plan)
         if entry[2] is None:
             images = entry[1]
@@ -230,15 +233,17 @@ class SelfMap:
         """Attach an inverse expression as the preimage oracle.
 
         The candidate ``inverse(target)`` is trusted only after checking it
-        lands in the subset and actually maps back within tolerance.
+        lands in the subset and actually maps back within tolerance, its
+        image read through ``value_fn``.
         """
         inverse = _bind(inverse_ast, ("x",), "inverse expressions")
+        g = self.value_fn
 
         def pre(target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
             candidate = Point(inverse(target.value))
             if not contains(subset, candidate):
                 return None
-            if distance(space, self.evaluate(candidate), target) > tol:
+            if distance(space, Point(g(candidate.value)), target) > tol:
                 return None
             return candidate
 

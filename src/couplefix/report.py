@@ -60,20 +60,25 @@ class ViolationLog(Sequence):
     It stands for a list of ``Violation``: it has the list's length,
     indexing, slicing (a slice is a list), iteration, ``==`` and ``repr``,
     and builds each ``Violation`` as it is read.  ``witness`` maps a key to
-    its witness tuple; None means each key is its own witness.
+    its witness tuple; None means each key is its own witness.  ``_worst``,
+    set where the log is built, is the position ``largest(1)`` reads.
     """
 
-    __slots__ = ("_keys", "_lhs", "_rhs", "_res", "_witness")
+    __slots__ = ("_keys", "_lhs", "_rhs", "_res", "_witness", "_worst")
 
     def __init__(self, keys: Sequence, lhs: Sequence[float], rhs: Sequence[float],
                  res: Sequence[float], witness: Optional[Callable[[Any], tuple]] = None):
         self._keys, self._lhs, self._rhs, self._res = keys, lhs, rhs, res
         self._witness = witness
+        self._worst: Optional[int] = None
 
     @classmethod
     def of(cls, violations: Sequence[Violation]) -> "ViolationLog":
         """A log of the given violations, holding the same objects."""
-        return cls(*([list(col) for col in zip(*violations)] or [[], [], [], []]))
+        log = cls(*([list(col) for col in zip(*violations)] or [[], [], [], []]))
+        if violations:
+            log._worst = max(range(len(log)), key=log._res.__getitem__)
+        return log
 
     def __len__(self) -> int:
         return len(self._res)
@@ -101,7 +106,10 @@ class ViolationLog(Sequence):
     def largest(self, n: int) -> list[Violation]:
         """``heapq.nlargest(n, self, key=residual)``: the n largest
         residuals first, ties and NaNs placed as there, read from the
-        residual column so that only those n are built."""
+        residual column so that only those n are built.  The one largest is
+        ``max``'s pick, which the log's builder has found already."""
+        if n == 1 and self._worst is not None:
+            return [self[self._worst]]
         return [self[k] for k in heapq.nlargest(n, range(len(self)), key=self._res.__getitem__)]
 
 
@@ -249,6 +257,9 @@ class ReportBuilder:
             if at >= len(self._res):
                 self._keys[-1], self._lhs[-1], self._rhs[-1], self._res[-1] = key, lhs, rhs, res
         violations = ViolationLog(self._keys, self._lhs, self._rhs, self._res, self._witness)
+        if self._worst is not None:
+            # kept in place, or moved to the last slot above
+            violations._worst = min(self._worst[0], len(self._res) - 1)
         return CheckReport(
             property_name=self.property_name,
             samples_tested=self.samples,

@@ -11,8 +11,10 @@ committed step distance
 
 falls within tolerance, where ``first_n``/``second_n`` are the incoming
 iterates (self-map preimages for coincidence runs, coupling values for
-strong runs).  The driver carries raw values; Points are built for the
-reported candidate.  The pair distance R_n rides along as a second diagnostic.
+strong runs).  The driver, its steps and its residuals carry raw values and
+call F and T through ``value_fn``; Points are built for the reported
+candidate, a preimage oracle and the grid search only.  The pair distance
+R_n rides along as a second diagnostic.
 Theory says both sequences shrink monotonically for admissible problems, so
 an increase while the predecessor is still above tolerance is treated as a
 hard error rather than noise: the run aborts with a diagnostic status
@@ -191,18 +193,21 @@ def _nearest(values: list[float], firsts: list[int], goal: float) -> tuple[int, 
 
 
 def _find_preimage(
-    problem: CoincidenceProblem, target: Point, subset: SubsetSpec, opts: SolveOptions
-) -> tuple[Optional[Point], float]:
+    problem: CoincidenceProblem, target: Value, subset: SubsetSpec, opts: SolveOptions
+) -> tuple[Optional[Value], float]:
+    """A subset value whose T image is within ``preimage_tol`` of ``target``
+    and that distance, or ``None`` and the grid search's least distance."""
     t = problem.self_map
     if t.has_preimage_oracle:
-        got = t.preimage(target, subset, opts.preimage_tol)
+        got = t.preimage(Point(target), subset, opts.preimage_tol)
         if got is not None:
-            return got, problem.space.metric(t.evaluate(got).value, target.value)
+            return got.value, problem.space.metric(t.value_fn(got.value), target)
     # No oracle, or the oracle declined: fall back to the grid so failures
     # still report how close the nearest sampled point came.
-    return grid_preimage(
-        problem.space, t, subset, target, opts.preimage_tol, seed=opts.seed
+    p, dist = grid_preimage(
+        problem.space, t, subset, Point(target), opts.preimage_tol, seed=opts.seed
     )
+    return (None if p is None else p.value), dist
 
 
 def _require_member(subset: SubsetSpec, p: Point, label: str) -> None:
@@ -210,12 +215,10 @@ def _require_member(subset: SubsetSpec, p: Point, label: str) -> None:
         raise DomainError(f"start {label}={p.value!r} is not in subset {label[-1].upper()}")
 
 
-def _coincidence_residuals(problem: CoincidenceProblem, a: Point, b: Point) -> dict[str, float]:
+def _coincidence_residuals(problem: CoincidenceProblem, a: Value, b: Value) -> dict[str, float]:
     d = problem.space.metric
-    fab = problem.coupling.evaluate(a, b).value
-    fba = problem.coupling.evaluate(b, a).value
-    ta = problem.self_map.evaluate(a).value
-    tb = problem.self_map.evaluate(b).value
+    g, t = problem.coupling.value_fn, problem.self_map.value_fn
+    fab, fba, ta, tb = g(a, b), g(b, a), t(a), t(b)
     return {
         "f_ab_ta": d(fab, ta),
         "f_ba_tb": d(fba, tb),
@@ -224,38 +227,36 @@ def _coincidence_residuals(problem: CoincidenceProblem, a: Point, b: Point) -> d
     }
 
 
-def _strong_residuals(problem: StrongCoupledProblem, a: Point, b: Point) -> dict[str, float]:
+def _strong_residuals(problem: StrongCoupledProblem, a: Value, b: Value) -> dict[str, float]:
     d = problem.space.metric
-    fxx = problem.coupling.evaluate(a, a).value
-    return {"f_xx_x": d(fxx, a.value), "x_y": d(a.value, b.value)}
+    return {"f_xx_x": d(problem.coupling.value_fn(a, a), a), "x_y": d(a, b)}
 
 
 def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y: Value):
     """Coincidence steps: solve T(x1) = F(y, x) in A and T(y1) = F(x, y) in B,
-    carrying the T images of the current pair from step to step."""
+    carrying the T images of the current pair from step to step.  F and T
+    run on raw values (``value_fn``), as in :func:`_coupling_step`."""
     d = problem.space.metric
-    f, t = problem.coupling, problem.self_map
-    tx, ty = t.evaluate(Point(x)).value, t.evaluate(Point(y)).value
+    g, t = problem.coupling.value_fn, problem.self_map.value_fn
+    tx, ty = t(x), t(y)
 
     def step(n: int, x: Value, y: Value):
         nonlocal tx, ty
         found = []
-        for subset, label, tgt in (
-            (problem.subset_a, "A", f.evaluate(Point(y), Point(x))),
-            (problem.subset_b, "B", f.evaluate(Point(x), Point(y))),
-        ):
+        for subset, label, tgt in ((problem.subset_a, "A", g(y, x)),
+                                   (problem.subset_b, "B", g(x, y))):
             p, dist = _find_preimage(problem, tgt, subset, opts)
             if p is None:
                 failure = {"reason": "preimage", "step": n + 1, "subset": label,
-                           "target": tgt.value, "min_distance": dist}
+                           "target": tgt, "min_distance": dist}
                 return x, y, None, (SolveStatus.PREIMAGE_FAILURE, failure)
             found.append(p)
         x1, y1 = found
-        tx1, ty1 = t.evaluate(x1).value, t.evaluate(y1).value
+        tx1, ty1 = t(x1), t(y1)
         d_n = max(d(tx, ty1), d(ty, tx1))
         done = TraceStep(n, x, y, tx, ty, d_n, d(tx, ty))
         tx, ty = tx1, ty1
-        return x1.value, y1.value, done, None
+        return x1, y1, done, None
 
     return step
 
@@ -293,7 +294,7 @@ def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, resid
     :class:`TraceStep` of the completed transition (``None`` when the step
     failed before completing it), and ``None`` or the ``(status, failure)``
     that ends the run.  ``residuals(problem, x, y)`` gives the defining
-    residuals of a pair of Points.
+    residuals of a pair of raw values.
     """
     _require_member(problem.subset_a, x0, "x0")
     _require_member(problem.subset_b, y0, "y0")
@@ -319,13 +320,12 @@ def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, resid
         prev, x, y = done, x1, y1
     else:
         status, failure = SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"}
-    candidate = Point(x), Point(y)
-    values = residuals(problem, *candidate)
+    values = residuals(problem, x, y)
     if status is None:
         converged = all(v <= tol for v in values.values())
         status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
     # every step of a run that ran out of iterations completed, so it used max_iter
-    return SolveReport(status, candidate, values, len(trace.steps), failure), trace
+    return SolveReport(status, (Point(x), Point(y)), values, len(trace.steps), failure), trace
 
 
 def iterate_coincidence(

@@ -25,7 +25,7 @@ from couplefix.documents import (
     registry_names,
 )
 from couplefix.errors import DocumentError
-from couplefix.metric import Point, RealLine, sample_points
+from couplefix.metric import Interval, Point, sample_points
 from couplefix.problems import CoincidenceProblem, StrongCoupledProblem
 from couplefix.solve import SolveStatus, iterate_strong_coupled
 
@@ -51,7 +51,7 @@ class TestParseProblem:
         doc = parse_problem(STRONG_DOC, name="mini")
         assert doc.name == "mini"
         assert doc.problem_kind == "strong_coupled"
-        assert isinstance(doc.space.carrier, RealLine)
+        assert isinstance(doc.space.carrier, Interval)
         assert (doc.space.carrier.lo, doc.space.carrier.hi) == (0.0, 3.0)
         assert [p.value for p in doc.subset_a.points] == [1.0]
         assert [p.value for p in doc.subset_b.points] == [1.0, 2.0]

@@ -27,7 +27,6 @@ from couplefix.expr import (
     bind_exact,
     bind_function,
     format_expression,
-    free_variables,
     parse_expression,
 )
 from expr_oracle import eval_expression, eval_numeric
@@ -138,7 +137,9 @@ def test_nesting_cap_counts_parentheses_calls_and_unary_minus(wrap):
     text = "x"
     for _ in range(MAX_NESTING):
         text = wrap(text)
-    assert free_variables(parse_expression(text)) == {"x"}
+    free = []
+    bind_function(parse_expression(text), ("x",), free.append)
+    assert free == [{"x"}]
     with pytest.raises(ExprSyntaxError):
         parse_expression(wrap(text))
 
@@ -220,11 +221,6 @@ def test_guard_or_chain():
     ast = parse_expression("piecewise { x < 0 or x > 1 => 0 ; else => x ; }")
     assert eval_expression(ast, {"x": 2.0}) == 0.0
     assert eval_expression(ast, {"x": 0.5}) == 0.5
-
-
-def test_free_variables():
-    assert free_variables(parse_expression(F_PIECEWISE)) == {"x", "y"}
-    assert free_variables(parse_expression("t*t")) == {"t"}
 
 
 def test_bind_function_checks_arity():

@@ -337,6 +337,47 @@ def test_range_search_matches_naive_loop_on_real_pools(a, b, targets, t, f, plan
     )
 
 
+#: Self maps whose sorted image index merges entries (repeated images, 0.0
+#: beside -0.0) or gives up (int images of a bare Point map, which skips
+#: Point.real), so the range check bisects the merged index or scans every
+#: image; each builds a new map, with an empty image memo.
+MERGED_SELF_MAPS = {
+    "signed_zeros": lambda: SelfMap.from_function(
+        lambda x: -0.0 if x < 0.5 else 0.0 if x < 1 else x),
+    "zeros_positive_first": lambda: SelfMap.from_function(
+        lambda x: 0.0 if x < 0.5 else -0.0 if x < 1 else x),
+    "plateaus": lambda: SelfMap.from_function(lambda x: math.floor(2 * x) / 2),
+    "ints": lambda: SelfMap(lambda p: Point(round(2 * p.value))),
+}
+MERGED_COUPLINGS = {
+    "mid": lambda: CouplingMap.from_function(COUPLINGS["mid"]),
+    "signed_zeros": lambda: CouplingMap.from_function(lambda x, y: -0.0 if x <= y else 0.0),
+    "ints": lambda: CouplingMap(lambda p, q: Point(round(p.value + q.value))),
+}
+
+
+@given(
+    a=REAL_SUBSETS,
+    b=REAL_SUBSETS,
+    targets=st.one_of(st.none(), REAL_SUBSETS),
+    t=st.sampled_from(sorted(MERGED_SELF_MAPS)),
+    f=st.sampled_from(sorted(MERGED_COUPLINGS)),
+    plan=PLANS,
+    tol=TOLS,
+)
+@example(a=SubsetSpec.from_intervals([Interval(0.0, 2.0)]),
+         b=SubsetSpec.from_values([0.0, 0.25, 0.75]), targets=None, t="signed_zeros",
+         f="signed_zeros", plan=SamplePlan(9), tol=0.0)
+@settings(max_examples=200, deadline=None)
+def test_range_search_matches_naive_loop_on_merged_and_int_images(a, b, targets, t, f, plan, tol):
+    fm, tm = MERGED_COUPLINGS[f](), MERGED_SELF_MAPS[t]()
+    _same_outcome(
+        lambda: check_range_compatibility(fm, tm, a, b, plan, tol, targets_b=targets),
+        lambda: naive_range(fm, tm, a, b, plan, tol, targets_b=targets),
+    )
+    assert (tm.image_index(a, plan) is None) == (t == "ints")
+
+
 @given(
     a=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
     b=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),

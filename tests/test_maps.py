@@ -223,3 +223,93 @@ def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k, point_fn):
         tm.image_table(A, PLAN)
     assert len(calls) == len(set(calls)) == k
     assert calls == list(sample_values(A, PLAN))[:k]
+
+
+# ---------------------------------------------------------------------------
+# the solve layer and the range check read value_fn only
+
+
+def _no_point_path(*points):
+    raise AssertionError(f"the Point path was evaluated at {points}")
+
+
+UNIT = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
+SPACE_0_4 = MetricSpace.real_line(0.0, 4.0)
+
+
+def _one_path_pair(oracle):
+    """Coincidence problems with F = (x + y) / 2 and T = 2x, the first built
+    with ``from_function`` and the second with maps whose Point ``fn``
+    raises; with ``oracle``, T gets the inverse x / 2."""
+
+    def build(f, t):
+        if oracle:
+            t = t.with_inverse(parse_expression("x / 2"), SPACE_0_4)
+        return CoincidenceProblem(SPACE_0_4, UNIT, UNIT, f, t, HALF)
+
+    def g(x, y):
+        return (x + y) / 2
+
+    def t(x):
+        return 2 * x
+
+    return (build(CouplingMap.from_function(g), SelfMap.from_function(t)),
+            build(CouplingMap(_no_point_path, value_fn=g), SelfMap(_no_point_path, value_fn=t)))
+
+
+def _runs(iterate, problem, starts):
+    out = []
+    for x0, y0 in starts:
+        report, trace = iterate(problem, Point(x0), Point(y0))
+        out.append((report.to_dict(), trace.steps))
+    return out
+
+
+# the grid search fails on every orbit but the fixed pair (0, 0), once its
+# targets halve below the grid step; the oracle converges from each start
+COINCIDENCE_STARTS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.3, 0.7)]
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_coincidence_iteration_and_residuals_read_value_fn_only(oracle):
+    reference, one_path = _one_path_pair(oracle)
+    assert one_path.self_map.has_preimage_oracle is oracle
+    want = _runs(solve.iterate_coincidence, reference, COINCIDENCE_STARTS)
+    assert _runs(solve.iterate_coincidence, one_path, COINCIDENCE_STARTS) == want
+    statuses = {run["status"] for run, _ in want}
+    assert statuses == ({"Converged"} if oracle else {"Converged", "PreimageFailure"})
+
+
+def test_the_inverse_oracle_reads_value_fn_only():
+    reference, one_path = _one_path_pair(True)
+    for target in (0.0, 0.5, 1.0, 1.5, 3.0):
+        for tol in (0.0, 1e-9):
+            want = reference.self_map.preimage(Point(target), UNIT, tol)
+            assert one_path.self_map.preimage(Point(target), UNIT, tol) == want
+    assert one_path.self_map.preimage(Point(0.5), UNIT, 1e-9) == Point(0.25)
+    assert one_path.self_map.preimage(Point(3.0), UNIT, 1e-9) is None
+
+
+def test_the_range_check_reads_value_fn_only():
+    reference, one_path = _one_path_pair(False)
+    targets = SubsetSpec.from_intervals([Interval(0.0, 0.5)])
+    for targets_b in (None, targets):
+        want = check_range_compatibility(reference.coupling, reference.self_map, UNIT, UNIT,
+                                         PLAN, targets_b=targets_b)
+        got = check_range_compatibility(one_path.coupling, one_path.self_map, UNIT, UNIT,
+                                        PLAN, targets_b=targets_b)
+        assert repr(got) == repr(want)
+
+
+def test_strong_iteration_and_residuals_read_value_fn_only():
+    altering = with_declared_class(HALF, ControlClass.ALTERING)
+
+    def g(x, y):
+        return (x + y) / 4 + 0.5 * (x > 0.9)  # leaves [0, 1] from (1, 1)
+
+    problems = [StrongCoupledProblem(SPACE, UNIT, UNIT, f, altering, altering)
+                for f in (CouplingMap.from_function(g), CouplingMap(_no_point_path, value_fn=g))]
+    starts = [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)]
+    want = _runs(solve.iterate_strong_coupled, problems[0], starts)
+    assert _runs(solve.iterate_strong_coupled, problems[1], starts) == want
+    assert {run["status"] for run, _ in want} == {"Converged", "DiagnosticViolation"}
