@@ -394,3 +394,83 @@ class TestBuiltinsAsData:
                 builtin_registry("banach-linear", k=k)
             assert exc.value.key == "k"
             assert str(exc.value) == f"k: must satisfy 0 < k < 1, got {k!r}"
+
+
+_FAMILIES_ONE_OF = "['capped_linear', 'expr', 'identity', 'linear', 'power']"
+
+#: (section, its value, key path, message) of one faulty setting each.
+SETTING_ERRORS = [
+    # every control family: a missing field, a value of the wrong type, an unknown key
+    ("phi", {"family": "linear"}, "phi.slope", "required key is missing"),
+    ("phi", {"family": "linear", "slope": "abc"}, "phi.slope", "expected a number, got 'abc'"),
+    ("phi", {"family": "linear", "slope": "1/2", "bogus": 1}, "phi", "unknown keys ['bogus']"),
+    ("phi", {"family": "power"}, "phi.exponent", "required key is missing"),
+    ("phi", {"family": "power", "exponent": "abc"}, "phi.exponent",
+     "expected a number, got 'abc'"),
+    ("phi", {"family": "power", "exponent": 2, "bogus": 1}, "phi", "unknown keys ['bogus']"),
+    ("phi", {"family": "capped_linear", "threshold": 1}, "phi.slope", "required key is missing"),
+    ("phi", {"family": "capped_linear", "slope": "abc", "threshold": 1}, "phi.slope",
+     "expected a number, got 'abc'"),
+    ("phi", {"family": "capped_linear", "slope": "2/3"}, "phi.threshold",
+     "required key is missing"),
+    ("phi", {"family": "capped_linear", "slope": "2/3", "threshold": "abc"}, "phi.threshold",
+     "expected a number, got 'abc'"),
+    ("phi", {"family": "capped_linear", "slope": "2/3", "threshold": 1, "bogus": 1}, "phi",
+     "unknown keys ['bogus']"),
+    ("phi", {"family": "identity", "bogus": 1}, "phi", "unknown keys ['bogus']"),
+    ("phi", {"family": "expr"}, "phi.text", "required key is missing"),
+    ("phi", {"family": "expr", "text": 3}, "phi.text", "expected an expression string, got 3"),
+    ("phi", {"family": "expr", "text": "t / 2", "bogus": 1}, "phi", "unknown keys ['bogus']"),
+    # the control itself, its family, and values its constructor rejects
+    ("phi", 5, "phi", "expected a mapping, got int"),
+    ("phi", {"family": "bogus"}, "phi.family", f"expected one of {_FAMILIES_ONE_OF}, got 'bogus'"),
+    ("phi", {"slope": 1}, "phi.family", f"expected one of {_FAMILIES_ONE_OF}, got None"),
+    ("phi", {"family": "linear", "slope": -1}, "phi", "linear slope must be >= 0, got -1"),
+    ("phi", {"family": "power", "exponent": 0}, "phi", "power exponent must be > 0, got 0.0"),
+    ("phi", {"family": "capped_linear", "slope": 2, "threshold": 1}, "phi",
+     "capped-linear slope must lie in (0, 1), got 2"),
+    ("phi", {"family": "expr", "text": "t +"}, "phi",
+     "unexpected end of input at line 1, column 4 "
+     "(expected number, identifier, function call, (, -)"),
+    # every solve key with a value of the wrong type
+    ("solve", {"tol": "abc"}, "solve.tol", "expected a number, got 'abc'"),
+    ("solve", {"max_iter": "abc"}, "solve.max_iter", "expected an integer, got 'abc'"),
+    ("solve", {"max_iter": 2.5}, "solve.max_iter", "expected an integer, got 2.5"),
+    ("solve", {"preimage_tol": [1]}, "solve.preimage_tol", "expected a number, got [1]"),
+    ("solve", {"starts": "abc"}, "solve.starts", "expected a list of [x0, y0] pairs, got 'abc'"),
+    ("solve", {"starts": [[1]]}, "solve.starts[0]", "expected a pair [x0, y0], got [1]"),
+    ("solve", {"starts": [["a", 1]]}, "solve.starts[0]", "expected a number, got 'a'"),
+    ("solve", 5, "solve", "expected a mapping, got int"),
+    ("solve", {"max_iter": 0}, "solve", "max_iter must be at least 1, got 0"),
+    ("solve", {"bogus": 1}, "solve", "unknown keys ['bogus']"),
+    # every check key with a value of the wrong type
+    ("check", {"grid_count": "abc"}, "check.grid_count", "expected an integer, got 'abc'"),
+    ("check", {"grid_count": True}, "check.grid_count", "expected an integer, got True"),
+    ("check", {"grid_count_b": 1.5}, "check.grid_count_b", "expected an integer, got 1.5"),
+    ("check", {"jitter_count": "2"}, "check.jitter_count", "expected an integer, got '2'"),
+    ("check", {"seed": None}, "check.seed", "expected an integer, got None"),
+    ("check", {"tol": "abc"}, "check.tol", "expected a number, got 'abc'"),
+    ("check", {"budget": "abc"}, "check.budget", "expected an integer, got 'abc'"),
+    ("check", {"budget": 1e6}, "check.budget", "expected an integer, got 1000000.0"),
+    ("check", {"range_b": 5}, "check.range_b",
+     "expected an interval string, a brace set, or a list of values, got 5"),
+    ("check", [1], "check", "expected a mapping, got list"),
+    ("check", {"grid_count": 0}, "check", "grid_count must be positive"),
+    ("check", {"grid_count_b": 0}, "check", "grid_count must be positive"),
+    ("check", {"jitter_count": -1}, "check", "jitter_count must be nonnegative"),
+    ("check", {"tol": 0}, "check.tol", "tol must be a positive finite float, got 0.0"),
+    ("check", {"bogus": 1}, "check", "unknown keys ['bogus']"),
+]
+
+
+class TestSettingErrors:
+    @pytest.mark.parametrize(
+        "section, value, key, message", SETTING_ERRORS,
+        ids=[f"{s}-{k}-{i}" for i, (s, _, k, _) in enumerate(SETTING_ERRORS)],
+    )
+    def test_message_and_key_path(self, section, value, key, message):
+        doc = {**builtin_mapping("example-2.2.3"), section: value}
+        with pytest.raises(DocumentError) as err:
+            documents.parse_mapping(doc)
+        assert err.value.key == key
+        assert str(err.value) == f"{key}: {message}"
