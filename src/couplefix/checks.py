@@ -76,6 +76,7 @@ from operator import add, gt, not_, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
+from .errors import at_least_one
 from .metric import (
     REAL_EQ_TOL,
     SamplePlan,
@@ -95,6 +96,7 @@ DEFAULT_QUADRUPLE_BUDGET = 1_000_000
 
 
 def _quadruple_stride(na: int, nb: int, budget: int) -> int:
+    at_least_one("budget", budget)  # once the stride reaches n, every factor is 1
     stride = 1
     while (
         math.ceil(na / stride) * math.ceil(nb / stride) ** 2 * math.ceil(na / stride)

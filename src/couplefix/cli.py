@@ -98,7 +98,7 @@ def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOp
         plan_b = dataclasses.replace(plan_b, **changes)
     tol = doc.check.tol if args.tol is None else args.tol
     settings = dataclasses.replace(doc.check, plan=plan, plan_b=plan_b, tol=tol)
-    overrides = (("tol", args.tol), ("max_iter", args.max_iter), ("seed", args.seed))
+    overrides = (("tol", args.tol), ("max_iter", args.max_iter))
     opts = dataclasses.replace(doc.solve, **{k: v for k, v in overrides if v is not None})
     return settings, opts
 
@@ -306,12 +306,16 @@ def _run_command(doc: ProblemDocument, args, t0: float) -> int:
     return _solve_and_report(doc, problem, starts, opts, args, t0, checks)
 
 
-def _add_source_and_flags(sp, solver: bool) -> None:
+def _add_source_and_flags(sp, command: str) -> None:
+    """Sampling flags for the commands that check, iteration flags for those that solve."""
     sp.add_argument("source", help="builtin problem name or path to a document")
     sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sp.add_argument("--samples", type=int, default=None, help="grid count override")
-    sp.add_argument("--jitter", type=int, default=None, help="extra jittered samples")
-    sp.add_argument("--seed", type=int, default=None, help="sampling seed override")
+    if command == "solve":
+        sp.set_defaults(samples=None, jitter=None, seed=None)
+    else:
+        sp.add_argument("--samples", type=int, default=None, help="grid count override")
+        sp.add_argument("--jitter", type=int, default=None, help="extra jittered samples")
+        sp.add_argument("--seed", type=int, default=None, help="sampling seed override")
     sp.add_argument(
         "--json",
         dest="json_path",
@@ -319,7 +323,9 @@ def _add_source_and_flags(sp, solver: bool) -> None:
         default=None,
         help="write the JSON report to PATH, or to stderr when '-'",
     )
-    if solver:
+    if command == "check":
+        sp.set_defaults(trace=None, start=None, max_iter=None)
+    else:
         sp.add_argument("--max-iter", type=int, default=None, help="step limit override")
         sp.add_argument(
             "--trace",
@@ -335,8 +341,6 @@ def _add_source_and_flags(sp, solver: bool) -> None:
             metavar=("X0", "Y0"),
             help="start pair; repeat for multiple starts",
         )
-    else:
-        sp.set_defaults(trace=None, start=None, max_iter=None)
 
 
 #: A negative number that argparse takes for a value, not an option, when
@@ -427,16 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_source_and_flags(
-        sub.add_parser("check", help="run the sampled hypothesis checks"), solver=False
-    )
-    _add_source_and_flags(
-        sub.add_parser("solve", help="run the iteration engine"), solver=True
-    )
-    _add_source_and_flags(
-        sub.add_parser("demo", help="run checks, then solve from document starts"),
-        solver=True,
-    )
+    for command, help in (("check", "run the sampled hypothesis checks"),
+                          ("solve", "run the iteration engine"),
+                          ("demo", "run checks, then solve from document starts")):
+        _add_source_and_flags(sub.add_parser(command, help=help), command)
     sub.add_parser("list", help="list builtin problems")
     return parser
 

@@ -15,7 +15,6 @@ builtin never loads PyYAML.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -31,7 +30,8 @@ from .controls import (
     make_power,
     with_declared_class,
 )
-from .errors import DocumentError, DomainError, ExprSyntaxError, ParameterError
+from .errors import (DocumentError, DomainError, ExprSyntaxError, ParameterError, at_least_one,
+                     positive_finite)
 from .expr import Expr, parse_expression
 from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
@@ -52,17 +52,6 @@ _TOP_KEYS = {
 }
 _REQUIRED_KEYS = ("problem_kind", "space", "subset_A", "subset_B", "map_F", "phi")
 _KINDS = ("coincidence", "strong_coupled")
-
-_SOLVE_KEYS = {"tol", "max_iter", "preimage_tol", "seed", "starts"}
-_CHECK_KEYS = {"grid_count", "grid_count_b", "jitter_count", "seed", "tol", "budget", "range_b"}
-
-_CONTROL_FAMILIES = {
-    "linear": ("slope",),
-    "power": ("exponent",),
-    "capped_linear": ("slope", "threshold"),
-    "identity": (),
-    "expr": ("text",),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,6 +174,22 @@ def _parse_expr(raw, key: str) -> Expr:
         raise DocumentError(str(exc), key=key) from exc
 
 
+def _expr_text(raw, key: str) -> str:
+    if not isinstance(raw, str):
+        raise DocumentError(f"expected an expression string, got {raw!r}", key=key)
+    return raw
+
+
+#: Each control family: its constructor and the converter of each field.
+_CONTROL_FAMILIES = {
+    "linear": (make_linear, {"slope": _fraction}),
+    "power": (make_power, {"exponent": _float}),
+    "capped_linear": (make_capped_linear, {"slope": _fraction, "threshold": _fraction}),
+    "identity": (identity_control, {}),
+    "expr": (control_from_text, {"text": _expr_text}),
+}
+
+
 def _parse_control(raw, key: str, slot: ControlClass) -> ControlFunction:
     try:
         if isinstance(raw, str):
@@ -196,33 +201,14 @@ def _parse_control(raw, key: str, slot: ControlClass) -> ControlFunction:
                 f"expected one of {sorted(_CONTROL_FAMILIES)}, got {family!r}",
                 key=f"{key}.family",
             )
-        fields = _CONTROL_FAMILIES[family]
+        make, fields = _CONTROL_FAMILIES[family]
         _reject_unknown(spec, {"family", *fields}, key)
         for name in fields:
             if name not in spec:
                 raise DocumentError("required key is missing", key=f"{key}.{name}")
-        if family == "linear":
-            f = make_linear(_fraction(spec["slope"], f"{key}.slope"))
-        elif family == "power":
-            f = make_power(_float(spec["exponent"], f"{key}.exponent"))
-        elif family == "capped_linear":
-            f = make_capped_linear(
-                _fraction(spec["slope"], f"{key}.slope"),
-                _fraction(spec["threshold"], f"{key}.threshold"),
-            )
-        elif family == "identity":
-            f = identity_control()
-        else:
-            f = control_from_text(_expr_text(spec["text"], f"{key}.text"))
-        return with_declared_class(f, slot)
+        return with_declared_class(make(**_read_fields(spec, fields, key)), slot)
     except (ParameterError, ExprSyntaxError) as exc:
         raise DocumentError(str(exc), key=key) from exc
-
-
-def _expr_text(raw, key: str) -> str:
-    if not isinstance(raw, str):
-        raise DocumentError(f"expected an expression string, got {raw!r}", key=key)
-    return raw
 
 
 def _parse_starts(raw, key: str) -> tuple[tuple[Point, Point], ...]:
@@ -230,65 +216,67 @@ def _parse_starts(raw, key: str) -> tuple[tuple[Point, Point], ...]:
         raise DocumentError(f"expected a list of [x0, y0] pairs, got {raw!r}", key=key)
     starts = []
     for i, pair in enumerate(raw):
+        at = f"{key}[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(
-                f"expected a pair [x0, y0], got {pair!r}", key=f"{key}[{i}]"
-            )
-        starts.append(
-            (
-                Point.real(_float(pair[0], f"{key}[{i}]")),
-                Point.real(_float(pair[1], f"{key}[{i}]")),
-            )
-        )
+            raise DocumentError(f"expected a pair [x0, y0], got {pair!r}", key=at)
+        starts.append((Point.real(_float(pair[0], at)), Point.real(_float(pair[1], at))))
     return tuple(starts)
 
 
+def _held_to(rule, read):
+    """A converter that reads a value with ``read`` and holds it to
+    ``rule(name, value)``, whose ParameterError is reported at the key."""
+    def convert(raw, key: str):
+        try:
+            return rule(key.rpartition(".")[2], read(raw, key))
+        except ParameterError as exc:
+            raise DocumentError(str(exc), key=key) from exc
+    return convert
+
+
+def _read_fields(spec: dict, fields: dict, key: str) -> dict:
+    """The entries of ``spec`` that ``fields`` names, each read by its
+    converter under the key path ``key.name``."""
+    return {name: convert(spec[name], f"{key}.{name}")
+            for name, convert in fields.items() if name in spec}
+
+
+def _read_section(raw, key: str, fields: dict) -> dict:
+    spec = {} if raw is None else _mapping(raw, key)
+    _reject_unknown(spec, set(fields), key)
+    return _read_fields(spec, fields, key)
+
+
+_POSITIVE = _held_to(positive_finite, _float)
+
+#: The keys of the ``solve`` and ``check`` sections and their converters.
+#: A key that is absent takes the default of the dataclass field it sets.
+_SOLVE_FIELDS = {"tol": _POSITIVE, "max_iter": _int, "preimage_tol": _POSITIVE,
+                 "starts": _parse_starts}
+_CHECK_FIELDS = {"grid_count": _int, "grid_count_b": _int, "jitter_count": _int, "seed": _int,
+                 "tol": _POSITIVE, "budget": _held_to(at_least_one, _int),
+                 "range_b": _parse_subset}
+
+
 def _parse_solve(raw) -> tuple[SolveOptions, tuple[tuple[Point, Point], ...]]:
-    if raw is None:
-        return SolveOptions(), ()
-    spec = _mapping(raw, "solve")
-    _reject_unknown(spec, _SOLVE_KEYS, "solve")
+    values = _read_section(raw, "solve", _SOLVE_FIELDS)
+    starts = values.pop("starts", ())
     try:
-        opts = SolveOptions(
-            tol=_float(spec["tol"], "solve.tol") if "tol" in spec else 1e-9,
-            max_iter=_int(spec.get("max_iter", 10_000), "solve.max_iter"),
-            preimage_tol=(
-                _float(spec["preimage_tol"], "solve.preimage_tol")
-                if "preimage_tol" in spec
-                else 1e-9
-            ),
-            seed=_int(spec.get("seed", 0), "solve.seed"),
-        )
+        return SolveOptions(**values), starts
     except ParameterError as exc:
         raise DocumentError(str(exc), key="solve") from exc
-    starts = _parse_starts(spec["starts"], "solve.starts") if "starts" in spec else ()
-    return opts, starts
 
 
 def _parse_check(raw) -> CheckSettings:
-    if raw is None:
-        return CheckSettings()
-    spec = _mapping(raw, "check")
-    _reject_unknown(spec, _CHECK_KEYS, "check")
-    jitter = _int(spec.get("jitter_count", 0), "check.jitter_count")
-    seed = _int(spec.get("seed", 0), "check.seed")
+    values = _read_section(raw, "check", _CHECK_FIELDS)
+    grid_count_b = values.pop("grid_count_b", None)
+    plan_fields = {k: values.pop(k) for k in ("grid_count", "jitter_count", "seed") if k in values}
     try:
-        plan = SamplePlan(_int(spec.get("grid_count", 21), "check.grid_count"), jitter, seed)
-        plan_b = None
-        if "grid_count_b" in spec:
-            plan_b = SamplePlan(_int(spec["grid_count_b"], "check.grid_count_b"), jitter, seed)
+        plan = SamplePlan(**plan_fields)
+        plan_b = None if grid_count_b is None else dataclasses.replace(plan, grid_count=grid_count_b)
     except ParameterError as exc:
         raise DocumentError(str(exc), key="check") from exc
-    tol = _float(spec.get("tol", 1e-9), "check.tol")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DocumentError(f"tol must be a positive finite float, got {tol}", key="check.tol")
-    return CheckSettings(
-        plan=plan,
-        plan_b=plan_b,
-        tol=tol,
-        budget=_int(spec.get("budget", DEFAULT_QUADRUPLE_BUDGET), "check.budget"),
-        range_b=_parse_subset(spec["range_b"], "check.range_b") if "range_b" in spec else None,
-    )
+    return CheckSettings(plan=plan, plan_b=plan_b, **values)
 
 
 def parse_problem(text: str, name: str = "problem") -> ProblemDocument:

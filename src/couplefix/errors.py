@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the parameter rules, shared across the package."""
 
 from __future__ import annotations
+
+import math
 
 
 class CoupleFixError(Exception):
@@ -50,3 +52,18 @@ class DocumentError(CoupleFixError):
 
 class BudgetError(CoupleFixError):
     """A sampled search grew past its configured budget."""
+
+
+def positive_finite(name: str, value: float) -> float:
+    """``value``; a :class:`ParameterError` naming ``name`` unless it is a
+    positive finite number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be a positive finite float, got {value}")
+    return value
+
+
+def at_least_one(name: str, value: int) -> int:
+    """``value``; a :class:`ParameterError` naming ``name`` when it is below 1."""
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+    return value

@@ -24,7 +24,6 @@ from .metric import (
     SubsetSpec,
     Value,
     contains,
-    distance,
     sample_values,
     subset_within_carrier,
 )
@@ -234,7 +233,9 @@ class SelfMap:
 
         The candidate ``inverse(target)`` is trusted only after checking it
         lands in the subset and actually maps back within tolerance, its
-        image read through ``value_fn``.
+        image read through ``value_fn`` and compared with the target by
+        ``space.metric`` on raw values, as the grid search compares them: a
+        target outside the carrier is declined, not an error.
         """
         inverse = _bind(inverse_ast, ("x",), "inverse expressions")
         g = self.value_fn
@@ -243,7 +244,7 @@ class SelfMap:
             candidate = Point(inverse(target.value))
             if not contains(subset, candidate):
                 return None
-            if distance(space, Point(g(candidate.value)), target) > tol:
+            if space.metric(g(candidate.value), target.value) > tol:
                 return None
             return candidate
 

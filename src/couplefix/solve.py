@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, NamedTuple, Optional, Union
 
-from .errors import BudgetError, DomainError, ParameterError
+from .errors import BudgetError, DomainError, ParameterError, at_least_one, positive_finite
 from .metric import (
     Point,
     SamplePlan,
@@ -66,17 +66,11 @@ class SolveOptions:
     tol: float = 1e-9
     max_iter: int = 10_000
     preimage_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ParameterError(f"tol must be a positive finite float, got {self.tol}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (self.preimage_tol > 0 and math.isfinite(self.preimage_tol)):
-            raise ParameterError(
-                f"preimage_tol must be a positive finite float, got {self.preimage_tol}"
-            )
+        positive_finite("tol", self.tol)
+        at_least_one("max_iter", self.max_iter)
+        positive_finite("preimage_tol", self.preimage_tol)
 
 
 class TraceStep(NamedTuple):
@@ -132,7 +126,6 @@ def grid_preimage(
     target: Point,
     tol: float,
     grid_count: int = PREIMAGE_GRID_COUNT,
-    seed: int = 0,
 ) -> tuple[Optional[Point], float]:
     """Nearest sampled preimage of ``target`` under ``t`` within a subset.
 
@@ -144,7 +137,7 @@ def grid_preimage(
     metric, with float images and a finite float target, the search bisects
     ``t.image_index`` (:func:`_nearest`) instead of scanning every image.
     """
-    plan = SamplePlan(grid_count=grid_count, seed=seed)
+    plan = SamplePlan(grid_count=grid_count)
     values, images = t.image_table(subset, plan)
     d = space.metric
     goal = target.value
@@ -204,15 +197,8 @@ def _find_preimage(
             return got.value, problem.space.metric(t.value_fn(got.value), target)
     # No oracle, or the oracle declined: fall back to the grid so failures
     # still report how close the nearest sampled point came.
-    p, dist = grid_preimage(
-        problem.space, t, subset, Point(target), opts.preimage_tol, seed=opts.seed
-    )
+    p, dist = grid_preimage(problem.space, t, subset, Point(target), opts.preimage_tol)
     return (None if p is None else p.value), dist
-
-
-def _require_member(subset: SubsetSpec, p: Point, label: str) -> None:
-    if not contains(subset, p):
-        raise DomainError(f"start {label}={p.value!r} is not in subset {label[-1].upper()}")
 
 
 def _coincidence_residuals(problem: CoincidenceProblem, a: Value, b: Value) -> dict[str, float]:
@@ -296,8 +282,10 @@ def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, resid
     that ends the run.  ``residuals(problem, x, y)`` gives the defining
     residuals of a pair of raw values.
     """
-    _require_member(problem.subset_a, x0, "x0")
-    _require_member(problem.subset_b, y0, "y0")
+    for label, p, subset, name in (("x0", x0, problem.subset_a, "A"),
+                                   ("y0", y0, problem.subset_b, "B")):
+        if not contains(subset, p):
+            raise DomainError(f"start {label}={p.value!r} is not in subset {name}")
     x, y = x0.value, y0.value
     step = make_step(problem, opts, x, y)
     trace = IterationTrace(problem.kind)

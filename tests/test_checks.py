@@ -179,6 +179,18 @@ class TestPhiTContraction:
         assert report.details["stride"] == 3
         assert report.samples_tested == 7 * 14 * 14 * 7
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_parameter_error(self, budget):
+        with pytest.raises(ParameterError, match=f"budget must be at least 1, got {budget}"):
+            check_phi_T_contraction(plateau_problem(), PLAN_21, budget=budget)
+        with pytest.raises(ParameterError, match=f"budget must be at least 1, got {budget}"):
+            check_phi_psi_contraction(min_problem(), PLAN_21, budget=budget)
+
+    def test_budget_of_one_thins_to_one_quadruple(self):
+        report = check_phi_T_contraction(plateau_problem(), PLAN_21, budget=1)
+        assert report.details["stride"] == 21
+        assert report.samples_tested == 1
+
     def test_deterministic_reports(self):
         p = plateau_problem()
         plan = SamplePlan(grid_count=7, jitter_count=3, seed=11)

@@ -3,6 +3,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -29,6 +32,9 @@ SWAP_DOC = textwrap.dedent(
       starts: [[0, 1]]
     """
 )
+
+
+DOCUMENTS = Path(__file__).parent
 
 
 def run_cli(args, capsys):
@@ -272,6 +278,26 @@ class TestSolveCommand:
         assert run["failure"]["subset"] == "A"
         assert run["failure"]["target"] == pytest.approx(1 / 6, abs=1e-15)
         assert run["failure"]["min_distance"] == pytest.approx(11 / 6, abs=1e-12)
+
+    def test_start_outside_a_subset_names_it(self, capsys):
+        doc = str(DOCUMENTS / "inverse-coincidence.yaml")
+        code, _, err = run_cli(["solve", doc, "--start", "1", "3"], capsys)
+        assert (code, err) == (3, "error: start y0=3.0 is not in subset B\n")
+        code, _, err = run_cli(["solve", doc, "--start", "2", "0"], capsys)
+        assert (code, err) == (3, "error: start x0=2.0 is not in subset A\n")
+
+    def test_target_outside_the_carrier_fails_on_both_preimage_paths(self, tmp_path, capsys):
+        oracle = DOCUMENTS / "escaping-preimage.yaml"
+        grid = tmp_path / "escaping-preimage.yaml"
+        text = oracle.read_text(encoding="utf-8")
+        grid.write_text(text.replace('map_T_inverse: "x / 8"\n', ""), encoding="utf-8")
+        assert "map_T_inverse:" in text and "map_T_inverse:" not in grid.read_text(encoding="utf-8")
+        runs = [run_cli(["solve", str(path)], capsys) for path in (oracle, grid)]
+        for code, out, err in runs:
+            assert code == 4 and err == ""
+            assert out.endswith("  failure: reason=preimage, step=1, subset=A, target=5, "
+                                "min_distance=3\n")
+        assert runs[0] == runs[1]
 
     def test_max_iter_flag_exit_2(self, tmp_path, capsys):
         path = tmp_path / "swap.yaml"
@@ -636,3 +662,38 @@ class TestStartParsing:
         ns = cli.build_parser().parse_args(argv)
         assert ns.start == [[k / 600, -0.5] for k in range(600)]
         assert seen[-1] == ["banach-linear", "--start", "0.0", "-0.5"]
+
+
+class TestSamplingFlags:
+    """--samples, --jitter and --seed set check sampling, so only the
+    commands that run the checks take them."""
+
+    @pytest.mark.parametrize("flag", ["--samples", "--jitter", "--seed"])
+    def test_solve_rejects_them_with_the_usage(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "banach-linear", flag, "3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == ""
+        assert err.startswith("usage: couplefix ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+    @pytest.mark.parametrize("command", ["check", "demo"])
+    def test_check_and_demo_take_them(self, command, tmp_path, capsys):
+        args = [command, "banach-linear", "--samples", "9", "--jitter", "1", "--seed", "2"]
+        ns = cli.build_parser().parse_args(args)
+        assert (ns.samples, ns.jitter, ns.seed) == (9, 1, 2)
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(args + ["--json", str(report)], capsys)
+        assert code == 0
+        axioms = read_json(report)["checks"][0]
+        assert axioms["slot"] == "space"
+        assert axioms["samples_tested"] == 10 ** 3 + 10 ** 2  # 9 grid + 1 jitter points
+
+    def test_zero_budget_document_exits_3_at_once(self):
+        env = dict(os.environ, PYTHONPATH=str(DOCUMENTS.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-m", "couplefix.cli", "check", str(DOCUMENTS / "zero-budget.yaml")],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert out.returncode == 3 and out.stdout == ""
+        assert out.stderr == "error: check.budget: budget must be at least 1, got 0\n"

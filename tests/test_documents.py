@@ -474,3 +474,53 @@ class TestSettingErrors:
             documents.parse_mapping(doc)
         assert err.value.key == key
         assert str(err.value) == f"{key}: {message}"
+
+
+class TestSettingRules:
+    def test_solve_seed_is_an_unknown_key(self):
+        doc = {**builtin_mapping("example-2.2.3"), "solve": {"seed": 1}}
+        with pytest.raises(DocumentError) as err:
+            documents.parse_mapping(doc)
+        assert err.value.key == "solve"
+        assert str(err.value) == "solve: unknown keys ['seed']"
+
+    @pytest.mark.parametrize(
+        "section, value, key, message",
+        [
+            ("solve", {"tol": 0}, "solve.tol", "tol must be a positive finite float, got 0.0"),
+            ("solve", {"tol": ".nan"}, "solve.tol", "expected a number, got '.nan'"),
+            ("solve", {"preimage_tol": -1}, "solve.preimage_tol",
+             "preimage_tol must be a positive finite float, got -1.0"),
+            ("solve", {"preimage_tol": float("inf")}, "solve.preimage_tol",
+             "expected a number, got inf"),
+            ("check", {"tol": "-1/2"}, "check.tol",
+             "tol must be a positive finite float, got -0.5"),
+            ("check", {"budget": 0}, "check.budget", "budget must be at least 1, got 0"),
+            ("check", {"budget": -5}, "check.budget", "budget must be at least 1, got -5"),
+        ],
+    )
+    def test_positive_settings(self, section, value, key, message):
+        doc = {**builtin_mapping("example-2.2.3"), section: value}
+        with pytest.raises(DocumentError) as err:
+            documents.parse_mapping(doc)
+        assert err.value.key == key
+        assert str(err.value) == f"{key}: {message}"
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        doc = documents.parse_mapping({**builtin_mapping("example-2.2.3"), "solve": None})
+        assert doc.solve == documents.SolveOptions()
+        assert doc.starts == ()
+        assert doc.check == documents.CheckSettings()
+
+    def test_present_keys_reach_the_dataclasses(self):
+        doc = documents.parse_mapping({
+            **builtin_mapping("example-2.2.3"),
+            "solve": {"tol": "1/1000", "max_iter": 7, "preimage_tol": 0.5},
+            "check": {"grid_count": 5, "grid_count_b": 9, "jitter_count": 2, "seed": 4,
+                      "tol": 1e-6, "budget": 1, "range_b": "[0, 1]"},
+        })
+        assert doc.solve == documents.SolveOptions(tol=0.001, max_iter=7, preimage_tol=0.5)
+        assert doc.check.plan == documents.SamplePlan(5, 2, 4)
+        assert doc.check.plan_b == documents.SamplePlan(9, 2, 4)
+        assert (doc.check.tol, doc.check.budget) == (1e-6, 1)
+        assert doc.check.range_b.intervals == (Interval(0.0, 1.0),)

@@ -1520,7 +1520,8 @@ def naive_strong_iteration(problem, x0, y0, opts):
     a, b, tol = problem.subset_a, problem.subset_b, opts.tol
     for p, label in ((x0, "x0"), (y0, "y0")):
         if not contains(a if label == "x0" else b, p):
-            raise DomainError(f"start {label}={p.value!r} is not in subset {label[-1].upper()}")
+            raise DomainError(f"start {label}={p.value!r} is not in subset "
+                              f"{'A' if label == 'x0' else 'B'}")
     trace = solve.IterationTrace("strong_coupled")
 
     def report(status, x, y, failure=None):

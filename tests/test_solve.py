@@ -68,7 +68,6 @@ class TestSolveOptions:
         assert opts.tol == 1e-9
         assert opts.max_iter == 10_000
         assert opts.preimage_tol == 1e-9
-        assert opts.seed == 0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
