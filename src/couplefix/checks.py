@@ -2,10 +2,13 @@
 
 Every checker here follows the same bargain: it scans a deterministic
 finite sample, records each broken inequality as a reproducible witness,
-and reports evidence rather than proof.  Verdicts are monotone in the
-sample — enlarging a grid can only surface more violations, never erase
-one — and each report carries enough detail (image values, stride, margin)
-to re-derive its numbers independently.
+and reports evidence rather than proof.  A thinned sample is a
+deterministic subset of the full grid, but samples of different sizes do
+not nest: thinning drops the grid's far endpoint, and the samples of an
+open interval move with the grid, so a witness found on a smaller grid
+need not lie in a larger grid's sample (nested sampling is item 4 of
+ROADMAP.md).  Each report carries enough detail (image values, stride,
+margin) to re-derive its numbers independently.
 
 Both contraction checkers are entries to one kernel.  It walks quadruples
 (x, y, u, v) with x, v drawn from the first subset and y, u from the second,
@@ -42,12 +45,14 @@ therefore equal those of the per-quadruple loop.
 On the usual metric with left the identity (phi-T, and psi = identity),
 no plane reaches that comprehension: ``levelset`` evaluates a plane
 exactly in O(n_a + n_b) steps instead of n_a * n_b.  A plane that holds a
-violation also scans the cells of the row and column strips that can hold
-one and hands back their hits in scan order, so it costs its event sweep
-plus those cells, not n_a * n_b.  Any other metric, a left that is not
-the identity, or tables that ``levelset.applies`` rejects (a NaN or
-infinite entry, a right value of -0.0, a right that decreases on the
-sampled distances) leave every plane to the comprehension.
+violation also searches the row and column strips that can hold one and
+hands back their hits in scan order: on a monotone line of the sorted grid
+it walks in from both ends of a strip, elsewhere it scans the strip whole.
+It costs its event sweep plus its hits on monotone lines plus the cells of
+failing strips on other lines, not n_a * n_b.  Any other metric, a left
+that is not the identity, or tables that ``levelset.applies`` rejects (a
+NaN or infinite entry, a right value of -0.0, a right that decreases on
+the sampled distances) leave every plane to the comprehension.
 
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.

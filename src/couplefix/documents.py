@@ -152,7 +152,10 @@ def _parse_space(raw, key: str = "space") -> MetricSpace:
 
 def _parse_subset(raw, key: str) -> SubsetSpec:
     if isinstance(raw, list):
-        return SubsetSpec.from_values([_float(v, key) for v in raw])
+        try:
+            return SubsetSpec.from_values([_float(v, key) for v in raw])
+        except ParameterError as exc:  # an empty list
+            raise DocumentError(str(exc), key=key) from exc
     if isinstance(raw, str):
         s = raw.strip()
         if s.startswith("{") and s.endswith("}"):

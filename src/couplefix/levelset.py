@@ -20,9 +20,19 @@ cell enters it once: in the strip of whichever of its row and its column
 comes second, at a distance equal to the cell's own M.  F(x, y) - W rounds
 monotonically in W, so a strip holds a violation exactly when
 F(x, y) - min W or max W - F(x, y) exceeds right(M) + tol there.  A
-plane that holds violations scans only the strips that fail this test, and
-its hits, sorted by index, are its violations in scan order: a failing
-plane costs O(n_a + n_b) steps plus the cells of its failing strips.
+plane that holds violations searches only the strips that fail this test.
+On a row or column of the sorted grid that is monotone (flagged once per
+evaluator), F(x, y) - W is monotone along the strip, so the cells with
+|F(x, y) - W| <= right(M) + tol form one run and the hits are a prefix and
+a suffix: two walks in from the ends find them with that same test, each
+stopping at its first passing cell.  A strip of any other line is scanned
+whole.  The hits, sorted by index, are the plane's violations in scan
+order, so a failing plane costs O(n_a + n_b) steps plus its hits on
+monotone lines plus the cells of its failing strips on other lines.
+A sparse-table descent would cost O(log n) per hit on any line, but in
+pure Python its steps cost about what a C-level scan of a whole strip does,
+and failing strips are short (on negative-midpoint at grid 81, 15 cells
+and 1.8 hits on average).
 
 ``applies`` says when the argument holds for the tables at hand: every
 entry finite, no right value of -0.0 (the sign of a zero margin would then
@@ -35,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress, repeat
-from operator import add, gt, itemgetter, le, sub
+from operator import add, ge, gt, itemgetter, le, sub
 from typing import Optional
 
 
@@ -105,8 +115,9 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
 
     The plane's violations are the cells of the strips with
     fab - min W > right + tol or max W - fab > right + tol (see the module
-    docstring).  They are searched for with ``fab`` in a second sweep, and
-    once one plane has failed, every new profile is swept with ``fab``.
+    docstring), walked in from both ends on monotone lines and scanned
+    whole on others.  They are searched for with ``fab`` in a second sweep,
+    and once one plane has failed, every new profile is swept with ``fab``.
     """
     na = len(ix)
     su = sorted(range(len(iy)), key=iy.__getitem__)
@@ -118,6 +129,8 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
     # k < 0; line_keys[k] holds the scan index j2 * na + i2 of each cell
     lines = grid + cols[::-1]
     line_keys = row_keys + list(map(list, zip(*row_keys)))[::-1]
+    monotone = [all(map(le, line, line[1:])) or all(map(ge, line, line[1:]))
+                for line in lines]
     row_lo, row_hi = zip(*map(_sparse_tables, grid))
     col_lo, col_hi = zip(*map(_sparse_tables, cols))
     # log2[d]: the sparse-table level that covers a window of d + 1 values
@@ -144,7 +157,8 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         lo, hi = inf, -inf
         lo_r, lo_w, hi_r, hi_w = [], [], [], []
         if fab is not None:
-            cells, keys, rights, bounds = [], [], [], []  # of the failing strips
+            hits = []  # (key, lhs, rhs) found on monotone lines
+            cells, keys, rights, bounds = [], [], [], []  # failing strips elsewhere
         # a stable sort on distance alone keeps each side's outward order
         for rho, k in sorted(ue + ve, key=itemgetter(0)):
             if k >= 0:  # row k over the columns so far
@@ -188,15 +202,32 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                 bound = r + tol
                 if fab - w_lo > bound or w_hi - fab > bound:
                     end = last + (1 << s)
-                    cells += lines[k][first:end]
-                    keys += line_keys[k][first:end]
-                    rights += [r] * (end - first)
-                    bounds += [bound] * (end - first)
+                    line, at = lines[k], line_keys[k]
+                    if monotone[k]:  # hits are a prefix and a suffix: walk in
+                        p, q = first, end
+                        while p < q:
+                            lhs = abs(fab - line[p])
+                            if not lhs > bound:
+                                break
+                            hits.append((at[p], lhs, r))
+                            p += 1
+                        while q > p + 1:  # cell p, if any, failed the test
+                            q -= 1
+                            lhs = abs(fab - line[q])
+                            if not lhs > bound:
+                                break
+                            hits.append((at[q], lhs, r))
+                    else:
+                        cells += line[first:end]
+                        keys += at[first:end]
+                        rights += [r] * (end - first)
+                        bounds += [bound] * (end - first)
         profile = lo_r, lo_w, hi_r, hi_w
         if fab is None:
             return profile, None
         lhs = list(map(abs, map(sub, repeat(fab), cells)))
-        return profile, sorted(compress(zip(keys, lhs, rights), map(gt, lhs, bounds)))
+        hits += compress(zip(keys, lhs, rights), map(gt, lhs, bounds))
+        return profile, sorted(hits)
 
     def plane(i: int, j: int, fab: float) -> tuple[float, tuple, tuple, tuple]:
         nonlocal failed

@@ -122,6 +122,7 @@ class TestParseProblem:
         [
             ('space: "[0, 3]"', 'space: "[2, 1]"', "space"),
             ("subset_A: [1]", 'subset_A: "(1, 1)"', "subset_A"),
+            ("subset_A: [1]", "subset_A: []", "subset_A"),
             ("grid_count: 11", 'grid_count: 11\n  range_b: "[3, 0]"', "check.range_b"),
         ],
     )
@@ -454,6 +455,8 @@ SETTING_ERRORS = [
     ("check", {"budget": 1e6}, "check.budget", "expected an integer, got 1000000.0"),
     ("check", {"range_b": 5}, "check.range_b",
      "expected an interval string, a brace set, or a list of values, got 5"),
+    ("check", {"range_b": []}, "check.range_b",
+     "subset must have either points or intervals, and be nonempty"),
     ("check", [1], "check", "expected a mapping, got list"),
     ("check", {"grid_count": 0}, "check", "grid_count must be positive"),
     ("check", {"grid_count_b": 0}, "check", "grid_count must be positive"),

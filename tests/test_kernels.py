@@ -527,7 +527,8 @@ def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
 def level_set_spy():
     """Count what the level-set path of the contraction kernel does: how
     often it is built, how many planes it evaluates and how many of those
-    it reports as holding a violation."""
+    it reports as holding a violation.  Each plane's violation keys must
+    strictly increase: scan order, no cell recorded twice."""
     calls = {"built": 0, "planes": 0, "violating": 0}
     real = levelset.plane_evaluator
 
@@ -538,7 +539,9 @@ def level_set_spy():
         def counted(i, j, fab):
             calls["planes"] += 1
             result = plane(i, j, fab)  # (margin, keys, lhs, rhs)
-            calls["violating"] += bool(result[1])
+            keys = list(result[1])
+            assert keys == sorted(set(keys))
+            calls["violating"] += bool(keys)
             return result
 
         return counted
@@ -563,6 +566,8 @@ LEVEL_COUPLINGS = {
     "plateau": lambda x, y: min(max(x + y, 0.5), 1.5),
     "negative_zero": lambda x, y: -0.0 * x if x < 1 else 0.5,
     "steep": lambda x, y: 3 * x - y,
+    # not monotone along the rows and columns of a strong problem's sorted grid
+    "tent": lambda x, y: abs(x - y) / 2 + 0.25,
 }
 LEVEL_SELF_MAPS = {
     **SELF_MAPS,
@@ -788,6 +793,17 @@ FAILING_PROBLEMS = st.builds(
 # hits that are not symmetric in (i2, j2), to tell the scan index j2 * n_a + i2 apart
 @example(problem=_failing_problem(False, "first", "clip", Fraction(1, 10), UNIT, UNIT),
          plan=SamplePlan(2), plan_b=None, tol=1e-9, cap=0)
+# a monotone line whose failing strip of two cells is all hits: the first
+# walk reaches the strip's end and the second has nothing left to test
+@example(problem=_failing_problem(True, "steep", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(2), plan_b=None, tol=1e-9, cap=7)
+# right + tol < 0 at small distances, and strips whose two walks meet at
+# their one passing cell
+@example(problem=_failing_problem(True, "first", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(3), plan_b=None, tol=-0.1, cap=7)
+# lines that are not monotone: failing strips are scanned whole
+@example(problem=_failing_problem(True, "tent", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(5), plan_b=None, tol=1e-9, cap=7)
 @settings(max_examples=150, deadline=None)
 def test_failing_level_set_planes_match_naive_loop(problem, plan, plan_b, tol, cap):
     """Every plane takes the level-set path, failing ones included, and the
