@@ -368,9 +368,9 @@ def check_phi_psi_contraction(
 ) -> CheckReport:
     """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v))."""
     phi, psi = problem.phi, problem.psi
-    # The identity psi returns float(Fraction(t)) = t, bit for bit, at every
-    # finite t >= 0, so it is skipped on the usual metric.  The one difference
-    # is a distance that overflows to inf: psi raised OverflowError there.
+    # The identity psi returns t, bit for bit, at every finite t >= 0, so it
+    # is skipped on the usual metric.  The one difference is a distance that
+    # overflows to inf: psi raised DomainError there.
     skip_psi = psi.fn is Fraction and problem.space.metric is _usual_real
     return _contraction_scan(
         "phi_psi_contraction", problem, None,

@@ -11,10 +11,11 @@ Two classes of function on [0, inf) drive the solvers downstream:
 Membership in either class constrains limits, which sampling cannot
 certify, so ``check_phi_class`` and ``check_altering`` approximate the
 limit conditions with a fixed epsilon ladder and report evidence, not
-proof.  A control function is the exact callable its constructor returns
-plus a declared class; linear and capped-linear functions evaluate through
-exact rational arithmetic with a single final rounding, which keeps sampled
-monotonicity exact.
+proof.  A control function is the exact callable its constructor returns,
+a declared class, and ``ratio``, which gives the exact value at t as an
+integer ratio.  Every evaluation goes through ``ratio``: comparisons
+cross-multiply, and a float is int true division, rounded once as
+``float(Fraction(num, den))`` rounds it, so no ``Fraction`` is built.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable
+from operator import methodcaller
+from typing import Callable, Optional
 
 from .errors import DomainError, ParameterError
 from .expr import Numeric, bind_exact, parse_expression
@@ -59,16 +61,24 @@ class ControlFunction:
 
     ``fn`` evaluates without rounding: linear, capped-linear and identity
     functions return exact Fractions, expressions are compiled by
-    ``expr.bind_exact``, and powers return floats.  Exactness matters to the
-    class checkers: a float cap value can round up onto a grid point that
-    sits just above the true rational threshold, and a rounded comparison
-    would then misjudge the strict ``f(t) < t`` test.  Python compares
-    Fraction against float exactly, so no tolerance fudging is needed.
-    ``eval_control`` is the rounded evaluator for everything else.
+    ``expr.bind_exact``, and powers return floats.  ``ratio(t)``, which the
+    checkers and ``eval_control`` use, is that value as ``(num, den)`` with
+    ``den > 0``: computed from ``t.as_integer_ratio()`` for linear,
+    capped-linear and identity functions (the first two build ``fn`` on
+    it), else ``fn(t).as_integer_ratio()``.  Exactness matters to the
+    checkers: a float cap value can round up onto a grid point just above
+    the true rational threshold, and a rounded comparison would then
+    misjudge the strict ``f(t) < t`` test.
     """
 
     fn: Callable[[Numeric], Numeric]
     declared_class: ControlClass = ControlClass.UNCLASSIFIED
+    ratio: Optional[Callable[[Numeric], tuple]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ratio is None:
+            fn = self.fn
+            object.__setattr__(self, "ratio", lambda t: fn(t).as_integer_ratio())
 
 
 def _to_fraction(value, what: str) -> Fraction:
@@ -84,7 +94,13 @@ def make_linear(slope) -> ControlFunction:
     if k < 0:
         raise ParameterError(f"linear slope must be >= 0, got {slope}")
     declared = ControlClass.PHI if k < 1 else ControlClass.ALTERING
-    return ControlFunction(lambda t: k * Fraction(t), declared)
+    kn, kd = k.as_integer_ratio()
+
+    def ratio(t) -> tuple[int, int]:
+        n, d = t.as_integer_ratio()
+        return kn * n, kd * d
+
+    return ControlFunction(lambda t: Fraction(*ratio(t)), declared, ratio)
 
 
 def make_power(exponent) -> ControlFunction:
@@ -117,16 +133,18 @@ def make_capped_linear(slope, threshold) -> ControlFunction:
     if c <= 0:
         raise ParameterError(f"capped-linear threshold must be > 0, got {threshold}")
 
-    def capped(t) -> Fraction:
-        tf = Fraction(t)
-        return k * tf if tf <= c else c
+    (kn, kd), (cn, cd) = k.as_integer_ratio(), c.as_integer_ratio()
 
-    return ControlFunction(capped, ControlClass.PHI)
+    def ratio(t) -> tuple[int, int]:
+        n, d = t.as_integer_ratio()
+        return (kn * n, kd * d) if n * cd <= cn * d else (cn, cd)
+
+    return ControlFunction(lambda t: Fraction(*ratio(t)), ControlClass.PHI, ratio)
 
 
 def identity_control() -> ControlFunction:
     """f(t) = t, evaluated by ``Fraction`` itself."""
-    return ControlFunction(Fraction, ControlClass.ALTERING)
+    return ControlFunction(Fraction, ControlClass.ALTERING, methodcaller("as_integer_ratio"))
 
 
 def expr_control(ast, declared: ControlClass = ControlClass.UNCLASSIFIED) -> ControlFunction:
@@ -153,13 +171,25 @@ def with_declared_class(f: ControlFunction, declared: ControlClass) -> ControlFu
 
 
 def eval_control(f: ControlFunction, t) -> float:
-    """Evaluate ``f`` at ``t >= 0``; never returns NaN."""
-    if t < 0:
+    """``f`` at t in [0, inf): ``num / den`` of ``f.ratio(t)``, so never NaN.
+    Another t or a value beyond the float range raises ``DomainError``."""
+    if not 0 <= t < math.inf:
         raise DomainError(f"control functions are defined on [0, inf); got t={t}")
-    value = float(f.fn(t))
-    if math.isnan(value):
-        raise DomainError(f"control function evaluated to NaN at t={t}")
-    return value
+    return _float(*f.ratio(t), t)
+
+
+def _float(n: int, d: int, t) -> float:
+    """``n / d``, the control value at t, or ``DomainError`` beyond floats."""
+    try:
+        return n / d
+    except OverflowError:
+        raise DomainError(f"control function overflows the float range at t={t}") from None
+
+
+def _at_least(n: int, d: int, x: float) -> bool:
+    """Whether n / d >= x exactly, for d > 0 and a float x; ±inf is ±1 / 0."""
+    xn, xd = x.as_integer_ratio() if math.isfinite(x) else (-1 if x < 0 else 1, 0)
+    return n * xd >= xn * d
 
 
 def _grid_values(t_max: float, plan: SamplePlan) -> list[float]:
@@ -186,23 +216,26 @@ def check_phi_class(
     """
     builder = ReportBuilder("phi_class", tol)
     ts = _grid_values(t_max, plan)
-    values = [f.fn(t) for t in ts]
-    for (t1, v1), (t2, v2) in pairwise(zip(ts, values)):
-        builder.observe(float(v1), float(v2), ("monotone", t1, t2))
-    for t, v in zip(ts, values):
+    ratio = f.ratio
+    values = [ratio(t) for t in ts]
+    floats = [_float(n, d, t) for t, (n, d) in zip(ts, values)]
+    for (t1, v1), (t2, v2) in pairwise(zip(ts, floats)):
+        builder.observe(v1, v2, ("monotone", t1, t2))
+    for t, (n, d), v in zip(ts, values, floats):
         if t <= 0:
             continue
-        if v >= t:
-            builder.add_violation(("below_identity", t), float(v), t)
+        tn, td = t.as_integer_ratio()
+        if n * td >= tn * d:
+            builder.add_violation(("below_identity", t), v, t)
         else:
-            builder.count_sample(float(t - v))
+            builder.count_sample(t - v)
         # A rung clears the right-limit test if it sits below t + tol, or at
         # least below its own argument (the rung may have jumped past a
         # discontinuity between t and t + eps; below-identity there means
         # the limit cannot exceed t).
-        rungs = [(t + eps, f.fn(t + eps)) for eps in LIMIT_LADDER]
-        if all(rv >= t + tol and rv >= u for u, rv in rungs):
-            worst = min(float(rv) for _, rv in rungs)
+        rungs = [(u, ratio(u)) for u in [t + eps for eps in LIMIT_LADDER]]
+        if all(_at_least(*rv, max(t + tol, u)) for u, rv in rungs):
+            worst = min(_float(*rv, u) for u, rv in rungs)
             builder.add_violation(("right_limit", t), worst, t)
         else:
             builder.count_sample()
@@ -225,26 +258,29 @@ def check_altering(
     """
     builder = ReportBuilder("altering_distance", tol)
     ts = _grid_values(t_max, plan)
-    values = [f.fn(t) for t in ts]
-    for (t1, v1), (t2, v2) in pairwise(zip(ts, values)):
-        builder.observe(float(v1), float(v2), ("monotone", t1, t2))
+    ratio = f.ratio
+    values = [ratio(t) for t in ts]
+    floats = [_float(n, d, t) for t, (n, d) in zip(ts, values)]
+    for (t1, v1), (t2, v2) in pairwise(zip(ts, floats)):
+        builder.observe(v1, v2, ("monotone", t1, t2))
     builder.observe(abs(eval_control(f, 0.0)), 0.0, ("zero_at_zero", 0.0))
-    for t, v in zip(ts, values):
+    for t, (n, d), v in zip(ts, values, floats):
         if t > 0:
-            if v <= 0:
-                builder.add_violation(("positive", t), float(-v), 0.0)
+            if n <= 0:
+                builder.add_violation(("positive", t), -n / d, 0.0)
             else:
-                builder.count_sample(float(v))
+                builder.count_sample(v)
         for side, sign in (("right", 1.0), ("left", -1.0)):
-            gaps = [
-                float(abs(f.fn(t + sign * h) - v))
-                for h in LIMIT_LADDER
-                if t + sign * h >= 0
-            ]
+            gaps = []
+            for h in LIMIT_LADDER:
+                u = t + sign * h
+                if u >= 0:
+                    un, ud = ratio(u)
+                    gaps.append(_float(abs(un * d - n * ud), ud * d, u))
             if not gaps:
                 continue
             smallest, largest = min(gaps), max(gaps)
-            threshold = max(tol, CONTINUITY_ABS * max(1.0, abs(float(v))))
+            threshold = max(tol, CONTINUITY_ABS * max(1.0, abs(v)))
             if smallest <= threshold or smallest <= CONTINUITY_DECAY * largest:
                 builder.count_sample()
             else:

@@ -17,10 +17,13 @@ and a plane costs O(n_a + n_b) steps instead of n_a * n_b.
 
 The rectangle grows by one row or column strip at a time, and each (u, v)
 cell enters it once: in the strip of whichever of its row and its column
-comes second, at a distance equal to the cell's own M.  F(x, y) - W rounds
-monotonically in W, so a strip holds a violation exactly when
-F(x, y) - min W or max W - F(x, y) exceeds right(M) + tol there.  A
-plane that holds violations searches only the strips that fail this test.
+comes second, at a distance equal to the cell's own M.  Each strip's event
+(its distance, its line, the stored right value there and the line's
+sparse tables) is built once per Ix value for rows and once per Iy value
+for columns.  F(x, y) - W rounds monotonically in W, so a strip holds a
+violation exactly when F(x, y) - min W or max W - F(x, y) exceeds
+right(M) + tol there.  A plane that holds violations searches only the
+strips that fail this test.
 On a row or column of the sorted grid that is monotone (flagged once per
 evaluator), F(x, y) - W is monotone along the strip, so the cells with
 |F(x, y) - W| <= right(M) + tol form one run and the hits are a prefix and
@@ -136,12 +139,14 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
     # log2[d]: the sparse-table level that covers a window of d + 1 values
     log2 = [(d + 1).bit_length() - 1 for d in range(max(len(ix), len(iy)))]
     u_sorted, v_sorted = [iy[j2] for j2 in su], [ix[i2] for i2 in sv]
+    # An event is (rho, k, right(rho) or None if rho is never an M, lo and hi
+    # tables); columns are stored as ~q so that one sort merges them with rows
+    get = right_at.get
     u_events: dict[float, tuple] = {}  # for the current Ix_i only
-    # columns are stored as ~q so that one sort merges them with the rows
     v_events = {}
     for b in set(iy):
         at, events = _outward(v_sorted, b)
-        v_events[b] = at, [(rho, ~q) for rho, q in events]
+        v_events[b] = at, [(rho, ~q, get(rho), col_lo[q], col_hi[q]) for rho, q in events]
     profiles: dict[tuple[float, float], tuple] = {}
     inf = math.inf
     failed = False
@@ -151,7 +156,8 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         each violation of the plane with F(x, y) = fab, in scan order."""
         if a not in u_events:
             u_events.clear()
-            u_events[a] = _outward(u_sorted, a)
+            at, events = _outward(u_sorted, a)
+            u_events[a] = at, [(rho, p, get(rho), row_lo[p], row_hi[p]) for rho, p in events]
         (pl, ue), (ql, ve) = u_events[a], v_events[b]
         pr, qr = pl - 1, ql - 1  # empty rectangles at the insertion points
         lo, hi = inf, -inf
@@ -160,7 +166,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
             hits = []  # (key, lhs, rhs) found on monotone lines
             cells, keys, rights, bounds = [], [], [], []  # failing strips elsewhere
         # a stable sort on distance alone keeps each side's outward order
-        for rho, k in sorted(ue + ve, key=itemgetter(0)):
+        for rho, k, r, lo_k, hi_k in sorted(ue + ve, key=itemgetter(0)):
             if k >= 0:  # row k over the columns so far
                 if k < pl:
                     pl = k
@@ -169,7 +175,6 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                 if ql > qr:
                     continue
                 s = log2[qr - ql]
-                t_lo, t_hi = row_lo[k][s], row_hi[k][s]
                 first, last = ql, qr + 1 - (1 << s)
             else:  # column ~k over the rows so far
                 q = ~k
@@ -180,25 +185,24 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                 if pl > pr:
                     continue
                 s = log2[pr - pl]
-                t_lo, t_hi = col_lo[q][s], col_hi[q][s]
                 first, last = pl, pr + 1 - (1 << s)
             # the strip is first .. last + 2**s - 1, two windows of 2**s
+            t_lo, t_hi = lo_k[s], hi_k[s]
             w_lo, w = t_lo[first], t_lo[last]
             if w < w_lo:
                 w_lo = w
             if w_lo < lo:
                 lo = w_lo
-                lo_r.append(right_at[rho])
+                lo_r.append(r)
                 lo_w.append(w_lo)
             w_hi, w = t_hi[first], t_hi[last]
             if w > w_hi:
                 w_hi = w
             if w_hi > hi:
                 hi = w_hi
-                hi_r.append(right_at[rho])
+                hi_r.append(r)
                 hi_w.append(w_hi)
             if fab is not None:
-                r = right_at[rho]
                 bound = r + tol
                 if fab - w_lo > bound or w_hi - fab > bound:
                     end = last + (1 << s)
@@ -229,7 +233,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         hits += compress(zip(keys, lhs, rights), map(gt, lhs, bounds))
         return profile, sorted(hits)
 
-    def plane(i: int, j: int, fab: float) -> tuple[float, tuple, tuple, tuple]:
+    def plane(i: int, j: int, fab: float) -> tuple[float, list, list, list]:
         nonlocal failed
         key = (ix[i], iy[j])
         prof, found = profiles.get(key), None
@@ -248,6 +252,6 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                 or any(map(gt, above, map(add, hi_r, repeat(tol))))):
             failed = True
             found = sweep(*key, fab)[1]
-        return (margin, *zip(*found)) if found else (margin, (), (), ())
+        return (margin, *map(list, zip(*found))) if found else (margin, [], [], [])
 
     return plane

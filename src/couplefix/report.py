@@ -240,10 +240,10 @@ class ReportBuilder:
         self._seen += n
         # one slot is always there, for the worst violation
         room = max(MAX_RECORDED_VIOLATIONS, 1) - len(self._res)
-        self._keys.extend(keys[:room])
-        self._lhs.extend(lhs[:room])
-        self._rhs.extend(rhs[:room])
-        self._res.extend(res[:room])
+        for col, items in (self._keys, keys), (self._lhs, lhs), (self._rhs, rhs), (self._res, res):
+            items = items[:room] if room < n else items
+            # an array takes a list whole with fromlist, faster than extend
+            (col.fromlist if type(col) is array and type(items) is list else col.extend)(items)
 
     def build(self, details: dict[str, Any] | None = None) -> CheckReport:
         details = dict(details or {})

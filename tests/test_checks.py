@@ -544,3 +544,52 @@ def test_violation_is_an_immutable_record():
     }
     with pytest.raises(AttributeError):
         v.lhs = 0.0
+
+
+def _counting_phi_problems():
+    """A phi-T and a phi-psi problem with A and B of different lengths."""
+    a, b = interval_subset(0.0, 1.0), interval_subset(0.0, 3.0)
+    space = MetricSpace.real_line(0.0, 9.0)
+    phi = make_linear(Fraction(1, 3))
+    yield CoincidenceProblem(
+        space=space, subset_a=a, subset_b=b,
+        coupling=CouplingMap.from_expression(parse_expression("(x * x + y) / 9")),
+        self_map=SelfMap.from_expression(parse_expression("x * x")),
+        phi=phi,
+    )
+    yield StrongCoupledProblem(
+        space=space, subset_a=a, subset_b=b,
+        coupling=CouplingMap.from_expression(parse_expression("(x + y) / 9")),
+        phi=with_declared_class(phi, ControlClass.ALTERING),
+        psi=identity_control(),
+    )
+
+
+@pytest.mark.parametrize("problem", list(_counting_phi_problems()), ids=["phi_T", "phi_psi"])
+def test_contraction_evaluates_phi_once_per_qualifying_distance_in_order(problem):
+    """phi is evaluated at each distinct distance that is the larger one in
+    some M, in order of first appearance: the d(Ix, Iu) in (x, u) order,
+    then the d(Iy, Iv) in (y, v) order."""
+    import dataclasses
+
+    from couplefix.controls import ControlFunction
+    from couplefix.metric import sample_values
+
+    calls = []
+    phi = problem.phi
+
+    def counted(t):
+        calls.append(t)
+        return phi.ratio(t)
+
+    problem = dataclasses.replace(problem, phi=ControlFunction(phi.fn, phi.declared_class, counted))
+    check = check_phi_psi_contraction if problem.kind == "strong_coupled" else check_phi_T_contraction
+    report = check(problem, PLAN_21)
+    assert report.details["stride"] == 1
+    xv, yv = sample_values(problem.subset_a, PLAN_21), sample_values(problem.subset_b, PLAN_21)
+    t = getattr(problem, "self_map", None)
+    ix, iy = (xv, yv) if t is None else (list(map(t.value_fn, xv)), list(map(t.value_fn, yv)))
+    d_xu = [abs(a - b) for a in ix for b in iy]
+    d_yv = [abs(b - a) for b in iy for a in ix]
+    expected = [m for m in d_xu if m >= min(d_yv)] + [m for m in d_yv if m > min(d_xu)]
+    assert calls == list(dict.fromkeys(expected))

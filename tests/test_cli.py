@@ -112,6 +112,15 @@ class TestListAndErrors:
         assert err == ("error: expression overflows the float range: "
                        "integer division result too large for a float\n")
 
+    @pytest.mark.parametrize("name, t", [("overflow-control.yaml", "2.0"),
+                                         ("overflow-control-expr.yaml", "0.4")])
+    def test_overflowing_control_exits_3(self, name, t, capsys):
+        # psi = 1e308 * t, or t * 10**400 as an expression, has a value
+        # beyond the float range at the first grid point shown
+        code, _, err = run_cli(["check", str(DOCUMENTS / name)], capsys)
+        assert code == 3
+        assert err == f"error: control function overflows the float range at t={t}\n"
+
     def test_negative_check_tol_exits_3(self, tmp_path, capsys):
         path = tmp_path / "negtol.yaml"
         path.write_text(SWAP_DOC + "check:\n  tol: -1\n", encoding="utf-8")

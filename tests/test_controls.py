@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import control_oracle
 from control_matrix import MATRIX
 from couplefix.controls import (
     ControlClass,
     check_altering,
     check_phi_class,
+    control_from_text,
     eval_control,
     expr_control,
     identity_control,
@@ -241,3 +244,101 @@ def test_control_functions_are_exact_callables():
     with pytest.raises(DomainError):
         make_power(2).fn(1e300)
     assert eval_control(make_linear(Fraction(1, 2)), third) == float(Fraction(1, 6))
+
+
+# --- the integer-ratio path against the Fraction oracle ----------------------
+
+_RATIONALS = st.fractions(min_value=0, max_value=8, max_denominator=10**6)
+_HUGE = st.sampled_from([Fraction(1e300), Fraction(1e308), Fraction(10**400)])
+
+
+def _literal(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+@st.composite
+def _controls(draw):
+    """A control of one of the five families, a reference function of it
+    for the oracle, and its interesting t: the cap threshold of a capped or
+    piecewise function, else 1."""
+    family = draw(st.sampled_from(["linear", "capped_linear", "power", "identity", "expr"]))
+    if family == "linear":
+        k = Fraction(draw(st.one_of(_RATIONALS, st.floats(0, 1e308), _HUGE)))
+        return make_linear(k), lambda t: k * Fraction(t), 1.0
+    if family == "capped_linear":
+        k = draw(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999_999, 10**6),
+                              max_denominator=10**6))
+        c = Fraction(draw(st.one_of(_RATIONALS.filter(bool), st.floats(5e-324, 1e300))))
+        return make_capped_linear(k, c), lambda t: k * Fraction(t) if t <= c else c, float(c)
+    if family == "power":
+        f = make_power(draw(st.floats(0.05, 400)))
+    elif family == "identity":
+        f = identity_control()
+    else:
+        k, c = draw(_RATIONALS), draw(_RATIONALS.filter(bool))
+        f = control_from_text(draw(st.sampled_from([
+            f"t * {_literal(k)}",
+            f"piecewise {{ t <= {_literal(c)} => {_literal(k)} * t ; else => {_literal(c)} ; }}",
+            f"min(t, {_literal(c)}) * {_literal(k)} + abs(t - {_literal(c)}) / 3",
+            "t * 1" + "0" * 400,
+        ])))
+        return f, f.fn, float(c)
+    return f, f.fn, 1.0
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def _arguments(near: float):
+    return st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e300, math.nextafter(1e300, 0), math.nextafter(1e300, 1e308),
+                         1.7976931348623157e308, -0.5, math.inf, math.nan]),
+        st.sampled_from([near, math.nextafter(near, 0), math.nextafter(near, math.inf)]),
+        st.floats(0, 1e300),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eval_control_matches_fraction_oracle(data):
+    f, fn, near = data.draw(_controls())
+    t = data.draw(_arguments(near))
+    got, want = _outcome(eval_control, f, t), _outcome(control_oracle.eval_control, fn, t)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    control=_controls(),
+    scale=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1e-300, 100)),
+    grid_count=st.integers(2, 25),
+    jitter_count=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+# below the identity, f(1) = 2/3 leaves the margin 1 - float(2/3), which is
+# not the exact 1/3 rounded
+@example(control=(make_linear(Fraction(2, 3)), lambda t: Fraction(2, 3) * Fraction(t), 1.0),
+         scale=1.0, grid_count=2, jitter_count=0, seed=0, tol=1e-9)
+# 1e308 * t lies beyond the float range from t = 2 on
+@example(control=(make_linear(1e308), lambda t: Fraction(1e308) * Fraction(t), 1.0),
+         scale=4.0, grid_count=3, jitter_count=0, seed=0, tol=1e-9)
+def test_class_checks_match_fraction_oracle(control, scale, grid_count, jitter_count, seed, tol):
+    """The grid runs up to ``scale`` times the control's interesting t."""
+    f, fn, near = control
+    t_max = scale * near
+    if not 0 < t_max < math.inf:
+        t_max = 1e300
+    plan = SamplePlan(grid_count=grid_count, jitter_count=jitter_count, seed=seed)
+    for check, oracle in ((check_phi_class, control_oracle.check_phi_class),
+                          (check_altering, control_oracle.check_altering)):
+        got, want = _outcome(check, f, t_max, plan, tol), _outcome(oracle, fn, t_max, plan, tol)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.to_dict() == want.to_dict()
