@@ -40,7 +40,7 @@ from .documents import (
     parse_problem_file,
     registry_names,
 )
-from .errors import CoupleFixError, DocumentError, ParameterError
+from .errors import CoupleFixError, DocumentError, DomainError, ParameterError
 from .metric import (
     Point,
     SamplePlan,
@@ -113,11 +113,12 @@ def run_checks(problem, settings: CheckSettings) -> list[tuple[str, CheckReport]
     if t_max <= 0.0:
         t_max = 1.0
     coincidence = problem.kind == "coincidence"
-    if coincidence:
-        reports.append(("phi", check_phi_class(problem.phi, t_max, plan, tol)))
-    else:
-        reports.append(("phi", check_altering(problem.phi, t_max, plan, tol)))
-        reports.append(("psi", check_altering(problem.psi, t_max, plan, tol)))
+    check_control = check_phi_class if coincidence else check_altering
+    for slot in ("phi",) if coincidence else ("phi", "psi"):
+        try:
+            reports.append((slot, check_control(getattr(problem, slot), t_max, plan, tol)))
+        except DomainError as exc:  # a control value beyond the float range
+            raise DomainError(f"{slot}: {exc}") from exc
 
     reports.append(("coupling", check_coupling(problem.coupling, a, b, plan, plan_b)))
     if coincidence:

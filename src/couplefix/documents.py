@@ -33,7 +33,7 @@ from .controls import (
 from .errors import (DocumentError, DomainError, ExprSyntaxError, ParameterError, at_least_one,
                      positive_finite)
 from .expr import Expr, parse_expression
-from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec
+from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec, subset_within_carrier
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from .solve import SolveOptions
 
@@ -299,7 +299,8 @@ def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
     ``raw`` has the shape ``yaml.safe_load`` gives: dicts, lists, strings
     and numbers.  It is only read, never changed.  All shape errors are
     reported as :class:`DocumentError` with the dotted key path of the
-    offending entry (for example ``phi.slope``).
+    offending entry (for example ``phi.slope``), including a subset or
+    ``check.range_b`` that is not contained in the carrier.
     """
     doc = _mapping(raw, "document")
     _reject_unknown(doc, _TOP_KEYS, "document")
@@ -340,7 +341,7 @@ def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
 
     phi_slot = ControlClass.PHI if kind == "coincidence" else ControlClass.ALTERING
     solve_opts, starts = _parse_solve(doc.get("solve"))
-    return ProblemDocument(
+    parsed = ProblemDocument(
         name=name,
         problem_kind=kind,
         space=_parse_space(doc["space"]),
@@ -355,6 +356,11 @@ def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
         starts=starts,
         check=_parse_check(doc.get("check")),
     )
+    for key, subset in (("subset_A", parsed.subset_a), ("subset_B", parsed.subset_b),
+                        ("check.range_b", parsed.check.range_b)):
+        if subset is not None and not subset_within_carrier(parsed.space, subset):
+            raise DocumentError("not contained in the carrier", key=key)
+    return parsed
 
 
 def parse_problem_file(path) -> ProblemDocument:

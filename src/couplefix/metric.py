@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
 from typing import Callable, Iterable, Sequence
@@ -44,10 +44,6 @@ class Point:
     @staticmethod
     def label(name: str) -> "Point":
         return Point(str(name))
-
-    @property
-    def is_real(self) -> bool:
-        return not isinstance(self.value, str)
 
 
 @dataclass(frozen=True)
@@ -143,34 +139,19 @@ class MetricSpace:
         return isinstance(self.carrier, Interval)
 
 
-def carrier_contains(space: MetricSpace, p: Point) -> bool:
-    c = space.carrier
-    if isinstance(c, Interval):
-        return p.is_real and c.contains_value(p.value)
-    return (not p.is_real) and p.value in c.labels
-
-
-def distance(space: MetricSpace, p: Point, q: Point) -> float:
-    """Distance between two carrier points; domain error if either is outside."""
-    for pt in (p, q):
-        if not carrier_contains(space, pt):
-            raise DomainError(f"point {pt.value!r} is outside the carrier")
-    return float(space.metric(p.value, q.value))
-
-
 # ---------------------------------------------------------------------------
 # subsets
 
 
 @dataclass(frozen=True)
 class SubsetSpec:
-    """A representable subset: finite point list or sorted disjoint intervals."""
+    """A representable subset: finite value list or sorted disjoint intervals."""
 
-    points: tuple[Point, ...] = ()
+    values: tuple[Value, ...] = ()
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        if bool(self.points) == bool(self.intervals):
+        if bool(self.values) == bool(self.intervals):
             raise ParameterError("subset must have either points or intervals, and be nonempty")
         for left, right in zip(self.intervals, self.intervals[1:]):
             touching_ok = left.hi == right.lo and not (left.hi_closed and right.lo_closed)
@@ -182,8 +163,9 @@ class SubsetSpec:
 
     @staticmethod
     def from_values(values: Iterable[Value]) -> "SubsetSpec":
-        pts = tuple(Point.real(v) if not isinstance(v, str) else Point.label(v) for v in values)
-        return SubsetSpec(points=pts)
+        """Labels as they are; numbers as floats, which must be finite
+        (``Point.real``)."""
+        return SubsetSpec(tuple(v if isinstance(v, str) else Point.real(v).value for v in values))
 
     @staticmethod
     def from_intervals(intervals: Iterable[Interval]) -> "SubsetSpec":
@@ -191,41 +173,17 @@ class SubsetSpec:
 
     @property
     def is_finite(self) -> bool:
-        return bool(self.points)
-
-
-def contains(subset: SubsetSpec, p: Point) -> bool:
-    """Subset membership; finite real members match within ``REAL_EQ_TOL``."""
-    if subset.is_finite:
-        for member in subset.points:
-            if member.is_real and p.is_real:
-                if abs(member.value - p.value) <= REAL_EQ_TOL:
-                    return True
-            elif member.value == p.value:
-                return True
-        return False
-    if not p.is_real:
-        return False
-    return any(iv.contains_value(p.value) for iv in subset.intervals)
-
-
-def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
-    """``[contains(subset, Point(v)) for v in values]``; on a one-interval
-    subset, one comprehension that inlines ``Interval.contains_value``."""
-    if len(subset.intervals) == 1:
-        (iv,) = subset.intervals
-        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
-        try:
-            return [(v > lo or lc and v == lo) and (v < hi or hc and v == hi) for v in values]
-        except TypeError:  # a label does not compare with a bound, and is outside
-            pass
-    return [contains(subset, Point(v)) for v in values]
+        return bool(self.values)
 
 
 def member_test(subset: SubsetSpec) -> Callable[[Value], bool]:
-    """``v -> contains(subset, Point(v))``; on an interval subset, without a Point."""
+    """Subset membership of a raw value: finite real members match within
+    ``REAL_EQ_TOL``, labels match exactly, and intervals hold reals only."""
     if subset.is_finite:
-        return lambda v: contains(subset, Point(v))
+        labels = tuple(m for m in subset.values if isinstance(m, str))
+        reals = tuple(m for m in subset.values if not isinstance(m, str))
+        return lambda v: (v in labels if isinstance(v, str)
+                          else any(abs(m - v) <= REAL_EQ_TOL for m in reals))
     tests = [iv.contains_value for iv in subset.intervals]
     if len(tests) == 1:
         (test,) = tests
@@ -233,10 +191,29 @@ def member_test(subset: SubsetSpec) -> Callable[[Value], bool]:
     return lambda v: not isinstance(v, str) and any(t(v) for t in tests)
 
 
+def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
+    """``list(map(member_test(subset), values))``; on a one-interval subset,
+    one comprehension that inlines ``Interval.contains_value``."""
+    if len(subset.intervals) == 1:
+        (iv,) = subset.intervals
+        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+        try:
+            return [(v > lo or lc and v == lo) and (v < hi or hc and v == hi) for v in values]
+        except TypeError:  # a label does not compare with a bound, and is outside
+            pass
+    return list(map(member_test(subset), values))
+
+
+def _carrier_subset(space: MetricSpace) -> SubsetSpec:
+    """The whole carrier as a subset: its labels, or its interval."""
+    c = space.carrier
+    return SubsetSpec(c.labels) if isinstance(c, LabelSet) else SubsetSpec.from_intervals([c])
+
+
 def subset_within_carrier(space: MetricSpace, subset: SubsetSpec) -> bool:
-    """Whether every subset point (or interval, end to end) lies in the carrier."""
+    """Whether every subset value (or interval, end to end) lies in the carrier."""
     if subset.is_finite:
-        return all(carrier_contains(space, p) for p in subset.points)
+        return all(map(member_test(_carrier_subset(space)), subset.values))
     c = space.carrier
     return isinstance(c, Interval) and all(_overlap(iv, c) == iv for iv in subset.intervals)
 
@@ -261,12 +238,10 @@ def subset_intersection(a: SubsetSpec, b: SubsetSpec) -> SubsetSpec | None:
     A finite side wins: the result lists its members that ``b`` (resp. ``a``)
     contains, in declared order.  Two interval subsets intersect pairwise.
     """
-    if a.is_finite:
-        pts = [p for p in a.points if contains(b, p)]
-        return SubsetSpec(points=tuple(pts)) if pts else None
-    if b.is_finite:
-        pts = [p for p in b.points if contains(a, p)]
-        return SubsetSpec(points=tuple(pts)) if pts else None
+    if a.is_finite or b.is_finite:
+        finite, other = (a, b) if a.is_finite else (b, a)
+        kept = tuple(filter(member_test(other), finite.values))
+        return SubsetSpec(kept) if kept else None
     ivs = []
     for left in a.intervals:
         for right in b.intervals:
@@ -279,7 +254,7 @@ def subset_intersection(a: SubsetSpec, b: SubsetSpec) -> SubsetSpec | None:
 def subset_values(subset: SubsetSpec) -> list[Value]:
     """Member values of a finite subset, or interval endpoints for display."""
     if subset.is_finite:
-        return [p.value for p in subset.points]
+        return list(subset.values)
     return [v for iv in subset.intervals for v in (iv.lo, iv.hi)]
 
 
@@ -339,7 +314,7 @@ def _interval_jitter(iv: Interval, count: int, rng: random.Random) -> list[float
     return out
 
 
-def sample_points(subset: SubsetSpec, plan: SamplePlan) -> list[Point]:
+def sample_values(subset: SubsetSpec, plan: SamplePlan) -> list[Value]:
     """Deterministic sample of a subset.
 
     Finite subsets return their members in declared order and ignore the
@@ -348,27 +323,13 @@ def sample_points(subset: SubsetSpec, plan: SamplePlan) -> list[Point]:
     half a step) followed by ``jitter_count`` seeded interior points.
     """
     if subset.is_finite:
-        return list(subset.points)
-    return [Point(v) for v in sample_values(subset, plan)]
-
-
-def sample_values(subset: SubsetSpec, plan: SamplePlan) -> list[Value]:
-    """The values of :func:`sample_points`, without building Points."""
-    if subset.is_finite:
-        return [p.value for p in subset.points]
+        return list(subset.values)
     rng = random.Random(plan.seed)
     values: list[Value] = []
     for iv in subset.intervals:
         values.extend(_interval_grid(iv, plan.grid_count))
         values.extend(_interval_jitter(iv, plan.jitter_count, rng))
     return values
-
-
-def _carrier_sample(space: MetricSpace, plan: SamplePlan) -> list[Value]:
-    c = space.carrier
-    if isinstance(c, LabelSet):
-        return list(c.labels)
-    return sample_values(SubsetSpec.from_intervals([c]), plan)
 
 
 def _finite_floats(vals: Sequence[Value]) -> bool:
@@ -423,7 +384,7 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
     distance tables, other metrics, ``tol < 0`` and non-finite samples scan
     every k.
     """
-    vals = _carrier_sample(space, plan)
+    vals = sample_values(_carrier_subset(space), plan)
     n = len(vals)
     rb = ReportBuilder("metric_axioms", tol)
     if (space.metric is _usual_real and tol >= 0 and _finite_floats(vals)

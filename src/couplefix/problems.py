@@ -23,7 +23,7 @@ from .metric import (
     SamplePlan,
     SubsetSpec,
     Value,
-    contains,
+    member_test,
     sample_values,
     subset_within_carrier,
 )
@@ -114,18 +114,18 @@ class CouplingMap:
         return CouplingMap(lambda p, q: Point(g(p.value, q.value)), value_fn=g)
 
 
-PreimageFn = Callable[[Point, SubsetSpec, float], Optional[Point]]
+PreimageFn = Callable[[Value, SubsetSpec, float], Optional[Value]]
 
 
 @dataclass(frozen=True)
 class SelfMap:
     """A one-argument map, optionally with its own preimage oracle.
 
-    ``preimage_fn(target, subset, tol)`` returns a subset point ``p`` with
-    ``d(T(p), target) <= tol`` or ``None``.  Maps without an oracle fall back
-    to the solver's grid search.  ``value_fn`` is the map on raw values, the
-    one path every scan evaluates, built as for :class:`CouplingMap`;
-    ``with_inverse`` keeps it.
+    ``preimage_fn(target, subset, tol)`` takes a raw target value and
+    returns a subset value ``p`` with ``d(T(p), target) <= tol`` or
+    ``None``.  Maps without an oracle fall back to the solver's grid
+    search.  ``value_fn`` is the map on raw values, the one path every scan
+    evaluates, built as for :class:`CouplingMap`; ``with_inverse`` keeps it.
 
     ``fn`` is treated as a pure function: it is evaluated once per distinct
     sample value (:meth:`image_table`), and the images are kept on this
@@ -204,15 +204,15 @@ class SelfMap:
     def has_preimage_oracle(self) -> bool:
         return self.preimage_fn is not None
 
-    def preimage(self, target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
+    def preimage(self, target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
         if self.preimage_fn is None:
             raise ParameterError("this self map has no preimage oracle")
         return self.preimage_fn(target, subset, tol)
 
     @staticmethod
     def identity() -> "SelfMap":
-        def pre(target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
-            return target if contains(subset, target) else None
+        def pre(target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
+            return target if member_test(subset)(target) else None
 
         return SelfMap(lambda p: p, preimage_fn=pre, source="identity")
 
@@ -240,11 +240,11 @@ class SelfMap:
         inverse = _bind(inverse_ast, ("x",), "inverse expressions")
         g = self.value_fn
 
-        def pre(target: Point, subset: SubsetSpec, tol: float) -> Optional[Point]:
-            candidate = Point(inverse(target.value))
-            if not contains(subset, candidate):
+        def pre(target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
+            candidate = inverse(target)
+            if not member_test(subset)(candidate):
                 return None
-            if space.metric(g(candidate.value), target.value) > tol:
+            if space.metric(g(candidate), target) > tol:
                 return None
             return candidate
 

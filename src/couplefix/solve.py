@@ -11,9 +11,9 @@ committed step distance
 
 falls within tolerance, where ``first_n``/``second_n`` are the incoming
 iterates (self-map preimages for coincidence runs, coupling values for
-strong runs).  The driver, its steps and its residuals carry raw values and
-call F and T through ``value_fn``; Points are built for the reported
-candidate, a preimage oracle and the grid search only.  The pair distance
+strong runs).  The driver, its steps, its residuals and the preimage
+searches carry raw values and call F and T through ``value_fn``; Points are
+built for the reported candidate only.  The pair distance
 R_n rides along as a second diagnostic.
 Theory says both sequences shrink monotonically for admissible problems, so
 an increase while the predecessor is still above tolerance is treated as a
@@ -41,9 +41,8 @@ from .metric import (
     SubsetSpec,
     Value,
     _usual_real,
-    contains,
     member_test,
-    sample_points,
+    sample_values,
     subset_intersection,
 )
 from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem
@@ -123,13 +122,13 @@ def grid_preimage(
     space,
     t: SelfMap,
     subset: SubsetSpec,
-    target: Point,
+    target: Value,
     tol: float,
     grid_count: int = PREIMAGE_GRID_COUNT,
-) -> tuple[Optional[Point], float]:
+) -> tuple[Optional[Value], float]:
     """Nearest sampled preimage of ``target`` under ``t`` within a subset.
 
-    Returns ``(point, distance)`` when the best sampled point maps within
+    Returns ``(value, distance)`` when the best sampled value maps within
     ``tol`` of the target, else ``(None, best_distance)``.  Ties keep the
     earliest sampled point, so results are reproducible for a fixed plan.
     The images of the sample come from ``t.image_table``, so ``t`` is
@@ -140,20 +139,19 @@ def grid_preimage(
     plan = SamplePlan(grid_count=grid_count)
     values, images = t.image_table(subset, plan)
     d = space.metric
-    goal = target.value
     index = None
-    if d is _usual_real and type(goal) is float and math.isfinite(goal):
+    if d is _usual_real and type(target) is float and math.isfinite(target):
         index = t.image_index(subset, plan)
     if index is not None:
-        best, best_dist = _nearest(*index, goal)
+        best, best_dist = _nearest(*index, target)
     else:
         best, best_dist = -1, math.inf
         for i, image in enumerate(images):
-            dist = d(image, goal)
+            dist = d(image, target)
             if dist < best_dist:
                 best, best_dist = i, dist
     if best >= 0 and best_dist <= tol:
-        return Point(values[best]), best_dist
+        return values[best], best_dist
     return None, best_dist
 
 
@@ -192,13 +190,12 @@ def _find_preimage(
     and that distance, or ``None`` and the grid search's least distance."""
     t = problem.self_map
     if t.has_preimage_oracle:
-        got = t.preimage(Point(target), subset, opts.preimage_tol)
+        got = t.preimage(target, subset, opts.preimage_tol)
         if got is not None:
-            return got.value, problem.space.metric(t.value_fn(got.value), target)
+            return got, problem.space.metric(t.value_fn(got), target)
     # No oracle, or the oracle declined: fall back to the grid so failures
     # still report how close the nearest sampled point came.
-    p, dist = grid_preimage(problem.space, t, subset, Point(target), opts.preimage_tol)
-    return (None if p is None else p.value), dist
+    return grid_preimage(problem.space, t, subset, target, opts.preimage_tol)
 
 
 def _coincidence_residuals(problem: CoincidenceProblem, a: Value, b: Value) -> dict[str, float]:
@@ -272,21 +269,21 @@ def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, 
     return step
 
 
-def _iterate(problem, x0: Point, y0: Point, opts: SolveOptions, make_step, residuals):
-    """The alternating iteration both engines share, on raw values.
+def _iterate(problem, x: Value, y: Value, opts: SolveOptions, make_step, residuals):
+    """The alternating iteration both engines share, from the raw start
+    ``(x, y)``.
 
-    ``make_step(problem, opts, x0, y0)`` returns the kind's step function.
+    ``make_step(problem, opts, x, y)`` returns the kind's step function.
     It maps ``(n, x, y)`` to ``(x1, y1, done, stop)``: the next pair, the
     :class:`TraceStep` of the completed transition (``None`` when the step
     failed before completing it), and ``None`` or the ``(status, failure)``
     that ends the run.  ``residuals(problem, x, y)`` gives the defining
     residuals of a pair of raw values.
     """
-    for label, p, subset, name in (("x0", x0, problem.subset_a, "A"),
-                                   ("y0", y0, problem.subset_b, "B")):
-        if not contains(subset, p):
-            raise DomainError(f"start {label}={p.value!r} is not in subset {name}")
-    x, y = x0.value, y0.value
+    for label, v, subset, name in (("x0", x, problem.subset_a, "A"),
+                                   ("y0", y, problem.subset_b, "B")):
+        if not member_test(subset)(v):
+            raise DomainError(f"start {label}={v!r} is not in subset {name}")
     step = make_step(problem, opts, x, y)
     trace = IterationTrace(problem.kind)
     prev, tol = None, opts.tol
@@ -329,7 +326,7 @@ def iterate_coincidence(
     with a failure payload naming the step, subset, target, and how close
     the nearest candidate came.
     """
-    return _iterate(problem, x0, y0, opts, _preimage_step, _coincidence_residuals)
+    return _iterate(problem, x0.value, y0.value, opts, _preimage_step, _coincidence_residuals)
 
 
 def iterate_strong_coupled(
@@ -343,7 +340,7 @@ def iterate_strong_coupled(
     The orbit must stay inside its subsets; a step that escapes is reported
     as a diagnostic violation naming the subset and the escaped value.
     """
-    return _iterate(problem, x0, y0, opts, _coupling_step, _strong_residuals)
+    return _iterate(problem, x0.value, y0.value, opts, _coupling_step, _strong_residuals)
 
 
 def multi_start_verdict(
@@ -412,31 +409,30 @@ def brute_force_search(
     Coincidence problems get every sampled (a, b) pair whose two defining
     residuals sit within ``tol``; strong problems scan the sampled
     intersection of the subsets for points with d(F(p, p), p) <= tol.
-    Exceeding ``budget`` raises rather than silently truncating; within it,
-    the T images come from ``SelfMap.image_table``.
+    Exceeding ``budget`` raises rather than silently truncating.  Each side
+    is sampled once: a coincidence scan reads the samples and their T images
+    from ``SelfMap.image_table`` (so T is tabled before the budget is
+    checked), a strong scan calls ``sample_values``.
 
     F runs on raw values (``CouplingMap.value_fn``), pair by pair, and
     F(b, a) only where the first residual holds, so the pairs, their order
     and the error of the first failing pair are those of the pair-by-pair
-    loop.
+    loop.  One Point is built per sampled value, and the pairs share them.
     """
     d = problem.space.metric
     g = problem.coupling.value_fn
     if problem.kind == "coincidence":
-        a_pts = sample_points(problem.subset_a, plan)
-        b_pts = sample_points(problem.subset_b, plan_b or plan)
-        if len(a_pts) * len(b_pts) > budget:
-            raise BudgetError(
-                f"{len(a_pts) * len(b_pts)} candidate pairs exceed budget {budget}"
-            )
         av, ta = problem.self_map.image_table(problem.subset_a, plan)
         bv, tb = problem.self_map.image_table(problem.subset_b, plan_b or plan)
-        return [(a, b_pts[j]) for a, x, ta_i in zip(a_pts, av, ta) for j, y in enumerate(bv)
-                if d(g(x, y), ta_i) <= tol and d(g(y, x), tb[j]) <= tol]
+        if len(av) * len(bv) > budget:
+            raise BudgetError(f"{len(av) * len(bv)} candidate pairs exceed budget {budget}")
+        b_pts = list(map(Point, bv))
+        return [(a, b_pts[j]) for a, x, ta_i in zip(map(Point, av), av, ta)
+                for j, y in enumerate(bv) if d(g(x, y), ta_i) <= tol and d(g(y, x), tb[j]) <= tol]
     inter = subset_intersection(problem.subset_a, problem.subset_b)
     if inter is None:
         return []
-    pts = sample_points(inter, plan)
-    if len(pts) > budget:
-        raise BudgetError(f"{len(pts)} candidate points exceed budget {budget}")
-    return [p for p in pts if d(g(p.value, p.value), p.value) <= tol]
+    vals = sample_values(inter, plan)
+    if len(vals) > budget:
+        raise BudgetError(f"{len(vals)} candidate points exceed budget {budget}")
+    return [Point(v) for v in vals if d(g(v, v), v) <= tol]

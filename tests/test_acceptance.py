@@ -33,7 +33,6 @@ from couplefix.metric import (
     Point,
     SamplePlan,
     SubsetSpec,
-    distance,
 )
 from couplefix.problems import CouplingMap, StrongCoupledProblem
 from couplefix.solve import (
@@ -113,7 +112,7 @@ def test_criterion_2_min_demo_small_exhaustive_and_fixed_point(tmp_path, capsys)
     problem = build_problem(builtin_registry("example-2.2.3"))
     one = Point.real(1.0)
     image = problem.coupling.evaluate(one, one)
-    assert distance(problem.space, image, one) == 0.0
+    assert problem.space.metric(image.value, one.value) == 0.0
     print(f"[PASS] criterion 2: min demo, 4 quadruples, fixed point 1, {elapsed:.2f}s")
 
 
@@ -138,11 +137,9 @@ def test_criterion_3_negative_cases_fail_with_recheckable_witnesses(tmp_path, ca
     problem = build_problem(builtin_registry("negative-midpoint"))
     f_xy = problem.coupling.evaluate(Point.real(x), Point.real(y))
     f_vu = problem.coupling.evaluate(Point.real(v), Point.real(u))
-    lhs = eval_control(problem.psi, distance(problem.space, f_xy, f_vu))
-    m = max(
-        distance(problem.space, Point.real(x), Point.real(v)),
-        distance(problem.space, Point.real(u), Point.real(y)),
-    )
+    d = problem.space.metric
+    lhs = eval_control(problem.psi, d(f_xy.value, f_vu.value))
+    m = max(d(x, v), d(u, y))
     rhs = eval_control(problem.psi, m) - eval_control(problem.phi, m)
     assert lhs == pytest.approx(worst["lhs"], abs=1e-12)
     assert rhs == pytest.approx(worst["rhs"], abs=1e-12)
@@ -247,8 +244,8 @@ def test_criterion_5_finite_spaces_agree_with_brute_force():
 
         pairs = [
             (a, b)
-            for a in problem.subset_a.points
-            for b in problem.subset_b.points
+            for a in map(Point, problem.subset_a.values)
+            for b in map(Point, problem.subset_b.values)
         ]
         if len(pairs) > 36:
             pairs = rng.sample(pairs, 36)
@@ -317,7 +314,7 @@ def test_criterion_7_identity_self_map_reduces_to_strong_problem():
     a, b = report.candidate
     assert abs(a.value - b.value) <= 2 * tol
     f_aa = problem.coupling.evaluate(a, a)
-    assert distance(problem.space, f_aa, a) <= 4 * tol
+    assert problem.space.metric(f_aa.value, a.value) <= 4 * tol
     print("[PASS] criterion 7: identity self-map candidate is a strong coupled point")
 
 

@@ -348,22 +348,22 @@ class TestProblemValidation:
     def test_identity_preimage_is_membership_gated(self):
         t = SelfMap.identity()
         a = interval_subset(0.0, 2.0)
-        assert t.preimage(Point.real(1.0), a, 1e-9) == Point.real(1.0)
-        assert t.preimage(Point.real(3.0), a, 1e-9) is None
+        assert t.preimage(1.0, a, 1e-9) == 1.0
+        assert t.preimage(3.0, a, 1e-9) is None
 
     def test_inverse_expression_preimage_verifies_round_trip(self):
         space = MetricSpace.real_line(0.0, 4.0)
         halve = SelfMap.from_expression(parse_expression("x / 2"))
         with_inv = halve.with_inverse(parse_expression("2 * x"), space)
         a = interval_subset(0.0, 2.0)
-        assert with_inv.preimage(Point.real(0.8), a, 1e-9) == Point.real(1.6)
-        assert with_inv.preimage(Point.real(1.5), a, 1e-9) is None  # 3.0 is outside A
+        assert with_inv.preimage(0.8, a, 1e-9) == 1.6
+        assert with_inv.preimage(1.5, a, 1e-9) is None  # 3.0 is outside A
 
     def test_self_map_without_oracle_rejects_preimage_calls(self):
         t = SelfMap.from_expression(parse_expression("x / 2"))
         assert not t.has_preimage_oracle
         with pytest.raises(ParameterError, match="oracle"):
-            t.preimage(Point.real(1.0), interval_subset(0.0, 2.0), 1e-9)
+            t.preimage(1.0, interval_subset(0.0, 2.0), 1e-9)
 
 
 class TestContractionKernel:
@@ -468,7 +468,7 @@ def _identity_t_problem(calls):
 def test_checks_and_brute_force_share_one_t_table():
     from collections import Counter
 
-    from couplefix.metric import sample_points
+    from couplefix.metric import sample_values
     from couplefix.solve import brute_force_search
 
     calls = Counter()
@@ -484,7 +484,7 @@ def test_checks_and_brute_force_share_one_t_table():
     # of A and B, and the refined grids of the closedness test, which hold
     # the plan's grid points again
     expected = Counter(
-        {q.value for s in (a, b) for pl in (plan, refined) for q in sample_points(s, pl)}
+        {v for s in (a, b) for pl in (plan, refined) for v in sample_values(s, pl)}
     )
     assert calls == expected
 
@@ -492,14 +492,14 @@ def test_checks_and_brute_force_share_one_t_table():
 def test_standalone_phi_T_contraction_evaluates_t_on_the_full_sample():
     from collections import Counter
 
-    from couplefix.metric import sample_points
+    from couplefix.metric import sample_values
 
     calls = Counter()
     p = _identity_t_problem(calls)
     plan = SamplePlan(grid_count=21)
     report = check_phi_T_contraction(p, plan, budget=20_000)
     assert report.details["stride"] == 2
-    expected = Counter(q.value for s in (p.subset_a, p.subset_b) for q in sample_points(s, plan))
+    expected = Counter(v for s in (p.subset_a, p.subset_b) for v in sample_values(s, plan))
     assert calls == expected
 
 

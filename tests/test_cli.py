@@ -119,7 +119,15 @@ class TestListAndErrors:
         # beyond the float range at the first grid point shown
         code, _, err = run_cli(["check", str(DOCUMENTS / name)], capsys)
         assert code == 3
-        assert err == f"error: control function overflows the float range at t={t}\n"
+        assert err == f"error: psi: control function overflows the float range at t={t}\n"
+
+    def test_range_targets_outside_the_carrier_exit_3(self, capsys):
+        # check.range_b = [3, 9] reaches past the carrier [0, 4]
+        path = DOCUMENTS / "range-outside-carrier.yaml"
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 3
+        assert err == "error: check.range_b: not contained in the carrier\n"
+        assert out == ""
 
     def test_negative_check_tol_exits_3(self, tmp_path, capsys):
         path = tmp_path / "negtol.yaml"

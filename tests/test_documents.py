@@ -25,7 +25,7 @@ from couplefix.documents import (
     registry_names,
 )
 from couplefix.errors import DocumentError
-from couplefix.metric import Interval, Point, sample_points
+from couplefix.metric import Interval, Point, sample_values
 from couplefix.problems import CoincidenceProblem, StrongCoupledProblem
 from couplefix.solve import SolveStatus, iterate_strong_coupled
 
@@ -53,8 +53,8 @@ class TestParseProblem:
         assert doc.problem_kind == "strong_coupled"
         assert isinstance(doc.space.carrier, Interval)
         assert (doc.space.carrier.lo, doc.space.carrier.hi) == (0.0, 3.0)
-        assert [p.value for p in doc.subset_a.points] == [1.0]
-        assert [p.value for p in doc.subset_b.points] == [1.0, 2.0]
+        assert list(doc.subset_a.values) == [1.0]
+        assert list(doc.subset_b.values) == [1.0, 2.0]
         assert doc.psi is not None
         assert doc.phi.declared_class is ControlClass.ALTERING
         assert doc.starts == ((Point(1.0), Point(2.0)),)
@@ -66,8 +66,8 @@ class TestParseProblem:
             "subset_B: [1, 2]", 'subset_B: "{1, 2}"'
         )
         doc = parse_problem(alt)
-        assert [p.value for p in doc.subset_a.points] == [1.0]
-        assert [p.value for p in doc.subset_b.points] == [1.0, 2.0]
+        assert list(doc.subset_a.values) == [1.0]
+        assert list(doc.subset_b.values) == [1.0, 2.0]
 
     def test_open_interval_notation(self):
         doc = parse_problem(
@@ -191,8 +191,8 @@ class TestBuildProblem:
         )
         problem2 = build_problem(parse_problem(with_inverse))
         assert problem2.self_map.has_preimage_oracle
-        got = problem2.self_map.preimage(Point(0.8), problem2.subset_a, 1e-9)
-        assert got == Point(1.6)
+        got = problem2.self_map.preimage(0.8, problem2.subset_a, 1e-9)
+        assert got == 1.6
 
     def test_identity_with_inverse_is_contradictory(self):
         doc_text = textwrap.dedent(
@@ -212,8 +212,9 @@ class TestBuildProblem:
 
     def test_subset_outside_carrier_is_a_document_error(self):
         bad = STRONG_DOC.replace('space: "[0, 3]"', 'space: "[0, 1/2]"')
-        with pytest.raises(DocumentError, match="carrier"):
+        with pytest.raises(DocumentError, match="carrier") as err:
             build_problem(parse_problem(bad))
+        assert err.value.key == "subset_A"
 
 
 class TestRegistry:
@@ -247,8 +248,8 @@ class TestRegistry:
     def test_min_entry_matches_hand_fixture(self):
         doc = builtin_registry("example-2.2.3")
         assert doc.problem_kind == "strong_coupled"
-        assert [p.value for p in doc.subset_a.points] == [1.0]
-        assert [p.value for p in doc.subset_b.points] == [1.0, 2.0]
+        assert list(doc.subset_a.values) == [1.0]
+        assert list(doc.subset_b.values) == [1.0, 2.0]
         assert doc.starts == ((Point(1.0), Point(1.0)), (Point(1.0), Point(2.0)))
         problem = build_problem(doc)
         assert eval_control(problem.phi, 0.5) == 0.25
@@ -294,8 +295,9 @@ class TestRegistry:
     def test_every_entry_is_total_on_its_sampled_domain(self, name):
         doc = builtin_registry(name)
         problem = build_problem(doc)
-        a_pts = sample_points(problem.subset_a, doc.check.plan)
-        b_pts = sample_points(problem.subset_b, doc.check.plan_b or doc.check.plan)
+        plan, plan_b = doc.check.plan, doc.check.plan_b or doc.check.plan
+        a_pts = list(map(Point, sample_values(problem.subset_a, plan)))
+        b_pts = list(map(Point, sample_values(problem.subset_b, plan_b)))
         for x in a_pts[:: max(1, len(a_pts) // 5)]:
             for y in b_pts[:: max(1, len(b_pts) // 5)]:
                 problem.coupling.evaluate(x, y)
@@ -463,6 +465,11 @@ SETTING_ERRORS = [
     ("check", {"jitter_count": -1}, "check", "jitter_count must be nonnegative"),
     ("check", {"tol": 0}, "check.tol", "tol must be a positive finite float, got 0.0"),
     ("check", {"bogus": 1}, "check", "unknown keys ['bogus']"),
+    # a subset, or the range check's targets, outside the carrier [0, 3]
+    ("check", {"range_b": "[2, 9]"}, "check.range_b", "not contained in the carrier"),
+    ("check", {"range_b": [1, 4]}, "check.range_b", "not contained in the carrier"),
+    ("subset_A", [5], "subset_A", "not contained in the carrier"),
+    ("subset_B", "(2, 4)", "subset_B", "not contained in the carrier"),
 ]
 
 

@@ -54,16 +54,17 @@ from couplefix.metric import (
     SubsetSpec,
     _usual_real,
     check_metric_axioms,
-    contains,
     contains_values,
     member_test,
-    sample_points,
+    sample_values,
     separation,
     subset_intersection,
+    subset_within_carrier,
 )
 from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from couplefix.report import CheckReport, ReportBuilder, Violation
 from couplefix.solve import SolveOptions, SolveReport, SolveStatus
+from metric_oracle import contains, finite_intersection, finite_within_carrier
 
 TOLS = st.sampled_from([1e-9, 0.0, 0.25, -0.1])
 
@@ -96,7 +97,7 @@ def _same_outcome(fast, naive) -> None:
 def naive_metric_axioms(space, plan, tol):
     c = space.carrier
     if isinstance(c, Interval):
-        vals = [p.value for p in sample_points(SubsetSpec.from_intervals([c]), plan)]
+        vals = metric.sample_values(SubsetSpec.from_intervals([c]), plan)
     else:
         vals = list(c.labels)
     d = space.metric
@@ -236,7 +237,7 @@ def test_rounding_violations_are_reported_in_scan_order():
     from a sample whose jitter points are out of order."""
     space = MetricSpace.real_line(0.15, 2.25)
     plan = SamplePlan(29, 2, 4)
-    vals = [p.value for p in sample_points(SubsetSpec.from_intervals([space.carrier]), plan)]
+    vals = sample_values(SubsetSpec.from_intervals([space.carrier]), plan)
     assert vals != sorted(vals)
     got = check_metric_axioms(space, plan, 1e-17)
     assert got.violations and {v.witness[0] for v in got.violations} == {"triangle"}
@@ -270,10 +271,10 @@ def test_other_spaces_take_the_full_triangle_scan(space, tol, monkeypatch):
 
 
 def naive_range(f, t, a, b, plan, tol, plan_b=None, targets_b=None):
-    a_pts = sample_points(a, plan)
+    a_pts = list(map(Point, sample_values(a, plan)))
     b_plan = plan_b or plan
-    b_pts = sample_points(b, b_plan)
-    tgt_pts = sample_points(targets_b, b_plan) if targets_b is not None else b_pts
+    b_pts = list(map(Point, sample_values(b, b_plan)))
+    tgt_pts = b_pts if targets_b is None else list(map(Point, sample_values(targets_b, b_plan)))
     ta_vals = [t.evaluate(p).value for p in a_pts]
     tb_vals = [t.evaluate(q).value for q in b_pts]
     rb = ReportBuilder("range_compatibility", tol)
@@ -402,8 +403,8 @@ def test_range_search_matches_naive_loop_on_label_pools(a, b, t_table, pick_seco
 
 
 def naive_contraction(name, problem, image, left, right, plan, tol, plan_b=None):
-    xs = sample_points(problem.subset_a, plan)
-    ys = sample_points(problem.subset_b, plan_b or plan)
+    xs = list(map(Point, sample_values(problem.subset_a, plan)))
+    ys = list(map(Point, sample_values(problem.subset_b, plan_b or plan)))
     d, f = problem.space.metric, problem.coupling
     rb = ReportBuilder(name, tol)
     min_margin = math.inf
@@ -588,8 +589,8 @@ PLANS_B = st.builds(SamplePlan, grid_count=st.integers(2, 6), jitter_count=st.in
 
 def _assert_level_path_used(calls, problem, plan, plan_b):
     assert problem.space.metric is _usual_real
-    na = len(sample_points(problem.subset_a, plan))
-    nb = len(sample_points(problem.subset_b, plan_b))
+    na = len(sample_values(problem.subset_a, plan))
+    nb = len(sample_values(problem.subset_b, plan_b))
     assert calls["built"] == 1
     assert 1 <= calls["planes"] <= na * nb
 
@@ -812,8 +813,8 @@ def test_failing_level_set_planes_match_naive_loop(problem, plan, plan_b, tol, c
     with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         _same_outcome(fast, naive)
-    na = len(sample_points(problem.subset_a, plan))
-    nb = len(sample_points(problem.subset_b, plan_b or plan))
+    na = len(sample_values(problem.subset_a, plan))
+    nb = len(sample_values(problem.subset_b, plan_b or plan))
     assert calls["built"] == 1
     assert calls["planes"] == na * nb
 
@@ -983,8 +984,8 @@ def test_cli_import_pulls_in_no_numpy():
 
 
 def naive_coupling(f, a, b, plan, plan_b=None):
-    xs = sample_points(a, plan)
-    ys = sample_points(b, plan_b or plan)
+    xs = list(map(Point, sample_values(a, plan)))
+    ys = list(map(Point, sample_values(b, plan_b or plan)))
     rb = ReportBuilder("coupling", 0.0)
     for x in xs:
         for y in ys:
@@ -1117,7 +1118,7 @@ def naive_invariance(t, a, b, plan):
     rb = ReportBuilder("scc_map", 0.0)
     examined = 0
     for name, subset in (("A", a), ("B", b)):
-        for p in sample_points(subset, plan):
+        for p in map(Point, sample_values(subset, plan)):
             v = t.evaluate(p).value
             if not contains(subset, Point(v)):
                 rb.add_violation((f"invariance_{name}", p.value, v), 1.0, 0.0)
@@ -1166,10 +1167,18 @@ MEMBER_VALUES = st.lists(
         ),
     ),
     values=MEMBER_VALUES,
+    # a finite mixed label/real subset for the subset algebra
+    members=st.lists(st.sampled_from(LABELS[:2] + [0.5, 1.0 + 1e-13, 2.0]), min_size=1,
+                     max_size=4).map(SubsetSpec.from_values),
+    space=st.sampled_from([MetricSpace.real_line(0.0, 2.0, hi_closed=False),
+                           MetricSpace.finite(LABELS[:2])]),
 )
 @settings(max_examples=300, deadline=None)
-def test_bulk_membership_matches_contains(subset, values):
+def test_bulk_membership_matches_contains(subset, values, members, space):
     assert contains_values(subset, values) == [contains(subset, Point(v)) for v in values]
+    assert subset_intersection(members, subset) == finite_intersection(members, subset)
+    assert subset_intersection(subset, members) == finite_intersection(subset, members)
+    assert subset_within_carrier(space, members) == finite_within_carrier(space, members)
 
 
 OBSERVED = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e-10, math.nan, math.inf, -math.inf,
@@ -1279,8 +1288,8 @@ COUNT_PLAN = SamplePlan(5, 1, 2)
 @pytest.mark.parametrize("check", ["coupling", "range", "contraction"])
 def test_point_map_is_evaluated_once_per_sampled_pair(check):
     fm, seen = _counted_map()
-    xs = [p.value for p in sample_points(COUNT_A, COUNT_PLAN)]
-    ys = [q.value for q in sample_points(COUNT_B, COUNT_PLAN)]
+    xs = sample_values(COUNT_A, COUNT_PLAN)
+    ys = sample_values(COUNT_B, COUNT_PLAN)
     if check == "coupling":
         check_coupling(fm, COUNT_A, COUNT_B, COUNT_PLAN)
     elif check == "range":
@@ -1333,8 +1342,8 @@ def _same_return(fast, naive) -> None:
 def naive_brute(problem, plan, tol, plan_b=None):
     d, f = problem.space.metric, problem.coupling
     if problem.kind == "coincidence":
-        a_pts = sample_points(problem.subset_a, plan)
-        b_pts = sample_points(problem.subset_b, plan_b or plan)
+        a_pts = list(map(Point, sample_values(problem.subset_a, plan)))
+        b_pts = list(map(Point, sample_values(problem.subset_b, plan_b or plan)))
         ta = [problem.self_map.evaluate(p).value for p in a_pts]
         tb = [problem.self_map.evaluate(q).value for q in b_pts]
         out = []
@@ -1347,7 +1356,8 @@ def naive_brute(problem, plan, tol, plan_b=None):
     inter = subset_intersection(problem.subset_a, problem.subset_b)
     if inter is None:
         return []
-    return [p for p in sample_points(inter, plan) if d(f.evaluate(p, p).value, p.value) <= tol]
+    pts = map(Point, sample_values(inter, plan))
+    return [p for p in pts if d(f.evaluate(p, p).value, p.value) <= tol]
 
 
 def _raising(x, y):
@@ -1455,12 +1465,12 @@ def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case, point_f
 
 
 def naive_preimage(space, t, subset, target, tol, grid_count):
-    """The linear scan: the first sampled point with the least distance."""
+    """The linear scan: the first sampled value with the least distance."""
     best, best_dist = None, math.inf
-    for p in sample_points(subset, SamplePlan(grid_count=grid_count)):
-        dist = space.metric(t.evaluate(p).value, target.value)
+    for p in map(Point, sample_values(subset, SamplePlan(grid_count=grid_count))):
+        dist = space.metric(t.evaluate(p).value, target)
         if dist < best_dist:
-            best, best_dist = p, dist
+            best, best_dist = p.value, dist
     return (best, best_dist) if best is not None and best_dist <= tol else (None, best_dist)
 
 
@@ -1497,8 +1507,8 @@ def test_grid_preimage_bisection_matches_the_linear_scan(subset, t, goals, tol, 
     tm = PREIMAGE_MAPS[t]
     for goal in goals:  # later goals read the table and index the first one built
         _same_return(
-            lambda: solve.grid_preimage(space, tm, subset, Point(goal), tol, grid),
-            lambda: naive_preimage(space, tm, subset, Point(goal), tol, grid),
+            lambda: solve.grid_preimage(space, tm, subset, goal, tol, grid),
+            lambda: naive_preimage(space, tm, subset, goal, tol, grid),
         )
 
 
@@ -1511,9 +1521,9 @@ def test_preimage_bisection_walks_a_run_of_equal_rounded_distances():
     t = SelfMap.from_function(lambda x: big if x == 0.0 else big - 1)
     space, subset = MetricSpace.real_line(-1.0, 3.0), SubsetSpec.from_values([0.0, 1.0])
     assert abs((big - 1) - -1.0) == abs(big - -1.0) == big
-    got = solve.grid_preimage(space, t, subset, Point(-1.0), math.inf)
-    assert got == naive_preimage(space, t, subset, Point(-1.0), math.inf, 2)
-    assert got == (Point(0.0), big)
+    got = solve.grid_preimage(space, t, subset, -1.0, math.inf)
+    assert got == naive_preimage(space, t, subset, -1.0, math.inf, 2)
+    assert got == (0.0, big)
 
 
 def test_member_test_matches_contains_on_every_subset_shape():
@@ -1603,7 +1613,8 @@ def test_value_level_strong_iteration_matches_the_point_step(a, b, f, metric, st
                                                              max_iter, tol):
     problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0, metric=BRUTE_METRICS[metric]),
                               a, b, STRONG_COUPLINGS[f], HALF, identity_control())
-    xs, ys = sample_points(a, SamplePlan(5)), sample_points(b, SamplePlan(5))
+    xs = list(map(Point, sample_values(a, SamplePlan(5))))
+    ys = list(map(Point, sample_values(b, SamplePlan(5))))
     x0, y0 = xs[starts[0] % len(xs)], ys[starts[1] % len(ys)]
     if outside:  # a start outside its subset is rejected by both
         y0 = Point(2.75)

@@ -284,10 +284,10 @@ def test_the_inverse_oracle_reads_value_fn_only():
     reference, one_path = _one_path_pair(True)
     for target in (0.0, 0.5, 1.0, 1.5, 3.0):
         for tol in (0.0, 1e-9):
-            want = reference.self_map.preimage(Point(target), UNIT, tol)
-            assert one_path.self_map.preimage(Point(target), UNIT, tol) == want
-    assert one_path.self_map.preimage(Point(0.5), UNIT, 1e-9) == Point(0.25)
-    assert one_path.self_map.preimage(Point(3.0), UNIT, 1e-9) is None
+            want = reference.self_map.preimage(target, UNIT, tol)
+            assert one_path.self_map.preimage(target, UNIT, tol) == want
+    assert one_path.self_map.preimage(0.5, UNIT, 1e-9) == 0.25
+    assert one_path.self_map.preimage(3.0, UNIT, 1e-9) is None
 
 
 def test_the_range_check_reads_value_fn_only():

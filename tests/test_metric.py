@@ -16,17 +16,12 @@ from couplefix.metric import (
     SamplePlan,
     SubsetSpec,
     check_metric_axioms,
-    contains,
-    distance,
-    sample_points,
+    member_test,
+    sample_values,
     sampled_diameter,
     subset_intersection,
     subset_within_carrier,
 )
-
-
-def _values(points):
-    return [p.value for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -42,30 +37,14 @@ def test_point_real_rejects_non_finite():
 
 def test_distance_usual_real_line():
     space = MetricSpace.real_line(-5.0, 5.0, lo_closed=False, hi_closed=False)
-    assert distance(space, Point.real(1.0), Point.real(3.0)) == 2.0
-    assert distance(space, Point.real(-4.5), Point.real(4.5)) == 9.0
-
-
-def test_distance_rejects_points_outside_carrier():
-    space = MetricSpace.real_line(0.0, 3.0)
-    with pytest.raises(DomainError):
-        distance(space, Point.real(-1.0), Point.real(1.0))
-    # open bound: the endpoint itself is outside
-    open_space = MetricSpace.real_line(0.0, 3.0, hi_closed=False)
-    with pytest.raises(DomainError):
-        distance(open_space, Point.real(3.0), Point.real(1.0))
-
-
-def test_distance_rejects_mismatched_point_kind():
-    space = MetricSpace.real_line(0.0, 1.0)
-    with pytest.raises(DomainError):
-        distance(space, Point.label("a"), Point.real(0.5))
+    assert space.metric(1.0, 3.0) == 2.0
+    assert space.metric(-4.5, 4.5) == 9.0
 
 
 def test_finite_space_defaults_to_discrete_metric():
     space = MetricSpace.finite(["a", "b", "c"])
-    assert distance(space, Point.label("a"), Point.label("a")) == 0.0
-    assert distance(space, Point.label("a"), Point.label("b")) == 1.0
+    assert space.metric("a", "a") == 0.0
+    assert space.metric("a", "b") == 1.0
 
 
 def test_finite_space_accepts_distance_table():
@@ -75,8 +54,8 @@ def test_finite_space_accepts_distance_table():
         ("b", "c"): 1.5, ("c", "b"): 1.5,
     }
     space = MetricSpace.finite(["a", "b", "c"], table=table)
-    assert distance(space, Point.label("b"), Point.label("c")) == 1.5
-    assert distance(space, Point.label("b"), Point.label("b")) == 0.0
+    assert space.metric("b", "c") == 1.5
+    assert space.metric("b", "b") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +64,21 @@ def test_finite_space_accepts_distance_table():
 
 def test_interval_membership_respects_bounds_exactly():
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0)])
-    assert contains(a, Point.real(2.0))
-    assert not contains(a, Point.real(2.0000001))
-    assert contains(a, Point.real(0.0))
+    assert member_test(a)(2.0)
+    assert not member_test(a)(2.0000001)
+    assert member_test(a)(0.0)
 
     open_a = SubsetSpec.from_intervals([Interval(0.0, 2.0, lo_closed=False, hi_closed=False)])
-    assert not contains(open_a, Point.real(0.0))
-    assert not contains(open_a, Point.real(2.0))
-    assert contains(open_a, Point.real(1.0))
+    assert not member_test(open_a)(0.0)
+    assert not member_test(open_a)(2.0)
+    assert member_test(open_a)(1.0)
 
 
 def test_finite_subset_membership_uses_equality_tolerance():
     b = SubsetSpec.from_values([1.0, 2.0])
-    assert contains(b, Point.real(1.0))
-    assert contains(b, Point.real(1.0 + 1e-13))
-    assert not contains(b, Point.real(1.1))
+    assert member_test(b)(1.0)
+    assert member_test(b)(1.0 + 1e-13)
+    assert not member_test(b)(1.1)
 
 
 def test_interval_union_must_be_sorted_and_disjoint():
@@ -133,46 +112,46 @@ def test_subset_must_be_nonempty():
 def test_open_interval_grid_shifts_endpoints_inward():
     # (0, 2) with a 3-point grid: step 1, endpoints pulled in by step/2
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0, lo_closed=False, hi_closed=False)])
-    got = _values(sample_points(a, SamplePlan(grid_count=3)))
+    got = sample_values(a, SamplePlan(grid_count=3))
     assert got == [0.5, 1.0, 1.5]
 
 
 def test_closed_interval_grid_keeps_endpoints():
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0)])
-    assert _values(sample_points(a, SamplePlan(grid_count=3))) == [0.0, 1.0, 2.0]
+    assert sample_values(a, SamplePlan(grid_count=3)) == [0.0, 1.0, 2.0]
     b = SubsetSpec.from_intervals([Interval(0.0, 4.0)])
-    vals = _values(sample_points(b, SamplePlan(grid_count=5)))
+    vals = sample_values(b, SamplePlan(grid_count=5))
     assert vals[0] == 0.0 and vals[-1] == 4.0
 
 
 def test_half_open_interval_shifts_only_open_side():
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0, lo_closed=False)])
-    assert _values(sample_points(a, SamplePlan(grid_count=3))) == [0.5, 1.0, 2.0]
+    assert sample_values(a, SamplePlan(grid_count=3)) == [0.5, 1.0, 2.0]
 
 
 def test_finite_subset_sampling_returns_members_in_order():
     b = SubsetSpec.from_values([1.0, 2.0])
-    assert _values(sample_points(b, SamplePlan(grid_count=7, jitter_count=3, seed=1))) == [1.0, 2.0]
+    assert sample_values(b, SamplePlan(grid_count=7, jitter_count=3, seed=1)) == [1.0, 2.0]
 
 
 def test_grid_count_below_two_rejected_for_intervals():
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0)])
     with pytest.raises(ParameterError):
-        sample_points(a, SamplePlan(grid_count=1))
+        sample_values(a, SamplePlan(grid_count=1))
 
 
 def test_sampling_is_deterministic():
     a = SubsetSpec.from_intervals([Interval(0.0, 2.0, lo_closed=False, hi_closed=False)])
     plan = SamplePlan(grid_count=5, jitter_count=4, seed=42)
-    first = _values(sample_points(a, plan))
-    second = _values(sample_points(a, plan))
+    first = sample_values(a, plan)
+    second = sample_values(a, plan)
     assert first == second
     assert len(first) == 5 + 4
 
 
 def test_union_samples_every_interval():
     u = SubsetSpec.from_intervals([Interval(0.0, 1.0), Interval(2.0, 3.0)])
-    vals = _values(sample_points(u, SamplePlan(grid_count=3)))
+    vals = sample_values(u, SamplePlan(grid_count=3))
     assert vals == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
 
 
@@ -191,8 +170,8 @@ def test_sampled_points_always_lie_in_their_subset(lo, width, lo_closed, hi_clos
     spec = SubsetSpec.from_intervals(
         [Interval(lo, lo + width, lo_closed=lo_closed, hi_closed=hi_closed)]
     )
-    for p in sample_points(spec, SamplePlan(grid_count=grid, jitter_count=jitter, seed=seed)):
-        assert contains(spec, p)
+    for v in sample_values(spec, SamplePlan(grid_count=grid, jitter_count=jitter, seed=seed)):
+        assert member_test(spec)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +256,7 @@ def test_sampled_diameter_covers_subset_union():
 
 def _pairwise_diameter(space, subsets, plan):
     """The one-metric-call-per-pair loop the usual metric skips."""
-    vals = [p.value for s in subsets for p in sample_points(s, plan)]
+    vals = [v for s in subsets for v in sample_values(s, plan)]
     best = 0.0
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
@@ -297,9 +276,9 @@ DIAMETER_SUBSETS = st.one_of(
     st.tuples(DIAMETER_VALUES, DIAMETER_VALUES).map(
         lambda ends: SubsetSpec.from_intervals([Interval(min(ends), max(ends))])
     ),
-    # hand-built points skip the finiteness check of Point.real
+    # hand-built values skip the finiteness check of Point.real
     st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1.0, 3]), min_size=1,
-             max_size=4).map(lambda vs: SubsetSpec(points=tuple(map(Point, vs)))),
+             max_size=4).map(lambda vs: SubsetSpec(values=tuple(vs))),
 )
 
 
@@ -338,8 +317,8 @@ def test_subset_intersection_finite_wins():
     a = SubsetSpec.from_values([1.0])
     b = SubsetSpec.from_values([1.0, 2.0])
     inter = subset_intersection(a, b)
-    assert inter is not None and [p.value for p in inter.points] == [1.0]
-    assert subset_intersection(b, a).points == (Point(1.0), Point(2.0))[:1]
+    assert inter is not None and list(inter.values) == [1.0]
+    assert subset_intersection(b, a).values == (1.0, 2.0)[:1]
 
 
 def test_subset_intersection_interval_overlap():
@@ -362,4 +341,4 @@ def test_subset_intersection_mixed_kinds():
     pts = SubsetSpec.from_values([0.5, 2.5])
     iv = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
     inter = subset_intersection(iv, pts)
-    assert inter is not None and [p.value for p in inter.points] == [0.5]
+    assert inter is not None and list(inter.values) == [0.5]

@@ -15,7 +15,7 @@ from couplefix.controls import ControlClass, identity_control, make_linear, with
 from couplefix.documents import build_problem, builtin_registry
 from couplefix.errors import BudgetError, DomainError, ParameterError
 from couplefix.expr import parse_expression
-from couplefix.metric import MetricSpace, Point, SamplePlan, SubsetSpec, sample_points
+from couplefix.metric import MetricSpace, Point, SamplePlan, SubsetSpec, sample_values
 from couplefix.problems import (
     CoincidenceProblem,
     CouplingMap,
@@ -353,15 +353,15 @@ class TestGridPreimage:
         t = SelfMap.from_expression(
             parse_expression("piecewise { x <= 1 => 0 ; else => x - 1 ; }")
         )
-        found, dist = grid_preimage(space, t, interval_subset(0.0, 2.0), _pt(0.0), 1e-9)
-        assert found == Point(0.0)
+        found, dist = grid_preimage(space, t, interval_subset(0.0, 2.0), 0.0, 1e-9)
+        assert found == 0.0
         assert dist == 0.0
 
     def test_unreachable_target_reports_nearest(self):
         space = MetricSpace.real_line(-5.0, 5.0, lo_closed=False, hi_closed=False)
         p = plateau_problem()
         found, dist = grid_preimage(
-            space, p.self_map, p.subset_a, _pt(1 / 6), 1e-9
+            space, p.self_map, p.subset_a, 1 / 6, 1e-9
         )
         assert found is None
         assert dist == pytest.approx(11 / 6, abs=1e-12)
@@ -370,10 +370,10 @@ class TestGridPreimage:
 def _reference_preimage(space, t, subset, target, tol):
     """The uncached scan: evaluate T on every sampled point, keep the first best."""
     best, best_dist = None, math.inf
-    for p in sample_points(subset, SamplePlan(grid_count=PREIMAGE_GRID_COUNT)):
-        dist = space.metric(t.evaluate(p).value, target.value)
+    for p in map(Point, sample_values(subset, SamplePlan(grid_count=PREIMAGE_GRID_COUNT))):
+        dist = space.metric(t.evaluate(p).value, target)
         if dist < best_dist:
-            best, best_dist = p, dist
+            best, best_dist = p.value, dist
     return (best, best_dist) if best_dist <= tol else (None, best_dist)
 
 
@@ -389,15 +389,15 @@ class TestPreimageTable:
         space = MetricSpace.real_line(-5.0, 5.0)
         a, b = interval_subset(0.0, 1.0), interval_subset(1.0, 2.0)
         for target in (0.25, 0.5, 4.0, 9.0):
-            grid_preimage(space, t, a, _pt(target), 1e-9)
-            grid_preimage(space, t, b, _pt(target), 1e-9)
+            grid_preimage(space, t, a, target, 1e-9)
+            grid_preimage(space, t, b, target, 1e-9)
         # 1.0 ends the grid of A and starts the grid of B: one call for both
         assert len(calls) == 2 * PREIMAGE_GRID_COUNT - 1
-        assert calls[:PREIMAGE_GRID_COUNT] == [
-            p.value for p in sample_points(a, SamplePlan(grid_count=PREIMAGE_GRID_COUNT))
-        ]
+        assert calls[:PREIMAGE_GRID_COUNT] == sample_values(
+            a, SamplePlan(grid_count=PREIMAGE_GRID_COUNT)
+        )
         # another map instance has its own table
-        grid_preimage(space, SelfMap.from_function(square), a, _pt(0.25), 1e-9)
+        grid_preimage(space, SelfMap.from_function(square), a, 0.25, 1e-9)
         assert len(calls) == 3 * PREIMAGE_GRID_COUNT - 1
 
     @pytest.mark.parametrize(
@@ -417,9 +417,9 @@ class TestPreimageTable:
             parse_expression("piecewise { x <= 1 => 0 ; else => x - 1 ; }")
         )
         subset = interval_subset(0.0, 2.0)
-        grid_preimage(space, t, subset, _pt(0.75), 1e-9)  # builds the table
-        got = grid_preimage(space, t, subset, _pt(target), tol)
-        assert got == _reference_preimage(space, t, subset, _pt(target), tol)
+        grid_preimage(space, t, subset, 0.75, 1e-9)  # builds the table
+        got = grid_preimage(space, t, subset, target, tol)
+        assert got == _reference_preimage(space, t, subset, target, tol)
 
     def test_built_problem_is_freed_without_the_cycle_collector(self):
         gc.disable()
