@@ -57,8 +57,10 @@ the sampled distances) leave every plane to the comprehension.
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.
 
-Every check evaluates F through ``CouplingMap.value_fn``, whose values
-are made finite floats or labels where they are computed: F, like T, is
+Every check evaluates F through ``CouplingMap.value_fn``.  The
+constructors make its values finite floats or labels where they are
+computed; a map given only a Point ``fn`` yields the value of each Point
+as it is, a NaN or an int included.  F, like T, is
 treated as a pure function and evaluated once per sampled pair, and the
 first pair that fails in a check's own order raises, with nothing
 evaluated again.  The coupling and range checks build one interleaved row

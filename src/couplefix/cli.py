@@ -262,8 +262,8 @@ def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     return exit_code
 
 
-def _print_demo_facts(doc: ProblemDocument, reports) -> None:
-    if doc.problem_kind == "coincidence":
+def _print_demo_facts(problem, reports) -> None:
+    if problem.kind == "coincidence":
         det = next(r for slot, r in reports if slot == "self_map").details
         for key, label in (("image_A_values", "self-map image of A"),
                            ("image_B_values", "self-map image of B"),
@@ -271,7 +271,7 @@ def _print_demo_facts(doc: ProblemDocument, reports) -> None:
             if det.get(key) is not None:
                 print(f"{label}: {_fmt_set(det[key])}")
     else:
-        inter = subset_intersection(doc.subset_a, doc.subset_b)
+        inter = subset_intersection(problem.subset_a, problem.subset_b)
         shown = _fmt_set(subset_values(inter)) if inter is not None else "{}"
         print(f"intersection of A and B: {shown}")
 
@@ -288,7 +288,7 @@ def _run_command(doc: ProblemDocument, args, t0: float) -> int:
     problem = build_problem(doc)
     settings, opts = _apply_overrides(doc, args)
     starts = _resolve_starts(doc, args) if args.command == "solve" else None
-    print(f"problem: {doc.name} ({doc.problem_kind})")
+    print(f"problem: {doc.name} ({problem.kind})")
     checks = None
     if args.command != "solve":
         reports = run_checks(problem, settings)
@@ -296,7 +296,7 @@ def _run_command(doc: ProblemDocument, args, t0: float) -> int:
         if args.json_path:
             checks = [_check_to_json(slot, r) for slot, r in reports]
         if args.command == "demo":
-            _print_demo_facts(doc, reports)
+            _print_demo_facts(problem, reports)
         passed = all(r.passed for _, r in reports)
         if args.command == "check" or not passed:
             exit_code = 0 if passed else 1

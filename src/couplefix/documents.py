@@ -3,13 +3,13 @@
 A document describes one problem declaratively — carrier, the two subsets,
 the coupling map, the self map (coincidence problems only), control
 functions, solver options, and check sampling settings.  ``parse_mapping``
-validates the loaded mapping into a :class:`ProblemDocument`;
-``parse_problem`` loads YAML text into that mapping first, and is the only
-place that imports PyYAML.  ``build_problem`` compiles the document into a
-runnable problem object.  Builtin problems are stored as Python data in the
-shape ``yaml.safe_load`` gives and go through the same validator, so
-anything the registry produces can also be written by hand, and building a
-builtin never loads PyYAML.
+validates the loaded mapping and builds it into a :class:`ProblemDocument`:
+the runnable problem, each map compiled at the key that holds it, plus the
+run settings.  ``parse_problem`` loads YAML text into that mapping first,
+and is the only place that imports PyYAML.  Builtin problems are stored as
+Python data in the shape ``yaml.safe_load`` gives and go through the same
+validator, so anything the registry produces can also be written by hand,
+and building a builtin never loads PyYAML.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .checks import DEFAULT_QUADRUPLE_BUDGET
 from .controls import (
@@ -30,28 +30,18 @@ from .controls import (
     make_power,
     with_declared_class,
 )
-from .errors import (DocumentError, DomainError, ExprSyntaxError, ParameterError, at_least_one,
+from .errors import (DocumentError, ExprSyntaxError, ParameterError, at_least_one, nonnegative,
                      positive_finite)
 from .expr import Expr, parse_expression
 from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec, subset_within_carrier
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from .solve import SolveOptions
 
-_TOP_KEYS = {
-    "problem_kind",
-    "space",
-    "subset_A",
-    "subset_B",
-    "map_F",
-    "map_T",
-    "map_T_inverse",
-    "phi",
-    "psi",
-    "solve",
-    "check",
-}
 _REQUIRED_KEYS = ("problem_kind", "space", "subset_A", "subset_B", "map_F", "phi")
-_KINDS = ("coincidence", "strong_coupled")
+#: The keys of one kind of problem only; the first is required for it.
+_KIND_KEYS = {"coincidence": ("map_T", "map_T_inverse"), "strong_coupled": ("psi",)}
+_TOP_KEYS = {*_REQUIRED_KEYS, *_KIND_KEYS["coincidence"], *_KIND_KEYS["strong_coupled"],
+             "solve", "check"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,41 +57,48 @@ class CheckSettings:
 
 @dataclasses.dataclass(frozen=True)
 class ProblemDocument:
-    """A parsed problem description, not yet compiled into callables.
-
-    ``map_t`` is either an expression, the sentinel string ``"identity"``,
-    or ``None`` for strong coupled problems.
-    """
+    """A validated document: its built problem and the settings to run it with."""
 
     name: str
-    problem_kind: str
-    space: MetricSpace
-    subset_a: SubsetSpec
-    subset_b: SubsetSpec
-    map_f: Expr
-    map_t: Union[Expr, str, None]
-    map_t_inverse: Optional[Expr]
-    phi: ControlFunction
-    psi: Optional[ControlFunction]
+    problem: Union[CoincidenceProblem, StrongCoupledProblem]
     solve: SolveOptions
     starts: tuple[tuple[Point, Point], ...]
     check: CheckSettings
 
 
+#: Numbers in documents stay below 2**2048 in magnitude, numerator and
+#: denominator alike; floats end near 2**1024.  A longer number could not
+#: be shown in a message, and a string's exponent of more than 3 digits
+#: would cost ``Fraction`` seconds to expand (``"1e9999999"``).
+_MAX_BITS = 2048
+
+
+def _shown(raw) -> str:
+    """``repr(raw)``, or a stand-in where it holds an int longer than
+    ``repr`` writes (``sys.get_int_max_str_digits()``)."""
+    try:
+        return repr(raw)
+    except ValueError:
+        return f"<{type(raw).__name__} too long to show>"
+
+
 def _fraction(raw, key: str) -> Fraction:
     """Numbers in documents: ints, floats, or strings like "2/3"."""
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, float, str)):
             raise ValueError(raw)
-        if isinstance(raw, (int, Fraction)):
-            return Fraction(raw)
-        if isinstance(raw, float):
-            return Fraction(str(raw))
         if isinstance(raw, str):
-            return Fraction(raw.strip())
+            exponent = raw.lower().partition("e")[2].strip().lstrip("+-0")
+            if exponent.isdigit() and len(exponent) > 3:
+                raise OverflowError
+        value = Fraction(raw if isinstance(raw, (int, Fraction)) else str(raw).strip())
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > _MAX_BITS:
+            raise OverflowError
+        return value
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"expected a number, got {raw!r}", key=key) from exc
-    raise DocumentError(f"expected a number, got {raw!r}", key=key)
+        raise DocumentError(f"expected a number, got {_shown(raw)}", key=key) from exc
+    except OverflowError:
+        raise DocumentError("number is out of range", key=key) from None
 
 
 def _float(raw, key: str) -> float:
@@ -113,8 +110,8 @@ def _float(raw, key: str) -> float:
 
 def _int(raw, key: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise DocumentError(f"expected an integer, got {raw!r}", key=key)
-    return raw
+        raise DocumentError(f"expected an integer, got {_shown(raw)}", key=key)
+    return int(_fraction(raw, key))  # held to the bounds of every number
 
 
 def _mapping(raw, key: str) -> dict:
@@ -124,14 +121,14 @@ def _mapping(raw, key: str) -> dict:
 
 
 def _reject_unknown(mapping: dict, allowed: set, key: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(map(_shown, set(mapping) - allowed))
     if unknown:
-        raise DocumentError(f"unknown keys {unknown}", key=key)
+        raise DocumentError(f"unknown keys [{', '.join(unknown)}]", key=key)
 
 
 def _parse_interval(text, key: str) -> Interval:
     if not isinstance(text, str):
-        raise DocumentError(f"expected an interval string, got {text!r}", key=key)
+        raise DocumentError(f"expected an interval string, got {_shown(text)}", key=key)
     s = text.strip()
     if len(s) < 3 or s[0] not in "[(" or s[-1] not in "])" or "," not in s:
         raise DocumentError(
@@ -143,11 +140,6 @@ def _parse_interval(text, key: str) -> Interval:
         return Interval(lo, hi, lo_closed=s[0] == "[", hi_closed=s[-1] == "]")
     except ParameterError as exc:
         raise DocumentError(str(exc), key=key) from exc
-
-
-def _parse_space(raw, key: str = "space") -> MetricSpace:
-    iv = _parse_interval(raw, key)
-    return MetricSpace.real_line(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
 
 
 def _parse_subset(raw, key: str) -> SubsetSpec:
@@ -165,21 +157,38 @@ def _parse_subset(raw, key: str) -> SubsetSpec:
             return SubsetSpec.from_values([_float(p, key) for p in parts])
         return SubsetSpec.from_intervals([_parse_interval(s, key)])
     raise DocumentError(
-        f"expected an interval string, a brace set, or a list of values, got {raw!r}",
+        f"expected an interval string, a brace set, or a list of values, got {_shown(raw)}",
         key=key,
     )
 
 
-def _parse_expr(raw, key: str) -> Expr:
+def _parse_map(raw, key: str, compile_map: Callable[[Expr], object]):
+    """``compile_map`` of the expression at ``key``.  A syntax error, or a
+    variable outside the map's slot (the bind's ParameterError), is
+    reported at the key."""
     try:
-        return parse_expression(_expr_text(raw, key))
-    except ExprSyntaxError as exc:
+        return compile_map(parse_expression(_expr_text(raw, key)))
+    except (ExprSyntaxError, ParameterError) as exc:
         raise DocumentError(str(exc), key=key) from exc
+
+
+def _parse_self_map(doc: dict, space: MetricSpace) -> SelfMap:
+    """The self map of ``map_T``, with the oracle of ``map_T_inverse`` if
+    the document has one."""
+    if doc["map_T"] == "identity":
+        if "map_T_inverse" in doc:
+            raise DocumentError("cannot be combined with map_T: identity", key="map_T_inverse")
+        return SelfMap.identity()
+    self_map = _parse_map(doc["map_T"], "map_T", SelfMap.from_expression)
+    if "map_T_inverse" not in doc:
+        return self_map
+    return _parse_map(doc["map_T_inverse"], "map_T_inverse",
+                      lambda ast: self_map.with_inverse(ast, space))
 
 
 def _expr_text(raw, key: str) -> str:
     if not isinstance(raw, str):
-        raise DocumentError(f"expected an expression string, got {raw!r}", key=key)
+        raise DocumentError(f"expected an expression string, got {_shown(raw)}", key=key)
     return raw
 
 
@@ -199,9 +208,9 @@ def _parse_control(raw, key: str, slot: ControlClass) -> ControlFunction:
             return with_declared_class(control_from_text(raw), slot)
         spec = _mapping(raw, key)
         family = spec.get("family")
-        if family not in _CONTROL_FAMILIES:
+        if not isinstance(family, str) or family not in _CONTROL_FAMILIES:
             raise DocumentError(
-                f"expected one of {sorted(_CONTROL_FAMILIES)}, got {family!r}",
+                f"expected one of {sorted(_CONTROL_FAMILIES)}, got {_shown(family)}",
                 key=f"{key}.family",
             )
         make, fields = _CONTROL_FAMILIES[family]
@@ -216,12 +225,12 @@ def _parse_control(raw, key: str, slot: ControlClass) -> ControlFunction:
 
 def _parse_starts(raw, key: str) -> tuple[tuple[Point, Point], ...]:
     if not isinstance(raw, list):
-        raise DocumentError(f"expected a list of [x0, y0] pairs, got {raw!r}", key=key)
+        raise DocumentError(f"expected a list of [x0, y0] pairs, got {_shown(raw)}", key=key)
     starts = []
     for i, pair in enumerate(raw):
         at = f"{key}[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"expected a pair [x0, y0], got {pair!r}", key=at)
+            raise DocumentError(f"expected a pair [x0, y0], got {_shown(pair)}", key=at)
         starts.append((Point.real(_float(pair[0], at)), Point.real(_float(pair[1], at))))
     return tuple(starts)
 
@@ -251,34 +260,29 @@ def _read_section(raw, key: str, fields: dict) -> dict:
 
 
 _POSITIVE = _held_to(positive_finite, _float)
+_AT_LEAST_ONE = _held_to(at_least_one, _int)
 
 #: The keys of the ``solve`` and ``check`` sections and their converters.
 #: A key that is absent takes the default of the dataclass field it sets.
-_SOLVE_FIELDS = {"tol": _POSITIVE, "max_iter": _int, "preimage_tol": _POSITIVE,
+_SOLVE_FIELDS = {"tol": _POSITIVE, "max_iter": _AT_LEAST_ONE, "preimage_tol": _POSITIVE,
                  "starts": _parse_starts}
-_CHECK_FIELDS = {"grid_count": _int, "grid_count_b": _int, "jitter_count": _int, "seed": _int,
-                 "tol": _POSITIVE, "budget": _held_to(at_least_one, _int),
-                 "range_b": _parse_subset}
+_CHECK_FIELDS = {"grid_count": _AT_LEAST_ONE, "grid_count_b": _AT_LEAST_ONE,
+                 "jitter_count": _held_to(nonnegative, _int), "seed": _int,
+                 "tol": _POSITIVE, "budget": _AT_LEAST_ONE, "range_b": _parse_subset}
 
 
 def _parse_solve(raw) -> tuple[SolveOptions, tuple[tuple[Point, Point], ...]]:
     values = _read_section(raw, "solve", _SOLVE_FIELDS)
     starts = values.pop("starts", ())
-    try:
-        return SolveOptions(**values), starts
-    except ParameterError as exc:
-        raise DocumentError(str(exc), key="solve") from exc
+    return SolveOptions(**values), starts
 
 
 def _parse_check(raw) -> CheckSettings:
     values = _read_section(raw, "check", _CHECK_FIELDS)
     grid_count_b = values.pop("grid_count_b", None)
-    plan_fields = {k: values.pop(k) for k in ("grid_count", "jitter_count", "seed") if k in values}
-    try:
-        plan = SamplePlan(**plan_fields)
-        plan_b = None if grid_count_b is None else dataclasses.replace(plan, grid_count=grid_count_b)
-    except ParameterError as exc:
-        raise DocumentError(str(exc), key="check") from exc
+    plan = SamplePlan(**{k: values.pop(k) for k in ("grid_count", "jitter_count", "seed")
+                         if k in values})
+    plan_b = None if grid_count_b is None else dataclasses.replace(plan, grid_count=grid_count_b)
     return CheckSettings(plan=plan, plan_b=plan_b, **values)
 
 
@@ -288,7 +292,7 @@ def parse_problem(text: str, name: str = "problem") -> ProblemDocument:
 
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # a bad date or int, deep nesting
         raise DocumentError(f"document is not valid YAML: {exc}") from exc
     return parse_mapping(raw, name)
 
@@ -300,7 +304,9 @@ def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
     and numbers.  It is only read, never changed.  All shape errors are
     reported as :class:`DocumentError` with the dotted key path of the
     offending entry (for example ``phi.slope``), including a subset or
-    ``check.range_b`` that is not contained in the carrier.
+    ``check.range_b`` that is not contained in the carrier, and a map that
+    uses a variable outside its slot (``map_F: "x + t"``).  Each map is
+    compiled where its key is read, so the problem is built once, here.
     """
     doc = _mapping(raw, "document")
     _reject_unknown(doc, _TOP_KEYS, "document")
@@ -309,58 +315,32 @@ def parse_mapping(raw, name: str = "problem") -> ProblemDocument:
             raise DocumentError("required key is missing", key=key)
 
     kind = doc["problem_kind"]
-    if kind not in _KINDS:
-        raise DocumentError(
-            f"expected one of {list(_KINDS)}, got {kind!r}", key="problem_kind"
-        )
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise DocumentError(f"expected one of {list(_KIND_KEYS)}, got {_shown(kind)}",
+                            key="problem_kind")
+    if _KIND_KEYS[kind][0] not in doc:
+        raise DocumentError(f"required for {kind} problems", key=_KIND_KEYS[kind][0])
+    for other in _KIND_KEYS.keys() - {kind}:
+        for key in _KIND_KEYS[other]:
+            if key in doc:
+                raise DocumentError(f"only allowed for {other} problems", key=key)
+
+    iv = _parse_interval(doc["space"], "space")
+    space = MetricSpace.real_line(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+    subsets = [_parse_subset(doc[key], key) for key in ("subset_A", "subset_B")]
+    maps = [_parse_map(doc["map_F"], "map_F", CouplingMap.from_expression)]
     if kind == "coincidence":
-        if "map_T" not in doc:
-            raise DocumentError("required for coincidence problems", key="map_T")
-        if "psi" in doc:
-            raise DocumentError("only allowed for strong_coupled problems", key="psi")
+        maps.append(_parse_self_map(doc, space))
+        controls = [_parse_control(doc["phi"], "phi", ControlClass.PHI)]
     else:
-        if "psi" not in doc:
-            raise DocumentError("required for strong_coupled problems", key="psi")
-        for forbidden in ("map_T", "map_T_inverse"):
-            if forbidden in doc:
-                raise DocumentError(
-                    "only allowed for coincidence problems", key=forbidden
-                )
-
-    map_t: Union[Expr, str, None] = None
-    map_t_inverse: Optional[Expr] = None
-    if kind == "coincidence":
-        raw_t = doc["map_T"]
-        map_t = "identity" if raw_t == "identity" else _parse_expr(raw_t, "map_T")
-        if "map_T_inverse" in doc:
-            if map_t == "identity":
-                raise DocumentError(
-                    "cannot be combined with map_T: identity", key="map_T_inverse"
-                )
-            map_t_inverse = _parse_expr(doc["map_T_inverse"], "map_T_inverse")
-
-    phi_slot = ControlClass.PHI if kind == "coincidence" else ControlClass.ALTERING
-    solve_opts, starts = _parse_solve(doc.get("solve"))
-    parsed = ProblemDocument(
-        name=name,
-        problem_kind=kind,
-        space=_parse_space(doc["space"]),
-        subset_a=_parse_subset(doc["subset_A"], "subset_A"),
-        subset_b=_parse_subset(doc["subset_B"], "subset_B"),
-        map_f=_parse_expr(doc["map_F"], "map_F"),
-        map_t=map_t,
-        map_t_inverse=map_t_inverse,
-        phi=_parse_control(doc["phi"], "phi", phi_slot),
-        psi=_parse_control(doc["psi"], "psi", ControlClass.ALTERING) if kind != "coincidence" else None,
-        solve=solve_opts,
-        starts=starts,
-        check=_parse_check(doc.get("check")),
-    )
-    for key, subset in (("subset_A", parsed.subset_a), ("subset_B", parsed.subset_b),
-                        ("check.range_b", parsed.check.range_b)):
-        if subset is not None and not subset_within_carrier(parsed.space, subset):
+        controls = [_parse_control(doc[key], key, ControlClass.ALTERING) for key in ("phi", "psi")]
+    solve, starts = _parse_solve(doc.get("solve"))
+    check = _parse_check(doc.get("check"))
+    for key, subset in zip(("subset_A", "subset_B", "check.range_b"), (*subsets, check.range_b)):
+        if subset is not None and not subset_within_carrier(space, subset):
             raise DocumentError("not contained in the carrier", key=key)
-    return parsed
+    shape = CoincidenceProblem if kind == "coincidence" else StrongCoupledProblem
+    return ProblemDocument(name, shape(space, *subsets, *maps, *controls), solve, starts, check)
 
 
 def parse_problem_file(path) -> ProblemDocument:
@@ -374,24 +354,8 @@ def parse_problem_file(path) -> ProblemDocument:
 
 
 def build_problem(doc: ProblemDocument):
-    """Compile a document into a runnable problem object."""
-    try:
-        coupling = CouplingMap.from_expression(doc.map_f)
-        if doc.problem_kind == "coincidence":
-            if doc.map_t == "identity":
-                self_map = SelfMap.identity()
-            else:
-                self_map = SelfMap.from_expression(doc.map_t)
-                if doc.map_t_inverse is not None:
-                    self_map = self_map.with_inverse(doc.map_t_inverse, doc.space)
-            return CoincidenceProblem(
-                doc.space, doc.subset_a, doc.subset_b, coupling, self_map, doc.phi
-            )
-        return StrongCoupledProblem(
-            doc.space, doc.subset_a, doc.subset_b, coupling, doc.phi, doc.psi
-        )
-    except (ParameterError, DomainError) as exc:
-        raise DocumentError(str(exc)) from exc
+    """The runnable problem of a document, built when it was parsed."""
+    return doc.problem
 
 
 _PLATEAU_COINCIDENCE = {

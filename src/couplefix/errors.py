@@ -67,3 +67,10 @@ def at_least_one(name: str, value: int) -> int:
     if value < 1:
         raise ParameterError(f"{name} must be at least 1, got {value}")
     return value
+
+
+def nonnegative(name: str, value: int) -> int:
+    """``value``; a :class:`ParameterError` naming ``name`` when it is below 0."""
+    if value < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {value}")
+    return value

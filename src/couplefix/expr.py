@@ -146,16 +146,17 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         if ch.isdigit() or ch == ".":
-            m = _RATIONAL.match(text, i)
-            if m:
-                if int(m.group(2)) == 0:
-                    raise ExprSyntaxError(f"zero denominator in {m.group(0)!r}", line, col)
-                value = Fraction(int(m.group(1)), int(m.group(2)))
-            else:
-                m = _DECIMAL.match(text, i)
-                if not m:
-                    raise ExprSyntaxError(f"bad numeric literal near {text[i:i+8]!r}", line, col)
+            m = _RATIONAL.match(text, i) or _DECIMAL.match(text, i)
+            if not m:
+                raise ExprSyntaxError(f"bad numeric literal near {text[i:i+8]!r}", line, col)
+            try:
                 value = Fraction(m.group(0))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in {m.group(0)!r}", line, col) from None
+            except ValueError:  # more digits than int() converts from text
+                raise ExprSyntaxError(
+                    f"numeric literal has too many digits near {text[i:i+8]!r}", line, col
+                ) from None
             tokens.append(_Token("number", m.group(0), line, col, value))
             col += m.end() - i
             i = m.end()

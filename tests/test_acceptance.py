@@ -26,7 +26,7 @@ from couplefix.controls import (
     make_linear,
     with_declared_class,
 )
-from couplefix.documents import build_problem, builtin_registry, parse_problem
+from couplefix.documents import build_problem, builtin_mapping, builtin_registry, parse_problem
 from couplefix.expr import format_expression, parse_expression
 from couplefix.metric import (
     MetricSpace,
@@ -346,10 +346,10 @@ POWER_PHI_POINTS = [(0.5, 0.25), (3.0, 9.0)]
 
 
 def test_criterion_9_named_expressions_match_hand_reference():
-    doc_a = builtin_registry("example-2.1.9")
-    doc_b = builtin_registry("example-2.2.3")
-    prob_a = build_problem(doc_a)
-    prob_b = build_problem(doc_b)
+    map_a = builtin_mapping("example-2.1.9")
+    map_b = builtin_mapping("example-2.2.3")
+    prob_a = build_problem(builtin_registry("example-2.1.9"))
+    prob_b = build_problem(builtin_registry("example-2.2.3"))
 
     checked = 0
     for (x, y), want in PLATEAU_F_POINTS:
@@ -376,11 +376,12 @@ def test_criterion_9_named_expressions_match_hand_reference():
     # Formatting then reparsing must not change a single evaluation.
     two_arg = [(x, y) for (x, y), _ in PLATEAU_F_POINTS + MIN_F_POINTS]
     one_arg = [x for x, _ in PLATEAU_T_POINTS]
-    for ast, envs in (
-        (doc_a.map_f, [{"x": x, "y": y} for x, y in two_arg]),
-        (doc_b.map_f, [{"x": x, "y": y} for x, y in two_arg]),
-        (doc_a.map_t, [{"x": x} for x in one_arg]),
+    for text, envs in (
+        (map_a["map_F"], [{"x": x, "y": y} for x, y in two_arg]),
+        (map_b["map_F"], [{"x": x, "y": y} for x, y in two_arg]),
+        (map_a["map_T"], [{"x": x} for x in one_arg]),
     ):
+        ast = parse_expression(text)
         again = parse_expression(format_expression(ast))
         for env in envs:
             assert eval_expression(again, env) == eval_expression(ast, env)

@@ -129,6 +129,13 @@ class TestListAndErrors:
         assert err == "error: check.range_b: not contained in the carrier\n"
         assert out == ""
 
+    def test_unbound_map_variable_names_its_key(self, capsys):
+        # map_F = x + t: coupling expressions take x and y only
+        code, out, err = run_cli(["check", str(DOCUMENTS / "unbound-variable.yaml")], capsys)
+        assert code == 3
+        assert err == "error: map_F: coupling expressions may only use ['x', 'y']; found: t\n"
+        assert out == ""
+
     def test_negative_check_tol_exits_3(self, tmp_path, capsys):
         path = tmp_path / "negtol.yaml"
         path.write_text(SWAP_DOC + "check:\n  tol: -1\n", encoding="utf-8")

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplefix import documents
 from couplefix.cli import main
@@ -50,13 +53,13 @@ class TestParseProblem:
     def test_strong_document_round_trip(self):
         doc = parse_problem(STRONG_DOC, name="mini")
         assert doc.name == "mini"
-        assert doc.problem_kind == "strong_coupled"
-        assert isinstance(doc.space.carrier, Interval)
-        assert (doc.space.carrier.lo, doc.space.carrier.hi) == (0.0, 3.0)
-        assert list(doc.subset_a.values) == [1.0]
-        assert list(doc.subset_b.values) == [1.0, 2.0]
-        assert doc.psi is not None
-        assert doc.phi.declared_class is ControlClass.ALTERING
+        assert doc.problem.kind == "strong_coupled"
+        assert isinstance(doc.problem.space.carrier, Interval)
+        assert (doc.problem.space.carrier.lo, doc.problem.space.carrier.hi) == (0.0, 3.0)
+        assert list(doc.problem.subset_a.values) == [1.0]
+        assert list(doc.problem.subset_b.values) == [1.0, 2.0]
+        assert doc.problem.psi is not None
+        assert doc.problem.phi.declared_class is ControlClass.ALTERING
         assert doc.starts == ((Point(1.0), Point(2.0)),)
         assert doc.check.plan.grid_count == 11
         assert doc.check.plan_b is None
@@ -66,14 +69,14 @@ class TestParseProblem:
             "subset_B: [1, 2]", 'subset_B: "{1, 2}"'
         )
         doc = parse_problem(alt)
-        assert list(doc.subset_a.values) == [1.0]
-        assert list(doc.subset_b.values) == [1.0, 2.0]
+        assert list(doc.problem.subset_a.values) == [1.0]
+        assert list(doc.problem.subset_b.values) == [1.0, 2.0]
 
     def test_open_interval_notation(self):
         doc = parse_problem(
             STRONG_DOC.replace('space: "[0, 3]"', 'space: "(-5, 5)"')
         )
-        carrier = doc.space.carrier
+        carrier = doc.problem.space.carrier
         assert (carrier.lo, carrier.hi) == (-5.0, 5.0)
         assert not carrier.lo_closed and not carrier.hi_closed
 
@@ -81,7 +84,7 @@ class TestParseProblem:
         doc = parse_problem(
             STRONG_DOC.replace("subset_A: [1]", 'subset_A: "[1/2, 3/2]"')
         )
-        iv = doc.subset_a.intervals[0]
+        iv = doc.problem.subset_a.intervals[0]
         assert (iv.lo, iv.hi) == (0.5, 1.5)
 
     def test_unknown_top_level_key_is_rejected(self):
@@ -159,7 +162,7 @@ class TestParseProblem:
         path.write_text(STRONG_DOC, encoding="utf-8")
         doc = parse_problem_file(path)
         assert doc.name == "mini-strong"
-        assert doc.problem_kind == "strong_coupled"
+        assert doc.problem.kind == "strong_coupled"
 
 
 class TestBuildProblem:
@@ -232,7 +235,7 @@ class TestRegistry:
 
     def test_capped_coincidence_entry(self):
         doc = builtin_registry("example-2.1.9")
-        assert doc.problem_kind == "coincidence"
+        assert doc.problem.kind == "coincidence"
         assert doc.check.plan.grid_count == 21
         assert doc.check.plan_b.grid_count == 41
         assert doc.check.range_b is not None
@@ -247,9 +250,9 @@ class TestRegistry:
 
     def test_min_entry_matches_hand_fixture(self):
         doc = builtin_registry("example-2.2.3")
-        assert doc.problem_kind == "strong_coupled"
-        assert list(doc.subset_a.values) == [1.0]
-        assert list(doc.subset_b.values) == [1.0, 2.0]
+        assert doc.problem.kind == "strong_coupled"
+        assert list(doc.problem.subset_a.values) == [1.0]
+        assert list(doc.problem.subset_b.values) == [1.0, 2.0]
         assert doc.starts == ((Point(1.0), Point(1.0)), (Point(1.0), Point(2.0)))
         problem = build_problem(doc)
         assert eval_control(problem.phi, 0.5) == 0.25
@@ -258,7 +261,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", registry_names())
     def test_problem_kind_matches_the_document(self, name):
         doc = builtin_registry(name)
-        assert build_problem(doc).kind == doc.problem_kind
+        assert build_problem(doc).kind == builtin_mapping(name)["problem_kind"]
 
     def test_banach_linear_parameter(self):
         doc = builtin_registry("banach-linear", k="9/10")
@@ -334,6 +337,22 @@ class TestBuiltinsAsData:
             capture_output=True, text=True, env=env, check=True,
         )
         assert out.stdout.splitlines() == ["False", "expr-capped True"]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("tol: " + "9" * 5000, "Exceeds the limit (4300 digits)"),
+         ("tol: 2020-13-45", "month must be in 1..12"),
+         ("tol: " + "[" * 5000 + "]" * 5000, "maximum recursion depth exceeded")],
+        ids=["long-int", "bad-date", "deep-nesting"],
+    )
+    def test_what_the_yaml_loader_cannot_build_exits_3(self, text, reason, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(STRONG_DOC.replace("solve:\n", f"solve:\n  {text}\n"), encoding="utf-8")
+        with pytest.raises(DocumentError, match="not valid YAML") as err:
+            parse_problem_file(bad)
+        assert reason in str(err.value)
+        assert main(["check", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: document is not valid YAML: ")
 
     def test_invalid_yaml_file_still_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -444,7 +463,7 @@ SETTING_ERRORS = [
     ("solve", {"starts": [[1]]}, "solve.starts[0]", "expected a pair [x0, y0], got [1]"),
     ("solve", {"starts": [["a", 1]]}, "solve.starts[0]", "expected a number, got 'a'"),
     ("solve", 5, "solve", "expected a mapping, got int"),
-    ("solve", {"max_iter": 0}, "solve", "max_iter must be at least 1, got 0"),
+    ("solve", {"max_iter": 0}, "solve.max_iter", "max_iter must be at least 1, got 0"),
     ("solve", {"bogus": 1}, "solve", "unknown keys ['bogus']"),
     # every check key with a value of the wrong type
     ("check", {"grid_count": "abc"}, "check.grid_count", "expected an integer, got 'abc'"),
@@ -460,9 +479,11 @@ SETTING_ERRORS = [
     ("check", {"range_b": []}, "check.range_b",
      "subset must have either points or intervals, and be nonempty"),
     ("check", [1], "check", "expected a mapping, got list"),
-    ("check", {"grid_count": 0}, "check", "grid_count must be positive"),
-    ("check", {"grid_count_b": 0}, "check", "grid_count must be positive"),
-    ("check", {"jitter_count": -1}, "check", "jitter_count must be nonnegative"),
+    ("check", {"grid_count": 0}, "check.grid_count", "grid_count must be at least 1, got 0"),
+    ("check", {"grid_count_b": 0}, "check.grid_count_b",
+     "grid_count_b must be at least 1, got 0"),
+    ("check", {"jitter_count": -1}, "check.jitter_count",
+     "jitter_count must be nonnegative, got -1"),
     ("check", {"tol": 0}, "check.tol", "tol must be a positive finite float, got 0.0"),
     ("check", {"bogus": 1}, "check", "unknown keys ['bogus']"),
     # a subset, or the range check's targets, outside the carrier [0, 3]
@@ -470,6 +491,32 @@ SETTING_ERRORS = [
     ("check", {"range_b": [1, 4]}, "check.range_b", "not contained in the carrier"),
     ("subset_A", [5], "subset_A", "not contained in the carrier"),
     ("subset_B", "(2, 4)", "subset_B", "not contained in the carrier"),
+    # a map that uses a variable outside its slot
+    ("map_F", "x + t", "map_F", "coupling expressions may only use ['x', 'y']; found: t"),
+    ("map_F", "min(x, (", "map_F",
+     "unexpected end of input at line 1, column 9 "
+     "(expected number, identifier, function call, (, -)"),
+    # values that escaped as other exceptions before the parse campaign found them
+    ("phi", {"family": [1]}, "phi.family", f"expected one of {_FAMILIES_ONE_OF}, got [1]"),
+    ("solve", {"tol": "1e999999999"}, "solve.tol", "number is out of range"),
+    ("solve", {"tol": "1e-999"}, "solve.tol", "number is out of range"),
+    ("check", {"budget": -10**5000}, "check.budget", "number is out of range"),
+    ("check", {"seed": 2**3000}, "check.seed", "number is out of range"),
+    ("problem_kind", 10**5000, "problem_kind",
+     "expected one of ['coincidence', 'strong_coupled'], got <int too long to show>"),
+    ("map_F", [10**5000], "map_F", "expected an expression string, got <list too long to show>"),
+    ("map_F", "x * " + "9" * 5000, "map_F",
+     "numeric literal has too many digits near '99999999' at line 1, column 5"),
+    ("solve", {1: 2, "a": 3}, "solve", "unknown keys ['a', 1]"),
+]
+
+#: As SETTING_ERRORS, on the coincidence builtin example-2.1.9 with T = 2x.
+COINCIDENCE_ERRORS = [
+    ("map_T", "y", "map_T", "self-map expressions may only use ['x']; found: y"),
+    ("map_T", 3, "map_T", "expected an expression string, got 3"),
+    ("map_T_inverse", "t", "map_T_inverse", "inverse expressions may only use ['x']; found: t"),
+    ("map_T_inverse", "x / (2 * y)", "map_T_inverse",
+     "inverse expressions may only use ['x']; found: y"),
 ]
 
 
@@ -480,6 +527,17 @@ class TestSettingErrors:
     )
     def test_message_and_key_path(self, section, value, key, message):
         doc = {**builtin_mapping("example-2.2.3"), section: value}
+        with pytest.raises(DocumentError) as err:
+            documents.parse_mapping(doc)
+        assert err.value.key == key
+        assert str(err.value) == f"{key}: {message}"
+
+    @pytest.mark.parametrize(
+        "section, value, key, message", COINCIDENCE_ERRORS,
+        ids=[f"{s}-{i}" for i, (s, _, _, _) in enumerate(COINCIDENCE_ERRORS)],
+    )
+    def test_coincidence_maps(self, section, value, key, message):
+        doc = {**builtin_mapping("example-2.1.9"), "map_T": "2 * x", section: value}
         with pytest.raises(DocumentError) as err:
             documents.parse_mapping(doc)
         assert err.value.key == key
@@ -534,3 +592,79 @@ class TestSettingRules:
         assert doc.check.plan_b == documents.SamplePlan(9, 2, 4)
         assert (doc.check.tol, doc.check.budget) == (1e-6, 1)
         assert doc.check.range_b.intervals == (Interval(0.0, 1.0),)
+
+
+#: Values a mutated entry takes: wrong types, empty containers, extreme
+#: numbers, expressions nested past the limit, and variables outside a slot.
+_WRONG_TYPES = [None, True, 3, -2.5, "abc", [1, 2], {"a": 1}, [[1, 2]], "identity",
+                {"family": [1]}, {"family": "linear", "slope": [1]}, {"family": None}]
+_EMPTY = [[], {}, "", " ", "{}", "[]", "()", "[,]", [[]]]
+_EXTREME = [0, -1, 2**63, 10**400, -10**400, 10**5000, -10**5000, 1e308, -1e308, 5e-324,
+            float("inf"), float("-inf"), float("nan"), "1e400", "-1e-400", "1e999999999",
+            "9" * 5000, "1/3", "[0, 1e999999999]", "[-1e308, 1e308]", "{1e400}"]
+_DEEP = ["(" * 120 + "x" + ")" * 120, "-" * 150 + "x", "abs(" * 101 + "x" + ")" * 101,
+         " + ".join(["x"] * 120), "x * " + "9" * 5000, "x * " + "9" * 4000 + " * " + "9" * 4000,
+         "piecewise { " + "x < 1 and " * 60 + "x < 2 => x ; }"]
+_OUT_OF_SLOT = ["x + t", "y", "t", "x + y + t", "min(x, t)", "t * y"]
+_MUTANTS = _WRONG_TYPES + _EMPTY + _EXTREME + _DEEP + _OUT_OF_SLOT
+#: Keys YAML can give besides strings, for a second unknown key.
+_ODD_KEYS = [1, None, 2.5, True, 10**5000, "zzz"]
+_KEY_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*|\[\d+\])*")
+
+
+def _paths(value, path=()):
+    """The path of every entry under ``value``: dict keys and list indices."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield path + (k,)
+        yield from _paths(v, path + (k,))
+
+
+def _mutated(value, path, change):
+    """A copy of ``value`` with ``change`` applied to the container that
+    holds the entry at ``path``; ``value`` itself is not changed."""
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) == 1:
+        change(copy, path[0])
+    else:
+        copy[path[0]] = _mutated(value[path[0]], path[1:], change)
+    return copy
+
+
+class TestParseCampaign:
+    """One mutated entry of a builtin's mapping is a document or a keyed
+    DocumentError, never another exception.  Nothing is checked or solved."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_mutation_is_a_document_or_a_keyed_error(self, data):
+        name = data.draw(st.sampled_from(registry_names()))
+        mapping = builtin_mapping(name)
+        path = data.draw(st.sampled_from(list(_paths(mapping))))
+        how = data.draw(st.sampled_from(["replace", "unknown keys", "remove"]))
+        if how == "replace":
+            new = data.draw(st.sampled_from(_MUTANTS))
+
+            def change(holder, at):
+                holder[at] = new
+        elif how == "unknown keys":
+            path = path[:-1] + ("bogus",)
+            other = data.draw(st.sampled_from(_ODD_KEYS))
+
+            def change(holder, at):
+                if isinstance(holder, dict):
+                    holder.update({at: 1, other: 2})
+                else:
+                    holder.append(1)
+        else:
+            def change(holder, at):
+                del holder[at]
+        try:
+            doc = documents.parse_mapping(_mutated(mapping, path, change), name)
+        except DocumentError as exc:
+            assert exc.key and _KEY_PATH.fullmatch(exc.key), exc.key
+            assert str(exc).startswith(f"{exc.key}: ")
+        else:
+            assert isinstance(doc, ProblemDocument)
+            assert build_problem(doc) is doc.problem

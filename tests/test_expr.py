@@ -104,6 +104,15 @@ def test_zero_denominator_literal_is_a_syntax_error():
     assert err.value.column == 5
 
 
+@pytest.mark.parametrize("literal", ["9" * 4301, "1." + "0" * 4301, "1/" + "3" * 4301])
+def test_literal_longer_than_int_reads_is_a_syntax_error(literal):
+    # int() reads at most sys.get_int_max_str_digits() (4300) digits from text
+    with pytest.raises(ExprSyntaxError, match="numeric literal has too many digits") as err:
+        parse_expression("x + " + literal)
+    assert err.value.column == 5
+    assert parse_expression("9" * 4300) == Number(Fraction("9" * 4300))
+
+
 def test_decimal_literal_is_exact():
     assert parse_expression("0.1") == Number(Fraction(1, 10))
 
