@@ -35,6 +35,10 @@ CASES = {
     ],
     "demo-expr-capped": ["demo", str(DOCUMENTS / "expr-capped.yaml")],
     "check-expr-minmax": ["check", str(DOCUMENTS / "expr-minmax.yaml")],
+    "check-inverse-coincidence-81": [
+        "check", str(DOCUMENTS / "inverse-coincidence.yaml"), "--samples", "81", "--jitter",
+        "2", "--seed", "5",
+    ],
     "check-tent-strong-81": [
         "check", str(DOCUMENTS / "tent-strong.yaml"), "--samples", "81", "--jitter", "2",
         "--seed", "5",
