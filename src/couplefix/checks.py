@@ -43,16 +43,12 @@ rhs - lhs < 0.  The values, the order of violations and every count
 therefore equal those of the per-quadruple loop.
 
 On the usual metric with left the identity (phi-T, and psi = identity),
-no plane reaches that comprehension: ``levelset`` evaluates a plane
-exactly in O(n_a + n_b) steps instead of n_a * n_b.  A plane that holds a
-violation also searches the row and column strips that can hold one and
-hands back their hits in scan order: on a monotone line of the sorted grid
-it walks in from both ends of a strip, elsewhere it scans the strip whole.
-It costs its event sweep plus its hits on monotone lines plus the cells of
-failing strips on other lines, not n_a * n_b.  Any other metric, a left
-that is not the identity, or tables that ``levelset.applies`` rejects (a
-NaN or infinite entry, a right value of -0.0, a right that decreases on
-the sampled distances) leave every plane to the comprehension.
+no plane reaches that comprehension: ``levelset`` sweeps a plane once, in
+O(n_a + n_b) steps, for its exact smallest margin and its violations in
+scan order (see that module).  Any other metric, a left that is not the
+identity, or tables that ``levelset.applies`` rejects (a NaN or infinite
+entry, a right value of -0.0, a right that decreases on the sampled
+distances) leave every plane to the comprehension.
 
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.
@@ -60,16 +56,16 @@ tuple is built only when the report's log is read.
 Every check evaluates F through ``CouplingMap.value_fn``.  The
 constructors make its values finite floats or labels where they are
 computed; a map given only a Point ``fn`` yields the value of each Point
-as it is, a NaN or an int included.  F, like T, is
-treated as a pure function and evaluated once per sampled pair, and the
-first pair that fails in a check's own order raises, with nothing
-evaluated again.  The coupling and range checks build one interleaved row
-per x or y, F(x, y) then F(y, x) for each partner; the contraction check
-reads ``CouplingMap.tables``.  Membership is tested a row
-at a time (``metric.contains_values``); the range check bisects the sorted
-image index of each side (``SelfMap.image_index``, the one the grid
-preimage search reads) and records a row at a time with
-``ReportBuilder.observe_all``, which equals one ``observe`` per sample.
+as it is, a NaN or an int included.  F, like T, is treated as a pure
+function and evaluated once per sampled pair, and the first pair that
+fails in a check's own order raises, with nothing evaluated again.  The
+coupling check builds one interleaved row per x, F(x, y) then F(y, x) for
+each y, and tests membership a row at a time (``metric.contains_values``);
+the range check builds interleaved blocks of rows of y, F(y, x) then
+F(x, y), bisects the sorted image index of each side once per block
+(``SelfMap.image_index``, which the grid preimage search reads too) and
+records a block with one ``ReportBuilder.observe_all``, which equals one
+``observe`` per sample; the contraction check reads ``CouplingMap.tables``.
 """
 
 from __future__ import annotations
@@ -100,6 +96,8 @@ from .report import CheckReport, ReportBuilder
 
 #: Default cap on contraction quadruples per check.
 DEFAULT_QUADRUPLE_BUDGET = 1_000_000
+#: Range-check targets held at once (whole rows of y), so memory does not grow with the grid.
+RANGE_BLOCK_TARGETS = 2048
 
 
 def _quadruple_stride(na: int, nb: int, budget: int) -> int:
@@ -422,7 +420,7 @@ def check_range_compatibility(
     def search(side: int, targets: Sequence[Value]) -> list[float]:
         """The separation of each target from its nearest pool value."""
         pool, pad, _ = sides[side]
-        if pad is not None and not any(isinstance(v, str) for v in targets):
+        if pad is not None and not any(map(isinstance, targets, repeat(str))):
             at = list(map(bisect_left, repeat(pad), targets, repeat(1), repeat(len(pad) - 1)))
             lo = [abs(pad[k - 1] - tv) for tv, k in zip(targets, at)]
             hi = [abs(pad[k] - tv) for tv, k in zip(targets, at)]
@@ -435,29 +433,33 @@ def check_range_compatibility(
             return min(best, separation(t.value_fn(tv), tv))
         return best
 
-    g = f.value_fn
-    zeros = [0.0] * (2 * len(xv))
+    g, n = f.value_fn, len(xv)
+    rows = max(1, RANGE_BLOCK_TARGETS // (2 * n))
     rb = ReportBuilder("range_compatibility", tol)
-    for yv in tgt:
-        # targets in scan order: F(y, x_i) at 2i, F(x_i, y) at 2i + 1
+    for start in range(0, len(tgt), rows):
+        block = tgt[start:start + rows]
+        # for the r-th y of the block, F(y, x_i) is target 2 * (r * n + i), F(x_i, y) the next
+        ys = list(chain.from_iterable(map(repeat, block, repeat(n))))
+        xs = xv * len(block)
         targets: list[Value] = []
         try:
-            targets.extend(w for x in xv for w in (g(yv, x), g(x, yv)))
+            targets.extend(map(g, chain.from_iterable(zip(ys, xs)),
+                               chain.from_iterable(zip(xs, ys))))
         except Exception:
-            # T is evaluated between F pairs: a failing T met before the
-            # failing pair raises instead
+            # in scan order T refines a target before the next F pair is met:
+            # a failing T met before the failing pair raises instead
             for k, tv in enumerate(targets):
                 refine(k % 2, tv, search(k % 2, [tv])[0])
             raise
-        bests = list(chain.from_iterable(zip(search(0, targets[::2]),
-                                             search(1, targets[1::2]))))
-        for k in [k for k, best in enumerate(bests) if best > tol]:
+        bests = list(chain.from_iterable(zip(search(0, targets[::2]), search(1, targets[1::2]))))
+        for k in list(compress(count(), map(gt, bests, repeat(tol)))):
             bests[k] = refine(k % 2, targets[k], bests[k])
 
         def witness(k: int) -> tuple:
+            yv, x = block[k // (2 * n)], xv[k // 2 % n]
             if k % 2:
-                return ("target_in_T_B", xv[k // 2], yv, targets[k])
-            return ("target_in_T_A", yv, xv[k // 2], targets[k])
+                return ("target_in_T_B", x, yv, targets[k])
+            return ("target_in_T_A", yv, x, targets[k])
 
-        rb.observe_all(bests, zeros, witness)
-    return rb.build({"pairs": len(tgt) * len(xv)})
+        rb.observe_all(bests, [0.0] * len(bests), witness)
+    return rb.build({"pairs": len(tgt) * n})

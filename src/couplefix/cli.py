@@ -40,7 +40,8 @@ from .documents import (
     parse_problem_file,
     registry_names,
 )
-from .errors import CoupleFixError, DocumentError, DomainError, ParameterError
+from .errors import (CoupleFixError, DocumentError, DomainError, ParameterError, at_least_two,
+                     nonnegative)
 from .metric import (
     Point,
     SamplePlan,
@@ -90,7 +91,10 @@ def load_document(source: str) -> ProblemDocument:
 def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOptions]:
     plan, plan_b = doc.check.plan, doc.check.plan_b
     if args.samples is not None:
-        plan, plan_b = SamplePlan(args.samples, plan.jitter_count, plan.seed), None
+        grid_count = at_least_two("--samples", args.samples)
+        plan, plan_b = SamplePlan(grid_count, plan.jitter_count, plan.seed), None
+    if args.jitter is not None:
+        nonnegative("--jitter", args.jitter)
     changes = {k: v for k, v in (("jitter_count", args.jitter), ("seed", args.seed))
                if v is not None}
     plan = dataclasses.replace(plan, **changes)

@@ -30,8 +30,8 @@ from .controls import (
     make_power,
     with_declared_class,
 )
-from .errors import (DocumentError, ExprSyntaxError, ParameterError, at_least_one, nonnegative,
-                     positive_finite)
+from .errors import (DocumentError, ExprSyntaxError, ParameterError, at_least_one, at_least_two,
+                     nonnegative, positive_finite)
 from .expr import Expr, parse_expression
 from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec, subset_within_carrier
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
@@ -261,12 +261,13 @@ def _read_section(raw, key: str, fields: dict) -> dict:
 
 _POSITIVE = _held_to(positive_finite, _float)
 _AT_LEAST_ONE = _held_to(at_least_one, _int)
+_GRID_COUNT = _held_to(at_least_two, _int)  # every check run samples an interval
 
 #: The keys of the ``solve`` and ``check`` sections and their converters.
 #: A key that is absent takes the default of the dataclass field it sets.
 _SOLVE_FIELDS = {"tol": _POSITIVE, "max_iter": _AT_LEAST_ONE, "preimage_tol": _POSITIVE,
                  "starts": _parse_starts}
-_CHECK_FIELDS = {"grid_count": _AT_LEAST_ONE, "grid_count_b": _AT_LEAST_ONE,
+_CHECK_FIELDS = {"grid_count": _GRID_COUNT, "grid_count_b": _GRID_COUNT,
                  "jitter_count": _held_to(nonnegative, _int), "seed": _int,
                  "tol": _POSITIVE, "budget": _AT_LEAST_ONE, "range_b": _parse_subset}
 

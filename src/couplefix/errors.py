@@ -69,6 +69,14 @@ def at_least_one(name: str, value: int) -> int:
     return value
 
 
+def at_least_two(name: str, value: int) -> int:
+    """``value``; a :class:`ParameterError` naming ``name`` when it is below
+    2, the fewest grid points that sample an interval."""
+    if value < 2:
+        raise ParameterError(f"{name} must be at least 2, got {value}")
+    return value
+
+
 def nonnegative(name: str, value: int) -> int:
     """``value``; a :class:`ParameterError` naming ``name`` when it is below 0."""
     if value < 0:

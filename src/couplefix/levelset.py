@@ -22,20 +22,21 @@ comes second, at a distance equal to the cell's own M.  Each strip's event
 sparse tables) is built once per Ix value for rows and once per Iy value
 for columns.  F(x, y) - W rounds monotonically in W, so a strip holds a
 violation exactly when F(x, y) - min W or max W - F(x, y) exceeds
-right(M) + tol there.  A plane that holds violations searches only the
-strips that fail this test.
+right(M) + tol there.  A plane is swept once, with its F(x, y): the sweep
+keeps the running smallest margin and searches each strip that fails this
+test as it meets it.
 On a row or column of the sorted grid that is monotone (flagged once per
 evaluator), F(x, y) - W is monotone along the strip, so the cells with
 |F(x, y) - W| <= right(M) + tol form one run and the hits are a prefix and
 a suffix: two walks in from the ends find them with that same test, each
 stopping at its first passing cell.  A strip of any other line is scanned
 whole.  The hits, sorted by index, are the plane's violations in scan
-order, so a failing plane costs O(n_a + n_b) steps plus its hits on
-monotone lines plus the cells of its failing strips on other lines.
-A sparse-table descent would cost O(log n) per hit on any line, but in
-pure Python its steps cost about what a C-level scan of a whole strip does,
-and failing strips are short (on negative-midpoint at grid 81, 15 cells
-and 1.8 hits on average).
+order, so a failing plane costs its sweep plus its hits on monotone lines
+plus the cells of its failing strips on other lines.  A sparse-table
+descent would cost O(log n) per hit on any line, but in pure Python its
+steps cost about what a C-level scan of a whole strip does, and failing
+strips are short (on negative-midpoint at grid 81, 15 cells and 1.8 hits
+on average).
 
 ``applies`` says when the argument holds for the tables at hand: every
 entry finite, no right value of -0.0 (the sign of a zero margin would then
@@ -47,8 +48,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, ge, gt, itemgetter, le, sub
+from operator import add, ge, gt, invert, itemgetter, le, pos, sub
 from typing import Optional
 
 
@@ -71,8 +73,8 @@ def _sparse_tables(values: list[float]) -> tuple[list[list[float]], list[list[fl
     half = 1
     while 2 * half <= len(values):
         a, b = lo[-1], hi[-1]
-        lo.append(list(map(min, a, a[half:])))
-        hi.append(list(map(max, b, b[half:])))
+        lo.append([w if w < v else v for v, w in zip(a, a[half:])])  # min(v, w)
+        hi.append([w if w > v else v for v, w in zip(b, b[half:])])  # max(v, w)
         half *= 2
     return lo, hi
 
@@ -111,16 +113,14 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
     strip's min and max.  A part of a level is a subset of it with the same
     right, so it never lowers either result.  right - X is the smaller of
     right - (fab - min W) and right - (max W - fab), and each of those can
-    only fall where its own extreme moves, so one (Ix_i, Iy_j) pair's
-    profile keeps right and min W at the events that lower min W, and the
-    same for max W.  Up to n_b profiles are kept for planes with the same
-    image pair.
+    only fall where its own extreme moves, so the sweep takes the first
+    where min W falls and the second where max W rises.
 
-    The plane's violations are the cells of the strips with
-    fab - min W > right + tol or max W - fab > right + tol (see the module
-    docstring), walked in from both ends on monotone lines and scanned
-    whole on others.  They are searched for with ``fab`` in a second sweep,
-    and once one plane has failed, every new profile is swept with ``fab``.
+    Each plane is swept once with its ``fab``.  When an (Ix_i, Iy_j) pair
+    can come back (``ix`` or ``iy`` repeats a value), the sweep also keeps
+    the pair's profile, right and min W where min W falls and the same for
+    max W, for up to n_b pairs at a time.  A later plane of a kept pair
+    reads its margin off the profile, and sweeps again only if it fails.
     """
     na = len(ix)
     su = sorted(range(len(iy)), key=iy.__getitem__)
@@ -139,34 +139,32 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
     # log2[d]: the sparse-table level that covers a window of d + 1 values
     log2 = [(d + 1).bit_length() - 1 for d in range(max(len(ix), len(iy)))]
     u_sorted, v_sorted = [iy[j2] for j2 in su], [ix[i2] for i2 in sv]
-    # An event is (rho, k, right(rho) or None if rho is never an M, lo and hi
-    # tables); columns are stored as ~q so that one sort merges them with rows
-    get = right_at.get
-    u_events: dict[float, tuple] = {}  # for the current Ix_i only
-    v_events = {}
-    for b in set(iy):
-        at, events = _outward(v_sorted, b)
-        v_events[b] = at, [(rho, ~q, get(rho), col_lo[q], col_hi[q]) for rho, q in events]
-    profiles: dict[tuple[float, float], tuple] = {}
-    inf = math.inf
-    failed = False
+    # An event is (rho, k, right(rho) and right(rho) + tol, NaN where rho is never
+    # an M, lo and hi tables); column q is k = ~q, so one sort merges it with rows
+    rights, nans = {m: (r, r + tol) for m, r in right_at.items()}, (math.nan,) * 2
 
-    def sweep(a: float, b: float, fab: Optional[float]) -> tuple[tuple, Optional[list]]:
-        """The profile of (a, b) and, with ``fab``, the (key, lhs, rhs) of
-        each violation of the plane with F(x, y) = fab, in scan order."""
-        if a not in u_events:
-            u_events.clear()
-            at, events = _outward(u_sorted, a)
-            u_events[a] = at, [(rho, p, get(rho), row_lo[p], row_hi[p]) for rho, p in events]
-        (pl, ue), (ql, ve) = u_events[a], v_events[b]
+    def events(ordered, c, tag, lo, hi) -> tuple[int, list[tuple]]:
+        at, out = _outward(ordered, c)
+        return at, [(rho, tag(p), *rights.get(rho, nans), lo[p], hi[p]) for rho, p in out]
+
+    row_events = lru_cache(1)(lambda a: events(u_sorted, a, pos, row_lo, row_hi))  # one Ix_i
+    v_events = {b: events(v_sorted, b, invert, col_lo, col_hi) for b in set(iy)}
+    repeats = len(set(ix)) < na or len(set(iy)) < len(iy)
+    profiles: dict[tuple[float, float], tuple] = {}
+
+    def sweep(a: float, b: float, fab: float, profile: Optional[tuple] = None
+              ) -> tuple[float, list]:
+        """The smallest margin of the plane of (a, b) with F(x, y) = fab and the
+        (key, lhs, rhs) of its violations in scan order; ``profile``'s two lists
+        get right, min W where min W falls and right, max W where max W rises."""
+        (pl, ue), (ql, ve) = row_events(a), v_events[b]
         pr, qr = pl - 1, ql - 1  # empty rectangles at the insertion points
-        lo, hi = inf, -inf
-        lo_r, lo_w, hi_r, hi_w = [], [], [], []
-        if fab is not None:
-            hits = []  # (key, lhs, rhs) found on monotone lines
-            cells, keys, rights, bounds = [], [], [], []  # failing strips elsewhere
+        lo, hi, margin = math.inf, -math.inf, math.inf
+        lo_p, hi_p = profile or (None, None)
+        hits = []  # (key, lhs, rhs) found on monotone lines
+        cells, keys, rs, bounds = [], [], [], []  # failing strips elsewhere
         # a stable sort on distance alone keeps each side's outward order
-        for rho, k, r, lo_k, hi_k in sorted(ue + ve, key=itemgetter(0)):
+        for rho, k, r, bound, lo_k, hi_k in sorted(ue + ve, key=itemgetter(0)):
             if k >= 0:  # row k over the columns so far
                 if k < pl:
                     pl = k
@@ -191,67 +189,67 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
             w_lo, w = t_lo[first], t_lo[last]
             if w < w_lo:
                 w_lo = w
-            if w_lo < lo:
-                lo = w_lo
-                lo_r.append(r)
-                lo_w.append(w_lo)
             w_hi, w = t_hi[first], t_hi[last]
             if w > w_hi:
                 w_hi = w
+            if w_lo < lo:
+                lo = w_lo
+                m = r - (fab - w_lo)
+                if m < margin:
+                    margin = m
+                if lo_p is not None:
+                    lo_p += r, w_lo
             if w_hi > hi:
                 hi = w_hi
-                hi_r.append(r)
-                hi_w.append(w_hi)
-            if fab is not None:
-                bound = r + tol
-                if fab - w_lo > bound or w_hi - fab > bound:
-                    end = last + (1 << s)
-                    line, at = lines[k], line_keys[k]
-                    if monotone[k]:  # hits are a prefix and a suffix: walk in
-                        p, q = first, end
-                        while p < q:
-                            lhs = abs(fab - line[p])
-                            if not lhs > bound:
-                                break
-                            hits.append((at[p], lhs, r))
-                            p += 1
-                        while q > p + 1:  # cell p, if any, failed the test
-                            q -= 1
-                            lhs = abs(fab - line[q])
-                            if not lhs > bound:
-                                break
-                            hits.append((at[q], lhs, r))
-                    else:
-                        cells += line[first:end]
-                        keys += at[first:end]
-                        rights += [r] * (end - first)
-                        bounds += [bound] * (end - first)
-        profile = lo_r, lo_w, hi_r, hi_w
-        if fab is None:
-            return profile, None
-        lhs = list(map(abs, map(sub, repeat(fab), cells)))
-        hits += compress(zip(keys, lhs, rights), map(gt, lhs, bounds))
-        return profile, sorted(hits)
+                m = r - (w_hi - fab)
+                if m < margin:
+                    margin = m
+                if hi_p is not None:
+                    hi_p += r, w_hi
+            if fab - w_lo > bound or w_hi - fab > bound:
+                end = last + (1 << s)
+                line, at = lines[k], line_keys[k]
+                if monotone[k]:  # hits are a prefix and a suffix: walk in
+                    p, q = first, end
+                    while p < q:
+                        lhs = abs(fab - line[p])
+                        if not lhs > bound:
+                            break
+                        hits.append((at[p], lhs, r))
+                        p += 1
+                    while q > p + 1:  # cell p, if any, failed the test
+                        q -= 1
+                        lhs = abs(fab - line[q])
+                        if not lhs > bound:
+                            break
+                        hits.append((at[q], lhs, r))
+                else:
+                    cells += line[first:end]
+                    keys += at[first:end]
+                    rs += [r] * (end - first)
+                    bounds += [bound] * (end - first)
+        if cells:
+            lhs = list(map(abs, map(sub, repeat(fab), cells)))
+            hits += compress(zip(keys, lhs, rs), map(gt, lhs, bounds))
+        return margin, sorted(hits)
 
     def plane(i: int, j: int, fab: float) -> tuple[float, list, list, list]:
-        nonlocal failed
         key = (ix[i], iy[j])
-        prof, found = profiles.get(key), None
+        prof = profiles.get(key)
         if prof is None:
-            if len(profiles) >= len(iy):
-                profiles.clear()
-            prof, found = sweep(*key, fab if failed else None)
-            profiles[key] = prof
-        lo_r, lo_w, hi_r, hi_w = prof
-        below = list(map(sub, repeat(fab), lo_w))
-        above = list(map(sub, hi_w, repeat(fab)))
-        margin = min(min(map(sub, lo_r, below)), min(map(sub, hi_r, above)))
-        # with tol >= 0, a violation has a negative margin (see checks)
-        if found is None and (margin < 0 or tol < 0) and (
-                any(map(gt, below, map(add, lo_r, repeat(tol))))
-                or any(map(gt, above, map(add, hi_r, repeat(tol))))):
-            failed = True
-            found = sweep(*key, fab)[1]
+            if repeats:
+                if len(profiles) >= len(iy):
+                    profiles.clear()
+                prof = profiles[key] = [], []
+            margin, found = sweep(*key, fab, prof)
+        else:
+            lo_p, hi_p = prof
+            xs = [*map(sub, repeat(fab), lo_p[1::2]), *map(sub, hi_p[1::2], repeat(fab))]
+            rs = lo_p[::2] + hi_p[::2]
+            margin, found = min(map(sub, rs, xs)), None
+            # with tol >= 0, a violation has a negative margin (see checks)
+            if (margin < 0 or tol < 0) and any(map(gt, xs, map(add, rs, repeat(tol)))):
+                found = sweep(*key, fab)[1]
         return (margin, *map(list, zip(*found))) if found else (margin, [], [], [])
 
     return plane

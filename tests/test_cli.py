@@ -136,6 +136,22 @@ class TestListAndErrors:
         assert err == "error: map_F: coupling expressions may only use ['x', 'y']; found: t\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "banach-linear", "--samples", "1"], "--samples must be at least 2, got 1"),
+            (["demo", "banach-linear", "--samples", "0"], "--samples must be at least 2, got 0"),
+            # finite subsets on an interval carrier
+            (["check", "example-2.2.3", "--samples", "1"], "--samples must be at least 2, got 1"),
+            (["check", "banach-linear", "--jitter", "-1"], "--jitter must be nonnegative, got -1"),
+            (["check", str(DOCUMENTS / "grid-count-one.yaml")],
+             "check.grid_count: grid_count must be at least 2, got 1"),
+        ],
+    )
+    def test_unusable_sampling_exits_3_before_the_header(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_negative_check_tol_exits_3(self, tmp_path, capsys):
         path = tmp_path / "negtol.yaml"
         path.write_text(SWAP_DOC + "check:\n  tol: -1\n", encoding="utf-8")

@@ -479,9 +479,9 @@ SETTING_ERRORS = [
     ("check", {"range_b": []}, "check.range_b",
      "subset must have either points or intervals, and be nonempty"),
     ("check", [1], "check", "expected a mapping, got list"),
-    ("check", {"grid_count": 0}, "check.grid_count", "grid_count must be at least 1, got 0"),
+    ("check", {"grid_count": 0}, "check.grid_count", "grid_count must be at least 2, got 0"),
     ("check", {"grid_count_b": 0}, "check.grid_count_b",
-     "grid_count_b must be at least 1, got 0"),
+     "grid_count_b must be at least 2, got 0"),
     ("check", {"jitter_count": -1}, "check.jitter_count",
      "jitter_count must be nonnegative, got -1"),
     ("check", {"tol": 0}, "check.tol", "tol must be a positive finite float, got 0.0"),
@@ -508,6 +508,11 @@ SETTING_ERRORS = [
     ("map_F", "x * " + "9" * 5000, "map_F",
      "numeric literal has too many digits near '99999999' at line 1, column 5"),
     ("solve", {1: 2, "a": 3}, "solve", "unknown keys ['a', 1]"),
+    # one grid point cannot sample an interval, so a grid count is at least 2
+    # even where the subsets are finite, as example-2.2.3's are
+    ("check", {"grid_count": 1}, "check.grid_count", "grid_count must be at least 2, got 1"),
+    ("check", {"grid_count_b": 1}, "check.grid_count_b",
+     "grid_count_b must be at least 2, got 1"),
 ]
 
 #: As SETTING_ERRORS, on the coincidence builtin example-2.1.9 with T = 2x.

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplefix import levelset, metric, report, solve
+from couplefix import checks, levelset, metric, report, solve
 from couplefix.checks import (
     DEFAULT_QUADRUPLE_BUDGET,
     check_coupling,
@@ -1081,14 +1081,17 @@ def test_coupling_tables_match_naive_loop(a, b, f, plan, plan_b):
     plan=PLANS,
     plan_b=st.one_of(st.none(), PLANS),
     tol=TOLS,
+    block=st.sampled_from([1, 24, checks.RANGE_BLOCK_TARGETS]),
 )
 @settings(max_examples=250, deadline=None)
-def test_range_tables_match_naive_loop(a, b, targets, t, f, plan, plan_b, tol):
+def test_range_tables_match_naive_loop(a, b, targets, t, f, plan, plan_b, tol, block):
     fm, tm = TABLE_COUPLINGS[f], TABLE_SELF_MAPS[t]
-    _same_result(
-        lambda: check_range_compatibility(fm, tm, a, b, plan, tol, plan_b, targets),
-        lambda: naive_range(fm, tm, a, b, plan, tol, plan_b, targets),
-    )
+    with pytest.MonkeyPatch.context() as mp:  # one row, a few rows or all rows per block
+        mp.setattr(checks, "RANGE_BLOCK_TARGETS", block)
+        _same_result(
+            lambda: check_range_compatibility(fm, tm, a, b, plan, tol, plan_b, targets),
+            lambda: naive_range(fm, tm, a, b, plan, tol, plan_b, targets),
+        )
 
 
 @given(
@@ -1268,6 +1271,13 @@ def test_range_check_raises_a_failing_t_met_before_a_non_finite_f():
     with pytest.raises(DomainError) as got:
         check_range_compatibility(fm, tm, a, b, SamplePlan(2))
     assert str(got.value) == "real point must be finite, got nan"
+
+
+def test_range_check_raises_a_failing_t_met_in_an_earlier_block(monkeypatch):
+    # one row of y per block: T(0.5) fails in the first block, before the
+    # second block evaluates F(3, 1)
+    monkeypatch.setattr(checks, "RANGE_BLOCK_TARGETS", 1)
+    test_range_check_raises_a_failing_t_met_before_a_non_finite_f()
 
 
 def _counted_map():
