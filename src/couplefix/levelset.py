@@ -147,7 +147,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
         at, out = _outward(ordered, c)
         return at, [(rho, tag(p), *rights.get(rho, nans), lo[p], hi[p]) for rho, p in out]
 
-    row_events = lru_cache(1)(lambda a: events(u_sorted, a, pos, row_lo, row_hi))  # one Ix_i
+    row_events = lru_cache(1)(lambda a: events(u_sorted, a, pos, row_lo, row_hi))  # last Ix_i
     v_events = {b: events(v_sorted, b, invert, col_lo, col_hi) for b in set(iy)}
     repeats = len(set(ix)) < na or len(set(iy)) < len(iy)
     profiles: dict[tuple[float, float], tuple] = {}
