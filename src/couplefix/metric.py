@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, sub
+from itertools import chain, compress, count, repeat
+from operator import add, gt, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -184,10 +185,12 @@ def member_test(subset: SubsetSpec) -> Callable[[Value], bool]:
         reals = tuple(m for m in subset.values if not isinstance(m, str))
         return lambda v: (v in labels if isinstance(v, str)
                           else any(abs(m - v) <= REAL_EQ_TOL for m in reals))
+    if len(subset.intervals) == 1:  # Interval.contains_value on local bounds
+        (iv,) = subset.intervals
+        lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+        return lambda v: (not isinstance(v, str) and (v > lo or lc and v == lo)
+                          and (v < hi or hc and v == hi))
     tests = [iv.contains_value for iv in subset.intervals]
-    if len(tests) == 1:
-        (test,) = tests
-        return lambda v: not isinstance(v, str) and test(v)
     return lambda v: not isinstance(v, str) and any(t(v) for t in tests)
 
 
@@ -370,34 +373,32 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
     in its witness tuple so it can be re-evaluated independently.  The
     worst margin over every comparison lands in ``max_margin``.
 
-    The triangle inequality ``d(i, j) <= d(i, k) + d(k, j)`` is tested for
-    all n³ triples, and ``samples_tested`` counts them all.  On the usual
-    metric, with ``tol >= 0`` and float samples whose ``max - min`` is
-    finite, only the k whose value lies between vi and vj are summed: for
-    vk >= vj >= vi, fl(vk - vi) >= fl(vj - vi) because rounding is
+    The pair axioms are tested on all n² pairs and the triangle inequality
+    ``d(i, j) <= d(i, k) + d(k, j)`` on all n³ triples, and
+    ``samples_tested`` counts them all.  On the usual metric, with
+    ``tol >= 0`` and float samples whose ``max - min`` is finite, the pair
+    axioms hold (``abs`` is never negative, fl(a - b) = -fl(b - a), d(i, i)
+    = 0.0, and the separation of two values is their distance), and only
+    the k whose value lies between vi and vj can lower a triangle margin:
+    for vk >= vj >= vi, fl(vk - vi) >= fl(vj - vi) because rounding is
     monotone, and adding fl(vk - vj) >= 0 cannot round below that (the
-    other side is the mirror image), so no other k has a negative margin or
-    a violation.  k = i is between and has a margin of exactly 0, so the
-    smallest margin is the same.  Since fl(a - b) = -fl(b - a), the triples
-    (i, j, k) and (j, i, k) add the same two floats; each pair is summed
-    once and its violations are sorted back into (i, j, k) order.  Labels,
-    distance tables, other metrics, ``tol < 0`` and non-finite samples scan
-    every k.
+    other side is the mirror image).  Of those, a k whose two differences
+    are exact sums to exactly vj - vi, which rounds to the lhs, as k = i
+    does; only the k where a difference rounds are summed.  The triples
+    (i, j, k) and (j, i, k) add the same two floats, and their violations
+    are sorted back into (i, j, k) order.  Labels, distance tables, other
+    metrics, ``tol < 0`` and non-finite samples scan every pair and k.
     """
     vals = sample_values(_carrier_subset(space), plan)
     n = len(vals)
     rb = ReportBuilder("metric_axioms", tol)
     if (space.metric is _usual_real and tol >= 0 and _finite_floats(vals)
             and math.isfinite(max(vals) - min(vals))):
-        order = sorted(range(n), key=vals.__getitem__)
-        rank = [0] * n
-        for pos, k in enumerate(order):
-            rank[k] = pos
-        srt = [vals[k] for k in order]
-        table = [[abs(a - b) for b in srt] for a in srt]
-        _observe_pairs(rb, vals, _symmetric_rows(table, rank), tol)
-        samples = rb.samples + n * n * n
-        _triangle_between(rb, vals, order, table, tol)
+        # n² passing pair samples; the first margin, -d(0, 0) = -0.0, is the
+        # running minimum, since no later one (0.0 or d(i, j)) is below it
+        rb.min_margin = -0.0
+        samples = n * n + n * n * n
+        _triangle_between(rb, vals, sorted(range(n), key=vals.__getitem__), tol)
     else:
         d = space.metric
         dm = [[float(d(a, b)) for b in vals] for a in vals]
@@ -408,15 +409,6 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
         _triangle_rows(rb, vals, dm, cols, tol)
     rb.samples = samples
     return rb.build()
-
-
-def _symmetric_rows(table: list[list[float]], rank: list[int]):
-    """``(d(i, i), [d(i, j) for j > i], [d(j, i) for j > i])`` for each i,
-    read from a symmetric table whose rows and columns are in ``rank``
-    order."""
-    for i, r in enumerate(rank):
-        d_ij = list(map(table[r].__getitem__, rank[i + 1:]))
-        yield table[r][r], d_ij, d_ij
 
 
 def _observe_pairs(rb: ReportBuilder, vals: list[Value], rows, tol: float) -> None:
@@ -484,33 +476,53 @@ def _triangle_rows(rb: ReportBuilder, vals: list[Value], dm: list[list[float]],
                 )
 
 
-def _triangle_between(rb: ReportBuilder, vals: list[float], order: list[int],
-                      table: list[list[float]], tol: float) -> None:
-    """The triangle inequality on the usual metric, summing only the k
-    between i and j (see :func:`check_metric_axioms`).
+def _differences(x: float, ys: list[float], first: int = 0) -> tuple[list[float], list[int]]:
+    """``[y - x for y in ys]`` and the positions, counted from ``first``,
+    of those that round: where the TwoSum error (y - (s - z)) - (x + z) of
+    s = fl(y - x), with z = s - y, is not 0.  It is exact for finite floats."""
+    diffs = list(map(sub, ys, repeat(x)))
+    zs = list(map(sub, diffs, ys))
+    errs = map(sub, map(sub, ys, map(sub, diffs, zs)), map(add, repeat(x), zs))
+    return diffs, list(compress(count(first), errs))
 
-    ``table`` holds ``|vals[order[a]] - vals[order[b]]|`` at ``[a][b]``, so
-    the k between the a-th and b-th smallest samples are positions a..b of
-    both rows.  A pair with i = j sums no less than its lhs of 0 and is
-    skipped.  The smallest margin is folded into the running minimum, which
-    the pair pass started (d(i, i) = 0 <= tol), and the hits of both (i, j)
-    and (j, i) are recorded at the end, in (i, j, k) order.
+
+def _triangle_between(rb: ReportBuilder, vals: list[float], order: list[int], tol: float) -> None:
+    """The triangle inequality on the usual metric, summing only the k
+    between i and j where a difference rounds (see
+    :func:`check_metric_axioms`).
+
+    ``rows[a][m]`` is the distance from the a-th smallest sample to the
+    (a + m)-th.  For sorted positions a < c, one fold sums d(a, c) + d(c, b)
+    over the b from ``start``: every b > c when d(a, c) rounds, else from
+    the first b where d(c, b) rounds, so each triple is in one fold at most,
+    and an exact triple folded on adds a margin of 0.  fl(s - lhs) is
+    monotone in s, so the folds' smallest margin is the pairs'.  A fold is
+    searched for hits only when that margin is negative and not above
+    -tol: fl(s - lhs) > -tol means s - lhs >= -tol, so lhs <= fl(s + tol).
+    The hits of (i, j) and (j, i) are recorded at the end, in (i, j, k)
+    order.
     """
+    srt = [vals[k] for k in order]
+    n = len(srt)
+    rows, inexact = zip(*(_differences(x, srt[a:], a) for a, x in enumerate(srt)))
+    first = [r[0] if r else n for r in inexact]
+    rounding_rows = [c for c, f in enumerate(first) if f < n]
     least_margin = rb.min_margin
     hits = []
-    for a, row_a in enumerate(table):
-        tail = row_a[a:]
-        for b in range(a + 1, len(table)):
-            row_b = table[b]
-            lhs = row_a[b]
-            least = min(map(add, tail, row_b[a:b + 1]))
-            if least - lhs < least_margin:
-                least_margin = least - lhs
-            if lhs > least + tol:
-                i, j = order[a], order[b]
-                for c, s in enumerate(map(add, tail, row_b[a:b + 1]), a):
-                    if lhs > s + tol:
-                        hits += [(i, j, order[c], lhs, s), (j, i, order[c], lhs, s)]
+    for a, row_a in enumerate(rows):
+        in_row = set(inexact[a])
+        for c in in_row.union(rounding_rows[bisect_right(rounding_rows, a):]):
+            start = c + 1 if c in in_row else first[c]
+            d_ac, lhs_b, row_c = row_a[c - a], row_a[start - a:], rows[c][start - c:]
+            low = min(map(sub, map(add, repeat(d_ac), row_c), lhs_b), default=0.0)
+            if low < least_margin:
+                least_margin = low
+            if low < 0 and low <= -tol:
+                i, k = order[a], order[c]
+                rhs = map(add, map(add, repeat(d_ac), row_c), repeat(tol))
+                for m in compress(count(), map(gt, lhs_b, rhs)):
+                    j, lhs, s = order[start + m], lhs_b[m], d_ac + row_c[m]
+                    hits += [(i, j, k, lhs, s), (j, i, k, lhs, s)]
     rb.min_margin = least_margin
     hits.sort()
     rb.add_violations([("triangle", vals[i], vals[j], vals[k]) for i, j, k, _, _ in hits],

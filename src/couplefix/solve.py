@@ -32,6 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, NamedTuple, Optional, Union
 
 from .errors import BudgetError, DomainError, ParameterError, at_least_one, positive_finite
@@ -89,6 +90,10 @@ class TraceStep(NamedTuple):
     @property
     def residual(self) -> float:
         return self.d if self.d >= self.r else self.r
+
+
+#: ``TraceStep`` of one tuple of its fields, without NamedTuple's Python-level ``__new__``
+_trace_step = partial(tuple.__new__, TraceStep)
 
 
 @dataclass
@@ -237,7 +242,7 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y:
         x1, y1 = found
         tx1, ty1 = t(x1), t(y1)
         d_n = max(d(tx, ty1), d(ty, tx1))
-        done = TraceStep(n, x, y, tx, ty, d_n, d(tx, ty))
+        done = _trace_step((n, x, y, tx, ty, d_n, d(tx, ty)))
         tx, ty = tx1, ty1
         return x1, y1, done, None
 
@@ -255,7 +260,7 @@ def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, 
     def step(n: int, x: Value, y: Value):
         x1, y1 = g(y, x), g(x, y)
         d_n = max(d(x1, y), d(y1, x))
-        done = TraceStep(n, x, y, None, None, d_n, d(x, y))
+        done = _trace_step((n, x, y, None, None, d_n, d(x, y)))
         if not in_a(x1):
             label, escaped = "A", x1
         elif not in_b(y1):

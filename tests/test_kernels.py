@@ -46,7 +46,6 @@ from couplefix.controls import (
     with_declared_class,
 )
 from couplefix.metric import (
-    REAL_EQ_TOL,
     Interval,
     MetricSpace,
     Point,
@@ -64,7 +63,13 @@ from couplefix.metric import (
 from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from couplefix.report import CheckReport, ReportBuilder, Violation
 from couplefix.solve import SolveOptions, SolveReport, SolveStatus
-from metric_oracle import contains, finite_intersection, finite_within_carrier
+from metric_oracle import (
+    between_k_triangle,
+    contains,
+    finite_intersection,
+    finite_within_carrier,
+    pair_axioms,
+)
 
 TOLS = st.sampled_from([1e-9, 0.0, 0.25, -0.1])
 
@@ -104,17 +109,7 @@ def naive_metric_axioms(space, plan, tol):
     n = len(vals)
     dm = [[float(d(vals[i], vals[j])) for j in range(n)] for i in range(n)]
     rb = ReportBuilder("metric_axioms", tol)
-    for i in range(n):
-        if dm[i][i] > tol:
-            rb.add_violation(("identity_self", vals[i]), dm[i][i], 0.0)
-        else:
-            rb.count_sample(-dm[i][i])
-        for j in range(i + 1, n):
-            rb.observe(-dm[i][j], 0.0, ("nonnegativity", vals[i], vals[j]))
-            rb.observe(abs(dm[i][j] - dm[j][i]), 0.0, ("symmetry", vals[i], vals[j]))
-            sep = separation(vals[i], vals[j])
-            if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
-                rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
+    pair_axioms(rb, vals, dm, tol)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -193,17 +188,86 @@ def test_triangle_scan_matches_naive_loop_on_asymmetric_tables(n, values, tol):
 @example(bounds=(0.15, 2.25), ends=(False, True), plan=SamplePlan(40, 3, 7), tol=0.0)
 @example(bounds=(-1.5e308, 1.5e308), ends=(True, True), plan=SamplePlan(9, 2, 1), tol=0.0)
 @example(bounds=(-1.5e308, 1.5e308), ends=(True, False), plan=SamplePlan(5, 0, 0), tol=1e-9)
+@example(bounds=(-5.0, 5.0), ends=(False, False), plan=SamplePlan(41, 2, 3), tol=1e-9)
+@example(bounds=(0.0, 1.0), ends=(True, True), plan=SamplePlan(40, 3, 5), tol=1e-17)
+@example(bounds=(-1.0, 3.0), ends=(True, False), plan=SamplePlan(33, 2, 12), tol=0.0)
+@example(bounds=(0.0, 1e-300), ends=(True, True), plan=SamplePlan(30, 2, 3), tol=0.0)
+@example(bounds=(0.0, 1e-310), ends=(False, True), plan=SamplePlan(30, 2, 3), tol=0.0)
+@example(bounds=(0.1, 0.7), ends=(True, True), plan=SamplePlan(31, 3, 9), tol=0.0)
 @settings(max_examples=40, deadline=None)
 def test_between_k_triangle_scan_matches_naive_loop_on_the_usual_metric(bounds, ends, plan, tol):
     """Grids up to 40 with unsorted jitter, rounding-level violations at the
     tiny tolerances, and an interval whose width overflows, which is
-    scanned in full."""
+    scanned in full.  The examples reach both sides of the exactness
+    argument: a dyadic step whose jitter rows alone round, a unit interval
+    where a quarter of the differences round, a mixed-sign carrier, a
+    carrier 1e-300 wide, a subnormal one, and a tol of 0 with rounding
+    violations."""
     lo, hi = bounds
     space = MetricSpace.real_line(lo, hi, *(ends if lo < hi else (True, True)))
     _same_outcome(
         lambda: check_metric_axioms(space, plan, tol),
         lambda: naive_metric_axioms(space, plan, tol),
     )
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("seed", [3, 5, 12345])
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-17])
+def test_axiom_check_matches_between_k_oracle_on_builtin_carriers(name, seed, tol):
+    """Each builtin's carrier at the benchmark's grid (81 points, 2 jitter),
+    at the document's tol and at rounding-level ones."""
+    doc = builtin_registry(name)
+    tol = doc.check.tol if tol is None else tol
+    space, plan = build_problem(doc).space, SamplePlan(81, 2, seed)
+    _same_outcome(
+        lambda: check_metric_axioms(space, plan, tol),
+        lambda: between_k_triangle(space, plan, tol),
+    )
+
+
+@pytest.mark.parametrize("lo, hi, ends", [(0.0, 1.0, (True, True)), (-5.0, 5.0, (False, False))])
+def test_axiom_check_matches_between_k_oracle_at_grid_201(lo, hi, ends):
+    space, plan = MetricSpace.real_line(lo, hi, *ends), SamplePlan(201, 2, 7)
+    for tol in (1e-9, 0.0):
+        _same_outcome(
+            lambda: check_metric_axioms(space, plan, tol),
+            lambda: between_k_triangle(space, plan, tol),
+        )
+
+
+SPAN_FLOATS = st.one_of(
+    st.floats(-1e307, 1e307, allow_nan=False, allow_infinity=False),
+    st.integers(-400, 400).map(lambda k: k / 80),
+    st.integers(-400, 400).map(lambda k: k / 64),
+    st.integers(-400, 400).map(lambda k: k * 5e-324),
+)
+
+
+@given(x=SPAN_FLOATS, ys=st.lists(SPAN_FLOATS, max_size=12), first=st.integers(0, 5))
+@example(x=0.1, ys=[0.7, 0.1, 0.2, 0.15], first=0)
+@settings(max_examples=400, deadline=None)
+def test_rounding_marks_match_exact_differences(x, ys, first):
+    """A difference is marked exactly when the float difference is not the
+    real one."""
+    diffs, marks = metric._differences(x, ys, first)
+    assert diffs == [y - x for y in ys]
+    exact = Fraction(x)
+    assert marks == [first + m for m, y in enumerate(ys) if Fraction(y) - exact != Fraction(y - x)]
+
+
+def _rounding_marks(lo, hi, ends, plan) -> int:
+    srt = sorted(sample_values(SubsetSpec.from_intervals([Interval(lo, hi, *ends)]), plan))
+    return sum(len(metric._differences(x, srt[a:])[1]) for a, x in enumerate(srt))
+
+
+def test_dyadic_grids_without_jitter_mark_no_rounding_difference():
+    """Every triangle triple of these samples is decided: the scan sums
+    none.  On the unit grid some differences round."""
+    assert _rounding_marks(1.0, 1.9, (True, True), SamplePlan(81)) == 0
+    assert _rounding_marks(-5.0, 5.0, (False, False), SamplePlan(81)) == 0
+    assert _rounding_marks(-5.0, 5.0, (False, False), SamplePlan(81, 2, 3)) > 0
+    assert _rounding_marks(0.0, 1.0, (True, True), SamplePlan(81)) > 0
 
 
 def _count_full_triangle_scans(monkeypatch) -> list:
@@ -233,7 +297,7 @@ def test_finite_samples_whose_span_overflows_take_the_full_scan(values, tol, mon
 
 
 def test_rounding_violations_are_reported_in_scan_order():
-    """The two examples above do produce rounding-level triangle violations,
+    """The rounding-level examples above do produce triangle violations,
     from a sample whose jitter points are out of order."""
     space = MetricSpace.real_line(0.15, 2.25)
     plan = SamplePlan(29, 2, 4)
@@ -245,6 +309,7 @@ def test_rounding_violations_are_reported_in_scan_order():
     order = [tuple(index[w] for w in v.witness[1:]) for v in got.violations]
     assert order == sorted(order) and len(set(order)) == len(order)
     assert check_metric_axioms(MetricSpace.real_line(0.0, 0.35), SamplePlan(36, 3, 4), 0.0).violations
+    assert check_metric_axioms(MetricSpace.real_line(0.1, 0.7), SamplePlan(31, 3, 9), 0.0).violations
 
 
 @pytest.mark.parametrize("name", registry_names())
