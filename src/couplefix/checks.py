@@ -53,10 +53,10 @@ distances) leave every plane to the comprehension.
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.
 
-Every check evaluates F through ``CouplingMap.value_fn``.  The
+Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
-computed; a map given only a Point ``fn`` yields the value of each Point
-as it is, a NaN or an int included.  F, like T, is treated as a pure
+computed; a map built with the bare constructor yields its values as they
+are, a NaN or an int included.  F, like T, is treated as a pure
 function and evaluated once per sampled pair, and the first pair that
 fails in a check's own order raises, with nothing evaluated again.  The
 coupling check builds one interleaved row per x, F(x, y) then F(y, x) for
@@ -125,7 +125,7 @@ def check_coupling(
     """
     xs = sample_values(a, plan)
     ys = sample_values(b, plan_b or plan)
-    g = f.value_fn
+    g = f.fn
     rb = ReportBuilder("coupling", 0.0)
     for x in xs:
         # scan order: F(x, y_j) in B at 2j, F(y_j, x) in A at 2j + 1
@@ -430,10 +430,10 @@ def check_range_compatibility(
     def refine(side: int, tv: Value, best: float) -> float:
         """A target that lies in its own subset is also its own candidate."""
         if best > tol and sides[side][2](tv):
-            return min(best, separation(t.value_fn(tv), tv))
+            return min(best, separation(t.fn(tv), tv))
         return best
 
-    g, n = f.value_fn, len(xv)
+    g, n = f.fn, len(xv)
     rows = max(1, RANGE_BLOCK_TARGETS // (2 * n))
     rb = ReportBuilder("range_compatibility", tol)
     for start in range(0, len(tgt), rows):

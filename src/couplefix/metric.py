@@ -397,7 +397,6 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
         # n² passing pair samples; the first margin, -d(0, 0) = -0.0, is the
         # running minimum, since no later one (0.0 or d(i, j)) is below it
         rb.min_margin = -0.0
-        samples = n * n + n * n * n
         _triangle_between(rb, vals, sorted(range(n), key=vals.__getitem__), tol)
     else:
         d = space.metric
@@ -405,9 +404,8 @@ def check_metric_axioms(space: MetricSpace, plan: SamplePlan, tol: float = 1e-9)
         cols = list(zip(*dm))
         rows = ((row[i], row[i + 1:], col[i + 1:]) for i, (row, col) in enumerate(zip(dm, cols)))
         _observe_pairs(rb, vals, rows, tol)
-        samples = rb.samples + n * n * n
         _triangle_rows(rb, vals, dm, cols, tol)
-    rb.samples = samples
+    rb.samples = n * n + n * n * n
     return rb.build()
 
 
@@ -418,7 +416,8 @@ def _observe_pairs(rb: ReportBuilder, vals: list[Value], rows, tol: float) -> No
     Row i observes nonnegativity then symmetry for each pair (i, j > i), as
     lhs[2m] and lhs[2m + 1] with j = i + 1 + m.  Identity of indiscernibles
     can fail only where d(i, j) <= tol; the row's batch is cut after such a
-    pair, so its violation keeps its place in the order.
+    pair, so its violation keeps its place in the order.  It is not a sample
+    of its own: the caller counts the n² samples above.
     """
     for i, (d_ii, d_ij, d_ji) in enumerate(rows):
         vi = vals[i]

@@ -1,7 +1,9 @@
 """Problem bundles: coupling maps, self maps, and the two solvable shapes.
 
 A coupling map takes one point from each subset; a self map sends each
-subset into itself.  The two problem dataclasses name their shape in
+subset into itself.  Each map is one function on raw values (``fn``), which
+every check and solver calls; ``evaluate`` makes a Point of its result at
+the library boundary.  The two problem dataclasses name their shape in
 ``kind`` (``"coincidence"`` or ``"strong_coupled"``) and validate, at
 construction time, the structural facts every checker and solver relies on:
 subsets live inside the carrier, and the control functions carry the
@@ -53,11 +55,6 @@ def _value(v: Value) -> Value:
     return Point.label(v).value if isinstance(v, str) else Point.real(v).value
 
 
-def _on_points(fn: Callable[..., Point]) -> Callable[..., Value]:
-    """``fn``, a map on Points, as a map on raw values."""
-    return lambda *values: fn(*map(Point, values)).value
-
-
 def _image_key(v: Value):
     """The key of ``v`` in a memo of images: ``v`` itself for a nonzero
     float; any other value is tagged with its type and ``repr``, so 0.0 and
@@ -67,51 +64,41 @@ def _image_key(v: Value):
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """A two-argument map evaluated on (first-subset, second-subset) points.
+    """A two-argument map on the values of (first-subset, second-subset)
+    points.
 
-    Like a self map, ``fn`` is treated as a pure function.  ``value_fn`` is
-    the same map on raw values, the one path every scan evaluates: its
-    result is ``evaluate(Point(x), Point(y)).value``, or the error
-    ``evaluate`` raises.  The constructors build it where the value is
-    made, so a label stays a label, a number becomes a float and a
-    non-finite number raises as ``Point.real`` does; a map given only
-    ``fn`` gets ``fn`` on Points (``_on_points``).
+    ``fn(x, y)`` is F on raw values, the one path every scan evaluates, and
+    like a self map it is treated as a pure function.  The constructors
+    apply the map rule where the value is made, so a label stays a label, a
+    number becomes a float and a non-finite number raises as ``Point.real``
+    does; the bare constructor takes ``fn`` as it is, so its values pass
+    through unchanged, a NaN or an int included.  Two maps are equal when
+    they hold the same ``fn`` and ``source``.
     """
 
-    fn: Callable[[Point, Point], Point]
+    fn: Callable[[Value, Value], Value]
     source: Optional[str] = None
-    value_fn: Optional[Callable[[Value, Value], Value]] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        if self.value_fn is None:
-            object.__setattr__(self, "value_fn", _on_points(self.fn))
 
     def evaluate(self, p: Point, q: Point) -> Point:
-        return self.fn(p, q)
+        return Point(self.fn(p.value, q.value))
 
     def tables(
         self, xv: Sequence[Value], yv: Sequence[Value]
     ) -> tuple[list[list[Value]], list[list[Value]]]:
         """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xv[i], yv[j])`` and
         ``f_ba[j][i] = F(yv[j], xv[i])``, not kept after the call.  F is
-        called once per pair, through ``value_fn``, on every row of ``f_ab``
+        called once per pair, through ``fn``, on every row of ``f_ab``
         and then of ``f_ba``; the first failing pair of that order raises."""
-        g = self.value_fn
+        g = self.fn
         return [[g(x, y) for y in yv] for x in xv], [[g(y, x) for x in xv] for y in yv]
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":
-        f = _bind(ast, ("x", "y"), "coupling expressions")
-        return CouplingMap(lambda p, q: Point(f(p.value, q.value)), format_expression(ast), f)
+        return CouplingMap(_bind(ast, ("x", "y"), "coupling expressions"), format_expression(ast))
 
     @staticmethod
     def from_function(f: Callable[[Value, Value], Value]) -> "CouplingMap":
-        def g(x: Value, y: Value) -> Value:
-            return _value(f(x, y))
-
-        return CouplingMap(lambda p, q: Point(g(p.value, q.value)), value_fn=g)
+        return CouplingMap(lambda x, y: _value(f(x, y)))
 
 
 PreimageFn = Callable[[Value, SubsetSpec, float], Optional[Value]]
@@ -124,8 +111,10 @@ class SelfMap:
     ``preimage_fn(target, subset, tol)`` takes a raw target value and
     returns a subset value ``p`` with ``d(T(p), target) <= tol`` or
     ``None``.  Maps without an oracle fall back to the solver's grid
-    search.  ``value_fn`` is the map on raw values, the one path every scan
-    evaluates, built as for :class:`CouplingMap`; ``with_inverse`` keeps it.
+    search.  ``fn`` is T on raw values, the one path every scan evaluates,
+    built as for :class:`CouplingMap`; ``with_inverse`` keeps it.  Two maps
+    are equal when they hold the same ``fn``, ``preimage_fn`` and
+    ``source``; the memo is not compared.
 
     ``fn`` is treated as a pure function: it is evaluated once per distinct
     sample value (:meth:`image_table`), and the images are kept on this
@@ -137,24 +126,19 @@ class SelfMap:
     the map.
     """
 
-    fn: Callable[[Point], Point]
+    fn: Callable[[Value], Value]
     preimage_fn: Optional[PreimageFn] = None
     source: Optional[str] = None
-    value_fn: Optional[Callable[[Value], Value]] = field(default=None, compare=False, repr=False)
     _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.value_fn is None:
-            object.__setattr__(self, "value_fn", _on_points(self.fn))
-
     def evaluate(self, p: Point) -> Point:
-        return self.fn(p)
+        return Point(self.fn(p.value))
 
     def _entry(self, subset: SubsetSpec, plan: SamplePlan) -> list:
         """``[values, images, index]`` of one sample; the index of
         :meth:`image_index` is ``None`` until asked for.  T is evaluated
-        through ``value_fn`` at each value whose key is not in the memo
+        through ``fn`` at each value whose key is not in the memo
         yet, in sample order, so the first failing value raises and the
         images made before it stay in the memo."""
         key = (subset, plan)
@@ -162,7 +146,7 @@ class SelfMap:
         if entry is None:
             values = tuple(sample_values(subset, plan))
             keys = [_image_key(v) for v in values]
-            memo, g = self._images, self.value_fn
+            memo, g = self._images, self.fn
             memo.update((k, g(v)) for k, v in zip(keys, values) if k not in memo)
             entry = [values, tuple(map(memo.__getitem__, keys)), None]
             self._tables[key] = entry
@@ -214,31 +198,27 @@ class SelfMap:
         def pre(target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
             return target if member_test(subset)(target) else None
 
-        return SelfMap(lambda p: p, preimage_fn=pre, source="identity")
+        return SelfMap(lambda x: x, preimage_fn=pre, source="identity")
 
     @staticmethod
     def from_expression(ast: Expr) -> "SelfMap":
-        f = _bind(ast, ("x",), "self-map expressions")
-        return SelfMap(lambda p: Point(f(p.value)), source=format_expression(ast), value_fn=f)
+        return SelfMap(_bind(ast, ("x",), "self-map expressions"), source=format_expression(ast))
 
     @staticmethod
     def from_function(f: Callable[[Value], Value]) -> "SelfMap":
-        def g(x: Value) -> Value:
-            return _value(f(x))
-
-        return SelfMap(lambda p: Point(g(p.value)), value_fn=g)
+        return SelfMap(lambda x: _value(f(x)))
 
     def with_inverse(self, inverse_ast: Expr, space: MetricSpace) -> "SelfMap":
         """Attach an inverse expression as the preimage oracle.
 
         The candidate ``inverse(target)`` is trusted only after checking it
         lands in the subset and actually maps back within tolerance, its
-        image read through ``value_fn`` and compared with the target by
+        image read through ``fn`` and compared with the target by
         ``space.metric`` on raw values, as the grid search compares them: a
         target outside the carrier is declined, not an error.
         """
         inverse = _bind(inverse_ast, ("x",), "inverse expressions")
-        g = self.value_fn
+        g = self.fn
 
         def pre(target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
             candidate = inverse(target)
@@ -248,7 +228,7 @@ class SelfMap:
                 return None
             return candidate
 
-        return SelfMap(self.fn, pre, self.source, self.value_fn)
+        return SelfMap(self.fn, pre, self.source)
 
 
 def _validate(problem, **classes: ControlClass) -> None:

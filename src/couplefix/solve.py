@@ -12,7 +12,7 @@ committed step distance
 falls within tolerance, where ``first_n``/``second_n`` are the incoming
 iterates (self-map preimages for coincidence runs, coupling values for
 strong runs).  The driver, its steps, its residuals and the preimage
-searches carry raw values and call F and T through ``value_fn``; Points are
+searches carry raw values and call F and T through ``fn``; Points are
 built for the reported candidate only.  The pair distance
 R_n rides along as a second diagnostic.
 Theory says both sequences shrink monotonically for admissible problems, so
@@ -197,7 +197,7 @@ def _find_preimage(
     if t.has_preimage_oracle:
         got = t.preimage(target, subset, opts.preimage_tol)
         if got is not None:
-            return got, problem.space.metric(t.value_fn(got), target)
+            return got, problem.space.metric(t.fn(got), target)
     # No oracle, or the oracle declined: fall back to the grid so failures
     # still report how close the nearest sampled point came.
     return grid_preimage(problem.space, t, subset, target, opts.preimage_tol)
@@ -205,7 +205,7 @@ def _find_preimage(
 
 def _coincidence_residuals(problem: CoincidenceProblem, a: Value, b: Value) -> dict[str, float]:
     d = problem.space.metric
-    g, t = problem.coupling.value_fn, problem.self_map.value_fn
+    g, t = problem.coupling.fn, problem.self_map.fn
     fab, fba, ta, tb = g(a, b), g(b, a), t(a), t(b)
     return {
         "f_ab_ta": d(fab, ta),
@@ -217,15 +217,15 @@ def _coincidence_residuals(problem: CoincidenceProblem, a: Value, b: Value) -> d
 
 def _strong_residuals(problem: StrongCoupledProblem, a: Value, b: Value) -> dict[str, float]:
     d = problem.space.metric
-    return {"f_xx_x": d(problem.coupling.value_fn(a, a), a), "x_y": d(a, b)}
+    return {"f_xx_x": d(problem.coupling.fn(a, a), a), "x_y": d(a, b)}
 
 
 def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y: Value):
     """Coincidence steps: solve T(x1) = F(y, x) in A and T(y1) = F(x, y) in B,
     carrying the T images of the current pair from step to step.  F and T
-    run on raw values (``value_fn``), as in :func:`_coupling_step`."""
+    run on raw values (``fn``), as in :func:`_coupling_step`."""
     d = problem.space.metric
-    g, t = problem.coupling.value_fn, problem.self_map.value_fn
+    g, t = problem.coupling.fn, problem.self_map.fn
     tx, ty = t(x), t(y)
 
     def step(n: int, x: Value, y: Value):
@@ -251,10 +251,10 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y:
 
 def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, y: Value):
     """Strong coupled steps: x1 = F(y, x), y1 = F(x, y), which must stay in
-    A and B.  F runs on raw values (``CouplingMap.value_fn``) and membership
+    A and B.  F runs on raw values (``CouplingMap.fn``) and membership
     is ``metric.member_test``, so a step builds no Point."""
     d = problem.space.metric
-    g = problem.coupling.value_fn
+    g = problem.coupling.fn
     in_a, in_b = member_test(problem.subset_a), member_test(problem.subset_b)
 
     def step(n: int, x: Value, y: Value):
@@ -419,13 +419,13 @@ def brute_force_search(
     from ``SelfMap.image_table`` (so T is tabled before the budget is
     checked), a strong scan calls ``sample_values``.
 
-    F runs on raw values (``CouplingMap.value_fn``), pair by pair, and
+    F runs on raw values (``CouplingMap.fn``), pair by pair, and
     F(b, a) only where the first residual holds, so the pairs, their order
     and the error of the first failing pair are those of the pair-by-pair
     loop.  One Point is built per sampled value, and the pairs share them.
     """
     d = problem.space.metric
-    g = problem.coupling.value_fn
+    g = problem.coupling.fn
     if problem.kind == "coincidence":
         av, ta = problem.self_map.image_table(problem.subset_a, plan)
         bv, tb = problem.self_map.image_table(problem.subset_b, plan_b or plan)

@@ -71,7 +71,8 @@ def finite_intersection(a: SubsetSpec, b: SubsetSpec) -> SubsetSpec | None:
 
 def pair_axioms(rb: ReportBuilder, vals: list, dm: list[list[float]], tol: float) -> None:
     """Self-distance, then nonnegativity, symmetry and identity of
-    indiscernibles for each pair (i, j > i), one sample at a time."""
+    indiscernibles for each pair (i, j > i), one sample at a time.  The
+    identity test is not a sample of its own, so the count is n²."""
     n = len(vals)
     for i in range(n):
         if dm[i][i] > tol:
@@ -84,6 +85,7 @@ def pair_axioms(rb: ReportBuilder, vals: list, dm: list[list[float]], tol: float
             sep = separation(vals[i], vals[j])
             if dm[i][j] <= tol and sep > max(REAL_EQ_TOL, dm[i][j] + tol):
                 rb.add_violation(("identity_of_indiscernibles", vals[i], vals[j]), sep, dm[i][j])
+                rb.samples -= 1
 
 
 def between_k_triangle(space: MetricSpace, plan, tol: float) -> CheckReport:

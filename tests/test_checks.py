@@ -519,9 +519,9 @@ def test_check_evaluates_t_once_per_distinct_sample_value(monkeypatch, capsys):
         problem = build(doc)
         t = problem.self_map
 
-        def fn(p):
-            calls[repr(p.value)] += 1  # repr keeps 0.0 and -0.0 apart
-            return t.fn(p)
+        def fn(x):
+            calls[repr(x)] += 1  # repr keeps 0.0 and -0.0 apart
+            return t.fn(x)
 
         return dataclasses.replace(problem, self_map=SelfMap(fn, t.preimage_fn, t.source))
 
@@ -588,7 +588,7 @@ def test_contraction_evaluates_phi_once_per_qualifying_distance_in_order(problem
     assert report.details["stride"] == 1
     xv, yv = sample_values(problem.subset_a, PLAN_21), sample_values(problem.subset_b, PLAN_21)
     t = getattr(problem, "self_map", None)
-    ix, iy = (xv, yv) if t is None else (list(map(t.value_fn, xv)), list(map(t.value_fn, yv)))
+    ix, iy = (xv, yv) if t is None else (list(map(t.fn, xv)), list(map(t.fn, yv)))
     d_xu = [abs(a - b) for a in ix for b in iy]
     d_yv = [abs(b - a) for b in iy for a in ix]
     expected = [m for m in d_xu if m >= min(d_yv)] + [m for m in d_yv if m > min(d_xu)]

@@ -393,8 +393,8 @@ REAL_SUBSETS = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_range_search_matches_naive_loop_on_real_pools(a, b, targets, t, f, plan, tol):
     fm = CouplingMap.from_function(COUPLINGS[f])
-    if t == "nan_above_1":  # a raw Point skips the finiteness check of Point.real
-        tm = SelfMap(lambda p: Point(math.nan if p.value > 1 else p.value))
+    if t == "nan_above_1":  # a bare map skips the finiteness check of Point.real
+        tm = SelfMap(lambda x: math.nan if x > 1 else x)
     else:
         tm = SelfMap.from_function(SELF_MAPS[t])
     _same_outcome(
@@ -404,7 +404,7 @@ def test_range_search_matches_naive_loop_on_real_pools(a, b, targets, t, f, plan
 
 
 #: Self maps whose sorted image index merges entries (repeated images, 0.0
-#: beside -0.0) or gives up (int images of a bare Point map, which skips
+#: beside -0.0) or gives up (int images of a bare map, which skips
 #: Point.real), so the range check bisects the merged index or scans every
 #: image; each builds a new map, with an empty image memo.
 MERGED_SELF_MAPS = {
@@ -413,12 +413,12 @@ MERGED_SELF_MAPS = {
     "zeros_positive_first": lambda: SelfMap.from_function(
         lambda x: 0.0 if x < 0.5 else -0.0 if x < 1 else x),
     "plateaus": lambda: SelfMap.from_function(lambda x: math.floor(2 * x) / 2),
-    "ints": lambda: SelfMap(lambda p: Point(round(2 * p.value))),
+    "ints": lambda: SelfMap(lambda x: round(2 * x)),
 }
 MERGED_COUPLINGS = {
     "mid": lambda: CouplingMap.from_function(COUPLINGS["mid"]),
     "signed_zeros": lambda: CouplingMap.from_function(lambda x, y: -0.0 if x <= y else 0.0),
-    "ints": lambda: CouplingMap(lambda p, q: Point(round(p.value + q.value))),
+    "ints": lambda: CouplingMap(lambda x, y: round(x + y)),
 }
 
 
@@ -758,12 +758,12 @@ FALLBACKS = {
         with_declared_class(make_linear(Fraction(3, 2)), ControlClass.ALTERING),
     ),
     # phi-T, since the oracle's identity psi raises at a NaN or infinite
-    # distance; a raw Point skips the finiteness check of Point.real
+    # distance; a bare map skips the finiteness check of Point.real
     "nan_in_table": lambda: _coincidence_problem(
-        CouplingMap(lambda p, q: Point(math.nan if p.value > 0.5 else p.value)),
+        CouplingMap(lambda x, y: math.nan if x > 0.5 else x),
     ),
     "inf_in_table": lambda: _coincidence_problem(
-        CouplingMap(lambda p, q: Point(math.inf if q.value > 0.5 else q.value)),
+        CouplingMap(lambda x, y: math.inf if y > 0.5 else y),
     ),
     # psi(M) - phi(M) = M - M**2 falls for M > 1/2, which [0, 2] samples
     "non_monotone_right": lambda: _strong_problem(
@@ -1105,9 +1105,9 @@ TABLE_COUPLINGS = {
     "expr_sum": CouplingMap.from_expression(parse_expression("min(y, 5/4) + x / 2")),
     "fraction": CouplingMap.from_function(lambda x, y: Fraction(1, 3) if x < y else y),
     "label_above_1": CouplingMap.from_function(lambda x, y: "a" if x > 1 else y),
-    "point_mid": CouplingMap(lambda p, q: Point((p.value + q.value) / 2)),
-    # a raw Point skips the finiteness check of Point.real
-    "point_nan": CouplingMap(lambda p, q: Point(math.nan if p.value > 1 else q.value)),
+    "bare_mid": CouplingMap(lambda x, y: (x + y) / 2),
+    # a bare map skips the finiteness check of Point.real
+    "bare_nan": CouplingMap(lambda x, y: math.nan if x > 1 else y),
     # non-finite at some pairs: the error of the first one in scan order
     "inf_far": CouplingMap.from_function(
         lambda x, y: math.inf if x > 1.5 else -math.inf if y < 0.1 else x
@@ -1115,7 +1115,7 @@ TABLE_COUPLINGS = {
 }
 TABLE_SELF_MAPS = {
     **{name: SelfMap.from_function(fn) for name, fn in SELF_MAPS.items()},
-    "nan_above_1": SelfMap(lambda p: Point(math.nan if p.value > 1 else p.value)),
+    "nan_above_1": SelfMap(lambda x: math.nan if x > 1 else x),
     # finite on quarter points only, so a target between them can raise
     "quarters_only": SelfMap.from_function(lambda x: x if (4 * x).is_integer() else math.inf),
 }
@@ -1312,13 +1312,10 @@ NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("point_fn", [False, True])
 @pytest.mark.parametrize("check", sorted(NON_FINITE))
-def test_first_non_finite_pair_in_scan_order_raises(check, point_fn):
+def test_first_non_finite_pair_in_scan_order_raises(check):
     first, later, run = NON_FINITE[check]
     fm = CouplingMap.from_function(_two_non_finite(first, later))
-    if point_fn:  # the same map, without the raw-value path
-        fm = CouplingMap(fm.fn)
     with pytest.raises(DomainError) as got:
         run(fm)
     assert str(got.value) == "real point must be finite, got inf"
@@ -1348,9 +1345,9 @@ def test_range_check_raises_a_failing_t_met_in_an_earlier_block(monkeypatch):
 def _counted_map():
     seen = Counter()
 
-    def fn(p, q):
-        seen[p.value, q.value] += 1
-        return Point((p.value + q.value) / 2)
+    def fn(x, y):
+        seen[x, y] += 1
+        return (x + y) / 2
 
     return CouplingMap(fn), seen
 
@@ -1444,7 +1441,7 @@ def _raising(x, y):
 BRUTE_COUPLINGS = {
     **TABLE_COUPLINGS,
     "raises_on_diagonal": CouplingMap.from_function(_raising),
-    "raises_point": CouplingMap(lambda p, q: Point(_raising(p.value, q.value))),
+    "raises_bare": CouplingMap(_raising),
     # F(x, y) = T(x) = x/2 on x <= y, and +inf on x > y: a pair with a < b
     # meets +inf in F(b, a), a pair with a > b already in F(a, b)
     "inf_below": CouplingMap.from_function(lambda x, y: x / 2 if x <= y else math.inf),
@@ -1519,13 +1516,10 @@ BRUTE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("point_fn", [False, True])
 @pytest.mark.parametrize("case", sorted(BRUTE_ERRORS))
-def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case, point_fn):
+def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case):
     fn, a, b, expected = BRUTE_ERRORS[case]
     fm = CouplingMap.from_function(fn)
-    if point_fn:  # the same map, without the raw-value path
-        fm = CouplingMap(fm.fn)
     problem = CoincidenceProblem(MetricSpace.real_line(-1.0, 3.0), a, b, fm,
                                  SelfMap.from_function(lambda x: x / 2),
                                  make_linear(Fraction(1, 2)))
@@ -1559,7 +1553,7 @@ PREIMAGE_MAPS = {
     # not searched by bisection: a NaN image, a label image
     "nan_above_1": TABLE_SELF_MAPS["nan_above_1"],
     "label_above_1": SelfMap.from_function(lambda x: "a" if x > 1 else x),
-    "inf_above_1": SelfMap(lambda p: Point(math.inf if p.value > 1 else p.value)),
+    "inf_above_1": SelfMap(lambda x: math.inf if x > 1 else x),
 }
 PREIMAGE_GOALS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.125, 0.375, 0.625, 0.5, 0.75, 1.0, 1.25, 0.3,
@@ -1664,7 +1658,6 @@ STRONG_COUPLINGS = {
     "escapes": CouplingMap.from_function(lambda x, y: x + 0.75),
     "expands": CouplingMap.from_function(lambda x, y: 2 * x - y),
     "swap": CouplingMap.from_function(lambda x, y: y),
-    "point_mid": CouplingMap(lambda p, q: Point((p.value + q.value) / 2)),
     # near a finite member, within REAL_EQ_TOL
     "near_half": CouplingMap.from_function(lambda x, y: 0.5 + 1e-13),
 }

@@ -1,10 +1,11 @@
-"""Coupling and self maps: one raw-value path per map, evaluated once.
+"""Coupling and self maps: one raw-value function per map, evaluated once.
 
-Every map has ``value_fn``, the map on raw values that every scan calls.
-Its result must equal ``evaluate(...).value`` or raise what ``evaluate``
-raises, whichever constructor built the map.  And since the values follow
-the Point rules where they are made, a failing pair raises where it is met:
-no check and no scan evaluates F or T again after an error.
+Every map is ``fn``, the map on raw values that every scan calls, and
+``evaluate`` is ``Point(fn(...))``: both give the same value or raise the
+same error, whichever constructor built the map.  The constructors apply
+the Point rules where the value is made and the bare constructor passes
+values through, so a failing pair raises where it is met: no check and no
+scan evaluates F or T again after an error.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def _outcome(call):
 
 
 def _same_path(m, *values):
-    """``m.value_fn(*values)`` and ``m.evaluate(*points).value`` agree."""
-    got = _outcome(lambda: m.value_fn(*values))
+    """``m.fn(*values)`` and ``m.evaluate(*points).value`` agree."""
+    got = _outcome(lambda: m.fn(*values))
     assert got == _outcome(lambda: m.evaluate(*map(Point, values)).value)
     return got
 
@@ -110,14 +111,14 @@ def test_function_maps_apply_the_map_rule_on_one_path(result, expected):
 
 
 @pytest.mark.parametrize("result", [r for r, _ in FUNCTION_RESULTS], ids=RESULT_IDS)
-def test_point_maps_are_wrapped_once_on_one_path(result):
-    f = CouplingMap(lambda p, q: Point(result))
+def test_bare_maps_pass_values_through_on_fn_and_evaluate(result):
+    f = CouplingMap(lambda x, y: result)
     assert _same_path(f, 0.5, 1.0) == ("value", repr(result))
-    t = SelfMap(lambda p: Point(result))
+    t = SelfMap(lambda x: result)
     assert _same_path(t, 0.5) == ("value", repr(result))
     assert _same_path(t.with_inverse(parse_expression("x"), SPACE), 0.5) == ("value", repr(result))
-    # a Point map that raises raises the same error on raw values
-    strict = CouplingMap(lambda p, q: Point.real(result))
+    # a bare map that raises raises the same error through evaluate
+    strict = CouplingMap(lambda x, y: Point.real(result).value)
     _same_path(strict, 0.5, 1.0)
 
 
@@ -136,7 +137,7 @@ class Stop(Exception):
     """The error of the failing pair."""
 
 
-def _counting_coupling(k, point_fn):
+def _counting_coupling(k):
     """F(x, y) = x, which raises at its k-th call and at every later call
     of that pair, with the list of argument pairs it was called with."""
     calls, failing = [], []
@@ -148,8 +149,7 @@ def _counting_coupling(k, point_fn):
             raise Stop(f"F{(x, y)}")
         return x
 
-    fm = CouplingMap.from_function(f)
-    return (CouplingMap(fm.fn) if point_fn else fm), calls
+    return CouplingMap.from_function(f), calls
 
 
 A = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
@@ -177,26 +177,24 @@ SCANS = {
 def test_the_scans_call_f_on_every_pair_once():
     assert len(sample_values(A, PLAN)) == len(sample_values(B, PLAN)) == 5
     for name, run in SCANS.items():
-        fm, calls = _counting_coupling(0, False)
+        fm, calls = _counting_coupling(0)
         run(fm)
         assert len(calls) == len(set(calls)) == PAIRS, name
 
 
-@pytest.mark.parametrize("point_fn", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 7, 26, PAIRS])
 @pytest.mark.parametrize("scan", sorted(SCANS))
-def test_no_scan_calls_f_again_after_a_failing_pair(scan, k, point_fn):
-    fm, calls = _counting_coupling(k, point_fn)
+def test_no_scan_calls_f_again_after_a_failing_pair(scan, k):
+    fm, calls = _counting_coupling(k)
     with pytest.raises(Stop) as got:
         SCANS[scan](fm)
     assert len(calls) == len(set(calls)) == k
     assert str(got.value) == f"F{calls[-1]}"
 
 
-@pytest.mark.parametrize("point_fn", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k, point_fn):
-    fm, calls = _counting_coupling(k, point_fn)
+def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k):
+    fm, calls = _counting_coupling(k)
     altering = with_declared_class(HALF, ControlClass.ALTERING)
     problem = StrongCoupledProblem(SPACE, A, A, fm, altering, altering)
     with pytest.raises(Stop):
@@ -205,9 +203,8 @@ def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k, poin
     assert all(x == y for x, y in calls)
 
 
-@pytest.mark.parametrize("point_fn", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k, point_fn):
+def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k):
     calls = []
 
     def t(x):
@@ -217,8 +214,6 @@ def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k, point_fn):
         return x
 
     tm = SelfMap.from_function(t)
-    if point_fn:
-        tm = SelfMap(tm.fn)
     with pytest.raises(Stop):
         tm.image_table(A, PLAN)
     assert len(calls) == len(set(calls)) == k
@@ -226,21 +221,17 @@ def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k, point_fn):
 
 
 # ---------------------------------------------------------------------------
-# the solve layer and the range check read value_fn only
-
-
-def _no_point_path(*points):
-    raise AssertionError(f"the Point path was evaluated at {points}")
+# the solve layer and the range check: a bare map against from_function
 
 
 UNIT = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
 SPACE_0_4 = MetricSpace.real_line(0.0, 4.0)
 
 
-def _one_path_pair(oracle):
+def _bare_pair(oracle):
     """Coincidence problems with F = (x + y) / 2 and T = 2x, the first built
-    with ``from_function`` and the second with maps whose Point ``fn``
-    raises; with ``oracle``, T gets the inverse x / 2."""
+    with ``from_function`` and the second with the bare constructors; with
+    ``oracle``, T gets the inverse x / 2."""
 
     def build(f, t):
         if oracle:
@@ -254,7 +245,7 @@ def _one_path_pair(oracle):
         return 2 * x
 
     return (build(CouplingMap.from_function(g), SelfMap.from_function(t)),
-            build(CouplingMap(_no_point_path, value_fn=g), SelfMap(_no_point_path, value_fn=t)))
+            build(CouplingMap(g), SelfMap(t)))
 
 
 def _runs(iterate, problem, starts):
@@ -271,45 +262,67 @@ COINCIDENCE_STARTS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.3, 0.7)]
 
 
 @pytest.mark.parametrize("oracle", [False, True])
-def test_coincidence_iteration_and_residuals_read_value_fn_only(oracle):
-    reference, one_path = _one_path_pair(oracle)
-    assert one_path.self_map.has_preimage_oracle is oracle
+def test_coincidence_iteration_and_residuals_agree_on_bare_maps(oracle):
+    reference, bare = _bare_pair(oracle)
+    assert bare.self_map.has_preimage_oracle is oracle
     want = _runs(solve.iterate_coincidence, reference, COINCIDENCE_STARTS)
-    assert _runs(solve.iterate_coincidence, one_path, COINCIDENCE_STARTS) == want
+    assert _runs(solve.iterate_coincidence, bare, COINCIDENCE_STARTS) == want
     statuses = {run["status"] for run, _ in want}
     assert statuses == ({"Converged"} if oracle else {"Converged", "PreimageFailure"})
 
 
-def test_the_inverse_oracle_reads_value_fn_only():
-    reference, one_path = _one_path_pair(True)
+def test_the_inverse_oracle_agrees_on_bare_maps():
+    reference, bare = _bare_pair(True)
     for target in (0.0, 0.5, 1.0, 1.5, 3.0):
         for tol in (0.0, 1e-9):
             want = reference.self_map.preimage(target, UNIT, tol)
-            assert one_path.self_map.preimage(target, UNIT, tol) == want
-    assert one_path.self_map.preimage(0.5, UNIT, 1e-9) == 0.25
-    assert one_path.self_map.preimage(3.0, UNIT, 1e-9) is None
+            assert bare.self_map.preimage(target, UNIT, tol) == want
+    assert bare.self_map.preimage(0.5, UNIT, 1e-9) == 0.25
+    assert bare.self_map.preimage(3.0, UNIT, 1e-9) is None
 
 
-def test_the_range_check_reads_value_fn_only():
-    reference, one_path = _one_path_pair(False)
+def test_the_range_check_agrees_on_bare_maps():
+    reference, bare = _bare_pair(False)
     targets = SubsetSpec.from_intervals([Interval(0.0, 0.5)])
     for targets_b in (None, targets):
         want = check_range_compatibility(reference.coupling, reference.self_map, UNIT, UNIT,
                                          PLAN, targets_b=targets_b)
-        got = check_range_compatibility(one_path.coupling, one_path.self_map, UNIT, UNIT,
+        got = check_range_compatibility(bare.coupling, bare.self_map, UNIT, UNIT,
                                         PLAN, targets_b=targets_b)
         assert repr(got) == repr(want)
 
 
-def test_strong_iteration_and_residuals_read_value_fn_only():
+def test_strong_iteration_and_residuals_agree_on_bare_maps():
     altering = with_declared_class(HALF, ControlClass.ALTERING)
 
     def g(x, y):
         return (x + y) / 4 + 0.5 * (x > 0.9)  # leaves [0, 1] from (1, 1)
 
     problems = [StrongCoupledProblem(SPACE, UNIT, UNIT, f, altering, altering)
-                for f in (CouplingMap.from_function(g), CouplingMap(_no_point_path, value_fn=g))]
+                for f in (CouplingMap.from_function(g), CouplingMap(g))]
     starts = [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0)]
     want = _runs(solve.iterate_strong_coupled, problems[0], starts)
     assert _runs(solve.iterate_strong_coupled, problems[1], starts) == want
     assert {run["status"] for run, _ in want} == {"Converged", "DiagnosticViolation"}
+
+
+# ---------------------------------------------------------------------------
+# equality
+
+
+def test_maps_are_equal_by_callable_and_source_not_by_memo():
+    def g(x, y):
+        return x
+
+    def t(x):
+        return x
+
+    assert CouplingMap(g, "g") == CouplingMap(g, "g")
+    assert CouplingMap(g, "g") != CouplingMap(g, "h")
+    assert CouplingMap(g) != CouplingMap(lambda x, y: x)
+    base = SelfMap(t, source="t")
+    inverse = base.with_inverse(parse_expression("x"), SPACE)
+    assert inverse.fn is base.fn and inverse != base
+    used = SelfMap(t, source="t")
+    used.image_table(A, PLAN)
+    assert used == base and hash(used) == hash(base)

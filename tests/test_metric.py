@@ -241,6 +241,8 @@ def test_pseudo_metric_fails_identity_of_indiscernibles():
     report = check_metric_axioms(space, SamplePlan(grid_count=2))
     assert report.verdict == "fail"
     assert any(v.witness[0] == "identity_of_indiscernibles" for v in report.violations)
+    # n² pair samples and n³ triangle samples; the identity test adds none
+    assert report.samples_tested == 3 ** 2 + 3 ** 3
 
 
 # ---------------------------------------------------------------------------
