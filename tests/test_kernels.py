@@ -1312,10 +1312,17 @@ NON_FINITE = {
 }
 
 
+def _bare_strict(fn):
+    """A bare map that applies the finiteness rule of ``Point.real`` itself."""
+    return CouplingMap(lambda x, y: Point.real(fn(x, y)).value)
+
+
+@pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("check", sorted(NON_FINITE))
-def test_first_non_finite_pair_in_scan_order_raises(check):
+def test_first_non_finite_pair_in_scan_order_raises(check, bare):
     first, later, run = NON_FINITE[check]
-    fm = CouplingMap.from_function(_two_non_finite(first, later))
+    fn = _two_non_finite(first, later)
+    fm = _bare_strict(fn) if bare else CouplingMap.from_function(fn)
     with pytest.raises(DomainError) as got:
         run(fm)
     assert str(got.value) == "real point must be finite, got inf"
@@ -1516,10 +1523,11 @@ BRUTE_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("case", sorted(BRUTE_ERRORS))
-def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case):
+def test_brute_force_raises_what_the_pair_by_pair_loop_meets_first(case, bare):
     fn, a, b, expected = BRUTE_ERRORS[case]
-    fm = CouplingMap.from_function(fn)
+    fm = _bare_strict(fn) if bare else CouplingMap.from_function(fn)
     problem = CoincidenceProblem(MetricSpace.real_line(-1.0, 3.0), a, b, fm,
                                  SelfMap.from_function(lambda x: x / 2),
                                  make_linear(Fraction(1, 2)))

@@ -137,9 +137,11 @@ class Stop(Exception):
     """The error of the failing pair."""
 
 
-def _counting_coupling(k):
+def _counting_coupling(k, bare=False):
     """F(x, y) = x, which raises at its k-th call and at every later call
-    of that pair, with the list of argument pairs it was called with."""
+    of that pair, with the list of argument pairs it was called with; with
+    ``bare``, the map is built by the bare constructor, without the map
+    rule of ``from_function``."""
     calls, failing = [], []
 
     def f(x, y):
@@ -149,7 +151,7 @@ def _counting_coupling(k):
             raise Stop(f"F{(x, y)}")
         return x
 
-    return CouplingMap.from_function(f), calls
+    return (CouplingMap(f) if bare else CouplingMap.from_function(f)), calls
 
 
 A = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
@@ -182,19 +184,21 @@ def test_the_scans_call_f_on_every_pair_once():
         assert len(calls) == len(set(calls)) == PAIRS, name
 
 
+@pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 7, 26, PAIRS])
 @pytest.mark.parametrize("scan", sorted(SCANS))
-def test_no_scan_calls_f_again_after_a_failing_pair(scan, k):
-    fm, calls = _counting_coupling(k)
+def test_no_scan_calls_f_again_after_a_failing_pair(scan, k, bare):
+    fm, calls = _counting_coupling(k, bare)
     with pytest.raises(Stop) as got:
         SCANS[scan](fm)
     assert len(calls) == len(set(calls)) == k
     assert str(got.value) == f"F{calls[-1]}"
 
 
+@pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k):
-    fm, calls = _counting_coupling(k)
+def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k, bare):
+    fm, calls = _counting_coupling(k, bare)
     altering = with_declared_class(HALF, ControlClass.ALTERING)
     problem = StrongCoupledProblem(SPACE, A, A, fm, altering, altering)
     with pytest.raises(Stop):
@@ -203,8 +207,9 @@ def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k):
     assert all(x == y for x, y in calls)
 
 
+@pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k):
+def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k, bare):
     calls = []
 
     def t(x):
@@ -213,7 +218,7 @@ def test_image_table_calls_t_once_per_value_up_to_the_failing_one(k):
             raise Stop(f"T({x})")
         return x
 
-    tm = SelfMap.from_function(t)
+    tm = SelfMap(t) if bare else SelfMap.from_function(t)
     with pytest.raises(Stop):
         tm.image_table(A, PLAN)
     assert len(calls) == len(set(calls)) == k
