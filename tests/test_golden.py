@@ -39,6 +39,10 @@ CASES = {
         "check", str(DOCUMENTS / "inverse-coincidence.yaml"), "--samples", "81", "--jitter",
         "2", "--seed", "5",
     ],
+    # stride 1 at grid 41: 199,680 violations, 99,680 of them past the cap
+    "check-negative-midpoint-full-41": [
+        "check", str(DOCUMENTS / "negative-midpoint-full.yaml"), "--samples", "41",
+    ],
     "check-tent-strong-81": [
         "check", str(DOCUMENTS / "tent-strong.yaml"), "--samples", "81", "--jitter", "2",
         "--seed", "5",
