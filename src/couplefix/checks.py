@@ -51,7 +51,12 @@ entry, a right value of -0.0, a right that decreases on the sampled
 distances) leave every plane to the comprehension.
 
 A violation is recorded under its flat quadruple index, and its witness
-tuple is built only when the report's log is read.
+tuple is built only when the report's log is read.  Once the log is full
+(``ReportBuilder.counting_floor``), the level-set path only counts a
+plane's violations and hands over the first with the largest residual if
+it beats the worst so far (``ReportBuilder.count_violations``); the plane
+that fills the log is listed whole, so the log keeps the first violations
+in scan order, as recording every one does.
 
 Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
@@ -293,11 +298,18 @@ def _contraction_scan(
     left_at: dict[float, float] = {}
     rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv))
     min_margin = math.inf
+    floor = None  # rb.counting_floor(): once the log is full, planes are counted
     for i in range(na):
         fab_i = f_ab[i]
         for j in range(nb):
-            fab = fab_i[j]
-            if level is not None:
+            fab, base = fab_i[j], (i * nb + j) * nb * na
+            if floor is not None:  # the log is full: count, keeping the worst
+                plane_min, n, worst = level(i, j, fab, floor)
+                if worst is not None:
+                    worst = (base + worst[0], *worst[1:])
+                rb.count_violations(n, worst)
+                floor, hits = rb.counting_floor(), None
+            elif level is not None:
                 plane_min, hits, lhs, rhs = level(i, j, fab)
             else:
                 rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
@@ -314,8 +326,9 @@ def _contraction_scan(
             if plane_min < min_margin:
                 min_margin = plane_min
             if hits:
-                base = (i * nb + j) * nb * na
                 rb.add_violations(list(map(add, hits, repeat(base))), lhs, rhs)
+                if level is not None:
+                    floor = rb.counting_floor()
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin
     return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})

@@ -25,18 +25,34 @@ violation exactly when F(x, y) - min W or max W - F(x, y) exceeds
 right(M) + tol there.  A plane is swept once, with its F(x, y): the sweep
 keeps the running smallest margin and searches each strip that fails this
 test as it meets it.
-On a row or column of the sorted grid that is monotone (flagged once per
-evaluator), F(x, y) - W is monotone along the strip, so the cells with
-|F(x, y) - W| <= right(M) + tol form one run and the hits are a prefix and
-a suffix: two walks in from the ends find them with that same test, each
-stopping at its first passing cell.  A strip of any other line is scanned
-whole.  The hits, sorted by index, are the plane's violations in scan
-order, so a failing plane costs its sweep plus its hits on monotone lines
-plus the cells of its failing strips on other lines.  A sparse-table
-descent would cost O(log n) per hit on any line, but in pure Python its
-steps cost about what a C-level scan of a whole strip does, and failing
-strips are short (on negative-midpoint at grid 81, 15 cells and 1.8 hits
-on average).
+
+A row or column of the sorted grid is checked once per evaluator for
+being monotone.  On a monotone line a strip's min W and max W are its two
+end cells, so only the other lines get sparse tables (on the builtins at
+grid 81, none of the 56 lines of banach-linear or negative-midpoint, 42
+of example-2.1.9's).  F(x, y) - W is monotone along such a strip, so the
+cells with |F(x, y) - W| <= right(M) + tol form one run and the hits are
+a prefix and a suffix: two walks in from the ends find them with that
+same test, each stopping at its first passing cell.  A strip of any other
+line is scanned whole.  The hits, sorted by key, are the plane's
+violations in scan order, so a failing plane costs its sweep plus its hits
+on monotone lines plus the cells of its failing strips on other lines.  A
+sparse-table descent would cost O(log n) per hit on any line, but in pure
+Python its steps cost about what a C-level scan of a whole strip does, and
+failing strips are short: on negative-midpoint at the benchmark's grid (81
+points and 2 jittered, stride 3) about 23,500 of them hold 352,000 cells
+and 43,200 hits.
+
+Once the check's log of violations is full, a plane's violations are
+only counted, with the first of the largest residual kept (see
+``ReportBuilder.count_violations``).  The prefix and the suffix of a
+failing strip on a monotone line are then found by two bisections, with a
+key that ascends along the strip (w - F(x, y) or F(x, y) - w) and is
+computed as the walk's test is.  The strip's largest residual is at one
+of its ends, where |F(x, y) - W| is largest.  A strip whose largest
+residual exceeds the check's worst so far, and is not below that of any
+strip listed before it in the plane, lists its hits instead, so that the
+plane's worst is the first largest in scan order.
 
 ``applies`` says when the argument holds for the tables at hand: every
 entry finite, no right value of -0.0 (the sign of a zero margin would then
@@ -47,10 +63,10 @@ distances.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from functools import lru_cache
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
 from itertools import compress, repeat
-from operator import add, ge, gt, invert, itemgetter, le, pos, sub
+from operator import add, eq, ge, gt, invert, itemgetter, le, pos, sub
 from typing import Optional
 
 
@@ -103,14 +119,18 @@ def _outward(ordered: list[float], a: float) -> tuple[int, list[tuple[float, int
 
 def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     right_at: dict[float, float], tol: float):
-    """``plane(i, j, fab)``: the smallest margin of plane (i, j), the keys
-    ``j2 * n_a + i2`` of its violations in scan order, and their lhs and rhs.
+    """``plane(i, j, fab, floor=None)``: the smallest margin of plane (i, j),
+    then the keys ``j2 * n_a + i2`` of its violations in scan order and their
+    lhs and rhs; with a ``floor``, the number of its violations and the (key,
+    lhs, rhs) of the first with the largest residual if that residual
+    exceeds ``floor``, else None.
 
     Rows p and columns q of the sorted grid are u = y_j2 and v = x_i2
     ordered by image, so {M <= rho} is the rows within rho of Ix_i times the
     columns within rho of Iy_j.  The rectangle grows by one row or column
-    strip per event, in order of distance; sparse tables give the new
-    strip's min and max.  A part of a level is a subset of it with the same
+    strip per event, in order of distance; the new strip's min and max are
+    its two end cells on a monotone line, and come from the line's sparse
+    tables on any other.  A part of a level is a subset of it with the same
     right, so it never lowers either result.  right - X is the smaller of
     right - (fab - min W) and right - (max W - fab), and each of those can
     only fall where its own extreme moves, so the sweep takes the first
@@ -126,45 +146,51 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
     su = sorted(range(len(iy)), key=iy.__getitem__)
     sv = sorted(range(na), key=ix.__getitem__)
     grid = [[f_ba[j2][i2] for i2 in sv] for j2 in su]
-    cols = list(map(list, zip(*grid)))
     row_keys = [[j2 * na + i2 for i2 in sv] for j2 in su]
     # lines[k] is row k of the sorted grid for k >= 0 and column ~k for
     # k < 0; line_keys[k] holds the scan index j2 * na + i2 of each cell
-    lines = grid + cols[::-1]
+    lines = grid + list(map(list, zip(*grid)))[::-1]
     line_keys = row_keys + list(map(list, zip(*row_keys)))[::-1]
-    monotone = [all(map(le, line, line[1:])) or all(map(ge, line, line[1:]))
-                for line in lines]
-    row_lo, row_hi = zip(*map(_sparse_tables, grid))
-    col_lo, col_hi = zip(*map(_sparse_tables, cols))
+    # sparse tables for the lines that are not monotone, None for the others
+    tables = [None if all(map(le, line, line[1:])) or all(map(ge, line, line[1:]))
+              else _sparse_tables(line) for line in lines]
     # log2[d]: the sparse-table level that covers a window of d + 1 values
     log2 = [(d + 1).bit_length() - 1 for d in range(max(len(ix), len(iy)))]
     u_sorted, v_sorted = [iy[j2] for j2 in su], [ix[i2] for i2 in sv]
     # An event is (rho, k, right(rho) and right(rho) + tol, NaN where rho is never
-    # an M, lo and hi tables); column q is k = ~q, so one sort merges it with rows
+    # an M, the line's tables); column q is k = ~q, so one sort merges it with rows
     rights, nans = {m: (r, r + tol) for m, r in right_at.items()}, (math.nan,) * 2
 
-    def events(ordered, c, tag, lo, hi) -> tuple[int, list[tuple]]:
+    def events(ordered, c, tag) -> tuple[int, list[tuple]]:
         at, out = _outward(ordered, c)
-        return at, [(rho, tag(p), *rights.get(rho, nans), lo[p], hi[p]) for rho, p in out]
+        return at, [(rho, tag(p), *rights.get(rho, nans), tables[tag(p)]) for rho, p in out]
 
-    row_events = lru_cache(1)(lambda a: events(u_sorted, a, pos, row_lo, row_hi))  # last Ix_i
-    v_events = {b: events(v_sorted, b, invert, col_lo, col_hi) for b in set(iy)}
+    row_events = lru_cache(1)(lambda a: events(u_sorted, a, pos))  # last Ix_i
+    v_events = {b: events(v_sorted, b, invert) for b in set(iy)}
     repeats = len(set(ix)) < na or len(set(iy)) < len(iy)
     profiles: dict[tuple[float, float], tuple] = {}
 
-    def sweep(a: float, b: float, fab: float, profile: Optional[tuple] = None
-              ) -> tuple[float, list]:
-        """The smallest margin of the plane of (a, b) with F(x, y) = fab and the
-        (key, lhs, rhs) of its violations in scan order; ``profile``'s two lists
-        get right, min W where min W falls and right, max W where max W rises."""
+    def sweep(a: float, b: float, fab: float, profile: Optional[tuple] = None,
+              floor: Optional[float] = None) -> tuple[float, list, int]:
+        """The smallest margin of the plane of (a, b) with F(x, y) = fab, the
+        (key, lhs, rhs) of violations and a count of others.  Without a
+        ``floor``, every violation is listed and none counted.  With one, a
+        failing strip on a monotone line is counted, unless its largest
+        residual exceeds ``floor`` and is not below that of a strip listed
+        before it: then its hits are listed instead.  ``profile``'s two
+        lists get right, min W where min W falls and right, max W where max
+        W rises."""
         (pl, ue), (ql, ve) = row_events(a), v_events[b]
         pr, qr = pl - 1, ql - 1  # empty rectangles at the insertion points
         lo, hi, margin = math.inf, -math.inf, math.inf
         lo_p, hi_p = profile or (None, None)
-        hits = []  # (key, lhs, rhs) found on monotone lines
-        cells, keys, rs, bounds = [], [], [], []  # failing strips elsewhere
+        hits, counted, best = [], 0, floor  # hits: (key, lhs, rhs)
+        cells, keys, rs, bounds = [], [], [], []  # failing strips of other lines
+        if floor is not None:
+            # keys that ascend along a monotone strip: w - fab if it rises, else fab - w
+            rise, fall = partial(add, -fab), partial(sub, fab)
         # a stable sort on distance alone keeps each side's outward order
-        for rho, k, r, bound, lo_k, hi_k in sorted(ue + ve, key=itemgetter(0)):
+        for rho, k, r, bound, lo_hi in sorted(ue + ve, key=itemgetter(0)):
             if k >= 0:  # row k over the columns so far
                 if k < pl:
                     pl = k
@@ -172,8 +198,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     pr = k
                 if ql > qr:
                     continue
-                s = log2[qr - ql]
-                first, last = ql, qr + 1 - (1 << s)
+                first, final = ql, qr
             else:  # column ~k over the rows so far
                 q = ~k
                 if q < ql:
@@ -182,34 +207,45 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     qr = q
                 if pl > pr:
                     continue
-                s = log2[pr - pl]
-                first, last = pl, pr + 1 - (1 << s)
-            # the strip is first .. last + 2**s - 1, two windows of 2**s
-            t_lo, t_hi = lo_k[s], hi_k[s]
-            w_lo, w = t_lo[first], t_lo[last]
-            if w < w_lo:
-                w_lo = w
-            w_hi, w = t_hi[first], t_hi[last]
-            if w > w_hi:
-                w_hi = w
+                first, final = pl, pr
+            line = lines[k]
+            if lo_hi is None:  # a monotone line: the extremes are the end cells
+                w_lo, w_hi = line[first], line[final]
+                if w_hi < w_lo:
+                    w_lo, w_hi = w_hi, w_lo
+            else:  # two windows of 2**s cells, one from each end
+                s = log2[final - first]
+                last = final + 1 - (1 << s)
+                t_lo, t_hi = lo_hi[0][s], lo_hi[1][s]
+                w_lo, w = t_lo[first], t_lo[last]
+                if w < w_lo:
+                    w_lo = w
+                w_hi, w = t_hi[first], t_hi[last]
+                if w > w_hi:
+                    w_hi = w
+            below, above = fab - w_lo, w_hi - fab
             if w_lo < lo:
                 lo = w_lo
-                m = r - (fab - w_lo)
+                m = r - below
                 if m < margin:
                     margin = m
                 if lo_p is not None:
                     lo_p += r, w_lo
             if w_hi > hi:
                 hi = w_hi
-                m = r - (w_hi - fab)
+                m = r - above
                 if m < margin:
                     margin = m
                 if hi_p is not None:
                     hi_p += r, w_hi
-            if fab - w_lo > bound or w_hi - fab > bound:
-                end = last + (1 << s)
-                line, at = lines[k], line_keys[k]
-                if monotone[k]:  # hits are a prefix and a suffix: walk in
+            if below > bound or above > bound:
+                end, at = final + 1, line_keys[k]
+                if lo_hi is not None:  # scanned whole after the loop
+                    cells += line[first:end]
+                    keys += at[first:end]
+                    rs += [r] * (end - first)
+                    bounds += [bound] * (end - first)
+                elif floor is None:  # hits are a prefix and a suffix: walk in
                     p, q = first, end
                     while p < q:
                         lhs = abs(fab - line[p])
@@ -223,17 +259,29 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                         if not lhs > bound:
                             break
                         hits.append((at[q], lhs, r))
-                else:
-                    cells += line[first:end]
-                    keys += at[first:end]
-                    rs += [r] * (end - first)
-                    bounds += [bound] * (end - first)
+                else:  # bisect for the prefix [first, p) and the suffix [q, end)
+                    # the key ascends along the strip from -head to tail
+                    if line[first] <= line[final]:
+                        ascent, head, tail = rise, below, above
+                    else:
+                        ascent, head, tail = fall, above, below
+                    p = bisect_left(line, -bound, first, end, key=ascent) if head > bound else first
+                    q = bisect_right(line, bound, p, end, key=ascent) if tail > bound else end
+                    # |fab - w| is largest at an end, where it is max(below, above)
+                    top = (below if below > above else above) - r
+                    if top > floor and top >= best:
+                        best = top
+                        ends = line[first:p] + line[q:end]
+                        hits += zip(at[first:p] + at[q:end],
+                                    map(abs, map(sub, repeat(fab), ends)), repeat(r))
+                    else:
+                        counted += p - first + end - q
         if cells:
             lhs = list(map(abs, map(sub, repeat(fab), cells)))
             hits += compress(zip(keys, lhs, rs), map(gt, lhs, bounds))
-        return margin, sorted(hits)
+        return margin, hits, counted
 
-    def plane(i: int, j: int, fab: float) -> tuple[float, list, list, list]:
+    def plane(i: int, j: int, fab: float, floor: Optional[float] = None) -> tuple:
         key = (ix[i], iy[j])
         prof = profiles.get(key)
         if prof is None:
@@ -241,15 +289,25 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                 if len(profiles) >= len(iy):
                     profiles.clear()
                 prof = profiles[key] = [], []
-            margin, found = sweep(*key, fab, prof)
+            margin, hits, counted = sweep(*key, fab, prof, floor)
         else:
             lo_p, hi_p = prof
             xs = [*map(sub, repeat(fab), lo_p[1::2]), *map(sub, hi_p[1::2], repeat(fab))]
             rs = lo_p[::2] + hi_p[::2]
-            margin, found = min(map(sub, rs, xs)), None
+            margin, hits, counted = min(map(sub, rs, xs)), [], 0
             # with tol >= 0, a violation has a negative margin (see checks)
             if (margin < 0 or tol < 0) and any(map(gt, xs, map(add, rs, repeat(tol)))):
-                found = sweep(*key, fab)[1]
-        return (margin, *map(list, zip(*found))) if found else (margin, [], [], [])
+                hits, counted = sweep(*key, fab, None, floor)[1:]
+        if floor is None:
+            # keys are distinct, so sorting on them alone gives scan order
+            hits.sort(key=itemgetter(0))
+            return (margin, *map(list, zip(*hits))) if hits else (margin, [], [], [])
+        worst = None
+        if hits:
+            res = [lhs - r for _, lhs, r in hits]
+            top = max(res)
+            if top > floor:  # the smallest key among the ties
+                worst = min(compress(hits, map(eq, res, repeat(top))))
+        return margin, counted + len(hits), worst
 
     return plane

@@ -23,13 +23,21 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import add, gt, sub
+from operator import add, ge, gt, sub
 from typing import Any, Callable, NamedTuple, Optional
 
 #: Hard cap on recorded violations; the totals stay exact even when the
 #: list is truncated, and the worst offender is always retained (so even a
 #: cap of 0 keeps one).
 MAX_RECORDED_VIOLATIONS = 100_000
+
+
+def _first_largest(values: list) -> int:
+    """The position of the first largest value, as one comparison per value
+    in order finds it.  ``max`` moves only to a strictly larger value, so no
+    earlier value equals its pick, and a NaN first value, which it keeps, is
+    found by identity."""
+    return values.index(max(values))
 
 
 class Violation(NamedTuple):
@@ -77,7 +85,7 @@ class ViolationLog(Sequence):
         """A log of the given violations, holding the same objects."""
         log = cls(*([list(col) for col in zip(*violations)] or [[], [], [], []]))
         if violations:
-            log._worst = max(range(len(log)), key=log._res.__getitem__)
+            log._worst = _first_largest(log._res)
         return log
 
     def __len__(self) -> int:
@@ -107,10 +115,23 @@ class ViolationLog(Sequence):
         """``heapq.nlargest(n, self, key=residual)``: the n largest
         residuals first, ties and NaNs placed as there, read from the
         residual column so that only those n are built.  The one largest is
-        ``max``'s pick, which the log's builder has found already."""
+        ``max``'s pick, which the log's builder has found already.
+
+        A float column without a NaN (its sum would be one) is totally
+        preordered, so only positions whose residual reaches the n-th
+        largest value can be picked.  The values alone give that threshold,
+        and only the blocks of 256 whose max reaches it are searched."""
         if n == 1 and self._worst is not None:
             return [self[self._worst]]
-        return [self[k] for k in heapq.nlargest(n, range(len(self)), key=self._res.__getitem__)]
+        res, picks = self._res, range(len(self))
+        cut = heapq.nlargest(n, res) if type(res) is array else None
+        if cut and not math.isnan(sum(res)):
+            t, picks = cut[-1], []
+            for c in range(0, len(res), 256):
+                block = res[c:c + 256]
+                if max(block) >= t:
+                    picks += compress(range(c, c + 256), map(ge, block, repeat(t)))
+        return [self[k] for k in heapq.nlargest(n, picks, key=res.__getitem__)]
 
 
 @dataclass
@@ -160,7 +181,9 @@ class ReportBuilder:
     Keeps the running minimum of ``rhs - lhs`` over every sample (violating
     or not), truncates the stored violation log at
     ``MAX_RECORDED_VIOLATIONS`` without losing the count, and guarantees the
-    worst violation survives truncation.  With ``witness``, violations are
+    worst violation survives truncation.  A checker that can find the worst
+    of a batch without listing it may hand over only a count once the log
+    is full (``count_violations``).  With ``witness``, violations are
     recorded under integer keys that it turns into witness tuples when they
     are read; without, each key is the witness tuple itself.
     """
@@ -217,6 +240,33 @@ class ReportBuilder:
         self.samples += len(lhs)
         self._record(keys, lhs, rhs)
 
+    def counting_floor(self) -> float | None:
+        """None while the log has room.  Once it is full, the worst
+        residual so far: a counted violation replaces the worst only if its
+        residual is larger (see ``count_violations``)."""
+        if len(self._res) < max(MAX_RECORDED_VIOLATIONS, 1):
+            return None
+        return self._worst[-1]
+
+    def count_violations(self, n: int, worst: tuple | None) -> None:
+        """``add_violations`` for n violations past a full log, without
+        their items.  ``worst`` is the (key, lhs, rhs) of the first of them
+        with the largest residual, which becomes the worst if that residual
+        is larger; it may be None when the residual does not exceed
+        ``counting_floor()``."""
+        if worst is not None:
+            key, lhs, rhs = worst
+            if lhs - rhs > self._worst[-1]:
+                self._widen((lhs, rhs))
+                self._worst = (self._seen, key, lhs, rhs, lhs - rhs)
+        self._seen += n
+        self.samples += n
+
+    def _widen(self, values) -> None:
+        if isinstance(self._res, array) and not set(map(type, values)) <= {float}:
+            # an array would turn a value of another type into a float
+            self._lhs, self._rhs, self._res = list(self._lhs), list(self._rhs), list(self._res)
+
     def count_sample(self, margin: float | None = None) -> None:
         """Record a passing sample that has no natural lhs/rhs pair."""
         self.samples += 1
@@ -227,14 +277,10 @@ class ReportBuilder:
         n = len(lhs)
         if not n:
             return
-        if isinstance(self._res, array) and not {*map(type, lhs), *map(type, rhs)} <= {float}:
-            # an array would turn a value of another type into a float
-            self._lhs, self._rhs, self._res = list(self._lhs), list(self._rhs), list(self._res)
+        self._widen(chain(lhs, rhs))
         res = list(map(sub, lhs, rhs))
-        # max keeps its first item and moves only to a strictly larger
-        # residual, exactly as one comparison per violation in order does
         seen = res if self._worst is None else [self._worst[-1], *res]
-        b = max(range(len(seen)), key=seen.__getitem__) - (len(seen) - n)
+        b = _first_largest(seen) - (len(seen) - n)
         if b >= 0:
             self._worst = (self._seen + b, keys[b], lhs[b], rhs[b], res[b])
         self._seen += n

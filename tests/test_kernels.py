@@ -18,6 +18,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from collections import Counter
+from operator import ge, le
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from couplefix.checks import (
     check_scc_map,
 )
 from couplefix.cli import main
-from couplefix.documents import build_problem, builtin_registry, registry_names
+from couplefix.documents import build_problem, builtin_registry, parse_problem, registry_names
 from couplefix.errors import DomainError
 from couplefix.expr import parse_expression
 from couplefix.controls import (
@@ -592,22 +593,30 @@ def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
 @contextmanager
 def level_set_spy():
     """Count what the level-set path of the contraction kernel does: how
-    often it is built, how many planes it evaluates and how many of those
-    it reports as holding a violation.  Each plane's violation keys must
-    strictly increase: scan order, no cell recorded twice."""
-    calls = {"built": 0, "planes": 0, "violating": 0}
+    often it is built, how many planes it evaluates, how many of those it
+    reports as holding a violation, on how many of those it only counts
+    them, once the log is full, and how many violations each other plane
+    lists.  Each listed plane's violation keys must strictly increase: scan
+    order, no cell recorded twice."""
+    calls = {"built": 0, "planes": 0, "violating": 0, "counted": 0, "listed": []}
     real = levelset.plane_evaluator
 
     def spy(*args):
         calls["built"] += 1
         plane = real(*args)
 
-        def counted(i, j, fab):
+        def counted(i, j, fab, floor=None):
             calls["planes"] += 1
-            result = plane(i, j, fab)  # (margin, keys, lhs, rhs)
-            keys = list(result[1])
-            assert keys == sorted(set(keys))
-            calls["violating"] += bool(keys)
+            result = plane(i, j, fab, floor)
+            if floor is None:  # (margin, keys, lhs, rhs)
+                keys = list(result[1])
+                assert keys == sorted(set(keys))
+                calls["violating"] += bool(keys)
+                calls["listed"].append(len(keys))
+            else:  # (margin, count, worst or None)
+                assert result[1] >= 0 and (result[2] is None or result[1] > 0)
+                calls["violating"] += bool(result[1])
+                calls["counted"] += bool(result[1])
             return result
 
         return counted
@@ -634,6 +643,8 @@ LEVEL_COUPLINGS = {
     "steep": lambda x, y: 3 * x - y,
     # not monotone along the rows and columns of a strong problem's sorted grid
     "tent": lambda x, y: abs(x - y) / 2 + 0.25,
+    # 0.0 and -0.0 side by side on lines that are monotone all the same
+    "signed_zeros": lambda x, y: (-0.0 if x < y else 0.0) if x + y < 1 else x + y - 1,
 }
 LEVEL_SELF_MAPS = {
     **SELF_MAPS,
@@ -701,6 +712,11 @@ def test_phi_T_level_set_path_matches_naive_loop(slope, a, b, f, t, plan, plan_b
     plan_b=PLANS_B,
     tol=TOLS,
 )
+# rows such as [0.0, -0.0, -0.0, -0.0, 0.0]: monotone, so the extremes of a
+# strip are read from its end cells, and either zero may stand for both
+@example(phi_slope=Fraction(1, 2), a=SubsetSpec.from_intervals([Interval(0.0, 1.0)]),
+         b=SubsetSpec.from_intervals([Interval(0.0, 1.0)]), f="signed_zeros",
+         plan=SamplePlan(5), plan_b=SamplePlan(5), tol=0.0)
 @settings(max_examples=150, deadline=None)
 def test_phi_psi_level_set_path_matches_naive_loop(phi_slope, a, b, f, plan, plan_b, tol):
     phi = with_declared_class(make_linear(phi_slope), ControlClass.ALTERING)
@@ -870,6 +886,13 @@ FAILING_PROBLEMS = st.builds(
 # lines that are not monotone: failing strips are scanned whole
 @example(problem=_failing_problem(True, "tent", "clip", Fraction(1, 10), UNIT, UNIT),
          plan=SamplePlan(5), plan_b=None, tol=1e-9, cap=7)
+# counted planes: signed zeros on monotone lines, and kept profiles of a
+# two-valued T, whose failing planes are swept again to be counted
+@example(problem=_failing_problem(True, "signed_zeros", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(9), plan_b=None, tol=0.0, cap=0)
+@example(problem=_failing_problem(False, "steep", "two_valued", Fraction(1, 4), UNIT,
+                                  SubsetSpec.from_intervals([Interval(0.0, 2.0)])),
+         plan=SamplePlan(7), plan_b=SamplePlan(6), tol=1e-9, cap=1)
 @settings(max_examples=150, deadline=None)
 def test_failing_level_set_planes_match_naive_loop(problem, plan, plan_b, tol, cap):
     """Every plane takes the level-set path, failing ones included, and the
@@ -893,6 +916,54 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
     assert calls["built"] == 1
     assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
     assert calls["violating"] > 0
+
+
+@pytest.mark.parametrize("cap", [3, 7, 100])
+@pytest.mark.parametrize("name", ["negative-midpoint", "tent-strong.yaml"])
+def test_failing_level_set_planes_past_the_cap_are_counted(name, cap):
+    """Once the log is full, planes are counted instead of listed: the
+    plane that fills the log straddles the cap and is listed whole, and the
+    report equals the naive loop's.  tent-strong's lines are not monotone."""
+    if name.endswith(".yaml"):
+        doc = parse_problem((Path(__file__).parent / name).read_text(), name)
+    else:
+        doc = builtin_registry(name)
+    fast, naive = _contraction_checks(build_problem(doc), SamplePlan(9), 1e-9, None)
+    with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        _same_outcome(fast, naive)
+    listed = calls["listed"]
+    before = [sum(listed[:k]) for k in range(len(listed))]
+    assert any(b < max(cap, 1) < b + n for b, n in zip(before, listed))
+    assert calls["counted"] > 0
+
+
+@pytest.mark.parametrize("name, built", [
+    ("example-2.1.9", 42), ("tent-strong.yaml", 52), ("banach-linear", 0),
+    ("negative-midpoint", 0),
+])
+def test_sparse_tables_are_built_for_lines_that_are_not_monotone(name, built, tmp_path,
+                                                                 capsys):
+    """A monotone line reads a strip's extremes off its end cells, so only
+    the other lines of the 28 + 28 get sparse tables, each once."""
+    real, lines = levelset._sparse_tables, []
+
+    def spy(values):
+        lines.append(values)
+        return real(values)
+
+    doc = str(Path(__file__).parent / name) if name.endswith(".yaml") else name
+    argv = ["check", doc, "--samples", "81", "--jitter", "2",
+            "--json", str(tmp_path / "report.json")]
+    with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelset, "_sparse_tables", spy)
+        main(argv)
+    capsys.readouterr()
+    assert calls["built"] == 1
+    assert len(lines) == built
+    assert len({id(line) for line in lines}) == built
+    for line in lines:
+        assert not all(map(le, line, line[1:])) and not all(map(ge, line, line[1:]))
 
 
 def test_failing_contraction_report_stays_compact():

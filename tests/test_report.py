@@ -14,6 +14,7 @@ import heapq
 import json
 import math
 import pickle
+from array import array
 from operator import attrgetter
 
 import pytest
@@ -132,3 +133,72 @@ def test_truncated_log_reports_the_same_count_and_worst_violation(tmp_path, caps
     assert worst == [line for line in capped_out if line.lstrip().startswith("worst:")]
     assert capped["violations"][0] == full["violations"][0]
     assert len(full["violations"]) == MAX_JSON_VIOLATIONS
+
+
+# the residuals whose order is hard to get right: ties, signed zeros,
+# infinities, NaN and ints beside floats
+ODD_VALUES = [0.0, -0.0, 0.5, 1, 1.0, 2.0, -1.0, math.inf, -math.inf, math.nan, 0.1 + 0.2]
+
+
+@given(values=st.lists(st.sampled_from(ODD_VALUES), min_size=1, max_size=12))
+@example(values=[math.nan, 1.0, 2.0])
+@example(values=[1, 1.0, 0.0, -0.0, 1])
+@example(values=[-0.0, 0.0, -1.0])
+@settings(max_examples=300, deadline=None)
+def test_first_largest_is_the_key_max(values):
+    assert report._first_largest(values) == max(range(len(values)), key=values.__getitem__)
+
+
+@given(
+    pool=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf,
+                                   0.1 + 0.2, math.nan]), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=700),
+    keep=st.sampled_from([0, 1, 2, 5, 40]),
+    column=st.sampled_from(["array", "list"]),
+)
+@example(pool=[1.0, 0.5], picks=[1] * 600 + [0], keep=5, column="array")  # ties past a block
+@example(pool=[0.0, -0.0, 1.0], picks=[0, 1, 2] * 200, keep=5, column="array")
+@example(pool=[math.nan, 1.0, 2.0], picks=[1, 0, 2] * 100, keep=5, column="array")
+@settings(max_examples=150, deadline=None)
+def test_largest_matches_nlargest_on_the_residual_column(pool, picks, keep, column):
+    res = [pool[k % len(pool)] for k in picks]
+    col = array("d", res) if column == "array" else res
+    log = ViolationLog(list(range(len(res))), res, res, col)
+    want = heapq.nlargest(keep, range(len(res)), key=col.__getitem__)
+    assert [v.witness for v in log.largest(keep)] == want
+
+
+@given(batches=st.lists(st.lists(st.tuples(st.sampled_from(ODD_VALUES[:-2] + [3]),
+                                           st.sampled_from([0.0, 0.5, 1])), max_size=6),
+                        max_size=8),
+       cap=st.sampled_from([0, 1, 3, 7]))
+@example(batches=[[(1.0, 0.0)], [(2.0, 0.0), (3, 0.0)], [(3.0, 1)]], cap=1)
+@example(batches=[[(2.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)]], cap=1)  # a tie with the worst
+@settings(max_examples=200, deadline=None)
+def test_counting_past_a_full_log_matches_recording(batches, cap):
+    """Batches recorded while the log has room and then only counted, each
+    with its first largest residual (or, for even batches, only if that
+    exceeds the floor), build the report that recording every batch builds
+    (residuals without a NaN, as the contraction kernel's are)."""
+
+    def built(counting: bool) -> CheckReport:
+        rb = ReportBuilder("count", 0.0)
+        for b, batch in enumerate(batches):
+            keys = [("w", b, k) for k in range(len(batch))]
+            lhs, rhs = [l for l, _ in batch], [r for _, r in batch]
+            floor = rb.counting_floor() if counting else None
+            if floor is None:
+                rb.add_violations(keys, lhs, rhs)
+                continue
+            res = [l - r for l, r in batch]
+            worst = None
+            if res and (b % 2 or max(res) > floor):  # may be left out below the floor
+                k = max(range(len(res)), key=res.__getitem__)
+                worst = (keys[k], lhs[k], rhs[k])
+            rb.count_violations(len(batch), worst)
+        return rb.build()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        want, got = built(False), built(True)
+    assert repr(got) == repr(want)
