@@ -120,17 +120,13 @@ class ViolationLog(Sequence):
         A float column without a NaN (its sum would be one) is totally
         preordered, so only positions whose residual reaches the n-th
         largest value can be picked.  The values alone give that threshold,
-        and only the blocks of 256 whose max reaches it are searched."""
+        and only the positions that reach it are ordered by residual."""
         if n == 1 and self._worst is not None:
             return [self[self._worst]]
         res, picks = self._res, range(len(self))
         cut = heapq.nlargest(n, res) if type(res) is array else None
         if cut and not math.isnan(sum(res)):
-            t, picks = cut[-1], []
-            for c in range(0, len(res), 256):
-                block = res[c:c + 256]
-                if max(block) >= t:
-                    picks += compress(range(c, c + 256), map(ge, block, repeat(t)))
+            picks = compress(picks, map(ge, res, repeat(cut[-1])))
         return [self[k] for k in heapq.nlargest(n, picks, key=res.__getitem__)]
 
 

@@ -156,7 +156,7 @@ def test_first_largest_is_the_key_max(values):
     keep=st.sampled_from([0, 1, 2, 5, 40]),
     column=st.sampled_from(["array", "list"]),
 )
-@example(pool=[1.0, 0.5], picks=[1] * 600 + [0], keep=5, column="array")  # ties past a block
+@example(pool=[1.0, 0.5], picks=[1] * 600 + [0], keep=5, column="array")  # 600 ties at the threshold
 @example(pool=[0.0, -0.0, 1.0], picks=[0, 1, 2] * 200, keep=5, column="array")
 @example(pool=[math.nan, 1.0, 2.0], picks=[1, 0, 2] * 100, keep=5, column="array")
 @settings(max_examples=150, deadline=None)
