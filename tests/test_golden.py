@@ -43,6 +43,10 @@ CASES = {
     "check-negative-midpoint-full-41": [
         "check", str(DOCUMENTS / "negative-midpoint-full.yaml"), "--samples", "41",
     ],
+    # stride 1 at grid 41: every quadruple tested, and the check passes
+    "check-banach-linear-full-41": [
+        "check", str(DOCUMENTS / "banach-linear-full.yaml"), "--samples", "41",
+    ],
     "check-tent-strong-81": [
         "check", str(DOCUMENTS / "tent-strong.yaml"), "--samples", "81", "--jitter", "2",
         "--seed", "5",
