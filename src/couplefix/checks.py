@@ -21,7 +21,8 @@ for an image map I: the self map T with left = identity and right = phi
 (the altering pair of a strong coupled problem).  The T images come from
 ``SelfMap.image_table``, the full-grid table the self-map and range
 checks read too.  Both distances in M are read as written, so the kernel
-does not assume the metric is symmetric.
+does not assume the metric is symmetric; only the mirror below does, and
+it takes the usual metric alone.
 The quadruple count grows with the fourth power of the grid, so a budget
 caps the work: when the full product would exceed it, every axis is thinned
 by the same stride, which keeps the subsample a deterministic subset of the
@@ -49,6 +50,23 @@ scan order (see that module).  Any other metric, a left that is not the
 identity, or tables that ``levelset.applies`` rejects (a NaN or infinite
 entry, a right value of -0.0, a right that decreases on the sampled
 distances) leave every plane to the comprehension.
+
+When both axes are one sample (equal bit for bit, so
+``CouplingMap.tables`` evaluates F's table once), the metric is the usual
+one with no NaN distance, and F's table holds floats and equals its
+transpose, plane (j, i) mirrors plane (i, j).  Its cell (i2, j2) has the
+M of cell (j2, i2) of plane (i, j) (the two distances swap, and with no
+NaN the larger is picked either way), and its F(x, y) and F(u, v) equal
+theirs, so lhs and rhs are equal bit for bit: a difference with a zero of
+either sign is exact, and abs drops the sign of a zero result.  The scan
+keeps its order and evaluates the planes with j >= i.  Plane (j, i)
+comes later: it takes plane (i, j)'s smallest margin, which cannot move
+the running minimum, as that equal margin came first, and reads its
+violations back from the log (``ReportBuilder.kept``), moved to the
+transposed keys and sorted into scan order.  A failing mirror is
+evaluated as any plane is once the log is full, or when the log did not
+keep all of plane (i, j)'s violations.  Diagonal planes are always
+evaluated.
 
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.  Once the log is full
@@ -80,7 +98,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import add, gt, not_, sub
+from operator import add, eq, gt, not_, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
@@ -246,14 +264,18 @@ def _contraction_scan(
     Violations are recorded in (x, y, u, v) index order, each under its
     flat index ((i * n_b + j) * n_b + j2) * n_a + i2, which ``_quadruple``
     decodes.  Where the level-set path applies (see the module docstring),
-    no plane goes through the comprehension.
+    no plane goes through the comprehension; where F is symmetric on one
+    sample, a plane (j, i) with j < i is mirrored from plane (i, j).
     """
     b_plan = plan_b or plan
     xv = sample_values(problem.subset_a, plan)
     yv = sample_values(problem.subset_b, b_plan)
     total = len(xv) * len(yv) * len(yv) * len(xv)
     stride = _quadruple_stride(len(xv), len(yv), budget)
-    xv, yv = xv[::stride], yv[::stride]
+    # one sample on both axes, bit for bit: == alone takes 0.0 for -0.0
+    one = xv == yv and list(map(repr, xv)) == list(map(repr, yv))
+    xv = xv[::stride]
+    yv = xv if one else yv[::stride]
     na, nb = len(xv), len(yv)
     d = problem.space.metric
     f_ab, f_ba = problem.coupling.tables(xv, yv)
@@ -261,9 +283,10 @@ def _contraction_scan(
         ix, iy = xv, yv
     else:
         ix = t.image_table(problem.subset_a, plan)[1][::stride]
-        iy = t.image_table(problem.subset_b, b_plan)[1][::stride]
+        iy = ix if one else t.image_table(problem.subset_b, b_plan)[1][::stride]
     d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
-    d_yv = [[d(b, a) for a in ix] for b in iy]  # d_yv[j][i2] = d(Iy_j, Iv_i2)
+    # d_yv[j][i2] = d(Iy_j, Iv_i2), which is d_xu[j][i2] on one sample
+    d_yv = d_xu if one else [[d(b, a) for a in ix] for b in iy]
 
     # Every d_xu entry meets every d_yv entry in some M.  A d_xu entry is M
     # when it is >= some d_yv entry, a d_yv entry when some d_xu entry is not
@@ -283,9 +306,6 @@ def _contraction_scan(
     r_yv = [[(m, right_of(m) if nan_xu or not lo_xu >= m else None) for m in row]
             for row in d_yv]
 
-    # One (x, y) plane holds every (u, v) = (y_j2, x_i2), flattened at
-    # k = j2 * na + i2, so plane order is quadruple order.
-    f_uv = [w for row in f_ba for w in row]
     usual = d is _usual_real
     level = None
     if usual and left is None:
@@ -295,7 +315,13 @@ def _contraction_scan(
 
         if levelset.applies((f_ab, f_ba, d_xu, d_yv), right_at):
             level = levelset.plane_evaluator(ix, iy, f_ba, right_at, tol)
-    left_at: dict[float, float] = {}
+    plane = level or _plane_comprehension(r_xu, r_yv, f_ba, d, left, tol)
+    # Plane (j, i) mirrors plane (i, j) when F is symmetric on one sample,
+    # on the usual metric with no NaN distance; see the module docstring.
+    mirror = one and usual and not nan_xu and _symmetric(f_ab)
+    # plane index of (i, j), j > i, in a mirrored scan -> its smallest
+    # margin, the ordinal of its first violation and its violation count
+    sources: dict[int, tuple[float, int, int]] = {}
     rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv))
     min_margin = math.inf
     floor = None  # rb.counting_floor(): once the log is full, planes are counted
@@ -303,28 +329,24 @@ def _contraction_scan(
         fab_i = f_ab[i]
         for j in range(nb):
             fab, base = fab_i[j], (i * nb + j) * nb * na
-            if floor is not None:  # the log is full: count, keeping the worst
+            mirrored = None
+            if mirror and j < i:
+                source = j * nb + i
+                mirrored = _mirrored(rb, sources.pop(source), floor, source * nb * na, na)
+            if mirrored is not None:
+                plane_min, hits, lhs, rhs = mirrored
+            elif floor is not None:  # the log is full: count, keeping the worst
                 plane_min, n, worst = level(i, j, fab, floor)
                 if worst is not None:
                     worst = (base + worst[0], *worst[1:])
                 rb.count_violations(n, worst)
                 floor, hits = rb.counting_floor(), None
-            elif level is not None:
-                plane_min, hits, lhs, rhs = level(i, j, fab)
             else:
-                rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
-                dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
-                lhs = dist if left is None else _memo_map(left_at, left, dist)
-                # the running minimum skips NaN margins, as a sample-by-sample scan does
-                plane_min = min(chain((math.inf,), map(sub, rhs, lhs)))
-                # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
-                # a plane whose margins are all >= 0 holds none.
-                hits = []
-                if plane_min < 0 or tol < 0:
-                    hits = list(compress(count(), map(gt, lhs, map(add, rhs, repeat(tol)))))
-                    lhs, rhs = list(map(lhs.__getitem__, hits)), list(map(rhs.__getitem__, hits))
+                plane_min, hits, lhs, rhs = plane(i, j, fab)
             if plane_min < min_margin:
                 min_margin = plane_min
+            if mirror and j > i:
+                sources[i * nb + j] = (plane_min, rb.seen, n if hits is None else len(hits))
             if hits:
                 rb.add_violations(list(map(add, hits, repeat(base))), lhs, rhs)
                 if level is not None:
@@ -332,6 +354,66 @@ def _contraction_scan(
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin
     return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
+
+
+def _plane_comprehension(r_xu: list, r_yv: list, f_ba: list[list[Value]],
+                         d: Callable[[Value, Value], float],
+                         left: Optional[Callable[[float], float]], tol: float):
+    """``plane(i, j, fab)``: plane (i, j) as ``levelset.plane_evaluator``
+    lists it, from comprehensions over its n_b * n_a cells.  rhs picks the
+    stored right value of the larger distance (``r_xu[i]`` and ``r_yv[j]``
+    hold each distance with its right value), and lhs is |fab - F(u, v)|
+    on the usual metric, d(fab, F(u, v)) otherwise, through ``left`` unless
+    it is None."""
+    # (u, v) = (y_j2, x_i2) at k = j2 * na + i2, so plane order is quadruple order
+    f_uv = [w for row in f_ba for w in row]
+    usual = d is _usual_real
+    left_at: dict[float, float] = {}
+
+    def plane(i: int, j: int, fab: Value) -> tuple:
+        rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
+        dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
+        lhs = dist if left is None else _memo_map(left_at, left, dist)
+        # the running minimum skips NaN margins, as a sample-by-sample scan does
+        plane_min = min(chain((math.inf,), map(sub, rhs, lhs)))
+        # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
+        # a plane whose margins are all >= 0 holds none.
+        if not (plane_min < 0 or tol < 0):
+            return plane_min, [], [], []
+        hits = list(compress(count(), map(gt, lhs, map(add, rhs, repeat(tol)))))
+        return plane_min, hits, list(map(lhs.__getitem__, hits)), list(map(rhs.__getitem__, hits))
+
+    return plane
+
+
+def _symmetric(table: list[list[Value]]) -> bool:
+    """Whether a square table holds floats only and equals its transpose
+    entry for entry.  A NaN equals nothing, so a table with one is not
+    symmetric."""
+    cells = list(chain.from_iterable(table))
+    return (set(map(type, cells)) == {float}
+            and all(map(eq, cells, chain.from_iterable(zip(*table)))))
+
+
+def _mirrored(rb: ReportBuilder, source: tuple[float, int, int], floor: Optional[float],
+              base: int, n: int) -> Optional[tuple]:
+    """Plane (j, i) of a mirrored scan, as the plane evaluators list it,
+    from ``source``: the margin, first ordinal and violation count of plane
+    (i, j), whose keys start at ``base``.  None when plane (j, i) holds
+    violations and must be swept: the log is full (``floor``), or it did
+    not keep every violation of plane (i, j)."""
+    margin, start, hit_count = source
+    if not hit_count:
+        return margin, [], [], []
+    kept = None if floor is not None else rb.kept(start, start + hit_count)
+    if kept is None:
+        return None
+    keys, lhs, rhs = kept
+    # cell (j2, i2) of plane (i, j), at j2 * n + i2, is cell (i2, j2) here
+    moved = [k % n * n + k // n for k in map(sub, keys, repeat(base))]
+    order = sorted(range(hit_count), key=moved.__getitem__)
+    return (margin, list(map(moved.__getitem__, order)), list(map(lhs.__getitem__, order)),
+            list(map(rhs.__getitem__, order)))
 
 
 def _quadruple(xv: list[Value], yv: list[Value], key: int) -> tuple:

@@ -13,7 +13,9 @@ nondecreasing, the plane's smallest margin is the smallest right(rho) - X
 over the levels, and the plane holds a violation exactly when
 X > right(rho) + tol at some level.  Subtraction and adding tol round
 monotonically, so both results are exact in floating point, not bounds,
-and a plane costs O(n_a + n_b) steps instead of n_a * n_b.
+and a plane costs O(n_a + n_b) steps instead of n_a * n_b.  When F is
+symmetric on one sample of A = B, the kernel evaluates only the planes
+(i, j) with j >= i here and mirrors the others (see ``checks``).
 
 The rectangle grows by one row or column strip at a time, and each (u, v)
 cell enters it once: in the strip of whichever of its row and its column

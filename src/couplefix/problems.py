@@ -88,9 +88,13 @@ class CouplingMap:
         """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xv[i], yv[j])`` and
         ``f_ba[j][i] = F(yv[j], xv[i])``, not kept after the call.  F is
         called once per pair, through ``fn``, on every row of ``f_ab``
-        and then of ``f_ba``; the first failing pair of that order raises."""
+        and then of ``f_ba``; the first failing pair of that order raises.
+        When ``yv`` is ``xv`` (one sample on both axes), ``f_ba[j][i]`` is
+        F(xv[j], yv[i]), so ``f_ba`` is ``f_ab`` and F is called on
+        ``f_ab``'s pairs only."""
         g = self.fn
-        return [[g(x, y) for y in yv] for x in xv], [[g(y, x) for x in xv] for y in yv]
+        f_ab = [[g(x, y) for y in yv] for x in xv]
+        return f_ab, f_ab if yv is xv else [[g(y, x) for x in xv] for y in yv]
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":

@@ -236,6 +236,22 @@ class ReportBuilder:
         self.samples += len(lhs)
         self._record(keys, lhs, rhs)
 
+    @property
+    def seen(self) -> int:
+        """The violations recorded so far, kept or dropped: the ordinal of
+        the next one."""
+        return self._seen
+
+    def kept(self, start: int, stop: int) -> tuple[Sequence, Sequence[float],
+                                                   Sequence[float]] | None:
+        """The keys, lhs and rhs of the violations with ordinals ``start``
+        to ``stop - 1``, as slices of the log, or None unless the log kept
+        all of them.  The log drops only from its end, so a kept violation's
+        position is its ordinal."""
+        if stop > len(self._res):
+            return None
+        return self._keys[start:stop], self._lhs[start:stop], self._rhs[start:stop]
+
     def counting_floor(self) -> float | None:
         """None while the log has room.  Once it is full, the worst
         residual so far: a counted violation replaces the worst only if its

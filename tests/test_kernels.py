@@ -522,7 +522,7 @@ SMALL_PLANS = st.builds(
     psi=st.sampled_from(sorted(PSIS)),
     phi_slope=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1)]),
     a=SMALL_SUBSETS,
-    b=SMALL_SUBSETS,
+    b=st.one_of(st.none(), SMALL_SUBSETS),  # None: B is A
     f=st.sampled_from(sorted(COUPLINGS)),
     plan=SMALL_PLANS,
     tol=TOLS,
@@ -533,6 +533,13 @@ SMALL_PLANS = st.builds(
     a=SubsetSpec.from_values([0.0, 1.0]), b=SubsetSpec.from_values([0.0]),
     f="mid", plan=SamplePlan(2), tol=1e-9,
 )
+# a power psi and a symmetric F on one jittered sample: the comprehension
+# mirrors planes, failing ones included
+@example(
+    metric="usual", psi="square", phi_slope=Fraction(1, 2),
+    a=SubsetSpec.from_intervals([Interval(0.0, 2.0)]), b=None,
+    f="mid", plan=SamplePlan(4, 1, 3), tol=1e-9,
+)
 @settings(max_examples=200, deadline=None)
 def test_phi_psi_kernel_matches_naive_loop(metric, psi, phi_slope, a, b, f, plan, tol):
     phi = with_declared_class(make_linear(phi_slope), ControlClass.ALTERING)
@@ -540,7 +547,7 @@ def test_phi_psi_kernel_matches_naive_loop(metric, psi, phi_slope, a, b, f, plan
     problem = StrongCoupledProblem(
         space=MetricSpace.real_line(-1.0, 3.0, metric=REAL_METRICS[metric]),
         subset_a=a,
-        subset_b=b,
+        subset_b=a if b is None else b,
         coupling=CouplingMap.from_function(COUPLINGS[f]),
         phi=phi,
         psi=psi_fn,
@@ -592,14 +599,26 @@ def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
 
 @contextmanager
 def level_set_spy():
-    """Count what the level-set path of the contraction kernel does: how
-    often it is built, how many planes it evaluates, how many of those it
-    reports as holding a violation, on how many of those it only counts
-    them, once the log is full, and how many violations each other plane
-    lists.  Each listed plane's violation keys must strictly increase: scan
-    order, no cell recorded twice."""
-    calls = {"built": 0, "planes": 0, "violating": 0, "counted": 0, "listed": []}
-    real = levelset.plane_evaluator
+    """Count what the contraction kernel does with its planes: how often
+    the level-set path is built, how many planes it evaluates, how many
+    the comprehension evaluates, how many a symmetric scan mirrors from an
+    earlier plane and how many of those it sweeps again instead (the log
+    was full, or did not keep the earlier plane's violations).  Also how
+    many planes report a violation, on how many of those the level-set
+    path only counts them, once the log is full, and how many violations
+    each other plane lists, in scan order.  Each listed plane's violation
+    keys must strictly increase: scan order, no cell recorded twice."""
+    calls = {"built": 0, "planes": 0, "comprehended": 0, "mirrored": 0, "reswept": 0,
+             "violating": 0, "counted": 0, "listed": []}
+    real, real_comprehension, real_mirrored = (levelset.plane_evaluator,
+                                               checks._plane_comprehension, checks._mirrored)
+
+    def listed(result):  # (margin, keys, lhs, rhs)
+        keys = list(result[1])
+        assert keys == sorted(set(keys))
+        calls["violating"] += bool(keys)
+        calls["listed"].append(len(keys))
+        return result
 
     def spy(*args):
         calls["built"] += 1
@@ -608,22 +627,68 @@ def level_set_spy():
         def counted(i, j, fab, floor=None):
             calls["planes"] += 1
             result = plane(i, j, fab, floor)
-            if floor is None:  # (margin, keys, lhs, rhs)
-                keys = list(result[1])
-                assert keys == sorted(set(keys))
-                calls["violating"] += bool(keys)
-                calls["listed"].append(len(keys))
-            else:  # (margin, count, worst or None)
-                assert result[1] >= 0 and (result[2] is None or result[1] > 0)
-                calls["violating"] += bool(result[1])
-                calls["counted"] += bool(result[1])
+            if floor is None:
+                return listed(result)
+            # (margin, count, worst or None)
+            assert result[1] >= 0 and (result[2] is None or result[1] > 0)
+            calls["violating"] += bool(result[1])
+            calls["counted"] += bool(result[1])
             return result
 
         return counted
 
+    def comprehension(*args):
+        plane = real_comprehension(*args)
+
+        def counted(i, j, fab):
+            calls["comprehended"] += 1
+            return listed(plane(i, j, fab))
+
+        return counted
+
+    def mirrored(*args):
+        result = real_mirrored(*args)
+        if result is None:
+            calls["reswept"] += 1
+            return None
+        calls["mirrored"] += 1
+        return listed(result)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(levelset, "plane_evaluator", spy)
+        mp.setattr(checks, "_plane_comprehension", comprehension)
+        mp.setattr(checks, "_mirrored", mirrored)
         yield calls
+
+
+def _mirrors(problem, plan, plan_b) -> bool:
+    """Whether the kernel should mirror planes: one sample on both axes,
+    bit for bit, the usual metric and an F table of floats equal to its
+    transpose (a NaN cell equals nothing).  The cases drawn here have no
+    NaN distance."""
+    xv = sample_values(problem.subset_a, plan)
+    yv = sample_values(problem.subset_b, plan_b or plan)
+    if problem.space.metric is not _usual_real or list(map(repr, xv)) != list(map(repr, yv)):
+        return False
+    f = problem.coupling.fn
+    cells = [(f(x, y), f(y, x)) for x in xv for y in xv]
+    return all(type(w) is float and w == w_t for w, w_t in cells)
+
+
+def _assert_plane_counts(calls, problem, plan, plan_b) -> None:
+    """Every plane is evaluated once or mirrored.  A mirrored scan of n
+    points per axis evaluates the n(n + 1)/2 planes (i, j) with j >= i and
+    mirrors the other n(n - 1)/2, less those it sweeps again; any other
+    scan evaluates all n_a * n_b planes."""
+    na = len(sample_values(problem.subset_a, plan))
+    nb = len(sample_values(problem.subset_b, plan_b or plan))
+    evaluated = calls["planes"] + calls["comprehended"]
+    if _mirrors(problem, plan, plan_b):
+        assert calls["mirrored"] + calls["reswept"] == na * (na - 1) // 2
+        assert evaluated == na * (na + 1) // 2 + calls["reswept"]
+    else:
+        assert calls["mirrored"] == calls["reswept"] == 0
+        assert evaluated == na * nb
 
 
 @contextmanager
@@ -643,8 +708,11 @@ LEVEL_COUPLINGS = {
     "steep": lambda x, y: 3 * x - y,
     # not monotone along the rows and columns of a strong problem's sorted grid
     "tent": lambda x, y: abs(x - y) / 2 + 0.25,
-    # 0.0 and -0.0 side by side on lines that are monotone all the same
+    # 0.0 and -0.0 side by side on lines that are monotone all the same;
+    # equal to its transpose under ==, so a scan on one sample mirrors it
     "signed_zeros": lambda x, y: (-0.0 if x < y else 0.0) if x + y < 1 else x + y - 1,
+    # symmetric except at (0, 1)
+    "one_cell": lambda x, y: (x + y) / 2 + (0.25 if x == 0.0 and y == 1.0 else 0.0),
 }
 LEVEL_SELF_MAPS = {
     **SELF_MAPS,
@@ -666,19 +734,21 @@ PLANS_B = st.builds(SamplePlan, grid_count=st.integers(2, 6), jitter_count=st.in
 def _assert_level_path_used(calls, problem, plan, plan_b):
     assert problem.space.metric is _usual_real
     na = len(sample_values(problem.subset_a, plan))
-    nb = len(sample_values(problem.subset_b, plan_b))
+    nb = len(sample_values(problem.subset_b, plan_b or plan))
     assert calls["built"] == 1
     assert 1 <= calls["planes"] <= na * nb
+    assert calls["comprehended"] == 0
+    _assert_plane_counts(calls, problem, plan, plan_b)
 
 
 @given(
     slope=st.integers(1, 3),
     a=LEVEL_SUBSETS,
-    b=LEVEL_SUBSETS,
+    b=st.one_of(st.none(), LEVEL_SUBSETS),  # None: B is A
     f=st.sampled_from(sorted(LEVEL_COUPLINGS)),
     t=st.sampled_from(sorted(LEVEL_SELF_MAPS)),
     plan=PLANS_A,
-    plan_b=PLANS_B,
+    plan_b=st.one_of(st.none(), PLANS_B),
     tol=TOLS,
 )
 @settings(max_examples=150, deadline=None)
@@ -687,7 +757,7 @@ def test_phi_T_level_set_path_matches_naive_loop(slope, a, b, f, t, plan, plan_b
     problem = CoincidenceProblem(
         space=MetricSpace.real_line(-1.0, 3.0),
         subset_a=a,
-        subset_b=b,
+        subset_b=a if b is None else b,
         coupling=CouplingMap.from_function(LEVEL_COUPLINGS[f]),
         self_map=SelfMap.from_function(LEVEL_SELF_MAPS[t]),
         phi=phi,
@@ -706,22 +776,30 @@ def test_phi_T_level_set_path_matches_naive_loop(slope, a, b, f, t, plan, plan_b
 @given(
     phi_slope=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1)]),
     a=LEVEL_SUBSETS,
-    b=LEVEL_SUBSETS,
+    b=st.one_of(st.none(), LEVEL_SUBSETS),  # None: B is A
     f=st.sampled_from(sorted(LEVEL_COUPLINGS)),
     plan=PLANS_A,
-    plan_b=PLANS_B,
+    plan_b=st.one_of(st.none(), PLANS_B),
     tol=TOLS,
 )
 # rows such as [0.0, -0.0, -0.0, -0.0, 0.0]: monotone, so the extremes of a
-# strip are read from its end cells, and either zero may stand for both
+# strip are read from its end cells, and either zero may stand for both;
+# F equals its transpose under == only, and its planes are mirrored
 @example(phi_slope=Fraction(1, 2), a=SubsetSpec.from_intervals([Interval(0.0, 1.0)]),
          b=SubsetSpec.from_intervals([Interval(0.0, 1.0)]), f="signed_zeros",
          plan=SamplePlan(5), plan_b=SamplePlan(5), tol=0.0)
+# the same with a jittered sample, on which the kernel fails
+@example(phi_slope=Fraction(1, 10), a=SubsetSpec.from_intervals([Interval(0.0, 1.0)]),
+         b=None, f="signed_zeros", plan=SamplePlan(6, 1, 3), plan_b=None, tol=1e-9)
+# one sample whose two axes are built from different subsets
+@example(phi_slope=Fraction(1, 10), a=SubsetSpec.from_values([0.0, 0.5, 1.0]),
+         b=SubsetSpec.from_intervals([Interval(0.0, 1.0)]), f="mid",
+         plan=SamplePlan(3), plan_b=None, tol=1e-9)
 @settings(max_examples=150, deadline=None)
 def test_phi_psi_level_set_path_matches_naive_loop(phi_slope, a, b, f, plan, plan_b, tol):
     phi = with_declared_class(make_linear(phi_slope), ControlClass.ALTERING)
     psi = identity_control()
-    problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0), a, b,
+    problem = _strong_problem(MetricSpace.real_line(-1.0, 3.0), a, a if b is None else b,
                               CouplingMap.from_function(LEVEL_COUPLINGS[f]), phi, psi)
     with level_set_spy() as calls:
         _same_outcome(
@@ -787,6 +865,15 @@ FALLBACKS = {
         SubsetSpec.from_intervals([Interval(0.0, 2.0)]), MID,
         with_declared_class(make_power(2), ControlClass.ALTERING), identity_control(),
     ),
+    # a symmetric F on one sample: the comprehension mirrors planes
+    "power_psi": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0), UNIT, UNIT, MID, HALF,
+        with_declared_class(make_power(2), ControlClass.ALTERING),
+    ),
+    # symmetric but for a NaN on the diagonal, which equals nothing: no mirror
+    "nan_cell": lambda: _coincidence_problem(
+        CouplingMap(lambda x, y: math.nan if x == y == 0.5 else (x + y) / 2),
+    ),
 }
 
 
@@ -804,8 +891,10 @@ def test_contraction_falls_back_to_the_plane_comprehension(case, tol):
     else:
         fast = lambda: check_phi_psi_contraction(problem, plan, tol)  # noqa: E731
         naive = lambda: _naive_phi_psi(problem, plan, tol)  # noqa: E731
-    with level_set_forbidden():
+    with level_set_spy() as calls, level_set_forbidden():
         _same_outcome(fast, naive)
+    assert calls["planes"] == 0
+    _assert_plane_counts(calls, problem, plan, None)
 
 
 def test_banach_linear_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_path, capsys):
@@ -815,7 +904,11 @@ def test_banach_linear_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_
         assert main(argv) == 0
     capsys.readouterr()
     assert calls["built"] == 1
-    assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
+    # stride 3 keeps 28 of 83 points per axis, and F is symmetric: the 406
+    # planes (i, j) with j >= i are swept and the other 378 mirrored
+    assert calls["planes"] == 28 * 29 // 2
+    assert calls["mirrored"] == 28 * 27 // 2
+    assert calls["reswept"] == calls["comprehended"] == 0
     assert calls["violating"] == 0
 
 
@@ -837,10 +930,12 @@ def _contraction_checks(problem, plan, tol, plan_b):
             lambda: _naive_phi_psi(problem, plan, tol, plan_b))
 
 
-def _failing_problem(strong, f, t, slope, a, b):
+def _failing_problem(strong, f, t, slope, a, b=None):
     """A problem on the usual metric whose contraction check the level-set
-    path takes, with a small phi slope so that violations abound."""
+    path takes, with a small phi slope so that violations abound.  B is A
+    when ``b`` is None."""
     space = MetricSpace.real_line(-1.0, 3.0)
+    b = a if b is None else b
     coupling = CouplingMap.from_function(LEVEL_COUPLINGS[f])
     if strong:
         phi = with_declared_class(make_linear(slope), ControlClass.ALTERING)
@@ -857,7 +952,7 @@ FAILING_PROBLEMS = st.builds(
     t=st.sampled_from(sorted(LEVEL_SELF_MAPS)),
     slope=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
     a=LEVEL_SUBSETS,
-    b=LEVEL_SUBSETS,
+    b=st.one_of(st.none(), LEVEL_SUBSETS),
 )
 
 
@@ -886,6 +981,19 @@ FAILING_PROBLEMS = st.builds(
 # lines that are not monotone: failing strips are scanned whole
 @example(problem=_failing_problem(True, "tent", "clip", Fraction(1, 10), UNIT, UNIT),
          plan=SamplePlan(5), plan_b=None, tol=1e-9, cap=7)
+# on negative-midpoint at grid 7, plane (0, 1) holds violations 8-13 and
+# its mirror (1, 0) violations 24-29: a cap inside the first, whose mirror
+# is then swept again to be counted, and a cap inside the mirror
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(7),
+         plan_b=None, tol=1e-9, cap=10)
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(7),
+         plan_b=None, tol=1e-9, cap=27)
+# F symmetric except one cell: every plane is swept
+@example(problem=_failing_problem(True, "one_cell", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(5), plan_b=None, tol=1e-9, cap=7)
+# mirrored planes on a jittered sample, read back from the log below the cap
+@example(problem=_failing_problem(False, "mid", "half", Fraction(1, 10), UNIT),
+         plan=SamplePlan(6, 1, 4), plan_b=None, tol=1e-9, cap=100_000)
 # counted planes: signed zeros on monotone lines, and kept profiles of a
 # two-valued T, whose failing planes are swept again to be counted
 @example(problem=_failing_problem(True, "signed_zeros", "clip", Fraction(1, 10), UNIT, UNIT),
@@ -901,10 +1009,9 @@ def test_failing_level_set_planes_match_naive_loop(problem, plan, plan_b, tol, c
     with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         _same_outcome(fast, naive)
-    na = len(sample_values(problem.subset_a, plan))
-    nb = len(sample_values(problem.subset_b, plan_b or plan))
     assert calls["built"] == 1
-    assert calls["planes"] == na * nb
+    assert calls["comprehended"] == 0
+    _assert_plane_counts(calls, problem, plan, plan_b)
 
 
 def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_path, capsys):
@@ -914,7 +1021,11 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
         assert main(argv) == 1
     capsys.readouterr()
     assert calls["built"] == 1
-    assert calls["planes"] == 28 * 28  # stride 3 keeps 28 of 83 points per axis
+    # as for banach-linear: 406 planes swept and 378 mirrored, the failing
+    # ones read back from the log, which holds all 43,132 violations
+    assert calls["planes"] == 28 * 29 // 2
+    assert calls["mirrored"] == 28 * 27 // 2
+    assert calls["reswept"] == calls["comprehended"] == 0
     assert calls["violating"] > 0
 
 
@@ -936,6 +1047,130 @@ def test_failing_level_set_planes_past_the_cap_are_counted(name, cap):
     before = [sum(listed[:k]) for k in range(len(listed))]
     assert any(b < max(cap, 1) < b + n for b, n in zip(before, listed))
     assert calls["counted"] > 0
+    # both maps are symmetric: failing mirrored planes past the cap are
+    # swept again, to be counted
+    _assert_plane_counts(calls, build_problem(doc), SamplePlan(9), None)
+    assert calls["reswept"] > 0
+
+
+def _document_problem(name):
+    if name.endswith(".yaml"):
+        return build_problem(parse_problem((Path(__file__).parent / name).read_text(), name))
+    return build_problem(builtin_registry(name))
+
+
+@pytest.mark.parametrize("name, mirrored", [
+    ("banach-linear", True), ("negative-midpoint", True), ("tent-strong.yaml", True),
+    ("inverse-coincidence.yaml", True), ("example-2.1.9", False), ("expr-minmax.yaml", False),
+])
+def test_symmetric_maps_on_one_sample_mirror_their_planes(name, mirrored):
+    """F is symmetric and A = B in the first four documents: of the 21 * 21
+    planes at grid 21, the 231 with j >= i are evaluated and the other 210
+    mirrored.  example-2.1.9 has two subsets, and expr-minmax's F is not
+    symmetric: every plane is evaluated (expr-minmax's expression psi takes
+    the comprehension)."""
+    problem = _document_problem(name)
+    fast, _ = _contraction_checks(problem, SamplePlan(21), 1e-9, None)
+    with level_set_spy() as calls:
+        fast()
+    evaluated = calls["planes"] + calls["comprehended"]
+    assert calls["reswept"] == 0
+    if mirrored:
+        assert (evaluated, calls["mirrored"]) == (21 * 22 // 2, 21 * 20 // 2)
+    else:
+        nb = len(sample_values(problem.subset_b, SamplePlan(21)))
+        assert (evaluated, calls["mirrored"]) == (21 * nb, 0)
+    assert calls["comprehended"] == (evaluated if name == "expr-minmax.yaml" else 0)
+
+
+NOT_MIRRORED = {
+    # A = {0.0, 1.0} and B = {-0.0, 1.0} are equal under ==, not bit for bit
+    "signed_zero_sample": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0), SubsetSpec.from_values([0.0, 0.5, 1.0]),
+        SubsetSpec.from_values([-0.0, 0.5, 1.0]), MID, HALF, identity_control(),
+    ),
+    # F(x, y) == F(y, x), but an int on one side and a float on the other,
+    # so a lhs of 0 would be recorded as 0.0 on the mirrored side (phi-T:
+    # the naive loop's identity psi would make every lhs a float)
+    "int_cells": lambda: _coincidence_problem(
+        CouplingMap(lambda x, y: int(x + y >= 1) if x < y else float(x + y >= 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, -0.1])
+@pytest.mark.parametrize("case", sorted(NOT_MIRRORED))
+def test_maps_symmetric_only_under_equality_are_not_mirrored(case, tol):
+    problem = NOT_MIRRORED[case]()
+    plan = SamplePlan(5)
+    fast, naive = _contraction_checks(problem, plan, tol, None)
+    with level_set_spy() as calls:
+        _same_outcome(fast, naive)
+    assert calls["mirrored"] == calls["reswept"] == 0
+    assert calls["planes"] + calls["comprehended"] == (9 if case == "signed_zero_sample" else 25)
+
+
+def test_nan_distances_are_not_mirrored():
+    """With a NaN distance, which of d1 and d2 counts as M depends on their
+    order (NaN >= m and m >= NaN are both false), so a plane and its mirror
+    differ.  The checks' controls raise at NaN, so the kernel is entered
+    with a right that takes it."""
+    problem = CoincidenceProblem(
+        space=MetricSpace.real_line(-1.0, 3.0), subset_a=UNIT, subset_b=UNIT, coupling=MID,
+        self_map=SelfMap(lambda x: math.nan if x == 0.5 else x), phi=make_linear(Fraction(1, 2)),
+    )
+
+    def right(m):
+        return 0.0 if m != m else m / 2
+
+    plan = SamplePlan(5)
+    with level_set_spy() as calls:
+        _same_outcome(
+            lambda: checks._contraction_scan("phi_T_contraction", problem, problem.self_map,
+                                             None, right, plan, 1e-9, None,
+                                             DEFAULT_QUADRUPLE_BUDGET),
+            lambda: naive_contraction("phi_T_contraction", problem, problem.self_map.evaluate,
+                                      lambda t: t, right, plan, 1e-9),
+        )
+    assert calls["mirrored"] == calls["reswept"] == 0
+    assert calls["comprehended"] == 25
+
+
+MIRRORED_CAP_PROBLEMS = {
+    "negative-midpoint": lambda: _document_problem("negative-midpoint"),
+    "tent-strong.yaml": lambda: _document_problem("tent-strong.yaml"),
+    "power_psi": FALLBACKS["power_psi"],
+}
+
+
+@pytest.mark.parametrize("inside", ["source", "mirrored"])
+@pytest.mark.parametrize("name", sorted(MIRRORED_CAP_PROBLEMS))
+def test_a_cap_inside_a_source_or_a_mirrored_plane_matches_naive_loop(name, inside):
+    """A recording cap that falls strictly inside the violations of a plane
+    (i, j) with j > i, whose mirror (j, i) can then not be read back, or
+    inside those of a mirrored plane, which is read back and cut by the
+    log: the report equals the naive loop's, on both level-set kinds of
+    line and on the comprehension (a power psi)."""
+    problem = MIRRORED_CAP_PROBLEMS[name]()
+    plan = SamplePlan(7)
+    fast, naive = _contraction_checks(problem, plan, 1e-9, None)
+    at = {v: k for k, v in enumerate(sample_values(problem.subset_a, plan))}
+    # the violating planes (i, j) of the uncapped log, in scan order
+    planes = Counter((at[v.witness[1]], at[v.witness[2]]) for v in naive().violations)
+    before = 0
+    for (i, j), n in planes.items():
+        if n >= 2 and (j > i if inside == "source" else j < i):
+            break
+        before += n
+    else:
+        raise AssertionError("no such plane")
+    with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", before + 1)
+        _same_outcome(fast, naive)
+    _assert_plane_counts(calls, problem, plan, None)
+    # the mirror of the cut source is swept again; a cut mirror was read back
+    assert calls["reswept"] > 0
+    assert calls["mirrored"] > 0 or inside == "source"
 
 
 @pytest.mark.parametrize("name, built", [
