@@ -43,8 +43,9 @@ rhs, and a float difference has the exact sign, so every violation has
 rhs - lhs < 0.  The values, the order of violations and every count
 therefore equal those of the per-quadruple loop.
 
-On the usual metric with left the identity (phi-T, and psi = identity),
-no plane reaches that comprehension: ``levelset`` sweeps a plane once, in
+On the usual metric with left the identity (phi-T, and psi = identity
+where F's tables hold floats, as psi makes an int distance a float), no
+plane reaches that comprehension: ``levelset`` sweeps a plane once, in
 O(n_a + n_b) steps, for its exact smallest margin and its violations in
 scan order (see that module).  Any other metric, a left that is not the
 identity, or tables that ``levelset.applies`` rejects (a NaN or infinite
@@ -61,20 +62,23 @@ theirs, so lhs and rhs are equal bit for bit: a difference with a zero of
 either sign is exact, and abs drops the sign of a zero result.  The scan
 keeps its order and evaluates the planes with j >= i.  Plane (j, i)
 comes later: it takes plane (i, j)'s smallest margin, which cannot move
-the running minimum, as that equal margin came first, and reads its
-violations back from the log (``ReportBuilder.kept``), moved to the
-transposed keys and sorted into scan order.  A failing mirror is
-evaluated as any plane is once the log is full, or when the log did not
-keep all of plane (i, j)'s violations.  Diagonal planes are always
-evaluated.
+the running minimum, as that equal margin came first, and plane (i, j)'s
+unlisted count and listed violations, moved to the transposed keys and
+sorted into scan order.  Diagonal planes are always evaluated.
 
 A violation is recorded under its flat quadruple index, and its witness
-tuple is built only when the report's log is read.  Once the log is full
-(``ReportBuilder.counting_floor``), the level-set path only counts a
-plane's violations and hands over the first with the largest residual if
-it beats the worst so far (``ReportBuilder.count_violations``); the plane
-that fills the log is listed whole, so the log keeps the first violations
-in scan order, as recording every one does.
+tuple is built only when the report's log is read.  A plane evaluator may
+be given the report's floor (``ReportBuilder.counting_floor``), the
+residual a violation must exceed to change the report; the level-set path
+then counts, without listing, the violations of each strip that cannot
+exceed it, and the comprehension lists every violation all the same.  The
+floor only rises, so a mirror's listed violations include every one above
+its own floor.  With the full log the floor is set once the log is full.
+The command line, which reads five violations, asks the level-set path
+for those five alone (``keep``), so its floor is set once five are held.
+The plane that holds the violation in the log's last slot is listed
+whole, swept again if it was counted, so that its ordinals are known and
+the report lists what recording every violation lists.
 
 Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
@@ -254,18 +258,25 @@ def _contraction_scan(
     tol: float,
     plan_b: Optional[SamplePlan],
     budget: int,
+    keep: Optional[int] = None,
+    identity_left: bool = False,
 ) -> CheckReport:
     """left(d(F(x,y), F(u,v))) <= right(max(d(Ix, Iu), d(Iy, Iv))) over quadruples.
 
     The image map I is ``t`` (its full-grid table, thinned by the stride),
     or the identity when ``t`` is None; ``left=None`` is the identity.
+    ``identity_left`` says that ``left`` returns every finite float
+    unchanged: it is then skipped on the usual metric when F's tables hold
+    floats only, so that every distance is a float.
     ``left`` and ``right`` are evaluated once per distinct argument, and
     ``right`` only at distances that are the larger one in some M.
     Violations are recorded in (x, y, u, v) index order, each under its
     flat index ((i * n_b + j) * n_b + j2) * n_a + i2, which ``_quadruple``
     decodes.  Where the level-set path applies (see the module docstring),
-    no plane goes through the comprehension; where F is symmetric on one
-    sample, a plane (j, i) with j < i is mirrored from plane (i, j).
+    no plane goes through the comprehension, and with ``keep`` = k the report
+    lists only the k violations ``to_dict(keep=k)`` lists
+    (``ReportBuilder``); where F is symmetric on one sample, a plane (j, i)
+    with j < i is mirrored from plane (i, j).
     """
     b_plan = plan_b or plan
     xv = sample_values(problem.subset_a, plan)
@@ -307,6 +318,8 @@ def _contraction_scan(
             for row in d_yv]
 
     usual = d is _usual_real
+    if identity_left and usual and _floats(f_ab) and _floats(f_ba):
+        left = None
     level = None
     if usual and left is None:
         # imported here, so that a run without a contraction check never
@@ -319,38 +332,30 @@ def _contraction_scan(
     # Plane (j, i) mirrors plane (i, j) when F is symmetric on one sample,
     # on the usual metric with no NaN distance; see the module docstring.
     mirror = one and usual and not nan_xu and _symmetric(f_ab)
-    # plane index of (i, j), j > i, in a mirrored scan -> its smallest
-    # margin, the ordinal of its first violation and its violation count
-    sources: dict[int, tuple[float, int, int]] = {}
-    rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv))
+    # plane index of (i, j), j > i, in a mirrored scan -> what plane() returned
+    sources: dict[int, tuple] = {}
+    rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv), keep if level else None)
     min_margin = math.inf
-    floor = None  # rb.counting_floor(): once the log is full, planes are counted
+    floor = None  # rb.counting_floor(): the residual a listed violation must exceed
     for i in range(na):
         fab_i = f_ab[i]
         for j in range(nb):
             fab, base = fab_i[j], (i * nb + j) * nb * na
-            mirrored = None
+            result = None
             if mirror and j < i:
-                source = j * nb + i
-                mirrored = _mirrored(rb, sources.pop(source), floor, source * nb * na, na)
-            if mirrored is not None:
-                plane_min, hits, lhs, rhs = mirrored
-            elif floor is not None:  # the log is full: count, keeping the worst
-                plane_min, n, worst = level(i, j, fab, floor)
-                if worst is not None:
-                    worst = (base + worst[0], *worst[1:])
-                rb.count_violations(n, worst)
-                floor, hits = rb.counting_floor(), None
-            else:
-                plane_min, hits, lhs, rhs = plane(i, j, fab)
+                result = _mirrored(rb, sources.pop(j * nb + i), na)
+            if result is None:
+                result = plane(i, j, fab, floor)
+                if result[1] and rb.reaches_last_slot(result[1] + len(result[2])):
+                    result = plane(i, j, fab)  # listed whole, for exact ordinals
+            plane_min, unlisted, keys, lhs, rhs = result
             if plane_min < min_margin:
                 min_margin = plane_min
             if mirror and j > i:
-                sources[i * nb + j] = (plane_min, rb.seen, n if hits is None else len(hits))
-            if hits:
-                rb.add_violations(list(map(add, hits, repeat(base))), lhs, rhs)
-                if level is not None:
-                    floor = rb.counting_floor()
+                sources[i * nb + j] = result
+            if keys or unlisted:
+                rb.add_violations(list(map(add, keys, repeat(base))), lhs, rhs, unlisted)
+                floor = rb.counting_floor()
     rb.samples = na * nb * nb * na
     rb.min_margin = min_margin
     return rb.build({"total_quadruples": total, "stride": stride, "budget": budget})
@@ -370,7 +375,7 @@ def _plane_comprehension(r_xu: list, r_yv: list, f_ba: list[list[Value]],
     usual = d is _usual_real
     left_at: dict[float, float] = {}
 
-    def plane(i: int, j: int, fab: Value) -> tuple:
+    def plane(i: int, j: int, fab: Value, floor: Optional[float] = None) -> tuple:
         rhs = [r1 if d1 >= d2 else r2 for d1, r1 in r_xu[i] for d2, r2 in r_yv[j]]
         dist = [abs(fab - w) for w in f_uv] if usual else list(map(d, repeat(fab), f_uv))
         lhs = dist if left is None else _memo_map(left_at, left, dist)
@@ -379,41 +384,44 @@ def _plane_comprehension(r_xu: list, r_yv: list, f_ba: list[list[Value]],
         # With tol >= 0 a violation lhs > rhs + tol has rhs - lhs < 0, so
         # a plane whose margins are all >= 0 holds none.
         if not (plane_min < 0 or tol < 0):
-            return plane_min, [], [], []
+            return plane_min, 0, [], [], []
         hits = list(compress(count(), map(gt, lhs, map(add, rhs, repeat(tol)))))
-        return plane_min, hits, list(map(lhs.__getitem__, hits)), list(map(rhs.__getitem__, hits))
+        return (plane_min, 0, hits, list(map(lhs.__getitem__, hits)),
+                list(map(rhs.__getitem__, hits)))
 
     return plane
+
+
+def _floats(table: list[list[Value]]) -> bool:
+    """Whether a table holds floats only."""
+    return set(map(type, chain.from_iterable(table))) <= {float}
 
 
 def _symmetric(table: list[list[Value]]) -> bool:
     """Whether a square table holds floats only and equals its transpose
     entry for entry.  A NaN equals nothing, so a table with one is not
     symmetric."""
-    cells = list(chain.from_iterable(table))
-    return (set(map(type, cells)) == {float}
-            and all(map(eq, cells, chain.from_iterable(zip(*table)))))
+    return _floats(table) and all(map(eq, chain.from_iterable(table),
+                                      chain.from_iterable(zip(*table))))
 
 
-def _mirrored(rb: ReportBuilder, source: tuple[float, int, int], floor: Optional[float],
-              base: int, n: int) -> Optional[tuple]:
-    """Plane (j, i) of a mirrored scan, as the plane evaluators list it,
-    from ``source``: the margin, first ordinal and violation count of plane
-    (i, j), whose keys start at ``base``.  None when plane (j, i) holds
-    violations and must be swept: the log is full (``floor``), or it did
-    not keep every violation of plane (i, j)."""
-    margin, start, hit_count = source
-    if not hit_count:
-        return margin, [], [], []
-    kept = None if floor is not None else rb.kept(start, start + hit_count)
-    if kept is None:
+def _mirrored(rb: ReportBuilder, source: tuple, n: int) -> Optional[tuple]:
+    """Plane (j, i) of a mirrored scan, as the plane evaluators return it,
+    from what they returned for plane (i, j): the same margin and unlisted
+    count, and the listed violations under transposed keys in scan order.
+    The floor only rises, so every violation that exceeds it now was listed
+    then.  None when plane (j, i) must be swept: it reaches the log's last
+    slot and some of its violations were not listed."""
+    margin, unlisted, keys, lhs, rhs = source
+    if unlisted and rb.reaches_last_slot(unlisted + len(keys)):
         return None
-    keys, lhs, rhs = kept
+    if not keys:
+        return source
     # cell (j2, i2) of plane (i, j), at j2 * n + i2, is cell (i2, j2) here
-    moved = [k % n * n + k // n for k in map(sub, keys, repeat(base))]
-    order = sorted(range(hit_count), key=moved.__getitem__)
-    return (margin, list(map(moved.__getitem__, order)), list(map(lhs.__getitem__, order)),
-            list(map(rhs.__getitem__, order)))
+    moved = [k % n * n + k // n for k in keys]
+    order = sorted(range(len(keys)), key=moved.__getitem__)
+    return (margin, unlisted, list(map(moved.__getitem__, order)),
+            list(map(lhs.__getitem__, order)), list(map(rhs.__getitem__, order)))
 
 
 def _quadruple(xv: list[Value], yv: list[Value], key: int) -> tuple:
@@ -444,13 +452,16 @@ def check_phi_T_contraction(
     tol: float = 1e-9,
     plan_b: Optional[SamplePlan] = None,
     budget: int = DEFAULT_QUADRUPLE_BUDGET,
+    keep: Optional[int] = None,
 ) -> CheckReport:
-    """Sampled d(F(x,y), F(u,v)) <= phi(max(d(Tx,Tu), d(Ty,Tv))) over quadruples."""
+    """Sampled d(F(x,y), F(u,v)) <= phi(max(d(Tx,Tu), d(Ty,Tv))) over quadruples.
+    With ``keep`` = k, the report may list only its k worst violations
+    (see ``_contraction_scan``)."""
     phi = problem.phi
     return _contraction_scan(
         "phi_T_contraction", problem, problem.self_map,
         None, lambda m: eval_control(phi, m),
-        plan, tol, plan_b, budget,
+        plan, tol, plan_b, budget, keep,
     )
 
 
@@ -460,18 +471,21 @@ def check_phi_psi_contraction(
     tol: float = 1e-9,
     plan_b: Optional[SamplePlan] = None,
     budget: int = DEFAULT_QUADRUPLE_BUDGET,
+    keep: Optional[int] = None,
 ) -> CheckReport:
-    """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v))."""
+    """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v)).
+    With ``keep`` = k, the report may list only its k worst violations
+    (see ``_contraction_scan``)."""
     phi, psi = problem.phi, problem.psi
-    # The identity psi returns t, bit for bit, at every finite t >= 0, so it
-    # is skipped on the usual metric.  The one difference is a distance that
-    # overflows to inf: psi raised DomainError there.
-    skip_psi = psi.fn is Fraction and problem.space.metric is _usual_real
+    # The identity psi returns t, bit for bit, at every finite float t >= 0,
+    # so it is skipped on the usual metric when F's tables hold floats.  The
+    # one difference is a distance that overflows to inf: psi raised
+    # DomainError there.
     return _contraction_scan(
         "phi_psi_contraction", problem, None,
-        None if skip_psi else (lambda t: eval_control(psi, t)),
+        lambda t: eval_control(psi, t),
         lambda m: eval_control(psi, m) - eval_control(phi, m),
-        plan, tol, plan_b, budget,
+        plan, tol, plan_b, budget, keep, psi.fn is Fraction,
     )
 
 

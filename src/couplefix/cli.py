@@ -133,7 +133,9 @@ def run_checks(problem, settings: CheckSettings) -> list[tuple[str, CheckReport]
         )
         reports.append(("range", range_report))
     contraction = check_phi_T_contraction if coincidence else check_phi_psi_contraction
-    reports.append(("contraction", contraction(problem, plan, tol, plan_b, settings.budget)))
+    # the output lists a check's worst MAX_JSON_VIOLATIONS violations only
+    reports.append(("contraction", contraction(problem, plan, tol, plan_b, settings.budget,
+                                               MAX_JSON_VIOLATIONS)))
     return reports
 
 

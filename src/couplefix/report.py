@@ -13,6 +13,10 @@ lhs, rhs and residual per violation in parallel columns, floats in
 contraction kernel's quadruple index) stores the keys in ``array('q')`` and
 builds each witness tuple only when its violation is read; the others store
 the witness tuples as their own keys.
+
+A reader that shows only the k worst violations can have the builder hold
+just those (``ReportBuilder(keep=k)``), with the exact count beside them
+(``CheckReport.seen``).
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import add, ge, gt, sub
+from operator import add, ge, gt, itemgetter, sub
 from typing import Any, Callable, NamedTuple, Optional
+
+from .errors import at_least_one
 
 #: Hard cap on recorded violations; the totals stay exact even when the
 #: list is truncated, and the worst offender is always retained (so even a
@@ -133,7 +140,9 @@ class ViolationLog(Sequence):
 @dataclass
 class CheckReport:
     """Outcome of one sampled hypothesis check.  A list of violations
-    passed in is kept as a ``ViolationLog`` of the same objects."""
+    passed in is kept as a ``ViolationLog`` of the same objects.  ``seen``
+    is the exact violation count of a report that lists only its k worst
+    (``ReportBuilder(keep=k)``), and None otherwise."""
 
     property_name: str
     samples_tested: int
@@ -141,6 +150,7 @@ class CheckReport:
     max_margin: float | None
     verdict: str
     details: dict[str, Any] = field(default_factory=dict)
+    seen: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.violations, ViolationLog):
@@ -153,6 +163,8 @@ class CheckReport:
     @property
     def violation_count(self) -> int:
         """Every violation seen, including those dropped from the list."""
+        if self.seen is not None:
+            return self.seen
         return len(self.violations) + int(self.details.get("violations_dropped", 0))
 
     def to_dict(self, keep: int | None = None) -> dict[str, Any]:
@@ -177,15 +189,21 @@ class ReportBuilder:
     Keeps the running minimum of ``rhs - lhs`` over every sample (violating
     or not), truncates the stored violation log at
     ``MAX_RECORDED_VIOLATIONS`` without losing the count, and guarantees the
-    worst violation survives truncation.  A checker that can find the worst
-    of a batch without listing it may hand over only a count once the log
-    is full (``count_violations``).  With ``witness``, violations are
+    worst violation survives truncation.  With ``witness``, violations are
     recorded under integer keys that it turns into witness tuples when they
     are read; without, each key is the witness tuple itself.
+
+    A checker that can tell which of a batch's violations exceed a residual
+    may hand over the others as a count (``counting_floor``).  With ``keep``
+    = k the builder holds only the k violations that ``to_dict(keep=k)`` of
+    the full log lists: the k largest residuals, ties in recorded order,
+    among the violations the log keeps, which are the first
+    ``MAX_RECORDED_VIOLATIONS`` with the worst in the last slot when it was
+    dropped.  Its residuals must not be NaN.
     """
 
     def __init__(self, property_name: str, tol: float,
-                 witness: Optional[Callable[[int], tuple]] = None):
+                 witness: Optional[Callable[[int], tuple]] = None, keep: int | None = None):
         self.property_name = property_name
         self.tol = tol
         self.samples = 0
@@ -195,6 +213,11 @@ class ReportBuilder:
         self._lhs, self._rhs, self._res = array("d"), array("d"), array("d")
         self._seen = 0  # violations recorded, kept or dropped
         self._worst: tuple | None = None  # (ordinal, key, lhs, rhs, residual)
+        self._keep = keep if keep is None else at_least_one("keep", keep)
+        # keep mode: (-residual, ordinal, key, lhs, rhs), largest first, and
+        # the one of them that stands in the log's last slot
+        self._held: list[tuple] = []
+        self._slot: tuple | None = None
 
     def observe(self, lhs: float, rhs: float, witness: tuple) -> bool:
         """Record one inequality evaluation, ``lhs <= rhs + tol`` with margin
@@ -231,48 +254,36 @@ class ReportBuilder:
         self.add_violations((witness,), (lhs,), (rhs,))
 
     def add_violations(self, keys: Sequence, lhs: Sequence[float],
-                       rhs: Sequence[float]) -> None:
-        """``add_violation`` for each (key, lhs, rhs) in order, in one call."""
-        self.samples += len(lhs)
-        self._record(keys, lhs, rhs)
+                       rhs: Sequence[float], unlisted: int = 0) -> None:
+        """``add_violation`` for each (key, lhs, rhs) in order, in one call,
+        and ``unlisted`` more violations among them that are only counted.
+        Those must have residuals of at most ``counting_floor()``, and must
+        not be needed in order: the batch must not reach the log's last
+        slot (``reaches_last_slot``)."""
+        self.samples += len(lhs) + unlisted
+        self._record(keys, lhs, rhs, unlisted)
 
-    @property
-    def seen(self) -> int:
-        """The violations recorded so far, kept or dropped: the ordinal of
-        the next one."""
-        return self._seen
-
-    def kept(self, start: int, stop: int) -> tuple[Sequence, Sequence[float],
-                                                   Sequence[float]] | None:
-        """The keys, lhs and rhs of the violations with ordinals ``start``
-        to ``stop - 1``, as slices of the log, or None unless the log kept
-        all of them.  The log drops only from its end, so a kept violation's
-        position is its ordinal."""
-        if stop > len(self._res):
-            return None
-        return self._keys[start:stop], self._lhs[start:stop], self._rhs[start:stop]
+    def reaches_last_slot(self, n: int) -> bool:
+        """Whether the next n violations include the one at ordinal
+        ``MAX_RECORDED_VIOLATIONS - 1``, which takes the log's last slot.
+        A batch that does is listed whole, so that each ordinal is known."""
+        return self._seen < max(MAX_RECORDED_VIOLATIONS, 1) <= self._seen + n
 
     def counting_floor(self) -> float | None:
-        """None while the log has room.  Once it is full, the worst
-        residual so far: a counted violation replaces the worst only if its
-        residual is larger (see ``count_violations``)."""
-        if len(self._res) < max(MAX_RECORDED_VIOLATIONS, 1):
-            return None
-        return self._worst[-1]
+        """The residual a violation must exceed to change the report, or
+        None while any violation can.  Ties keep recorded order, so a later
+        violation at the floor does not enter.
 
-    def count_violations(self, n: int, worst: tuple | None) -> None:
-        """``add_violations`` for n violations past a full log, without
-        their items.  ``worst`` is the (key, lhs, rhs) of the first of them
-        with the largest residual, which becomes the worst if that residual
-        is larger; it may be None when the residual does not exceed
-        ``counting_floor()``."""
-        if worst is not None:
-            key, lhs, rhs = worst
-            if lhs - rhs > self._worst[-1]:
-                self._widen((lhs, rhs))
-                self._worst = (self._seen, key, lhs, rhs, lhs - rhs)
-        self._seen += n
-        self.samples += n
+        With the full log, that is the worst residual once the log is full.
+        In keep mode it is the k-th largest residual held once k are, and
+        the worst once the log would be full: past its last slot only a new
+        worst, which takes that slot, changes the report."""
+        cap = max(MAX_RECORDED_VIOLATIONS, 1)
+        if self._keep is None:
+            return None if len(self._res) < cap else self._worst[-1]
+        if self._seen >= cap:
+            return -self._held[0][0]
+        return -self._held[-1][0] if len(self._held) == self._keep else None
 
     def _widen(self, values) -> None:
         if isinstance(self._res, array) and not set(map(type, values)) <= {float}:
@@ -285,39 +296,79 @@ class ReportBuilder:
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
 
-    def _record(self, keys: Sequence, lhs: Sequence[float], rhs: Sequence[float]) -> None:
+    def _record(self, keys: Sequence, lhs: Sequence[float], rhs: Sequence[float],
+                unlisted: int = 0) -> None:
         n = len(lhs)
-        if not n:
-            return
-        self._widen(chain(lhs, rhs))
-        res = list(map(sub, lhs, rhs))
-        seen = res if self._worst is None else [self._worst[-1], *res]
-        b = _first_largest(seen) - (len(seen) - n)
-        if b >= 0:
-            self._worst = (self._seen + b, keys[b], lhs[b], rhs[b], res[b])
-        self._seen += n
-        # one slot is always there, for the worst violation
-        room = max(MAX_RECORDED_VIOLATIONS, 1) - len(self._res)
-        for col, items in (self._keys, keys), (self._lhs, lhs), (self._rhs, rhs), (self._res, res):
-            items = items[:room] if room < n else items
-            # an array takes a list whole with fromlist, faster than extend
-            (col.fromlist if type(col) is array and type(items) is list else col.extend)(items)
+        if self._keep is not None:
+            self._hold(keys, lhs, rhs)
+        elif n:
+            self._widen(chain(lhs, rhs))
+            res = list(map(sub, lhs, rhs))
+            seen = res if self._worst is None else [self._worst[-1], *res]
+            b = _first_largest(seen) - (len(seen) - n)
+            if b >= 0:
+                # with unlisted violations, a lower bound on the ordinal,
+                # past the log's end all the same
+                self._worst = (self._seen + b, keys[b], lhs[b], rhs[b], res[b])
+            # one slot is always there, for the worst violation
+            room = max(MAX_RECORDED_VIOLATIONS, 1) - len(self._res)
+            for col, items in ((self._keys, keys), (self._lhs, lhs), (self._rhs, rhs),
+                               (self._res, res)):
+                items = items[:room] if room < n else items
+                # an array takes a list whole with fromlist, faster than extend
+                (col.fromlist if type(col) is array and type(items) is list else col.extend)(items)
+        self._seen += n + unlisted
+
+    def _hold(self, keys: Sequence, lhs: Sequence[float], rhs: Sequence[float]) -> None:
+        """Keep mode's ``_record``: a violation the log would keep enters
+        the k held if its residual beats the k-th, and one past the log's
+        end that beats the worst takes the last slot from the violation
+        there.  Ordinals are lower bounds when some of a batch are unlisted,
+        and keep the order all the same."""
+        cap, keep, held = max(MAX_RECORDED_VIOLATIONS, 1), self._keep, self._held
+        res, floor = list(map(sub, lhs, rhs)), self.counting_floor()
+        above = repeat(True) if floor is None else map(gt, res, repeat(floor))
+        for m in compress(range(len(res)), above):
+            r, at = res[m], self._seen + m
+            item = (-r, at, keys[m], lhs[m], rhs[m])
+            if at < cap:
+                if len(held) == keep and not r > -held[-1][0]:
+                    continue
+                insort(held, item)
+                del held[keep:]
+                if at == cap - 1:
+                    self._slot = item
+            elif r > -held[0][0]:
+                if self._slot in held:
+                    held.remove(self._slot)
+                elif len(held) == keep:
+                    held.pop()
+                held.insert(0, item)
+                self._slot = item
 
     def build(self, details: dict[str, Any] | None = None) -> CheckReport:
         details = dict(details or {})
-        dropped = self._seen - len(self._res)
+        if self._keep is None:
+            violations = ViolationLog(self._keys, self._lhs, self._rhs, self._res, self._witness)
+            dropped = self._seen - len(self._res)
+            if self._worst is not None:
+                # The worst is the first violation, or the first with the
+                # largest non-NaN residual, so no violation recorded before
+                # it equals it: it is in the log exactly when it was kept.
+                at, key, lhs, rhs, res = self._worst
+                if at >= len(self._res):
+                    self._keys[-1], self._lhs[-1] = key, lhs
+                    self._rhs[-1], self._res[-1] = rhs, res
+                # kept in place, or moved to the last slot above
+                violations._worst = min(at, len(self._res) - 1)
+        else:
+            held = sorted(self._held, key=itemgetter(1))  # recorded order
+            keys, lhs, rhs = ([h[k] for h in held] for k in (2, 3, 4))
+            violations = ViolationLog(keys, lhs, rhs, list(map(sub, lhs, rhs)), self._witness)
+            violations._worst = held.index(self._held[0]) if held else None
+            dropped = max(self._seen - max(MAX_RECORDED_VIOLATIONS, 1), 0)
         if dropped:
             details["violations_dropped"] = dropped
-            # The worst is the first violation, or the first with the
-            # largest non-NaN residual, so no violation recorded before it
-            # equals it: it is in the log exactly when it was kept.
-            at, key, lhs, rhs, res = self._worst
-            if at >= len(self._res):
-                self._keys[-1], self._lhs[-1], self._rhs[-1], self._res[-1] = key, lhs, rhs, res
-        violations = ViolationLog(self._keys, self._lhs, self._rhs, self._res, self._witness)
-        if self._worst is not None:
-            # kept in place, or moved to the last slot above
-            violations._worst = min(self._worst[0], len(self._res) - 1)
         return CheckReport(
             property_name=self.property_name,
             samples_tested=self.samples,
@@ -325,4 +376,5 @@ class ReportBuilder:
             max_margin=self.min_margin,
             verdict="fail" if violations else "pass",
             details=details,
+            seen=None if self._keep is None else self._seen,
         )

@@ -10,6 +10,7 @@ exception type.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -34,7 +35,7 @@ from couplefix.checks import (
     check_range_compatibility,
     check_scc_map,
 )
-from couplefix.cli import main
+from couplefix.cli import MAX_JSON_VIOLATIONS, main, run_checks
 from couplefix.documents import build_problem, builtin_registry, parse_problem, registry_names
 from couplefix.errors import DomainError
 from couplefix.expr import parse_expression
@@ -602,47 +603,58 @@ def level_set_spy():
     """Count what the contraction kernel does with its planes: how often
     the level-set path is built, how many planes it evaluates, how many
     the comprehension evaluates, how many a symmetric scan mirrors from an
-    earlier plane and how many of those it sweeps again instead (the log
-    was full, or did not keep the earlier plane's violations).  Also how
-    many planes report a violation, on how many of those the level-set
-    path only counts them, once the log is full, and how many violations
-    each other plane lists, in scan order.  Each listed plane's violation
-    keys must strictly increase: scan order, no cell recorded twice."""
+    earlier plane and how many of those it sweeps instead (the mirror
+    reaches the log's last slot and its source left violations unlisted),
+    and how many planes it sweeps a second time to list them whole (they
+    reach the last slot).  Also how many planes report a violation, on how
+    many of those some are only counted, and for each plane in scan order
+    how many violations it lists and how many it holds in all.  Each
+    plane's listed keys must strictly increase: scan order, no cell
+    recorded twice."""
     calls = {"built": 0, "planes": 0, "comprehended": 0, "mirrored": 0, "reswept": 0,
-             "violating": 0, "counted": 0, "listed": []}
+             "relisted": 0, "violating": 0, "counted": 0, "listed": [], "held": []}
+    last = []  # the plane the level-set path evaluated last
     real, real_comprehension, real_mirrored = (levelset.plane_evaluator,
                                                checks._plane_comprehension, checks._mirrored)
 
-    def listed(result):  # (margin, keys, lhs, rhs)
-        keys = list(result[1])
-        assert keys == sorted(set(keys))
-        calls["violating"] += bool(keys)
+    def listed(result):  # (margin, unlisted, keys, lhs, rhs)
+        unlisted, keys = result[1], list(result[2])
+        assert keys == sorted(set(keys)) and unlisted >= 0
+        assert len(result[3]) == len(result[4]) == len(keys)
+        calls["violating"] += bool(keys or unlisted)
+        calls["counted"] += bool(unlisted)
         calls["listed"].append(len(keys))
+        calls["held"].append(unlisted + len(keys))
         return result
 
     def spy(*args):
         calls["built"] += 1
         plane = real(*args)
+        last.clear()
 
         def counted(i, j, fab, floor=None):
             calls["planes"] += 1
+            if last == [i, j]:  # swept again to be listed whole: undo the count
+                assert floor is None
+                calls["relisted"] += 1
+                calls["violating"] -= 1
+                calls["counted"] -= 1
+                del calls["listed"][-1], calls["held"][-1]
+            last[:] = i, j
             result = plane(i, j, fab, floor)
-            if floor is None:
-                return listed(result)
-            # (margin, count, worst or None)
-            assert result[1] >= 0 and (result[2] is None or result[1] > 0)
-            calls["violating"] += bool(result[1])
-            calls["counted"] += bool(result[1])
-            return result
+            assert floor is not None or not result[1]
+            return listed(result)
 
         return counted
 
     def comprehension(*args):
         plane = real_comprehension(*args)
 
-        def counted(i, j, fab):
+        def counted(i, j, fab, floor=None):
             calls["comprehended"] += 1
-            return listed(plane(i, j, fab))
+            result = plane(i, j, fab, floor)
+            assert not result[1]
+            return listed(result)
 
         return counted
 
@@ -679,10 +691,11 @@ def _assert_plane_counts(calls, problem, plan, plan_b) -> None:
     """Every plane is evaluated once or mirrored.  A mirrored scan of n
     points per axis evaluates the n(n + 1)/2 planes (i, j) with j >= i and
     mirrors the other n(n - 1)/2, less those it sweeps again; any other
-    scan evaluates all n_a * n_b planes."""
+    scan evaluates all n_a * n_b planes.  A plane swept again to be listed
+    whole is evaluated twice."""
     na = len(sample_values(problem.subset_a, plan))
     nb = len(sample_values(problem.subset_b, plan_b or plan))
-    evaluated = calls["planes"] + calls["comprehended"]
+    evaluated = calls["planes"] + calls["comprehended"] - calls["relisted"]
     if _mirrors(problem, plan, plan_b):
         assert calls["mirrored"] + calls["reswept"] == na * (na - 1) // 2
         assert evaluated == na * (na + 1) // 2 + calls["reswept"]
@@ -870,6 +883,13 @@ FALLBACKS = {
         MetricSpace.real_line(-1.0, 3.0), UNIT, UNIT, MID, HALF,
         with_declared_class(make_power(2), ControlClass.ALTERING),
     ),
+    # an identity psi on a table of ints, whose distances are ints: psi
+    # makes each lhs a float, as the naive loop's, so it is not skipped
+    "int_cells_psi": lambda: _strong_problem(
+        MetricSpace.real_line(-1.0, 3.0), UNIT, UNIT,
+        CouplingMap(lambda x, y: int(x + y >= 1) if x < y else float(x + y >= 1)),
+        HALF, identity_control(),
+    ),
     # symmetric but for a NaN on the diagonal, which equals nothing: no mirror
     "nan_cell": lambda: _coincidence_problem(
         CouplingMap(lambda x, y: math.nan if x == y == 0.5 else (x + y) / 2),
@@ -1021,12 +1041,16 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
         assert main(argv) == 1
     capsys.readouterr()
     assert calls["built"] == 1
-    # as for banach-linear: 406 planes swept and 378 mirrored, the failing
-    # ones read back from the log, which holds all 43,132 violations
+    # as for banach-linear: 406 planes swept and 378 mirrored, each mirror
+    # from what its source listed.  The check lists only what the output
+    # reads, so once the first plane has listed its 153 violations every
+    # other failing plane is counted, and they list 58 more in all.
     assert calls["planes"] == 28 * 29 // 2
     assert calls["mirrored"] == 28 * 27 // 2
-    assert calls["reswept"] == calls["comprehended"] == 0
-    assert calls["violating"] > 0
+    assert calls["reswept"] == calls["relisted"] == calls["comprehended"] == 0
+    assert (calls["violating"], calls["counted"]) == (782, 781)
+    assert sum(calls["held"]) == 42964
+    assert calls["listed"][0] == 153 and sum(calls["listed"]) == 211
 
 
 @pytest.mark.parametrize("cap", [3, 7, 100])
@@ -1043,14 +1067,14 @@ def test_failing_level_set_planes_past_the_cap_are_counted(name, cap):
     with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         _same_outcome(fast, naive)
-    listed = calls["listed"]
-    before = [sum(listed[:k]) for k in range(len(listed))]
-    assert any(b < max(cap, 1) < b + n for b, n in zip(before, listed))
+    held, listed = calls["held"], calls["listed"]
+    before = [sum(held[:k]) for k in range(len(held))]
+    assert any(b < max(cap, 1) < b + n == b + m for b, n, m in zip(before, held, listed))
     assert calls["counted"] > 0
-    # both maps are symmetric: failing mirrored planes past the cap are
-    # swept again, to be counted
+    # both maps are symmetric: a failing mirror past the cap takes its
+    # source's count and listed violations, and is not swept
     _assert_plane_counts(calls, build_problem(doc), SamplePlan(9), None)
-    assert calls["reswept"] > 0
+    assert calls["reswept"] == calls["relisted"] == 0
 
 
 def _document_problem(name):
@@ -1090,8 +1114,8 @@ NOT_MIRRORED = {
         SubsetSpec.from_values([-0.0, 0.5, 1.0]), MID, HALF, identity_control(),
     ),
     # F(x, y) == F(y, x), but an int on one side and a float on the other,
-    # so a lhs of 0 would be recorded as 0.0 on the mirrored side (phi-T:
-    # the naive loop's identity psi would make every lhs a float)
+    # so a lhs of 0 would be recorded as 0.0 on the mirrored side (phi-T;
+    # FALLBACKS["int_cells_psi"] is the phi-psi case)
     "int_cells": lambda: _coincidence_problem(
         CouplingMap(lambda x, y: int(x + y >= 1) if x < y else float(x + y >= 1)),
     ),
@@ -1143,34 +1167,156 @@ MIRRORED_CAP_PROBLEMS = {
 }
 
 
+def _cap_inside(problem, plan, inside: str) -> int:
+    """A recording cap strictly inside the violations of the first plane
+    (i, j) that holds two or more, with j > i for a ``source`` plane and
+    j < i for a ``mirrored`` one."""
+    at = {v: k for k, v in enumerate(sample_values(problem.subset_a, plan))}
+    # the violating planes (i, j) of the uncapped log, in scan order
+    planes = Counter((at[v.witness[1]], at[v.witness[2]])
+                     for v in _contraction_checks(problem, plan, 1e-9, None)[1]().violations)
+    before = 0
+    for (i, j), n in planes.items():
+        if n >= 2 and (j > i if inside == "source" else j < i):
+            return before + 1
+        before += n
+    raise AssertionError("no such plane")
+
+
 @pytest.mark.parametrize("inside", ["source", "mirrored"])
 @pytest.mark.parametrize("name", sorted(MIRRORED_CAP_PROBLEMS))
 def test_a_cap_inside_a_source_or_a_mirrored_plane_matches_naive_loop(name, inside):
     """A recording cap that falls strictly inside the violations of a plane
-    (i, j) with j > i, whose mirror (j, i) can then not be read back, or
-    inside those of a mirrored plane, which is read back and cut by the
-    log: the report equals the naive loop's, on both level-set kinds of
-    line and on the comprehension (a power psi)."""
+    (i, j) with j > i, whose mirror (j, i) the log then cannot hold, or
+    inside those of a mirrored plane: the report equals the naive loop's,
+    on both level-set kinds of line and on the comprehension (a power
+    psi).  A mirror takes what its source listed, kept by the log or not,
+    so no mirror is swept."""
     problem = MIRRORED_CAP_PROBLEMS[name]()
     plan = SamplePlan(7)
     fast, naive = _contraction_checks(problem, plan, 1e-9, None)
-    at = {v: k for k, v in enumerate(sample_values(problem.subset_a, plan))}
-    # the violating planes (i, j) of the uncapped log, in scan order
-    planes = Counter((at[v.witness[1]], at[v.witness[2]]) for v in naive().violations)
-    before = 0
-    for (i, j), n in planes.items():
-        if n >= 2 and (j > i if inside == "source" else j < i):
-            break
-        before += n
-    else:
-        raise AssertionError("no such plane")
     with level_set_spy() as calls, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", before + 1)
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", _cap_inside(problem, plan, inside))
         _same_outcome(fast, naive)
     _assert_plane_counts(calls, problem, plan, None)
-    # the mirror of the cut source is swept again; a cut mirror was read back
-    assert calls["reswept"] > 0
-    assert calls["mirrored"] > 0 or inside == "source"
+    assert calls["reswept"] == calls["relisted"] == 0
+
+
+# (name, inside, keep) -> (reswept, relisted).  A plane is swept again
+# only if a floor was set before it, that is once ``keep`` violations are
+# held: tent-strong has two before its first cut plane.
+KEPT_CAP_SWEEPS = {
+    ("negative-midpoint", "source", 1): (0, 1),
+    ("negative-midpoint", "source", 5): (0, 1),
+    ("negative-midpoint", "mirrored", 1): (1, 1),
+    ("negative-midpoint", "mirrored", 5): (1, 1),
+    ("tent-strong.yaml", "source", 1): (0, 1),
+    ("tent-strong.yaml", "source", 5): (0, 0),
+    ("tent-strong.yaml", "mirrored", 1): (1, 1),
+    ("tent-strong.yaml", "mirrored", 5): (1, 1),
+    # the comprehension keeps the full log
+    **{("power_psi", inside, keep): (0, 0) for inside in ("source", "mirrored")
+       for keep in (1, 5)},
+}
+
+
+@pytest.mark.parametrize("keep", [1, 5])
+@pytest.mark.parametrize("inside", ["source", "mirrored"])
+@pytest.mark.parametrize("name", sorted(MIRRORED_CAP_PROBLEMS))
+def test_a_cap_inside_a_plane_lists_the_full_logs_worst(name, inside, keep):
+    """The same caps for a check that lists only its ``keep`` worst: a
+    plane that reaches the log's last slot with some of its violations
+    counted is swept again and listed whole, and a mirror that does so is
+    swept instead of taken from its source."""
+    problem = MIRRORED_CAP_PROBLEMS[name]()
+    plan = SamplePlan(7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", _cap_inside(problem, plan, inside))
+        full, kept, calls = _full_and_kept(problem, plan, 1e-9, None, keep)
+    _assert_lists_the_worst(full, kept, keep, level=name != "power_psi")
+    assert (calls["reswept"], calls["relisted"]) == KEPT_CAP_SWEEPS[name, inside, keep]
+
+
+def _full_and_kept(problem, plan, tol, plan_b, keep) -> tuple:
+    """The contraction check of ``problem`` with the full log, then, under a
+    ``level_set_spy``, with ``keep``, and the spy's counts of the second.
+    A check that raises gives the exception's type."""
+    check = check_phi_T_contraction if problem.kind == "coincidence" else check_phi_psi_contraction
+
+    def outcome(**kw):
+        try:
+            return check(problem, plan, tol, plan_b, **kw)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc)
+
+    full = outcome()
+    with level_set_spy() as calls:
+        kept = outcome(keep=keep)
+    return full, kept, calls
+
+
+def _assert_lists_the_worst(full, kept, keep, level=True) -> None:
+    """A check with ``keep`` reports what a reader of ``keep`` violations
+    reads of the full log: ``to_dict(keep)`` with the exact count, details,
+    margin and samples, and the worst; or both raise the same exception
+    type.  It holds at most ``keep`` violations on the level-set path, and
+    off it (not ``level``) the full log."""
+    if isinstance(full, type):
+        assert kept is full
+        return
+    if not level:
+        assert repr(kept) == repr(full) and kept.seen is None
+    assert len(kept.violations) <= keep or not level
+    assert repr(kept.to_dict(keep=keep)) == repr(full.to_dict(keep=keep))
+    assert (kept.violation_count, repr(kept.max_margin), kept.samples_tested) == (
+        full.violation_count, repr(full.max_margin), full.samples_tested)
+    assert repr(kept.details) == repr(full.details)
+    assert repr(kept.violations.largest(1)) == repr(full.violations.largest(1))
+
+
+@given(
+    problem=FAILING_PROBLEMS,
+    plan=PLANS_A,
+    plan_b=st.one_of(st.none(), PLANS_B),
+    tol=TOLS,
+    cap=st.sampled_from([0, 1, 3, 7, 100_000]),
+    keep=st.sampled_from([1, 2, 5]),
+)
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(21),
+         plan_b=None, tol=1e-9, cap=7, keep=5)
+@example(problem=_failing_problem(True, "tent", "clip", Fraction(1, 10), UNIT, UNIT),
+         plan=SamplePlan(5), plan_b=None, tol=1e-9, cap=3, keep=2)
+# caps inside plane (0, 1) and inside its mirror (1, 0), as above
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(7),
+         plan_b=None, tol=1e-9, cap=10, keep=1)
+@example(problem=build_problem(builtin_registry("negative-midpoint")), plan=SamplePlan(7),
+         plan_b=None, tol=1e-9, cap=27, keep=2)
+# kept profiles of a two-valued T, swept again when they fail
+@example(problem=_failing_problem(False, "steep", "two_valued", Fraction(1, 4), UNIT,
+                                  SubsetSpec.from_intervals([Interval(0.0, 2.0)])),
+         plan=SamplePlan(7), plan_b=SamplePlan(6), tol=1e-9, cap=1, keep=5)
+@settings(max_examples=150, deadline=None)
+def test_keep_mode_lists_the_full_logs_worst(problem, plan, plan_b, tol, cap, keep):
+    """Every level-set problem of the failing differentials, with a check
+    that lists only its ``keep`` worst violations, under small caps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        full, kept, calls = _full_and_kept(problem, plan, tol, plan_b, keep)
+    _assert_lists_the_worst(full, kept, keep)
+    assert calls["comprehended"] == 0
+    _assert_plane_counts(calls, problem, plan, plan_b)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 7, 100_000])
+@pytest.mark.parametrize("name", [*registry_names(), "tent-strong.yaml"])
+def test_documents_list_the_full_logs_worst(name, cap):
+    """Each builtin and tests/tent-strong.yaml at grid 21 (stride 1) and
+    grid 81 (stride 3, with jitter), listing its worst 1, 2 or 5."""
+    problem = _document_problem(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        for plan, keep in ((SamplePlan(21), 1), (SamplePlan(21), 2), (SamplePlan(81, 2, 5), 5)):
+            _assert_lists_the_worst(*_full_and_kept(problem, plan, 1e-9, None, keep)[:2], keep)
 
 
 @pytest.mark.parametrize("name, built", [
@@ -1214,6 +1360,24 @@ def test_failing_contraction_report_stays_compact():
         tracemalloc.stop()
     assert got.violation_count == len(got.violations) == 43132
     assert held < 2_000_000
+
+
+def test_command_line_contraction_report_holds_five_violations():
+    """The command line reads five violations of a check, and its
+    contraction check holds no more."""
+    problem = build_problem(builtin_registry("negative-midpoint"))
+    settings = dataclasses.replace(builtin_registry("negative-midpoint").check,
+                                   plan=SamplePlan(81, 2, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = dict(run_checks(problem, settings))["contraction"]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert got.violation_count == 43132
+    assert len(got.violations) == MAX_JSON_VIOLATIONS == 5
+    assert held < 50_000
 
 
 # ---------------------------------------------------------------------------

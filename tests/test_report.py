@@ -176,29 +176,63 @@ def test_largest_matches_nlargest_on_the_residual_column(pool, picks, keep, colu
 @example(batches=[[(2.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)]], cap=1)  # a tie with the worst
 @settings(max_examples=200, deadline=None)
 def test_counting_past_a_full_log_matches_recording(batches, cap):
-    """Batches recorded while the log has room and then only counted, each
-    with its first largest residual (or, for even batches, only if that
-    exceeds the floor), build the report that recording every batch builds
+    """Batches recorded while the log has room and then handed over as a
+    count, with only the violations above the floor listed (every one, for
+    even batches), build the report that recording every batch builds
     (residuals without a NaN, as the contraction kernel's are)."""
 
     def built(counting: bool) -> CheckReport:
         rb = ReportBuilder("count", 0.0)
         for b, batch in enumerate(batches):
-            keys = [("w", b, k) for k in range(len(batch))]
-            lhs, rhs = [l for l, _ in batch], [r for _, r in batch]
-            floor = rb.counting_floor() if counting else None
-            if floor is None:
-                rb.add_violations(keys, lhs, rhs)
-                continue
-            res = [l - r for l, r in batch]
-            worst = None
-            if res and (b % 2 or max(res) > floor):  # may be left out below the floor
-                k = max(range(len(res)), key=res.__getitem__)
-                worst = (keys[k], lhs[k], rhs[k])
-            rb.count_violations(len(batch), worst)
+            _feed(rb, b, batch, rb.counting_floor() if counting and b % 2 else None)
         return rb.build()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         want, got = built(False), built(True)
     assert repr(got) == repr(want)
+
+
+def _feed(rb: ReportBuilder, b: int, batch: list, floor) -> None:
+    """Batch ``b`` of (lhs, rhs) violations, witnesses ("w", b, k), listed
+    whole when ``floor`` is None, else only those above it."""
+    res = [lhs - rhs for lhs, rhs in batch]
+    listed = [k for k, r in enumerate(res) if floor is None or r > floor]
+    rb.add_violations([("w", b, k) for k in listed], [batch[k][0] for k in listed],
+                      [batch[k][1] for k in listed], len(batch) - len(listed))
+
+
+@given(batches=st.lists(st.lists(st.tuples(st.sampled_from(ODD_VALUES[:-2] + [3]),
+                                           st.sampled_from([0.0, 0.5, 1])), max_size=6),
+                        max_size=8),
+       cap=st.sampled_from([0, 1, 3, 7, 100]),
+       keep=st.sampled_from([1, 2, 5]),
+       counting=st.booleans())
+# the worst past the cap takes the last slot, which held a listed violation
+@example(batches=[[(1.0, 0.0), (2.0, 0.0)], [(0.5, 0.0)], [(3, 0.0), (3.0, 0.5)]], cap=3,
+         keep=2, counting=True)
+# ties at the k-th residual keep recorded order, and at the worst past the cap
+@example(batches=[[(1.0, 0.0)] * 3, [(2.0, 1.0), (2.0, 0.0)], [(2.0, 0.0)]], cap=3, keep=2,
+         counting=True)
+@settings(max_examples=300, deadline=None)
+def test_keep_mode_lists_what_the_full_log_lists(batches, cap, keep, counting):
+    """A builder that holds only ``keep`` violations, fed as a checker
+    feeds it (above ``counting_floor()`` listed, the rest counted, unless
+    the batch reaches the log's last slot), reports what a reader of
+    ``keep`` violations reads of the full log: ``to_dict(keep=keep)``, with
+    its exact count, and the worst."""
+
+    def built(held) -> CheckReport:
+        rb = ReportBuilder("keep", 0.0, keep=held)
+        for b, batch in enumerate(batches):
+            floor = rb.counting_floor() if counting else None
+            _feed(rb, b, batch, None if rb.reaches_last_slot(len(batch)) else floor)
+        return rb.build()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        full, kept = built(None), built(keep)
+    assert len(kept.violations) <= keep
+    assert repr(kept.to_dict(keep=keep)) == repr(full.to_dict(keep=keep))
+    assert kept.violation_count == full.violation_count == sum(map(len, batches))
+    assert repr(kept.violations.largest(1)) == repr(full.violations.largest(1))
