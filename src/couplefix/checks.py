@@ -83,16 +83,17 @@ the report lists what recording every violation lists.
 Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
 computed; a map built with the bare constructor yields its values as they
-are, a NaN or an int included.  F, like T, is treated as a pure
-function and evaluated once per sampled pair, and the first pair that
-fails in a check's own order raises, with nothing evaluated again.  The
-coupling check builds one interleaved row per x, F(x, y) then F(y, x) for
-each y, and tests membership a row at a time (``metric.contains_values``);
-the range check builds interleaved blocks of rows of y, F(y, x) then
-F(x, y), bisects the sorted image index of each side once per block
-(``SelfMap.image_index``, which the grid preimage search reads too) and
-records a block with one ``ReportBuilder.observe_all``, which equals one
-``observe`` per sample; the contraction check reads ``CouplingMap.tables``.
+are, a NaN or an int included.  F, like T, is treated as a pure function,
+evaluated once per distinct sampled pair, and the first pair that fails in
+a check's own order raises, with nothing evaluated again.  The coupling
+check reads its rows over (A, B), and the range check its blocks of rows
+over (targets, A), from ``CouplingMap.pair_rows``, which on one sample
+calls F n**2 times instead of 2 n**2.  The coupling check tests membership
+a row at a time (``metric.outside_indices``); the range check bisects the
+sorted image index of each side once per block (``SelfMap.image_index``,
+which the grid preimage search reads too) and records a block with one
+``ReportBuilder.observe_all``, which equals one ``observe`` per sample;
+the contraction check reads ``CouplingMap.tables``.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, count, repeat
-from operator import add, eq, gt, not_, sub
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, gt, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
@@ -113,8 +114,9 @@ from .metric import (
     SubsetSpec,
     Value,
     _usual_real,
-    contains_values,
     member_test,
+    outside_indices,
+    same_sample,
     sample_values,
     separation,
 )
@@ -149,17 +151,15 @@ def check_coupling(
 
     One sample per (x, y) pair; a pair can contribute up to two membership
     violations, each carrying the offending arguments and the image value.
+    F(x, y) and F(y, x) come from ``f.pair_rows(A's sample, B's sample)``.
     """
     xs = sample_values(a, plan)
     ys = sample_values(b, plan_b or plan)
-    g = f.fn
     rb = ReportBuilder("coupling", 0.0)
-    for x in xs:
+    for x, row in zip(xs, f.pair_rows(xs, ys)):
         # scan order: F(x, y_j) in B at 2j, F(y_j, x) in A at 2j + 1
-        row = [w for y in ys for w in (g(x, y), g(y, x))]
-        inside = chain.from_iterable(zip(contains_values(b, row[::2]),
-                                         contains_values(a, row[1::2])))
-        out = list(compress(count(), map(not_, inside)))
+        out = sorted([2 * j for j in outside_indices(b, row[::2])]
+                     + [2 * j + 1 for j in outside_indices(a, row[1::2])])
         rb.add_violations(
             [("image_in_A", ys[k // 2], x, row[k]) if k % 2
              else ("image_in_B", x, ys[k // 2], row[k]) for k in out],
@@ -228,7 +228,7 @@ def check_scc_map(
     examined = 0
     for name, subset, pl in (("A", a, plan), ("B", b, plan_b or plan)):
         values, images = t.image_table(subset, pl)
-        outside = [k for k, inside in enumerate(contains_values(subset, images)) if not inside]
+        outside = outside_indices(subset, images)
         rb.add_violations([(f"invariance_{name}", values[k], images[k]) for k in outside],
                           [1.0] * len(outside), [0.0] * len(outside))
         examined += len(values)
@@ -283,8 +283,7 @@ def _contraction_scan(
     yv = sample_values(problem.subset_b, b_plan)
     total = len(xv) * len(yv) * len(yv) * len(xv)
     stride = _quadruple_stride(len(xv), len(yv), budget)
-    # one sample on both axes, bit for bit: == alone takes 0.0 for -0.0
-    one = xv == yv and list(map(repr, xv)) == list(map(repr, yv))
+    one = same_sample(xv, yv)  # one sample on both axes
     xv = xv[::stride]
     yv = xv if one else yv[::stride]
     na, nb = len(xv), len(yv)
@@ -506,7 +505,8 @@ def check_range_compatibility(
     some sampled b in B.  When a target itself belongs to the subset it is
     admitted as its own candidate, so the identity map passes whenever f is
     a genuine coupling.  ``targets_b`` restricts where the y argument is
-    drawn from without shrinking the candidate pools.
+    drawn from without shrinking the candidate pools.  The targets come
+    from ``f.pair_rows(targets, A's sample)``, ``RANGE_BLOCK_TARGETS`` at a time.
     """
     b_plan = plan_b or plan
     xv = t.image_table(a, plan)[0]
@@ -542,24 +542,23 @@ def check_range_compatibility(
             return min(best, separation(t.fn(tv), tv))
         return best
 
-    g, n = f.fn, len(xv)
+    n = len(xv)
     rows = max(1, RANGE_BLOCK_TARGETS // (2 * n))
     rb = ReportBuilder("range_compatibility", tol)
+    targets: list[Value] = []  # the block's, in scan order, kept by extend when F fails
+
+    def met(row: list[Value]) -> None:
+        # in scan order T refines a target before the next F pair is met:
+        # a failing T met before the failing pair, in this block, raises instead
+        for k, tv in enumerate(chain(targets, row)):
+            refine(k % 2, tv, search(k % 2, [tv])[0])
+
+    pairs = f.pair_rows(tgt, xv, met)
     for start in range(0, len(tgt), rows):
         block = tgt[start:start + rows]
         # for the r-th y of the block, F(y, x_i) is target 2 * (r * n + i), F(x_i, y) the next
-        ys = list(chain.from_iterable(map(repeat, block, repeat(n))))
-        xs = xv * len(block)
-        targets: list[Value] = []
-        try:
-            targets.extend(map(g, chain.from_iterable(zip(ys, xs)),
-                               chain.from_iterable(zip(xs, ys))))
-        except Exception:
-            # in scan order T refines a target before the next F pair is met:
-            # a failing T met before the failing pair raises instead
-            for k, tv in enumerate(targets):
-                refine(k % 2, tv, search(k % 2, [tv])[0])
-            raise
+        targets.clear()
+        targets.extend(chain.from_iterable(islice(pairs, len(block))))
         bests = list(chain.from_iterable(zip(search(0, targets[::2]), search(1, targets[1::2]))))
         for k in list(compress(count(), map(gt, bests, repeat(tol)))):
             bests[k] = refine(k % 2, targets[k], bests[k])

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, gt, sub
+from operator import add, gt, not_, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -207,6 +207,20 @@ def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
     return list(map(member_test(subset), values))
 
 
+def outside_indices(subset: SubsetSpec, values: Sequence[Value]) -> list[int]:
+    """The indices of ``values`` outside ``subset``, ascending.  A row with no
+    NaN (its ``sum`` is not NaN) and no label (``sum``, ``min`` and ``max``
+    raise no TypeError) is inside one interval whole when its extremes are."""
+    if len(subset.intervals) == 1 and values:
+        try:  # OverflowError: an int beyond the float range
+            total, low, high = sum(values), min(values), max(values)
+            if total == total and all(map(subset.intervals[0].contains_value, (low, high))):
+                return []
+        except (TypeError, OverflowError):
+            pass
+    return list(compress(count(), map(not_, contains_values(subset, values))))
+
+
 def _carrier_subset(space: MetricSpace) -> SubsetSpec:
     """The whole carrier as a subset: its labels, or its interval."""
     c = space.carrier
@@ -333,6 +347,11 @@ def sample_values(subset: SubsetSpec, plan: SamplePlan) -> list[Value]:
         values.extend(_interval_grid(iv, plan.grid_count))
         values.extend(_interval_jitter(iv, plan.jitter_count, rng))
     return values
+
+
+def same_sample(xs: Sequence[Value], ys: Sequence[Value]) -> bool:
+    """Whether two samples are one bit for bit: == alone takes 0.0 for -0.0."""
+    return list(xs) == list(ys) and list(map(repr, xs)) == list(map(repr, ys))
 
 
 def _finite_floats(vals: Sequence[Value]) -> bool:

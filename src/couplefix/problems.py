@@ -13,8 +13,10 @@ declared class the problem shape calls for.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from itertools import chain
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
@@ -26,6 +28,7 @@ from .metric import (
     SubsetSpec,
     Value,
     member_test,
+    same_sample,
     sample_values,
     subset_within_carrier,
 )
@@ -95,6 +98,40 @@ class CouplingMap:
         g = self.fn
         f_ab = [[g(x, y) for y in yv] for x in xv]
         return f_ab, f_ab if yv is xv else [[g(y, x) for x in xv] for y in yv]
+
+    def pair_rows(
+        self, first: Sequence[Value], second: Sequence[Value],
+        met: Optional[Callable[[list[Value]], None]] = None,
+    ) -> Iterator[list[Value]]:
+        """For each f of ``first``, its row F(f, s_0), F(s_0, f), F(f, s_1),
+        ... over ``second``, F called through ``fn`` in that order.  On one
+        sample (``same_sample``) F is called once per distinct ordered pair,
+        where the scan first meets it, and a row reads earlier rows' values
+        back, each kept until then only, in ``array('d')`` while all are
+        floats.  The first failing pair raises, after ``met`` (if given)
+        gets the row's values before it, values read back included."""
+        g, one = self.fn, int(same_sample(first, second))
+        back = [array("d") for _ in second] if one else []  # row i's values from rows j < i
+        push = array.append
+        for i, f in enumerate(first):
+            later = second[i + 1:] if one else second  # on one sample (f, f), then the s after f
+            xs, ys = [f] * (2 * len(later) + one), [f] * (2 * len(later) + one)  # F's arguments
+            xs[1 + one::2] = ys[one::2] = later
+            got, new = back[i] if one else (), []
+            try:
+                new.extend(map(g, xs, ys))
+            except Exception:
+                if met is not None:
+                    met([*got, *new[:one], *new])
+                raise
+            if one:
+                if push is array.append and set(map(type, new)) != {float}:
+                    push = list.append  # array('d') makes an int a float
+                    back[i + 1:] = map(list, back[i + 1:])
+                any(map(push, back[i + 1:], new[2::2]))  # row j > i reads F(s_j, f),
+                any(map(push, back[i + 1:], new[1::2]))  # then F(f, s_j)
+                back[i] = None
+            yield [*got, *new[:one], *new]  # F(f, f) stands at both its places
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":

@@ -11,11 +11,14 @@ scan evaluates F or T again after an error.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from couplefix import solve
+from couplefix import build_problem, builtin_registry, checks, solve
 from couplefix.checks import (
     check_coupling,
     check_phi_T_contraction,
@@ -30,9 +33,12 @@ from couplefix.metric import (
     Point,
     SamplePlan,
     SubsetSpec,
+    member_test,
     sample_values,
+    separation,
 )
 from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
+from couplefix.report import ReportBuilder
 
 HUGE = "1" + "0" * 400  # beyond the float range
 SPACE = MetricSpace.real_line(-10.0, 10.0)
@@ -195,6 +201,85 @@ def test_no_scan_calls_f_again_after_a_failing_pair(scan, k, bare):
     assert str(got.value) == f"F{calls[-1]}"
 
 
+# one sample: A against itself, where F(y, x) over the sample is F(x, y)
+# transposed, and the coupling and range scans call F once per distinct
+# ordered pair of A's 5 x 5
+ONE_SAMPLE_SCANS = {
+    "coupling": lambda fm: check_coupling(fm, A, A, PLAN),
+    # the targets are B's sample, A's here
+    "range": lambda fm: check_range_compatibility(fm, SelfMap.identity(), A, A, PLAN),
+}
+ONE_SAMPLE_PAIRS = 5 * 5
+
+
+def _interleaved_scan(first, second):
+    """The argument pairs of a plain interleaved scan, which calls F(f, s)
+    then F(s, f) for each f of ``first`` and s of ``second``, repeats
+    included."""
+    return [p for f in first for s in second for p in ((f, s), (s, f))]
+
+
+def _distinct(pairs):
+    return list(dict.fromkeys(pairs))
+
+
+def test_one_sample_scans_call_f_once_per_distinct_ordered_pair():
+    xs = sample_values(A, PLAN)
+    scan = _interleaved_scan(xs, xs)
+    assert len(scan) == 2 * ONE_SAMPLE_PAIRS
+    for name, run in ONE_SAMPLE_SCANS.items():
+        fm, calls = _counting_coupling(0)
+        run(fm)
+        # each pair where the plain scan first meets it
+        assert calls == _distinct(scan), name
+        assert len(calls) == len(set(calls)) == ONE_SAMPLE_PAIRS
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 6, 7, 13, ONE_SAMPLE_PAIRS])
+@pytest.mark.parametrize("scan", sorted(ONE_SAMPLE_SCANS))
+def test_one_sample_scans_stop_at_the_first_failing_pair(scan, k, bare):
+    xs = sample_values(A, PLAN)
+    distinct = _distinct(_interleaved_scan(xs, xs))
+    fm, calls = _counting_coupling(k, bare)
+    with pytest.raises(Stop) as got:
+        ONE_SAMPLE_SCANS[scan](fm)
+    assert calls == distinct[:k]
+    # F fails on its k-th distinct pair and on every pair after it: the
+    # plain interleaved scan meets that pair first among them
+    failing = set(distinct[k - 1:])
+    first = next(p for p in _interleaved_scan(xs, xs) if p in failing)
+    assert str(got.value) == f"F{first}" == f"F{calls[-1]}"
+
+
+def test_one_sample_range_check_refines_read_back_targets_before_the_failing_pair(monkeypatch):
+    # One row of targets per block.  Row y = 0.5 of the one-sample scan reads
+    # F(0.5, 0) = 0.25 and F(0, 0.5) back from row y = 0, then calls F(0.5,
+    # 0.5), which fails.  0.25 lies in A, away from t(A), so T refines it in
+    # row 0 and again where row 0.5 meets it, before the failing pair: T
+    # fails on that second call.
+    monkeypatch.setattr(checks, "RANGE_BLOCK_TARGETS", 1)
+    plan = SamplePlan(3)
+    assert sample_values(A, plan) == [0.0, 0.5, 1.0]
+
+    def f(x, y):
+        if (x, y) == (0.5, 0.5):
+            raise Stop("F(0.5, 0.5)")
+        return 0.25 if (x, y) == (0.5, 0.0) else 1.0
+
+    refined = []
+
+    def t(x):
+        if x in refined and x == 0.25:
+            raise Stop("T(0.25) again")
+        refined.append(x)
+        return x / 8 + 0.5
+
+    with pytest.raises(Stop) as got:
+        check_range_compatibility(CouplingMap(f), SelfMap(t), A, A, plan)
+    assert str(got.value) == "T(0.25) again"
+
+
 @pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_strong_brute_force_calls_f_once_per_point_up_to_the_failing_one(k, bare):
@@ -331,3 +416,117 @@ def test_maps_are_equal_by_callable_and_source_not_by_memo():
     used = SelfMap(t, source="t")
     used.image_table(A, PLAN)
     assert used == base and hash(used) == hash(base)
+
+
+# ---------------------------------------------------------------------------
+# the coupling and range checks against a plain interleaved pair loop
+
+
+def plain_coupling(f, a, b, plan, plan_b=None):
+    """The coupling report from a plain loop: F(x, y) then F(y, x) for each
+    pair, each image tested for membership on its own."""
+    xs, ys = sample_values(a, plan), sample_values(b, plan_b or plan)
+    in_a, in_b = member_test(a), member_test(b)
+    rb = ReportBuilder("coupling", 0.0)
+    for x in xs:
+        for y in ys:
+            v, w = f.fn(x, y), f.fn(y, x)
+            if not in_b(v):
+                rb.add_violation(("image_in_B", x, y, v), 1.0, 0.0)
+            if not in_a(w):
+                rb.add_violation(("image_in_A", y, x, w), 1.0, 0.0)
+    rb.samples = len(xs) * len(ys)
+    return rb.build({"pairs": len(xs) * len(ys)})
+
+
+def plain_range(f, t, a, b, plan, tol, plan_b=None, targets_b=None):
+    """The range report from a plain loop: F(y, x) against t(A), then
+    F(x, y) against t(B), for each target y and each x of A, a target in
+    its own subset also its own candidate."""
+    b_plan = plan_b or plan
+    xs, bs = sample_values(a, plan), sample_values(b, b_plan)
+    tgt = bs if targets_b is None else sample_values(targets_b, b_plan)
+    t_a, t_b = [t.fn(v) for v in xs], [t.fn(v) for v in bs]
+    rb = ReportBuilder("range_compatibility", tol)
+    for y in tgt:
+        for x in xs:
+            for tag, p, q, pool, subset in (("target_in_T_A", y, x, t_a, a),
+                                            ("target_in_T_B", x, y, t_b, b)):
+                tv = f.fn(p, q)
+                best = min(separation(v, tv) for v in pool)
+                if best > tol and member_test(subset)(tv):
+                    best = min(best, separation(t.fn(tv), tv))
+                rb.observe(best, 0.0, (tag, p, q, tv))
+    return rb.build({"pairs": len(tgt) * len(xs)})
+
+
+# values a bare map may return at some pairs: the extremes test must reject
+# a row that holds a NaN or a label, and may clear one with ints or zeros
+SPECIAL_VALUES = [math.nan, 0.0, -0.0, 0, 1, 3, "a", math.inf, -math.inf]
+UNIT_SUBSETS = [
+    SubsetSpec.from_intervals([Interval(0.0, 1.0)]),
+    SubsetSpec.from_intervals([Interval(0.0, 1.0, lo_closed=False)]),
+    SubsetSpec.from_intervals([Interval(-1.0, 1.0, hi_closed=False)]),
+    SubsetSpec.from_intervals([Interval(0.0, 0.25), Interval(0.5, 1.0)]),
+    SubsetSpec.from_values([0.0, 0.5, 1.0]),
+]
+BASES = {
+    "mid": lambda x, y: (x + y) / 2,
+    "first": lambda x, y: x,
+    "escaping": lambda x, y: x + y / 2,
+}
+SMALL_PLANS = st.builds(SamplePlan, st.integers(2, 5), st.integers(0, 2), st.integers(0, 3))
+
+
+@st.composite
+def pair_plans(draw):
+    """(a, b, plan, plan_b): one sample (A = B, one plan) or two."""
+    a, plan = draw(st.sampled_from(UNIT_SUBSETS)), draw(SMALL_PLANS)
+    if draw(st.booleans()):
+        return a, a, plan, None
+    return a, draw(st.sampled_from(UNIT_SUBSETS)), plan, draw(st.one_of(st.none(), SMALL_PLANS))
+
+
+@given(
+    plans=pair_plans(),
+    base=st.sampled_from(sorted(BASES)),
+    # (first index, second index, value): F at those sample pairs, by index
+    # into the union of both samples
+    specials=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20),
+                                st.sampled_from(SPECIAL_VALUES)), max_size=4),
+    targets_b=st.one_of(st.none(), st.sampled_from(UNIT_SUBSETS)),
+    tol=st.sampled_from([0.0, 1e-9, 0.1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_coupling_and_range_reports_match_a_plain_pair_loop(plans, base, specials, targets_b, tol):
+    a, b, plan, plan_b = plans
+    values = sorted(set(sample_values(a, plan)) | set(sample_values(b, plan_b or plan)))
+    at = {(values[i % len(values)], values[j % len(values)]): v for i, j, v in specials}
+    fn = BASES[base]
+    f = CouplingMap(lambda x, y: at.get((x, y), fn(x, y)))
+    t = SelfMap(lambda x: x / 2)
+    assert repr(check_coupling(f, a, b, plan, plan_b)) == repr(plain_coupling(f, a, b, plan, plan_b))
+    got = check_range_compatibility(f, t, a, b, plan, tol, plan_b, targets_b)
+    assert repr(got) == repr(plain_range(f, t, a, b, plan, tol, plan_b, targets_b))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_one_sample_coupling_check_keeps_little_beside_its_rows():
+    """On one sample the coupling check keeps only the values it has not
+    read back yet, as doubles: a table of Python floats would take about
+    1.6 MB at grid 201."""
+    problem = build_problem(builtin_registry("banach-linear"))
+    a, b, plan = problem.subset_a, problem.subset_b, SamplePlan(201)
+    assert sample_values(a, plan) == sample_values(b, plan)
+    check_coupling(problem.coupling, a, b, plan)  # compiles and caches what it can first
+    tracemalloc.start()
+    try:
+        got = check_coupling(problem.coupling, a, b, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.passed and got.samples_tested == 201 * 201
+    assert peak <= 500_000
