@@ -83,17 +83,17 @@ the report lists what recording every violation lists.
 Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
 computed; a map built with the bare constructor yields its values as they
-are, a NaN or an int included.  F, like T, is treated as a pure function,
-evaluated once per distinct sampled pair, and the first pair that fails in
-a check's own order raises, with nothing evaluated again.  The coupling
-check reads its rows over (A, B), and the range check its blocks of rows
-over (targets, A), from ``CouplingMap.pair_rows``, which on one sample
-calls F n**2 times instead of 2 n**2.  The coupling check tests membership
-a row at a time (``metric.outside_indices``); the range check bisects the
-sorted image index of each side once per block (``SelfMap.image_index``,
-which the grid preimage search reads too) and records a block with one
-``ReportBuilder.observe_all``, which equals one ``observe`` per sample;
-the contraction check reads ``CouplingMap.tables``.
+are, a NaN or an int included.  F, like T, is treated as a pure
+function and evaluated once per sampled pair, and the first pair that
+fails in a check's own order raises, with nothing evaluated again.  The
+coupling check reads its interleaved rows over (A, B), F(x, y) then
+F(y, x) for each y, and the range check its blocks of rows over
+(targets, A), from ``CouplingMap.pair_rows``.  The coupling check tests
+membership a row at a time (``metric.contains_values``); the range check
+bisects the sorted image index of each side once per block
+(``SelfMap.image_index``, which the grid preimage search reads too) and
+records a block with one ``ReportBuilder.observe_all``, which equals one
+``observe`` per sample; the contraction check reads ``CouplingMap.tables``.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, gt, sub
+from operator import add, eq, gt, not_, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .controls import eval_control
@@ -114,9 +114,8 @@ from .metric import (
     SubsetSpec,
     Value,
     _usual_real,
+    contains_values,
     member_test,
-    outside_indices,
-    same_sample,
     sample_values,
     separation,
 )
@@ -157,9 +156,11 @@ def check_coupling(
     ys = sample_values(b, plan_b or plan)
     rb = ReportBuilder("coupling", 0.0)
     for x, row in zip(xs, f.pair_rows(xs, ys)):
+        in_b, in_a = contains_values(b, row[::2]), contains_values(a, row[1::2])
+        if all(in_b) and all(in_a):
+            continue
         # scan order: F(x, y_j) in B at 2j, F(y_j, x) in A at 2j + 1
-        out = sorted([2 * j for j in outside_indices(b, row[::2])]
-                     + [2 * j + 1 for j in outside_indices(a, row[1::2])])
+        out = list(compress(count(), map(not_, chain.from_iterable(zip(in_b, in_a)))))
         rb.add_violations(
             [("image_in_A", ys[k // 2], x, row[k]) if k % 2
              else ("image_in_B", x, ys[k // 2], row[k]) for k in out],
@@ -228,7 +229,7 @@ def check_scc_map(
     examined = 0
     for name, subset, pl in (("A", a, plan), ("B", b, plan_b or plan)):
         values, images = t.image_table(subset, pl)
-        outside = outside_indices(subset, images)
+        outside = [k for k, inside in enumerate(contains_values(subset, images)) if not inside]
         rb.add_violations([(f"invariance_{name}", values[k], images[k]) for k in outside],
                           [1.0] * len(outside), [0.0] * len(outside))
         examined += len(values)
@@ -283,7 +284,8 @@ def _contraction_scan(
     yv = sample_values(problem.subset_b, b_plan)
     total = len(xv) * len(yv) * len(yv) * len(xv)
     stride = _quadruple_stride(len(xv), len(yv), budget)
-    one = same_sample(xv, yv)  # one sample on both axes
+    # one sample on both axes, bit for bit: == alone takes 0.0 for -0.0
+    one = xv == yv and list(map(repr, xv)) == list(map(repr, yv))
     xv = xv[::stride]
     yv = xv if one else yv[::stride]
     na, nb = len(xv), len(yv)

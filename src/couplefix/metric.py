@@ -13,7 +13,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, gt, not_, sub
+from operator import add, gt, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -196,29 +196,22 @@ def member_test(subset: SubsetSpec) -> Callable[[Value], bool]:
 
 def contains_values(subset: SubsetSpec, values: Sequence[Value]) -> list[bool]:
     """``list(map(member_test(subset), values))``; on a one-interval subset,
-    one comprehension that inlines ``Interval.contains_value``."""
+    all inside when the values hold no NaN (their ``sum`` is not NaN) and
+    no label (``sum``, ``min`` and ``max`` raise no TypeError) and their min
+    and max lie inside, else one comprehension that inlines
+    ``Interval.contains_value``."""
     if len(subset.intervals) == 1:
         (iv,) = subset.intervals
         lo, hi, lc, hc = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
         try:
+            if values and (total := sum(values)) == total:
+                low, high = min(values), max(values)
+                if (low > lo or lc and low == lo) and (high < hi or hc and high == hi):
+                    return [True] * len(values)
             return [(v > lo or lc and v == lo) and (v < hi or hc and v == hi) for v in values]
-        except TypeError:  # a label does not compare with a bound, and is outside
+        except (TypeError, OverflowError):  # a label (outside) or an int past the float range
             pass
     return list(map(member_test(subset), values))
-
-
-def outside_indices(subset: SubsetSpec, values: Sequence[Value]) -> list[int]:
-    """The indices of ``values`` outside ``subset``, ascending.  A row with no
-    NaN (its ``sum`` is not NaN) and no label (``sum``, ``min`` and ``max``
-    raise no TypeError) is inside one interval whole when its extremes are."""
-    if len(subset.intervals) == 1 and values:
-        try:  # OverflowError: an int beyond the float range
-            total, low, high = sum(values), min(values), max(values)
-            if total == total and all(map(subset.intervals[0].contains_value, (low, high))):
-                return []
-        except (TypeError, OverflowError):
-            pass
-    return list(compress(count(), map(not_, contains_values(subset, values))))
 
 
 def _carrier_subset(space: MetricSpace) -> SubsetSpec:
@@ -347,11 +340,6 @@ def sample_values(subset: SubsetSpec, plan: SamplePlan) -> list[Value]:
         values.extend(_interval_grid(iv, plan.grid_count))
         values.extend(_interval_jitter(iv, plan.jitter_count, rng))
     return values
-
-
-def same_sample(xs: Sequence[Value], ys: Sequence[Value]) -> bool:
-    """Whether two samples are one bit for bit: == alone takes 0.0 for -0.0."""
-    return list(xs) == list(ys) and list(map(repr, xs)) == list(map(repr, ys))
 
 
 def _finite_floats(vals: Sequence[Value]) -> bool:

@@ -13,9 +13,7 @@ declared class the problem shape calls for.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
@@ -28,7 +26,6 @@ from .metric import (
     SubsetSpec,
     Value,
     member_test,
-    same_sample,
     sample_values,
     subset_within_carrier,
 )
@@ -104,34 +101,21 @@ class CouplingMap:
         met: Optional[Callable[[list[Value]], None]] = None,
     ) -> Iterator[list[Value]]:
         """For each f of ``first``, its row F(f, s_0), F(s_0, f), F(f, s_1),
-        ... over ``second``, F called through ``fn`` in that order.  On one
-        sample (``same_sample``) F is called once per distinct ordered pair,
-        where the scan first meets it, and a row reads earlier rows' values
-        back, each kept until then only, in ``array('d')`` while all are
-        floats.  The first failing pair raises, after ``met`` (if given)
-        gets the row's values before it, values read back included."""
-        g, one = self.fn, int(same_sample(first, second))
-        back = [array("d") for _ in second] if one else []  # row i's values from rows j < i
-        push = array.append
-        for i, f in enumerate(first):
-            later = second[i + 1:] if one else second  # on one sample (f, f), then the s after f
-            xs, ys = [f] * (2 * len(later) + one), [f] * (2 * len(later) + one)  # F's arguments
-            xs[1 + one::2] = ys[one::2] = later
-            got, new = back[i] if one else (), []
+        ... over ``second``, F called through ``fn`` in that order.  The
+        first failing pair raises, after ``met`` (if given) gets the row's
+        values before it."""
+        g, n = self.fn, 2 * len(second)
+        for f in first:
+            xs, ys = [f] * n, [f] * n  # F's arguments
+            xs[1::2] = ys[::2] = second
+            row: list[Value] = []
             try:
-                new.extend(map(g, xs, ys))
+                row.extend(map(g, xs, ys))
             except Exception:
                 if met is not None:
-                    met([*got, *new[:one], *new])
+                    met(row)
                 raise
-            if one:
-                if push is array.append and set(map(type, new)) != {float}:
-                    push = list.append  # array('d') makes an int a float
-                    back[i + 1:] = map(list, back[i + 1:])
-                any(map(push, back[i + 1:], new[2::2]))  # row j > i reads F(s_j, f),
-                any(map(push, back[i + 1:], new[1::2]))  # then F(f, s_j)
-                back[i] = None
-            yield [*got, *new[:one], *new]  # F(f, f) stands at both its places
+            yield row
 
     @staticmethod
     def from_expression(ast: Expr) -> "CouplingMap":

@@ -201,15 +201,15 @@ def test_no_scan_calls_f_again_after_a_failing_pair(scan, k, bare):
     assert str(got.value) == f"F{calls[-1]}"
 
 
-# one sample: A against itself, where F(y, x) over the sample is F(x, y)
-# transposed, and the coupling and range scans call F once per distinct
-# ordered pair of A's 5 x 5
+# one sample: A against itself, where the coupling and range scans meet
+# each pair of A's 5 x 5 twice, F(x, y) and F(y, x), the diagonal included,
+# and call F at each meeting
 ONE_SAMPLE_SCANS = {
     "coupling": lambda fm: check_coupling(fm, A, A, PLAN),
     # the targets are B's sample, A's here
     "range": lambda fm: check_range_compatibility(fm, SelfMap.identity(), A, A, PLAN),
 }
-ONE_SAMPLE_PAIRS = 5 * 5
+ONE_SAMPLE_CALLS = 2 * 5 * 5
 
 
 def _interleaved_scan(first, second):
@@ -219,45 +219,34 @@ def _interleaved_scan(first, second):
     return [p for f in first for s in second for p in ((f, s), (s, f))]
 
 
-def _distinct(pairs):
-    return list(dict.fromkeys(pairs))
-
-
-def test_one_sample_scans_call_f_once_per_distinct_ordered_pair():
+def test_one_sample_scans_call_f_in_the_plain_interleaved_order():
     xs = sample_values(A, PLAN)
     scan = _interleaved_scan(xs, xs)
-    assert len(scan) == 2 * ONE_SAMPLE_PAIRS
+    assert len(scan) == ONE_SAMPLE_CALLS and len(set(scan)) == 5 * 5
     for name, run in ONE_SAMPLE_SCANS.items():
         fm, calls = _counting_coupling(0)
         run(fm)
-        # each pair where the plain scan first meets it
-        assert calls == _distinct(scan), name
-        assert len(calls) == len(set(calls)) == ONE_SAMPLE_PAIRS
+        assert calls == scan, name
 
 
 @pytest.mark.parametrize("bare", [False, True])
-@pytest.mark.parametrize("k", [1, 2, 6, 7, 13, ONE_SAMPLE_PAIRS])
+@pytest.mark.parametrize("k", [1, 2, 6, 7, 13, 25, ONE_SAMPLE_CALLS])
 @pytest.mark.parametrize("scan", sorted(ONE_SAMPLE_SCANS))
 def test_one_sample_scans_stop_at_the_first_failing_pair(scan, k, bare):
     xs = sample_values(A, PLAN)
-    distinct = _distinct(_interleaved_scan(xs, xs))
     fm, calls = _counting_coupling(k, bare)
     with pytest.raises(Stop) as got:
         ONE_SAMPLE_SCANS[scan](fm)
-    assert calls == distinct[:k]
-    # F fails on its k-th distinct pair and on every pair after it: the
-    # plain interleaved scan meets that pair first among them
-    failing = set(distinct[k - 1:])
-    first = next(p for p in _interleaved_scan(xs, xs) if p in failing)
-    assert str(got.value) == f"F{first}" == f"F{calls[-1]}"
+    assert calls == _interleaved_scan(xs, xs)[:k]
+    assert str(got.value) == f"F{calls[-1]}"
 
 
-def test_one_sample_range_check_refines_read_back_targets_before_the_failing_pair(monkeypatch):
-    # One row of targets per block.  Row y = 0.5 of the one-sample scan reads
-    # F(0.5, 0) = 0.25 and F(0, 0.5) back from row y = 0, then calls F(0.5,
-    # 0.5), which fails.  0.25 lies in A, away from t(A), so T refines it in
-    # row 0 and again where row 0.5 meets it, before the failing pair: T
-    # fails on that second call.
+def test_one_sample_range_check_refines_the_rows_targets_before_the_failing_pair(monkeypatch):
+    # One row of targets per block.  Row y = 0.5 of the one-sample scan
+    # meets F(0.5, 0) = 0.25 and F(0, 0.5), then F(0.5, 0.5), which fails.
+    # 0.25 lies in A, away from t(A), so T refines it in row 0 and again
+    # where row 0.5 meets it, before the failing pair: T fails on that
+    # second call.
     monkeypatch.setattr(checks, "RANGE_BLOCK_TARGETS", 1)
     plan = SamplePlan(3)
     assert sample_values(A, plan) == [0.0, 0.5, 1.0]
@@ -515,9 +504,8 @@ def test_coupling_and_range_reports_match_a_plain_pair_loop(plans, base, special
 
 
 def test_one_sample_coupling_check_keeps_little_beside_its_rows():
-    """On one sample the coupling check keeps only the values it has not
-    read back yet, as doubles: a table of Python floats would take about
-    1.6 MB at grid 201."""
+    """The coupling check keeps one row of F's values at a time: a table of
+    Python floats would take about 1.6 MB at grid 201."""
     problem = build_problem(builtin_registry("banach-linear"))
     a, b, plan = problem.subset_a, problem.subset_b, SamplePlan(201)
     assert sample_values(a, plan) == sample_values(b, plan)
@@ -529,4 +517,4 @@ def test_one_sample_coupling_check_keeps_little_beside_its_rows():
     finally:
         tracemalloc.stop()
     assert got.passed and got.samples_tested == 201 * 201
-    assert peak <= 500_000
+    assert peak <= 100_000
