@@ -69,16 +69,14 @@ sorted into scan order.  Diagonal planes are always evaluated.
 A violation is recorded under its flat quadruple index, and its witness
 tuple is built only when the report's log is read.  A plane evaluator may
 be given the report's floor (``ReportBuilder.counting_floor``), the
-residual a violation must exceed to change the report; the level-set path
+residual a violation must exceed to enter the report; the level-set path
 then counts, without listing, the violations of each strip that cannot
 exceed it, and the comprehension lists every violation all the same.  The
 floor only rises, so a mirror's listed violations include every one above
-its own floor.  With the full log the floor is set once the log is full.
-The command line, which reads five violations, asks the level-set path
-for those five alone (``keep``), so its floor is set once five are held.
-The plane that holds the violation in the log's last slot is listed
-whole, swept again if it was counted, so that its ordinals are known and
-the report lists what recording every violation lists.
+its own floor.  The command line, which reads five violations, asks every
+check for those five alone (``keep``), so the contraction's floor is set
+once seven are held and cut to five; a library call lists up to
+``MAX_RECORDED_VIOLATIONS``.
 
 Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
@@ -145,16 +143,18 @@ def check_coupling(
     b: SubsetSpec,
     plan: SamplePlan,
     plan_b: Optional[SamplePlan] = None,
+    keep: Optional[int] = None,
 ) -> CheckReport:
     """Sampled check that f maps A x B into B and B x A into A.
 
     One sample per (x, y) pair; a pair can contribute up to two membership
     violations, each carrying the offending arguments and the image value.
     F(x, y) and F(y, x) come from ``f.pair_rows(A's sample, B's sample)``.
+    The report lists the ``keep`` largest violations (``ReportBuilder``).
     """
     xs = sample_values(a, plan)
     ys = sample_values(b, plan_b or plan)
-    rb = ReportBuilder("coupling", 0.0)
+    rb = ReportBuilder("coupling", 0.0, keep=keep)
     for x, row in zip(xs, f.pair_rows(xs, ys)):
         in_b, in_a = contains_values(b, row[::2]), contains_values(a, row[1::2])
         if all(in_b) and all(in_a):
@@ -216,14 +216,16 @@ def check_scc_map(
     plan: SamplePlan,
     tol: float = 1e-9,
     plan_b: Optional[SamplePlan] = None,
+    keep: Optional[int] = None,
 ) -> CheckReport:
     """Sampled check that t maps each subset into itself, with image evidence.
 
     Details carry the (deduplicated, sorted) image values per subset when
     small enough to list, their pairwise intersection, and a closedness
     verdict per image that may be "inconclusive" without failing the check.
+    The report lists the ``keep`` largest violations (``ReportBuilder``).
     """
-    rb = ReportBuilder("scc_map", 0.0)
+    rb = ReportBuilder("scc_map", 0.0, keep=keep)
     details: dict[str, Any] = {}
     lists: dict[str, Optional[list[Value]]] = {}
     examined = 0
@@ -274,10 +276,9 @@ def _contraction_scan(
     Violations are recorded in (x, y, u, v) index order, each under its
     flat index ((i * n_b + j) * n_b + j2) * n_a + i2, which ``_quadruple``
     decodes.  Where the level-set path applies (see the module docstring),
-    no plane goes through the comprehension, and with ``keep`` = k the report
-    lists only the k violations ``to_dict(keep=k)`` lists
-    (``ReportBuilder``); where F is symmetric on one sample, a plane (j, i)
-    with j < i is mirrored from plane (i, j).
+    no plane goes through the comprehension; where F is symmetric on one
+    sample, a plane (j, i) with j < i is mirrored from plane (i, j).  The
+    report lists the ``keep`` largest violations (``ReportBuilder``).
     """
     b_plan = plan_b or plan
     xv = sample_values(problem.subset_a, plan)
@@ -335,20 +336,17 @@ def _contraction_scan(
     mirror = one and usual and not nan_xu and _symmetric(f_ab)
     # plane index of (i, j), j > i, in a mirrored scan -> what plane() returned
     sources: dict[int, tuple] = {}
-    rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv), keep if level else None)
+    rb = ReportBuilder(name, tol, partial(_quadruple, xv, yv), keep)
     min_margin = math.inf
     floor = None  # rb.counting_floor(): the residual a listed violation must exceed
     for i in range(na):
         fab_i = f_ab[i]
         for j in range(nb):
             fab, base = fab_i[j], (i * nb + j) * nb * na
-            result = None
             if mirror and j < i:
-                result = _mirrored(rb, sources.pop(j * nb + i), na)
-            if result is None:
+                result = _mirrored(sources.pop(j * nb + i), na)
+            else:
                 result = plane(i, j, fab, floor)
-                if result[1] and rb.reaches_last_slot(result[1] + len(result[2])):
-                    result = plane(i, j, fab)  # listed whole, for exact ordinals
             plane_min, unlisted, keys, lhs, rhs = result
             if plane_min < min_margin:
                 min_margin = plane_min
@@ -406,16 +404,13 @@ def _symmetric(table: list[list[Value]]) -> bool:
                                       chain.from_iterable(zip(*table))))
 
 
-def _mirrored(rb: ReportBuilder, source: tuple, n: int) -> Optional[tuple]:
+def _mirrored(source: tuple, n: int) -> tuple:
     """Plane (j, i) of a mirrored scan, as the plane evaluators return it,
     from what they returned for plane (i, j): the same margin and unlisted
     count, and the listed violations under transposed keys in scan order.
     The floor only rises, so every violation that exceeds it now was listed
-    then.  None when plane (j, i) must be swept: it reaches the log's last
-    slot and some of its violations were not listed."""
+    then."""
     margin, unlisted, keys, lhs, rhs = source
-    if unlisted and rb.reaches_last_slot(unlisted + len(keys)):
-        return None
     if not keys:
         return source
     # cell (j2, i2) of plane (i, j), at j2 * n + i2, is cell (i2, j2) here
@@ -456,8 +451,7 @@ def check_phi_T_contraction(
     keep: Optional[int] = None,
 ) -> CheckReport:
     """Sampled d(F(x,y), F(u,v)) <= phi(max(d(Tx,Tu), d(Ty,Tv))) over quadruples.
-    With ``keep`` = k, the report may list only its k worst violations
-    (see ``_contraction_scan``)."""
+    The report lists the ``keep`` largest violations (``ReportBuilder``)."""
     phi = problem.phi
     return _contraction_scan(
         "phi_T_contraction", problem, problem.self_map,
@@ -475,8 +469,7 @@ def check_phi_psi_contraction(
     keep: Optional[int] = None,
 ) -> CheckReport:
     """Sampled psi(d(F(x,y), F(u,v))) <= psi(M) - phi(M), M = max(d(x,u), d(y,v)).
-    With ``keep`` = k, the report may list only its k worst violations
-    (see ``_contraction_scan``)."""
+    The report lists the ``keep`` largest violations (``ReportBuilder``)."""
     phi, psi = problem.phi, problem.psi
     # The identity psi returns t, bit for bit, at every finite float t >= 0,
     # so it is skipped on the usual metric when F's tables hold floats.  The
@@ -499,6 +492,7 @@ def check_range_compatibility(
     tol: float = 1e-9,
     plan_b: Optional[SamplePlan] = None,
     targets_b: Optional[SubsetSpec] = None,
+    keep: Optional[int] = None,
 ) -> CheckReport:
     """Sampled check that swapped coupling images land inside both t-ranges.
 
@@ -509,6 +503,7 @@ def check_range_compatibility(
     a genuine coupling.  ``targets_b`` restricts where the y argument is
     drawn from without shrinking the candidate pools.  The targets come
     from ``f.pair_rows(targets, A's sample)``, ``RANGE_BLOCK_TARGETS`` at a time.
+    The report lists the ``keep`` largest violations (``ReportBuilder``).
     """
     b_plan = plan_b or plan
     xv = t.image_table(a, plan)[0]
@@ -546,7 +541,7 @@ def check_range_compatibility(
 
     n = len(xv)
     rows = max(1, RANGE_BLOCK_TARGETS // (2 * n))
-    rb = ReportBuilder("range_compatibility", tol)
+    rb = ReportBuilder("range_compatibility", tol, keep=keep)
     targets: list[Value] = []  # the block's, in scan order, kept by extend when F fails
 
     def met(row: list[Value]) -> None:

@@ -124,18 +124,18 @@ def run_checks(problem, settings: CheckSettings) -> list[tuple[str, CheckReport]
         except DomainError as exc:  # a control value beyond the float range
             raise DomainError(f"{slot}: {exc}") from exc
 
-    reports.append(("coupling", check_coupling(problem.coupling, a, b, plan, plan_b)))
+    # the output lists a check's worst MAX_JSON_VIOLATIONS violations only
+    keep = MAX_JSON_VIOLATIONS
+    reports.append(("coupling", check_coupling(problem.coupling, a, b, plan, plan_b, keep)))
     if coincidence:
         t = problem.self_map
-        reports.append(("self_map", check_scc_map(t, a, b, plan, tol, plan_b)))
+        reports.append(("self_map", check_scc_map(t, a, b, plan, tol, plan_b, keep)))
         range_report = check_range_compatibility(
-            problem.coupling, t, a, b, plan, tol, plan_b, targets_b=settings.range_b
+            problem.coupling, t, a, b, plan, tol, plan_b, settings.range_b, keep
         )
         reports.append(("range", range_report))
     contraction = check_phi_T_contraction if coincidence else check_phi_psi_contraction
-    # the output lists a check's worst MAX_JSON_VIOLATIONS violations only
-    reports.append(("contraction", contraction(problem, plan, tol, plan_b, settings.budget,
-                                               MAX_JSON_VIOLATIONS)))
+    reports.append(("contraction", contraction(problem, plan, tol, plan_b, settings.budget, keep)))
     return reports
 
 

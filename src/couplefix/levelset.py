@@ -49,7 +49,7 @@ slicing every failing strip made check-fail's pass_s 0.115 s instead of
 0.071 s (ten alternating pairs, 2-core VM).
 
 A sweep may be given a ``floor``, the residual a violation must exceed
-to change the check's report (``ReportBuilder.counting_floor``): a
+to enter the check's report (``ReportBuilder.counting_floor``): a
 failing strip whose largest residual does not exceed it is only counted.
 That residual is at one of the strip's ends, where |F(x, y) - W| is
 max(F(x, y) - min W, max W - F(x, y)).  On a monotone line the prefix and
@@ -58,7 +58,7 @@ ascends along the strip (w - F(x, y) or F(x, y) - w) and is computed as
 the walk's test is; a strip of any other line is scanned and counted.  A
 strip that can exceed the floor lists all its hits, so every violation
 above the floor is listed, in scan order.  The command line's check, which
-reads five violations, sets a floor as soon as it holds five: on
+reads five violations, sets a floor at its first cut to five: on
 negative-midpoint at --samples 81 --jitter 2 its planes list 211 of
 42,964 violations.
 

@@ -72,6 +72,7 @@ from metric_oracle import (
     finite_within_carrier,
     pair_axioms,
 )
+from test_report import k_largest
 
 TOLS = st.sampled_from([1e-9, 0.0, 0.25, -0.1])
 
@@ -602,18 +603,14 @@ def test_phi_T_kernel_matches_naive_loop(metric, slope, a, b, f, t, plan, tol):
 def level_set_spy():
     """Count what the contraction kernel does with its planes: how often
     the level-set path is built, how many planes it evaluates, how many
-    the comprehension evaluates, how many a symmetric scan mirrors from an
-    earlier plane and how many of those it sweeps instead (the mirror
-    reaches the log's last slot and its source left violations unlisted),
-    and how many planes it sweeps a second time to list them whole (they
-    reach the last slot).  Also how many planes report a violation, on how
+    the comprehension evaluates and how many a symmetric scan mirrors from
+    an earlier plane.  Also how many planes report a violation, on how
     many of those some are only counted, and for each plane in scan order
     how many violations it lists and how many it holds in all.  Each
     plane's listed keys must strictly increase: scan order, no cell
     recorded twice."""
-    calls = {"built": 0, "planes": 0, "comprehended": 0, "mirrored": 0, "reswept": 0,
-             "relisted": 0, "violating": 0, "counted": 0, "listed": [], "held": []}
-    last = []  # the plane the level-set path evaluated last
+    calls = {"built": 0, "planes": 0, "comprehended": 0, "mirrored": 0,
+             "violating": 0, "counted": 0, "listed": [], "held": []}
     real, real_comprehension, real_mirrored = (levelset.plane_evaluator,
                                                checks._plane_comprehension, checks._mirrored)
 
@@ -630,17 +627,9 @@ def level_set_spy():
     def spy(*args):
         calls["built"] += 1
         plane = real(*args)
-        last.clear()
 
         def counted(i, j, fab, floor=None):
             calls["planes"] += 1
-            if last == [i, j]:  # swept again to be listed whole: undo the count
-                assert floor is None
-                calls["relisted"] += 1
-                calls["violating"] -= 1
-                calls["counted"] -= 1
-                del calls["listed"][-1], calls["held"][-1]
-            last[:] = i, j
             result = plane(i, j, fab, floor)
             assert floor is not None or not result[1]
             return listed(result)
@@ -660,9 +649,6 @@ def level_set_spy():
 
     def mirrored(*args):
         result = real_mirrored(*args)
-        if result is None:
-            calls["reswept"] += 1
-            return None
         calls["mirrored"] += 1
         return listed(result)
 
@@ -690,17 +676,16 @@ def _mirrors(problem, plan, plan_b) -> bool:
 def _assert_plane_counts(calls, problem, plan, plan_b) -> None:
     """Every plane is evaluated once or mirrored.  A mirrored scan of n
     points per axis evaluates the n(n + 1)/2 planes (i, j) with j >= i and
-    mirrors the other n(n - 1)/2, less those it sweeps again; any other
-    scan evaluates all n_a * n_b planes.  A plane swept again to be listed
-    whole is evaluated twice."""
+    mirrors the other n(n - 1)/2; any other scan evaluates all n_a * n_b
+    planes."""
     na = len(sample_values(problem.subset_a, plan))
     nb = len(sample_values(problem.subset_b, plan_b or plan))
-    evaluated = calls["planes"] + calls["comprehended"] - calls["relisted"]
+    evaluated = calls["planes"] + calls["comprehended"]
     if _mirrors(problem, plan, plan_b):
-        assert calls["mirrored"] + calls["reswept"] == na * (na - 1) // 2
-        assert evaluated == na * (na + 1) // 2 + calls["reswept"]
+        assert calls["mirrored"] == na * (na - 1) // 2
+        assert evaluated == na * (na + 1) // 2
     else:
-        assert calls["mirrored"] == calls["reswept"] == 0
+        assert calls["mirrored"] == 0
         assert evaluated == na * nb
 
 
@@ -928,7 +913,7 @@ def test_banach_linear_check_at_grid_81_sends_no_plane_to_the_comprehension(tmp_
     # planes (i, j) with j >= i are swept and the other 378 mirrored
     assert calls["planes"] == 28 * 29 // 2
     assert calls["mirrored"] == 28 * 27 // 2
-    assert calls["reswept"] == calls["comprehended"] == 0
+    assert calls["comprehended"] == 0
     assert calls["violating"] == 0
 
 
@@ -1047,7 +1032,7 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
     # other failing plane is counted, and they list 58 more in all.
     assert calls["planes"] == 28 * 29 // 2
     assert calls["mirrored"] == 28 * 27 // 2
-    assert calls["reswept"] == calls["relisted"] == calls["comprehended"] == 0
+    assert calls["comprehended"] == 0
     assert (calls["violating"], calls["counted"]) == (782, 781)
     assert sum(calls["held"]) == 42964
     assert calls["listed"][0] == 153 and sum(calls["listed"]) == 211
@@ -1056,9 +1041,10 @@ def test_negative_midpoint_check_at_grid_81_sends_no_plane_to_the_comprehension(
 @pytest.mark.parametrize("cap", [3, 7, 100])
 @pytest.mark.parametrize("name", ["negative-midpoint", "tent-strong.yaml"])
 def test_failing_level_set_planes_past_the_cap_are_counted(name, cap):
-    """Once the log is full, planes are counted instead of listed: the
-    plane that fills the log straddles the cap and is listed whole, and the
-    report equals the naive loop's.  tent-strong's lines are not monotone."""
+    """Once the report holds the cap's largest violations, planes are
+    counted instead of listed: no floor is set before, so the plane that
+    straddles the cap is listed whole, and the report equals the naive
+    loop's.  tent-strong's lines are not monotone."""
     if name.endswith(".yaml"):
         doc = parse_problem((Path(__file__).parent / name).read_text(), name)
     else:
@@ -1074,7 +1060,6 @@ def test_failing_level_set_planes_past_the_cap_are_counted(name, cap):
     # both maps are symmetric: a failing mirror past the cap takes its
     # source's count and listed violations, and is not swept
     _assert_plane_counts(calls, build_problem(doc), SamplePlan(9), None)
-    assert calls["reswept"] == calls["relisted"] == 0
 
 
 def _document_problem(name):
@@ -1098,7 +1083,6 @@ def test_symmetric_maps_on_one_sample_mirror_their_planes(name, mirrored):
     with level_set_spy() as calls:
         fast()
     evaluated = calls["planes"] + calls["comprehended"]
-    assert calls["reswept"] == 0
     if mirrored:
         assert (evaluated, calls["mirrored"]) == (21 * 22 // 2, 21 * 20 // 2)
     else:
@@ -1130,7 +1114,7 @@ def test_maps_symmetric_only_under_equality_are_not_mirrored(case, tol):
     fast, naive = _contraction_checks(problem, plan, tol, None)
     with level_set_spy() as calls:
         _same_outcome(fast, naive)
-    assert calls["mirrored"] == calls["reswept"] == 0
+    assert calls["mirrored"] == 0
     assert calls["planes"] + calls["comprehended"] == (9 if case == "signed_zero_sample" else 25)
 
 
@@ -1156,7 +1140,7 @@ def test_nan_distances_are_not_mirrored():
             lambda: naive_contraction("phi_T_contraction", problem, problem.self_map.evaluate,
                                       lambda t: t, right, plan, 1e-9),
         )
-    assert calls["mirrored"] == calls["reswept"] == 0
+    assert calls["mirrored"] == 0
     assert calls["comprehended"] == 25
 
 
@@ -1187,10 +1171,9 @@ def _cap_inside(problem, plan, inside: str) -> int:
 @pytest.mark.parametrize("name", sorted(MIRRORED_CAP_PROBLEMS))
 def test_a_cap_inside_a_source_or_a_mirrored_plane_matches_naive_loop(name, inside):
     """A recording cap that falls strictly inside the violations of a plane
-    (i, j) with j > i, whose mirror (j, i) the log then cannot hold, or
-    inside those of a mirrored plane: the report equals the naive loop's,
-    on both level-set kinds of line and on the comprehension (a power
-    psi).  A mirror takes what its source listed, kept by the log or not,
+    (i, j) with j > i or inside those of its mirror (j, i): the report
+    equals the naive loop's, on both level-set kinds of line and on the
+    comprehension (a power psi).  A mirror takes what its source listed,
     so no mirror is swept."""
     problem = MIRRORED_CAP_PROBLEMS[name]()
     plan = SamplePlan(7)
@@ -1199,48 +1182,30 @@ def test_a_cap_inside_a_source_or_a_mirrored_plane_matches_naive_loop(name, insi
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", _cap_inside(problem, plan, inside))
         _same_outcome(fast, naive)
     _assert_plane_counts(calls, problem, plan, None)
-    assert calls["reswept"] == calls["relisted"] == 0
-
-
-# (name, inside, keep) -> (reswept, relisted).  A plane is swept again
-# only if a floor was set before it, that is once ``keep`` violations are
-# held: tent-strong has two before its first cut plane.
-KEPT_CAP_SWEEPS = {
-    ("negative-midpoint", "source", 1): (0, 1),
-    ("negative-midpoint", "source", 5): (0, 1),
-    ("negative-midpoint", "mirrored", 1): (1, 1),
-    ("negative-midpoint", "mirrored", 5): (1, 1),
-    ("tent-strong.yaml", "source", 1): (0, 1),
-    ("tent-strong.yaml", "source", 5): (0, 0),
-    ("tent-strong.yaml", "mirrored", 1): (1, 1),
-    ("tent-strong.yaml", "mirrored", 5): (1, 1),
-    # the comprehension keeps the full log
-    **{("power_psi", inside, keep): (0, 0) for inside in ("source", "mirrored")
-       for keep in (1, 5)},
-}
 
 
 @pytest.mark.parametrize("keep", [1, 5])
 @pytest.mark.parametrize("inside", ["source", "mirrored"])
 @pytest.mark.parametrize("name", sorted(MIRRORED_CAP_PROBLEMS))
 def test_a_cap_inside_a_plane_lists_the_full_logs_worst(name, inside, keep):
-    """The same caps for a check that lists only its ``keep`` worst: a
-    plane that reaches the log's last slot with some of its violations
-    counted is swept again and listed whole, and a mirror that does so is
-    swept instead of taken from its source."""
+    """The same caps for a check that lists only its ``keep`` worst, on
+    both level-set kinds of line and on the comprehension: no mirror is
+    swept, and no plane is swept twice."""
     problem = MIRRORED_CAP_PROBLEMS[name]()
     plan = SamplePlan(7)
+    cap = _cap_inside(problem, plan, inside)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", _cap_inside(problem, plan, inside))
-        full, kept, calls = _full_and_kept(problem, plan, 1e-9, None, keep)
-    _assert_lists_the_worst(full, kept, keep, level=name != "power_psi")
-    assert (calls["reswept"], calls["relisted"]) == KEPT_CAP_SWEEPS[name, inside, keep]
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
+        outcomes = _full_and_kept(problem, plan, 1e-9, None, keep)
+    _assert_lists_the_worst(*outcomes[:3], keep, cap)
+    _assert_plane_counts(outcomes[3], problem, plan, None)
 
 
 def _full_and_kept(problem, plan, tol, plan_b, keep) -> tuple:
-    """The contraction check of ``problem`` with the full log, then, under a
-    ``level_set_spy``, with ``keep``, and the spy's counts of the second.
-    A check that raises gives the exception's type."""
+    """The contraction check of ``problem`` listing every violation (a cap
+    of 10**9), then without ``keep``, then, under a ``level_set_spy``, with
+    ``keep``, and the spy's counts of the last.  A check that raises gives
+    the exception's type."""
     check = check_phi_T_contraction if problem.kind == "coincidence" else check_phi_psi_contraction
 
     def outcome(**kw):
@@ -1249,29 +1214,36 @@ def _full_and_kept(problem, plan, tol, plan_b, keep) -> tuple:
         except Exception as exc:  # noqa: BLE001 - the type is what is compared
             return type(exc)
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "MAX_RECORDED_VIOLATIONS", 10**9)
+        complete = outcome()
     full = outcome()
     with level_set_spy() as calls:
         kept = outcome(keep=keep)
-    return full, kept, calls
+    return complete, full, kept, calls
 
 
-def _assert_lists_the_worst(full, kept, keep, level=True) -> None:
-    """A check with ``keep`` reports what a reader of ``keep`` violations
-    reads of the full log: ``to_dict(keep)`` with the exact count, details,
-    margin and samples, and the worst; or both raise the same exception
-    type.  It holds at most ``keep`` violations on the level-set path, and
-    off it (not ``level``) the full log."""
-    if isinstance(full, type):
-        assert kept is full
+def _assert_lists_the_worst(complete, full, kept, keep, cap) -> None:
+    """The check without ``keep`` lists the ``max(cap, 1)`` largest of
+    every violation, and with it the ``keep`` largest, ties in scan order
+    (``k_largest``), or all three raise the same exception type.  Both
+    keep the exact count, margin, samples and details, with the
+    violations past the cap counted as dropped, and list what
+    ``to_dict(keep)`` of every violation lists."""
+    if isinstance(complete, type):
+        assert full is kept is complete
         return
-    if not level:
-        assert repr(kept) == repr(full) and kept.seen is None
-    assert len(kept.violations) <= keep or not level
-    assert repr(kept.to_dict(keep=keep)) == repr(full.to_dict(keep=keep))
-    assert (kept.violation_count, repr(kept.max_margin), kept.samples_tested) == (
-        full.violation_count, repr(full.max_margin), full.samples_tested)
-    assert repr(kept.details) == repr(full.details)
-    assert repr(kept.violations.largest(1)) == repr(full.violations.largest(1))
+    every = list(complete.violations)
+    assert "violations_dropped" not in complete.details
+    dropped = len(every) - max(cap, 1)
+    details = {**complete.details, **({"violations_dropped": dropped} if dropped > 0 else {})}
+    for got, k in ((full, max(cap, 1)), (kept, keep)):
+        assert repr(list(got.violations)) == repr(k_largest(every, k))
+        assert (got.violation_count, repr(got.max_margin), got.samples_tested) == (
+            len(every), repr(complete.max_margin), complete.samples_tested)
+        assert repr(got.details) == repr(details)
+    assert repr(kept.violations.largest(keep)) == repr(complete.violations.largest(keep))
+    assert repr(kept.violations.largest(1)) == repr(complete.violations.largest(1))
 
 
 @given(
@@ -1301,8 +1273,8 @@ def test_keep_mode_lists_the_full_logs_worst(problem, plan, plan_b, tol, cap, ke
     that lists only its ``keep`` worst violations, under small caps."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
-        full, kept, calls = _full_and_kept(problem, plan, tol, plan_b, keep)
-    _assert_lists_the_worst(full, kept, keep)
+        *outcomes, calls = _full_and_kept(problem, plan, tol, plan_b, keep)
+    _assert_lists_the_worst(*outcomes, keep, cap)
     assert calls["comprehended"] == 0
     _assert_plane_counts(calls, problem, plan, plan_b)
 
@@ -1316,7 +1288,8 @@ def test_documents_list_the_full_logs_worst(name, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         for plan, keep in ((SamplePlan(21), 1), (SamplePlan(21), 2), (SamplePlan(81, 2, 5), 5)):
-            _assert_lists_the_worst(*_full_and_kept(problem, plan, 1e-9, None, keep)[:2], keep)
+            _assert_lists_the_worst(*_full_and_kept(problem, plan, 1e-9, None, keep)[:3], keep,
+                                    cap)
 
 
 @pytest.mark.parametrize("name, built", [
@@ -1380,6 +1353,28 @@ def test_command_line_contraction_report_holds_five_violations():
     assert held < 50_000
 
 
+def test_command_line_checks_hold_five_violations_each():
+    """Every check of the command line holds the five violations it prints,
+    with the exact count: at grid 201 the coupling, self-map and range
+    checks of escaping-coupling.yaml see 43,677, 251 and 74,008."""
+    doc = parse_problem(Path(__file__).with_name("escaping-coupling.yaml").read_text(),
+                        "escaping-coupling.yaml")
+    settings = dataclasses.replace(doc.check, plan=SamplePlan(201, 1, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = dict(run_checks(build_problem(doc), settings))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    counts = {slot: r.violation_count for slot, r in got.items()}
+    assert counts == {"space": 0, "phi": 0, "coupling": 43677, "self_map": 251,
+                      "range": 74008, "contraction": 0}
+    assert all(len(r.violations) == min(counts[slot], 5) for slot, r in got.items())
+    # the reports, and the image tables the problem's T keeps
+    assert held < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # bulk violation recording
 
@@ -1388,26 +1383,15 @@ RESIDUAL_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf
 
 
 def naive_recording(batches, cap):
-    """The report of one recording step per violation: the first strictly
-    larger residual is the worst, violations past ``cap`` are only counted,
-    and the worst replaces the last kept one when it was dropped."""
-    kept, dropped, worst, samples = [], 0, None, 0
-    for b, batch in enumerate(batches):
-        for k, (lhs, rhs) in enumerate(batch):
-            v = Violation(("w", b, k), lhs, rhs, lhs - rhs)
-            samples += 1
-            if worst is None or v.residual > worst.residual:
-                worst = v
-            if len(kept) < cap:
-                kept.append(v)
-            else:
-                dropped += 1
-    details = {}
-    if dropped:
-        details["violations_dropped"] = dropped
-        if worst not in kept:
-            kept[-1] = worst
-    return CheckReport("bulk", samples, kept, None, "fail" if kept else "pass", details)
+    """The report of one recording step per violation: every violation is
+    counted, and the ``max(cap, 1)`` largest are listed in scan order
+    (``k_largest``), those past the cap counted as dropped."""
+    every = [Violation(("w", b, k), lhs, rhs, lhs - rhs)
+             for b, batch in enumerate(batches) for k, (lhs, rhs) in enumerate(batch)]
+    dropped = len(every) - max(cap, 1)
+    details = {"violations_dropped": dropped} if dropped > 0 else {}
+    return CheckReport("bulk", len(every), k_largest(every, max(cap, 1)), None,
+                       "fail" if every else "pass", details)
 
 
 @given(

@@ -5,7 +5,8 @@ and residuals that build each ``Violation`` as it is read.  Everything a
 reader can do with the list (length, indexing, slicing, iteration, ``==``,
 ``repr``) must give what the list gives, and the worst violations that
 ``to_dict(keep)`` and the command line read from the residual column must
-be those ``heapq.nlargest`` picks from the list.
+be those ``heapq.nlargest`` picks from the list.  A ``ReportBuilder`` lists
+the k largest of every violation it saw (``k_largest``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ from couplefix.report import CheckReport, ReportBuilder, Violation, ViolationLog
 
 VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, 0.1 + 0.2])
 BATCHES = st.lists(st.lists(st.tuples(VALUES, VALUES), max_size=6), max_size=6)
+
+
+def k_largest(violations: list, k: int) -> list:
+    """The k largest residuals of a complete list of violations, in scan
+    order: equal residuals rank in scan order, and a NaN below every
+    number."""
+    def rank(m: int) -> tuple:
+        r = violations[m].residual
+        return (r == r, r if r == r else 0.0)
+
+    ranked = sorted(range(len(violations)), key=rank, reverse=True)  # stable, reversed too
+    return [violations[m] for m in sorted(ranked[:k])]
 
 
 def _recorded(batches, keyed: bool) -> CheckReport:
@@ -140,15 +153,6 @@ def test_truncated_log_reports_the_same_count_and_worst_violation(tmp_path, caps
 ODD_VALUES = [0.0, -0.0, 0.5, 1, 1.0, 2.0, -1.0, math.inf, -math.inf, math.nan, 0.1 + 0.2]
 
 
-@given(values=st.lists(st.sampled_from(ODD_VALUES), min_size=1, max_size=12))
-@example(values=[math.nan, 1.0, 2.0])
-@example(values=[1, 1.0, 0.0, -0.0, 1])
-@example(values=[-0.0, 0.0, -1.0])
-@settings(max_examples=300, deadline=None)
-def test_first_largest_is_the_key_max(values):
-    assert report._first_largest(values) == max(range(len(values)), key=values.__getitem__)
-
-
 @given(
     pool=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf,
                                    0.1 + 0.2, math.nan]), min_size=1, max_size=6),
@@ -168,18 +172,28 @@ def test_largest_matches_nlargest_on_the_residual_column(pool, picks, keep, colu
     assert [v.witness for v in log.largest(keep)] == want
 
 
-@given(batches=st.lists(st.lists(st.tuples(st.sampled_from(ODD_VALUES[:-2] + [3]),
-                                           st.sampled_from([0.0, 0.5, 1])), max_size=6),
-                        max_size=8),
-       cap=st.sampled_from([0, 1, 3, 7]))
+# residuals without a NaN, as the contraction kernel's are, and with the
+# NaN of inf - inf
+BUILDER_LHS = st.sampled_from(ODD_VALUES[:-2] + [3])
+BUILDER_RHS = st.sampled_from([0.0, 0.5, 1, math.inf])
+BUILDER_BATCHES = st.lists(st.lists(st.tuples(BUILDER_LHS, BUILDER_RHS), max_size=6), max_size=8)
+
+
+def _complete(batches) -> list[Violation]:
+    """Every violation of the batches, witnesses ("w", b, k), in scan order."""
+    return [Violation(("w", b, k), lhs, rhs, lhs - rhs)
+            for b, batch in enumerate(batches) for k, (lhs, rhs) in enumerate(batch)]
+
+
+@given(batches=BUILDER_BATCHES, cap=st.sampled_from([0, 1, 3, 7]))
 @example(batches=[[(1.0, 0.0)], [(2.0, 0.0), (3, 0.0)], [(3.0, 1)]], cap=1)
 @example(batches=[[(2.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)]], cap=1)  # a tie with the worst
 @settings(max_examples=200, deadline=None)
 def test_counting_past_a_full_log_matches_recording(batches, cap):
-    """Batches recorded while the log has room and then handed over as a
-    count, with only the violations above the floor listed (every one, for
-    even batches), build the report that recording every batch builds
-    (residuals without a NaN, as the contraction kernel's are)."""
+    """Batches recorded while fewer than the cap are held and then handed
+    over as a count, with only the violations above the floor listed
+    (every one, for even batches), build the report that recording every
+    batch builds, and it lists the cap's largest of every violation."""
 
     def built(counting: bool) -> CheckReport:
         rb = ReportBuilder("count", 0.0)
@@ -191,48 +205,63 @@ def test_counting_past_a_full_log_matches_recording(batches, cap):
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
         want, got = built(False), built(True)
     assert repr(got) == repr(want)
+    assert repr(list(got.violations)) == repr(k_largest(_complete(batches), max(cap, 1)))
+    assert got.violation_count == sum(map(len, batches))
 
 
 def _feed(rb: ReportBuilder, b: int, batch: list, floor) -> None:
     """Batch ``b`` of (lhs, rhs) violations, witnesses ("w", b, k), listed
-    whole when ``floor`` is None, else only those above it."""
+    whole when ``floor`` is None, else only those not at most the floor."""
     res = [lhs - rhs for lhs, rhs in batch]
-    listed = [k for k, r in enumerate(res) if floor is None or r > floor]
+    listed = [k for k, r in enumerate(res) if floor is None or not r <= floor]
     rb.add_violations([("w", b, k) for k in listed], [batch[k][0] for k in listed],
                       [batch[k][1] for k in listed], len(batch) - len(listed))
 
 
-@given(batches=st.lists(st.lists(st.tuples(st.sampled_from(ODD_VALUES[:-2] + [3]),
-                                           st.sampled_from([0.0, 0.5, 1])), max_size=6),
-                        max_size=8),
+@given(batches=BUILDER_BATCHES,
        cap=st.sampled_from([0, 1, 3, 7, 100]),
-       keep=st.sampled_from([1, 2, 5]),
-       counting=st.booleans())
-# the worst past the cap takes the last slot, which held a listed violation
+       keep=st.sampled_from([1, 2, 5, 9]),
+       counting=st.booleans(),
+       single=st.booleans())
+# the worst violation comes past the cap
 @example(batches=[[(1.0, 0.0), (2.0, 0.0)], [(0.5, 0.0)], [(3, 0.0), (3.0, 0.5)]], cap=3,
-         keep=2, counting=True)
+         keep=2, counting=True, single=False)
 # ties at the k-th residual keep recorded order, and at the worst past the cap
 @example(batches=[[(1.0, 0.0)] * 3, [(2.0, 1.0), (2.0, 0.0)], [(2.0, 0.0)]], cap=3, keep=2,
-         counting=True)
+         counting=True, single=False)
+# a NaN residual (add_violation with lhs = rhs = inf) ranks below every number
+@example(batches=[[(math.inf, math.inf), (1.0, 0.0)], [(2.0, 0.0), (math.inf, math.inf)],
+                  [(0.5, 0.0)]], cap=3, keep=2, counting=True, single=True)
+@example(batches=[[(math.inf, math.inf)], [(1.0, 0.0), (math.inf, math.inf)]], cap=3, keep=2,
+         counting=False, single=True)
 @settings(max_examples=300, deadline=None)
-def test_keep_mode_lists_what_the_full_log_lists(batches, cap, keep, counting):
+def test_keep_mode_lists_what_the_full_log_lists(batches, cap, keep, counting, single):
     """A builder that holds only ``keep`` violations, fed as a checker
-    feeds it (above ``counting_floor()`` listed, the rest counted, unless
-    the batch reaches the log's last slot), reports what a reader of
-    ``keep`` violations reads of the full log: ``to_dict(keep=keep)``, with
-    its exact count, and the worst."""
+    feeds it (above ``counting_floor()`` listed, the rest counted) or one
+    ``add_violation`` at a time (``single``), lists the ``keep`` largest of
+    every violation in scan order, with the exact count; without a NaN that
+    is what ``to_dict(keep=keep)`` of the complete list lists."""
+    complete = _complete(batches)
 
     def built(held) -> CheckReport:
         rb = ReportBuilder("keep", 0.0, keep=held)
         for b, batch in enumerate(batches):
-            floor = rb.counting_floor() if counting else None
-            _feed(rb, b, batch, None if rb.reaches_last_slot(len(batch)) else floor)
+            if single:
+                for k, (lhs, rhs) in enumerate(batch):
+                    rb.add_violation(("w", b, k), lhs, rhs)
+            else:
+                _feed(rb, b, batch, rb.counting_floor() if counting else None)
         return rb.build()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
-        full, kept = built(None), built(keep)
-    assert len(kept.violations) <= keep
-    assert repr(kept.to_dict(keep=keep)) == repr(full.to_dict(keep=keep))
-    assert kept.violation_count == full.violation_count == sum(map(len, batches))
-    assert repr(kept.violations.largest(1)) == repr(full.violations.largest(1))
+        kept = built(keep)
+    assert repr(list(kept.violations)) == repr(k_largest(complete, keep))
+    assert kept.violation_count == kept.seen == len(complete)
+    assert kept.verdict == ("fail" if complete else "pass")
+    dropped = len(complete) - max(cap, 1)
+    assert kept.details == ({"violations_dropped": dropped} if dropped > 0 else {})
+    if not any(v.residual != v.residual for v in complete):
+        full = ViolationLog.of(complete)
+        assert repr(kept.violations.largest(keep)) == repr(full.largest(keep))
+        assert repr(kept.violations.largest(1)) == repr(full.largest(1))
