@@ -107,6 +107,7 @@ from typing import Any, Callable, Optional, Sequence
 from .controls import eval_control
 from .errors import at_least_one
 from .metric import (
+    DEFAULT_QUADRUPLE_BUDGET,
     REAL_EQ_TOL,
     SamplePlan,
     SubsetSpec,
@@ -120,8 +121,6 @@ from .metric import (
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from .report import CheckReport, ReportBuilder
 
-#: Default cap on contraction quadruples per check.
-DEFAULT_QUADRUPLE_BUDGET = 1_000_000
 #: Range-check targets held at once (whole rows of y), so memory does not grow with the grid.
 RANGE_BLOCK_TARGETS = 2048
 

@@ -93,17 +93,23 @@ def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOp
     if args.samples is not None:
         grid_count = at_least_two("--samples", args.samples)
         plan, plan_b = SamplePlan(grid_count, plan.jitter_count, plan.seed), None
-    if args.jitter is not None:
-        nonnegative("--jitter", args.jitter)
-    changes = {k: v for k, v in (("jitter_count", args.jitter), ("seed", args.seed))
-               if v is not None}
-    plan = dataclasses.replace(plan, **changes)
+    jitter, seed = args.jitter, args.seed
+    if jitter is not None:
+        nonnegative("--jitter", jitter)
+
+    def overridden(p: SamplePlan) -> SamplePlan:
+        return SamplePlan(p.grid_count, p.jitter_count if jitter is None else jitter,
+                          p.seed if seed is None else seed)
+
+    plan = overridden(plan)
     if plan_b is not None:
-        plan_b = dataclasses.replace(plan_b, **changes)
+        plan_b = overridden(plan_b)
     tol = doc.check.tol if args.tol is None else args.tol
     settings = dataclasses.replace(doc.check, plan=plan, plan_b=plan_b, tol=tol)
-    overrides = (("tol", args.tol), ("max_iter", args.max_iter))
-    opts = dataclasses.replace(doc.solve, **{k: v for k, v in overrides if v is not None})
+    given = doc.solve
+    opts = SolveOptions(given.tol if args.tol is None else args.tol,
+                        given.max_iter if args.max_iter is None else args.max_iter,
+                        given.preimage_tol)
     return settings, opts
 
 

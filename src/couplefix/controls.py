@@ -20,10 +20,8 @@ cross-multiply, and a float is int true division, rounded once as
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
 from operator import methodcaller
@@ -32,6 +30,7 @@ from typing import Callable, Optional
 from .errors import DomainError, ParameterError
 from .expr import Numeric, bind_exact, parse_expression
 from .metric import Interval, SamplePlan, SubsetSpec, sample_values
+from .records import Frozen
 from .report import CheckReport, ReportBuilder
 
 #: Decreasing offsets used to approximate one-sided limits at a grid point.
@@ -55,8 +54,7 @@ class ControlClass(enum.Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class ControlFunction:
+class ControlFunction(Frozen):
     """A scalar function on [0, inf) and the class it is declared to belong to.
 
     ``fn`` evaluates without rounding: linear, capped-linear and identity
@@ -68,17 +66,21 @@ class ControlFunction:
     it), else ``fn(t).as_integer_ratio()``.  Exactness matters to the
     checkers: a float cap value can round up onto a grid point just above
     the true rational threshold, and a rounded comparison would then
-    misjudge the strict ``f(t) < t`` test.
+    misjudge the strict ``f(t) < t`` test.  ``ratio`` enters neither ``==``
+    nor ``repr``.
     """
 
-    fn: Callable[[Numeric], Numeric]
-    declared_class: ControlClass = ControlClass.UNCLASSIFIED
-    ratio: Optional[Callable[[Numeric], tuple]] = field(default=None, compare=False, repr=False)
+    _fields = ("fn", "declared_class")
+    __slots__ = (*_fields, "ratio")
 
-    def __post_init__(self):
-        if self.ratio is None:
-            fn = self.fn
-            object.__setattr__(self, "ratio", lambda t: fn(t).as_integer_ratio())
+    def __init__(self, fn: Callable[[Numeric], Numeric],
+                 declared_class: ControlClass = ControlClass.UNCLASSIFIED,
+                 ratio: Optional[Callable[[Numeric], tuple]] = None):
+        if ratio is None:
+            ratio = lambda t: fn(t).as_integer_ratio()
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "declared_class", declared_class)
+        object.__setattr__(self, "ratio", ratio)
 
 
 def _to_fraction(value, what: str) -> Fraction:
@@ -167,7 +169,7 @@ def control_from_text(text: str, declared: ControlClass = ControlClass.UNCLASSIF
 def with_declared_class(f: ControlFunction, declared: ControlClass) -> ControlFunction:
     """The same function re-tagged, e.g. a shallow linear slope used as an
     altering distance rather than a comparison bound."""
-    return dataclasses.replace(f, declared_class=declared)
+    return ControlFunction(f.fn, declared, f.ratio)
 
 
 def eval_control(f: ControlFunction, t) -> float:

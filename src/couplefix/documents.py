@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from .checks import DEFAULT_QUADRUPLE_BUDGET
 from .controls import (
     ControlClass,
     ControlFunction,
@@ -33,8 +32,10 @@ from .controls import (
 from .errors import (DocumentError, ExprSyntaxError, ParameterError, at_least_one, at_least_two,
                      nonnegative, positive_finite)
 from .expr import Expr, parse_expression
-from .metric import Interval, MetricSpace, Point, SamplePlan, SubsetSpec, subset_within_carrier
+from .metric import (DEFAULT_QUADRUPLE_BUDGET, Interval, MetricSpace, Point, SamplePlan, SubsetSpec,
+                     subset_within_carrier)
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
+from .records import Frozen
 from .solve import SolveOptions
 
 _REQUIRED_KEYS = ("problem_kind", "space", "subset_A", "subset_B", "map_F", "phi")
@@ -55,15 +56,19 @@ class CheckSettings:
     range_b: Optional[SubsetSpec] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class ProblemDocument:
+class ProblemDocument(Frozen):
     """A validated document: its built problem and the settings to run it with."""
 
-    name: str
-    problem: Union[CoincidenceProblem, StrongCoupledProblem]
-    solve: SolveOptions
-    starts: tuple[tuple[Point, Point], ...]
-    check: CheckSettings
+    __slots__ = _fields = ("name", "problem", "solve", "starts", "check")
+
+    def __init__(self, name: str, problem: Union[CoincidenceProblem, StrongCoupledProblem],
+                 solve: SolveOptions, starts: tuple[tuple[Point, Point], ...],
+                 check: CheckSettings):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "solve", solve)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "check", check)
 
 
 #: Numbers in documents stay below 2**2048 in magnitude, numerator and
@@ -264,7 +269,7 @@ _AT_LEAST_ONE = _held_to(at_least_one, _int)
 _GRID_COUNT = _held_to(at_least_two, _int)  # every check run samples an interval
 
 #: The keys of the ``solve`` and ``check`` sections and their converters.
-#: A key that is absent takes the default of the dataclass field it sets.
+#: A key that is absent takes the default of the constructor argument it sets.
 _SOLVE_FIELDS = {"tol": _POSITIVE, "max_iter": _AT_LEAST_ONE, "preimage_tol": _POSITIVE,
                  "starts": _parse_starts}
 _CHECK_FIELDS = {"grid_count": _GRID_COUNT, "grid_count_b": _GRID_COUNT,
@@ -283,7 +288,8 @@ def _parse_check(raw) -> CheckSettings:
     grid_count_b = values.pop("grid_count_b", None)
     plan = SamplePlan(**{k: values.pop(k) for k in ("grid_count", "jitter_count", "seed")
                          if k in values})
-    plan_b = None if grid_count_b is None else dataclasses.replace(plan, grid_count=grid_count_b)
+    plan_b = (None if grid_count_b is None
+              else SamplePlan(grid_count_b, plan.jitter_count, plan.seed))
     return CheckSettings(plan=plan, plan_b=plan_b, **values)
 
 

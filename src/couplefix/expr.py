@@ -40,9 +40,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExprEvalError, ExprSyntaxError
 
@@ -50,56 +49,47 @@ from .errors import DomainError, ExprEvalError, ExprSyntaxError
 # AST
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     left: "Expr"
     op: str
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class BoolOp:
+class BoolOp(NamedTuple):
     op: str
     left: "Guard"
     right: "Guard"
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(NamedTuple):
     guard: "Guard"
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class Piecewise:
+class Piecewise(NamedTuple):
     arms: tuple[Arm, ...]
     otherwise: Union["Expr", None]
 
@@ -121,8 +111,7 @@ _TWO_CHAR = ("=>", "<=", ">=", "==")
 _ONE_CHAR = "+-*/(){},;<>"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "name", a punctuation literal, or "end"
     text: str
     line: int

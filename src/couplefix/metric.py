@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import add, gt, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParameterError
+from .records import Frozen
 from .report import CheckReport, ReportBuilder
 
 #: Tolerance for treating two real values as the same point.
@@ -25,11 +25,13 @@ REAL_EQ_TOL = 1e-12
 Value = float | str
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """A carrier element: a finite real number or a label."""
 
-    value: Value
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value):
+        object.__setattr__(self, "value", value)
 
     @staticmethod
     def real(x: float) -> "Point":
@@ -47,22 +49,22 @@ class Point:
         return Point(str(name))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """One real interval with independently open or closed ends."""
 
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParameterError("interval bounds must be finite")
-        if self.lo > self.hi:
-            raise ParameterError(f"interval has lo > hi: [{self.lo}, {self.hi}]")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if lo > hi:
+            raise ParameterError(f"interval has lo > hi: [{lo}, {hi}]")
+        if lo == hi and not (lo_closed and hi_closed):
             raise ParameterError("degenerate interval must be closed on both ends")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
 
     def contains_value(self, v: float) -> bool:
         above = v > self.lo or (self.lo_closed and v == self.lo)
@@ -70,17 +72,17 @@ class Interval:
         return above and below
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class LabelSet(Frozen):
     """A finite carrier of distinct labels."""
 
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...]):
+        if not labels:
             raise ParameterError("label carrier must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ParameterError("labels must be distinct")
+        object.__setattr__(self, "labels", labels)
 
 
 def _usual_real(a: float, b: float) -> float:
@@ -99,12 +101,14 @@ def separation(a: Value, b: Value) -> float:
     return abs(a - b)
 
 
-@dataclass(frozen=True)
-class MetricSpace:
+class MetricSpace(Frozen):
     """A carrier plus a distance function on raw carrier values."""
 
-    carrier: Interval | LabelSet
-    metric: Callable[[Value, Value], float]
+    __slots__ = _fields = ("carrier", "metric")
+
+    def __init__(self, carrier: Interval | LabelSet, metric: Callable[[Value, Value], float]):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "metric", metric)
 
     @staticmethod
     def real_line(
@@ -144,23 +148,23 @@ class MetricSpace:
 # subsets
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
+class SubsetSpec(Frozen):
     """A representable subset: finite value list or sorted disjoint intervals."""
 
-    values: tuple[Value, ...] = ()
-    intervals: tuple[Interval, ...] = ()
+    __slots__ = _fields = ("values", "intervals")
 
-    def __post_init__(self):
-        if bool(self.values) == bool(self.intervals):
+    def __init__(self, values: tuple[Value, ...] = (), intervals: tuple[Interval, ...] = ()):
+        if bool(values) == bool(intervals):
             raise ParameterError("subset must have either points or intervals, and be nonempty")
-        for left, right in zip(self.intervals, self.intervals[1:]):
+        for left, right in zip(intervals, intervals[1:]):
             touching_ok = left.hi == right.lo and not (left.hi_closed and right.lo_closed)
             if not (left.hi < right.lo or touching_ok):
                 raise ParameterError(
                     f"intervals must be sorted and pairwise disjoint: "
                     f"{(left.lo, left.hi)} then {(right.lo, right.hi)}"
                 )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "intervals", intervals)
 
     @staticmethod
     def from_values(values: Iterable[Value]) -> "SubsetSpec":
@@ -272,20 +276,24 @@ def subset_values(subset: SubsetSpec) -> list[Value]:
 # sampling
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+#: Default cap on contraction quadruples per check.
+DEFAULT_QUADRUPLE_BUDGET = 1_000_000
+
+
+class SamplePlan(Frozen):
     """Deterministic sampling recipe: an even grid per interval plus
     optional seeded interior jitter points."""
 
-    grid_count: int = 21
-    jitter_count: int = 0
-    seed: int = 0
+    __slots__ = _fields = ("grid_count", "jitter_count", "seed")
 
-    def __post_init__(self):
-        if self.grid_count < 1:
+    def __init__(self, grid_count: int = 21, jitter_count: int = 0, seed: int = 0):
+        if grid_count < 1:
             raise ParameterError("grid_count must be positive")
-        if self.jitter_count < 0:
+        if jitter_count < 0:
             raise ParameterError("jitter_count must be nonnegative")
+        object.__setattr__(self, "grid_count", grid_count)
+        object.__setattr__(self, "jitter_count", jitter_count)
+        object.__setattr__(self, "seed", seed)
 
 
 def _interval_grid(iv: Interval, grid_count: int) -> list[float]:

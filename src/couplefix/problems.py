@@ -13,7 +13,7 @@ declared class the problem shape calls for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
@@ -29,6 +29,7 @@ from .metric import (
     sample_values,
     subset_within_carrier,
 )
+from .records import Frozen
 
 
 def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]:
@@ -62,8 +63,7 @@ def _image_key(v: Value):
     return v if type(v) is float and v else (type(v), repr(v))
 
 
-@dataclass(frozen=True)
-class CouplingMap:
+class CouplingMap(Frozen):
     """A two-argument map on the values of (first-subset, second-subset)
     points.
 
@@ -76,8 +76,11 @@ class CouplingMap:
     they hold the same ``fn`` and ``source``.
     """
 
-    fn: Callable[[Value, Value], Value]
-    source: Optional[str] = None
+    __slots__ = _fields = ("fn", "source")
+
+    def __init__(self, fn: Callable[[Value, Value], Value], source: Optional[str] = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "source", source)
 
     def evaluate(self, p: Point, q: Point) -> Point:
         return Point(self.fn(p.value, q.value))
@@ -129,8 +132,7 @@ class CouplingMap:
 PreimageFn = Callable[[Value, SubsetSpec, float], Optional[Value]]
 
 
-@dataclass(frozen=True)
-class SelfMap:
+class SelfMap(Frozen):
     """A one-argument map, optionally with its own preimage oracle.
 
     ``preimage_fn(target, subset, tol)`` takes a raw target value and
@@ -151,11 +153,16 @@ class SelfMap:
     the map.
     """
 
-    fn: Callable[[Value], Value]
-    preimage_fn: Optional[PreimageFn] = None
-    source: Optional[str] = None
-    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("fn", "preimage_fn", "source")
+    __slots__ = (*_fields, "_images", "_tables")
+
+    def __init__(self, fn: Callable[[Value], Value], preimage_fn: Optional[PreimageFn] = None,
+                 source: Optional[str] = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "preimage_fn", preimage_fn)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_tables", {})
 
     def evaluate(self, p: Point) -> Point:
         return Point(self.fn(p.value))

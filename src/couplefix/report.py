@@ -25,12 +25,12 @@ import heapq
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, ge, gt, ne, sub
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import at_least_one
+from .records import Record
 
 #: Violations a report lists without ``keep``: the largest residuals, and
 #: at least one (even at a cap of 0); the totals stay exact.
@@ -119,24 +119,26 @@ class ViolationLog(Sequence):
         return [self[k] for k in heapq.nlargest(n, picks, key=res.__getitem__)]
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one sampled hypothesis check.  A list of violations
     passed in is kept as a ``ViolationLog`` of the same objects.  ``seen``
     is the exact violation count of a report a ``ReportBuilder`` built, and
-    None for one built from a list."""
+    None for one built from a list; it enters neither ``==`` nor ``repr``."""
 
-    property_name: str
-    samples_tested: int
-    violations: ViolationLog
-    max_margin: float | None
-    verdict: str
-    details: dict[str, Any] = field(default_factory=dict)
-    seen: int | None = field(default=None, repr=False, compare=False)
+    _fields = ("property_name", "samples_tested", "violations", "max_margin", "verdict", "details")
+    __slots__ = (*_fields, "seen")
 
-    def __post_init__(self):
-        if not isinstance(self.violations, ViolationLog):
-            self.violations = ViolationLog.of(self.violations)
+    def __init__(self, property_name: str, samples_tested: int, violations: ViolationLog,
+                 max_margin: float | None, verdict: str, details: dict[str, Any] | None = None,
+                 seen: int | None = None):
+        self.property_name = property_name
+        self.samples_tested = samples_tested
+        self.violations = (violations if isinstance(violations, ViolationLog)
+                           else ViolationLog.of(violations))
+        self.max_margin = max_margin
+        self.verdict = verdict
+        self.details = {} if details is None else details
+        self.seen = seen
 
     @property
     def passed(self) -> bool:

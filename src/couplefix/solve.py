@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Any, NamedTuple, Optional, Union
@@ -47,6 +46,7 @@ from .metric import (
     subset_intersection,
 )
 from .problems import CoincidenceProblem, SelfMap, StrongCoupledProblem
+from .records import Frozen, Record
 from .report import CheckReport, ReportBuilder
 
 #: Grid resolution for the fallback preimage search.
@@ -61,16 +61,13 @@ class SolveStatus(Enum):
     DIAGNOSTIC_VIOLATION = "DiagnosticViolation"
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-9
-    max_iter: int = 10_000
-    preimage_tol: float = 1e-9
+class SolveOptions(Frozen):
+    __slots__ = _fields = ("tol", "max_iter", "preimage_tol")
 
-    def __post_init__(self):
-        positive_finite("tol", self.tol)
-        at_least_one("max_iter", self.max_iter)
-        positive_finite("preimage_tol", self.preimage_tol)
+    def __init__(self, tol: float = 1e-9, max_iter: int = 10_000, preimage_tol: float = 1e-9):
+        object.__setattr__(self, "tol", positive_finite("tol", tol))
+        object.__setattr__(self, "max_iter", at_least_one("max_iter", max_iter))
+        object.__setattr__(self, "preimage_tol", positive_finite("preimage_tol", preimage_tol))
 
 
 class TraceStep(NamedTuple):
@@ -96,19 +93,25 @@ class TraceStep(NamedTuple):
 _trace_step = partial(tuple.__new__, TraceStep)
 
 
-@dataclass
-class IterationTrace:
-    kind: str  # "coincidence" or "strong_coupled"
-    steps: list[TraceStep] = field(default_factory=list)
+class IterationTrace(Record):
+    __slots__ = _fields = ("kind", "steps")
+
+    def __init__(self, kind: str, steps: Optional[list[TraceStep]] = None):
+        self.kind = kind  # "coincidence" or "strong_coupled"
+        self.steps = [] if steps is None else steps
 
 
-@dataclass
-class SolveReport:
-    status: SolveStatus
-    candidate: Optional[tuple[Point, Point]]
-    residuals: dict[str, float]
-    iterations_used: int
-    failure: Optional[dict[str, Any]] = None
+class SolveReport(Record):
+    __slots__ = _fields = ("status", "candidate", "residuals", "iterations_used", "failure")
+
+    def __init__(self, status: SolveStatus, candidate: Optional[tuple[Point, Point]],
+                 residuals: dict[str, float], iterations_used: int,
+                 failure: Optional[dict[str, Any]] = None):
+        self.status = status
+        self.candidate = candidate
+        self.residuals = residuals
+        self.iterations_used = iterations_used
+        self.failure = failure
 
     def to_dict(self) -> dict[str, Any]:
         cand = None

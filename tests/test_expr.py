@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -337,10 +336,10 @@ def _constants(node) -> list[Fraction]:
     if isinstance(node, Number):
         return [node.value]
     out: list[Fraction] = []
-    for f in dataclasses.fields(node):
-        child = getattr(node, f.name)
-        for item in child if isinstance(child, tuple) else (child,):
-            if dataclasses.is_dataclass(item):
+    for name in node._fields:  # a node is a tuple, so only a plain tuple is a field of nodes
+        child = getattr(node, name)
+        for item in child if type(child) is tuple else (child,):
+            if hasattr(item, "_fields"):
                 out += _constants(item)
     return out
 
@@ -529,10 +528,10 @@ def _height(node) -> int:
     if isinstance(node, (Number, Var)):
         return 0
     below = 0
-    for f in dataclasses.fields(node):
-        child = getattr(node, f.name)
-        for item in child if isinstance(child, tuple) else (child,):
-            if dataclasses.is_dataclass(item):
+    for name in node._fields:  # a node is a tuple, so only a plain tuple is a field of nodes
+        child = getattr(node, name)
+        for item in child if type(child) is tuple else (child,):
+            if hasattr(item, "_fields"):
                 below = max(below, _height(item))
     return below if isinstance(node, (Piecewise, Arm)) else below + 1
 

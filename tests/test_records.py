@@ -12,9 +12,15 @@ fields, caches and derived callables, enter neither ``==`` nor ``repr``.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
+import weakref
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -211,6 +217,15 @@ def test_mutable_records_are_unhashable_and_assignable(case):
     assert a == case.cls(*case.other)
 
 
+@pytest.mark.parametrize("case", SLOTTED, ids=str)
+def test_records_can_be_weakly_referenced(case):
+    a = case.make()
+    ref = weakref.ref(a)
+    assert ref() is a
+    del a
+    assert ref() is None
+
+
 @pytest.mark.parametrize("case", NODES + SLOTTED, ids=str)
 def test_records_survive_copying_and_pickling(case):
     a = case.make()
@@ -317,3 +332,57 @@ def test_caches_and_derived_fields_enter_neither_equality_nor_repr():
     seen, unseen = MUTABLE[0].make(), CheckReport("p", 3, [VIOLATION], -1.0, "fail", {"k": 1})
     assert (seen.seen, unseen.seen) == (5, None)
     assert seen == unseen and repr(seen) == repr(unseen)
+
+
+# ---------------------------------------------------------------------------
+# start-up: what importing the package builds and loads
+
+
+def fresh_interpreter(code: str) -> list[str]:
+    """The output lines of ``code`` run by a new interpreter on this source tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    return out.stdout.splitlines()
+
+
+def test_only_the_classes_that_dataclasses_replace_takes_are_dataclasses():
+    """Building a dataclass generates and compiles its methods at import.
+    Three classes stay dataclasses, because callers build changed copies of
+    them with ``dataclasses.replace``; every other record is not one."""
+    out = fresh_interpreter("""
+        import dataclasses, sys
+        import couplefix, couplefix.cli
+        from couplefix.documents import registry_names
+
+        docs = [couplefix.builtin_registry(name) for name in registry_names()]
+        problems = [couplefix.build_problem(doc) for doc in docs]
+        classes = {c for m in list(sys.modules.values()) if m.__name__.startswith("couplefix")
+                   for c in vars(m).values()
+                   if isinstance(c, type) and c.__module__ == m.__name__}
+        print(len(classes), *sorted(c.__name__ for c in classes
+                                    if "__dataclass_fields__" in vars(c)))
+        print(*sorted({p.kind for p in problems}))
+        for p in problems:
+            assert dataclasses.replace(p) == p
+            assert dataclasses.replace(p, phi=p.phi).phi is p.phi
+        check = dataclasses.replace(docs[0].check, tol=0.5)
+        assert (check.tol, check.plan) == (0.5, docs[0].check.plan)
+        print("replaced")
+    """)
+    count, *dataclasses_ = out[0].split()
+    assert int(count) > 30  # every class of every module was seen
+    assert dataclasses_ == ["CheckSettings", "CoincidenceProblem", "StrongCoupledProblem"]
+    assert out[1:] == ["coincidence strong_coupled", "replaced"]
+
+
+def test_importing_the_package_leaves_the_checks_to_the_command_line():
+    out = fresh_interpreter("""
+        import sys
+        import couplefix
+        print("couplefix.checks" in sys.modules)
+        import couplefix.cli
+        print("couplefix.checks" in sys.modules)
+    """)
+    assert out == ["False", "True"]
