@@ -230,8 +230,8 @@ def test_records_can_be_weakly_referenced(case):
 def test_records_survive_copying_and_pickling(case):
     a = case.make()
     assert copy.copy(a) == a
-    assert copy.deepcopy(a) == a or case.cls is ProblemDocument  # deep copies of functions differ
-    if case.cls not in (ProblemDocument, MetricSpace, ControlFunction):  # local lambdas
+    assert copy.deepcopy(a) == a
+    if case.cls not in (ProblemDocument, ControlFunction):  # they hold local functions
         assert pickle.loads(pickle.dumps(a)) == a
 
 
