@@ -88,10 +88,10 @@ coupling check reads its interleaved rows over (A, B), F(x, y) then
 F(y, x) for each y, and the range check its blocks of rows over
 (targets, A), from ``CouplingMap.pair_rows``.  The coupling check tests
 membership a row at a time (``metric.contains_values``); the range check
-bisects the sorted image index of each side once per block
-(``SelfMap.image_index``, which the grid preimage search reads too) and
-records a block with one ``ReportBuilder.observe_all``, which equals one
-``observe`` per sample; the contraction check reads ``CouplingMap.tables``.
+bisects the sorted image index of each side (``SelfMap.image_index``, which
+the grid preimage search reads too) once per distinct target of a block, and
+records a block with one ``ReportBuilder.observe_all``, or by two margins when
+it passes; the contraction check reads ``CouplingMap.tables``.
 """
 
 from __future__ import annotations
@@ -501,7 +501,13 @@ def check_range_compatibility(
     admitted as its own candidate, so the identity map passes whenever f is
     a genuine coupling.  ``targets_b`` restricts where the y argument is
     drawn from without shrinking the candidate pools.  The targets come
-    from ``f.pair_rows(targets, A's sample)``, ``RANGE_BLOCK_TARGETS`` at a time.
+    from ``f.pair_rows(targets, A's sample)``, ``RANGE_BLOCK_TARGETS`` at a
+    time; each side's distinct targets in a block are searched once.  A block
+    with no separation s above ``tol`` adds what ``observe_all`` would: the
+    margin ``0.0 - s`` of its first target, then ``0.0 - top`` for its largest
+    non-NaN s (``max`` from -inf skips NaN), its least non-NaN margin, as
+    ``0.0 - s`` is monotone and never -0.0.  Other blocks are refined target
+    by target, as T(0.0) and T(-0.0) may differ.
     The report lists the ``keep`` largest violations (``ReportBuilder``).
     """
     b_plan = plan_b or plan
@@ -522,15 +528,18 @@ def check_range_compatibility(
         padded = index and [index[0][0], *index[0], index[0][-1]]
         sides.append((t.image_table(subset, pl)[1], padded, member_test(subset)))
 
-    def search(side: int, targets: Sequence[Value]) -> list[float]:
-        """The separation of each target from its nearest pool value."""
+    def search(side: int, targets: Sequence[Value]) -> tuple[Sequence, dict]:
+        """``(keys, near)``: each target's key, and each distinct key's separation from
+        the pool.  A scan keys ``(type, target)``, bisection (float distances) the target."""
         pool, pad, _ = sides[side]
-        if pad is not None and not any(map(isinstance, targets, repeat(str))):
-            at = list(map(bisect_left, repeat(pad), targets, repeat(1), repeat(len(pad) - 1)))
-            lo = [abs(pad[k - 1] - tv) for tv, k in zip(targets, at)]
-            hi = [abs(pad[k] - tv) for tv, k in zip(targets, at)]
-            return [h if h < l else l for l, h in zip(lo, hi)]  # min(l, h)
-        return [min(separation(v, tv) for v in pool) for tv in targets]
+        distinct = list(dict.fromkeys(targets))
+        if pad is not None and not any(map(isinstance, distinct, repeat(str))):
+            at = list(map(bisect_left, repeat(pad), distinct, repeat(1), repeat(len(pad) - 1)))
+            lo = [abs(pad[k - 1] - tv) for tv, k in zip(distinct, at)]
+            hi = [abs(pad[k] - tv) for tv, k in zip(distinct, at)]
+            return targets, dict(zip(distinct, [h if h < l else l for l, h in zip(lo, hi)]))
+        keys = list(zip(map(type, targets), targets))
+        return keys, {k: min(separation(v, k[1]) for v in pool) for k in dict.fromkeys(keys)}
 
     def refine(side: int, tv: Value, best: float) -> float:
         """A target that lies in its own subset is also its own candidate."""
@@ -547,7 +556,7 @@ def check_range_compatibility(
         # in scan order T refines a target before the next F pair is met:
         # a failing T met before the failing pair, in this block, raises instead
         for k, tv in enumerate(chain(targets, row)):
-            refine(k % 2, tv, search(k % 2, [tv])[0])
+            refine(k % 2, tv, *search(k % 2, [tv])[1].values())
 
     pairs = f.pair_rows(tgt, xv, met)
     for start in range(0, len(tgt), rows):
@@ -555,7 +564,13 @@ def check_range_compatibility(
         # for the r-th y of the block, F(y, x_i) is target 2 * (r * n + i), F(x_i, y) the next
         targets.clear()
         targets.extend(chain.from_iterable(islice(pairs, len(block))))
-        bests = list(chain.from_iterable(zip(search(0, targets[::2]), search(1, targets[1::2]))))
+        (k0, near0), (k1, near1) = search(0, targets[::2]), search(1, targets[1::2])
+        top = max(chain((-math.inf,), near0.values(), near1.values()))
+        if not top > tol:
+            rb.count_sample(0.0 - near0[k0[0]])
+            rb.count_sample(0.0 - top, len(targets) - 1)
+            continue
+        bests = list(chain.from_iterable(zip(map(near0.get, k0), map(near1.get, k1))))
         for k in list(compress(count(), map(gt, bests, repeat(tol)))):
             bests[k] = refine(k % 2, targets[k], bests[k])
 

@@ -259,9 +259,9 @@ class ReportBuilder:
             # an array would turn a value of another type into a float
             self._lhs, self._rhs, self._res = list(self._lhs), list(self._rhs), list(self._res)
 
-    def count_sample(self, margin: float | None = None) -> None:
-        """Record a passing sample that has no natural lhs/rhs pair."""
-        self.samples += 1
+    def count_sample(self, margin: float | None = None, n: int = 1) -> None:
+        """Record ``n`` passing samples with no lhs/rhs pair; ``margin`` is their least."""
+        self.samples += n
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
 

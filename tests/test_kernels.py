@@ -10,6 +10,7 @@ exception type.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import os
@@ -417,11 +418,18 @@ MERGED_SELF_MAPS = {
         lambda x: 0.0 if x < 0.5 else -0.0 if x < 1 else x),
     "plateaus": lambda: SelfMap.from_function(lambda x: math.floor(2 * x) / 2),
     "ints": lambda: SelfMap(lambda x: round(2 * x)),
+    # T(-0.0) = -0.0 but T(0.0) = 0.25: a zero target's own image depends on its sign
+    "sign_of_zero": lambda: SelfMap.from_function(
+        lambda x: x if math.copysign(1.0, x) < 0 else x + 0.25),
 }
 MERGED_COUPLINGS = {
     "mid": lambda: CouplingMap.from_function(COUPLINGS["mid"]),
     "signed_zeros": lambda: CouplingMap.from_function(lambda x, y: -0.0 if x <= y else 0.0),
     "ints": lambda: CouplingMap(lambda x, y: round(x + y)),
+    # one target per side in every block, as F = 2 in example-2.1.9
+    "constant": lambda: CouplingMap.from_function(lambda x, y: 2.0),
+    # a few targets, each repeated across a block
+    "quantised": lambda: CouplingMap.from_function(lambda x, y: math.floor(2 * (x + y)) / 4),
 }
 
 
@@ -445,6 +453,114 @@ def test_range_search_matches_naive_loop_on_merged_and_int_images(a, b, targets,
         lambda: naive_range(fm, tm, a, b, plan, tol, targets_b=targets),
     )
     assert (tm.image_index(a, plan) is None) == (t == "ints")
+
+
+def _nan_at(x0, y0, f):
+    """F, but NaN at (x0, y0); a bare map skips the finiteness check of Point.real."""
+    return lambda: CouplingMap(lambda x, y: math.nan if (x, y) == (x0, y0) else f(x, y))
+
+
+UNIT = SubsetSpec.from_intervals([Interval(0.0, 1.0)])
+HALF_UP = SubsetSpec.from_intervals([Interval(0.5, 1.5)])
+FIRST = COUPLINGS["first"]
+IDENTITY = lambda: SelfMap.from_function(SELF_MAPS["identity"])  # noqa: E731
+#: T(A) is B's sample, so F(y, x) = y always passes, and F(x, y) = x fails below 0.75
+SHIFT_HALF = lambda: SelfMap.from_function(lambda x: x + 0.5)  # noqa: E731
+#: (F, T, A, B) whose blocks repeat targets or hold a NaN.  At SamplePlan(5) UNIT
+#: samples 0, 0.25, ..., 1 and HALF_UP 0.5, 0.75, ..., 1.5.  The first target of a
+#: block is F(y_0, x_0) on side 0 and F(x_0, y_0) on side 1: F(0.5, 0.0) and
+#: F(0.0, 0.5) when A = UNIT and B = HALF_UP, F(0.0, 0.0) for both when A = B = UNIT.
+#: Under SHIFT_HALF side 0 passes and side 1 fails in every block, so a block
+#: cleared past its NaN loses violations; under the identity every block passes.
+DEDUP_CASES = {
+    "constant": (MERGED_COUPLINGS["constant"], MERGED_SELF_MAPS["plateaus"], UNIT, HALF_UP),
+    "quantised": (MERGED_COUPLINGS["quantised"], MERGED_SELF_MAPS["plateaus"], UNIT, HALF_UP),
+    "nan_first_side_0": (_nan_at(0.5, 0.0, FIRST), SHIFT_HALF, UNIT, HALF_UP),
+    "nan_first_side_1": (_nan_at(0.0, 0.5, FIRST), SHIFT_HALF, UNIT, HALF_UP),
+    "nan_later": (_nan_at(1.0, 0.25, FIRST), SHIFT_HALF, UNIT, HALF_UP),
+    "nan_first_passing": (_nan_at(0.0, 0.0, FIRST), IDENTITY, UNIT, UNIT),
+    "nan_later_passing": (_nan_at(1.0, 0.25, FIRST), IDENTITY, UNIT, UNIT),
+    # an int pool is at an int distance from 3 and at a float one from 3.0
+    "int_and_float": (lambda: CouplingMap(
+        lambda x, y: round(x + y) if x < y else float(round(x + y))),
+        MERGED_SELF_MAPS["ints"], UNIT, HALF_UP),
+    # 0.0 and -0.0 are one key of a block's distinct targets, but only -0.0 is its
+    # own T image: at tol = 0 the 0.0 targets fail and the -0.0 targets pass
+    "signed_zeros": (MERGED_COUPLINGS["signed_zeros"], MERGED_SELF_MAPS["sign_of_zero"],
+                     SubsetSpec.from_values([0.0, 1.0]), SubsetSpec.from_values([0.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEDUP_CASES))
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25, -0.1])
+@pytest.mark.parametrize("block", [1, 24, checks.RANGE_BLOCK_TARGETS])
+def test_range_repeated_and_nan_targets_match_naive_loop(case, tol, block, monkeypatch):
+    f, t, a, b = DEDUP_CASES[case]
+    plan = SamplePlan(5)
+    monkeypatch.setattr(checks, "RANGE_BLOCK_TARGETS", block)
+    _same_result(
+        lambda: check_range_compatibility(f(), t(), a, b, plan, tol),
+        lambda: naive_range(f(), t(), a, b, plan, tol),
+    )
+
+
+def test_signed_zero_targets_are_refined_one_by_one():
+    f, t, a, b = DEDUP_CASES["signed_zeros"]
+    got = check_range_compatibility(f(), t(), a, b, SamplePlan(5), 0.0)
+    failed = {math.copysign(1.0, v.witness[3]) for v in got.violations}
+    assert got.violation_count and failed == {1.0}
+
+
+def _count_range_work(monkeypatch, problem, plan, targets_b):
+    """F calls and values bisected by one range check of ``problem``."""
+    calls = Counter()
+
+    def fn(x, y):
+        calls["F"] += 1
+        return problem.coupling.fn(x, y)
+
+    def bisect_left(*args):
+        calls["bisected"] += 1
+        return bisect.bisect_left(*args)
+
+    monkeypatch.setattr(checks, "bisect_left", bisect_left)
+    check_range_compatibility(CouplingMap(fn), problem.self_map, problem.subset_a,
+                              problem.subset_b, plan, targets_b=targets_b,
+                              keep=MAX_JSON_VIOLATIONS)
+    return calls
+
+
+def _distinct_per_block(f, xs, ys, rows):
+    """The distinct targets of each side, summed over blocks of ``rows`` y rows."""
+    total = 0
+    for start in range(0, len(ys), rows):
+        block = ys[start:start + rows]
+        total += len({f(y, x) for y in block for x in xs})
+        total += len({f(x, y) for y in block for x in xs})
+    return total
+
+
+@pytest.mark.parametrize("source", ["example-2.1.9", "escaping-one-sample"])
+def test_range_searches_each_distinct_target_once(source, monkeypatch):
+    if source in registry_names():
+        doc = builtin_registry(source)
+    else:
+        doc = parse_problem(Path(__file__).with_name(f"{source}.yaml").read_text(encoding="utf-8"))
+    problem, targets_b = build_problem(doc), doc.check.range_b
+    plan = SamplePlan(81, 2, 3)  # what --samples 81 --jitter 2 --seed 3 checks, on both axes
+    xs = sample_values(problem.subset_a, plan)
+    ys = sample_values(problem.subset_b if targets_b is None else targets_b, plan)
+    rows = checks.RANGE_BLOCK_TARGETS // (2 * len(xs))
+    blocks = -(-len(ys) // rows)
+    calls = _count_range_work(monkeypatch, problem, plan, targets_b)
+    assert calls["F"] == 2 * len(xs) * len(ys) == 13778
+    want = _distinct_per_block(problem.coupling.fn, xs, ys, rows)
+    assert calls["bisected"] == want
+    if source == "example-2.1.9":  # F = 2: one value per side per block
+        assert want == 2 * blocks == 14
+    else:  # one block: the sample's distinct targets, 727 on each side
+        monkeypatch.setattr(checks, "RANGE_BLOCK_TARGETS", 2 * len(xs) * len(ys))
+        assert _count_range_work(monkeypatch, problem, plan, targets_b)["bisected"] == 2 * 727
 
 
 @given(
