@@ -60,6 +60,20 @@ CASES = {
     "solve-example-2.1.9-trace": [
         "solve", "example-2.1.9", "--start", "1", "1", "--start", "1", "3", "--trace",
     ],
+    # untraced runs: a multi-start verdict, a converged and a failed
+    # preimage search, a step limit, and an orbit that leaves its subsets
+    "solve-banach-linear-three-starts": [
+        "solve", "banach-linear", "--start", "0", "1", "--start", "0.3", "0.7",
+        "--start", "1", "1",
+    ],
+    "solve-example-2.1.9-three-starts": [
+        "solve", "example-2.1.9", "--start", "1", "1", "--start", "1", "3",
+        "--start", "0.5", "2",
+    ],
+    "solve-banach-linear-max-iter-3": [
+        "solve", "banach-linear", "--start", "0", "1", "--start", "1", "1", "--max-iter", "3",
+    ],
+    "solve-escaping-orbit": ["solve", str(DOCUMENTS / "escaping-orbit.yaml")],
 }
 
 
