@@ -194,20 +194,21 @@ def _print_checks(reports: list[tuple[str, CheckReport]]) -> None:
 
 def _print_solve(start: tuple[Point, Point], report: SolveReport) -> None:
     sx, sy = start
-    print(f"solve from ({_fmt_num(sx.value)}, {_fmt_num(sy.value)}):")
-    print(f"  status: {report.status.value}")
-    print(f"  iterations: {report.iterations_used}")
+    lines = [f"solve from ({_fmt_num(sx.value)}, {_fmt_num(sy.value)}):",
+             f"  status: {report.status.value}",
+             f"  iterations: {report.iterations_used}"]
     if report.candidate is not None:
         cx, cy = report.candidate
-        print(f"  candidate: x = {_fmt_num(cx.value)}, y = {_fmt_num(cy.value)}")
+        lines.append(f"  candidate: x = {_fmt_num(cx.value)}, y = {_fmt_num(cy.value)}")
     if report.residuals:
         parts = ", ".join(
             f"{k} = {_fmt_num(report.residuals[k])}" for k in sorted(report.residuals)
         )
-        print(f"  residuals: {parts}")
+        lines.append(f"  residuals: {parts}")
     if report.failure:
         parts = ", ".join(f"{k}={_fmt_num(v)}" for k, v in report.failure.items())
-        print(f"  failure: {parts}")
+        lines.append(f"  failure: {parts}")
+    print("\n".join(lines))
 
 
 def _write_file(path: str, text: str, what: str) -> None:
@@ -250,16 +251,15 @@ def _resolve_starts(doc: ProblemDocument, args) -> tuple[tuple[Point, Point], ..
 def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     """Solve from every start, print and write the results; the exit code.
 
-    Only the first start's trace is kept.  The multi-start verdict is that
-    of a strong problem with several starts, else None.  ``checks`` is the
-    JSON check section of the report (``None`` for ``solve`` or without
-    ``--json``).
+    Only the first start records a trace, and only for ``--trace``.  The
+    multi-start verdict is that of a strong problem with several starts,
+    else None.  ``checks`` is the JSON check section of the report (``None``
+    for ``solve`` or without ``--json``).
     """
     strong = problem.kind == "strong_coupled"
     iterate = iterate_strong_coupled if strong else iterate_coincidence
-    runs = (iterate(problem, sx, sy, opts) for sx, sy in starts)
-    first, trace = next(runs)
-    reports = [first] + [report for report, _ in runs]
+    first, trace = iterate(problem, *starts[0], opts, record=bool(args.trace))
+    reports = [first] + [iterate(problem, sx, sy, opts, record=False)[0] for sx, sy in starts[1:]]
     verdict = multi_start_verdict(problem, reports, opts) if strong and len(starts) > 1 else None
     for start, report in zip(starts, reports):
         _print_solve(start, report)

@@ -14,7 +14,9 @@ iterates (self-map preimages for coincidence runs, coupling values for
 strong runs).  The driver, its steps, its residuals and the preimage
 searches carry raw values and call F and T through ``fn``; Points are
 built for the reported candidate only.  The pair distance
-R_n rides along as a second diagnostic.
+R_n rides along as a second diagnostic.  Only a run that records its trace
+builds ``TraceStep``s, and on the usual metric the strong step and the
+brute-force scan compute ``abs(a - b)`` without calling the metric.
 Theory says both sequences shrink monotonically for admissible problems, so
 an increase while the predecessor is still above tolerance is treated as a
 hard error rather than noise: the run aborts with a diagnostic status
@@ -240,14 +242,13 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y:
             if p is None:
                 failure = {"reason": "preimage", "step": n + 1, "subset": label,
                            "target": tgt, "min_distance": dist}
-                return x, y, None, (SolveStatus.PREIMAGE_FAILURE, failure)
+                return x, y, None, None, tx, ty, (SolveStatus.PREIMAGE_FAILURE, failure)
             found.append(p)
         x1, y1 = found
         tx1, ty1 = t(x1), t(y1)
-        d_n = max(d(tx, ty1), d(ty, tx1))
-        done = _trace_step((n, x, y, tx, ty, d_n, d(tx, ty)))
+        done = x1, y1, max(d(tx, ty1), d(ty, tx1)), d(tx, ty), tx, ty, None
         tx, ty = tx1, ty1
-        return x1, y1, done, None
+        return done
 
     return step
 
@@ -257,36 +258,41 @@ def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, 
     A and B.  F runs on raw values (``CouplingMap.fn``) and membership
     is ``metric.member_test``, so a step builds no Point."""
     d = problem.space.metric
+    usual = d is _usual_real
     g = problem.coupling.fn
     in_a, in_b = member_test(problem.subset_a), member_test(problem.subset_b)
 
     def step(n: int, x: Value, y: Value):
         x1, y1 = g(y, x), g(x, y)
-        d_n = max(d(x1, y), d(y1, x))
-        done = _trace_step((n, x, y, None, None, d_n, d(x, y)))
+        if usual:
+            d_n, r_n = max(abs(x1 - y), abs(y1 - x)), abs(x - y)
+        else:
+            d_n, r_n = max(d(x1, y), d(y1, x)), d(x, y)
         if not in_a(x1):
             label, escaped = "A", x1
         elif not in_b(y1):
             label, escaped = "B", y1
         else:
-            return x1, y1, done, None
+            return x1, y1, d_n, r_n, None, None, None
         failure = {"reason": "orbit_left_subset", "subset": label,
                    "step": n + 1, "value": escaped}
-        return x1, y1, done, (SolveStatus.DIAGNOSTIC_VIOLATION, failure)
+        return x1, y1, d_n, r_n, None, None, (SolveStatus.DIAGNOSTIC_VIOLATION, failure)
 
     return step
 
 
-def _iterate(problem, x: Value, y: Value, opts: SolveOptions, make_step, residuals):
+def _iterate(problem, x: Value, y: Value, opts: SolveOptions, make_step, residuals, record):
     """The alternating iteration both engines share, from the raw start
     ``(x, y)``.
 
     ``make_step(problem, opts, x, y)`` returns the kind's step function.
-    It maps ``(n, x, y)`` to ``(x1, y1, done, stop)``: the next pair, the
-    :class:`TraceStep` of the completed transition (``None`` when the step
-    failed before completing it), and ``None`` or the ``(status, failure)``
+    It maps ``(n, x, y)`` to ``(x1, y1, d_n, r_n, tx, ty, stop)``: the next
+    pair, the step sizes D_n and R_n of the transition (``d_n`` is ``None``
+    when the step failed before completing it), the T images of ``(x, y)``
+    (``None`` for strong runs), and ``None`` or the ``(status, failure)``
     that ends the run.  ``residuals(problem, x, y)`` gives the defining
-    residuals of a pair of raw values.
+    residuals of a pair of raw values.  The trace gets a :class:`TraceStep`
+    per completed step when ``record`` is true, else no steps.
     """
     for label, v, subset, name in (("x0", x, problem.subset_a, "A"),
                                    ("y0", y, problem.subset_b, "B")):
@@ -294,31 +300,32 @@ def _iterate(problem, x: Value, y: Value, opts: SolveOptions, make_step, residua
             raise DomainError(f"start {label}={v!r} is not in subset {name}")
     step = make_step(problem, opts, x, y)
     trace = IterationTrace(problem.kind)
-    prev, tol = None, opts.tol
+    prev_d = prev_r = math.inf  # so the first step is no increase
+    used, tol = 0, opts.tol
     for n in range(opts.max_iter):
-        x1, y1, done, stop = step(n, x, y)
-        if done is not None:
-            trace.steps.append(done)
-        if stop is None and prev is not None:
-            if prev.d > tol and done.d > prev.d + tol:
+        x1, y1, d_n, r_n, tx, ty, stop = step(n, x, y)
+        used += d_n is not None
+        if record and d_n is not None:
+            trace.steps.append(_trace_step((n, x, y, tx, ty, d_n, r_n)))
+        if stop is None:
+            if prev_d > tol and d_n > prev_d + tol:
                 stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "D_increase", "index": n}
-            elif prev.r > tol and done.r > prev.r + tol:
+            elif prev_r > tol and r_n > prev_r + tol:
                 stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "R_increase", "index": n}
         if stop is not None:
             status, failure = stop
             break
-        if done.d <= tol:
+        if d_n <= tol:
             status = failure = None
             break
-        prev, x, y = done, x1, y1
+        prev_d, prev_r, x, y = d_n, r_n, x1, y1
     else:
         status, failure = SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"}
     values = residuals(problem, x, y)
     if status is None:
         converged = all(v <= tol for v in values.values())
         status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
-    # every step of a run that ran out of iterations completed, so it used max_iter
-    return SolveReport(status, (Point(x), Point(y)), values, len(trace.steps), failure), trace
+    return SolveReport(status, (Point(x), Point(y)), values, used, failure), trace
 
 
 def iterate_coincidence(
@@ -326,15 +333,17 @@ def iterate_coincidence(
     x0: Point,
     y0: Point,
     opts: SolveOptions = SolveOptions(),
+    *, record: bool = True,
 ) -> tuple[SolveReport, IterationTrace]:
     """Alternating coincidence iteration driven by self-map preimages.
 
     Each step solves T(next_x) = F(y, x) and T(next_y) = F(x, y) inside the
     respective subsets.  A step whose targets admit no preimage ends the run
     with a failure payload naming the step, subset, target, and how close
-    the nearest candidate came.
+    the nearest candidate came.  With ``record=False`` the trace has no steps.
     """
-    return _iterate(problem, x0.value, y0.value, opts, _preimage_step, _coincidence_residuals)
+    return _iterate(problem, x0.value, y0.value, opts, _preimage_step, _coincidence_residuals,
+                    record)
 
 
 def iterate_strong_coupled(
@@ -342,13 +351,15 @@ def iterate_strong_coupled(
     x0: Point,
     y0: Point,
     opts: SolveOptions = SolveOptions(),
+    *, record: bool = True,
 ) -> tuple[SolveReport, IterationTrace]:
     """Alternating coupling iteration: next_x = F(y, x), next_y = F(x, y).
 
     The orbit must stay inside its subsets; a step that escapes is reported
-    as a diagnostic violation naming the subset and the escaped value.
+    as a diagnostic violation naming the subset and the escaped value.  With
+    ``record=False`` the trace has no steps.
     """
-    return _iterate(problem, x0.value, y0.value, opts, _coupling_step, _strong_residuals)
+    return _iterate(problem, x0.value, y0.value, opts, _coupling_step, _strong_residuals, record)
 
 
 def multi_start_verdict(
@@ -435,7 +446,11 @@ def brute_force_search(
         if len(av) * len(bv) > budget:
             raise BudgetError(f"{len(av) * len(bv)} candidate pairs exceed budget {budget}")
         b_pts = list(map(Point, bv))
-        return [(a, b_pts[j]) for a, x, ta_i in zip(map(Point, av), av, ta)
+        pairs = zip(map(Point, av), av, ta)
+        if d is _usual_real:
+            return [(a, b_pts[j]) for a, x, ta_i in pairs for j, y in enumerate(bv)
+                    if abs(g(x, y) - ta_i) <= tol and abs(g(y, x) - tb[j]) <= tol]
+        return [(a, b_pts[j]) for a, x, ta_i in pairs
                 for j, y in enumerate(bv) if d(g(x, y), ta_i) <= tol and d(g(y, x), tb[j]) <= tol]
     inter = subset_intersection(problem.subset_a, problem.subset_b)
     if inter is None:

@@ -566,9 +566,9 @@ class TestRunsPerStart:
         calls = []
         real = couplefix.solve.iterate_strong_coupled
 
-        def counted(problem, x0, y0, opts):
+        def counted(problem, x0, y0, opts, record=True):
             calls.append((x0.value, y0.value))
-            return real(problem, x0, y0, opts)
+            return real(problem, x0, y0, opts, record=record)
 
         monkeypatch.setattr(couplefix.cli, "iterate_strong_coupled", counted)
         monkeypatch.setattr(couplefix.solve, "iterate_strong_coupled", counted)

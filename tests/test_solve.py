@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplefix import cli
 from couplefix.cli import TRACE_HEADER
 from couplefix.controls import ControlClass, identity_control, make_linear, with_declared_class
 from couplefix.documents import build_problem, builtin_registry
@@ -493,3 +494,102 @@ def test_constant_couplings_land_in_brute_force_output(shared, extra_a, extra_b)
             report, _ = iterate_strong_coupled(problem, _pt(sx), _pt(sy))
             if report.status is SolveStatus.CONVERGED:
                 assert report.candidate[0].value in oracle
+
+
+def _usual_and_general(make):
+    """``make(space)`` on [-4, 4] with the usual metric, and with the same
+    distance as a plain function, which takes the general-metric paths."""
+    return (make(MetricSpace.real_line(-4.0, 4.0)),
+            make(MetricSpace.real_line(-4.0, 4.0, metric=lambda a, b: abs(a - b))))
+
+
+_coefficients = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+_unit_starts = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@given(a=_coefficients, b=_coefficients, c=_coefficients, x0=_unit_starts, y0=_unit_starts,
+       scan_tol=st.sampled_from([1e-9, 0.1, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_usual_metric_matches_the_general_path(a, b, c, x0, y0, scan_tol):
+    """Strong runs, coincidence runs and the coincidence scan of an affine F
+    give equal reports, traces and pairs on the usual metric and on the
+    same distance called as a function.  A loose scan tolerance makes the
+    scan find pairs for most F."""
+    f = f"({a}) * x + ({b}) * y + ({c})"
+    unit = interval_subset(0.0, 1.0)
+    t = SelfMap.from_expression(parse_expression("2 * x"))
+    opts = SolveOptions(max_iter=40)
+    strong = _usual_and_general(lambda space: _strong(space, unit, unit, f))
+    coincidence = _usual_and_general(lambda space: CoincidenceProblem(
+        space=space, subset_a=unit, subset_b=unit,
+        coupling=CouplingMap.from_expression(parse_expression(f)), self_map=t,
+        phi=make_linear(Fraction(1, 2))))
+    for iterate, (usual, general) in ((iterate_strong_coupled, strong),
+                                      (iterate_coincidence, coincidence)):
+        assert iterate(usual, _pt(x0), _pt(y0), opts) == iterate(general, _pt(x0), _pt(y0), opts)
+    usual, general = coincidence
+    plan = SamplePlan(grid_count=21)
+    assert brute_force_search(usual, plan, scan_tol) == brute_force_search(general, plan, scan_tol)
+
+
+def _terminal_runs():
+    """(status, failure reason, engine, problem, start, opts) reaching each
+    way a run can end."""
+    unit = interval_subset(0.0, 1.0)
+    wide = MetricSpace.real_line(-4.0, 4.0)
+    identity_coincidence = CoincidenceProblem(
+        space=MetricSpace.real_line(0.0, 1.0), subset_a=unit, subset_b=unit,
+        coupling=CouplingMap.from_expression(parse_expression(EXPANDING_F)),
+        self_map=SelfMap.identity(), phi=make_linear(Fraction(1, 2)))
+    return [
+        (SolveStatus.CONVERGED, None, iterate_strong_coupled,
+         averaging_problem(Fraction(1, 2)), (0.0, 1.0), SolveOptions()),
+        # F(x, y) = x swaps the pair: D is 0 at once, but x != y
+        (SolveStatus.EARLY_COINCIDENCE, None, iterate_strong_coupled,
+         _strong(wide, unit, unit, "x"), (0.0, 1.0), SolveOptions()),
+        (SolveStatus.MAX_ITER_EXCEEDED, "max_iter", iterate_strong_coupled,
+         averaging_problem(Fraction(1, 2)), (1.0, 1.0), SolveOptions(max_iter=3)),
+        (SolveStatus.DIAGNOSTIC_VIOLATION, "D_increase", iterate_coincidence,
+         identity_coincidence, (0.5, 0.6), SolveOptions()),
+        # D: 1.0 then 0.75, R: 1.0 then 1.5
+        (SolveStatus.DIAGNOSTIC_VIOLATION, "R_increase", iterate_strong_coupled,
+         _strong(wide, interval_subset(-4.0, 4.0), interval_subset(-4.0, 4.0), "x / 2 - y"),
+         (0.0, 1.0), SolveOptions()),
+        (SolveStatus.DIAGNOSTIC_VIOLATION, "orbit_left_subset", iterate_strong_coupled,
+         _strong(wide, unit, unit, "x + y"), (0.5, 0.5), SolveOptions()),
+        (SolveStatus.PREIMAGE_FAILURE, "preimage", iterate_coincidence,
+         plateau_problem(), (1.0, 3.0), SolveOptions()),
+    ]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("status, reason, iterate, problem, start, opts", _terminal_runs())
+    def test_unrecorded_run_reports_what_a_recorded_one_does(
+            self, status, reason, iterate, problem, start, opts):
+        x0, y0 = map(_pt, start)
+        report, trace = iterate(problem, x0, y0, opts, record=True)
+        assert report.status is status
+        assert (report.failure or {}).get("reason") == reason
+        assert report.iterations_used == len(trace.steps)
+        bare, empty = iterate(problem, x0, y0, opts, record=False)
+        assert bare == report
+        assert empty.kind == trace.kind and empty.steps == []
+
+    @pytest.mark.parametrize("source", ["banach-linear", "example-2.1.9"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_command_line_records_only_the_first_traced_start(
+            self, source, traced, tmp_path, monkeypatch, capsys):
+        recorded = []
+        for name in ("iterate_coincidence", "iterate_strong_coupled"):
+            real = getattr(cli, name)
+
+            def spy(problem, x0, y0, opts, record=True, real=real):
+                recorded.append(record)
+                return real(problem, x0, y0, opts, record=record)
+
+            monkeypatch.setattr(cli, name, spy)
+        trace_args = ["--trace", str(tmp_path / "t.csv")] if traced else []
+        cli.main(["solve", source, "--start", "1", "1", "--start", "0.5", "0.5",
+                  "--start", "1", "1", *trace_args])
+        capsys.readouterr()
+        assert recorded == [traced, False, False]
