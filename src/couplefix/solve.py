@@ -246,9 +246,9 @@ def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y:
             found.append(p)
         x1, y1 = found
         tx1, ty1 = t(x1), t(y1)
-        done = x1, y1, max(d(tx, ty1), d(ty, tx1)), d(tx, ty), tx, ty, None
+        result = x1, y1, max(d(tx, ty1), d(ty, tx1)), d(tx, ty), tx, ty, None
         tx, ty = tx1, ty1
-        return done
+        return result
 
     return step
 
