@@ -2,13 +2,13 @@
 
 Every checker here follows the same bargain: it scans a deterministic
 finite sample, records each broken inequality as a reproducible witness,
-and reports evidence rather than proof.  A thinned sample is a
-deterministic subset of the full grid, but samples of different sizes do
-not nest: thinning drops the grid's far endpoint, and the samples of an
-open interval move with the grid, so a witness found on a smaller grid
-need not lie in a larger grid's sample (nested sampling is item 4 of
-ROADMAP.md).  Each report carries enough detail (image values, stride,
-margin) to re-derive its numbers independently.
+and reports evidence rather than proof.  A thinned sample is the subset of
+the full sample that ``metric.thinned_positions`` picks, but samples of
+different sizes do not nest: thinning drops the grid's far endpoint, and
+the samples of an open interval move with the grid, so a witness found on
+a smaller grid need not lie in a larger grid's sample (nested sampling is
+item 4 of ROADMAP.md).  Each report carries enough detail (image values,
+stride, margin) to re-derive its numbers independently.
 
 Both contraction checkers are entries to one kernel.  It walks quadruples
 (x, y, u, v) with x, v drawn from the first subset and y, u from the second,
@@ -25,8 +25,8 @@ does not assume the metric is symmetric; only the mirror below does, and
 it takes the usual metric alone.
 The quadruple count grows with the fourth power of the grid, so a budget
 caps the work: when the full product would exceed it, every axis is thinned
-by the same stride, which keeps the subsample a deterministic subset of the
-full grid.
+by the smallest stride whose ``metric.thinned_positions`` fit it, and the
+values and T images are read at those positions.
 
 The kernel is table-driven and evaluates every quadruple without a Python
 call per quadruple.  right is evaluated once per distinct entry of the two
@@ -117,6 +117,7 @@ from .metric import (
     member_test,
     sample_values,
     separation,
+    thinned_positions,
 )
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from .report import CheckReport, ReportBuilder
@@ -127,13 +128,8 @@ RANGE_BLOCK_TARGETS = 2048
 
 def _quadruple_stride(na: int, nb: int, budget: int) -> int:
     at_least_one("budget", budget)  # once the stride reaches n, every factor is 1
-    stride = 1
-    while (
-        math.ceil(na / stride) * math.ceil(nb / stride) ** 2 * math.ceil(na / stride)
-        > budget
-    ):
-        stride += 1
-    return stride
+    return next(s for s in count(1)
+                if (len(thinned_positions(na, s)) * len(thinned_positions(nb, s))) ** 2 <= budget)
 
 
 def check_coupling(
@@ -265,8 +261,9 @@ def _contraction_scan(
 ) -> CheckReport:
     """left(d(F(x,y), F(u,v))) <= right(max(d(Ix, Iu), d(Iy, Iv))) over quadruples.
 
-    The image map I is ``t`` (its full-grid table, thinned by the stride),
-    or the identity when ``t`` is None; ``left=None`` is the identity.
+    The image map I is ``t`` (its full-grid table, read like the sample at
+    ``metric.thinned_positions``) or the identity when ``t`` is None;
+    ``left=None`` is the identity.
     ``identity_left`` says that ``left`` returns every finite float
     unchanged: it is then skipped on the usual metric when F's tables hold
     floats only, so that every distance is a float.
@@ -286,16 +283,17 @@ def _contraction_scan(
     stride = _quadruple_stride(len(xv), len(yv), budget)
     # one sample on both axes, bit for bit: == alone takes 0.0 for -0.0
     one = xv == yv and list(map(repr, xv)) == list(map(repr, yv))
-    xv = xv[::stride]
-    yv = xv if one else yv[::stride]
+    kx, ky = thinned_positions(len(xv), stride), thinned_positions(len(yv), stride)
+    xv = list(map(xv.__getitem__, kx))
+    yv = xv if one else list(map(yv.__getitem__, ky))
     na, nb = len(xv), len(yv)
     d = problem.space.metric
     f_ab, f_ba = problem.coupling.tables(xv, yv)
     if t is None:
         ix, iy = xv, yv
     else:
-        ix = t.image_table(problem.subset_a, plan)[1][::stride]
-        iy = ix if one else t.image_table(problem.subset_b, b_plan)[1][::stride]
+        ix = list(map(t.image_table(problem.subset_a, plan)[1].__getitem__, kx))
+        iy = ix if one else list(map(t.image_table(problem.subset_b, b_plan)[1].__getitem__, ky))
     d_xu = [[d(a, b) for b in iy] for a in ix]  # d_xu[i][j2] = d(Ix_i, Iu_j2)
     # d_yv[j][i2] = d(Iy_j, Iv_i2), which is d_xu[j][i2] on one sample
     d_yv = d_xu if one else [[d(b, a) for a in ix] for b in iy]

@@ -139,10 +139,6 @@ class MetricSpace(Frozen):
 
         return MetricSpace(carrier, from_table)
 
-    @property
-    def is_real(self) -> bool:
-        return isinstance(self.carrier, Interval)
-
 
 # ---------------------------------------------------------------------------
 # subsets
@@ -278,6 +274,12 @@ def subset_values(subset: SubsetSpec) -> list[Value]:
 
 #: Default cap on contraction quadruples per check.
 DEFAULT_QUADRUPLE_BUDGET = 1_000_000
+
+
+def thinned_positions(n: int, stride: int) -> range:
+    """The positions of an n-point sample that a scan thinned by ``stride``
+    keeps (every ``stride``-th, from the first): the one thinning rule."""
+    return range(0, n, stride)
 
 
 class SamplePlan(Frozen):

@@ -503,6 +503,40 @@ def test_standalone_phi_T_contraction_evaluates_t_on_the_full_sample():
     assert calls == expected
 
 
+def test_thinning_runs_flat_across_interval_boundaries():
+    """A = [0, 1] u [2, 3] with one jitter point per interval: 10 sample
+    values, thinned by stride 2 to positions 0, 2, 4, 6, 8 of the flat
+    sample.  The picks hold the first interval's jitter point and the
+    second interval's second grid point, and drop the far end 1.0 of the
+    first interval; the T images are thinned by the same positions."""
+    from couplefix.metric import Interval, sample_values
+
+    a = SubsetSpec.from_intervals([Interval(0.0, 1.0), Interval(2.0, 3.0)])
+    p = CoincidenceProblem(
+        space=MetricSpace.real_line(-10.0, 10.0),
+        subset_a=a,
+        subset_b=a,
+        coupling=CouplingMap.from_expression(parse_expression("x + y")),
+        self_map=SelfMap.from_expression(parse_expression("x / 2")),
+        phi=make_linear(Fraction(1, 2)),
+    )
+    plan = SamplePlan(grid_count=4, jitter_count=1, seed=7)
+    report = check_phi_T_contraction(p, plan, budget=1_000)
+    stride = report.details["stride"]
+    assert stride == 2 and report.samples_tested == 5 ** 4
+    values = sample_values(a, plan)
+    thinned = values[::stride]
+    assert thinned == [0.0, values[2], values[4], values[6], 3.0]
+    assert 1.0 not in thinned and values[4] not in (0.0, 1 / 3, 2 / 3, 1.0)
+    assert report.violations
+    for pos in (1, 3):  # x and u
+        assert {v.witness[pos] for v in report.violations} == set(thinned)
+    # phi(max(d(Tx, Tu), d(Ty, Tv))) reads the thinned T table
+    for v in report.violations:
+        _, x, y, u, w = v.witness
+        assert v.rhs == max(abs(x / 2 - u / 2), abs(y / 2 - w / 2)) / 2
+
+
 def test_check_evaluates_t_once_per_distinct_sample_value(monkeypatch, capsys):
     """``check example-2.1.9`` samples T on the grids of A = [0, 2] (21
     points) and B = [0, 4] (41), and on their refined grids (41 and 81) for

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplefix.checks import _quadruple_stride
 from couplefix.errors import DomainError, ParameterError
 from couplefix.metric import (
     Interval,
@@ -21,6 +22,7 @@ from couplefix.metric import (
     sampled_diameter,
     subset_intersection,
     subset_within_carrier,
+    thinned_positions,
 )
 
 
@@ -172,6 +174,57 @@ def test_sampled_points_always_lie_in_their_subset(lo, width, lo_closed, hi_clos
     )
     for v in sample_values(spec, SamplePlan(grid_count=grid, jitter_count=jitter, seed=seed)):
         assert member_test(spec)(v)
+
+
+@st.composite
+def sampled_subsets(draw):
+    """1-3 sorted disjoint intervals with open or closed ends, some of them
+    one point (lo == hi, closed), or a finite subset."""
+    if draw(st.booleans()):
+        return SubsetSpec.from_values(draw(st.lists(
+            st.one_of(st.floats(-100, 100), st.sampled_from(["a", "b"])), min_size=1, max_size=8)))
+    k = draw(st.integers(1, 3))
+    ends = sorted(draw(st.lists(st.floats(-100, 100), min_size=2 * k, max_size=2 * k, unique=True)))
+    intervals = []
+    for lo, hi in zip(ends[0::2], ends[1::2]):
+        if draw(st.booleans()):
+            intervals.append(Interval(lo, lo))
+        else:
+            intervals.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return SubsetSpec.from_intervals(intervals)
+
+
+SAMPLE_PLANS = st.builds(SamplePlan, st.integers(2, 60), st.integers(0, 4), st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset=sampled_subsets(), plan=SAMPLE_PLANS, data=st.data())
+def test_thinning_keeps_every_stride_th_point_of_the_flat_sample(subset, plan, data):
+    """Today's thinning: every stride-th position of the flat sample, from
+    the first, across interval boundaries and over grid and jitter points
+    alike (the picks of a [::stride] slice)."""
+    values = sample_values(subset, plan)
+    n = len(values)
+    stride = data.draw(st.integers(1, n + 1), label="stride")
+    kept = thinned_positions(n, stride)
+    assert list(kept) == list(range(0, len(sample_values(subset, plan)), stride))
+    assert [values[k] for k in kept] == values[::stride]
+
+
+def _ceil_stride(na, nb, budget):
+    """The stride search as it was written before the thinning function."""
+    stride = 1
+    while math.ceil(na / stride) * math.ceil(nb / stride) ** 2 * math.ceil(na / stride) > budget:
+        stride += 1
+    return stride
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=sampled_subsets(), b=sampled_subsets(), plan=SAMPLE_PLANS,
+       budget=st.one_of(st.just(1), st.integers(1, 10**4), st.integers(1, 10**9)))
+def test_stride_search_counts_points_as_the_ceil_loop(a, b, plan, budget):
+    na, nb = len(sample_values(a, plan)), len(sample_values(b, plan))
+    assert _quadruple_stride(na, nb, budget) == _ceil_stride(na, nb, budget)
 
 
 # ---------------------------------------------------------------------------
