@@ -527,7 +527,7 @@ def test_thinning_runs_flat_across_interval_boundaries():
     values = sample_values(a, plan)
     thinned = values[::stride]
     assert thinned == [0.0, values[2], values[4], values[6], 3.0]
-    assert 1.0 not in thinned and values[4] not in (0.0, 1 / 3, 2 / 3, 1.0)
+    assert 1.0 not in thinned and values[4] not in values[:4]  # the jitter point
     assert report.violations
     for pos in (1, 3):  # x and u
         assert {v.witness[pos] for v in report.violations} == set(thinned)
