@@ -166,8 +166,6 @@ def check_coupling(
 
 
 def _unique_sorted(values: list[Value], cap: int = 24) -> Optional[list[Value]]:
-    if not values:
-        return []
     if any(isinstance(v, str) for v in values):
         out: list[Value] = sorted({str(v) for v in values})
     else:

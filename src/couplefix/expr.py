@@ -200,6 +200,11 @@ class _Parser:
     def _fail(self, message: str, tok: _Token, expected: tuple[str, ...] = ()) -> None:
         raise ExprSyntaxError(message, tok.line, tok.col, expected)
 
+    def _unexpected(self, tok: _Token, expected: tuple[str, ...], where: str = "") -> None:
+        """Fail at ``tok``, which is not one of ``expected``."""
+        self._fail("unexpected end of input" if tok.kind == "end"
+                   else f"unexpected {tok.text!r}{where}", tok, expected)
+
     def _nested(self, tok: _Token, rule: Callable[[], Expr]) -> Expr:
         """Parse ``rule`` one nesting level deeper than ``tok``."""
         if self._depth >= MAX_NESTING:
@@ -220,8 +225,7 @@ class _Parser:
     def _expect(self, kind: str) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
-            self._fail(f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                       tok, (kind,))
+            self._unexpected(tok, (kind,))
         return self._advance()
 
     # --- grammar rules ---
@@ -260,7 +264,7 @@ class _Parser:
             if tok.kind == "}":
                 self._advance()
                 break
-            self._fail(f"unexpected {tok.text!r} after piecewise arm", tok, (";", "}"))
+            self._unexpected(tok, (";", "}"), " after piecewise arm")
         if not arms:
             self._fail("piecewise needs at least one guarded arm", kw)
         return Piecewise(tuple(arms), otherwise)
@@ -326,10 +330,7 @@ class _Parser:
             if tok.text in KEYWORDS:
                 self._fail(f"unexpected keyword {tok.text!r}", tok, _FACTOR_START)
             self._fail(f"unknown identifier {tok.text!r}", tok, IDENTS + FNAMES)
-        self._fail(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok, _FACTOR_START,
-        )
+        self._unexpected(tok, _FACTOR_START)
         raise AssertionError("unreachable")
 
     def call(self) -> Call:
@@ -345,10 +346,7 @@ class _Parser:
             if tok.kind == ")":
                 self._advance()
                 break
-            self._fail(
-                f"unexpected {tok.text!r} in call" if tok.kind != "end" else "unexpected end of input",
-                tok, (")", ","),
-            )
+            self._unexpected(tok, (")", ","), " in call")
         if name_tok.text == "abs" and len(args) != 1:
             self._fail("abs takes exactly one argument", name_tok)
         if name_tok.text in ("min", "max") and len(args) < 2:

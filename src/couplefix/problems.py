@@ -216,15 +216,6 @@ class SelfMap(Frozen):
                 entry[2] = values, [first[v] for v in values]
         return entry[2] or None
 
-    @property
-    def has_preimage_oracle(self) -> bool:
-        return self.preimage_fn is not None
-
-    def preimage(self, target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:
-        if self.preimage_fn is None:
-            raise ParameterError("this self map has no preimage oracle")
-        return self.preimage_fn(target, subset, tol)
-
     @staticmethod
     def identity() -> "SelfMap":
         def pre(target: Value, subset: SubsetSpec, tol: float) -> Optional[Value]:

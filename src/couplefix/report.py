@@ -9,14 +9,16 @@ render or serialize it without re-running the check.
 A failing check may see tens of thousands of violations of which a reader
 shows a handful, so a report lists the k largest residuals among all of
 them, in recorded order, with the exact count beside them
-(``CheckReport.seen``).  k is the ``keep`` a checker is given (the command
-line gives five), else ``MAX_RECORDED_VIOLATIONS``, below which every
-violation is listed.  The list is a ``ViolationLog``: one key, lhs, rhs and
-residual per violation in parallel columns, floats in ``array('d')``.  A
-check whose witness is a function of an integer key (the contraction
-kernel's quadruple index) stores the keys in ``array('q')`` and builds each
-witness tuple only when its violation is read; the others store the
-witness tuples as their own keys.
+(``CheckReport.violation_count``).  Equal residuals rank in recorded order
+and a NaN residual below every number, in the list and wherever it is read
+(``ViolationLog.largest``).  k is the ``keep`` a checker is given (the
+command line gives five), else ``MAX_RECORDED_VIOLATIONS``, below which
+every violation is listed.  The list is a ``ViolationLog``: one key, lhs,
+rhs and residual per violation in parallel columns, floats in
+``array('d')``.  A check whose witness is a function of an integer key
+(the contraction kernel's quadruple index) stores the keys in
+``array('q')`` and builds each witness tuple only when its violation is
+read; the others store the witness tuples as their own keys.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import math
 from array import array
 from collections.abc import Sequence
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, ge, gt, ne, sub
+from operator import add, eq, gt, ne, sub
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import at_least_one
 from .records import Record
 
 #: Violations a report lists without ``keep``: the largest residuals, and
-#: at least one (even at a cap of 0); the totals stay exact.
+#: at least one (even at a cap of 0); the count stays exact.
 MAX_RECORDED_VIOLATIONS = 100_000
 
 
@@ -65,7 +67,8 @@ class ViolationLog(Sequence):
     It stands for a list of ``Violation``: it has the list's length,
     indexing, slicing (a slice is a list), iteration, ``==`` and ``repr``,
     and builds each ``Violation`` as it is read.  ``witness`` maps a key to
-    its witness tuple; None means each key is its own witness.
+    its witness tuple; None means each key is its own witness.  ``largest``
+    reads its worst violations in the ranking a ``ReportBuilder`` keeps.
     """
 
     __slots__ = ("_keys", "_lhs", "_rhs", "_res", "_witness")
@@ -104,33 +107,28 @@ class ViolationLog(Sequence):
         return repr(list(self))
 
     def largest(self, n: int) -> list[Violation]:
-        """``heapq.nlargest(n, self, key=residual)``: the n largest
-        residuals first, ties and NaNs placed as there, read from the
-        residual column so that only those n are built.
-
-        A float column without a NaN (its sum would be one) is totally
-        preordered, so only positions whose residual reaches the n-th
-        largest value can be picked.  The values alone give that threshold,
-        and only the positions that reach it are ordered by residual."""
-        res, picks = self._res, range(len(self))
-        cut = heapq.nlargest(n, res) if type(res) is array else None
-        if cut and not math.isnan(sum(res)):
-            picks = compress(picks, map(ge, res, repeat(cut[-1])))
-        return [self[k] for k in heapq.nlargest(n, picks, key=res.__getitem__)]
+        """The n largest residuals, largest first: equal residuals in
+        recorded order, and a NaN below every number, NaNs in recorded
+        order.  Read from the residual column, so only those n are built."""
+        res = self._res
+        picks = heapq.nlargest(n, compress(count(), map(eq, res, res)), key=res.__getitem__)
+        picks += islice(compress(count(), map(ne, res, res)), max(n - len(picks), 0))
+        return [self[k] for k in picks]
 
 
 class CheckReport(Record):
     """Outcome of one sampled hypothesis check.  A list of violations
-    passed in is kept as a ``ViolationLog`` of the same objects.  ``seen``
-    is the exact violation count of a report a ``ReportBuilder`` built, and
-    None for one built from a list; it enters neither ``==`` nor ``repr``."""
+    passed in is kept as a ``ViolationLog`` of the same objects.
+    ``violation_count`` is every violation the check saw, listed or not:
+    the builder's exact count, else ``len(violations)``; it enters neither
+    ``==`` nor ``repr``."""
 
     _fields = ("property_name", "samples_tested", "violations", "max_margin", "verdict", "details")
-    __slots__ = (*_fields, "seen")
+    __slots__ = (*_fields, "violation_count")
 
     def __init__(self, property_name: str, samples_tested: int, violations: ViolationLog,
                  max_margin: float | None, verdict: str, details: dict[str, Any] | None = None,
-                 seen: int | None = None):
+                 violation_count: int | None = None):
         self.property_name = property_name
         self.samples_tested = samples_tested
         self.violations = (violations if isinstance(violations, ViolationLog)
@@ -138,23 +136,16 @@ class CheckReport(Record):
         self.max_margin = max_margin
         self.verdict = verdict
         self.details = {} if details is None else details
-        self.seen = seen
+        self.violation_count = len(self.violations) if violation_count is None else violation_count
 
     @property
     def passed(self) -> bool:
         return self.verdict != "fail"
 
-    @property
-    def violation_count(self) -> int:
-        """Every violation seen, including those dropped from the list."""
-        if self.seen is not None:
-            return self.seen
-        return len(self.violations) + int(self.details.get("violations_dropped", 0))
-
     def to_dict(self, keep: int | None = None) -> dict[str, Any]:
         """The report as plain data.  With ``keep``, only the ``keep`` worst
-        violations are listed, largest residual first and ties in recorded
-        order; ``violation_count`` stays exact."""
+        violations are listed (``ViolationLog.largest``); ``violation_count``
+        stays exact."""
         listed = self.violations if keep is None else self.violations.largest(keep)
         return {
             "property_name": self.property_name,
@@ -175,14 +166,12 @@ class ReportBuilder:
     largest residuals (``lhs - rhs``), in recorded order: k is ``keep``,
     else ``MAX_RECORDED_VIOLATIONS`` (at least 1).  Equal residuals rank in
     recorded order and a NaN residual below every number, so the k held do
-    not depend on how the violations were batched.  Without a NaN that is
-    the order ``ViolationLog.largest`` reads, and the report lists what
-    ``to_dict(keep=k)`` of every violation would list.  With one it need
-    not be: ``largest`` follows ``heapq.nlargest``, which places a NaN by
-    where it stands in the list, and no builder that holds k violations
-    can know that place.  With ``witness``, violations are recorded under
-    integer keys that it turns into witness tuples when they are read;
-    without, each key is the witness tuple itself.
+    not depend on how the violations were batched.  That is the order
+    ``ViolationLog.largest`` reads, so the report lists what
+    ``to_dict(keep=k)`` of every violation would list.  With ``witness``,
+    violations are recorded under integer keys that it turns into witness
+    tuples when they are read; without, each key is the witness tuple
+    itself.
 
     Each batch is appended, and a batch that leaves at least k + k // 2
     held is cut back to the k largest, so a cut's cost is spread over at
@@ -302,12 +291,8 @@ class ReportBuilder:
             for col in (self._keys, self._lhs, self._rhs, res))
 
     def build(self, details: dict[str, Any] | None = None) -> CheckReport:
-        details = dict(details or {})
         if len(self._res) > self._keep:
             self._cut()
-        dropped = self._seen - max(MAX_RECORDED_VIOLATIONS, 1)
-        if dropped > 0:
-            details["violations_dropped"] = dropped
         return CheckReport(
             property_name=self.property_name,
             samples_tested=self.samples,
@@ -315,5 +300,5 @@ class ReportBuilder:
             max_margin=self.min_margin,
             verdict="fail" if self._seen else "pass",
             details=details,
-            seen=self._seen,
+            violation_count=self._seen,
         )

@@ -199,8 +199,8 @@ def _find_preimage(
     """A subset value whose T image is within ``preimage_tol`` of ``target``
     and that distance, or ``None`` and the grid search's least distance."""
     t = problem.self_map
-    if t.has_preimage_oracle:
-        got = t.preimage(target, subset, opts.preimage_tol)
+    if t.preimage_fn is not None:
+        got = t.preimage_fn(target, subset, opts.preimage_tol)
         if got is not None:
             return got, problem.space.metric(t.fn(got), target)
     # No oracle, or the oracle declined: fall back to the grid so failures

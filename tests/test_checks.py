@@ -348,22 +348,19 @@ class TestProblemValidation:
     def test_identity_preimage_is_membership_gated(self):
         t = SelfMap.identity()
         a = interval_subset(0.0, 2.0)
-        assert t.preimage(1.0, a, 1e-9) == 1.0
-        assert t.preimage(3.0, a, 1e-9) is None
+        assert t.preimage_fn(1.0, a, 1e-9) == 1.0
+        assert t.preimage_fn(3.0, a, 1e-9) is None
 
     def test_inverse_expression_preimage_verifies_round_trip(self):
         space = MetricSpace.real_line(0.0, 4.0)
         halve = SelfMap.from_expression(parse_expression("x / 2"))
         with_inv = halve.with_inverse(parse_expression("2 * x"), space)
         a = interval_subset(0.0, 2.0)
-        assert with_inv.preimage(0.8, a, 1e-9) == 1.6
-        assert with_inv.preimage(1.5, a, 1e-9) is None  # 3.0 is outside A
+        assert with_inv.preimage_fn(0.8, a, 1e-9) == 1.6
+        assert with_inv.preimage_fn(1.5, a, 1e-9) is None  # 3.0 is outside A
 
-    def test_self_map_without_oracle_rejects_preimage_calls(self):
-        t = SelfMap.from_expression(parse_expression("x / 2"))
-        assert not t.has_preimage_oracle
-        with pytest.raises(ParameterError, match="oracle"):
-            t.preimage(1.0, interval_subset(0.0, 2.0), 1e-9)
+    def test_self_map_from_an_expression_has_no_oracle(self):
+        assert SelfMap.from_expression(parse_expression("x / 2")).preimage_fn is None
 
 
 class TestContractionKernel:

@@ -66,6 +66,15 @@ class TestListAndErrors:
         assert code == 3
         assert "space" in err
 
+    def test_directory_document_exits_3(self, tmp_path, capsys):
+        folder = tmp_path / "folder.yaml"
+        folder.mkdir()
+        code, out, err = run_cli(["check", str(folder)], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read document {folder}: ")
+
     def test_overdeep_expression_exits_3(self, tmp_path, capsys):
         deep = "(" * 600 + "y" + ")" * 600
         path = tmp_path / "deep.yaml"
@@ -276,6 +285,23 @@ class TestCheckCommand:
         assert worst["witness"] == ["contraction", 0.0, 0.0, 1.0, 1.0]
         assert worst["lhs"] == pytest.approx(1.0, abs=1e-12)
         assert worst["rhs"] == pytest.approx(0.9, abs=1e-12)
+
+    def test_one_sampled_point_gives_the_controls_t_max_1(self, tmp_path, capsys):
+        path, report_path = tmp_path / "one.yaml", tmp_path / "report.json"
+        path.write_text(textwrap.dedent(
+            """\
+            problem_kind: strong_coupled
+            space: "[0, 2]"
+            subset_A: [1]
+            subset_B: [1]
+            map_F: "min(x, y)"
+            phi: {family: linear, slope: 1/2}
+            psi: {family: identity}
+            """), encoding="utf-8")
+        code, _, _ = run_cli(["check", str(path), "--json", str(report_path)], capsys)
+        assert code == 0
+        controls = [c for c in read_json(report_path)["checks"] if c["slot"] in ("phi", "psi")]
+        assert [c["details"]["t_max"] for c in controls] == [1.0, 1.0]
 
     def test_samples_flag_overrides_both_grids(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

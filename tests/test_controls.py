@@ -87,6 +87,8 @@ def test_constructor_parameter_validation():
         make_power(-1)
     with pytest.raises(ParameterError):
         make_linear(-1)
+    with pytest.raises(ParameterError, match="^slope must be a rational number, got 'abc'$"):
+        make_linear("abc")
 
 
 def test_expr_control_rejects_foreign_variables():

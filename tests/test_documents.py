@@ -187,14 +187,14 @@ class TestBuildProblem:
         )
         problem = build_problem(parse_problem(doc_text))
         assert isinstance(problem, CoincidenceProblem)
-        assert problem.self_map.has_preimage_oracle
+        assert problem.self_map.preimage_fn is not None
 
         with_inverse = doc_text.replace(
             "map_T: identity", 'map_T: "x / 2"\nmap_T_inverse: "2 * x"'
         )
         problem2 = build_problem(parse_problem(with_inverse))
-        assert problem2.self_map.has_preimage_oracle
-        got = problem2.self_map.preimage(0.8, problem2.subset_a, 1e-9)
+        assert problem2.self_map.preimage_fn is not None
+        got = problem2.self_map.preimage_fn(0.8, problem2.subset_a, 1e-9)
         assert got == 1.6
 
     def test_identity_with_inverse_is_contradictory(self):

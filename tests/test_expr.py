@@ -68,6 +68,28 @@ def test_parse_error_reports_position():
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("(x", "unexpected end of input at line 1, column 3 (expected ))", 1, 3),
+    ("min x", "unexpected 'x' at line 1, column 5 (expected ()", 1, 5),
+    ("piecewise { x < 1 => 2 x }",
+     "unexpected 'x' after piecewise arm at line 1, column 24 (expected ;, })", 1, 24),
+    ("piecewise { x < 1 => 2", "unexpected end of input at line 1, column 23 (expected ;, })",
+     1, 23),
+    ("piecewise { else => 1 }", "piecewise needs at least one guarded arm at line 1, column 1",
+     1, 1),
+    ("piecewise { x => 1 ; }",
+     "expected comparison, got '=>' at line 1, column 15 (expected <=, <, >=, >, ==)", 1, 15),
+    ("x + and", "unexpected keyword 'and' at line 1, column 5 "
+     "(expected number, identifier, function call, (, -)", 1, 5),
+    ("x y", "unexpected trailing input 'y' at line 1, column 3 (expected end of input)", 1, 3),
+    ("1..2", "bad numeric literal near '..2' at line 1, column 2", 1, 2),
+])
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_expression("z + 1")

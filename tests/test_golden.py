@@ -39,7 +39,7 @@ CASES = {
         "check", str(DOCUMENTS / "inverse-coincidence.yaml"), "--samples", "81", "--jitter",
         "2", "--seed", "5",
     ],
-    # stride 1 at grid 41: 199,680 violations, 99,680 of them past the cap
+    # stride 1 at grid 41: 199,680 violations, the five worst listed
     "check-negative-midpoint-full-41": [
         "check", str(DOCUMENTS / "negative-midpoint-full.yaml"), "--samples", "41",
     ],

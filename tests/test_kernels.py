@@ -1343,21 +1343,17 @@ def _assert_lists_the_worst(complete, full, kept, keep, cap) -> None:
     """The check without ``keep`` lists the ``max(cap, 1)`` largest of
     every violation, and with it the ``keep`` largest, ties in scan order
     (``k_largest``), or all three raise the same exception type.  Both
-    keep the exact count, margin, samples and details, with the
-    violations past the cap counted as dropped, and list what
+    keep the exact count, margin, samples and details, and list what
     ``to_dict(keep)`` of every violation lists."""
     if isinstance(complete, type):
         assert full is kept is complete
         return
     every = list(complete.violations)
-    assert "violations_dropped" not in complete.details
-    dropped = len(every) - max(cap, 1)
-    details = {**complete.details, **({"violations_dropped": dropped} if dropped > 0 else {})}
     for got, k in ((full, max(cap, 1)), (kept, keep)):
         assert repr(list(got.violations)) == repr(k_largest(every, k))
         assert (got.violation_count, repr(got.max_margin), got.samples_tested) == (
             len(every), repr(complete.max_margin), complete.samples_tested)
-        assert repr(got.details) == repr(details)
+        assert repr(got.details) == repr(complete.details)
     assert repr(kept.violations.largest(keep)) == repr(complete.violations.largest(keep))
     assert repr(kept.violations.largest(1)) == repr(complete.violations.largest(1))
 
@@ -1501,13 +1497,11 @@ RESIDUAL_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf
 def naive_recording(batches, cap):
     """The report of one recording step per violation: every violation is
     counted, and the ``max(cap, 1)`` largest are listed in scan order
-    (``k_largest``), those past the cap counted as dropped."""
+    (``k_largest``)."""
     every = [Violation(("w", b, k), lhs, rhs, lhs - rhs)
              for b, batch in enumerate(batches) for k, (lhs, rhs) in enumerate(batch)]
-    dropped = len(every) - max(cap, 1)
-    details = {"violations_dropped": dropped} if dropped > 0 else {}
     return CheckReport("bulk", len(every), k_largest(every, max(cap, 1)), None,
-                       "fail" if every else "pass", details)
+                       "fail" if every else "pass", violation_count=len(every))
 
 
 @given(
@@ -1536,9 +1530,9 @@ def test_bulk_recording_matches_one_call_per_violation(batches, cap):
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(report, "MAX_RECORDED_VIOLATIONS", cap)
-        want = repr(naive_recording(batches, report.MAX_RECORDED_VIOLATIONS))
-        assert repr(built(True)) == want
-        assert repr(built(False)) == want
+        want = naive_recording(batches, report.MAX_RECORDED_VIOLATIONS)
+        for got in (built(True), built(False)):
+            assert (repr(got), got.violation_count) == (repr(want), want.violation_count)
 
 
 def test_first_of_tied_worst_violations_survives_truncation():
@@ -1549,7 +1543,7 @@ def test_first_of_tied_worst_violations_survives_truncation():
         rb.add_violations([("d",)], [3.0], [0.0])
         built = rb.build()
     assert [v.witness for v in built.violations] == [("b",)]
-    assert built.details["violations_dropped"] == 3
+    assert built.violation_count == 4
     assert built.samples_tested == 4
 
 
@@ -1964,7 +1958,7 @@ def test_worst_violation_is_kept_at_a_cap_of_zero_or_one(cap):
         alone = single.build()
     assert [v.witness for v in built.violations] == [("b",)]
     assert built.violation_count == 3
-    assert built.details["violations_dropped"] == 2
+    assert built.details == {}
     assert built.verdict == "fail"
     assert [v.witness for v in alone.violations] == [("only",)]
     assert alone.violation_count == 1

@@ -343,7 +343,7 @@ COINCIDENCE_STARTS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.25), (0.3, 0.7)]
 @pytest.mark.parametrize("oracle", [False, True])
 def test_coincidence_iteration_and_residuals_agree_on_bare_maps(oracle):
     reference, bare = _bare_pair(oracle)
-    assert bare.self_map.has_preimage_oracle is oracle
+    assert (bare.self_map.preimage_fn is not None) is oracle
     want = _runs(solve.iterate_coincidence, reference, COINCIDENCE_STARTS)
     assert _runs(solve.iterate_coincidence, bare, COINCIDENCE_STARTS) == want
     statuses = {run["status"] for run, _ in want}
@@ -354,10 +354,10 @@ def test_the_inverse_oracle_agrees_on_bare_maps():
     reference, bare = _bare_pair(True)
     for target in (0.0, 0.5, 1.0, 1.5, 3.0):
         for tol in (0.0, 1e-9):
-            want = reference.self_map.preimage(target, UNIT, tol)
-            assert bare.self_map.preimage(target, UNIT, tol) == want
-    assert bare.self_map.preimage(0.5, UNIT, 1e-9) == 0.25
-    assert bare.self_map.preimage(3.0, UNIT, 1e-9) is None
+            want = reference.self_map.preimage_fn(target, UNIT, tol)
+            assert bare.self_map.preimage_fn(target, UNIT, tol) == want
+    assert bare.self_map.preimage_fn(0.5, UNIT, 1e-9) == 0.25
+    assert bare.self_map.preimage_fn(3.0, UNIT, 1e-9) is None
 
 
 def test_the_range_check_agrees_on_bare_maps():

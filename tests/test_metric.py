@@ -60,6 +60,13 @@ def test_finite_space_accepts_distance_table():
     assert space.metric("b", "b") == 0.0
 
 
+def test_finite_space_table_without_a_pair_names_it():
+    space = MetricSpace.finite(["a", "b"], table={("a", "b"): 1.0})
+    assert space.metric("a", "b") == 1.0
+    with pytest.raises(DomainError, match=r"^distance table has no entry for \('b', 'a'\)$"):
+        space.metric("b", "a")
+
+
 # ---------------------------------------------------------------------------
 # subset membership
 

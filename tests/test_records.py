@@ -284,7 +284,7 @@ def test_defaults():
     opts = SolveOptions()
     assert (opts.tol, opts.max_iter, opts.preimage_tol) == (1e-9, 10_000, 1e-9)
     report = CheckReport("p", 0, [], None, "pass")
-    assert (report.details, report.seen) == ({}, None)
+    assert (report.details, report.violation_count) == ({}, 0)
     assert report.details is not CheckReport("p", 0, [], None, "pass").details
     trace = IterationTrace("coincidence")
     assert trace.steps == [] and trace.steps is not IterationTrace("coincidence").steps
@@ -329,9 +329,9 @@ def test_caches_and_derived_fields_enter_neither_equality_nor_repr():
     assert f.ratio is not g.ratio
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
 
-    seen, unseen = MUTABLE[0].make(), CheckReport("p", 3, [VIOLATION], -1.0, "fail", {"k": 1})
-    assert (seen.seen, unseen.seen) == (5, None)
-    assert seen == unseen and repr(seen) == repr(unseen)
+    counted, listed = MUTABLE[0].make(), CheckReport("p", 3, [VIOLATION], -1.0, "fail", {"k": 1})
+    assert (counted.violation_count, listed.violation_count) == (5, 1)
+    assert counted == listed and repr(counted) == repr(listed)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,10 @@ class TestBruteForce:
         with pytest.raises(BudgetError):
             brute_force_search(plateau_problem(), SamplePlan(grid_count=21), budget=100)
 
+    def test_strong_budget_is_enforced(self):
+        with pytest.raises(BudgetError, match="^5 candidate points exceed budget 4$"):
+            brute_force_search(midpoint_problem(), SamplePlan(grid_count=5), budget=4)
+
 
 class TestGridPreimage:
     def test_lowest_index_tie_break(self):
