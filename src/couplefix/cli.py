@@ -15,7 +15,6 @@ two.  The JSON is byte-identical across runs except for ``timing_ms``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -105,7 +104,7 @@ def _apply_overrides(doc: ProblemDocument, args) -> tuple[CheckSettings, SolveOp
     if plan_b is not None:
         plan_b = overridden(plan_b)
     tol = doc.check.tol if args.tol is None else args.tol
-    settings = dataclasses.replace(doc.check, plan=plan, plan_b=plan_b, tol=tol)
+    settings = CheckSettings(plan, plan_b, tol, doc.check.budget, doc.check.range_b)
     given = doc.solve
     opts = SolveOptions(given.tol if args.tol is None else args.tol,
                         given.max_iter if args.max_iter is None else args.max_iter,

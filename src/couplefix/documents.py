@@ -14,7 +14,6 @@ and building a builtin never loads PyYAML.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -35,7 +34,7 @@ from .expr import Expr, parse_expression
 from .metric import (DEFAULT_QUADRUPLE_BUDGET, Interval, MetricSpace, Point, SamplePlan, SubsetSpec,
                      subset_within_carrier)
 from .problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
-from .records import Frozen
+from .records import DataclassFields, Frozen
 from .solve import SolveOptions
 
 _REQUIRED_KEYS = ("problem_kind", "space", "subset_A", "subset_B", "map_F", "phi")
@@ -45,15 +44,16 @@ _TOP_KEYS = {*_REQUIRED_KEYS, *_KIND_KEYS["coincidence"], *_KIND_KEYS["strong_co
              "solve", "check"}
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckSettings:
+class CheckSettings(Frozen):
     """Sampling and tolerance settings for the check pipeline."""
 
-    plan: SamplePlan = SamplePlan()
-    plan_b: Optional[SamplePlan] = None
-    tol: float = 1e-9
-    budget: int = DEFAULT_QUADRUPLE_BUDGET
-    range_b: Optional[SubsetSpec] = None
+    __slots__ = _fields = ("plan", "plan_b", "tol", "budget", "range_b")
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(self, plan: SamplePlan = SamplePlan(), plan_b: Optional[SamplePlan] = None,
+                 tol: float = 1e-9, budget: int = DEFAULT_QUADRUPLE_BUDGET,
+                 range_b: Optional[SubsetSpec] = None):
+        self._set_fields(plan, plan_b, tol, budget, range_b)
 
 
 class ProblemDocument(Frozen):
@@ -64,11 +64,7 @@ class ProblemDocument(Frozen):
     def __init__(self, name: str, problem: Union[CoincidenceProblem, StrongCoupledProblem],
                  solve: SolveOptions, starts: tuple[tuple[Point, Point], ...],
                  check: CheckSettings):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "solve", solve)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "check", check)
+        self._set_fields(name, problem, solve, starts, check)
 
 
 #: Numbers in documents stay below 2**2048 in magnitude, numerator and

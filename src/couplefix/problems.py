@@ -3,7 +3,7 @@
 A coupling map takes one point from each subset; a self map sends each
 subset into itself.  Each map is one function on raw values (``fn``), which
 every check and solver calls; ``evaluate`` makes a Point of its result at
-the library boundary.  The two problem dataclasses name their shape in
+the library boundary.  The two problem records name their shape in
 ``kind`` (``"coincidence"`` or ``"strong_coupled"``) and validate, at
 construction time, the structural facts every checker and solver relies on:
 subsets live inside the carrier, and the control functions carry the
@@ -13,8 +13,7 @@ declared class the problem shape calls for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
@@ -29,7 +28,7 @@ from .metric import (
     sample_values,
     subset_within_carrier,
 )
-from .records import Frozen
+from .records import DataclassFields, Frozen
 
 
 def _bind(ast: Expr, params: tuple[str, ...], what: str) -> Callable[..., float]:
@@ -266,33 +265,27 @@ def _validate(problem, **classes: ControlClass) -> None:
             raise ParameterError(f"{slot} must be declared {wanted.value}; got {declared.value}")
 
 
-@dataclass(frozen=True)
-class CoincidenceProblem:
+class CoincidenceProblem(Frozen):
     """Coupling plus self map, tied together by one comparison control."""
 
-    kind: ClassVar[str] = "coincidence"
-    space: MetricSpace
-    subset_a: SubsetSpec
-    subset_b: SubsetSpec
-    coupling: CouplingMap
-    self_map: SelfMap
-    phi: ControlFunction
+    __slots__ = _fields = ("space", "subset_a", "subset_b", "coupling", "self_map", "phi")
+    kind = "coincidence"
+    __dataclass_fields__ = DataclassFields()
 
-    def __post_init__(self):
+    def __init__(self, space: MetricSpace, subset_a: SubsetSpec, subset_b: SubsetSpec,
+                 coupling: CouplingMap, self_map: SelfMap, phi: ControlFunction):
+        self._set_fields(space, subset_a, subset_b, coupling, self_map, phi)
         _validate(self, phi=ControlClass.PHI)
 
 
-@dataclass(frozen=True)
-class StrongCoupledProblem:
+class StrongCoupledProblem(Frozen):
     """Coupling alone, controlled by an altering pair (phi, psi)."""
 
-    kind: ClassVar[str] = "strong_coupled"
-    space: MetricSpace
-    subset_a: SubsetSpec
-    subset_b: SubsetSpec
-    coupling: CouplingMap
-    phi: ControlFunction
-    psi: ControlFunction
+    __slots__ = _fields = ("space", "subset_a", "subset_b", "coupling", "phi", "psi")
+    kind = "strong_coupled"
+    __dataclass_fields__ = DataclassFields()
 
-    def __post_init__(self):
+    def __init__(self, space: MetricSpace, subset_a: SubsetSpec, subset_b: SubsetSpec,
+                 coupling: CouplingMap, phi: ControlFunction, psi: ControlFunction):
+        self._set_fields(space, subset_a, subset_b, coupling, phi, psi)
         _validate(self, phi=ControlClass.ALTERING, psi=ControlClass.ALTERING)

@@ -44,7 +44,7 @@ from couplefix.expr import (
     parse_expression,
 )
 from couplefix.metric import Interval, LabelSet, MetricSpace, Point, SamplePlan, SubsetSpec
-from couplefix.problems import CouplingMap, SelfMap, StrongCoupledProblem
+from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap, StrongCoupledProblem
 from couplefix.report import CheckReport, Violation
 from couplefix.solve import IterationTrace, SolveOptions, SolveReport, SolveStatus, TraceStep
 
@@ -69,6 +69,10 @@ def control(t):
     return t
 
 
+def control_ratio(t):
+    return t.as_integer_ratio()
+
+
 X, ONE, HALF = Var("x"), Number(Fraction(1)), Number(Fraction(1, 2))
 CMP = Comparison(X, "<=", HALF)
 ARM = Arm(CMP, X)
@@ -81,6 +85,13 @@ PROBLEM = StrongCoupledProblem(SPACE, SUBSET, SUBSET, CouplingMap(coupling, "x")
 STARTS = ((Point(0.0), Point(1.0)),)
 VIOLATION = Violation(("a",), 2.0, 1.0, 1.0)
 STEP = TraceStep(0, 0.0, 1.0, None, None, 0.5, 0.5)
+# built from module-level functions only, so that the problems pickle
+MAP_F, MAP_T = CouplingMap(coupling, "x"), SelfMap(self_map)
+PHI = ControlFunction(control, ControlClass.PHI, control_ratio)
+ALTERING = ControlFunction(control, ControlClass.ALTERING, control_ratio)
+HALF_POINT = SubsetSpec((0.5,))
+PROBLEM_TEXT = (f"space={SPACE!r}, subset_a={SUBSET!r}, subset_b={SUBSET!r}, "
+                f"coupling={MAP_F!r}")
 
 
 class Case(NamedTuple):
@@ -151,6 +162,16 @@ FROZEN = [
          ("q", PROBLEM, SolveOptions(), STARTS, CheckSettings()), "name"),
     Case(SolveOptions, (), "SolveOptions(tol=1e-09, max_iter=10000, preimage_tol=1e-09)",
          (1e-09, 5), "max_iter"),
+    Case(CoincidenceProblem, (SPACE, SUBSET, SUBSET, MAP_F, MAP_T, PHI),
+         f"CoincidenceProblem({PROBLEM_TEXT}, self_map={MAP_T!r}, phi={PHI!r})",
+         (SPACE, SUBSET, HALF_POINT, MAP_F, MAP_T, PHI), "phi"),
+    Case(StrongCoupledProblem, (SPACE, SUBSET, SUBSET, MAP_F, ALTERING, ALTERING),
+         f"StrongCoupledProblem({PROBLEM_TEXT}, phi={ALTERING!r}, psi={ALTERING!r})",
+         (SPACE, HALF_POINT, SUBSET, MAP_F, ALTERING, ALTERING), "psi"),
+    Case(CheckSettings, (SamplePlan(5), None, 0.5),
+         "CheckSettings(plan=SamplePlan(grid_count=5, jitter_count=0, seed=0), plan_b=None, "
+         f"tol=0.5, budget={DEFAULT_QUADRUPLE_BUDGET}, range_b=None)",
+         (SamplePlan(5), SamplePlan(3), 0.5), "tol"),
 ]
 
 MUTABLE = [
@@ -348,9 +369,10 @@ def fresh_interpreter(code: str) -> list[str]:
 
 
 def test_only_the_classes_that_dataclasses_replace_takes_are_dataclasses():
-    """Building a dataclass generates and compiles its methods at import.
-    Three classes stay dataclasses, because callers build changed copies of
-    them with ``dataclasses.replace``; every other record is not one."""
+    """Building a dataclass generates and compiles its methods at import,
+    so no record is built as one.  The three classes that callers copy with
+    changes through ``dataclasses.replace`` carry ``__dataclass_fields__``,
+    and no other class does."""
     out = fresh_interpreter("""
         import dataclasses, sys
         import couplefix, couplefix.cli
@@ -375,6 +397,54 @@ def test_only_the_classes_that_dataclasses_replace_takes_are_dataclasses():
     assert int(count) > 30  # every class of every module was seen
     assert dataclasses_ == ["CheckSettings", "CoincidenceProblem", "StrongCoupledProblem"]
     assert out[1:] == ["coincidence strong_coupled", "replaced"]
+
+
+def test_start_up_imports_no_dataclasses_yet_three_records_pass_for_dataclasses():
+    """No command imports ``dataclasses`` (nor ``inspect``, which it brings
+    in).  Imported later, it takes the three records for dataclasses with
+    the fields, defaults and validation they had as ones."""
+    out = fresh_interpreter("""
+        import contextlib, io, sys
+        import couplefix, couplefix.cli
+        from couplefix.documents import CheckSettings, registry_names
+
+        problems = [couplefix.build_problem(couplefix.builtin_registry(name))
+                    for name in registry_names()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            couplefix.cli.main(["check", "example-2.1.9", "--samples", "9"])
+            couplefix.cli.main(["solve", "banach-linear"])
+        print("dataclasses" in sys.modules, "inspect" in sys.modules)
+
+        import dataclasses
+        from couplefix.errors import DomainError
+        from couplefix.metric import Interval, SubsetSpec
+
+        kinds = {type(p): p for p in problems}
+        for cls in (CheckSettings, *sorted(kinds, key=lambda c: c.__name__)):
+            fields = [(f.name, "MISSING" if f.default is dataclasses.MISSING else f.default)
+                      for f in dataclasses.fields(cls)]
+            print(cls.__name__, dataclasses.is_dataclass(cls), fields)
+        outside = SubsetSpec(intervals=(Interval(10.0, 11.0),))
+        for cls, problem in sorted(kinds.items(), key=lambda item: item[0].__name__):
+            try:
+                dataclasses.replace(problem, subset_a=outside)
+            except DomainError as exc:
+                print(cls.__name__, exc)
+    """)
+    settings = [("plan", SamplePlan()), ("plan_b", None), ("tol", 1e-9), ("budget", 1_000_000),
+                ("range_b", None)]
+    coincidence = [(name, "MISSING") for name in
+                   ("space", "subset_a", "subset_b", "coupling", "self_map", "phi")]
+    strong = [(name, "MISSING") for name in
+              ("space", "subset_a", "subset_b", "coupling", "phi", "psi")]
+    assert out == [
+        "False False",
+        f"CheckSettings True {settings}",
+        f"CoincidenceProblem True {coincidence}",
+        f"StrongCoupledProblem True {strong}",
+        "CoincidenceProblem subset A is not contained in the carrier",
+        "StrongCoupledProblem subset A is not contained in the carrier",
+    ]
 
 
 def test_importing_the_package_leaves_the_checks_to_the_command_line():
