@@ -78,12 +78,14 @@ check for those five alone (``keep``), so the contraction's floor is set
 once seven are held and cut to five; a library call lists up to
 ``MAX_RECORDED_VIOLATIONS``.
 
-Every check evaluates F through ``CouplingMap.fn``, on raw values.  The
+Every check evaluates F as ``CouplingMap.fn``, on raw values.  The
 constructors make its values finite floats or labels where they are
 computed; a map built with the bare constructor yields its values as they
 are, a NaN or an int included.  F, like T, is treated as a pure
-function and evaluated once per sampled pair, and the first pair that
-fails in a check's own order raises, with nothing evaluated again.  The
+function and evaluated once per sampled pair, a row at a time (on floats
+through an expression map's row kernel, ``expr.fill``), and the first pair
+that fails in a check's own order raises ``fn``'s error, with nothing
+evaluated again.  The
 coupling check reads its interleaved rows over (A, B), F(x, y) then
 F(y, x) for each y, and the range check its blocks of rows over
 (targets, A), from ``CouplingMap.pair_rows``.  The coupling check tests

@@ -32,6 +32,10 @@ arithmetic, bit for bit, when every argument is a float; its results follow
 the rule of a map's values, so a result of ±inf or beyond the float range
 raises :class:`DomainError`.  Trees the parser cannot produce are rejected
 with :class:`ExprEvalError` when they are bound.
+
+Tables of floats are filled (:func:`fill`) by the function's row kernel, the
+same float code written as one expression and run without a Python call per
+tuple; the function goes on from the first tuple where the kernel fails.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from functools import lru_cache
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, ExprEvalError, ExprSyntaxError
 
@@ -378,6 +384,7 @@ _CMP_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operato
             "==": operator.eq}
 _FLOAT, _DYN, _CONST = "float", "dyn", "const"
 _MIRRORED = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}
+_SOURCE = "<couplefix expression>"
 
 
 def bind_exact(ast: Expr, params: tuple[str, ...], check_free=None) -> Callable[..., Numeric]:
@@ -428,7 +435,7 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
     if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
         raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
     lowering = _Lowering(exact)
-    body = lowering.body(ast)
+    body, expression = lowering.body(ast)
     if check_free is not None:
         check_free(lowering.free)
     extra = lowering.free - set(params)
@@ -453,10 +460,63 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
                   "        raise _DomainError(f'real point must be finite, got {r!r}')"]
     lines += ["    return r"]
     namespace = dict(lowering.names, _rounded=rounded, _float=float, _abs=abs, _min=min,
-                     _max=max, _ExprEvalError=ExprEvalError, _DomainError=DomainError)
-    exec(compile("\n".join(lines), "<couplefix expression>", "exec"), namespace)
+                     _max=max, _nan=math.nan, _ExprEvalError=ExprEvalError,
+                     _DomainError=DomainError)
+    exec(compile("\n".join(lines), _SOURCE, "exec"), namespace)
     # popped so the namespace (the function's globals) does not refer back to it
-    return namespace.pop("_lowered")
+    fn = namespace.pop("_lowered")
+    if not exact:  # the row kernel's source, compiled by row_kernel on first use
+        columns = [p + "s" for p in params]
+        loop = columns[0] if len(params) == 1 else f"zip({', '.join(columns)})"
+        fn._fill = (f"def _fill(out, {', '.join(columns)}):\n    app = out.append\n"
+                    f"    for {', '.join(params)} in {loop}:\n        app({expression})")
+    return fn
+
+
+def row_kernel(fn: Callable, *samples: Sequence) -> Callable | None:
+    """``kernel(out, *columns)``, which appends ``fn``'s float value at each
+    tuple of ``zip(*columns)`` to ``out``, unchecked, and gives NaN where no
+    piecewise arm matches; ``None`` unless :func:`bind_function` made ``fn``
+    and every value of ``samples`` is a float.  It is compiled on the first
+    call and kept on ``fn``; a source too deep to compile leaves none."""
+    kernel = getattr(fn, "_fill", None)
+    if (kernel is None or fn.__code__.co_filename != _SOURCE  # not a copy on a wrapper
+            or not all({*map(type, s)} <= {float} for s in samples)):
+        return None
+    if type(kernel) is str:
+        try:
+            exec(_kernel_code(kernel), fn.__globals__)
+            kernel = fn.__globals__.pop("_fill")
+        except (SyntaxError, RecursionError, MemoryError):
+            kernel = None
+        fn._fill = kernel
+    return kernel
+
+
+@lru_cache(maxsize=256)
+def _kernel_code(source: str):
+    """A row kernel's compiled source, which maps of one text share: its
+    constants are names in each map's namespace."""
+    return compile(source, _SOURCE, "exec")
+
+
+def fill(out: list, fn: Callable, kernel: Callable | None, *columns: Iterable) -> list:
+    """``out``, an empty list, with ``fn(*args)`` appended for each ``args``
+    of ``zip(*columns)`` (sequences or ``repeat`` objects), in order: the
+    ``kernel`` of :func:`row_kernel`, if given, up to the first tuple where
+    it raises or gives a value that is not finite, then ``fn``, which raises
+    its error there after ``out`` holds the values before it."""
+    if kernel is not None:
+        try:
+            kernel(out, *columns)
+        except Exception:
+            pass  # out stops at the tuple that raised
+        total = sum(out)  # not finite when a value is not, and rarely else
+        if total - total:
+            del out[next((i for i, v in enumerate(out) if v - v), len(out)):]
+    done = len(out)
+    out.extend(map(fn, *(islice(c, done, None) for c in columns) if done else columns))
+    return out
 
 
 def _float_bound(c: Fraction, op: str) -> float | None:
@@ -594,35 +654,40 @@ class _Lowering:
                 return False, f"({lv} {op} {self.name(bound)})"
         return False, f"({self.ref(lk, lv)} {op} {self.ref(rk, rv)})"
 
-    def result(self, node: Expr) -> str:
-        """A statement that sets ``r`` to the value of ``node``, cast to float
-        in float mode."""
+    def value(self, node: Expr) -> str:
+        """Code of the value of ``node``, cast to float in float mode."""
         kind, v = self.arith(node)
         if self.exact or kind is _FLOAT:
-            return f"r = {self.ref(kind, v)}"
+            return self.ref(kind, v)
         if kind is _DYN:
-            return f"r = _float({v})"
+            return f"_float({v})"
         try:
-            return f"r = {self.name(float(v))}"
+            return self.name(float(v))
         except OverflowError:
-            return f"r = _float({self.name(v)})"
+            return f"_float({self.name(v)})"
 
-    def body(self, ast: Expr) -> list[str]:
-        """Statements that set ``r``; arms a constant guard rules out are dropped.
+    def body(self, ast: Expr) -> tuple[list[str], str]:
+        """Statements that set ``r``, and one expression of the same value in
+        which a piecewise that matches no arm is NaN; arms a constant guard
+        rules out are dropped.
 
         Every arm is lowered, so each node of the tree is validated."""
         if not isinstance(ast, Piecewise):
-            return [self.result(ast)]
-        arms = [(*self.guard(arm.guard), self.result(arm.body)) for arm in ast.arms]
-        no_arm = "raise _ExprEvalError('no piecewise arm matched and there is no else arm')"
-        arms.append((True, True, no_arm if ast.otherwise is None else self.result(ast.otherwise)))
-        lines: list[str] = []
-        for constant, guard, statement in arms:
+            value = self.value(ast)
+            return [f"r = {value}"], value
+        arms = [(*self.guard(arm.guard), self.value(arm.body)) for arm in ast.arms]
+        arms.append((True, True, None if ast.otherwise is None else self.value(ast.otherwise)))
+        lines, expression = [], ""
+        for constant, guard, value in arms:
             if constant and guard:
                 break
             if not constant:
-                lines += [f"{'elif' if lines else 'if'} {guard}:", "    " + statement]
-        return lines + ["else:", "    " + statement] if lines else [statement]
+                lines += [f"{'elif' if lines else 'if'} {guard}:", f"    r = {value}"]
+                expression += f"{value} if {guard} else "
+        statement = ("raise _ExprEvalError('no piecewise arm matched and there is no else arm')"
+                     if value is None else f"r = {value}")
+        lines = lines + ["else:", "    " + statement] if lines else [statement]
+        return lines, expression + ("_nan" if value is None else value)
 
 
 # ---------------------------------------------------------------------------

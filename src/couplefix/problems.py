@@ -13,11 +13,12 @@ declared class the problem shape calls for.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from .controls import ControlClass, ControlFunction
 from .errors import DomainError, ParameterError
-from .expr import Expr, bind_function, format_expression
+from .expr import Expr, bind_function, fill, format_expression, row_kernel
 from .metric import (
     MetricSpace,
     Point,
@@ -55,19 +56,13 @@ def _value(v: Value) -> Value:
     return Point.label(v).value if isinstance(v, str) else Point.real(v).value
 
 
-def _image_key(v: Value):
-    """The key of ``v`` in a memo of images: ``v`` itself for a nonzero
-    float; any other value is tagged with its type and ``repr``, so 0.0 and
-    -0.0 (or 1 and 1.0) get entries of their own."""
-    return v if type(v) is float and v else (type(v), repr(v))
-
-
 class CouplingMap(Frozen):
     """A two-argument map on the values of (first-subset, second-subset)
     points.
 
     ``fn(x, y)`` is F on raw values, the one path every scan evaluates, and
-    like a self map it is treated as a pure function.  The constructors
+    like a self map it is treated as a pure function: its tables of floats
+    come from an expression map's row kernel (``expr.fill``).  The constructors
     apply the map rule where the value is made, so a label stays a label, a
     number becomes a float and a non-finite number raises as ``Point.real``
     does; the bare constructor takes ``fn`` as it is, so its values pass
@@ -89,30 +84,32 @@ class CouplingMap(Frozen):
     ) -> tuple[list[list[Value]], list[list[Value]]]:
         """``(f_ab, f_ba)``: ``f_ab[i][j] = F(xv[i], yv[j])`` and
         ``f_ba[j][i] = F(yv[j], xv[i])``, not kept after the call.  F is
-        called once per pair, through ``fn``, on every row of ``f_ab``
-        and then of ``f_ba``; the first failing pair of that order raises.
-        When ``yv`` is ``xv`` (one sample on both axes), ``f_ba[j][i]`` is
-        F(xv[j], yv[i]), so ``f_ba`` is ``f_ab`` and F is called on
-        ``f_ab``'s pairs only."""
+        evaluated once per pair, a row at a time (``expr.fill``), on every
+        row of ``f_ab`` and then of ``f_ba``; the first failing pair of
+        that order raises ``fn``'s error.  When ``yv`` is ``xv`` (one
+        sample on both axes), ``f_ba[j][i]`` is F(xv[j], yv[i]), so
+        ``f_ba`` is ``f_ab`` and F is evaluated on ``f_ab``'s pairs only."""
         g = self.fn
-        f_ab = [[g(x, y) for y in yv] for x in xv]
-        return f_ab, f_ab if yv is xv else [[g(y, x) for x in xv] for y in yv]
+        kernel = row_kernel(g, xv, yv)
+        f_ab = [fill([], g, kernel, repeat(x), yv) for x in xv]
+        return f_ab, f_ab if yv is xv else [fill([], g, kernel, repeat(y), xv) for y in yv]
 
     def pair_rows(
         self, first: Sequence[Value], second: Sequence[Value],
         met: Optional[Callable[[list[Value]], None]] = None,
     ) -> Iterator[list[Value]]:
         """For each f of ``first``, its row F(f, s_0), F(s_0, f), F(f, s_1),
-        ... over ``second``, F called through ``fn`` in that order.  The
-        first failing pair raises, after ``met`` (if given) gets the row's
-        values before it."""
+        ... over ``second``, F evaluated in that order, a row at a time
+        (``expr.fill``).  The first failing pair raises ``fn``'s error,
+        after ``met`` (if given) gets the row's values before it."""
         g, n = self.fn, 2 * len(second)
+        kernel = row_kernel(g, first, second)
         for f in first:
             xs, ys = [f] * n, [f] * n  # F's arguments
             xs[1::2] = ys[::2] = second
             row: list[Value] = []
             try:
-                row.extend(map(g, xs, ys))
+                fill(row, g, kernel, xs, ys)
             except Exception:
                 if met is not None:
                     met(row)
@@ -143,10 +140,11 @@ class SelfMap(Frozen):
     ``source``; the memo is not compared.
 
     ``fn`` is treated as a pure function: it is evaluated once per distinct
-    sample value (:meth:`image_table`), and the images are kept on this
-    instance, so the grid search does not evaluate the map again on every
-    step, and the self-map, range and contraction checks, the refined grid
-    of the closedness evidence and the brute-force scan share them.  The
+    sample value (:meth:`image_table`), through its row kernel on floats
+    as for :class:`CouplingMap`, and the images are kept on this instance,
+    so the grid search does not evaluate the map again on every step, and
+    the self-map, range and contraction checks, the refined grid of the
+    closedness evidence and the brute-force scan share them.  The
     memo holds sample values, image values and the sorted index of
     :meth:`image_index` only, never the map, so it is freed together with
     the map.
@@ -169,16 +167,23 @@ class SelfMap(Frozen):
     def _entry(self, subset: SubsetSpec, plan: SamplePlan) -> list:
         """``[values, images, index]`` of one sample; the index of
         :meth:`image_index` is ``None`` until asked for.  T is evaluated
-        through ``fn`` at each value whose key is not in the memo
-        yet, in sample order, so the first failing value raises and the
-        images made before it stay in the memo."""
+        at each value whose key is not in the memo yet, in sample order
+        (``expr.fill``), so the first failing value raises ``fn``'s error
+        and the images made before it stay in the memo."""
         key = (subset, plan)
         entry = self._tables.get(key)
         if entry is None:
             values = tuple(sample_values(subset, plan))
-            keys = [_image_key(v) for v in values]
+            # v itself for a nonzero float, else tagged with its type and repr, so
+            # 0.0 and -0.0 (or 1 and 1.0) get keys of their own; a key's values are equal
+            keys = [v if type(v) is float and v else (type(v), repr(v)) for v in values]
             memo, g = self._images, self.fn
-            memo.update((k, g(v)) for k, v in zip(keys, values) if k not in memo)
+            new = {k: v for k, v in zip(keys, values) if k not in memo}
+            images: list[Value] = []
+            try:
+                fill(images, g, row_kernel(g, new.values()), new.values())
+            finally:
+                memo.update(zip(new, images))
             entry = [values, tuple(map(memo.__getitem__, keys)), None]
             self._tables[key] = entry
         return entry

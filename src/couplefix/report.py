@@ -120,11 +120,11 @@ class CheckReport(Record):
     """Outcome of one sampled hypothesis check.  A list of violations
     passed in is kept as a ``ViolationLog`` of the same objects.
     ``violation_count`` is every violation the check saw, listed or not:
-    the builder's exact count, else ``len(violations)``; it enters neither
-    ``==`` nor ``repr``."""
+    the exact count the check kept, else ``len(violations)``; like every
+    field, it enters ``==`` and ``repr``."""
 
-    _fields = ("property_name", "samples_tested", "violations", "max_margin", "verdict", "details")
-    __slots__ = (*_fields, "violation_count")
+    __slots__ = _fields = ("property_name", "samples_tested", "violations", "max_margin",
+                           "verdict", "details", "violation_count")
 
     def __init__(self, property_name: str, samples_tested: int, violations: ViolationLog,
                  max_margin: float | None, verdict: str, details: dict[str, Any] | None = None,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,10 @@ from couplefix.expr import (
     format_expression,
     parse_expression,
 )
+from couplefix.controls import make_linear
+from couplefix.metric import Interval, MetricSpace, SamplePlan, SubsetSpec
+from couplefix.problems import CoincidenceProblem, CouplingMap, SelfMap
+from couplefix.solve import brute_force_search
 from expr_oracle import eval_expression, eval_numeric
 
 MIN_XY = "min(x, y)"
@@ -696,3 +702,143 @@ def test_trees_outside_the_grammar_are_rejected_at_bind_time(ast, params):
     for bind in (bind_function, bind_exact):
         with pytest.raises(ExprEvalError):
             bind(ast, params)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: tables through the kernel against the per-call path
+
+
+def _renamed(node, names: dict):
+    """``node`` with each variable renamed by ``names``."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if not hasattr(node, "_fields"):
+        return node
+    return type(node)(*(tuple(_renamed(c, names) for c in child) if type(child) is tuple
+                        else _renamed(child, names) for child in node))
+
+
+# zeros of both signs, subnormals, the ends of the float range, values that
+# divide by zero or overflow, and a few plain ones
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, sys.float_info.max, 1.0, -1.0,
+          0.5, 2.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+
+
+def _floats(ast):
+    near = [f for c in _constants(ast) for f in (float(c), -float(c), *_neighbours(c))]
+    return st.one_of(st.sampled_from(_EDGES), st.sampled_from(near) if near else st.nothing(),
+                     st.floats(-4, 4))
+
+
+def _outcome_of(build):
+    """``repr`` of what ``build()`` returns, or the class and message of
+    what it raises."""
+    try:
+        return "value", repr(build())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@contextmanager
+def _spies(*maps):
+    """Maps rebuilt around per-call counters of ``maps``' functions that
+    share their row kernels, and the list of the counters' calls."""
+    import couplefix.problems
+    from couplefix.expr import row_kernel
+
+    calls, owners, rebuilt = [], {}, []
+    for m in maps:
+        def spy(*args, fn=m.fn):
+            calls.append(args)
+            return fn(*args)
+        owners[spy] = m.fn
+        rebuilt.append(type(m)(spy))
+
+    def shared(fn, *samples):
+        return row_kernel(owners.get(fn, fn), *samples)
+
+    with mock.patch.object(couplefix.problems, "row_kernel", shared):
+        yield calls, rebuilt
+
+
+def _table_scans(xv, yv, subset, plan):
+    """The outcome of each scan that fills tables, a function of the F map
+    and the T map."""
+    def rows(fm):
+        met = []
+        try:
+            return "value", repr(list(fm.pair_rows(xv, yv, met.append)))
+        except Exception as exc:
+            return type(exc), str(exc), repr(met)
+
+    def brute(fm, tm):
+        space = MetricSpace.real_line(-sys.float_info.max, sys.float_info.max)
+        problem = CoincidenceProblem(space, subset, subset, fm, tm, make_linear(Fraction(1, 2)))
+        return [brute_force_search(problem, plan, tol=tol) for tol in (0.0, 0.25)]
+
+    return {
+        "pair_rows": lambda fm, tm: rows(fm),
+        "tables": lambda fm, tm: _outcome_of(lambda: fm.tables(xv, yv)),
+        "tables on one sample": lambda fm, tm: _outcome_of(lambda: fm.tables(xv, xv)),
+        "image_table": lambda fm, tm: _outcome_of(
+            lambda: (tm.image_table(subset, plan), tm.image_table(subset, SamplePlan(3)))),
+        "brute_force_search": lambda fm, tm: _outcome_of(lambda: brute(fm, tm)),
+    }
+
+
+def _check_scans(f, t, xv, yv, subset, plan):
+    """Each scan gives with ``f`` and ``t`` what it gives with their
+    per-call wrappers, and with spies that share their kernels it calls
+    ``fn`` at a failing pair or value only."""
+    for name, build in _table_scans(xv, yv, subset, plan).items():
+        want = build(CouplingMap(lambda x, y: f.fn(x, y)), SelfMap(lambda x: t.fn(x)))
+        with _spies(f, t) as (calls, (fs, ts)):
+            assert build(fs, ts) == want, name
+        if name != "brute_force_search":  # which calls F pair by pair
+            assert len(calls) == (want[0] != "value"), (name, calls)
+        assert build(CouplingMap(f.fn), SelfMap(t.fn)) == want, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _expressions, _expressions)
+def test_row_kernels_fill_every_table_as_the_per_call_path_does(data, f_ast, t_ast):
+    f_ast = _renamed(f_ast, {"x": "x", "y": "y", "t": "x"})
+    t_ast = _renamed(t_ast, {"x": "x", "y": "x", "t": "x"})
+    f, t = CouplingMap.from_expression(f_ast), SelfMap.from_expression(t_ast)
+    xv = data.draw(st.lists(_floats(f_ast), min_size=1, max_size=6))
+    yv = data.draw(st.lists(_floats(f_ast), min_size=1, max_size=6))
+    ends = sorted(data.draw(st.tuples(_floats(t_ast), _floats(t_ast))
+                            .filter(lambda e: math.isfinite(e[0] - e[1]) and e[0] != e[1])))
+    subset = SubsetSpec.from_intervals([Interval(*ends)])
+    plan = SamplePlan(data.draw(st.integers(2, 6)), data.draw(st.integers(0, 2)), 1)
+    _check_scans(f, t, xv, yv, subset, plan)
+
+
+_HUGE_ONE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "f_text, t_text, xv, yv, ends",
+    [
+        # no arm matches from the third pair on, and T has no arm past 1/2
+        ("piecewise { x < 1 => x + y ; }", "piecewise { x <= 1/2 => x ; }",
+         [0.0, 0.5, 2.0], [0.25, 1.0], (0.0, 1.0)),
+        # a division by zero in the middle of a row, and at T's zero
+        ("x / (y - 1)", "1 / x", [0.5, 2.0], [0.0, 1.0, 3.0], (-1.0, 1.0)),
+        # an infinite value in the middle of a row, then a NaN
+        ("x * y", f"x * 1{'0' * 300} * x", [1.0, 1e308], [2.0, -0.0, 1e10], (-2.0, 2.0)),
+        ("x - y", "x / x", [1.0, math.inf], [0.5, math.inf], (-1.0, 1.0)),
+        # operations with a constant beyond the float range raise OverflowError
+        (f"piecewise {{ x < 1 => x ; else => x * {_HUGE_ONE} ; }}",
+         f"piecewise {{ x < 1/2 => x ; else => x + {_HUGE_ONE} ; }}",
+         [0.0, 0.5, 1.5], [0.5, 1.0], (0.0, 1.0)),
+        # min with an exact constant is computed exactly, then cast
+        ("min(x, 1/3) * y + max(y, 1/10)", "min(x, 1/3) * 3", [0.1, 0.9, 5e-324],
+         [0.3, -0.0, 1e-300], (-1.0, 1.0)),
+    ],
+)
+def test_row_kernels_fail_where_the_per_call_path_fails(f_text, t_text, xv, yv, ends):
+    f = CouplingMap.from_expression(parse_expression(f_text))
+    t = SelfMap.from_expression(parse_expression(t_text))
+    subset = SubsetSpec.from_intervals([Interval(*ends)])
+    _check_scans(f, t, xv, yv, subset, SamplePlan(5, 1, 2))

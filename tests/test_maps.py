@@ -518,3 +518,115 @@ def test_one_sample_coupling_check_keeps_little_beside_its_rows():
         tracemalloc.stop()
     assert got.passed and got.samples_tested == 201 * 201
     assert peak <= 100_000
+
+
+def test_a_failing_table_keeps_the_images_made_before_it():
+    """T fails at its third distinct value; the two images made before it
+    stay in the memo, so a later table does not evaluate them again."""
+    calls = []
+
+    def t(x):
+        calls.append(x)
+        if x == 0.5:
+            raise Stop(f"T({x})")
+        return x
+
+    m = SelfMap.from_function(t)
+    with pytest.raises(Stop):
+        m.image_table(A, SamplePlan(5))
+    assert calls == [0.0, 0.25, 0.5]
+    assert m.image_table(A, SamplePlan(2)) == ((0.0, 1.0),) * 2
+    assert calls == [0.0, 0.25, 0.5, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# row kernels: compiled by the first table that asks, and kept
+
+
+def _compiled_sources(monkeypatch, fail_kernels: bool = False) -> list[str]:
+    """The sources ``couplefix.expr`` compiles from now on; with
+    ``fail_kernels``, compiling a row kernel raises the RecursionError of a
+    source that nests too deep."""
+    import builtins
+
+    import couplefix.expr
+
+    sources = []
+    couplefix.expr._kernel_code.cache_clear()  # maps of one text share a compiled kernel
+
+    def spy(source, *args):
+        sources.append(source)
+        if fail_kernels and source in _kernels(sources):
+            raise RecursionError("maximum recursion depth exceeded during compilation")
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(couplefix.expr, "compile", spy, raising=False)
+    return sources
+
+
+def _kernels(sources: list[str]) -> list[str]:
+    return [s for s in sources if s.startswith("def _fill(")]
+
+
+def test_no_kernel_is_compiled_before_a_table_asks_for_one(monkeypatch, capsys):
+    from couplefix.cli import main
+    from couplefix.documents import registry_names
+
+    sources = _compiled_sources(monkeypatch)
+    problems = [build_problem(builtin_registry(name)) for name in registry_names()]
+    assert main(["solve", "banach-linear", "--start", "0.2", "0.9"]) == 0
+    assert "Converged" in capsys.readouterr().out
+    assert sources and not _kernels(sources)
+    for problem in problems:
+        assert isinstance(problem.coupling.fn._fill, str)
+
+    f = problems[0].coupling
+    f.tables((0.5, 1.0), (0.25,))
+    kernel = f.fn._fill
+    f.tables((0.0,), (1.0,))
+    assert len(_kernels(sources)) == 1 and f.fn._fill is kernel
+    # a table with a value that is not a float compiles none and calls fn
+    g = problems[1].coupling
+    assert g.tables((1,), (0.5,)) == g.tables((1.0,), (0.5,))
+    assert len(_kernels(sources)) == 2
+
+
+def _per_call(problem):
+    """``problem`` with each map rebuilt by the bare constructor around its
+    ``fn``, so it has no row kernel."""
+    import dataclasses
+
+    f = problem.coupling
+    changes = {"coupling": CouplingMap(lambda x, y: f.fn(x, y), f.source)}
+    if problem.kind == "coincidence":
+        t = problem.self_map
+        changes["self_map"] = SelfMap(lambda x: t.fn(x), t.preimage_fn, t.source)
+    return dataclasses.replace(problem, **changes)
+
+
+@pytest.mark.parametrize("compiles", [True, False])
+def test_a_piecewise_of_hundreds_of_arms_checks_as_its_per_call_wrapper_does(
+        compiles, monkeypatch):
+    """F and T are piecewise maps of 300 arms.  Their row kernels compile,
+    or, where compiling one raises (a source that nests too deep for
+    Python's compiler), the maps keep the per-call path."""
+    from couplefix.cli import run_checks
+    from couplefix.documents import CheckSettings, parse_problem
+
+    f_arms = " ".join(f"x < {k}/300 and y <= {k}/300 or x == {k}/300 => (x + y) / {k + 2} ;"
+                      for k in range(1, 301))
+    t_arms = " ".join(f"x <= {k}/300 => x / {k + 1} ;" for k in range(1, 301))
+    doc = parse_problem("\n".join([
+        "problem_kind: coincidence", 'space: "[0, 2]"', 'subset_A: "[0, 1]"',
+        'subset_B: "[0, 1]"', f'map_F: "piecewise {{ {f_arms} else => x ; }}"',
+        f'map_T: "piecewise {{ {t_arms} }}"', "phi:", "  family: linear", "  slope: 1/2"]))
+    sources = _compiled_sources(monkeypatch, fail_kernels=not compiles)
+    problem = build_problem(doc)
+    settings = CheckSettings(SamplePlan(21, 1, 3), None, doc.check.tol, doc.check.budget)
+    got = [(slot, r.to_dict(keep=5)) for slot, r in run_checks(problem, settings)]
+    want = [(slot, r.to_dict(keep=5)) for slot, r in run_checks(_per_call(problem), settings)]
+    assert got == want
+    assert got[-1][0] == "contraction" and got[-1][1]["samples_tested"] > 0
+    assert len(_kernels(sources)) == 2
+    for m in (problem.coupling, problem.self_map):
+        assert callable(m.fn._fill) if compiles else m.fn._fill is None

@@ -177,7 +177,8 @@ FROZEN = [
 MUTABLE = [
     Case(CheckReport, ("p", 3, [VIOLATION], -1.0, "fail", {"k": 1}, 5),
          "CheckReport(property_name='p', samples_tested=3, violations=[Violation(witness=('a',),"
-         " lhs=2.0, rhs=1.0, residual=1.0)], max_margin=-1.0, verdict='fail', details={'k': 1})",
+         " lhs=2.0, rhs=1.0, residual=1.0)], max_margin=-1.0, verdict='fail', details={'k': 1},"
+         " violation_count=5)",
          ("p", 3, [VIOLATION], -1.0, "pass", {"k": 1}, 5), "verdict"),
     Case(IterationTrace, ("coincidence", [STEP]),
          "IterationTrace(kind='coincidence', steps=[TraceStep(n=0, x=0.0, y=1.0, tx=None, "
@@ -345,14 +346,28 @@ def test_caches_and_derived_fields_enter_neither_equality_nor_repr():
     assert t.image_table(SUBSET, SamplePlan(5)) == ((0.0, 0.25, 0.5, 0.75, 1.0),) * 2
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
 
+    # a row kernel, compiled by the first table and kept on fn, is no field
+    for built in (CouplingMap.from_expression(parse_expression("x + y / 2")),
+                  SelfMap.from_expression(parse_expression("x / 2"))):
+        fresh = type(built)(*(getattr(built, name) for name in built._fields))
+        assert isinstance(built.fn._fill, str)
+        if isinstance(built, CouplingMap):
+            built.tables((0.0, 0.5), (0.25, 1.0))
+        else:
+            built.image_table(SUBSET, SamplePlan(5))
+        assert callable(built.fn._fill)
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+
     f, g = ControlFunction(control, ControlClass.PHI), ControlFunction(control, ControlClass.PHI,
                                                                        lambda t: (0, 1))
     assert f.ratio is not g.ratio
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
 
+    # but a report's exact count is a field: a count of 5 is not a one-entry list
     counted, listed = MUTABLE[0].make(), CheckReport("p", 3, [VIOLATION], -1.0, "fail", {"k": 1})
     assert (counted.violation_count, listed.violation_count) == (5, 1)
-    assert counted == listed and repr(counted) == repr(listed)
+    assert counted != listed and repr(counted) != repr(listed)
+    assert listed == CheckReport("p", 3, [VIOLATION], -1.0, "fail", {"k": 1}, 1)
 
 
 # ---------------------------------------------------------------------------
