@@ -28,8 +28,8 @@ from .controls import (
     make_power,
     with_declared_class,
 )
-from .errors import (DocumentError, ExprSyntaxError, ParameterError, at_least_one, at_least_two,
-                     nonnegative, positive_finite)
+from .errors import (DocumentError, ExprEvalError, ExprSyntaxError, ParameterError, at_least_one,
+                     at_least_two, nonnegative, positive_finite)
 from .expr import Expr, parse_expression
 from .metric import (DEFAULT_QUADRUPLE_BUDGET, Interval, MetricSpace, Point, SamplePlan, SubsetSpec,
                      subset_within_carrier)
@@ -164,12 +164,12 @@ def _parse_subset(raw, key: str) -> SubsetSpec:
 
 
 def _parse_map(raw, key: str, compile_map: Callable[[Expr], object]):
-    """``compile_map`` of the expression at ``key``.  A syntax error, or a
-    variable outside the map's slot (the bind's ParameterError), is
-    reported at the key."""
+    """``compile_map`` of the expression at ``key``.  A syntax error, a
+    variable outside the map's slot (the bind's ParameterError), or an
+    expression too large to compile is reported at the key."""
     try:
         return compile_map(parse_expression(_expr_text(raw, key)))
-    except (ExprSyntaxError, ParameterError) as exc:
+    except (ExprSyntaxError, ExprEvalError, ParameterError) as exc:
         raise DocumentError(str(exc), key=key) from exc
 
 
@@ -220,7 +220,7 @@ def _parse_control(raw, key: str, slot: ControlClass) -> ControlFunction:
             if name not in spec:
                 raise DocumentError("required key is missing", key=f"{key}.{name}")
         return with_declared_class(make(**_read_fields(spec, fields, key)), slot)
-    except (ParameterError, ExprSyntaxError) as exc:
+    except (ParameterError, ExprSyntaxError, ExprEvalError) as exc:
         raise DocumentError(str(exc), key=key) from exc
 
 

@@ -33,9 +33,12 @@ the rule of a map's values, so a result of ±inf or beyond the float range
 raises :class:`DomainError`.  Trees the parser cannot produce are rejected
 with :class:`ExprEvalError` when they are bound.
 
-Tables of floats are filled (:func:`fill`) by the function's row kernel, the
-same float code written as one expression and run without a Python call per
-tuple; the function goes on from the first tuple where the kernel fails.
+The lowering writes one Python expression, a piecewise as a chain of
+conditional expressions; an expression too large for Python's compiler
+raises :class:`ExprEvalError` when it is bound.  Tables of floats are filled
+(:func:`fill`) by the function's row kernel, a loop over that same float
+expression that runs without a Python call per tuple; the function goes on
+from the first tuple where the kernel fails.
 """
 
 from __future__ import annotations
@@ -110,11 +113,15 @@ KEYWORDS = ("piecewise", "else", "and", "or")
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_RATIONAL = re.compile(r"(\d+)/(\d+)(?![\d.])")
-_DECIMAL = re.compile(r"\d+\.\d+|\d+|\.\d+")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TWO_CHAR = ("=>", "<=", ">=", "==")
-_ONE_CHAR = "+-*/(){},;<>"
+#: One token per match: a newline, other whitespace, a number (a rational
+#: ``47/24`` first, then the decimal forms), a name, or punctuation.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<number>\d+/\d+(?![\d.]) | \d+\.\d+ | \d+ | \.\d+)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>=> | <= | >= | == | [-+*/(){},;<>])
+""", re.VERBOSE)
 
 
 class _Token(NamedTuple):
@@ -127,54 +134,31 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _RATIONAL.match(text, i) or _DECIMAL.match(text, i)
-            if not m:
+    i, line, start = 0, 1, 0  # start: the index where the current line begins
+    while i < len(text):
+        col = i - start + 1
+        m = _TOKEN.match(text, i)
+        if m is None:
+            ch = text[i]
+            if ch.isdigit() or ch == ".":
                 raise ExprSyntaxError(f"bad numeric literal near {text[i:i+8]!r}", line, col)
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
+        kind, word, i = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, start = line + 1, i
+        elif kind == "number":
             try:
-                value = Fraction(m.group(0))
+                value = Fraction(word)
             except ZeroDivisionError:
-                raise ExprSyntaxError(f"zero denominator in {m.group(0)!r}", line, col) from None
+                raise ExprSyntaxError(f"zero denominator in {word!r}", line, col) from None
             except ValueError:  # more digits than int() converts from text
                 raise ExprSyntaxError(
-                    f"numeric literal has too many digits near {text[i:i+8]!r}", line, col
+                    f"numeric literal has too many digits near {word[:8]!r}", line, col
                 ) from None
-            tokens.append(_Token("number", m.group(0), line, col, value))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _NAME.match(text, i)
-            tokens.append(_Token("name", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(_Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+            tokens.append(_Token("number", word, line, col, value))
+        elif kind != "space":
+            tokens.append(_Token("name" if kind == "name" else word, word, line, col))
+    tokens.append(_Token("end", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -435,7 +419,7 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
     if len(set(params)) != len(params) or not set(params) <= set(IDENTS):
         raise ExprEvalError(f"parameters must be distinct names out of {IDENTS}, got {params!r}")
     lowering = _Lowering(exact)
-    body, expression = lowering.body(ast)
+    expression = lowering.body(ast)
     if check_free is not None:
         check_free(lowering.free)
     extra = lowering.free - set(params)
@@ -443,14 +427,12 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
         raise ExprEvalError(
             f"expression uses {sorted(extra)} but this slot only provides {list(params)}"
         )
-    lines = [f"def _lowered({', '.join(params)}):", "    try:"]
     floats_only = " or ".join(f"type({p}) is not _float" for p in params if p in lowering.free)
-    if not exact and floats_only:
-        lines += [f"        if {floats_only}:", f"            r = _rounded({', '.join(params)})",
-                  "        else:"]
-        body = ["    " + line for line in body]
-    lines += [*("        " + line for line in body), "    except ZeroDivisionError:",
-              "        raise _ExprEvalError('division by zero') from None"]
+    value = (f"_rounded({', '.join(params)}) if {floats_only} else {expression}"
+             if floats_only and not exact else expression)
+    lines = [f"def _lowered({', '.join(params)}):", "    try:", f"        r = {value}",
+             "    except ZeroDivisionError:",
+             "        raise _ExprEvalError('division by zero') from None"]
     if not exact:  # r - r is NaN, so true, exactly when r is NaN or infinite
         lines += ["    except OverflowError as e:",
                   "        raise _DomainError(f'expression overflows the float range: {e}')"
@@ -460,9 +442,13 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
                   "        raise _DomainError(f'real point must be finite, got {r!r}')"]
     lines += ["    return r"]
     namespace = dict(lowering.names, _rounded=rounded, _float=float, _abs=abs, _min=min,
-                     _max=max, _nan=math.nan, _ExprEvalError=ExprEvalError,
+                     _max=max, _no_arm=_no_arm, _ExprEvalError=ExprEvalError,
                      _DomainError=DomainError)
-    exec(compile("\n".join(lines), _SOURCE, "exec"), namespace)
+    try:
+        code = compile("\n".join(lines), _SOURCE, "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        raise ExprEvalError("expression is too large for Python's compiler") from None
+    exec(code, namespace)
     # popped so the namespace (the function's globals) does not refer back to it
     fn = namespace.pop("_lowered")
     if not exact:  # the row kernel's source, compiled by row_kernel on first use
@@ -475,10 +461,13 @@ def _compile(ast: Expr, params: tuple[str, ...], exact: bool, rounded=None,
 
 def row_kernel(fn: Callable, *samples: Sequence) -> Callable | None:
     """``kernel(out, *columns)``, which appends ``fn``'s float value at each
-    tuple of ``zip(*columns)`` to ``out``, unchecked, and gives NaN where no
-    piecewise arm matches; ``None`` unless :func:`bind_function` made ``fn``
-    and every value of ``samples`` is a float.  It is compiled on the first
-    call and kept on ``fn``; a source too deep to compile leaves none."""
+    tuple of ``zip(*columns)`` to ``out``, unchecked: it evaluates ``fn``'s
+    own expression, and raises where no piecewise arm matches.  ``None``
+    unless :func:`bind_function` made ``fn`` and every value of ``samples``
+    is a float.  It is compiled on the first call and kept on ``fn``; a
+    source too deep to compile leaves none, since the compiler's limit
+    depends on the caller's stack depth and the kernel is compiled from
+    deeper down than ``fn`` was."""
     kernel = getattr(fn, "_fill", None)
     if (kernel is None or fn.__code__.co_filename != _SOURCE  # not a copy on a wrapper
             or not all({*map(type, s)} <= {float} for s in samples)):
@@ -504,8 +493,9 @@ def fill(out: list, fn: Callable, kernel: Callable | None, *columns: Iterable) -
     """``out``, an empty list, with ``fn(*args)`` appended for each ``args``
     of ``zip(*columns)`` (sequences or ``repeat`` objects), in order: the
     ``kernel`` of :func:`row_kernel`, if given, up to the first tuple where
-    it raises or gives a value that is not finite, then ``fn``, which raises
-    its error there after ``out`` holds the values before it."""
+    it raises (a piecewise with no matching arm, say) or gives a value that
+    is not finite, then ``fn``, which raises its error there after ``out``
+    holds the values before it."""
     if kernel is not None:
         try:
             kernel(out, *columns)
@@ -666,28 +656,27 @@ class _Lowering:
         except OverflowError:
             return f"_float({self.name(v)})"
 
-    def body(self, ast: Expr) -> tuple[list[str], str]:
-        """Statements that set ``r``, and one expression of the same value in
-        which a piecewise that matches no arm is NaN; arms a constant guard
-        rules out are dropped.
+    def body(self, ast: Expr) -> str:
+        """One expression of the value: a piecewise is a chain of conditional
+        expressions that ends in the else arm, or in ``_no_arm()``, which
+        raises; arms a constant guard rules out are dropped.
 
         Every arm is lowered, so each node of the tree is validated."""
         if not isinstance(ast, Piecewise):
-            value = self.value(ast)
-            return [f"r = {value}"], value
+            return self.value(ast)
         arms = [(*self.guard(arm.guard), self.value(arm.body)) for arm in ast.arms]
-        arms.append((True, True, None if ast.otherwise is None else self.value(ast.otherwise)))
-        lines, expression = [], ""
-        for constant, guard, value in arms:
-            if constant and guard:
-                break
+        arms.append((True, True, "_no_arm()" if ast.otherwise is None
+                     else self.value(ast.otherwise)))
+        chain = ""
+        for constant, guard, value in arms:  # the last arm's guard is constant and true
             if not constant:
-                lines += [f"{'elif' if lines else 'if'} {guard}:", f"    r = {value}"]
-                expression += f"{value} if {guard} else "
-        statement = ("raise _ExprEvalError('no piecewise arm matched and there is no else arm')"
-                     if value is None else f"r = {value}")
-        lines = lines + ["else:", "    " + statement] if lines else [statement]
-        return lines, expression + ("_nan" if value is None else value)
+                chain += f"{value} if {guard} else "
+            elif guard:
+                return chain + value
+
+
+def _no_arm():
+    raise ExprEvalError("no piecewise arm matched and there is no else arm")
 
 
 # ---------------------------------------------------------------------------

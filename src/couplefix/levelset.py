@@ -43,24 +43,24 @@ sparse-table descent would cost O(log n) per hit on any line, but in pure
 Python its steps cost about what a C-level scan of a whole strip does, and
 failing strips are short: on negative-midpoint at the benchmark's grid (81
 points and 2 jittered, stride 3) about 23,500 of them hold 352,000 cells
-and 43,200 hits.  For the same reason the walks are kept in place of
-the two bisections used below: with so few hits per strip, bisecting and
-slicing every failing strip made check-fail's pass_s 0.115 s instead of
-0.071 s (ten alternating pairs, 2-core VM).
+and 43,200 hits.  For the same reason a listed strip is walked, not
+bisected: with so few hits per strip, bisecting and slicing every failing
+strip made check-fail's pass_s 0.115 s instead of 0.071 s (ten
+alternating pairs, 2-core VM).
 
 A sweep may be given a ``floor``, the residual a violation must exceed
 to enter the check's report (``ReportBuilder.counting_floor``): a
 failing strip whose largest residual does not exceed it is only counted.
 That residual is at one of the strip's ends, where |F(x, y) - W| is
-max(F(x, y) - min W, max W - F(x, y)).  On a monotone line the prefix and
-the suffix of hits are then found by two bisections, with a key that
-ascends along the strip (w - F(x, y) or F(x, y) - w) and is computed as
-the walk's test is; a strip of any other line is scanned and counted.  A
-strip that can exceed the floor lists all its hits, so every violation
-above the floor is listed, in scan order.  The command line's check, which
-reads five violations, sets a floor at its first cut to five: on
-negative-midpoint at --samples 81 --jitter 2 its planes list 211 of
-42,964 violations.
+max(F(x, y) - min W, max W - F(x, y)).  On a monotone line such a strip's
+hits are counted by two bisections, with a key that ascends along the
+strip (w - F(x, y) or F(x, y) - w) and is computed as the walk's test is;
+a strip of any other line is scanned and counted.  A strip that can
+exceed the floor is listed whole, by the walks or the scan, so every
+violation above the floor is listed, in scan order.  The command line's
+check, which reads five violations, sets a floor at its first cut to
+five: on negative-midpoint at --samples 81 --jitter 2 its planes list 211
+of 42,964 violations.
 
 ``applies`` says when the argument holds for the tables at hand: every
 entry finite, no right value of -0.0 (the sign of a zero margin would then
@@ -258,7 +258,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                     else:
                         dist = map(abs, map(sub, repeat(fab), line[first:end]))
                         counted += sum(map(gt, dist, repeat(bound)))
-                elif floor is None:  # hits are a prefix and a suffix: walk in
+                elif listed:  # hits are a prefix and a suffix: walk in
                     p, q = first, end
                     while p < q:
                         lhs = abs(fab - line[p])
@@ -272,7 +272,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                         if not lhs > bound:
                             break
                         hits.append((at[q], lhs, r))
-                else:  # bisect for the prefix [first, p) and the suffix [q, end)
+                else:  # count the prefix [first, p) and the suffix [q, end) by bisection
                     # the key ascends along the strip from -head to tail
                     if line[first] <= line[final]:
                         ascent, head, tail = rise, below, above
@@ -280,12 +280,7 @@ def plane_evaluator(ix: list[float], iy: list[float], f_ba: list[list[float]],
                         ascent, head, tail = fall, above, below
                     p = bisect_left(line, -bound, first, end, key=ascent) if head > bound else first
                     q = bisect_right(line, bound, p, end, key=ascent) if tail > bound else end
-                    if listed:
-                        ends = line[first:p] + line[q:end]
-                        hits += zip(at[first:p] + at[q:end],
-                                    map(abs, map(sub, repeat(fab), ends)), repeat(r))
-                    else:
-                        counted += p - first + end - q
+                    counted += p - first + end - q
         if cells:
             lhs = list(map(abs, map(sub, repeat(fab), cells)))
             hits += compress(zip(keys, lhs, rs), map(gt, lhs, bounds))

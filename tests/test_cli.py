@@ -92,6 +92,20 @@ class TestListAndErrors:
         assert err.startswith("error: map_F:") and "nests deeper" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line, message", [
+        ('subset_A: "{ , }"', "subset_A: brace set must not be empty"),
+        ('map_F: "x + é"', "map_F: unexpected character 'é' at line 1, column 5"),
+        ('map_F: "piecewise { ' + " ".join(f"x <= {k}/3000 => y + {k} ;" for k in range(3000))
+         + ' }"', "map_F: expression is too large for Python's compiler"),
+    ], ids=["empty-brace-set", "non-ascii-letter", "3000-arm-piecewise"])
+    def test_document_error_names_its_key_and_exits_3(self, line, message, tmp_path, capsys):
+        key = line.split(":")[0]
+        doc = "\n".join(line if row.startswith(key) else row for row in SWAP_DOC.splitlines())
+        path = tmp_path / "doc.yaml"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run_cli(["check", str(path), "--samples", "5"], capsys)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_internal_error_exits_5(self, monkeypatch, capsys):
         def broken(problem, settings):
             raise RuntimeError("boom")

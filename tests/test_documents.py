@@ -513,6 +513,7 @@ SETTING_ERRORS = [
     ("check", {"grid_count": 1}, "check.grid_count", "grid_count must be at least 2, got 1"),
     ("check", {"grid_count_b": 1}, "check.grid_count_b",
      "grid_count_b must be at least 2, got 1"),
+    ("subset_A", "{ , }", "subset_A", "brace set must not be empty"),
 ]
 
 #: As SETTING_ERRORS, on the coincidence builtin example-2.1.9 with T = 2x.

@@ -60,6 +60,11 @@ def test_parse_two_arm_piecewise_with_else():
     assert isinstance(guard, BoolOp) and guard.op == "and"
 
 
+def test_final_arm_may_omit_its_semicolon():
+    text = "piecewise { x < 1 => 2 ; x >= 1 => 3 }"
+    assert parse_expression(text) == parse_expression(text.replace("3 }", "3 ; }"))
+
+
 def test_parse_error_unbalanced_call():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expression("min(x")
@@ -89,6 +94,9 @@ def test_parse_error_reports_position():
      "(expected number, identifier, function call, (, -)", 1, 5),
     ("x y", "unexpected trailing input 'y' at line 1, column 3 (expected end of input)", 1, 3),
     ("1..2", "bad numeric literal near '..2' at line 1, column 2", 1, 2),
+    # a letter outside ASCII, and a digit that no number matches
+    ("x + é", "unexpected character 'é' at line 1, column 5", 1, 5),
+    ("x +\n 2²", "bad numeric literal near '²' at line 2, column 3", 2, 3),
 ])
 def test_parse_error_message_and_position(text, message, line, column):
     with pytest.raises(ExprSyntaxError) as err:

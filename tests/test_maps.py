@@ -78,6 +78,10 @@ EXPRESSION_CASES = [
      (DomainError, "expression overflows the float range: "
                    "integer division result too large for a float")),
     ("x / (y - y)", (1.0, 2.0), (ExprEvalError, "division by zero")),
+    # a map whose whole value is a constant beyond the float range
+    (HUGE, (1.0, 2.0),
+     (DomainError, "expression overflows the float range: "
+                   "integer division result too large for a float")),
 ]
 
 
@@ -543,10 +547,10 @@ def test_a_failing_table_keeps_the_images_made_before_it():
 # row kernels: compiled by the first table that asks, and kept
 
 
-def _compiled_sources(monkeypatch, fail_kernels: bool = False) -> list[str]:
-    """The sources ``couplefix.expr`` compiles from now on; with
-    ``fail_kernels``, compiling a row kernel raises the RecursionError of a
-    source that nests too deep."""
+def _compiled_sources(monkeypatch, fails: str = "", error: type = RecursionError) -> list[str]:
+    """The sources ``couplefix.expr`` compiles from now on; compiling one
+    that starts with ``fails``, if given, raises ``error``, as a source too
+    large for Python's compiler does."""
     import builtins
 
     import couplefix.expr
@@ -556,8 +560,8 @@ def _compiled_sources(monkeypatch, fail_kernels: bool = False) -> list[str]:
 
     def spy(source, *args):
         sources.append(source)
-        if fail_kernels and source in _kernels(sources):
-            raise RecursionError("maximum recursion depth exceeded during compilation")
+        if fails and source.startswith(fails):
+            raise error("maximum recursion depth exceeded during compilation")
         return builtins.compile(source, *args)
 
     monkeypatch.setattr(couplefix.expr, "compile", spy, raising=False)
@@ -620,7 +624,7 @@ def test_a_piecewise_of_hundreds_of_arms_checks_as_its_per_call_wrapper_does(
         "problem_kind: coincidence", 'space: "[0, 2]"', 'subset_A: "[0, 1]"',
         'subset_B: "[0, 1]"', f'map_F: "piecewise {{ {f_arms} else => x ; }}"',
         f'map_T: "piecewise {{ {t_arms} }}"', "phi:", "  family: linear", "  slope: 1/2"]))
-    sources = _compiled_sources(monkeypatch, fail_kernels=not compiles)
+    sources = _compiled_sources(monkeypatch, "" if compiles else "def _fill(")
     problem = build_problem(doc)
     settings = CheckSettings(SamplePlan(21, 1, 3), None, doc.check.tol, doc.check.budget)
     got = [(slot, r.to_dict(keep=5)) for slot, r in run_checks(problem, settings)]
@@ -630,3 +634,36 @@ def test_a_piecewise_of_hundreds_of_arms_checks_as_its_per_call_wrapper_does(
     assert len(_kernels(sources)) == 2
     for m in (problem.coupling, problem.self_map):
         assert callable(m.fn._fill) if compiles else m.fn._fill is None
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+@pytest.mark.parametrize("key, fails", [("map_F", "def _lowered(x, y)"),
+                                        ("phi", "def _lowered(t)")])
+def test_a_map_too_large_to_compile_is_a_document_error_at_its_key(key, fails, error,
+                                                                    monkeypatch):
+    from couplefix.documents import parse_problem
+    from couplefix.errors import DocumentError
+
+    text = "\n".join([
+        "problem_kind: coincidence", 'space: "[0, 2]"', 'subset_A: "[0, 1]"',
+        'subset_B: "[0, 1]"', 'map_F: "(x + y) / 2"', "map_T: identity",
+        'phi: "piecewise { t <= 1 => t / 2 ; else => t / 3 ; }"'])
+    sources = _compiled_sources(monkeypatch, fails, error)
+    with pytest.raises(DocumentError) as err:
+        parse_problem(text)
+    assert err.value.key == key
+    assert str(err.value) == f"{key}: expression is too large for Python's compiler"
+    assert sources[-1].startswith(fails)
+
+
+def test_a_row_kernel_evaluates_the_functions_own_expression(monkeypatch):
+    sources = _compiled_sources(monkeypatch)
+    f = CouplingMap.from_expression(
+        parse_expression("piecewise { x < 1/3 => x + y ; y > 2 => min(x, 1/2) ; }"))
+    (lowered,) = sources
+    line = f.fn._fill.splitlines()[-1]
+    assert line.startswith("        app(") and line.endswith(")")
+    expression = line[len("        app("):-1]
+    assert ("        r = _rounded(x, y) if type(x) is not _float or type(y) is not _float"
+            f" else {expression}\n") in lowered
+    assert expression.endswith(" else _no_arm()") and "elif" not in lowered
