@@ -74,6 +74,13 @@ CASES = {
         "solve", "banach-linear", "--start", "0", "1", "--start", "1", "1", "--max-iter", "3",
     ],
     "solve-escaping-orbit": ["solve", str(DOCUMENTS / "escaping-orbit.yaml")],
+    # starts of one call that stop at different steps: 1 (Converged), 2
+    # (orbit_left_subset, then D_increase twice) and 3 (D_increase)
+    "solve-escaping-orbit-five-starts": [
+        "solve", str(DOCUMENTS / "escaping-orbit.yaml"), "--start", "0", "0",
+        "--start", "0.5", "0.5", "--start", "0.25", "0.25", "--start", "0.1", "0.2",
+        "--start", "0", "0.125",
+    ],
 }
 
 
