@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -55,8 +56,7 @@ from .solve import (
     SolveOptions,
     SolveReport,
     SolveStatus,
-    iterate_coincidence,
-    iterate_strong_coupled,
+    iterate_starts,
     multi_start_verdict,
 )
 
@@ -217,8 +217,39 @@ def _write_file(path: str, text: str, what: str) -> None:
         raise ParameterError(f"cannot write the {what} to {path}: {exc.strerror or exc}") from None
 
 
+def _json_parts(value, parts: list, indent: str) -> None:
+    """Append ``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``indent`` to
+    ``parts``, without json's pure-Python encoder; TypeError at a type no report holds."""
+    t = type(value)
+    if t is str:
+        parts.append(encode_basestring_ascii(value))
+    elif t is float:
+        parts.append(repr(value) if value - value == 0.0 else
+                     "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif t is int or t is bool or value is None:
+        parts.append("null" if value is None else "true" if value is True
+                     else "false" if value is False else int.__repr__(value))
+    elif t is dict or t is list or t is tuple:
+        if t is dict and not all(type(key) is str for key in value):
+            raise TypeError("a key that is not a str")
+        brackets, inner = "{}" if t is dict else "[]", indent + "  "
+        sep = brackets[0] + "\n" + inner
+        for item in sorted(value) if t is dict else value:
+            parts.append(sep + encode_basestring_ascii(item) + ": " if t is dict else sep)
+            _json_parts(value[item] if t is dict else item, parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + brackets[1] if value else brackets)
+    else:
+        raise TypeError(f"a {t.__name__}")
+
+
 def _emit_json(payload: dict, dest: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    parts: list[str] = []
+    try:
+        _json_parts(payload, parts, "")
+        text = "".join(parts) + "\n"
+    except TypeError:  # a type that no report holds
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if dest == "-":
         sys.stderr.write(text)
     else:
@@ -248,7 +279,8 @@ def _resolve_starts(doc: ProblemDocument, args) -> tuple[tuple[Point, Point], ..
 
 
 def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
-    """Solve from every start, print and write the results; the exit code.
+    """Solve from every start in one batch (``solve.iterate_starts``), print
+    and write the results; the exit code.
 
     Only the first start records a trace, and only for ``--trace``.  The
     multi-start verdict is that of a strong problem with several starts,
@@ -256,9 +288,7 @@ def _solve_and_report(doc, problem, starts, opts, args, t0, checks) -> int:
     for ``solve`` or without ``--json``).
     """
     strong = problem.kind == "strong_coupled"
-    iterate = iterate_strong_coupled if strong else iterate_coincidence
-    first, trace = iterate(problem, *starts[0], opts, record=bool(args.trace))
-    reports = [first] + [iterate(problem, sx, sy, opts, record=False)[0] for sx, sy in starts[1:]]
+    reports, trace = iterate_starts(problem, starts, opts, record=bool(args.trace))
     verdict = multi_start_verdict(problem, reports, opts) if strong and len(starts) > 1 else None
     for start, report in zip(starts, reports):
         _print_solve(start, report)

@@ -1,22 +1,23 @@
 """Iteration engines, per-run diagnostics, and the brute-force oracle.
 
-Both engines are entries to one driver, which runs the alternating scheme:
-the next pair is built from the coupling applied to the swapped current
-pair, by a per-kind step function (a preimage step under the self map T
-for coincidence runs, a plain coupling step with a subset-escape check for
-strong runs, the identity-T case), and the run stops as soon as the
-committed step distance
+Both engines, and the many starts of one call, go through one driver,
+:func:`iterate_starts`, which runs the alternating scheme on a batch of
+starts in lockstep: the next pairs are built from the coupling applied to
+the swapped current pairs, by a per-kind step (a preimage step under the
+self map T for coincidence runs, a plain coupling step with a
+subset-escape check for strong runs, the identity-T case), and a start
+leaves the batch as soon as its committed step distance
 
     D_n = max(d(first_n, y_n), d(second_n, x_n))
 
 falls within tolerance, where ``first_n``/``second_n`` are the incoming
 iterates (self-map preimages for coincidence runs, coupling values for
-strong runs).  The driver, its steps, its residuals and the preimage
-searches carry raw values and call F and T through ``fn``; Points are
-built for the reported candidate only.  The pair distance
-R_n rides along as a second diagnostic.  Only a run that records its trace
-builds ``TraceStep``s, and on the usual metric the strong step and the
-brute-force scan compute ``abs(a - b)`` without calling the metric.
+strong runs).  A step fills F and T over the batch's raw values through
+their row kernels; preimage searches run start by start, and Points are
+built for the reported candidates only.  The pair distance R_n rides
+along as a second diagnostic.  Only the first start records a trace, and
+on the usual metric the steps and the brute-force scan compute
+``abs(a - b)`` without calling the metric.
 Theory says both sequences shrink monotonically for admissible problems, so
 an increase while the predecessor is still above tolerance is treated as a
 hard error rather than noise: the run aborts with a diagnostic status
@@ -34,16 +35,18 @@ import math
 from bisect import bisect_left
 from enum import Enum
 from functools import partial
-from typing import Any, NamedTuple, Optional, Union
+from itertools import compress
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetError, DomainError, ParameterError, at_least_one, positive_finite
+from .expr import fill, row_kernel
 from .metric import (
     Point,
     SamplePlan,
     SubsetSpec,
     Value,
     _usual_real,
-    member_test,
+    contains_values,
     sample_values,
     subset_intersection,
 )
@@ -225,107 +228,180 @@ def _strong_residuals(problem: StrongCoupledProblem, a: Value, b: Value) -> dict
     return {"f_xx_x": d(problem.coupling.fn(a, a), a), "x_y": d(a, b)}
 
 
-def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, x: Value, y: Value):
-    """Coincidence steps: solve T(x1) = F(y, x) in A and T(y1) = F(x, y) in B,
-    carrying the T images of the current pair from step to step.  F and T
-    run on raw values (``fn``), as in :func:`_coupling_step`."""
-    d = problem.space.metric
-    g, t = problem.coupling.fn, problem.self_map.fn
-    tx, ty = t(x), t(y)
+class _Batch:
+    """The starts of one call still iterating, as lists in start order: each
+    one's place among the call's starts (``index``), its pair, their T images
+    (``None`` on strong runs) and last step sizes.  A start that raises at
+    position k cuts the batch there: one start after another, the starts
+    after it never ran.  ``error`` is the place and error of the lowest."""
 
-    def step(n: int, x: Value, y: Value):
-        nonlocal tx, ty
-        found = []
-        for subset, label, tgt in ((problem.subset_a, "A", g(y, x)),
-                                   (problem.subset_b, "B", g(x, y))):
-            p, dist = _find_preimage(problem, tgt, subset, opts)
-            if p is None:
-                failure = {"reason": "preimage", "step": n + 1, "subset": label,
-                           "target": tgt, "min_distance": dist}
-                return x, y, None, None, tx, ty, (SolveStatus.PREIMAGE_FAILURE, failure)
-            found.append(p)
-        x1, y1 = found
-        tx1, ty1 = t(x1), t(y1)
-        result = x1, y1, max(d(tx, ty1), d(ty, tx1)), d(tx, ty), tx, ty, None
-        tx, ty = tx1, ty1
-        return result
+    _COLUMNS = ("index", "x", "y", "tx", "ty", "prev_d", "prev_r")
 
-    return step
+    def __init__(self, starts):
+        n = len(starts)
+        self.index, self.ends, self.error = list(range(n)), [None] * n, None
+        self.x, self.y = [x.value for x, _ in starts], [y.value for _, y in starts]
+        self.tx, self.ty = [None] * n, [None] * n
+        self.prev_d, self.prev_r = [math.inf] * n, [math.inf] * n  # the first step is no increase
+
+    def cut(self, k: int, exc: Exception) -> None:
+        self.error = self.index[k], exc
+        for name in self._COLUMNS:
+            del getattr(self, name)[k:]
+
+    def fill(self, fn, kernel, *columns: list) -> list:
+        """``expr.fill([], fn, kernel, *columns)`` over the starts in the batch."""
+        m, out = len(self.index), []
+        try:
+            fill(out, fn, kernel, *(c[:m] if len(c) > m else c for c in columns))
+        except Exception as exc:
+            self.cut(len(out), exc)
+        return out
+
+    def end(self, i: int, status: Optional[SolveStatus], failure, used: int) -> None:
+        self.ends[self.index[i]] = self.x[i], self.y[i], used, status, failure
+
+    def keep(self, mask: Optional[list[bool]] = None, **columns: list) -> None:
+        """Keep the starts true in ``mask`` (all if ``None``), with new ``columns``."""
+        m = len(self.index)
+        for name in self._COLUMNS:
+            col = columns.get(name, getattr(self, name))
+            setattr(self, name, col[:m] if mask is None else list(compress(col, mask)))
 
 
-def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, x: Value, y: Value):
-    """Strong coupled steps: x1 = F(y, x), y1 = F(x, y), which must stay in
-    A and B.  F runs on raw values (``CouplingMap.fn``) and membership
-    is ``metric.member_test``, so a step builds no Point."""
-    d = problem.space.metric
-    usual = d is _usual_real
-    g = problem.coupling.fn
-    in_a, in_b = member_test(problem.subset_a), member_test(problem.subset_b)
+def _step_sizes(batch: _Batch, d, u1, v1, u2, v2, u3, v3) -> tuple[list, list]:
+    """The columns ``max(d(u1, v1), d(u2, v2))`` and ``d(u3, v3)``, with
+    ``abs(a - b)`` for the usual metric unless a pair will not subtract."""
+    if d is _usual_real:
+        try:
+            d_n = []
+            for p, q, s, t in zip(u1, v1, u2, v2):
+                first, second = abs(p - q), abs(s - t)
+                d_n.append(second if second > first else first)  # max(first, second)
+            return d_n, [abs(p - q) for p, q in zip(u3, v3)]
+        except Exception:
+            pass  # d names the start that raises
+    first, second = batch.fill(d, None, u1, v1), batch.fill(d, None, u2, v2)
+    return list(map(max, first, second)), batch.fill(d, None, u3, v3)
 
-    def step(n: int, x: Value, y: Value):
-        x1, y1 = g(y, x), g(x, y)
-        if usual:
-            d_n, r_n = max(abs(x1 - y), abs(y1 - x)), abs(x - y)
+
+def _preimage_step(problem: CoincidenceProblem, opts: SolveOptions, batch: _Batch, n: int):
+    """Coincidence step ``n``: solve T(x1) = F(y, x) in A and T(y1) = F(x, y)
+    in B, as :func:`_coupling_step` with preimage searches start by start,
+    A before B; a start whose search fails leaves the batch."""
+    xs, ys, g, t = batch.x, batch.y, problem.coupling.fn, problem.self_map.fn
+    if n == 0:  # the T images of the starts
+        batch.tx = batch.fill(t, row_kernel(t, xs), xs)
+        batch.ty = batch.fill(t, row_kernel(t, ys), ys)
+    kernel = row_kernel(g, xs, ys)
+    found, x1s, y1s = [], [], []
+    for i, (tgt_a, tgt_b) in enumerate(zip(batch.fill(g, kernel, ys, xs),
+                                           batch.fill(g, kernel, xs, ys))):
+        y1 = None
+        try:
+            x1, dist = _find_preimage(problem, tgt_a, problem.subset_a, opts)
+            if x1 is not None:
+                y1, dist = _find_preimage(problem, tgt_b, problem.subset_b, opts)
+        except Exception as exc:
+            batch.cut(i, exc)
+            break
+        found.append(y1 is not None)
+        if found[-1]:
+            x1s.append(x1)
+            y1s.append(y1)
         else:
-            d_n, r_n = max(d(x1, y), d(y1, x)), d(x, y)
-        if not in_a(x1):
-            label, escaped = "A", x1
-        elif not in_b(y1):
-            label, escaped = "B", y1
-        else:
-            return x1, y1, d_n, r_n, None, None, None
-        failure = {"reason": "orbit_left_subset", "subset": label,
-                   "step": n + 1, "value": escaped}
-        return x1, y1, d_n, r_n, None, None, (SolveStatus.DIAGNOSTIC_VIOLATION, failure)
+            label, tgt = ("A", tgt_a) if x1 is None else ("B", tgt_b)
+            batch.end(i, SolveStatus.PREIMAGE_FAILURE, {
+                "reason": "preimage", "step": n + 1, "subset": label, "target": tgt,
+                "min_distance": dist}, n)
+    if not all(found):
+        batch.keep(found)
+    tx1s = batch.fill(t, row_kernel(t, x1s), x1s)
+    ty1s = batch.fill(t, row_kernel(t, y1s), y1s)
+    tx, ty = batch.tx, batch.ty
+    return (x1s, y1s, *_step_sizes(batch, problem.space.metric, tx, ty1s, ty, tx1s, tx, ty),
+            tx1s, ty1s, {})
 
-    return step
+
+def _coupling_step(problem: StrongCoupledProblem, opts: SolveOptions, batch: _Batch, n: int):
+    """Strong coupled step ``n``: x1 = F(y, x), y1 = F(x, y), which must stay
+    in A and B; each of F's columns is one ``expr.fill``.  A step gives, by
+    position among the starts left, the next pairs, D_n, R_n, the next
+    pairs' T images and ``stops``, the ``(status, failure)`` ending a run."""
+    xs, ys, g = batch.x, batch.y, problem.coupling.fn
+    kernel = row_kernel(g, xs, ys)
+    x1s, y1s = batch.fill(g, kernel, ys, xs), batch.fill(g, kernel, xs, ys)
+    d_n, r_n = _step_sizes(batch, problem.space.metric, x1s, ys, y1s, xs, xs, ys)
+    in_a, in_b = contains_values(problem.subset_a, x1s), contains_values(problem.subset_b, y1s)
+    escaped = [] if all(in_a) and all(in_b) else zip(x1s, y1s, in_a, in_b)
+    stops = {i: (SolveStatus.DIAGNOSTIC_VIOLATION, {
+        "reason": "orbit_left_subset", "subset": "B" if x1_in else "A", "step": n + 1,
+        "value": y1 if x1_in else x1})
+        for i, (x1, y1, x1_in, y1_in) in enumerate(escaped) if not (x1_in and y1_in)}
+    return x1s, y1s, d_n, r_n, batch.tx, batch.ty, stops
 
 
-def _iterate(problem, x: Value, y: Value, opts: SolveOptions, make_step, residuals, record):
-    """The alternating iteration both engines share, from the raw start
-    ``(x, y)``.
-
-    ``make_step(problem, opts, x, y)`` returns the kind's step function.
-    It maps ``(n, x, y)`` to ``(x1, y1, d_n, r_n, tx, ty, stop)``: the next
-    pair, the step sizes D_n and R_n of the transition (``d_n`` is ``None``
-    when the step failed before completing it), the T images of ``(x, y)``
-    (``None`` for strong runs), and ``None`` or the ``(status, failure)``
-    that ends the run.  ``residuals(problem, x, y)`` gives the defining
-    residuals of a pair of raw values.  The trace gets a :class:`TraceStep`
-    per completed step when ``record`` is true, else no steps.
-    """
-    for label, v, subset, name in (("x0", x, problem.subset_a, "A"),
-                                   ("y0", y, problem.subset_b, "B")):
-        if not member_test(subset)(v):
-            raise DomainError(f"start {label}={v!r} is not in subset {name}")
-    step = make_step(problem, opts, x, y)
-    trace = IterationTrace(problem.kind)
-    prev_d = prev_r = math.inf  # so the first step is no increase
-    used, tol = 0, opts.tol
+def iterate_starts(
+    problem: Union[CoincidenceProblem, StrongCoupledProblem],
+    starts: Sequence[tuple[Point, Point]],
+    opts: SolveOptions = SolveOptions(),
+    *, record: bool = True,
+) -> tuple[list[SolveReport], IterationTrace]:
+    """The alternating iteration of ``problem.kind`` from every start in
+    lockstep: per start, the report :func:`iterate_coincidence` or
+    :func:`iterate_strong_coupled` gives from it alone, and the first start's
+    trace (no steps unless ``record``).  A start that raises makes the call
+    raise what running the starts one after another raises first."""
+    coincidence = problem.kind == "coincidence"
+    batch = _Batch(starts)
+    for label, col, subset, name in (("x0", batch.x, problem.subset_a, "A"),
+                                     ("y0", batch.y, problem.subset_b, "B")):
+        inside = contains_values(subset, col)
+        if not all(inside):
+            k = inside.index(False)
+            batch.cut(k, DomainError(f"start {label}={col[k]!r} is not in subset {name}"))
+    step = _preimage_step if coincidence else _coupling_step
+    trace, tol = IterationTrace(problem.kind), opts.tol
     for n in range(opts.max_iter):
-        x1, y1, d_n, r_n, tx, ty, stop = step(n, x, y)
-        used += d_n is not None
-        if record and d_n is not None:
-            trace.steps.append(_trace_step((n, x, y, tx, ty, d_n, r_n)))
-        if stop is None:
-            if prev_d > tol and d_n > prev_d + tol:
-                stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "D_increase", "index": n}
-            elif prev_r > tol and r_n > prev_r + tol:
-                stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "R_increase", "index": n}
-        if stop is not None:
-            status, failure = stop
+        if batch.index:
+            x1s, y1s, d_n, r_n, tx1s, ty1s, stops = step(problem, opts, batch, n)
+        if not batch.index:
             break
-        if d_n <= tol:
-            status = failure = None
-            break
-        prev_d, prev_r, x, y = d_n, r_n, x1, y1
-    else:
-        status, failure = SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"}
-    values = residuals(problem, x, y)
-    if status is None:
-        converged = all(v <= tol for v in values.values())
-        status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
-    return SolveReport(status, (Point(x), Point(y)), values, used, failure), trace
+        if record and batch.index[0] == 0:
+            trace.steps.append(_trace_step((n, batch.x[0], batch.y[0], batch.tx[0], batch.ty[0],
+                                            d_n[0], r_n[0])))
+        m, alive, prev_d, prev_r = len(batch.index), None, batch.prev_d, batch.prev_r
+        # every start that stops passes this test, and few that go on do
+        maybe = {*stops, *(i for i, (d, r, pd, pr) in enumerate(zip(d_n, r_n, prev_d, prev_r))
+                           if d <= tol or d > pd + tol or r > pr + tol)}
+        for i in sorted(i for i in maybe if i < m):
+            d, r, pd, pr, stop = d_n[i], r_n[i], prev_d[i], prev_r[i], stops.get(i)
+            if stop is None:
+                if pd > tol and d > pd + tol:
+                    stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "D_increase", "index": n}
+                elif pr > tol and r > pr + tol:
+                    stop = SolveStatus.DIAGNOSTIC_VIOLATION, {"reason": "R_increase", "index": n}
+                elif d <= tol:
+                    stop = None, None
+                else:
+                    continue
+            batch.end(i, *stop, n + 1)
+            alive = alive or [True] * m
+            alive[i] = False
+        batch.keep(alive, x=x1s, y=y1s, tx=tx1s, ty=ty1s, prev_d=d_n, prev_r=r_n)
+    for i in range(len(batch.index)):
+        batch.end(i, SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"}, opts.max_iter)
+    residuals = _coincidence_residuals if coincidence else _strong_residuals
+    reports = []
+    for x, y, used, status, failure in batch.ends[:batch.error[0] if batch.error else None]:
+        values = residuals(problem, x, y)
+        if status is None:
+            converged = all(v <= tol for v in values.values())
+            status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
+        reports.append(SolveReport(status, (Point(x), Point(y)), values, used, failure))
+    if batch.error:
+        raise batch.error[1]
+    return reports, trace
 
 
 def iterate_coincidence(
@@ -342,8 +418,8 @@ def iterate_coincidence(
     with a failure payload naming the step, subset, target, and how close
     the nearest candidate came.  With ``record=False`` the trace has no steps.
     """
-    return _iterate(problem, x0.value, y0.value, opts, _preimage_step, _coincidence_residuals,
-                    record)
+    (report,), trace = iterate_starts(problem, [(x0, y0)], opts, record=record)
+    return report, trace
 
 
 def iterate_strong_coupled(
@@ -359,7 +435,8 @@ def iterate_strong_coupled(
     as a diagnostic violation naming the subset and the escaped value.  With
     ``record=False`` the trace has no steps.
     """
-    return _iterate(problem, x0.value, y0.value, opts, _coupling_step, _strong_residuals, record)
+    (report,), trace = iterate_starts(problem, [(x0, y0)], opts, record=record)
+    return report, trace
 
 
 def multi_start_verdict(

@@ -604,14 +604,14 @@ class TestOutputPaths:
 class TestRunsPerStart:
     def test_each_start_iterates_once_with_trace(self, tmp_path, monkeypatch, capsys):
         calls = []
-        real = couplefix.solve.iterate_strong_coupled
+        real = couplefix.solve.iterate_starts
 
-        def counted(problem, x0, y0, opts, record=True):
-            calls.append((x0.value, y0.value))
-            return real(problem, x0, y0, opts, record=record)
+        def counted(problem, starts, opts, record=True):
+            calls.append(([(x0.value, y0.value) for x0, y0 in starts], record))
+            return real(problem, starts, opts, record=record)
 
-        monkeypatch.setattr(couplefix.cli, "iterate_strong_coupled", counted)
-        monkeypatch.setattr(couplefix.solve, "iterate_strong_coupled", counted)
+        monkeypatch.setattr(couplefix.cli, "iterate_starts", counted)
+        monkeypatch.setattr(couplefix.solve, "iterate_starts", counted)
         trace_path = tmp_path / "t.csv"
         report_path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -621,9 +621,11 @@ class TestRunsPerStart:
             capsys,
         )
         assert code == 0
-        assert calls == [(0.0, 1.0), (1.0, 1.0), (0.5, 0.25)]
+        # one batch, which holds each start once and records a trace
+        assert calls == [([(0.0, 1.0), (1.0, 1.0), (0.5, 0.25)], True)]
         assert "multi-start verdict: consistent" in out
         runs = read_json(report_path)["solve"]["runs"]
+        assert len(runs) == 3
         rows = trace_path.read_text(encoding="utf-8").splitlines()
         # the trace is the first start's run
         assert rows[1].startswith("0,0,1,")
@@ -777,3 +779,46 @@ class TestSamplingFlags:
         )
         assert out.returncode == 3 and out.stdout == ""
         assert out.stderr == "error: check.budget: budget must be at least 1, got 0\n"
+
+
+class _Level(int):
+    """An int subclass, which the report writer leaves to ``json.dumps``."""
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-320, 1e16, float("nan"), float("inf"), -float("inf")]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(value=_JSON_VALUES, odd=st.sampled_from([None, _Level(3), {1: "int key"},
+                                                {"a": 1, 2: "mixed keys"}]))
+@example(value={"é": ["ü", "\x00", " ", "\ud800"], "": {}, "t": ()}, odd=None)
+@settings(max_examples=300, deadline=None)
+def test_report_json_is_what_json_dumps_writes(value, odd):
+    """``--json`` text equals ``json.dumps(sort_keys=True, indent=2)`` on the
+    report's types (NaN, infinities, text outside ASCII, empty containers,
+    tuples) and on any value, which falls back to ``json.dumps`` and
+    raises its error where it raises (keys of mixed types)."""
+    for payload in (value, [value, odd], {"k": value, "odd": odd}):
+        written = io.StringIO()
+        try:
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got, redirect_stderr(written):
+                cli._emit_json(payload, "-")
+            assert str(got.value) == str(exc)
+        else:
+            with redirect_stderr(written):
+                cli._emit_json(payload, "-")
+            assert written.getvalue() == want

@@ -578,11 +578,14 @@ def test_no_kernel_is_compiled_before_a_table_asks_for_one(monkeypatch, capsys):
 
     sources = _compiled_sources(monkeypatch)
     problems = [build_problem(builtin_registry(name)) for name in registry_names()]
-    assert main(["solve", "banach-linear", "--start", "0.2", "0.9"]) == 0
-    assert "Converged" in capsys.readouterr().out
     assert sources and not _kernels(sources)
     for problem in problems:
         assert isinstance(problem.coupling.fn._fill, str)
+    # solving fills F's columns: one kernel for the problem the command builds
+    assert main(["solve", "banach-linear", "--start", "0.2", "0.9"]) == 0
+    assert "Converged" in capsys.readouterr().out
+    assert len(_kernels(sources)) == 1
+    assert all(isinstance(problem.coupling.fn._fill, str) for problem in problems)
 
     f = problems[0].coupling
     f.tables((0.5, 1.0), (0.25,))

@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplefix import cli
@@ -25,17 +25,22 @@ from couplefix.problems import (
 )
 from couplefix.solve import (
     PREIMAGE_GRID_COUNT,
+    IterationTrace,
     SolveOptions,
+    SolveReport,
     SolveStatus,
     TraceStep,
+    _find_preimage,
     brute_force_search,
     grid_preimage,
     iterate_coincidence,
+    iterate_starts,
     iterate_strong_coupled,
     multi_start_verdict,
     trace_diagnostics,
 )
 
+from metric_oracle import contains
 from problem_fixtures import (
     averaging_problem,
     interval_subset,
@@ -43,6 +48,7 @@ from problem_fixtures import (
     min_problem,
     plateau_problem,
 )
+from test_kernels import _same_return, naive_strong_iteration
 
 
 def _pt(v: float) -> Point:
@@ -50,11 +56,13 @@ def _pt(v: float) -> Point:
 
 
 def _strong(space, a, b, f_text) -> StrongCoupledProblem:
+    """F is an expression text, or a ``CouplingMap``."""
     return StrongCoupledProblem(
         space=space,
         subset_a=a,
         subset_b=b,
-        coupling=CouplingMap.from_expression(parse_expression(f_text)),
+        coupling=(f_text if isinstance(f_text, CouplingMap)
+                  else CouplingMap.from_expression(parse_expression(f_text))),
         phi=with_declared_class(make_linear(Fraction(1, 10)), ControlClass.ALTERING),
         psi=identity_control(),
     )
@@ -584,16 +592,203 @@ class TestRecord:
     def test_command_line_records_only_the_first_traced_start(
             self, source, traced, tmp_path, monkeypatch, capsys):
         recorded = []
-        for name in ("iterate_coincidence", "iterate_strong_coupled"):
-            real = getattr(cli, name)
+        real = cli.iterate_starts
 
-            def spy(problem, x0, y0, opts, record=True, real=real):
-                recorded.append(record)
-                return real(problem, x0, y0, opts, record=record)
+        def spy(problem, starts, opts, record=True):
+            reports, trace = real(problem, starts, opts, record=record)
+            recorded.append((len(starts), record, len(trace.steps), reports[0].iterations_used))
+            return reports, trace
 
-            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "iterate_starts", spy)
         trace_args = ["--trace", str(tmp_path / "t.csv")] if traced else []
         cli.main(["solve", source, "--start", "1", "1", "--start", "0.5", "0.5",
                   "--start", "1", "1", *trace_args])
         capsys.readouterr()
-        assert recorded == [traced, False, False]
+        # one batch of the three starts; under --trace it records the
+        # first start's steps, else none
+        (count, record, steps, first_used), = recorded
+        assert (count, record) == (3, traced)
+        assert steps == (first_used if traced else 0)
+
+
+# ---------------------------------------------------------------------------
+# one batch of starts against one start at a time
+
+
+def naive_coincidence_iteration(problem, x0, y0, opts):
+    """The coincidence iteration one start and one step at a time."""
+    d, f, t = problem.space.metric, problem.coupling.fn, problem.self_map.fn
+    a, b, tol = problem.subset_a, problem.subset_b, opts.tol
+    for p, subset, label, name in ((x0, a, "x0", "A"), (y0, b, "y0", "B")):
+        if not contains(subset, p):
+            raise DomainError(f"start {label}={p.value!r} is not in subset {name}")
+    trace = IterationTrace("coincidence")
+    x, y = x0.value, y0.value
+    tx, ty = t(x), t(y)
+
+    def report(status, failure=None):
+        fab, fba, ta, tb = f(x, y), f(y, x), t(x), t(y)
+        values = {"f_ab_ta": d(fab, ta), "f_ba_tb": d(fba, tb), "ta_tb": d(ta, tb),
+                  "f_ab_f_ba": d(fab, fba)}
+        if status is None:
+            converged = all(v <= tol for v in values.values())
+            status = SolveStatus.CONVERGED if converged else SolveStatus.EARLY_COINCIDENCE
+        return SolveReport(status, (Point(x), Point(y)), values, len(trace.steps), failure), trace
+
+    for n in range(opts.max_iter):
+        found = []
+        for subset, label, target in ((a, "A", f(y, x)), (b, "B", f(x, y))):
+            p, dist = _find_preimage(problem, target, subset, opts)
+            if p is None:
+                return report(SolveStatus.PREIMAGE_FAILURE, {
+                    "reason": "preimage", "step": n + 1, "subset": label, "target": target,
+                    "min_distance": dist})
+            found.append(p)
+        tx1, ty1 = t(found[0]), t(found[1])
+        trace.steps.append(TraceStep(n, x, y, tx, ty, max(d(tx, ty1), d(ty, tx1)), d(tx, ty)))
+        if len(trace.steps) > 1:
+            prev, done = trace.steps[-2:]
+            for name, before, now in (("D", prev.d, done.d), ("R", prev.r, done.r)):
+                if before > tol and now > before + tol:
+                    return report(SolveStatus.DIAGNOSTIC_VIOLATION,
+                                  {"reason": f"{name}_increase", "index": n})
+        if trace.steps[-1].d <= tol:
+            return report(None)
+        (x, y), tx, ty = found, tx1, ty1
+    return report(SolveStatus.MAX_ITER_EXCEEDED, {"reason": "max_iter"})
+
+
+def _batch_matches_one_start_at_a_time(problem, starts, opts):
+    """``iterate_starts`` returns the per-start engine's reports, and those of
+    the naive loop, or raises the error the first failing start raises
+    there; its trace is the first start's."""
+    strong = problem.kind == "strong_coupled"
+    iterate = iterate_strong_coupled if strong else iterate_coincidence
+    naive = naive_strong_iteration if strong else naive_coincidence_iteration
+    batch = lambda: iterate_starts(problem, starts, opts, record=False)[0]  # noqa: E731
+    _same_return(batch, lambda: [iterate(problem, *s, opts, record=False)[0] for s in starts])
+    _same_return(batch, lambda: [naive(problem, *s, opts)[0] for s in starts])
+    try:
+        want = naive(problem, *starts[0], opts)[1].steps
+        for start in starts[1:]:
+            iterate(problem, *start, opts, record=False)
+    except Exception:  # noqa: BLE001 - the batch raises it, as checked above
+        return
+    assert iterate_starts(problem, starts, opts)[1].steps == want
+
+
+_F_TEXTS = st.one_of(
+    st.builds("({}) * x + ({}) * y + ({})".format, _coefficients, _coefficients, _coefficients),
+    st.builds("abs(({}) * x - ({}) * y) + ({})".format, _coefficients, _coefficients,
+              _coefficients),
+)
+#: F as generated, or raising where its first argument passes 3/4: no arm matches
+_MAYBE_RAISING_F = st.tuples(_F_TEXTS, st.booleans()).map(
+    lambda fr: f"piecewise {{ x <= 3/4 => {fr[0]} ; }}" if fr[1] else fr[0])
+_SUBSETS = st.sampled_from([interval_subset(0.0, 1.0), interval_subset(-0.5, 1.0, False),
+                            SubsetSpec.from_values([0.0, 0.5, 1.0]), interval_subset(-4.0, 4.0)])
+_START_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+_STARTS = st.lists(st.tuples(_START_VALUES, _START_VALUES).map(lambda s: tuple(map(_pt, s))),
+                   min_size=1, max_size=6)
+_OPTS = st.builds(SolveOptions, tol=st.sampled_from([1e-9, 1e-3]), max_iter=st.integers(1, 5))
+
+
+@given(f=_MAYBE_RAISING_F, a=_SUBSETS, b=_SUBSETS, starts=_STARTS, opts=_OPTS)
+# start 1 ends with R_increase at step 2, while starts 0 and 2 go on
+@example(f="(1/2) * x + (-1) * y + (0)", a=interval_subset(-4.0, 4.0),
+         b=interval_subset(-4.0, 4.0), starts=[(_pt(0.0), _pt(0.0)), (_pt(0.0), _pt(1.0)),
+                                               (_pt(0.5), _pt(0.5))],
+         opts=SolveOptions(max_iter=5))
+@settings(max_examples=150, deadline=None)
+def test_a_strong_batch_runs_each_start_as_alone(f, a, b, starts, opts):
+    for problem in _usual_and_general(lambda space: _strong(space, a, b, f)):
+        _batch_matches_one_start_at_a_time(problem, starts, opts)
+
+
+def _with_raising_oracle(t: SelfMap) -> SelfMap:
+    """``t`` with an oracle that raises, naming the target, for targets above 1."""
+    def pre(target, subset, tol):
+        if target > 1.0:
+            raise ValueError(f"no oracle answer at {target!r}")
+        return None  # the grid search takes over
+
+    return SelfMap(t.fn, pre, t.source)
+
+
+_SELF_MAPS = st.sampled_from(["x", "2 * x", "x / 2 + 1/4", "2 * x + oracle", "x + raising"])
+
+
+@given(f=_MAYBE_RAISING_F, t_text=_SELF_MAPS, a=_SUBSETS, b=_SUBSETS,
+       starts=_STARTS, opts=_OPTS)
+@settings(max_examples=100, deadline=None)
+def test_a_coincidence_batch_runs_each_start_as_alone(f, t_text, a, b, starts, opts):
+    text, _, oracle = t_text.partition(" + ")
+    space = MetricSpace.real_line(-4.0, 4.0)
+    t = SelfMap.from_expression(parse_expression(text))
+    if oracle == "oracle":
+        t = t.with_inverse(parse_expression("x / 2"), space)
+    elif oracle == "raising":
+        t = _with_raising_oracle(t)
+    for space in _usual_and_general(lambda space: space):
+        problem = CoincidenceProblem(
+            space=space, subset_a=a, subset_b=b,
+            coupling=CouplingMap.from_expression(parse_expression(f)), self_map=t,
+            phi=make_linear(Fraction(1, 2)))
+        _batch_matches_one_start_at_a_time(problem, starts, opts)
+
+
+_LABELS = ["a", "b", "c", "d"]
+
+
+@given(
+    table=st.lists(st.sampled_from(_LABELS + [None]), min_size=16, max_size=16),
+    t_table=st.lists(st.sampled_from(_LABELS), min_size=4, max_size=4),
+    distances=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=12, max_size=12),
+    a=st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4),
+    b=st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4),
+    starts=st.lists(st.tuples(st.sampled_from(_LABELS), st.sampled_from(_LABELS)),
+                    min_size=1, max_size=6),
+    opts=_OPTS,
+)
+@settings(max_examples=150, deadline=None)
+def test_a_batch_on_a_labelled_metric_runs_each_start_as_alone(table, t_table, distances, a, b,
+                                                               starts, opts):
+    """Maps on labels have no row kernel; F raises, naming its arguments,
+    where the table has no entry."""
+    pairs = [(p, q) for p in _LABELS for q in _LABELS if p != q]
+    space = MetricSpace.finite(_LABELS, dict(zip(pairs, distances)))
+
+    def f(x, y):
+        value = table[4 * _LABELS.index(x) + _LABELS.index(y)]
+        if value is None:
+            raise ValueError(f"no F at ({x}, {y})")
+        return value
+
+    a, b = SubsetSpec.from_values(a), SubsetSpec.from_values(b)
+    starts = [(Point.label(x), Point.label(y)) for x, y in starts]
+    strong = _strong(space, a, b, CouplingMap.from_function(f))
+    coincidence = CoincidenceProblem(
+        space=space, subset_a=a, subset_b=b, coupling=CouplingMap.from_function(f),
+        self_map=SelfMap.from_function(lambda x: t_table[_LABELS.index(x)]),
+        phi=make_linear(Fraction(1, 2)))
+    for problem in (strong, coincidence):
+        _batch_matches_one_start_at_a_time(problem, starts, opts)
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_start():
+    """Start 0 raises in F at its fourth step, start 1 at its first, and
+    start 2 is outside A: one start at a time, start 0 raises first, and
+    without it start 1 does."""
+    def f(x, y):
+        if x > 0.75:
+            raise ValueError(f"F({x}, {y})")
+        return (x + y) / 2 + 1 / 8
+
+    unit = interval_subset(0.0, 1.0)
+    problem = _strong(MetricSpace.real_line(-4.0, 4.0), unit, unit, CouplingMap.from_function(f))
+    starts = [(_pt(0.5), _pt(0.5)), (_pt(0.5), _pt(1.0)), (_pt(2.0), _pt(0.0))]
+    for first, error, message in ((0, ValueError, r"F\(0.875, 0.875\)"),
+                                  (1, ValueError, r"F\(1.0, 0.5\)"),
+                                  (2, DomainError, "start x0=2.0 is not in subset A")):
+        with pytest.raises(error, match=message):
+            iterate_starts(problem, starts[first:], SolveOptions())
